@@ -3,9 +3,10 @@
 //!
 //! The paper's BLAS kernels assign one CUDA thread per vector element and its NTT
 //! kernels one thread per butterfly (§5.1). This module reproduces that model on the
-//! host: the index space `0..n` is chunked over `std::thread::scope` workers sized by
-//! [`std::thread::available_parallelism`], each element runs the same kernel, and the
-//! wall-clock time of the whole launch is reported.
+//! host: the index space `0..n` is cut into one contiguous range per worker (the
+//! count is [`std::thread::available_parallelism`], read once), the calling thread
+//! runs the first range and `std::thread::scope` workers the others, each element
+//! runs the same kernel, and the wall-clock time of the whole launch is reported.
 //!
 //! Three tiers of entry points:
 //!
@@ -28,6 +29,7 @@
 use moma_ir::compiled::{BlockScratch, CompiledKernel, Scratch};
 use moma_ir::Kernel;
 use std::cell::RefCell;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Statistics of one simulated launch.
@@ -94,21 +96,72 @@ impl LaunchStats {
     }
 }
 
-/// Number of host worker threads to use.
+/// Number of host worker threads to use. Read once: `available_parallelism`
+/// re-reads the cgroup files on every call, which costs more than a small
+/// launch does.
 fn worker_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
+}
+
+/// The dispatch every entry point shares: cuts `0..n` into one contiguous
+/// range per worker (fewer when `n` is small) and runs `body(lo, hi, part)`
+/// once per range, where `part = carve(lo, hi)` is that range's share of the
+/// caller's output. `carve` is called on the calling thread, once per range in
+/// ascending order, so it can walk a `&mut` cursor over the output. The calling
+/// thread runs the first range itself and only the others are spawned: a launch
+/// with a single range (one worker, or `n == 1`) never touches the scheduler.
+/// Returns the worker count for [`LaunchStats::workers`].
+fn dispatch<P, C, B>(n: usize, mut carve: C, body: B) -> usize
+where
+    P: Send,
+    C: FnMut(usize, usize) -> P,
+    B: Fn(usize, usize, P) + Sync,
+{
+    let workers = worker_count();
+    if n == 0 {
+        return workers;
+    }
+    let chunk = n.div_ceil(workers);
+    let first_hi = chunk.min(n);
+    let first = carve(0, first_hi);
+    if first_hi == n {
+        body(0, n, first);
+        return workers;
+    }
+    std::thread::scope(|scope| {
+        let mut lo = first_hi;
+        while lo < n {
+            let hi = (lo + chunk).min(n);
+            let part = carve(lo, hi);
+            let body = &body;
+            scope.spawn(move || body(lo, hi, part));
+            lo = hi;
+        }
+        body(0, first_hi, first);
+    });
+    workers
+}
+
+/// Cuts the next `len` elements off the front of the cursor `rest`.
+fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
 }
 
 thread_local! {
-    /// Reusable per-thread scratch frames for the inline (single-worker)
-    /// compiled paths. Scratch frames self-retag when they move between
-    /// kernels, so one frame per thread serves every kernel that thread ever
-    /// launches — the steady state allocates no scratch at all. Scoped worker
-    /// threads are born fresh per launch and still build one frame each; that
-    /// frame is O(registers), not plane-sized, and is excluded from
-    /// [`LaunchStats::allocs`].
+    /// Reusable per-thread scratch frames for the compiled paths. Scratch
+    /// frames self-retag when they move between kernels, so one frame per
+    /// thread serves every kernel that thread ever launches — the calling
+    /// thread's share of a launch allocates no scratch at all in the steady
+    /// state. Scoped worker threads are born fresh per launch, so theirs is
+    /// built once per launch; that frame is O(registers), not plane-sized, and
+    /// is excluded from [`LaunchStats::allocs`].
     static INLINE_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
     static INLINE_BLOCK_SCRATCH: RefCell<BlockScratch> = RefCell::new(BlockScratch::default());
 }
@@ -132,34 +185,16 @@ pub fn launch_indexed<F>(n: usize, kernel_fn: F) -> LaunchStats
 where
     F: Fn(usize) + Sync,
 {
-    let workers = worker_count().max(1);
     let start = Instant::now();
-    if n > 0 {
-        if workers == 1 {
-            // One worker: run inline rather than paying a thread spawn for no
-            // parallelism (single-core hosts, cgroup-limited CI runners).
-            for i in 0..n {
+    let workers = dispatch(
+        n,
+        |_, _| (),
+        |lo, hi, ()| {
+            for i in lo..hi {
                 kernel_fn(i);
             }
-        } else {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(n);
-                    if lo >= hi {
-                        continue;
-                    }
-                    let f = &kernel_fn;
-                    scope.spawn(move || {
-                        for i in lo..hi {
-                            f(i);
-                        }
-                    });
-                }
-            });
-        }
-    }
+        },
+    );
     LaunchStats {
         threads: n,
         workers,
@@ -192,38 +227,26 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let workers = worker_count().max(1);
     let start = Instant::now();
-    let mut results: Vec<T> = Vec::with_capacity(n);
-    if n > 0 && workers == 1 {
-        // One worker: run inline (see `launch_indexed`).
-        let mut state = init();
-        results.extend((0..n).map(|i| f(&mut state, i)));
-    } else if n > 0 {
-        let chunk = n.div_ceil(workers);
-        let chunks: Vec<Vec<T>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                if lo >= hi {
-                    continue;
-                }
-                let f = &f;
-                let init = &init;
-                handles.push(scope.spawn(move || {
-                    let mut state = init();
-                    (lo..hi).map(|i| f(&mut state, i)).collect::<Vec<T>>()
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("launch worker panicked"))
-                .collect()
-        });
-        for c in chunks {
-            results.extend(c);
-        }
+    // One output vector per range; the first one then absorbs the others, so a
+    // single-range launch hands its vector back untouched.
+    let mut parts: Vec<Vec<T>> = std::iter::repeat_with(Vec::new)
+        .take(worker_count())
+        .collect();
+    let mut slots = parts.iter_mut();
+    let workers = dispatch(
+        n,
+        |_, _| slots.next().expect("one slot per worker range"),
+        |lo, hi, slot| {
+            let mut state = init();
+            slot.extend((lo..hi).map(|i| f(&mut state, i)));
+        },
+    );
+    let mut parts = parts.into_iter();
+    let mut results = parts.next().unwrap_or_default();
+    results.reserve_exact(n - results.len());
+    for part in parts {
+        results.extend(part);
     }
     (
         results,
@@ -259,29 +282,22 @@ where
 {
     assert!(chunk_len > 0, "chunk length must be positive");
     let n = out.len().div_ceil(chunk_len);
-    let workers = worker_count().max(1);
     let start = Instant::now();
-    if n > 0 && workers == 1 {
-        // One worker: run inline (see `launch_indexed`).
-        for (i, chunk) in out.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-    } else if n > 0 {
-        let per = n.div_ceil(workers);
-        let mut chunks: Vec<(usize, &mut [T])> = out.chunks_mut(chunk_len).enumerate().collect();
-        std::thread::scope(|scope| {
-            while !chunks.is_empty() {
-                let take = per.min(chunks.len());
-                let batch: Vec<(usize, &mut [T])> = chunks.drain(..take).collect();
-                let f = &f;
-                scope.spawn(move || {
-                    for (i, chunk) in batch {
-                        f(i, chunk);
-                    }
-                });
+    // Each worker gets one contiguous sub-slice and walks its chunks locally:
+    // nothing is allocated however many chunks there are.
+    let mut rest = out;
+    let workers = dispatch(
+        n,
+        |lo, hi| {
+            let len = ((hi - lo) * chunk_len).min(rest.len());
+            take_front(&mut rest, len)
+        },
+        |lo, _, part| {
+            for (k, chunk) in part.chunks_mut(chunk_len).enumerate() {
+                f(lo + k, chunk);
             }
-        });
-    }
+        },
+    );
     LaunchStats {
         threads: n,
         workers,
@@ -313,45 +329,28 @@ where
 {
     let p = compiled.param_count();
     let oc = compiled.output_count();
-    let workers = worker_count().max(1);
     let start = Instant::now();
     let mut out = vec![0u64; n * oc];
-    let run_rows = |scratch: &mut Scratch, lo: usize, hi: usize, out_slice: &mut [u64]| {
-        let mut params = vec![0u64; p];
-        for i in lo..hi {
-            fill(i, &mut params);
-            compiled
-                .run_into(
-                    &params,
-                    scratch,
-                    &mut out_slice[(i - lo) * oc..(i - lo + 1) * oc],
-                )
-                .unwrap_or_else(|e| panic!("generated kernel failed on element {i}: {e}"));
-        }
-    };
-    if n > 0 && workers == 1 {
-        // One worker: run inline with the thread's reusable frame (see
-        // `launch_indexed` for why inline).
-        with_inline_scratch(|scratch| run_rows(scratch, 0, n, &mut out));
-    } else if n > 0 {
-        let chunk = n.div_ceil(workers);
-        let mut slices: Vec<(usize, usize, &mut [u64])> = Vec::new();
-        let mut rest: &mut [u64] = &mut out;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let (head, tail) = rest.split_at_mut((hi - lo) * oc);
-            slices.push((lo, hi, head));
-            rest = tail;
-            lo = hi;
-        }
-        std::thread::scope(|scope| {
-            for (lo, hi, slice) in slices {
-                let run_rows = &run_rows;
-                scope.spawn(move || run_rows(&mut compiled.scratch(), lo, hi, slice));
-            }
-        });
-    }
+    let mut rest: &mut [u64] = &mut out;
+    let workers = dispatch(
+        n,
+        |lo, hi| take_front(&mut rest, (hi - lo) * oc),
+        |lo, hi, out_slice| {
+            with_inline_scratch(|scratch| {
+                let mut params = vec![0u64; p];
+                for i in lo..hi {
+                    fill(i, &mut params);
+                    compiled
+                        .run_into(
+                            &params,
+                            scratch,
+                            &mut out_slice[(i - lo) * oc..(i - lo + 1) * oc],
+                        )
+                        .unwrap_or_else(|e| panic!("generated kernel failed on element {i}: {e}"));
+                }
+            })
+        },
+    );
     (
         out,
         LaunchStats {
@@ -429,42 +428,25 @@ pub fn launch_compiled_batch_into(
         n * oc,
         "output length must be elements * output_count()"
     );
-    let workers = worker_count().max(1);
     let start = Instant::now();
-    let run_rows = |scratch: &mut Scratch, lo: usize, hi: usize, out_slice: &mut [u64]| {
-        for i in lo..hi {
-            compiled
-                .run_into(
-                    &inputs[i * p..(i + 1) * p],
-                    scratch,
-                    &mut out_slice[(i - lo) * oc..(i - lo + 1) * oc],
-                )
-                .unwrap_or_else(|e| panic!("generated kernel failed on element {i}: {e}"));
-        }
-    };
-    if n > 0 && workers == 1 {
-        // One worker: run inline with the thread's reusable frame (see
-        // `launch_indexed`).
-        with_inline_scratch(|scratch| run_rows(scratch, 0, n, out));
-    } else if n > 0 {
-        let chunk = n.div_ceil(workers);
-        let mut slices: Vec<(usize, usize, &mut [u64])> = Vec::new();
-        let mut rest: &mut [u64] = out;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let (head, tail) = rest.split_at_mut((hi - lo) * oc);
-            slices.push((lo, hi, head));
-            rest = tail;
-            lo = hi;
-        }
-        std::thread::scope(|scope| {
-            for (lo, hi, slice) in slices {
-                let run_rows = &run_rows;
-                scope.spawn(move || run_rows(&mut compiled.scratch(), lo, hi, slice));
-            }
-        });
-    }
+    let mut rest = out;
+    let workers = dispatch(
+        n,
+        |lo, hi| take_front(&mut rest, (hi - lo) * oc),
+        |lo, hi, out_slice| {
+            with_inline_scratch(|scratch| {
+                for i in lo..hi {
+                    compiled
+                        .run_into(
+                            &inputs[i * p..(i + 1) * p],
+                            scratch,
+                            &mut out_slice[(i - lo) * oc..(i - lo + 1) * oc],
+                        )
+                        .unwrap_or_else(|e| panic!("generated kernel failed on element {i}: {e}"));
+                }
+            })
+        },
+    );
     LaunchStats {
         threads: n,
         workers,
@@ -512,60 +494,43 @@ where
         oc * cols,
         "output length must be output_count() * cols"
     );
-    let workers = worker_count().max(1);
     let start = Instant::now();
-    let run_cols = |scratch: &mut BlockScratch, lo: usize, hi: usize, rows: &mut [&mut [u64]]| {
-        let mut base = lo;
-        while base < hi {
-            let n = (hi - base).min(moma_ir::compiled::LANE_BLOCK);
-            compiled
-                .run_lanes(
-                    n,
-                    scratch,
-                    |p, lanes| fill(p, base, lanes),
-                    |j, lanes| rows[j][base - lo..base - lo + n].copy_from_slice(lanes),
-                )
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "generated kernel failed on elements {base}..{}: {e}",
-                        base + n
-                    )
-                });
-            base += n;
-        }
-    };
-    if cols > 0 && oc > 0 && workers == 1 {
-        // One worker: run inline with the thread's reusable frame (see
-        // `launch_indexed`).
-        let mut rows: Vec<&mut [u64]> = out.chunks_mut(cols).collect();
-        with_inline_block_scratch(|scratch| run_cols(scratch, 0, cols, &mut rows));
-    } else if cols > 0 && oc > 0 {
-        // Carve every output row into the same per-worker column ranges, so
-        // each worker holds a disjoint `&mut` window of all rows at once.
-        let chunk = cols.div_ceil(workers);
-        let mut bounds = Vec::new();
-        let mut lo = 0;
-        while lo < cols {
-            bounds.push((lo, (lo + chunk).min(cols)));
-            lo = (lo + chunk).min(cols);
-        }
-        let mut bundles: Vec<Vec<&mut [u64]>> =
-            bounds.iter().map(|_| Vec::with_capacity(oc)).collect();
-        for row in out.chunks_mut(cols) {
-            let mut rest = row;
-            for (w, &(lo, hi)) in bounds.iter().enumerate() {
-                let (head, tail) = rest.split_at_mut(hi - lo);
-                bundles[w].push(head);
-                rest = tail;
-            }
-        }
-        std::thread::scope(|scope| {
-            for (&(lo, hi), mut bundle) in bounds.iter().zip(bundles) {
-                let run_cols = &run_cols;
-                scope.spawn(move || run_cols(&mut compiled.block_scratch(), lo, hi, &mut bundle));
-            }
-        });
-    }
+    // `oc == 0` leaves nothing to run (and `cols == 0` nothing to chunk by).
+    let elements = if oc > 0 { cols } else { 0 };
+    // Every output row is carved into the same per-worker column ranges, so
+    // each worker holds a disjoint `&mut` window of all rows at once.
+    let mut rests: Vec<&mut [u64]> = out.chunks_mut(cols.max(1)).collect();
+    let workers = dispatch(
+        elements,
+        |lo, hi| -> Vec<&mut [u64]> {
+            rests
+                .iter_mut()
+                .map(|rest| take_front(rest, hi - lo))
+                .collect()
+        },
+        |lo, hi, mut rows| {
+            with_inline_block_scratch(|scratch| {
+                let mut base = lo;
+                while base < hi {
+                    let n = (hi - base).min(moma_ir::compiled::LANE_BLOCK);
+                    compiled
+                        .run_lanes(
+                            n,
+                            scratch,
+                            |p, lanes| fill(p, base, lanes),
+                            |j, lanes| rows[j][base - lo..base - lo + n].copy_from_slice(lanes),
+                        )
+                        .unwrap_or_else(|e| {
+                            panic!(
+                                "generated kernel failed on elements {base}..{}: {e}",
+                                base + n
+                            )
+                        });
+                    base += n;
+                }
+            })
+        },
+    );
     LaunchStats {
         threads: cols,
         workers,
@@ -684,6 +649,36 @@ mod tests {
         let mut empty: [u8; 0] = [];
         let stats = launch_chunks(&mut empty, 4, |_, _| panic!("must not run"));
         assert_eq!(stats.threads, 0);
+    }
+
+    #[test]
+    fn chunk_launch_delivers_each_index_once_at_every_split() {
+        // Unit chunks (the NTT normalize/scale shape) and ragged tails, over
+        // lengths that land the worker boundaries everywhere — including
+        // inside the short last chunk's neighbourhood. On a multi-core host
+        // this is the multi-worker path (`stats.workers > 1`): each worker
+        // walks its own sub-slice and must still report global indices.
+        for len in 0..70usize {
+            for chunk_len in [1usize, 3, 4] {
+                let mut out = vec![usize::MAX; len];
+                let calls = AtomicUsize::new(0);
+                let stats = launch_chunks(&mut out, chunk_len, |i, chunk| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    let want = chunk_len.min(len - i * chunk_len);
+                    assert_eq!(chunk.len(), want, "len {len}, chunk {chunk_len}, i {i}");
+                    for slot in chunk.iter_mut() {
+                        assert_eq!(*slot, usize::MAX, "slot delivered twice");
+                        *slot = i;
+                    }
+                });
+                assert_eq!(stats.threads, len.div_ceil(chunk_len));
+                assert_eq!(calls.load(Ordering::Relaxed), stats.threads);
+                assert!(
+                    out.iter().enumerate().all(|(k, &i)| i == k / chunk_len),
+                    "len {len}, chunk {chunk_len}: {out:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,23 +22,29 @@
 //!   are then scattered back — the double-buffered formulation, since `MpUint`
 //!   values cannot be updated atomically.
 //!
-//! **Batched transforms** ([`NttPlan64::forward_batch_on_launcher`]) run many
-//! same-size transforms through *one* launch per stage with grid = batch × n/2 —
-//! the paper's batched NTT shape. The per-stage barrier is thereby amortized over
-//! the whole batch: the launch count of a batched transform is `log2 n + 1`
-//! regardless of the batch size (see [`moma_gpu::LaunchStats::launches`]), where
-//! launching the transforms one by one pays `batch × (log2 n + 1)`.
+//! **Batched transforms** run many same-size transforms through *one* launch per
+//! stage with grid = rows × n/2 — the paper's batched NTT shape. The per-stage
+//! barrier is thereby amortized over the whole batch: the launch count of a
+//! batched transform is `log2 n + 1` regardless of the row count (see
+//! [`moma_gpu::LaunchStats::launches`]), where launching the transforms one by
+//! one pays `rows × (log2 n + 1)`. The rows need not share a modulus: one
+//! executor transforms row `r` of a flat `rows × n` buffer under its own plan,
+//! each thread reading its row's modulus and tables from a per-launch row view.
+//! [`forward_rows_on_launcher_pooled`] is that form (every residue row of an
+//! RNS ring element in one go); [`NttPlan64::forward_batch_on_launcher`] is the
+//! case where every row names the same plan.
 //!
 //! On a many-core host the stage launches spread the butterflies across workers;
 //! on the single-vCPU CI container they degrade to the inline loop plus launch
 //! bookkeeping, which is exactly the overhead `reproduce bench` records as the
 //! `ntt_launcher` entry.
 
-use crate::plan::{NttPlan, NttPlan64};
+use crate::plan::{NttPlan, NttPlan64, Stage64};
 use crate::transform::bit_reverse_permute;
 use moma_gpu::launch::{launch_chunks, launch_indexed, launch_map, LaunchStats};
 use moma_gpu::pool::BufferPool;
 use moma_mp::MpUint;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maps a butterfly index `t ∈ [0, n/2)` of a stage with half-length `m` to the
@@ -47,6 +53,237 @@ use std::sync::atomic::{AtomicU64, Ordering};
 fn butterfly_base(t: usize, m: usize) -> usize {
     let log_m = m.trailing_zeros();
     ((t >> log_m) << (log_m + 1)) | (t & (m - 1))
+}
+
+/// The lazy Shoup product of the inline hot loop
+/// ([`moma_mp::single::SingleBarrett::mul_mod_shoup_lazy`]) with the modulus
+/// passed by value: `w·x mod q` in `[0, 2q)` for any `x < 4q`.
+#[inline]
+fn shoup_lazy(x: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
+    let hi = ((w_shoup as u128 * x as u128) >> 64) as u64;
+    w.wrapping_mul(x).wrapping_sub(hi.wrapping_mul(q))
+}
+
+/// What the threads of one launch read of one row's plan: the row's modulus
+/// and the factor table (with Shoup quotients) that launch indexes — a stage's
+/// twiddles, the folded twist, or the inverse's scaling factors.
+#[derive(Clone, Copy)]
+struct RowView<'p> {
+    q: u64,
+    two_q: u64,
+    table: Stage64<'p>,
+}
+
+/// Refills `views` for the next launch: one entry per row, `table_of` picking
+/// the table that launch needs from each row's plan. Done once per launch on
+/// the calling thread, so the per-butterfly closure pays one indexed load
+/// instead of a plan lookup.
+fn gather_rows<'p>(
+    views: &mut Vec<RowView<'p>>,
+    rows: usize,
+    plan_of: &impl Fn(usize) -> &'p NttPlan64,
+    table_of: impl Fn(&'p NttPlan64) -> Stage64<'p>,
+) {
+    views.clear();
+    views.extend((0..rows).map(|r| {
+        let plan = plan_of(r);
+        RowView {
+            q: plan.ctx.q,
+            two_q: plan.two_q(),
+            table: table_of(plan),
+        }
+    }));
+}
+
+/// The one stage-launched executor for [`NttPlan64`]: transforms row `r` of the
+/// flat `rows × n` buffer `data` in place under `plan_of(r)` — its own modulus,
+/// twiddle and Shoup tables, folded negacyclic twist and scaling factors — with
+/// **one launch per butterfly stage covering every row** (grid = rows × n/2, one
+/// virtual thread per butterfly) and one element-parallel normalize/scale
+/// launch: `log2 n + 1` launches whatever `rows` is. A same-modulus batch is the
+/// case where every row names the same plan.
+///
+/// The data lives in a `rows × n` plane of atomics for the duration of the
+/// transform (from `pool` when given, else the heap); `allocs` in the returned
+/// statistics counts that plane — the pool-miss delta of the window, so a warm
+/// pool reports `0`. Inputs must be reduced below their row's modulus; outputs
+/// are reduced.
+///
+/// # Panics
+///
+/// Panics if `rows` is zero, if the rows' plans disagree on the transform size
+/// or mix cyclic with negacyclic transforms, or if `data.len() != rows × n`.
+fn transform_rows<'p>(
+    rows: usize,
+    plan_of: impl Fn(usize) -> &'p NttPlan64,
+    data: &mut [u64],
+    forward: bool,
+    pool: Option<&BufferPool>,
+) -> LaunchStats {
+    assert!(rows > 0, "a transform needs at least one row");
+    let n = plan_of(0).n;
+    let negacyclic = plan_of(0).is_negacyclic();
+    for r in 1..rows {
+        assert_eq!(
+            plan_of(r).n,
+            n,
+            "every row's plan must have the same transform size (row {r})"
+        );
+        assert_eq!(
+            plan_of(r).is_negacyclic(),
+            negacyclic,
+            "cyclic and negacyclic plans cannot share one stage launch (row {r})"
+        );
+    }
+    assert_eq!(
+        data.len(),
+        rows * n,
+        "data length must be rows × the transform size"
+    );
+    let half = n / 2;
+    let log_half = half.trailing_zeros();
+    let log_n = log_half + 1;
+
+    let pool = pool.map(|pool| (pool, pool.misses()));
+    let cells: Vec<AtomicU64> = match pool {
+        Some((pool, _)) => pool.acquire_cells(data.len()),
+        None => std::iter::repeat_with(AtomicU64::default)
+            .take(data.len())
+            .collect(),
+    };
+    for (row, row_cells) in data.chunks_exact_mut(n).zip(cells.chunks_exact(n)) {
+        bit_reverse_permute(row);
+        for (cell, &x) in row_cells.iter().zip(row.iter()) {
+            cell.store(x, Ordering::Relaxed);
+        }
+    }
+
+    let mut stats = LaunchStats::default();
+    let mut views = Vec::with_capacity(rows);
+    let mut m = 1;
+    while m < n {
+        // Thread t handles butterfly t % (n/2) of row t / (n/2).
+        let round = if m == 1 && forward && negacyclic {
+            // A negacyclic forward folds the twist into its first stage: each
+            // input is multiplied by its slot's ψ^{rev(i)} factor (lazy Shoup
+            // product, [0, 2q)) before the add/sub — the same launch the plain
+            // stage-1 butterflies would have used, with the twist riding along.
+            gather_rows(&mut views, rows, &plan_of, |plan| {
+                plan.twist().expect("checked negacyclic above").forward
+            });
+            launch_indexed(rows * half, |t| {
+                let row = t >> log_half;
+                let RowView { q, two_q, table } = views[row];
+                let j = 2 * (t & (half - 1));
+                let i = (row << log_n) + j;
+                let x = cells[i].load(Ordering::Relaxed);
+                let y = cells[i + 1].load(Ordering::Relaxed);
+                let t0 = shoup_lazy(x, table.twiddles[j], table.shoup[j], q);
+                let t1 = shoup_lazy(y, table.twiddles[j + 1], table.shoup[j + 1], q);
+                cells[i].store(t0 + t1, Ordering::Relaxed);
+                cells[i + 1].store(t0 + two_q - t1, Ordering::Relaxed);
+            })
+        } else {
+            gather_rows(&mut views, rows, &plan_of, |plan| plan.stage(forward, m));
+            launch_indexed(rows * half, |t| {
+                let row = t >> log_half;
+                let RowView { q, two_q, table } = views[row];
+                let bf = t & (half - 1);
+                let i = (row << log_n) + butterfly_base(bf, m);
+                let k = i + m;
+                let j = bf & (m - 1);
+                // Harvey's lazy butterfly, identical to the inline hot loop: fold
+                // x into [0, 2q), take the lazy Shoup product t = w·y mod q in
+                // [0, 2q), and emit x + t and x − t + 2q, both < 4q.
+                let mut x = cells[i].load(Ordering::Relaxed);
+                if x >= two_q {
+                    x -= two_q;
+                }
+                let y = cells[k].load(Ordering::Relaxed);
+                let t = shoup_lazy(y, table.twiddles[j], table.shoup[j], q);
+                cells[i].store(x + t, Ordering::Relaxed);
+                cells[k].store(x + two_q - t, Ordering::Relaxed);
+            })
+        };
+        stats.accumulate(round);
+        m <<= 1;
+    }
+
+    // The final pass writes `data` in place through `launch_chunks` (chunk
+    // length 1, so the thread count still equals the element count): no output
+    // plane is allocated.
+    let pass = if forward {
+        // Normalize from [0, 4q); `views` still carries every row's q and 2q
+        // from the last stage.
+        launch_chunks(data, 1, |i, out| {
+            let RowView { q, two_q, .. } = views[i >> log_n];
+            let mut v = cells[i].load(Ordering::Relaxed);
+            if v >= two_q {
+                v -= two_q;
+            }
+            if v >= q {
+                v -= q;
+            }
+            out[0] = v;
+        })
+    } else {
+        // The scaling multiply doubles as the normalize pass, as in the inline
+        // plan; on a negacyclic row the per-index ψ^{-i}·n^{-1} factor unfolds
+        // the twist inside the same multiply.
+        gather_rows(&mut views, rows, &plan_of, NttPlan64::inverse_scale);
+        launch_chunks(data, 1, |i, out| {
+            let RowView { q, table, .. } = views[i >> log_n];
+            let j = i & (table.twiddles.len() - 1);
+            let x = cells[i].load(Ordering::Relaxed);
+            let t = shoup_lazy(x, table.twiddles[j], table.shoup[j], q);
+            out[0] = if t >= q { t - q } else { t };
+        })
+    };
+    stats.accumulate(pass);
+
+    stats.allocs += match pool {
+        Some((pool, misses_before)) => {
+            pool.recycle_cells(cells);
+            (pool.misses() - misses_before) as usize
+        }
+        None => 1,
+    };
+    stats
+}
+
+/// Forward-transforms row `r` of the flat `plans.len() × n` buffer `data` in
+/// place under `plans[r]` — each row its own modulus — with every butterfly
+/// stage of **all** rows dispatched as one launch: `log2 n + 1` launches
+/// however many moduli the buffer spans. This is the raise of a ring element's
+/// whole residue plane. The working plane comes from `pool`; `allocs` reports
+/// the pool-miss delta of the window.
+///
+/// Inputs must be reduced below their row's modulus; outputs are reduced.
+///
+/// # Panics
+///
+/// Panics if `plans` is empty, if the plans disagree on the transform size or
+/// mix cyclic with negacyclic transforms, or if `data.len() != plans.len() × n`.
+pub fn forward_rows_on_launcher_pooled<P: Borrow<NttPlan64>>(
+    plans: &[P],
+    data: &mut [u64],
+    pool: &BufferPool,
+) -> LaunchStats {
+    transform_rows(plans.len(), |r| plans[r].borrow(), data, true, Some(pool))
+}
+
+/// Inverse counterpart of [`forward_rows_on_launcher_pooled`] (with each row's
+/// `1/n` scaling, and the `ψ^{-i}` untwist on negacyclic plans).
+///
+/// # Panics
+///
+/// Panics under the conditions of [`forward_rows_on_launcher_pooled`].
+pub fn inverse_rows_on_launcher_pooled<P: Borrow<NttPlan64>>(
+    plans: &[P],
+    data: &mut [u64],
+    pool: &BufferPool,
+) -> LaunchStats {
+    transform_rows(plans.len(), |r| plans[r].borrow(), data, false, Some(pool))
 }
 
 impl NttPlan64 {
@@ -96,12 +333,7 @@ impl NttPlan64 {
     ///
     /// Panics if `data.len()` is not a non-zero multiple of `self.n`.
     pub fn forward_batch_on_launcher(&self, data: &mut [u64]) -> LaunchStats {
-        let cells: Vec<AtomicU64> = std::iter::repeat_with(AtomicU64::default)
-            .take(data.len())
-            .collect();
-        let mut stats = self.forward_batch_in(data, &cells);
-        stats.allocs += usize::from(!data.is_empty());
-        stats
+        self.transform_batch(data, true, None)
     }
 
     /// [`NttPlan64::forward_batch_on_launcher`] with the atomic working plane
@@ -113,12 +345,7 @@ impl NttPlan64 {
         data: &mut [u64],
         pool: &BufferPool,
     ) -> LaunchStats {
-        let before = pool.misses();
-        let cells = pool.acquire_cells(data.len());
-        let mut stats = self.forward_batch_in(data, &cells);
-        pool.recycle_cells(cells);
-        stats.allocs += (pool.misses() - before) as usize;
-        stats
+        self.transform_batch(data, true, Some(pool))
     }
 
     /// Inverse-transforms a whole batch of `data.len() / n` transforms in place
@@ -129,12 +356,7 @@ impl NttPlan64 {
     ///
     /// Panics if `data.len()` is not a non-zero multiple of `self.n`.
     pub fn inverse_batch_on_launcher(&self, data: &mut [u64]) -> LaunchStats {
-        let cells: Vec<AtomicU64> = std::iter::repeat_with(AtomicU64::default)
-            .take(data.len())
-            .collect();
-        let mut stats = self.inverse_batch_in(data, &cells);
-        stats.allocs += usize::from(!data.is_empty());
-        stats
+        self.transform_batch(data, false, None)
     }
 
     /// [`NttPlan64::inverse_batch_on_launcher`] with the atomic working plane
@@ -145,162 +367,21 @@ impl NttPlan64 {
         data: &mut [u64],
         pool: &BufferPool,
     ) -> LaunchStats {
-        let before = pool.misses();
-        let cells = pool.acquire_cells(data.len());
-        let mut stats = self.inverse_batch_in(data, &cells);
-        pool.recycle_cells(cells);
-        stats.allocs += (pool.misses() - before) as usize;
-        stats
+        self.transform_batch(data, false, Some(pool))
     }
 
-    /// Stages plus the normalize pass, on a caller-provided working plane. The
-    /// normalize pass writes `data` in place through [`launch_chunks`] (chunk
-    /// length 1, so the thread count still equals the element count): no output
-    /// plane is allocated.
-    fn forward_batch_in(&self, data: &mut [u64], cells: &[AtomicU64]) -> LaunchStats {
-        let mut stats = self.run_stages_batched(data, true, cells);
-        let q = self.ctx.q;
-        let two_q = self.two_q();
-        let pass = launch_chunks(data, 1, |i, out| {
-            let mut v = cells[i].load(Ordering::Relaxed);
-            if v >= two_q {
-                v -= two_q;
-            }
-            if v >= q {
-                v -= q;
-            }
-            out[0] = v;
-        });
-        stats.accumulate(pass);
-        stats
-    }
-
-    /// Stages plus the scaling pass (which doubles as the normalize pass, as in
-    /// the inline plan), on a caller-provided working plane.
-    fn inverse_batch_in(&self, data: &mut [u64], cells: &[AtomicU64]) -> LaunchStats {
-        let mut stats = self.run_stages_batched(data, false, cells);
-        let q = self.ctx.q;
-        let pass = if let Some(tw) = self.twist() {
-            // Negacyclic: the per-index ψ^{-i}·n^{-1} factor unfolds the twist
-            // inside the same scaling multiply — still one pass, one launch.
-            let n = self.n;
-            launch_chunks(data, 1, |i, out| {
-                let j = i % n;
-                let t = self.ctx.mul_mod_shoup_lazy(
-                    cells[i].load(Ordering::Relaxed),
-                    tw.inverse_scale.twiddles[j],
-                    tw.inverse_scale.shoup[j],
-                );
-                out[0] = if t >= q { t - q } else { t };
-            })
-        } else {
-            let (n_inv, n_inv_shoup) = self.n_inv_pair();
-            launch_chunks(data, 1, |i, out| {
-                let t = self.ctx.mul_mod_shoup_lazy(
-                    cells[i].load(Ordering::Relaxed),
-                    n_inv,
-                    n_inv_shoup,
-                );
-                out[0] = if t >= q { t - q } else { t };
-            })
-        };
-        stats.accumulate(pass);
-        stats
-    }
-
-    /// Runs the butterfly stages of every transform in the batch on the
-    /// launcher — one launch per stage covering the whole batch — leaving the
-    /// results (values lazily reduced in `[0, 4q)`) in the caller-provided
-    /// working plane and returning the accumulated stage statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells.len() != data.len()` or `data` is not a non-zero
-    /// multiple of the transform size.
-    fn run_stages_batched(
+    /// A same-modulus batch is the row executor with every row naming `self`.
+    fn transform_batch(
         &self,
         data: &mut [u64],
         forward: bool,
-        cells: &[AtomicU64],
+        pool: Option<&BufferPool>,
     ) -> LaunchStats {
         assert!(
             !data.is_empty() && data.len() % self.n == 0,
             "data length must be a non-zero multiple of the transform size"
         );
-        assert_eq!(
-            cells.len(),
-            data.len(),
-            "working plane length must equal the data length"
-        );
-        let batch = data.len() / self.n;
-        let half = self.n / 2;
-        for transform in data.chunks_exact_mut(self.n) {
-            bit_reverse_permute(transform);
-        }
-        for (cell, &x) in cells.iter().zip(data.iter()) {
-            cell.store(x, Ordering::Relaxed);
-        }
-        let mut stats = LaunchStats::default();
-        let q = self.ctx.q;
-        let two_q = self.two_q();
-        let mut m = 1;
-        // A negacyclic forward runs its folded first stage here: each butterfly
-        // input is multiplied by its slot's ψ^{rev(i)} twist factor (lazy Shoup
-        // product, [0, 2q)) before the add/sub — the same launch the plain
-        // stage-1 butterflies would have used, with the twist riding along.
-        if forward {
-            if let Some(tw) = self.twist() {
-                let round = launch_indexed(batch * half, |t| {
-                    let base = (t / half) * self.n;
-                    let bf = t % half;
-                    let i = base + 2 * bf;
-                    let k = i + 1;
-                    let (j0, j1) = (2 * bf, 2 * bf + 1);
-                    let x = cells[i].load(Ordering::Relaxed);
-                    let y = cells[k].load(Ordering::Relaxed);
-                    let hi0 = ((tw.forward.shoup[j0] as u128 * x as u128) >> 64) as u64;
-                    let t0 = tw.forward.twiddles[j0]
-                        .wrapping_mul(x)
-                        .wrapping_sub(hi0.wrapping_mul(q));
-                    let hi1 = ((tw.forward.shoup[j1] as u128 * y as u128) >> 64) as u64;
-                    let t1 = tw.forward.twiddles[j1]
-                        .wrapping_mul(y)
-                        .wrapping_sub(hi1.wrapping_mul(q));
-                    cells[i].store(t0 + t1, Ordering::Relaxed);
-                    cells[k].store(t0 + two_q - t1, Ordering::Relaxed);
-                });
-                stats.accumulate(round);
-                m = 2;
-            }
-        }
-        while m < self.n {
-            let stage = self.stage(forward, m);
-            let round = launch_indexed(batch * half, |t| {
-                // Thread t handles butterfly t % (n/2) of transform t / (n/2).
-                let base = (t / half) * self.n;
-                let bf = t % half;
-                let i = base + butterfly_base(bf, m);
-                let k = i + m;
-                let j = bf & (m - 1);
-                // Harvey's lazy butterfly, identical to the inline hot loop: fold
-                // x into [0, 2q), take the lazy Shoup product t = w·y mod q in
-                // [0, 2q), and emit x + t and x − t + 2q, both < 4q.
-                let mut x = cells[i].load(Ordering::Relaxed);
-                if x >= two_q {
-                    x -= two_q;
-                }
-                let y = cells[k].load(Ordering::Relaxed);
-                let hi = ((stage.shoup[j] as u128 * y as u128) >> 64) as u64;
-                let t = stage.twiddles[j]
-                    .wrapping_mul(y)
-                    .wrapping_sub(hi.wrapping_mul(q));
-                cells[i].store(x + t, Ordering::Relaxed);
-                cells[k].store(x + two_q - t, Ordering::Relaxed);
-            });
-            stats.accumulate(round);
-            m <<= 1;
-        }
-        stats
+        transform_rows(data.len() / self.n, |_| self, data, forward, pool)
     }
 }
 

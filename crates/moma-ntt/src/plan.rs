@@ -641,6 +641,23 @@ impl NttPlan64 {
         (self.n_inv, self.n_inv_shoup)
     }
 
+    /// The inverse transform's final scaling factors as a table whose length
+    /// is a power of two: the `n` per-index factors `ψ^{-i}·n^{-1}` of a
+    /// negacyclic plan, or the single uniform `n^{-1}` of a cyclic one — so
+    /// element `i` of either kind is scaled by entry `i & (len − 1)`.
+    pub(crate) fn inverse_scale(&self) -> Stage64<'_> {
+        match &self.twist {
+            Some(tw) => Stage64 {
+                twiddles: &tw.inv_scale,
+                shoup: &tw.inv_scale_shoup,
+            },
+            None => Stage64 {
+                twiddles: std::slice::from_ref(&self.n_inv),
+                shoup: std::slice::from_ref(&self.n_inv_shoup),
+            },
+        }
+    }
+
     /// In-place forward transform. Inputs must be reduced (`< q`); outputs are
     /// reduced.
     ///

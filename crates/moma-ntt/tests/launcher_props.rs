@@ -2,7 +2,11 @@
 //! sizes, dispatching each stage through the virtual-GPU launcher (one thread per
 //! butterfly) must compute exactly what the inline plan loops compute.
 
+use moma_bignum::prime::is_prime;
+use moma_bignum::BigUint;
+use moma_gpu::BufferPool;
 use moma_mp::MulAlgorithm;
+use moma_ntt::launcher::{forward_rows_on_launcher_pooled, inverse_rows_on_launcher_pooled};
 use moma_ntt::params::NttParams;
 use moma_ntt::plan::{NttPlan, NttPlan64};
 use moma_ntt::transform::butterfly_count;
@@ -10,8 +14,113 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// A prime `q = k·2n + 1` of exactly `bits` bits (so both the cyclic and the
+/// negacyclic plan exist for it): the first one at or below the `pick`-th
+/// candidate from the top of the window, wrapping round — `pick = 0` is the
+/// largest such prime.
+fn prime_in_window(n: usize, bits: u32, pick: u64) -> u64 {
+    let two_n = 2 * n as u64;
+    let k_lo = (1u64 << (bits - 1)).div_ceil(two_n);
+    let k_hi = ((1u64 << bits) - 2) / two_n;
+    let span = k_hi - k_lo + 1;
+    (0..span)
+        .map(|step| (k_hi - (pick % span + step) % span) * two_n + 1)
+        .find(|&q| is_prime(&mut StdRng::seed_from_u64(q), &BigUint::from(q)))
+        .unwrap_or_else(|| panic!("no {bits}-bit prime ≡ 1 mod {two_n}"))
+}
+
+fn plan_for(q: u64, n: usize, negacyclic: bool) -> NttPlan64 {
+    if negacyclic {
+        NttPlan64::negacyclic(q, n)
+    } else {
+        NttPlan64::with_modulus(q, n)
+    }
+}
+
+#[test]
+#[should_panic(expected = "cyclic and negacyclic plans cannot share")]
+fn row_executor_rejects_mixed_cyclic_and_negacyclic_plans() {
+    let plans = [plan_for(12289, 64, true), plan_for(12289, 64, false)];
+    forward_rows_on_launcher_pooled(&plans, &mut [0u64; 128], &BufferPool::new());
+}
+
+#[test]
+#[should_panic(expected = "same transform size")]
+fn row_executor_rejects_mismatched_transform_sizes() {
+    let plans = [plan_for(12289, 64, true), plan_for(12289, 32, true)];
+    inverse_rows_on_launcher_pooled(&plans, &mut [0u64; 128], &BufferPool::new());
+}
+
+#[test]
+#[should_panic(expected = "data length must be rows")]
+fn row_executor_rejects_a_plane_of_the_wrong_length() {
+    let plans = [plan_for(12289, 64, true), plan_for(12289, 64, true)];
+    forward_rows_on_launcher_pooled(&plans, &mut [0u64; 64], &BufferPool::new());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The row-generic executor: each row of a `rows × n` plane under its own
+    /// modulus (random mixed widths, 16–60 bits) is bit-identical to that
+    /// row's inline plan in both directions, in `log2 n + 1` launches whatever
+    /// the row count. Row 0 is the arithmetic edge: the largest modulus the
+    /// stack can build (60 bits, so the lazy `[0, 4q)` values run closest to
+    /// the word boundary) with every input at `q − 1`.
+    #[test]
+    fn row_executor_matches_each_rows_inline_plan(
+        seed in any::<u64>(),
+        log_n in 1u32..11,
+        rows in 1usize..10,
+        negacyclic in any::<bool>(),
+    ) {
+        let n = 1usize << log_n;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let min_bits = u64::from(16.max(log_n + 6));
+        let plans: Vec<NttPlan64> = (0..rows)
+            .map(|r| {
+                let q = if r == 0 {
+                    prime_in_window(n, 60, 0)
+                } else {
+                    prime_in_window(n, rng.gen_range(min_bits..61) as u32, rng.gen())
+                };
+                plan_for(q, n, negacyclic)
+            })
+            .collect();
+        let data: Vec<u64> = plans
+            .iter()
+            .enumerate()
+            .flat_map(|(r, plan)| {
+                let q = plan.ctx.q;
+                (0..n)
+                    .map(|_| if r == 0 { q - 1 } else { rng.gen::<u64>() % q })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let pool = BufferPool::new();
+        let shape = |threads: usize, launches: usize| {
+            threads as u64 == rows as u64 * (butterfly_count(n) + n as u64)
+                && launches == log_n as usize + 1
+        };
+
+        let mut inline = data.clone();
+        let mut launched = data.clone();
+        for (row, plan) in inline.chunks_exact_mut(n).zip(&plans) {
+            plan.forward(row);
+        }
+        let stats = forward_rows_on_launcher_pooled(&plans, &mut launched, &pool);
+        prop_assert_eq!(&launched, &inline, "forward");
+        prop_assert!(shape(stats.threads, stats.launches), "forward stats {:?}", stats);
+
+        for (row, plan) in inline.chunks_exact_mut(n).zip(&plans) {
+            plan.inverse(row);
+        }
+        let stats = inverse_rows_on_launcher_pooled(&plans, &mut launched, &pool);
+        prop_assert_eq!(&launched, &inline, "inverse");
+        prop_assert!(shape(stats.threads, stats.launches), "inverse stats {:?}", stats);
+        prop_assert_eq!(stats.allocs, 0, "the second transform finds the plane in the pool");
+        prop_assert_eq!(launched, data, "identity");
+    }
 
     /// Single-word path: launcher forward/inverse match the inline plan and
     /// compose to the identity, with fully reduced outputs.

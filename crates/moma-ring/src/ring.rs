@@ -1,9 +1,10 @@
 //! [`RingContext`] and [`RingElt`]: the negacyclic ring `R_Q = Z_Q[X]/(X^n+1)`
 //! over an RNS moduli ladder, with every hot operation riding the planned
-//! engine — per-modulus negacyclic NTTs batched on the launcher, pointwise
-//! products through the RNS BLAS plan, and level drops through the fused
-//! rescale-then-extend chain. All working planes come from a caller-provided
-//! [`BufferPool`], so a warm ladder reports zero allocations per level.
+//! engine — multi-modulus negacyclic NTTs (one launch per butterfly stage for
+//! the whole residue plane), pointwise products through the RNS BLAS plan, and
+//! level drops through the fused rescale-then-extend chain. All working planes
+//! come from a caller-provided [`BufferPool`], so a warm ladder reports zero
+//! allocations per level.
 
 use std::sync::Arc;
 
@@ -11,6 +12,7 @@ use moma_bignum::BigUint;
 use moma_blas::BlasOp;
 use moma_gpu::launch::LaunchStats;
 use moma_gpu::pool::BufferPool;
+use moma_ntt::launcher::{forward_rows_on_launcher_pooled, inverse_rows_on_launcher_pooled};
 use moma_ntt::NttPlan64;
 use moma_rns::{RescaleExtendPlan, RnsContext, RnsMatrix, RnsPlan};
 
@@ -215,41 +217,34 @@ impl RingContext {
         elt.clone_with_pool(pool)
     }
 
-    /// Raises `elt` into the evaluation domain in place: one batched
-    /// negacyclic forward transform per residue row (the `ψ`-twist is folded
-    /// into the transform's first stage, so this is the whole raise).
+    /// Raises `elt` into the evaluation domain in place: one multi-modulus
+    /// negacyclic forward transform over the whole residue plane — every
+    /// butterfly stage is a single launch covering all rows, each under its own
+    /// modulus, so the raise costs `log2 n + 1` launches at every level (the
+    /// `ψ`-twist is folded into the first stage, so this is the whole raise).
     ///
     /// # Panics
     ///
     /// Panics if `elt` is already in the evaluation domain.
     pub fn forward_ntt(&self, elt: &mut RingElt, pool: &BufferPool) -> LaunchStats {
         assert_eq!(elt.domain, Domain::Coefficient, "element already raised");
-        let rows = elt.matrix.row_count();
-        let mut stats = LaunchStats::default();
-        for r in 0..rows {
-            stats.accumulate(
-                self.ntt[r].forward_batch_on_launcher_pooled(elt.matrix.row_mut(r), pool),
-            );
-        }
+        let plans = &self.ntt[..elt.matrix.row_count()];
+        let stats = forward_rows_on_launcher_pooled(plans, elt.matrix.plane_mut(), pool);
         elt.domain = Domain::Evaluation;
         stats
     }
 
-    /// Lowers `elt` back to the coefficient domain in place (the `ψ^{-i}`
-    /// untwist rides the inverse transform's scaling pass).
+    /// Lowers `elt` back to the coefficient domain in place: the inverse
+    /// counterpart of [`RingContext::forward_ntt`], again `log2 n + 1` launches
+    /// for the whole plane (the `ψ^{-i}` untwist rides the scaling pass).
     ///
     /// # Panics
     ///
     /// Panics if `elt` is already in the coefficient domain.
     pub fn inverse_ntt(&self, elt: &mut RingElt, pool: &BufferPool) -> LaunchStats {
         assert_eq!(elt.domain, Domain::Evaluation, "element already lowered");
-        let rows = elt.matrix.row_count();
-        let mut stats = LaunchStats::default();
-        for r in 0..rows {
-            stats.accumulate(
-                self.ntt[r].inverse_batch_on_launcher_pooled(elt.matrix.row_mut(r), pool),
-            );
-        }
+        let plans = &self.ntt[..elt.matrix.row_count()];
+        let stats = inverse_rows_on_launcher_pooled(plans, elt.matrix.plane_mut(), pool);
         elt.domain = Domain::Coefficient;
         stats
     }
@@ -524,6 +519,40 @@ mod tests {
         cur.recycle(&pool);
 
         assert_eq!(got, oracle::ladder_replay(&moduli, &a, &b, ring.steps()));
+    }
+
+    #[test]
+    fn raise_and_lower_cost_one_launch_per_stage_at_every_level() {
+        // The whole residue plane rides one launch per butterfly stage: the
+        // launch count is log2 n + 1 at every level, only the thread count
+        // follows the number of live moduli.
+        let n = 32;
+        let moduli = ladder_primes(n, &[50, 30, 45, 30, 40]);
+        let ring = RingContext::new(n, &moduli);
+        let pool = BufferPool::new();
+        let stage_launches = n.trailing_zeros() as usize + 1;
+        let threads_per_row = n / 2 * n.trailing_zeros() as usize + n;
+
+        let mut cur = ring.encode(0, &random_coeffs(8, &ring, 0), &pool);
+        for level in 0..ring.level_count() {
+            let rows = ring.basis(level).len();
+            let raised = ring.forward_ntt(&mut cur, &pool);
+            assert_eq!(raised.launches, stage_launches, "raise at level {level}");
+            assert_eq!(raised.threads, rows * threads_per_row);
+            let (mut sq, _) = ring.mul(&cur, &cur, &pool);
+            let lowered = ring.inverse_ntt(&mut sq, &pool);
+            assert_eq!(lowered.launches, stage_launches, "lower at level {level}");
+            assert_eq!(lowered.threads, rows * threads_per_row);
+            cur.recycle(&pool);
+            cur = if level < ring.steps() {
+                let (next, _) = ring.rescale_to_next_level(&sq, &pool);
+                sq.recycle(&pool);
+                next
+            } else {
+                sq
+            };
+        }
+        cur.recycle(&pool);
     }
 
     #[test]

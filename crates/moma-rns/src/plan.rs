@@ -856,15 +856,13 @@ impl RnsMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable view of one residue row — the in-place hook that lets ring-level
-    /// callers run a per-modulus transform (e.g. a negacyclic NTT) directly on
-    /// the plane without copying the row out and back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn row_mut(&mut self, r: usize) -> &mut [u64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    /// Mutable view of the whole residue plane, row-major (`row_count() × len()`,
+    /// row `r` at `r * len()`) — the in-place hook that lets ring-level callers
+    /// run every row's per-modulus transform (e.g. a negacyclic NTT) as one
+    /// multi-row operation directly on the plane, without copying rows out and
+    /// back.
+    pub fn plane_mut(&mut self) -> &mut [u64] {
+        &mut self.data
     }
 
     /// Extracts one element's residue column as an [`RnsInt`] (inspection /

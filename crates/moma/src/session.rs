@@ -1570,8 +1570,9 @@ impl RingSpace {
         self.ring.decode(v.elt())
     }
 
-    /// Raises `v` into the evaluation domain in place (batched negacyclic
-    /// forward transforms, one per residue row).
+    /// Raises `v` into the evaluation domain in place (one multi-modulus
+    /// negacyclic forward transform over all residue rows: `log2 n + 1`
+    /// launches at every level).
     ///
     /// # Panics
     ///
