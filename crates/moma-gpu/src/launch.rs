@@ -37,7 +37,10 @@ use std::time::{Duration, Instant};
 pub struct LaunchStats {
     /// Number of virtual threads (elements) executed.
     pub threads: usize,
-    /// Number of host worker threads used.
+    /// Number of host threads the launch kept busy at once: the contiguous
+    /// ranges its index space was cut into, at most one per available core and
+    /// never more than `threads` (a 2-row chunk launch on an 8-core host
+    /// reports 2; a launch that fit one range reports 1).
     pub workers: usize,
     /// Number of kernel launches performed (1 for a single launch; accumulated
     /// totals count one per launch). On real hardware every launch pays a fixed
@@ -115,23 +118,23 @@ fn worker_count() -> usize {
 /// ascending order, so it can walk a `&mut` cursor over the output. The calling
 /// thread runs the first range itself and only the others are spawned: a launch
 /// with a single range (one worker, or `n == 1`) never touches the scheduler.
-/// Returns the worker count for [`LaunchStats::workers`].
+/// Returns the number of ranges that ran — the host threads that were busy at
+/// once, `0` when `n == 0` — for [`LaunchStats::workers`].
 fn dispatch<P, C, B>(n: usize, mut carve: C, body: B) -> usize
 where
     P: Send,
     C: FnMut(usize, usize) -> P,
     B: Fn(usize, usize, P) + Sync,
 {
-    let workers = worker_count();
     if n == 0 {
-        return workers;
+        return 0;
     }
-    let chunk = n.div_ceil(workers);
+    let chunk = n.div_ceil(worker_count());
     let first_hi = chunk.min(n);
     let first = carve(0, first_hi);
     if first_hi == n {
         body(0, n, first);
-        return workers;
+        return 1;
     }
     std::thread::scope(|scope| {
         let mut lo = first_hi;
@@ -144,7 +147,7 @@ where
         }
         body(0, first_hi, first);
     });
-    workers
+    n.div_ceil(chunk)
 }
 
 /// Cuts the next `len` elements off the front of the cursor `rest`.
@@ -588,6 +591,22 @@ mod tests {
         let (out, stats) = launch_map(0, |_| -> u64 { panic!("must not run") });
         assert!(out.is_empty());
         assert_eq!(stats.threads, 0);
+    }
+
+    #[test]
+    fn workers_reports_the_ranges_that_ran() {
+        let cores = worker_count();
+        assert_eq!(launch_indexed(0, |_| panic!("must not run")).workers, 0);
+        assert_eq!(launch_indexed(1, |_| {}).workers, 1);
+        // Two blocks are two ranges wherever there is a second core to run on.
+        let stats = launch_chunks(&mut [0u8; 2], 1, |_, _| {});
+        assert_eq!(stats.workers, cores.min(2));
+        // Per-range state is built once per range: the report matches the
+        // number of ranges that really ran.
+        let inits = AtomicUsize::new(0);
+        let (_, stats) = launch_map_with(1000, || inits.fetch_add(1, Ordering::Relaxed), |_, i| i);
+        assert_eq!(stats.workers, inits.load(Ordering::Relaxed));
+        assert!((1..=cores).contains(&stats.workers));
     }
 
     #[test]

@@ -1,43 +1,44 @@
-//! Stage-level batched NTT execution on the simulated GPU launcher.
+//! NTT execution on the simulated GPU launcher: a stage-launched executor and
+//! a block-resident one.
 //!
 //! The inline plan paths ([`NttPlan::forward`], [`NttPlan64::forward`]) walk the
-//! butterfly stages as serial host loops. The paper instead maps **one CUDA thread
-//! per butterfly** and launches each stage as a grid, with grid synchronization
-//! between stages (§5.1). This module reproduces that execution shape on the
-//! virtual-GPU launcher: every stage reads the plan's precomputed twiddles through
-//! the [`NttPlan64::stage`] / [`NttPlan::stage`] accessors and dispatches its
-//! butterflies through [`moma_gpu::launch_indexed`] / [`moma_gpu::launch_map`];
-//! the join at the end of each launch is the stage barrier.
+//! butterfly stages as serial host loops. The paper maps **one CUDA thread per
+//! butterfly** (§5.1); this module reproduces both ways it orders the stages:
 //!
-//! Two execution strategies, chosen by element width:
+//! * **Stage launches** — each stage is its own grid (one virtual thread per
+//!   butterfly), reading the plan's twiddles through [`NttPlan64::stage`] /
+//!   [`NttPlan::stage`]; the join at the end of each launch is the grid barrier.
+//!   * Single word ([`NttPlan64`], [`moma_gpu::launch_indexed`]): the data lives
+//!     in a `Vec<AtomicU64>` plane for the duration of the transform. Within a
+//!     stage every butterfly touches only its own pair of slots, so relaxed
+//!     atomics are just the safe-Rust spelling of CUDA's disjoint global-memory
+//!     accesses. Butterflies use the inline path's Shoup multiplication and
+//!     `[0, 4q)` lazy reduction; a final element-parallel pass normalizes. A
+//!     batch of same-size transforms rides *one* launch per stage (grid =
+//!     rows × n/2): `log2 n + 1` launches whatever the row count.
+//!   * Multi word ([`NttPlan`], [`moma_gpu::launch_map`]): each stage returns
+//!     its `n/2` butterfly output pairs, which are then scattered back — the
+//!     double-buffered form, since `MpUint` values cannot be updated atomically.
+//! * **Block-resident** — a whole transform stays in one thread block's shared
+//!   memory and the block loops over the stages itself: one launch per
+//!   transform, which is how the paper runs every size below the Figure 3a
+//!   cliff and how [`moma_gpu::cost::CostModel::estimate_ntt`] prices it. Here
+//!   a block is one [`moma_gpu::launch_chunks`] chunk — the row's own
+//!   contiguous `&mut [u64]`, transformed in place by the plan's inline loop:
+//!   plain loads and stores, no working plane, nothing allocated. It assumes
+//!   the cost model's fit, `2·n·8 B ≤ shared_mem_bytes` (a 64-bit row plus its
+//!   twiddles; 64 KiB at n = 4096, within all three modelled devices).
 //!
-//! * **Single word** ([`NttPlan64`]): the data lives in a `Vec<AtomicU64>` for the
-//!   duration of the transform. Within one stage every butterfly reads and writes
-//!   only its own pair of slots, so relaxed atomics are just the safe-Rust spelling
-//!   of CUDA's disjoint global-memory accesses, and the transform stays genuinely
-//!   in place. Butterflies use the same Shoup multiplication and `[0, 4q)` lazy
-//!   reduction as the inline path; one final element-parallel pass normalizes.
-//! * **Multi word** ([`NttPlan`]): each stage is a [`moma_gpu::launch_map`] that
-//!   returns the `n/2` butterfly output pairs (one ring multiplication each), which
-//!   are then scattered back — the double-buffered formulation, since `MpUint`
-//!   values cannot be updated atomically.
+//! | entry point | executor | launches |
+//! | --- | --- | --- |
+//! | [`forward_rows`] / [`inverse_rows`]: a plan (modulus) per row — the residue plane of a ring element, `moma-ring`'s raise/lower | block-resident | 1 |
+//! | [`NttPlan64::forward_batch_on_launcher`] and its inverse / `_pooled` / single-transform forms: one plan for every row — `Session`'s `NttSpace` | stage | `log2 n + 1` |
+//! | [`NttPlan::forward_on_launcher`] / `inverse_on_launcher`: multi-word | stage | `log2 n` (+ 1 to scale) |
 //!
-//! **Batched transforms** run many same-size transforms through *one* launch per
-//! stage with grid = rows × n/2 — the paper's batched NTT shape. The per-stage
-//! barrier is thereby amortized over the whole batch: the launch count of a
-//! batched transform is `log2 n + 1` regardless of the row count (see
-//! [`moma_gpu::LaunchStats::launches`]), where launching the transforms one by
-//! one pays `rows × (log2 n + 1)`. The rows need not share a modulus: one
-//! executor transforms row `r` of a flat `rows × n` buffer under its own plan,
-//! each thread reading its row's modulus and tables from a per-launch row view.
-//! [`forward_rows_on_launcher_pooled`] is that form (every residue row of an
-//! RNS ring element in one go); [`NttPlan64::forward_batch_on_launcher`] is the
-//! case where every row names the same plan.
-//!
-//! On a many-core host the stage launches spread the butterflies across workers;
-//! on the single-vCPU CI container they degrade to the inline loop plus launch
-//! bookkeeping, which is exactly the overhead `reproduce bench` records as the
-//! `ntt_launcher` entry.
+//! `tests/launcher_props.rs` pins the two single-word executors bit-for-bit
+//! against each other and the inline plan. On a small host the stage executor
+//! degrades to the inline loop plus per-stage launch bookkeeping — the overhead
+//! `reproduce bench` records as the `ntt_launcher` entry.
 
 use crate::plan::{NttPlan, NttPlan64, Stage64};
 use crate::transform::bit_reverse_permute;
@@ -251,12 +252,46 @@ fn transform_rows<'p>(
     stats
 }
 
+/// The block-resident executor: one launch whose thread blocks are the rows.
+/// `block` runs every stage of one row on that row's own `&mut [u64]`, so the
+/// plane is transformed where it lies — no working copy, no atomics.
+fn resident_rows<P: Borrow<NttPlan64> + Sync>(
+    plans: &[P],
+    data: &mut [u64],
+    block: impl Fn(&NttPlan64, &mut [u64]) + Sync,
+) -> LaunchStats {
+    assert!(!plans.is_empty(), "a transform needs at least one row");
+    let first: &NttPlan64 = plans[0].borrow();
+    let n = first.n;
+    for (r, plan) in plans.iter().enumerate().skip(1) {
+        let plan: &NttPlan64 = plan.borrow();
+        assert_eq!(
+            plan.n, n,
+            "every row's plan must have the same transform size (row {r})"
+        );
+        assert_eq!(
+            plan.is_negacyclic(),
+            first.is_negacyclic(),
+            "cyclic and negacyclic plans cannot share one stage launch (row {r})"
+        );
+    }
+    assert_eq!(
+        data.len(),
+        plans.len() * n,
+        "data length must be rows × the transform size"
+    );
+    let mut stats = launch_chunks(data, n, |r, row| block(plans[r].borrow(), row));
+    // A block is n/2 butterfly threads looping over the stages.
+    stats.threads = plans.len() * n / 2;
+    stats
+}
+
 /// Forward-transforms row `r` of the flat `plans.len() × n` buffer `data` in
-/// place under `plans[r]` — each row its own modulus — with every butterfly
-/// stage of **all** rows dispatched as one launch: `log2 n + 1` launches
-/// however many moduli the buffer spans. This is the raise of a ring element's
-/// whole residue plane. The working plane comes from `pool`; `allocs` reports
-/// the pool-miss delta of the window.
+/// place under `plans[r]` — each row its own modulus — in **one launch**: one
+/// virtual thread block per row (`n/2` butterfly threads each), which keeps its
+/// row resident and runs all `log2 n` stages, the folded twist and the
+/// normalize pass through [`NttPlan64::forward`]. This is the raise of a ring
+/// element's whole residue plane. Nothing is allocated: `allocs == 0`.
 ///
 /// Inputs must be reduced below their row's modulus; outputs are reduced.
 ///
@@ -264,26 +299,18 @@ fn transform_rows<'p>(
 ///
 /// Panics if `plans` is empty, if the plans disagree on the transform size or
 /// mix cyclic with negacyclic transforms, or if `data.len() != plans.len() × n`.
-pub fn forward_rows_on_launcher_pooled<P: Borrow<NttPlan64>>(
-    plans: &[P],
-    data: &mut [u64],
-    pool: &BufferPool,
-) -> LaunchStats {
-    transform_rows(plans.len(), |r| plans[r].borrow(), data, true, Some(pool))
+pub fn forward_rows<P: Borrow<NttPlan64> + Sync>(plans: &[P], data: &mut [u64]) -> LaunchStats {
+    resident_rows(plans, data, NttPlan64::forward)
 }
 
-/// Inverse counterpart of [`forward_rows_on_launcher_pooled`] (with each row's
-/// `1/n` scaling, and the `ψ^{-i}` untwist on negacyclic plans).
+/// Inverse counterpart of [`forward_rows`] (with each row's `1/n` scaling, and
+/// the `ψ^{-i}` untwist on negacyclic plans, inside the same block).
 ///
 /// # Panics
 ///
-/// Panics under the conditions of [`forward_rows_on_launcher_pooled`].
-pub fn inverse_rows_on_launcher_pooled<P: Borrow<NttPlan64>>(
-    plans: &[P],
-    data: &mut [u64],
-    pool: &BufferPool,
-) -> LaunchStats {
-    transform_rows(plans.len(), |r| plans[r].borrow(), data, false, Some(pool))
+/// Panics under the conditions of [`forward_rows`].
+pub fn inverse_rows<P: Borrow<NttPlan64> + Sync>(plans: &[P], data: &mut [u64]) -> LaunchStats {
+    resident_rows(plans, data, NttPlan64::inverse)
 }
 
 impl NttPlan64 {

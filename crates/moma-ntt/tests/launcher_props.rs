@@ -1,12 +1,13 @@
-//! Property tests for launcher-routed NTT stage execution: on random inputs and
-//! sizes, dispatching each stage through the virtual-GPU launcher (one thread per
-//! butterfly) must compute exactly what the inline plan loops compute.
+//! Property tests for launcher-routed NTT execution: on random inputs and
+//! sizes, the stage executor (one launch per stage, one thread per butterfly)
+//! and the block-resident rows executor (one launch, one block per row) must
+//! compute exactly what the inline plan loops compute.
 
 use moma_bignum::prime::is_prime;
 use moma_bignum::BigUint;
-use moma_gpu::BufferPool;
+use moma_gpu::LaunchStats;
 use moma_mp::MulAlgorithm;
-use moma_ntt::launcher::{forward_rows_on_launcher_pooled, inverse_rows_on_launcher_pooled};
+use moma_ntt::launcher::{forward_rows, inverse_rows};
 use moma_ntt::params::NttParams;
 use moma_ntt::plan::{NttPlan, NttPlan64};
 use moma_ntt::transform::butterfly_count;
@@ -41,32 +42,34 @@ fn plan_for(q: u64, n: usize, negacyclic: bool) -> NttPlan64 {
 #[should_panic(expected = "cyclic and negacyclic plans cannot share")]
 fn row_executor_rejects_mixed_cyclic_and_negacyclic_plans() {
     let plans = [plan_for(12289, 64, true), plan_for(12289, 64, false)];
-    forward_rows_on_launcher_pooled(&plans, &mut [0u64; 128], &BufferPool::new());
+    forward_rows(&plans, &mut [0u64; 128]);
 }
 
 #[test]
 #[should_panic(expected = "same transform size")]
 fn row_executor_rejects_mismatched_transform_sizes() {
     let plans = [plan_for(12289, 64, true), plan_for(12289, 32, true)];
-    inverse_rows_on_launcher_pooled(&plans, &mut [0u64; 128], &BufferPool::new());
+    inverse_rows(&plans, &mut [0u64; 128]);
 }
 
 #[test]
 #[should_panic(expected = "data length must be rows")]
 fn row_executor_rejects_a_plane_of_the_wrong_length() {
     let plans = [plan_for(12289, 64, true), plan_for(12289, 64, true)];
-    forward_rows_on_launcher_pooled(&plans, &mut [0u64; 64], &BufferPool::new());
+    forward_rows(&plans, &mut [0u64; 64]);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The row-generic executor: each row of a `rows × n` plane under its own
-    /// modulus (random mixed widths, 16–60 bits) is bit-identical to that
-    /// row's inline plan in both directions, in `log2 n + 1` launches whatever
-    /// the row count. Row 0 is the arithmetic edge: the largest modulus the
-    /// stack can build (60 bits, so the lazy `[0, 4q)` values run closest to
-    /// the word boundary) with every input at `q − 1`.
+    /// The block-resident rows executor: each row of a `rows × n` plane under
+    /// its own modulus (random mixed widths, 16–60 bits) is bit-identical to
+    /// that row's inline plan *and* to the stage executor run on that row, in
+    /// both directions, in one launch whatever the row count — rows 1–9 cover
+    /// `rows < workers` and ragged `rows % workers ≠ 0` splits. Row 0 is the
+    /// arithmetic edge: the largest modulus the stack can build (60 bits, so
+    /// the lazy `[0, 4q)` values run closest to the word boundary) with every
+    /// input at `q − 1`.
     #[test]
     fn row_executor_matches_each_rows_inline_plan(
         seed in any::<u64>(),
@@ -97,28 +100,34 @@ proptest! {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let pool = BufferPool::new();
-        let shape = |threads: usize, launches: usize| {
-            threads as u64 == rows as u64 * (butterfly_count(n) + n as u64)
-                && launches == log_n as usize + 1
+        let shape = |stats: LaunchStats| {
+            stats.launches == 1 && stats.threads == rows * n / 2 && stats.allocs == 0
         };
 
         let mut inline = data.clone();
+        let mut staged = data.clone();
         let mut launched = data.clone();
         for (row, plan) in inline.chunks_exact_mut(n).zip(&plans) {
             plan.forward(row);
         }
-        let stats = forward_rows_on_launcher_pooled(&plans, &mut launched, &pool);
-        prop_assert_eq!(&launched, &inline, "forward");
-        prop_assert!(shape(stats.threads, stats.launches), "forward stats {:?}", stats);
+        for (row, plan) in staged.chunks_exact_mut(n).zip(&plans) {
+            plan.forward_on_launcher(row);
+        }
+        let stats = forward_rows(&plans, &mut launched);
+        prop_assert_eq!(&launched, &inline, "forward vs inline");
+        prop_assert_eq!(&launched, &staged, "forward vs stage executor");
+        prop_assert!(shape(stats), "forward stats {:?}", stats);
 
         for (row, plan) in inline.chunks_exact_mut(n).zip(&plans) {
             plan.inverse(row);
         }
-        let stats = inverse_rows_on_launcher_pooled(&plans, &mut launched, &pool);
-        prop_assert_eq!(&launched, &inline, "inverse");
-        prop_assert!(shape(stats.threads, stats.launches), "inverse stats {:?}", stats);
-        prop_assert_eq!(stats.allocs, 0, "the second transform finds the plane in the pool");
+        for (row, plan) in staged.chunks_exact_mut(n).zip(&plans) {
+            plan.inverse_on_launcher(row);
+        }
+        let stats = inverse_rows(&plans, &mut launched);
+        prop_assert_eq!(&launched, &inline, "inverse vs inline");
+        prop_assert_eq!(&launched, &staged, "inverse vs stage executor");
+        prop_assert!(shape(stats), "inverse stats {:?}", stats);
         prop_assert_eq!(launched, data, "identity");
     }
 

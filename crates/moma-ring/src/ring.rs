@@ -1,10 +1,10 @@
 //! [`RingContext`] and [`RingElt`]: the negacyclic ring `R_Q = Z_Q[X]/(X^n+1)`
 //! over an RNS moduli ladder, with every hot operation riding the planned
-//! engine — multi-modulus negacyclic NTTs (one launch per butterfly stage for
-//! the whole residue plane), pointwise products through the RNS BLAS plan, and
-//! level drops through the fused rescale-then-extend chain. All working planes
-//! come from a caller-provided [`BufferPool`], so a warm ladder reports zero
-//! allocations per level.
+//! engine — multi-modulus negacyclic NTTs (one block-resident launch for the
+//! whole residue plane, each row transformed in place), pointwise products
+//! through the RNS BLAS plan, and level drops through the fused
+//! rescale-then-extend chain. All working planes come from a caller-provided
+//! [`BufferPool`], so a warm ladder reports zero allocations per level.
 
 use std::sync::Arc;
 
@@ -12,7 +12,7 @@ use moma_bignum::BigUint;
 use moma_blas::BlasOp;
 use moma_gpu::launch::LaunchStats;
 use moma_gpu::pool::BufferPool;
-use moma_ntt::launcher::{forward_rows_on_launcher_pooled, inverse_rows_on_launcher_pooled};
+use moma_ntt::launcher::{forward_rows, inverse_rows};
 use moma_ntt::NttPlan64;
 use moma_rns::{RescaleExtendPlan, RnsContext, RnsMatrix, RnsPlan};
 
@@ -218,33 +218,35 @@ impl RingContext {
     }
 
     /// Raises `elt` into the evaluation domain in place: one multi-modulus
-    /// negacyclic forward transform over the whole residue plane — every
-    /// butterfly stage is a single launch covering all rows, each under its own
-    /// modulus, so the raise costs `log2 n + 1` launches at every level (the
-    /// `ψ`-twist is folded into the first stage, so this is the whole raise).
+    /// negacyclic forward transform over the whole residue plane — a single
+    /// launch at every level, one thread block per residue row running all of
+    /// that row's stages under its own modulus (the `ψ`-twist is folded into
+    /// the first stage, so this is the whole raise). The rows are transformed
+    /// where they lie, so the pool every ring operation is handed is not drawn
+    /// on here and `allocs` is `0` even when it is cold.
     ///
     /// # Panics
     ///
     /// Panics if `elt` is already in the evaluation domain.
-    pub fn forward_ntt(&self, elt: &mut RingElt, pool: &BufferPool) -> LaunchStats {
+    pub fn forward_ntt(&self, elt: &mut RingElt, _pool: &BufferPool) -> LaunchStats {
         assert_eq!(elt.domain, Domain::Coefficient, "element already raised");
         let plans = &self.ntt[..elt.matrix.row_count()];
-        let stats = forward_rows_on_launcher_pooled(plans, elt.matrix.plane_mut(), pool);
+        let stats = forward_rows(plans, elt.matrix.plane_mut());
         elt.domain = Domain::Evaluation;
         stats
     }
 
     /// Lowers `elt` back to the coefficient domain in place: the inverse
-    /// counterpart of [`RingContext::forward_ntt`], again `log2 n + 1` launches
-    /// for the whole plane (the `ψ^{-i}` untwist rides the scaling pass).
+    /// counterpart of [`RingContext::forward_ntt`], again one launch for the
+    /// whole plane (the `ψ^{-i}` untwist rides the scaling pass).
     ///
     /// # Panics
     ///
     /// Panics if `elt` is already in the coefficient domain.
-    pub fn inverse_ntt(&self, elt: &mut RingElt, pool: &BufferPool) -> LaunchStats {
+    pub fn inverse_ntt(&self, elt: &mut RingElt, _pool: &BufferPool) -> LaunchStats {
         assert_eq!(elt.domain, Domain::Evaluation, "element already lowered");
         let plans = &self.ntt[..elt.matrix.row_count()];
-        let stats = inverse_rows_on_launcher_pooled(plans, elt.matrix.plane_mut(), pool);
+        let stats = inverse_rows(plans, elt.matrix.plane_mut());
         elt.domain = Domain::Coefficient;
         stats
     }
@@ -522,27 +524,25 @@ mod tests {
     }
 
     #[test]
-    fn raise_and_lower_cost_one_launch_per_stage_at_every_level() {
-        // The whole residue plane rides one launch per butterfly stage: the
-        // launch count is log2 n + 1 at every level, only the thread count
-        // follows the number of live moduli.
+    fn raise_and_lower_cost_one_launch_at_every_level() {
+        // The whole residue plane rides one block-resident launch: one launch
+        // per raise or lower at every level, only the thread count (n/2
+        // butterfly threads per row block) follows the number of live moduli.
         let n = 32;
         let moduli = ladder_primes(n, &[50, 30, 45, 30, 40]);
         let ring = RingContext::new(n, &moduli);
         let pool = BufferPool::new();
-        let stage_launches = n.trailing_zeros() as usize + 1;
-        let threads_per_row = n / 2 * n.trailing_zeros() as usize + n;
 
         let mut cur = ring.encode(0, &random_coeffs(8, &ring, 0), &pool);
         for level in 0..ring.level_count() {
             let rows = ring.basis(level).len();
             let raised = ring.forward_ntt(&mut cur, &pool);
-            assert_eq!(raised.launches, stage_launches, "raise at level {level}");
-            assert_eq!(raised.threads, rows * threads_per_row);
+            assert_eq!(raised.launches, 1, "raise at level {level}");
+            assert_eq!(raised.threads, rows * n / 2);
             let (mut sq, _) = ring.mul(&cur, &cur, &pool);
             let lowered = ring.inverse_ntt(&mut sq, &pool);
-            assert_eq!(lowered.launches, stage_launches, "lower at level {level}");
-            assert_eq!(lowered.threads, rows * threads_per_row);
+            assert_eq!(lowered.launches, 1, "lower at level {level}");
+            assert_eq!(lowered.threads, rows * n / 2);
             cur.recycle(&pool);
             cur = if level < ring.steps() {
                 let (next, _) = ring.rescale_to_next_level(&sq, &pool);
@@ -553,6 +553,25 @@ mod tests {
             };
         }
         cur.recycle(&pool);
+    }
+
+    #[test]
+    fn raise_and_lower_leave_a_cold_pool_untouched() {
+        // The rows are transformed where they lie: no working plane is drawn,
+        // so even a pool that has never served a buffer sees no traffic.
+        let n = 32;
+        let ring = RingContext::new(n, &ladder_primes(n, &[50, 30, 45]));
+        let coeffs = random_coeffs(9, &ring, 0);
+        let mut elt = ring.encode(0, &coeffs, &BufferPool::new());
+        let cold = BufferPool::new();
+        assert_eq!(ring.forward_ntt(&mut elt, &cold).allocs, 0);
+        assert_eq!(ring.inverse_ntt(&mut elt, &cold).allocs, 0);
+        assert_eq!(
+            cold.stats(),
+            Default::default(),
+            "no hit, miss or shelved word"
+        );
+        assert_eq!(ring.decode(&elt), coeffs, "lower ∘ raise is the identity");
     }
 
     #[test]

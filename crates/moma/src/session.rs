@@ -1571,8 +1571,8 @@ impl RingSpace {
     }
 
     /// Raises `v` into the evaluation domain in place (one multi-modulus
-    /// negacyclic forward transform over all residue rows: `log2 n + 1`
-    /// launches at every level).
+    /// negacyclic forward transform over all residue rows: a single
+    /// block-resident launch at every level).
     ///
     /// # Panics
     ///
