@@ -29,7 +29,7 @@ use moma::blas::batch::{run_batch, Batch};
 use moma::blas::gpu::run_batch_parallel;
 use moma::blas::BlasOp;
 use moma::gpu::cost::{calibrate, CalibrationSample, OpWeights};
-use moma::gpu::DeviceSpec;
+use moma::gpu::{BufferPool, DeviceSpec};
 use moma::ir::compiled::CompiledKernel;
 use moma::ir::cost::OpCounts;
 use moma::ir::interp;
@@ -330,13 +330,9 @@ fn measure_rns_planned_blas(bits: u32, mul: bool, elements: usize) -> f64 {
         .collect();
     let ma = RnsMatrix::from_biguints(&plan, &a);
     let mb = RnsMatrix::from_biguints(&plan, &b);
+    let op = if mul { BlasOp::VecMul } else { BlasOp::VecAdd };
     let start = Instant::now();
-    let out = if mul {
-        plan.mul(&ma, &mb)
-    } else {
-        plan.add(&ma, &mb)
-    };
-    std::hint::black_box(out);
+    std::hint::black_box(plan.apply(op, None, &ma, &mb, &BufferPool::new()));
     start.elapsed().as_secs_f64() * 1e9 / elements as f64
 }
 
@@ -370,13 +366,15 @@ fn measure_rns_baseconv(bits: u32, rescale: bool, elements: usize) -> f64 {
     if rescale {
         let rp = plan.rescale_plan();
         let start = Instant::now();
-        std::hint::black_box(plan.scale_and_round(&rp, &ma));
+        std::hint::black_box(plan.scale_and_round(&rp, &ma, &BufferPool::new()));
         start.elapsed().as_secs_f64() * 1e9 / elements as f64
     } else {
         let dst = baseconv_target_plan(plan.moduli_count(), 0xba5e_c0de);
         let bc = BaseConvPlan::new(&plan, &dst);
+        let kernel = CompiledKernel::compile(&bc.fused_kernel_ir())
+            .expect("generated conversion kernel compiles");
         let start = Instant::now();
-        std::hint::black_box(plan.base_convert(&bc, &ma));
+        std::hint::black_box(plan.base_convert(&bc, &ma, &kernel, &BufferPool::new()));
         start.elapsed().as_secs_f64() * 1e9 / elements as f64
     }
 }
@@ -761,13 +759,13 @@ fn bench_rns_blas(
         std::hint::black_box(rns_vec::vec_mul(&ctx, &va, &vb));
     }) * per_elt;
     let planned_mul = best_run(iters, &(), |_| {
-        std::hint::black_box(plan.mul(&ma, &mb));
+        std::hint::black_box(plan.apply(BlasOp::VecMul, None, &ma, &mb, &BufferPool::new()));
     }) * per_elt;
     let ctx_add = best_run(iters, &(), |_| {
         std::hint::black_box(rns_vec::vec_add(&ctx, &va, &vb));
     }) * per_elt;
     let planned_add = best_run(iters, &(), |_| {
-        std::hint::black_box(plan.add(&ma, &mb));
+        std::hint::black_box(plan.apply(BlasOp::VecAdd, None, &ma, &mb, &BufferPool::new()));
     }) * per_elt;
     let rows = vec![
         (format!("rns_ctx_{}", BlasOp::VecMul.key()), ctx_mul),
@@ -779,10 +777,10 @@ fn bench_rns_blas(
 }
 
 /// Benchmarks the RNS operations FHE pipelines chain between element-wise
-/// stages, all on the planned engine: fast base extension (the direct row-wise
-/// sum-of-products and the fused all-rows generated-kernel path the compiled
-/// executor now runs) and approximate scaled rounding. Returns
-/// `(path, ns_per_element, launches_per_op)` rows.
+/// stages, all on the planned engine: fast base extension (the generated
+/// all-rows kernel, once on a fresh pool per call and once on the warm session
+/// pool) and approximate scaled rounding. Returns
+/// `(path, ns_per_element, launches_per_op, allocations_per_op)` rows.
 fn bench_rns_baseconv(
     session: &Session,
     bits: u32,
@@ -792,6 +790,8 @@ fn bench_rns_baseconv(
     let src = session.rns_with_capacity(2 * bits + 8);
     let dst = baseconv_target_space(session, src.plan().moduli_count(), 0xba5e_c0de);
     let bc = src.conversion_to(&dst);
+    let kernel = CompiledKernel::compile(&bc.fused_kernel_ir())
+        .expect("generated conversion kernel compiles");
     let rp = src.rescale_plan();
     let q = paper_modulus(bits);
     let mut rng = rand::thread_rng();
@@ -799,80 +799,41 @@ fn bench_rns_baseconv(
         .map(|_| moma::bignum::random::random_below(&mut rng, &q))
         .collect();
     let ma = RnsMatrix::from_biguints(src.plan(), &a);
-    // Probe runs record launches and plane allocations per op and warm the
-    // fused-kernel compile so the timed runs below measure steady state.
-    let convert_stats = src.plan().base_convert(&bc, &ma).1;
-    let compiled_stats = src.plan().base_convert_fused(&bc, &ma).1;
-    let rescale_stats = src.plan().scale_and_round(&rp, &ma).1;
-    // The pooled path over a warm pool: same arithmetic, zero heap planes.
+    let plan = src.plan();
+    // Probe runs record launches and plane allocations per op; the second
+    // warm-pool probe is the steady state (same arithmetic, zero heap planes).
+    let convert_stats = plan.base_convert(&bc, &ma, &kernel, &BufferPool::new()).1;
+    let rescale_stats = plan.scale_and_round(&rp, &ma, &BufferPool::new()).1;
     let pool = session.pool();
-    pool.recycle(
-        src.plan()
-            .base_convert_pooled(&bc, &ma, pool)
-            .0
-            .take_storage(),
-    );
-    let (mut pooled_out, pooled_stats) = src.plan().base_convert_pooled(&bc, &ma, pool);
-    pool.recycle(pooled_out.take_storage());
+    let warm_convert = || {
+        let (mut out, stats) = plan.base_convert(&bc, &ma, &kernel, pool);
+        pool.recycle(std::hint::black_box(&mut out).take_storage());
+        stats
+    };
+    warm_convert();
+    let warm_stats = warm_convert();
     let per_elt = 1e9 / elements as f64;
     let convert = best_run(iters, &(), |_| {
-        std::hint::black_box(src.plan().base_convert(&bc, &ma));
+        std::hint::black_box(plan.base_convert(&bc, &ma, &kernel, &BufferPool::new()));
     }) * per_elt;
-    let compiled = best_run(iters, &(), |_| {
-        std::hint::black_box(src.plan().base_convert_fused(&bc, &ma));
-    }) * per_elt;
-    let pooled = best_run(iters, &(), |_| {
-        let (out, _) = src.plan().base_convert_pooled(&bc, &ma, pool);
-        pool.recycle(std::hint::black_box(out).take_storage());
+    let warm = best_run(iters, &(), |_| {
+        warm_convert();
     }) * per_elt;
     let rescale = best_run(iters, &(), |_| {
-        std::hint::black_box(src.plan().scale_and_round(&rp, &ma));
+        std::hint::black_box(plan.scale_and_round(&rp, &ma, &BufferPool::new()));
     }) * per_elt;
-    vec![
-        (
-            "rns_base_convert".to_string(),
-            convert,
-            convert_stats.launches,
-            convert_stats.allocs,
-        ),
-        (
-            "rns_base_convert_compiled".to_string(),
-            compiled,
-            compiled_stats.launches,
-            compiled_stats.allocs,
-        ),
-        (
-            "rns_base_convert_pooled".to_string(),
-            pooled,
-            pooled_stats.launches,
-            pooled_stats.allocs,
-        ),
-        (
-            "rns_rescale".to_string(),
-            rescale,
-            rescale_stats.launches,
-            rescale_stats.allocs,
-        ),
+    [
+        ("rns_base_convert", convert, convert_stats),
+        ("rns_base_convert_warm_pool", warm, warm_stats),
+        ("rns_rescale", rescale, rescale_stats),
     ]
+    .map(|(path, ns, stats)| (path.to_string(), ns, stats.launches, stats.allocs))
+    .to_vec()
 }
 
-/// Result of the fused-vs-two-pass rescale-and-extend measurement.
-struct FusedChainBench {
-    fused_ns: f64,
-    two_pass_ns: f64,
-    speedup: f64,
-    fused_selected: bool,
-}
-
-/// Benchmarks the session's fused rescale-and-extend chain against the two-pass
-/// rescale -> extend reference over the same session-cached plan, and records
-/// which path the session cost model would select.
-fn bench_session_fused(
-    session: &Session,
-    bits: u32,
-    elements: usize,
-    iters: u32,
-) -> FusedChainBench {
+/// Benchmarks the folded rescale-and-extend sweep over the session-cached
+/// plan, returning ns per element.
+fn bench_rescale_extend(session: &Session, bits: u32, elements: usize, iters: u32) -> f64 {
     let src = session.rns_with_capacity(2 * bits + 8);
     let dst = baseconv_target_space(session, src.plan().moduli_count() - 1, 0xf00d_cafe);
     let p = src.rescale_extend_to(&dst);
@@ -882,19 +843,10 @@ fn bench_session_fused(
         .map(|_| moma::bignum::random::random_below(&mut rng, &q))
         .collect();
     let ma = RnsMatrix::from_biguints(src.plan(), &a);
-    let per_elt = 1e9 / elements as f64;
-    let fused_ns = best_run(iters, &(), |_| {
-        std::hint::black_box(src.plan().rescale_then_extend(&p, &ma));
-    }) * per_elt;
-    let two_pass_ns = best_run(iters, &(), |_| {
-        std::hint::black_box(src.plan().rescale_then_extend_two_pass(&p, &ma));
-    }) * per_elt;
-    FusedChainBench {
-        fused_ns,
-        two_pass_ns,
-        speedup: two_pass_ns / fused_ns,
-        fused_selected: p.fused_is_faster(session.cost_model(), elements),
-    }
+    best_run(iters, &(), |_| {
+        std::hint::black_box(src.plan().rescale_then_extend(&p, &ma, &BufferPool::new()));
+    }) * 1e9
+        / elements as f64
 }
 
 /// Result of the fused-vs-unfused `mul→axpy` chain measurement.
@@ -902,7 +854,6 @@ struct MulChainBench {
     fused_ns: f64,
     unfused_ns: f64,
     speedup: f64,
-    fused_selected: bool,
     fused_launches: usize,
     unfused_launches: usize,
     /// Plane allocations of the session-level (pooled) chain on a warm pool.
@@ -910,9 +861,8 @@ struct MulChainBench {
 }
 
 /// Benchmarks the generated all-rows `s·(a∘b) + z` chain kernel (one launch,
-/// intermediates in registers) against the unfused `mul` followed by `axpy`
-/// sequence (two launches, one full intermediate matrix), and records which
-/// path the session cost model routes `RnsVec::mul_axpy` through.
+/// intermediates in registers) against the unfused sequence composed here from
+/// two `apply` calls (two launches, one full intermediate matrix).
 fn bench_fused_mul_chain(
     session: &Session,
     bits: u32,
@@ -936,35 +886,36 @@ fn bench_fused_mul_chain(
     let mb = RnsMatrix::from_biguints(plan, &b);
     let mz = RnsMatrix::from_biguints(plan, &z);
     let sres = plan.to_residues(&s);
-    // Probe runs record launches per op and warm the fused-kernel compile.
-    let fused_launches = plan.mul_axpy_fused(&ma, &mb, &sres, &mz).1.launches;
-    let unfused_launches = {
-        let (prod, mut stats) = plan.apply(BlasOp::VecMul, None, &ma, &mb);
-        stats.accumulate(plan.apply(BlasOp::Axpy, Some(&sres), &prod, &mz).1);
-        stats.launches
+    let kernel = CompiledKernel::compile(&plan.mul_axpy_kernel_ir())
+        .expect("generated chain kernel compiles");
+    let fused = || plan.mul_axpy(&ma, &mb, &sres, &mz, &kernel, &BufferPool::new());
+    let unfused = || {
+        let (prod, mut stats) = plan.apply(BlasOp::VecMul, None, &ma, &mb, &BufferPool::new());
+        let (out, round) = plan.apply(BlasOp::Axpy, Some(&sres), &prod, &mz, &BufferPool::new());
+        stats.accumulate(round);
+        (out, stats)
     };
+    let fused_launches = fused().1.launches;
+    let unfused_launches = unfused().1.launches;
     let per_elt = 1e9 / elements as f64;
     let fused_ns = best_run(iters, &(), |_| {
-        std::hint::black_box(plan.mul_axpy_fused(&ma, &mb, &sres, &mz));
+        std::hint::black_box(fused());
     }) * per_elt;
     let unfused_ns = best_run(iters, &(), |_| {
-        let (prod, _) = plan.apply(BlasOp::VecMul, None, &ma, &mb);
-        std::hint::black_box(plan.apply(BlasOp::Axpy, Some(&sres), &prod, &mz));
+        std::hint::black_box(unfused());
     }) * per_elt;
-    // The session-level probe: one launch means the cost model routed the
-    // typed `RnsVec::mul_axpy` chain through the fused kernel. The first call
-    // warms the session pool; the second measures the steady state — every
-    // plane reused, zero heap allocations.
+    // The session-level probe: the first call warms the session pool, the
+    // second measures the steady state — every plane reused, zero heap
+    // allocations.
     let va = src.encode(&a);
     let vb = src.encode(&b);
     let vz = src.encode(&z);
-    let fused_selected = va.mul_axpy_with_stats(&vb, &s, &vz).1.launches == 1;
+    va.mul_axpy(&vb, &s, &vz);
     let session_allocs = va.mul_axpy_with_stats(&vb, &s, &vz).1.allocs;
     MulChainBench {
         fused_ns,
         unfused_ns,
         speedup: unfused_ns / fused_ns,
-        fused_selected,
         fused_launches,
         unfused_launches,
         session_allocs,
@@ -1756,9 +1707,9 @@ fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &Overload
     );
 
     // The RNS sections keep the full element count even in quick mode: at
-    // 2^10 elements the direct path's launch overhead and the fused path's
+    // 2^10 elements the unfused chain's extra launch and the fused kernel's
     // VM dispatch cost land within noise of each other, which would make the
-    // quick-mode rows too unstable for the CI ordering assertions. These
+    // quick-mode rows too unstable for the CI ordering assertion. These
     // sections cost microseconds per run, so the larger count is free.
     let rns_elements = 1 << 12;
     let (rns_rows, rns_speedup) = bench_rns_blas(session, 256, rns_elements, iters);
@@ -1787,31 +1738,16 @@ fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &Overload
         chain.fused_ns, chain.fused_launches
     );
     println!(
-        "  fused-vs-unfused speedup: {:.2}x (cost model selects {}); \
-         session path {} allocs/op on a warm pool",
-        chain.speedup,
-        if chain.fused_selected {
-            "fused"
-        } else {
-            "unfused"
-        },
-        chain.session_allocs
+        "  fused-vs-unfused speedup: {:.2}x; session path {} allocs/op on a warm pool",
+        chain.speedup, chain.session_allocs
     );
 
     let warm_start = bench_session_warm_start(iters);
 
-    let fused = bench_session_fused(session, 256, rns_elements, iters);
-    println!("\n256-bit fused rescale-and-extend over {rns_elements} elements (ns per element):");
-    println!("  two-pass       {:>10.2}", fused.two_pass_ns);
-    println!("  fused          {:>10.2}", fused.fused_ns);
+    let rescale_extend_ns = bench_rescale_extend(session, 256, rns_elements, iters);
     println!(
-        "  fused-vs-two-pass speedup: {:.2}x (cost model selects {})",
-        fused.speedup,
-        if fused.fused_selected {
-            "fused"
-        } else {
-            "two-pass"
-        }
+        "\n256-bit fused rescale-and-extend over {rns_elements} elements: \
+         {rescale_extend_ns:.2} ns per element"
     );
 
     let kernel_elements = batch_size * n;
@@ -1914,8 +1850,7 @@ fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &Overload
          \"fused_vs_unfused_speedup\": {chain_speedup:.3},\n    \
          \"fused_launches_per_op\": {chain_fused_launches},\n    \
          \"unfused_launches_per_op\": {chain_unfused_launches},\n    \
-         \"session_allocations_per_op\": {chain_session_allocs},\n    \
-         \"cost_model_selects_fused\": {chain_fused_selected}\n  }},\n  \
+         \"session_allocations_per_op\": {chain_session_allocs}\n  }},\n  \
          \"session_warm_start\": {{\n    \
          \"cold_build_ms\": {ws_cold:.3},\n    \
          \"restore_ms\": {ws_restore:.3},\n    \
@@ -1924,10 +1859,7 @@ fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &Overload
          \"plans_restored\": {ws_plans}\n  }},\n  \
          \"session_fused_rescale_extend\": {{\n    \"bits\": 256,\n    \
          \"elements\": {rns_elements},\n    \
-         \"fused_ns_per_element\": {fused_ns:.2},\n    \
-         \"two_pass_ns_per_element\": {fused_two_pass_ns:.2},\n    \
-         \"fused_vs_two_pass_speedup\": {fused_speedup:.3},\n    \
-         \"cost_model_selects_fused\": {fused_selected}\n  }},\n  \
+         \"fused_ns_per_element\": {rescale_extend_ns:.2}\n  }},\n  \
          \"kernel_batch\": {{\n    \"kernel\": \"{kernel_name}\",\n    \
          \"elements\": {kernel_elements},\n    \
          \"interpreted_ns_per_element\": {interp_ns:.2},\n    \
@@ -1981,10 +1913,6 @@ fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &Overload
         batched_single_ns = batched.single_ns_per_butterfly,
         batched_launches = batched.batched_launches,
         single_launches = batched.single_launches,
-        fused_ns = fused.fused_ns,
-        fused_two_pass_ns = fused.two_pass_ns,
-        fused_speedup = fused.speedup,
-        fused_selected = fused.fused_selected,
         rns_rows_json = rns_rows
             .iter()
             .map(|(path, ns)| format!(
@@ -2006,7 +1934,6 @@ fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &Overload
         chain_fused_launches = chain.fused_launches,
         chain_unfused_launches = chain.unfused_launches,
         chain_session_allocs = chain.session_allocs,
-        chain_fused_selected = chain.fused_selected,
         ws_cold = warm_start.cold_build_ms,
         ws_restore = warm_start.restore_ms,
         ws_speedup = warm_start.speedup,

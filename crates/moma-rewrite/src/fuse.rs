@@ -9,10 +9,10 @@
 //! 1. **mul→add** — a [`Op::MulModBarrett`] whose single use is the addend of an
 //!    [`Op::AddMod`] under the same modulus becomes one [`Op::MulAddMod`].
 //! 2. **MAC chains** — a run of constant-modulus [`Op::MulAddMod`] statements
-//!    linked through their single-use accumulator operands (the shape of
-//!    `BaseConvPlan::mac_kernel_ir`) becomes one [`Op::MacReduceMod`]
-//!    accumulation loop: the whole Σᵢ aᵢ·bᵢ runs in a 128-bit register and is
-//!    reduced *once*, division-free.
+//!    linked through their single-use accumulator operands (the shape of each
+//!    target row inside `BaseConvPlan::fused_kernel_ir`) becomes one
+//!    [`Op::MacReduceMod`] accumulation loop: the whole Σᵢ aᵢ·bᵢ runs in a
+//!    128-bit register and is reduced *once*, division-free.
 //! 3. **lone muls** — any remaining constant-modulus [`Op::MulModBarrett`]
 //!    becomes a single-pair accumulation, trading the executor's `u128 %` for
 //!    the Barrett sequence.
@@ -266,7 +266,7 @@ mod tests {
         (Operand::Const(mu), mbits)
     }
 
-    /// The `mac_kernel_ir` shape: out = Σᵢ xᵢ·cᵢ mod q over a zero seed.
+    /// One base-conversion target row: out = Σᵢ xᵢ·cᵢ mod q over a zero seed.
     fn mac_chain_kernel(q: u64, terms: u64) -> Kernel {
         let (mu, mbits) = barrett_operands(q);
         let mut kb = KernelBuilder::new("chain");

@@ -3,7 +3,7 @@
 //!
 //! This crate composes the engine's primitives — planned negacyclic NTTs
 //! ([`moma_ntt::NttPlan64::negacyclic`]), BEHZ base extension, and the fused
-//! rescale-then-extend chain ([`moma_rns::RnsPlan::rescale_then_extend_pooled`])
+//! rescale-then-extend chain ([`moma_rns::RnsPlan::rescale_then_extend`])
 //! — into the workload they exist for: a CKKS/BGV-shaped **level ladder** where
 //! each multiply is transform → pointwise → inverse (the `ψ`-twist folded into
 //! the transforms, no separate twist pass) followed by an exact rescale that

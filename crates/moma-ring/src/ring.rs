@@ -222,13 +222,13 @@ impl RingContext {
     /// launch at every level, one thread block per residue row running all of
     /// that row's stages under its own modulus (the `ψ`-twist is folded into
     /// the first stage, so this is the whole raise). The rows are transformed
-    /// where they lie, so the pool every ring operation is handed is not drawn
-    /// on here and `allocs` is `0` even when it is cold.
+    /// where they lie, so unlike the other ring operations this takes no pool
+    /// and `allocs` is `0`.
     ///
     /// # Panics
     ///
     /// Panics if `elt` is already in the evaluation domain.
-    pub fn forward_ntt(&self, elt: &mut RingElt, _pool: &BufferPool) -> LaunchStats {
+    pub fn forward_ntt(&self, elt: &mut RingElt) -> LaunchStats {
         assert_eq!(elt.domain, Domain::Coefficient, "element already raised");
         let plans = &self.ntt[..elt.matrix.row_count()];
         let stats = forward_rows(plans, elt.matrix.plane_mut());
@@ -243,7 +243,7 @@ impl RingContext {
     /// # Panics
     ///
     /// Panics if `elt` is already in the coefficient domain.
-    pub fn inverse_ntt(&self, elt: &mut RingElt, _pool: &BufferPool) -> LaunchStats {
+    pub fn inverse_ntt(&self, elt: &mut RingElt) -> LaunchStats {
         assert_eq!(elt.domain, Domain::Evaluation, "element already lowered");
         let plans = &self.ntt[..elt.matrix.row_count()];
         let stats = inverse_rows(plans, elt.matrix.plane_mut());
@@ -272,7 +272,7 @@ impl RingContext {
         let (matrix, stats) =
             self.levels[a.level]
                 .rns
-                .apply_pooled(BlasOp::VecMul, None, &a.matrix, &b.matrix, pool);
+                .apply(BlasOp::VecMul, None, &a.matrix, &b.matrix, pool);
         (
             RingElt {
                 level: a.level,
@@ -295,7 +295,7 @@ impl RingContext {
         let (matrix, stats) =
             self.levels[a.level]
                 .rns
-                .apply_pooled(BlasOp::VecAdd, None, &a.matrix, &b.matrix, pool);
+                .apply(BlasOp::VecAdd, None, &a.matrix, &b.matrix, pool);
         (
             RingElt {
                 level: a.level,
@@ -325,7 +325,7 @@ impl RingContext {
         );
         let lvl = &self.levels[elt.level];
         let step = lvl.step.as_ref().expect("already at the ladder floor");
-        let (matrix, stats) = lvl.rns.rescale_then_extend_pooled(step, &elt.matrix, pool);
+        let (matrix, stats) = lvl.rns.rescale_then_extend(step, &elt.matrix, pool);
         (
             RingElt {
                 level: elt.level + 1,
@@ -358,7 +358,7 @@ impl RingContext {
         );
         let mut stats = LaunchStats::default();
         let mut fa = self.clone_elt(a, pool);
-        stats.accumulate(self.forward_ntt(&mut fa, pool));
+        stats.accumulate(self.forward_ntt(&mut fa));
         let mut prod = if std::ptr::eq(a, b) {
             let (p, s) = self.mul(&fa, &fa, pool);
             stats.accumulate(s);
@@ -370,14 +370,14 @@ impl RingContext {
                 "ladder steps start from coefficients"
             );
             let mut fb = self.clone_elt(b, pool);
-            stats.accumulate(self.forward_ntt(&mut fb, pool));
+            stats.accumulate(self.forward_ntt(&mut fb));
             let (p, s) = self.mul(&fa, &fb, pool);
             stats.accumulate(s);
             fb.recycle(pool);
             p
         };
         fa.recycle(pool);
-        stats.accumulate(self.inverse_ntt(&mut prod, pool));
+        stats.accumulate(self.inverse_ntt(&mut prod));
         let (next, s) = self.rescale_to_next_level(&prod, pool);
         stats.accumulate(s);
         prod.recycle(pool);
@@ -454,10 +454,10 @@ mod tests {
 
         let mut ea = ring.encode(0, &a, &pool);
         let mut eb = ring.encode(0, &b, &pool);
-        ring.forward_ntt(&mut ea, &pool);
-        ring.forward_ntt(&mut eb, &pool);
+        ring.forward_ntt(&mut ea);
+        ring.forward_ntt(&mut eb);
         let (mut prod, _) = ring.mul(&ea, &eb, &pool);
-        ring.inverse_ntt(&mut prod, &pool);
+        ring.inverse_ntt(&mut prod);
         let got = ring.decode(&prod);
 
         assert_eq!(got, oracle::negacyclic_mul(ring.product(0), &a, &b));
@@ -486,10 +486,10 @@ mod tests {
         // Evaluation domain: add commutes with the transform.
         let mut fa = ring.clone_elt(&ea, &pool);
         let mut fb = ring.clone_elt(&eb, &pool);
-        ring.forward_ntt(&mut fa, &pool);
-        ring.forward_ntt(&mut fb, &pool);
+        ring.forward_ntt(&mut fa);
+        ring.forward_ntt(&mut fb);
         let (mut fsum, _) = ring.add(&fa, &fb, &pool);
-        ring.inverse_ntt(&mut fsum, &pool);
+        ring.inverse_ntt(&mut fsum);
         assert_eq!(ring.decode(&fsum), want);
         for e in [ea, eb, fa, fb, fsum] {
             e.recycle(&pool);
@@ -536,11 +536,11 @@ mod tests {
         let mut cur = ring.encode(0, &random_coeffs(8, &ring, 0), &pool);
         for level in 0..ring.level_count() {
             let rows = ring.basis(level).len();
-            let raised = ring.forward_ntt(&mut cur, &pool);
+            let raised = ring.forward_ntt(&mut cur);
             assert_eq!(raised.launches, 1, "raise at level {level}");
             assert_eq!(raised.threads, rows * n / 2);
             let (mut sq, _) = ring.mul(&cur, &cur, &pool);
-            let lowered = ring.inverse_ntt(&mut sq, &pool);
+            let lowered = ring.inverse_ntt(&mut sq);
             assert_eq!(lowered.launches, 1, "lower at level {level}");
             assert_eq!(lowered.threads, rows * n / 2);
             cur.recycle(&pool);
@@ -557,20 +557,14 @@ mod tests {
 
     #[test]
     fn raise_and_lower_leave_a_cold_pool_untouched() {
-        // The rows are transformed where they lie: no working plane is drawn,
-        // so even a pool that has never served a buffer sees no traffic.
+        // The rows are transformed where they lie: the transforms take no pool
+        // and report no plane allocation.
         let n = 32;
         let ring = RingContext::new(n, &ladder_primes(n, &[50, 30, 45]));
         let coeffs = random_coeffs(9, &ring, 0);
         let mut elt = ring.encode(0, &coeffs, &BufferPool::new());
-        let cold = BufferPool::new();
-        assert_eq!(ring.forward_ntt(&mut elt, &cold).allocs, 0);
-        assert_eq!(ring.inverse_ntt(&mut elt, &cold).allocs, 0);
-        assert_eq!(
-            cold.stats(),
-            Default::default(),
-            "no hit, miss or shelved word"
-        );
+        assert_eq!(ring.forward_ntt(&mut elt).allocs, 0);
+        assert_eq!(ring.inverse_ntt(&mut elt).allocs, 0);
         assert_eq!(ring.decode(&elt), coeffs, "lower ∘ raise is the identity");
     }
 

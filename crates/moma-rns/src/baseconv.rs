@@ -20,47 +20,50 @@
 //! [`BaseConvPlan`] precomputes, **once per basis pair**, the punctured-product
 //! inverses `(M/m_r)^{-1} mod m_r` and the cross-basis table
 //! `|M/m_r|_{m'_s}`; [`RescalePlan`] precomputes the dropped modulus' inverses
-//! and the output-basis plan. Execution then runs one virtual GPU thread per
-//! *target* residue row through [`moma_gpu::launch_chunks`], exactly like the
-//! element-wise operations, with the inner sum accumulated widening
-//! ([`moma_mp::single::smac`]) and reduced once per element
-//! ([`SingleBarrett::reduce_wide`]). Two generated-kernel paths run the same
-//! math on the compiled executor:
+//! and the output-basis plan; [`RescaleExtendPlan`] folds the two. Each
+//! operation then has exactly one implementation:
 //!
-//! * [`RnsPlan::base_convert_compiled`] — one batch launch per target row
-//!   through the per-row kernels of [`BaseConvPlan::mac_kernel_ir`], which the
-//!   `moma-rewrite` fusion pass collapses from a [`moma_ir::Op::MulAddMod`]
-//!   chain into a single [`moma_ir::Op::MacReduceMod`] accumulation loop (a
-//!   measurement harness: it keeps the per-row launch structure visible);
-//! * [`RnsPlan::base_convert_fused`] — the fast path: **one** launch runs the
-//!   all-rows kernel of [`BaseConvPlan::fused_kernel_ir`], computing an
-//!   element's pseudo-residues and every target residue in registers, with no
-//!   intermediate pseudo-residue plane written or re-read at all.
+//! * [`RnsPlan::base_convert`] runs the *generated* all-rows kernel of
+//!   [`BaseConvPlan::fused_kernel_ir`] in **one** launch: an element's raw
+//!   source residues go in, every target residue comes out, and the
+//!   pseudo-residues live in registers. The `moma-rewrite` fusion pass
+//!   collapses the kernel's [`moma_ir::Op::MulAddMod`] chains into
+//!   division-free [`moma_ir::Op::MacReduceMod`] accumulation loops. It is
+//!   the only implementation because a hand-written sweep needs a second
+//!   launch and a pseudo-residue plane written and re-read for the same
+//!   arithmetic (246 vs 290–362 ns/element where both were measured).
+//! * [`RnsPlan::scale_and_round`] is a residue-local map: one virtual GPU
+//!   thread per output row through [`moma_gpu::launch_chunks`], like the
+//!   element-wise operations.
+//! * [`RnsPlan::rescale_then_extend`] chains the two (the BEHZ `FastBConvSK`
+//!   shape) as a folded two-round sweep: the dropped modulus' inverse is
+//!   folded *into* the punctured-product inverses at plan-build time, so the
+//!   conversion's pseudo-residues come straight off the unrescaled data
+//!   ([`moma_mp::single::smac`] accumulation, one
+//!   [`SingleBarrett::reduce_wide`] per element) and no intermediate rescaled
+//!   matrix is written. Running the two steps separately is strictly more
+//!   launches and memory traffic; a caller who wants that composes
+//!   [`RnsPlan::scale_and_round`] and [`RnsPlan::base_convert`].
+//! * [`RnsPlan::mul_rescale_then_extend`] puts the element-wise product in
+//!   front of that chain and runs the whole thing as the generated kernel of
+//!   [`RescaleExtendPlan::mul_fused_kernel_ir`], one launch, every
+//!   intermediate in registers.
 //!
-//! FHE pipelines chain the two — rescale, then extend the quotient into a fresh
-//! basis (the BEHZ `FastBConvSK` shape). Run separately that walks the data
-//! twice; [`RescaleExtendPlan`] folds the dropped modulus' inverse *into* the
-//! punctured-product inverses at plan-build time, so
-//! [`RnsPlan::rescale_then_extend`] computes the conversion's pseudo-residues
-//! straight from the unrescaled data — one launch round per residue-row set,
-//! no intermediate matrix. The two-pass chain stays callable
-//! ([`RnsPlan::rescale_then_extend_two_pass`]) and the cost model prices both
-//! ([`RescaleExtendPlan::fused_is_faster`]) so sessions can select
-//! automatically.
+//! Every entry point takes the [`BufferPool`] its planes come from (a
+//! stand-alone caller passes `&BufferPool::new()`), and the generated ones take
+//! the [`CompiledKernel`] to run: plans carry tables and IR builders, the caller
+//! owns compilation.
 //!
 //! Every operation is cross-checked bit-for-bit against the `BigUint` oracles
 //! [`RnsContext::base_convert`] and [`RnsContext::scale_and_round`].
 
 use crate::plan::{mul_mod, RnsMatrix, RnsPlan};
 use crate::RnsContext;
-use moma_gpu::launch::{launch_chunks, launch_compiled_batch, launch_compiled_rows, LaunchStats};
+use moma_gpu::launch::{launch_chunks, launch_compiled_rows, LaunchStats};
 use moma_gpu::pool::BufferPool;
-use moma_gpu::CostModel;
 use moma_ir::compiled::CompiledKernel;
-use moma_ir::cost::OpCounts;
 use moma_ir::{Kernel, KernelBuilder, Op, Operand, Ty};
 use moma_mp::single::{smac, SingleBarrett};
-use std::sync::{Arc, OnceLock};
 
 /// Why a restored conversion-plan table set was rejected by
 /// [`BaseConvPlan::from_tables`], [`RescalePlan::from_tables`], or
@@ -132,14 +135,18 @@ impl std::error::Error for ConvRestoreError {}
 ///
 /// ```
 /// use moma_bignum::BigUint;
+/// use moma_gpu::BufferPool;
+/// use moma_ir::CompiledKernel;
 /// use moma_rns::{BaseConvPlan, RnsContext, RnsMatrix, RnsPlan};
 ///
 /// let src = RnsPlan::new(&RnsContext::with_moduli_count(4));
 /// let dst = RnsPlan::new(&RnsContext::with_moduli(&[2147481173, 2147482223]));
 /// let bc = BaseConvPlan::new(&src, &dst);
+/// let kernel = CompiledKernel::compile(&bc.fused_kernel_ir()).unwrap();
 /// let m = RnsMatrix::from_biguints(&src, &[BigUint::from(12345u64)]);
-/// let (converted, _) = src.base_convert(&bc, &m);
+/// let (converted, stats) = src.base_convert(&bc, &m, &kernel, &BufferPool::new());
 /// assert_eq!(converted.row_count(), 2);
+/// assert_eq!(stats.launches, 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BaseConvPlan {
@@ -153,18 +160,6 @@ pub struct BaseConvPlan {
     cross: Vec<u64>,
     /// The target plan (cloned so converted matrices can be used immediately).
     dst: RnsPlan,
-    /// One generated fused multiply-accumulate kernel per target modulus,
-    /// compiled lazily on the first [`RnsPlan::base_convert_compiled`] call.
-    /// Callers that own a cross-plan kernel cache (a session) should instead
-    /// generate the IR with [`BaseConvPlan::mac_kernel_ir`], compile through
-    /// their cache, and execute with [`RnsPlan::base_convert_compiled_with`].
-    mac_kernels: OnceLock<Vec<Arc<CompiledKernel>>>,
-    /// The single all-rows conversion kernel (pseudo-residues and every target
-    /// row in one generated program), compiled lazily on the first
-    /// [`RnsPlan::base_convert_fused`] call. Session-owned caches compile
-    /// [`BaseConvPlan::fused_kernel_ir`] themselves and run
-    /// [`RnsPlan::base_convert_fused_with`].
-    fused_kernel: OnceLock<Arc<CompiledKernel>>,
 }
 
 impl BaseConvPlan {
@@ -199,8 +194,6 @@ impl BaseConvPlan {
             inv_punctured,
             cross,
             dst: dst.clone(),
-            mac_kernels: OnceLock::new(),
-            fused_kernel: OnceLock::new(),
         }
     }
 
@@ -267,8 +260,6 @@ impl BaseConvPlan {
             inv_punctured,
             cross,
             dst: dst.clone(),
-            mac_kernels: OnceLock::new(),
-            fused_kernel: OnceLock::new(),
         })
     }
 
@@ -279,56 +270,12 @@ impl BaseConvPlan {
         );
     }
 
-    /// Generates (on first use) and returns the per-target-modulus fused
-    /// multiply-accumulate kernels.
-    fn kernels(&self) -> &[Arc<CompiledKernel>] {
-        self.mac_kernels.get_or_init(|| {
-            (0..self.dst.moduli_count())
-                .map(|s| {
-                    Arc::new(
-                        CompiledKernel::compile(&self.mac_kernel_ir(s))
-                            .expect("generated baseconv kernel compiles"),
-                    )
-                })
-                .collect()
-        })
-    }
-
-    /// Builds the IR of the generated sum-of-products kernel for target modulus
-    /// `s`, **after** the `moma-rewrite` fusion pass: the naive
-    /// [`Op::MulAddMod`] chain ([`BaseConvPlan::mac_kernel_ir_unfused`])
-    /// collapses to a single [`Op::MacReduceMod`] accumulation loop — one
-    /// deferred division-free reduction instead of one full Barrett reduction
-    /// per source modulus. This is the hook for external kernel caches: compile
-    /// it once under a `("baseconv_mac", 64, m'_s)` key and execute with
-    /// [`RnsPlan::base_convert_compiled_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a target-row index.
-    pub fn mac_kernel_ir(&self, s: usize) -> Kernel {
-        moma_rewrite::passes::optimize(&self.mac_kernel_ir_unfused(s))
-    }
-
-    /// The pre-fusion form of [`BaseConvPlan::mac_kernel_ir`]: the naive chain
-    /// of one [`Op::MulAddMod`] per source modulus. Kept callable as the oracle
-    /// the fusion crosschecks run against (and as the shape the fusion pass is
-    /// exercised on in production).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a target-row index.
-    pub fn mac_kernel_ir_unfused(&self, s: usize) -> Kernel {
-        let k = self.src_moduli.len();
-        mac_kernel(&self.dst.ctxs[s], &self.cross[s * k..(s + 1) * k])
-    }
-
     /// Builds the IR of the **all-rows** conversion kernel: one generated
     /// program whose parameters are an element's raw source residues and whose
     /// outputs are every target residue at once — the pseudo-residue
     /// multiplications and all `l` cross-basis accumulations live in the same
-    /// kernel, so one launch (and one read of the element) replaces the
-    /// two-stage pseudo-plane round-trip.
+    /// kernel, so the whole conversion is one launch and one read of the
+    /// element.
     ///
     /// The kernel is generated naively — one [`Op::MulModBarrett`] per source
     /// modulus, then one [`Op::MulAddMod`] chain per target modulus — and
@@ -394,375 +341,52 @@ impl BaseConvPlan {
         }
         kb.build()
     }
-
-    /// Generates (on first use) and returns the compiled all-rows conversion
-    /// kernel.
-    fn fused(&self) -> &Arc<CompiledKernel> {
-        self.fused_kernel.get_or_init(|| {
-            Arc::new(
-                CompiledKernel::compile(&self.fused_kernel_ir())
-                    .expect("generated fused conversion kernel compiles"),
-            )
-        })
-    }
-}
-
-/// Builds the generated sum-of-products kernel for one target modulus: a chain
-/// of fused multiply-accumulates `acc = (x̃_r · c_r + acc) mod q` with the
-/// cross-basis constants, `q`, and `μ` baked in — one [`Op::MulAddMod`]
-/// statement per source modulus.
-///
-/// The kernel's parameters are the element's pseudo-residues **reduced modulo
-/// the target modulus** (the caller folds them, since a pseudo-residue lives in
-/// its source ring and a mixed-width basis pair can have `m_r > m'_s`):
-/// `MulAddMod`'s operands are contractually reduced, and the word-algebra
-/// expansion the emitters rely on is only exact under that precondition.
-fn mac_kernel(ctx: &SingleBarrett, cross_row: &[u64]) -> Kernel {
-    let mut kb = KernelBuilder::new(format!("rns_baseconv_m{:x}", ctx.q));
-    let params: Vec<_> = (0..cross_row.len())
-        .map(|r| kb.param(format!("x{r}"), Ty::UInt(64)))
-        .collect();
-    let out = kb.output("out", Ty::UInt(64));
-    let mut acc = Operand::Const(0);
-    let last = cross_row.len() - 1;
-    for (r, (&x, &c)) in params.iter().zip(cross_row).enumerate() {
-        let dst = if r == last {
-            out
-        } else {
-            kb.fresh("acc", Ty::UInt(64))
-        };
-        kb.push(
-            vec![dst],
-            Op::MulAddMod {
-                a: x.into(),
-                b: Operand::Const(c),
-                c: acc,
-                q: Operand::Const(ctx.q),
-                mu: Operand::Const(ctx.mu),
-                mbits: ctx.mbits,
-            },
-        );
-        acc = dst.into();
-    }
-    kb.build()
 }
 
 impl RnsPlan {
-    /// Computes the pseudo-residue planes `x̃_r = x_r · (M/m_r)^{-1} mod m_r`,
-    /// one launcher thread per source residue row — the shared first stage of
-    /// both base-conversion paths.
-    fn pseudo_residues(&self, bc: &BaseConvPlan, a: &RnsMatrix) -> (Vec<u64>, LaunchStats) {
-        let mut pseudo = vec![0u64; self.moduli_count() * a.len()];
-        let stats = self.pseudo_residues_into(bc, a, &mut pseudo);
-        (pseudo, stats)
-    }
-
-    /// [`RnsPlan::pseudo_residues`] into a caller-provided plane.
-    fn pseudo_residues_into(
-        &self,
-        bc: &BaseConvPlan,
-        a: &RnsMatrix,
-        pseudo: &mut [u64],
-    ) -> LaunchStats {
-        let cols = a.len();
-        if cols == 0 {
-            LaunchStats::default()
-        } else {
-            launch_chunks(pseudo, cols, |r, out| {
-                let ctx = &self.ctxs[r];
-                let narrow = self.narrow[r];
-                let inv = bc.inv_punctured[r];
-                for (o, &x) in out.iter_mut().zip(a.row(r)) {
-                    *o = mul_mod(ctx, narrow, x, inv);
-                }
-            })
-        }
-    }
-
     /// Fast base extension: re-expresses every element of `a` (over this plan's
     /// basis `B`, product `M`) in the target basis of `bc`, entirely in
-    /// machine-word arithmetic.
+    /// machine-word arithmetic, in **one** launch of the generated all-rows
+    /// kernel `compiled` (compiled by the caller from
+    /// [`BaseConvPlan::fused_kernel_ir`]).
     ///
-    /// Two launch rounds: pseudo-residues (one thread per *source* row), then
-    /// the sum-of-products accumulation (one thread per *target* row), each
-    /// element accumulated widening ([`smac`]) and reduced once
-    /// ([`SingleBarrett::reduce_wide`]). The result represents `x + α·M` for an
-    /// overshoot `0 ≤ α < k` — the approximate conversion FHE pipelines use,
-    /// bit-for-bit equal to the [`RnsContext::base_convert`] oracle.
+    /// Each element's raw source residues go in, every target residue comes
+    /// out, and the pseudo-residues `x̃_r = x_r · (M/m_r)^{-1} mod m_r` live in
+    /// registers; every multiplication and cross-basis accumulation executes
+    /// as a division-free [`Op::MacReduceMod`] loop. The result represents
+    /// `x + α·M` for an overshoot `0 ≤ α < k` — the approximate conversion FHE
+    /// pipelines use, bit-for-bit equal to the [`RnsContext::base_convert`]
+    /// oracle.
     ///
-    /// # Panics
-    ///
-    /// Panics if `bc` was built for a different source basis or `a` does not
-    /// match this plan.
-    pub fn base_convert(&self, bc: &BaseConvPlan, a: &RnsMatrix) -> (RnsMatrix, LaunchStats) {
-        let cols = a.len();
-        let mut pseudo = vec![0u64; self.moduli_count() * cols];
-        let mut data = vec![0u64; bc.dst.moduli_count() * cols];
-        let mut stats = self.base_convert_rows(bc, a, &mut pseudo, &mut data);
-        stats.allocs += 2 * usize::from(cols > 0);
-        (
-            RnsMatrix {
-                rows: bc.dst.moduli_count(),
-                cols,
-                data,
-            },
-            stats,
-        )
-    }
-
-    /// [`RnsPlan::base_convert`] with both working planes (the intermediate
-    /// pseudo-residues and the output) acquired from `pool`; the pseudo plane
-    /// is recycled before returning and `allocs` reports the pool-miss delta of
-    /// the window.
-    pub fn base_convert_pooled(
-        &self,
-        bc: &BaseConvPlan,
-        a: &RnsMatrix,
-        pool: &BufferPool,
-    ) -> (RnsMatrix, LaunchStats) {
-        let cols = a.len();
-        let before = pool.misses();
-        let mut pseudo = pool.acquire(self.moduli_count() * cols);
-        let mut data = pool.acquire(bc.dst.moduli_count() * cols);
-        let mut stats = self.base_convert_rows(bc, a, &mut pseudo, &mut data);
-        pool.recycle(pseudo);
-        stats.allocs += (pool.misses() - before) as usize;
-        (
-            RnsMatrix {
-                rows: bc.dst.moduli_count(),
-                cols,
-                data,
-            },
-            stats,
-        )
-    }
-
-    /// The shared body of the two-round conversion: validates shapes and fills
-    /// the caller-provided pseudo-residue and output planes.
-    fn base_convert_rows(
-        &self,
-        bc: &BaseConvPlan,
-        a: &RnsMatrix,
-        pseudo: &mut [u64],
-        data: &mut [u64],
-    ) -> LaunchStats {
-        bc.check_source(self);
-        self.check_shape(a);
-        let cols = a.len();
-        let k = self.moduli_count();
-        assert_eq!(pseudo.len(), k * cols);
-        assert_eq!(data.len(), bc.dst.moduli_count() * cols);
-        let mut stats = self.pseudo_residues_into(bc, a, pseudo);
-        if cols > 0 {
-            let pseudo = &*pseudo;
-            stats.accumulate(launch_chunks(data, cols, |s, out| {
-                let ctx = &bc.dst.ctxs[s];
-                let cross_row = &bc.cross[s * k..(s + 1) * k];
-                for (i, o) in out.iter_mut().enumerate() {
-                    let mut acc = 0u128;
-                    for (r, &c) in cross_row.iter().enumerate() {
-                        acc = smac(acc, pseudo[r * cols + i], c);
-                    }
-                    *o = ctx.reduce_wide(acc);
-                }
-            }));
-        }
-        stats
-    }
-
-    /// Fast base extension routed through the *generated* fused
-    /// multiply-accumulate kernels, one [`launch_compiled_batch`] per target
-    /// residue row.
-    ///
-    /// Functionally identical to [`RnsPlan::base_convert`]; it exists so the
-    /// conversion cost is measurable on the exact same compiled executor and
-    /// launcher as MoMA's positional kernels (like
-    /// [`RnsPlan::mul_compiled`], a measurement harness rather than the fast
-    /// path).
+    /// The output plane comes from `pool`; `allocs` reports the pool-miss
+    /// delta of the call.
     ///
     /// # Panics
     ///
-    /// Panics as [`RnsPlan::base_convert`] does.
-    pub fn base_convert_compiled(
-        &self,
-        bc: &BaseConvPlan,
-        a: &RnsMatrix,
-    ) -> (RnsMatrix, LaunchStats) {
-        self.base_convert_compiled_with(bc, a, bc.kernels())
-    }
-
-    /// [`RnsPlan::base_convert_compiled`] with caller-supplied compiled MAC
-    /// kernels — the entry point for session-owned kernel caches, which compile
-    /// each [`BaseConvPlan::mac_kernel_ir`] once per `(op, width, modulus)` key
-    /// and reuse it across every conversion plan and call.
-    ///
-    /// Each target row runs as one flat-batch launch
-    /// ([`moma_gpu::launch_compiled_batch`]): the per-element input marshalling
-    /// that dominated the old per-element path (a fresh `Vec` per element per
-    /// row) is hoisted into one row-major buffer fill.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`RnsPlan::base_convert`] does, or if `kernels` does not hold
-    /// exactly one kernel per target modulus.
-    pub fn base_convert_compiled_with(
-        &self,
-        bc: &BaseConvPlan,
-        a: &RnsMatrix,
-        kernels: &[Arc<CompiledKernel>],
-    ) -> (RnsMatrix, LaunchStats) {
-        bc.check_source(self);
-        self.check_shape(a);
-        assert_eq!(
-            kernels.len(),
-            bc.dst.moduli_count(),
-            "one compiled MAC kernel per target modulus"
-        );
-        let cols = a.len();
-        let k = self.moduli_count();
-        let (pseudo, mut stats) = self.pseudo_residues(bc, a);
-        let mut data = Vec::with_capacity(bc.dst.moduli_count() * cols);
-        let mut raw_flat: Option<Vec<u64>> = None;
-        let mut reduced_flat = Vec::new();
-        for (compiled, ctx) in kernels.iter().zip(&bc.dst.ctxs) {
-            if cols == 0 {
-                break;
-            }
-            let input: &[u64] = if compiled.counts_per_element().get("macreduce") > 0 {
-                // An accumulation-loop kernel reduces the whole sum modulo the
-                // target exactly once, so term-by-term congruence is all it
-                // needs: the raw pseudo-residues feed it unchanged, and the
-                // transposed batch is built once and shared by every fused
-                // target row instead of refilled (and re-reduced) per row.
-                raw_flat.get_or_insert_with(|| {
-                    let mut flat = vec![0u64; cols * k];
-                    for (r, plane) in pseudo.chunks_exact(cols).enumerate() {
-                        for (i, &x) in plane.iter().enumerate() {
-                            flat[i * k + r] = x;
-                        }
-                    }
-                    flat
-                })
-            } else {
-                // A pseudo-residue is reduced modulo its *source* modulus,
-                // which may exceed the target modulus in a mixed-width basis
-                // pair; an unfused kernel's MulAddMod contract requires factors
-                // reduced modulo the target q, so fold them into the row-major
-                // input batch here — congruence is unchanged since
-                // (x mod q)·c + acc ≡ x·c + acc (mod q).
-                reduced_flat.resize(cols * k, 0);
-                for (r, plane) in pseudo.chunks_exact(cols).enumerate() {
-                    for (i, &x) in plane.iter().enumerate() {
-                        reduced_flat[i * k + r] = ctx.reduce_word(x);
-                    }
-                }
-                &reduced_flat
-            };
-            let (outs, round) = launch_compiled_batch(compiled, input);
-            data.extend(outs);
-            stats.accumulate(round);
-        }
-        (
-            RnsMatrix {
-                rows: bc.dst.moduli_count(),
-                cols,
-                data,
-            },
-            stats,
-        )
-    }
-
-    /// Fast base extension through the single all-rows generated kernel — the
-    /// compiled executor's fast path.
-    ///
-    /// Where [`RnsPlan::base_convert`] runs two launch rounds (pseudo-residue
-    /// planes, then the cross-basis sums) and
-    /// [`RnsPlan::base_convert_compiled`] one batch launch per target row,
-    /// this runs **one** launch for the whole conversion: each element's raw
-    /// source residues go in, every target residue comes out, and the
-    /// pseudo-residues live in registers instead of an intermediate plane that
-    /// is written once and re-read once per target row. The kernel itself is
-    /// the fusion pass' output ([`BaseConvPlan::fused_kernel_ir`]), so every
-    /// multiplication and accumulation executes as a division-free
-    /// [`Op::MacReduceMod`] loop.
-    ///
-    /// Bit-for-bit equal to [`RnsPlan::base_convert`].
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`RnsPlan::base_convert`] does.
-    pub fn base_convert_fused(&self, bc: &BaseConvPlan, a: &RnsMatrix) -> (RnsMatrix, LaunchStats) {
-        self.base_convert_fused_with(bc, a, bc.fused())
-    }
-
-    /// [`RnsPlan::base_convert_fused`] with a caller-supplied compiled all-rows
-    /// kernel — the entry point for session-owned kernel caches, which compile
-    /// [`BaseConvPlan::fused_kernel_ir`] once per basis pair and reuse it
-    /// across plans and calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`RnsPlan::base_convert`] does, or if `compiled` does not
-    /// take one parameter per source modulus and produce one output per target
-    /// modulus.
-    pub fn base_convert_fused_with(
-        &self,
-        bc: &BaseConvPlan,
-        a: &RnsMatrix,
-        compiled: &CompiledKernel,
-    ) -> (RnsMatrix, LaunchStats) {
-        let cols = a.len();
-        let rows = bc.dst.moduli_count();
-        let mut data = vec![0u64; rows * cols];
-        let mut stats = self.base_convert_fused_rows(bc, a, compiled, &mut data);
-        stats.allocs += usize::from(cols > 0);
-        (RnsMatrix { rows, cols, data }, stats)
-    }
-
-    /// [`RnsPlan::base_convert_fused_with`] with the output plane acquired from
-    /// `pool`; `allocs` reports the pool-miss delta of the window.
-    pub fn base_convert_fused_with_pool(
+    /// Panics if `bc` was built for a different source basis, `a` does not
+    /// match this plan, or `compiled` does not take one parameter per source
+    /// modulus and produce one output per target modulus.
+    pub fn base_convert(
         &self,
         bc: &BaseConvPlan,
         a: &RnsMatrix,
         compiled: &CompiledKernel,
         pool: &BufferPool,
     ) -> (RnsMatrix, LaunchStats) {
-        let cols = a.len();
-        let rows = bc.dst.moduli_count();
-        let before = pool.misses();
-        let mut data = pool.acquire(rows * cols);
-        let mut stats = self.base_convert_fused_rows(bc, a, compiled, &mut data);
-        stats.allocs += (pool.misses() - before) as usize;
-        (RnsMatrix { rows, cols, data }, stats)
-    }
-
-    /// The shared body of the fused-conversion entry points.
-    fn base_convert_fused_rows(
-        &self,
-        bc: &BaseConvPlan,
-        a: &RnsMatrix,
-        compiled: &CompiledKernel,
-        data: &mut [u64],
-    ) -> LaunchStats {
         bc.check_source(self);
         self.check_shape(a);
         let cols = a.len();
-        let k = self.moduli_count();
         let rows = bc.dst.moduli_count();
         assert_eq!(
             (compiled.param_count(), compiled.output_count()),
-            (k, rows),
+            (self.moduli_count(), rows),
             "fused conversion kernel shape must match the basis pair"
         );
-        assert_eq!(data.len(), rows * cols);
-        if cols == 0 {
-            LaunchStats::default()
-        } else {
+        RnsMatrix::filled_from(pool, rows, cols, |data| {
             launch_compiled_rows(compiled, data, cols, |r, lo, lanes| {
                 lanes.copy_from_slice(&a.data[r * cols + lo..r * cols + lo + lanes.len()]);
             })
-        }
+        })
     }
 
     /// Builds the rescale tables for dropping this basis' last modulus.
@@ -784,44 +408,19 @@ impl RnsPlan {
     /// within one of `x/m_k`, bit-for-bit equal to the
     /// [`RnsContext::scale_and_round`] oracle.
     ///
+    /// The output plane comes from `pool`; `allocs` reports the pool-miss
+    /// delta of the call.
+    ///
     /// # Panics
     ///
     /// Panics if `rp` was built for a different basis or `a` does not match
     /// this plan.
-    pub fn scale_and_round(&self, rp: &RescalePlan, a: &RnsMatrix) -> (RnsMatrix, LaunchStats) {
-        let cols = a.len();
-        let rows = rp.out.moduli_count();
-        let mut data = vec![0u64; rows * cols];
-        let mut stats = self.scale_and_round_rows(rp, a, &mut data);
-        stats.allocs += usize::from(cols > 0);
-        (RnsMatrix { rows, cols, data }, stats)
-    }
-
-    /// [`RnsPlan::scale_and_round`] with the output plane acquired from `pool`;
-    /// `allocs` reports the pool-miss delta of the window.
-    pub fn scale_and_round_pooled(
+    pub fn scale_and_round(
         &self,
         rp: &RescalePlan,
         a: &RnsMatrix,
         pool: &BufferPool,
     ) -> (RnsMatrix, LaunchStats) {
-        let cols = a.len();
-        let rows = rp.out.moduli_count();
-        let before = pool.misses();
-        let mut data = pool.acquire(rows * cols);
-        let mut stats = self.scale_and_round_rows(rp, a, &mut data);
-        stats.allocs += (pool.misses() - before) as usize;
-        (RnsMatrix { rows, cols, data }, stats)
-    }
-
-    /// The shared body of the rescale entry points: validates shapes and fills
-    /// the caller-provided output plane.
-    fn scale_and_round_rows(
-        &self,
-        rp: &RescalePlan,
-        a: &RnsMatrix,
-        data: &mut [u64],
-    ) -> LaunchStats {
         rp.check_source(self);
         self.check_shape(a);
         let cols = a.len();
@@ -829,10 +428,7 @@ impl RnsPlan {
         let last = self.ctxs[rows].q;
         let half = last / 2;
         let c_row = a.row(rows);
-        assert_eq!(data.len(), rows * cols);
-        if cols == 0 {
-            LaunchStats::default()
-        } else {
+        RnsMatrix::filled_from(pool, rows, cols, |data| {
             launch_chunks(data, cols, |r, out| {
                 let ctx = &rp.out.ctxs[r];
                 let narrow = rp.out.narrow[r];
@@ -850,7 +446,7 @@ impl RnsPlan {
                     *o = if c > half { ctx.add_mod(y, 1) } else { y };
                 }
             })
-        }
+        })
     }
 
     /// Builds the fused rescale-and-extend tables for dropping this basis' last
@@ -875,9 +471,15 @@ impl RnsPlan {
     /// and its pseudo-residue for the conversion is
     /// `ỹ_r = y_r·(M⁻/m_r)^{-1} = (x_r − c)·f_r + δ·(M⁻/m_r)^{-1} (mod m_r)`
     /// where `f_r = m_k^{-1}·(M⁻/m_r)^{-1} mod m_r` was folded at plan-build
-    /// time. The target residues are then the usual cross-basis sums. The result
-    /// is bit-for-bit the [`RnsPlan::scale_and_round`]-then-
+    /// time. The target residues are then the cross-basis sums
+    /// `Σ_r ỹ_r·|M⁻/m_r|_{m'_s}`, accumulated widening ([`smac`]) and reduced
+    /// once per element ([`SingleBarrett::reduce_wide`]). The result is
+    /// bit-for-bit the [`RnsPlan::scale_and_round`]-then-
     /// [`RnsPlan::base_convert`] chain (including the `x + αM⁻` overshoot).
+    ///
+    /// Both working planes (the pseudo-residues, recycled before returning,
+    /// and the output) come from `pool`; `allocs` reports the pool-miss delta
+    /// of the call.
     ///
     /// # Panics
     ///
@@ -887,60 +489,20 @@ impl RnsPlan {
         &self,
         p: &RescaleExtendPlan,
         a: &RnsMatrix,
-    ) -> (RnsMatrix, LaunchStats) {
-        let cols = a.len();
-        let rows = p.bc.dst.moduli_count();
-        let mut pseudo = vec![0u64; (self.moduli_count() - 1) * cols];
-        let mut data = vec![0u64; rows * cols];
-        let mut stats = self.rescale_then_extend_rows(p, a, &mut pseudo, &mut data);
-        stats.allocs += 2 * usize::from(cols > 0);
-        (RnsMatrix { rows, cols, data }, stats)
-    }
-
-    /// [`RnsPlan::rescale_then_extend`] with both working planes acquired from
-    /// `pool`; the pseudo plane is recycled before returning and `allocs`
-    /// reports the pool-miss delta of the window.
-    pub fn rescale_then_extend_pooled(
-        &self,
-        p: &RescaleExtendPlan,
-        a: &RnsMatrix,
         pool: &BufferPool,
     ) -> (RnsMatrix, LaunchStats) {
-        let cols = a.len();
-        let rows = p.bc.dst.moduli_count();
-        let before = pool.misses();
-        let mut pseudo = pool.acquire((self.moduli_count() - 1) * cols);
-        let mut data = pool.acquire(rows * cols);
-        let mut stats = self.rescale_then_extend_rows(p, a, &mut pseudo, &mut data);
-        pool.recycle(pseudo);
-        stats.allocs += (pool.misses() - before) as usize;
-        (RnsMatrix { rows, cols, data }, stats)
-    }
-
-    /// The shared body of the fused rescale-and-extend entry points: validates
-    /// shapes and fills the caller-provided pseudo-residue and output planes.
-    fn rescale_then_extend_rows(
-        &self,
-        p: &RescaleExtendPlan,
-        a: &RnsMatrix,
-        pseudo: &mut [u64],
-        data: &mut [u64],
-    ) -> LaunchStats {
         p.rescale.check_source(self);
         self.check_shape(a);
         let cols = a.len();
         let km1 = self.moduli_count() - 1;
-        let rows = p.bc.dst.moduli_count();
         let last = self.ctxs[km1].q;
         let half = last / 2;
         let c_row = a.row(km1);
-        assert_eq!(pseudo.len(), km1 * cols);
-        assert_eq!(data.len(), rows * cols);
-        let mut stats = LaunchStats::default();
-        if cols > 0 {
+        RnsMatrix::filled_from(pool, p.bc.dst.moduli_count(), cols, |data| {
             // Round 1 — fused pseudo-residues, one thread per surviving source
             // row, reading the source data directly.
-            stats.accumulate(launch_chunks(pseudo, cols, |r, out| {
+            let mut pseudo = pool.acquire(km1 * cols);
+            let mut stats = launch_chunks(&mut pseudo, cols, |r, out| {
                 let ctx = &self.ctxs[r];
                 let narrow = self.narrow[r];
                 let f = p.fused[r];
@@ -952,10 +514,8 @@ impl RnsPlan {
                     let t = mul_mod(ctx, narrow, diff, f);
                     *o = if c > half { ctx.add_mod(t, ip) } else { t };
                 }
-            }));
-            // Round 2 — the cross-basis accumulation, one thread per target row,
-            // identical to base_convert's second stage.
-            let pseudo = &*pseudo;
+            });
+            // Round 2 — the cross-basis accumulation, one thread per target row.
             stats.accumulate(launch_chunks(data, cols, |s, out| {
                 let ctx = &p.bc.dst.ctxs[s];
                 let cross_row = &p.bc.cross[s * km1..(s + 1) * km1];
@@ -967,95 +527,28 @@ impl RnsPlan {
                     *o = ctx.reduce_wide(acc);
                 }
             }));
-        }
-        stats
-    }
-
-    /// The unfused reference chain for [`RnsPlan::rescale_then_extend`]:
-    /// [`RnsPlan::scale_and_round`] into an intermediate matrix, then
-    /// [`RnsPlan::base_convert`] — three launch rounds and one extra full pass
-    /// over the data. Kept callable so the fused saving stays measurable and the
-    /// cost model has a real alternative to price.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`RnsPlan::rescale_then_extend`] does.
-    pub fn rescale_then_extend_two_pass(
-        &self,
-        p: &RescaleExtendPlan,
-        a: &RnsMatrix,
-    ) -> (RnsMatrix, LaunchStats) {
-        let (rescaled, mut stats) = self.scale_and_round(&p.rescale, a);
-        let (out, round) = p.rescale.out.base_convert(&p.bc, &rescaled);
-        stats.accumulate(round);
-        (out, stats)
-    }
-
-    /// [`RnsPlan::rescale_then_extend_two_pass`] with every working plane —
-    /// including the intermediate rescaled matrix, which is recycled before
-    /// returning — routed through `pool`.
-    pub fn rescale_then_extend_two_pass_pooled(
-        &self,
-        p: &RescaleExtendPlan,
-        a: &RnsMatrix,
-        pool: &BufferPool,
-    ) -> (RnsMatrix, LaunchStats) {
-        let (mut rescaled, mut stats) = self.scale_and_round_pooled(&p.rescale, a, pool);
-        let (out, round) = p.rescale.out.base_convert_pooled(&p.bc, &rescaled, pool);
-        pool.recycle(rescaled.take_storage());
-        stats.accumulate(round);
-        (out, stats)
+            pool.recycle(pseudo);
+            stats
+        })
     }
 
     /// The whole `mul→rescale→extend` chain — element-wise product, rounded
     /// division by the dropped modulus, re-expression in the target basis — in
-    /// **one** launch through the generated fused chain kernel, instead of the
-    /// three launches (and two intermediate matrices) of [`RnsPlan::mul`]
-    /// followed by [`RnsPlan::rescale_then_extend`]. Bit-for-bit equal to that
-    /// unfused sequence.
+    /// **one** launch of the generated chain kernel `compiled` (compiled by
+    /// the caller from [`RescaleExtendPlan::mul_fused_kernel_ir`]), with every
+    /// intermediate in registers. Bit-for-bit equal to [`RnsPlan::apply`] with
+    /// [`moma_blas::BlasOp::VecMul`] followed by
+    /// [`RnsPlan::rescale_then_extend`].
+    ///
+    /// The output plane comes from `pool`; `allocs` reports the pool-miss
+    /// delta of the call.
     ///
     /// # Panics
     ///
-    /// Panics if `p` was built for a different source basis or the matrices do
-    /// not match this plan.
-    pub fn mul_rescale_then_extend_fused(
-        &self,
-        p: &RescaleExtendPlan,
-        a: &RnsMatrix,
-        b: &RnsMatrix,
-    ) -> (RnsMatrix, LaunchStats) {
-        self.mul_rescale_then_extend_fused_with(p, a, b, p.mul_fused())
-    }
-
-    /// [`RnsPlan::mul_rescale_then_extend_fused`] with a caller-supplied
-    /// compiled chain kernel — the entry point for session-owned kernel caches,
-    /// which compile [`RescaleExtendPlan::mul_fused_kernel_ir`] once per basis
-    /// pair and reuse it across plans and calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`RnsPlan::mul_rescale_then_extend_fused`] does, or if
-    /// `compiled` does not take two parameters per source modulus and produce
-    /// one output per target modulus.
-    pub fn mul_rescale_then_extend_fused_with(
-        &self,
-        p: &RescaleExtendPlan,
-        a: &RnsMatrix,
-        b: &RnsMatrix,
-        compiled: &CompiledKernel,
-    ) -> (RnsMatrix, LaunchStats) {
-        let rows = p.bc.dst.moduli_count();
-        let cols = a.cols;
-        let mut data = vec![0u64; rows * cols];
-        let mut stats = self.mul_rescale_then_extend_fused_rows(p, a, b, compiled, &mut data);
-        stats.allocs += usize::from(cols > 0);
-        (RnsMatrix { rows, cols, data }, stats)
-    }
-
-    /// [`RnsPlan::mul_rescale_then_extend_fused_with`] with the output plane
-    /// acquired from `pool`; `allocs` reports the pool-miss delta of the
-    /// window.
-    pub fn mul_rescale_then_extend_fused_with_pool(
+    /// Panics if `p` was built for a different source basis, the matrices do
+    /// not match this plan, or `compiled` does not take two parameters per
+    /// source modulus and produce one output per target modulus.
+    pub fn mul_rescale_then_extend(
         &self,
         p: &RescaleExtendPlan,
         a: &RnsMatrix,
@@ -1063,45 +556,23 @@ impl RnsPlan {
         compiled: &CompiledKernel,
         pool: &BufferPool,
     ) -> (RnsMatrix, LaunchStats) {
-        let rows = p.bc.dst.moduli_count();
-        let cols = a.cols;
-        let before = pool.misses();
-        let mut data = pool.acquire(rows * cols);
-        let mut stats = self.mul_rescale_then_extend_fused_rows(p, a, b, compiled, &mut data);
-        stats.allocs += (pool.misses() - before) as usize;
-        (RnsMatrix { rows, cols, data }, stats)
-    }
-
-    /// The shared body of the fused `mul→rescale→extend` entry points.
-    fn mul_rescale_then_extend_fused_rows(
-        &self,
-        p: &RescaleExtendPlan,
-        a: &RnsMatrix,
-        b: &RnsMatrix,
-        compiled: &CompiledKernel,
-        data: &mut [u64],
-    ) -> LaunchStats {
         p.rescale.check_source(self);
         self.check_shape(a);
         self.check_shape(b);
         assert_eq!(a.cols, b.cols, "matrix width mismatch");
-        let k = self.moduli_count();
         let rows = p.bc.dst.moduli_count();
         let cols = a.cols;
         assert_eq!(
             (compiled.param_count(), compiled.output_count()),
-            (2 * k, rows),
+            (2 * self.moduli_count(), rows),
             "fused chain kernel shape must match the basis pair"
         );
-        assert_eq!(data.len(), rows * cols);
-        if cols == 0 {
-            LaunchStats::default()
-        } else {
+        RnsMatrix::filled_from(pool, rows, cols, |data| {
             launch_compiled_rows(compiled, data, cols, |p, lo, lanes| {
                 let row = &if p % 2 == 0 { &a.data } else { &b.data }[p / 2 * cols..];
                 lanes.copy_from_slice(&row[lo..lo + lanes.len()]);
             })
-        }
+        })
     }
 }
 
@@ -1200,9 +671,9 @@ impl RescalePlan {
 /// source basis' last modulus with rounding and re-expressing the quotient in a
 /// target basis, in one launch round per residue-row set.
 ///
-/// Built once per `(source, target)` basis pair; contains the unfused
-/// [`RescalePlan`] and [`BaseConvPlan`] (for the two-pass reference path) plus
-/// the fused per-row factors `f_r = m_k^{-1}·(M⁻/m_r)^{-1} mod m_r` that let the
+/// Built once per `(source, target)` basis pair; contains the [`RescalePlan`]
+/// and [`BaseConvPlan`] halves (whose tables the sweep reads) plus the fused
+/// per-row factors `f_r = m_k^{-1}·(M⁻/m_r)^{-1} mod m_r` that let the
 /// pseudo-residues of the conversion be computed straight from the unrescaled
 /// data.
 #[derive(Debug, Clone)]
@@ -1213,12 +684,6 @@ pub struct RescaleExtendPlan {
     bc: BaseConvPlan,
     /// `f_r = m_k^{-1}·(M⁻/m_r)^{-1} mod m_r` per surviving source modulus.
     fused: Vec<u64>,
-    /// The single all-rows `mul→rescale→extend` chain kernel
-    /// ([`RescaleExtendPlan::mul_fused_kernel_ir`]), compiled lazily on the
-    /// first [`RnsPlan::mul_rescale_then_extend_fused`] call. Session-owned
-    /// caches compile the IR themselves and run
-    /// [`RnsPlan::mul_rescale_then_extend_fused_with`].
-    mul_kernel: OnceLock<Arc<CompiledKernel>>,
 }
 
 impl RescaleExtendPlan {
@@ -1240,12 +705,7 @@ impl RescaleExtendPlan {
             .zip(&bc.inv_punctured)
             .map(|((ctx, &inv_last), &ip)| ctx.mul_mod(inv_last, ip))
             .collect();
-        RescaleExtendPlan {
-            rescale,
-            bc,
-            fused,
-            mul_kernel: OnceLock::new(),
-        }
+        RescaleExtendPlan { rescale, bc, fused }
     }
 
     /// Builds the IR of the **all-rows** `mul→rescale→extend` chain kernel: one
@@ -1255,7 +715,8 @@ impl RescaleExtendPlan {
     /// `round((a·b)/m_k)` re-expressed in the target basis — the element-wise
     /// product, the rounding decision, the fused pseudo-residues, and all
     /// cross-basis sums live in the same kernel, so **one** launch replaces the
-    /// three of `mul` followed by [`RnsPlan::rescale_then_extend`].
+    /// three of an element-wise multiply followed by
+    /// [`RnsPlan::rescale_then_extend`].
     ///
     /// Generated naively — Barrett multiplications, a comparison/select pair
     /// for the rounding increment, and one [`Op::MulAddMod`] chain per target
@@ -1404,16 +865,6 @@ impl RescaleExtendPlan {
         kb.build()
     }
 
-    /// Generates (on first use) and returns the compiled all-rows chain kernel.
-    fn mul_fused(&self) -> &Arc<CompiledKernel> {
-        self.mul_kernel.get_or_init(|| {
-            Arc::new(
-                CompiledKernel::compile(&self.mul_fused_kernel_ir())
-                    .expect("generated fused chain kernel compiles"),
-            )
-        })
-    }
-
     /// The folded per-row factors `f_r = m_k^{-1}·(M⁻/m_r)^{-1} mod m_r` — the
     /// serialization view used by session snapshots.
     pub fn fused_factors(&self) -> &[u64] {
@@ -1447,12 +898,7 @@ impl RescaleExtendPlan {
                 return Err(ConvRestoreError::BadFusedFactor { index });
             }
         }
-        Ok(RescaleExtendPlan {
-            rescale,
-            bc,
-            fused,
-            mul_kernel: OnceLock::new(),
-        })
+        Ok(RescaleExtendPlan { rescale, bc, fused })
     }
 
     /// The unfused rescale half (whose output plan is the shortened basis).
@@ -1469,50 +915,6 @@ impl RescaleExtendPlan {
     pub fn dst_plan(&self) -> &RnsPlan {
         &self.bc.dst
     }
-
-    /// Synthetic per-element operation counts of the fused path, for the cost
-    /// model: one submod + mulmod (+ the rounding addmod) per surviving source
-    /// row, one fused multiply-accumulate per (target row × source row), and one
-    /// wide reduction (priced as a mulmod) per target row.
-    pub fn fused_counts(&self) -> OpCounts {
-        let km1 = self.fused.len() as u64;
-        let l = self.bc.dst.moduli_count() as u64;
-        let mut c = OpCounts::new();
-        c.add_mnemonic("submod", km1);
-        c.add_mnemonic("mulmod", km1 + l);
-        c.add_mnemonic("addmod", km1);
-        c.add_mnemonic("macmod", l * km1);
-        c
-    }
-
-    /// Synthetic per-element operation counts of the two-pass path: the fused
-    /// mix plus one extra modular multiplication per surviving source row (the
-    /// separate pseudo-residue pass the fusion folds away).
-    pub fn two_pass_counts(&self) -> OpCounts {
-        let km1 = self.fused.len() as u64;
-        let mut c = self.fused_counts();
-        c.add_mnemonic("mulmod", km1);
-        c
-    }
-
-    /// Decides, from the device cost model, whether the fused path is the
-    /// cheaper way to run the chain over `cols` elements — the automatic
-    /// selection sessions apply. Besides the arithmetic saving, the two-pass
-    /// path writes and re-reads the whole intermediate rescaled matrix, which
-    /// the memory term prices.
-    pub fn fused_is_faster(&self, model: &CostModel, cols: usize) -> bool {
-        let k = self.fused.len() as u64 + 1;
-        let l = self.bc.dst.moduli_count() as u64;
-        // Per-element global-memory traffic in words: both paths read the source
-        // column and write the target column plus the pseudo-residue plane; the
-        // two-pass path additionally writes and re-reads the rescaled column.
-        let fused_bytes = 8 * (k + 2 * (k - 1) + l);
-        let two_pass_bytes = fused_bytes + 8 * 2 * (k - 1);
-        let cols = cols.max(1) as u64;
-        let fused = model.estimate_launch(&self.fused_counts(), cols, fused_bytes);
-        let two_pass = model.estimate_launch(&self.two_pass_counts(), cols, two_pass_bytes);
-        fused.total <= two_pass.total
-    }
 }
 
 #[cfg(test)]
@@ -1520,8 +922,19 @@ mod tests {
     use super::*;
     use moma_bignum::random::random_bits;
     use moma_bignum::BigUint;
+    use moma_blas::BlasOp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The conversion kernel a stand-alone caller compiles for `bc`.
+    fn conversion_kernel(bc: &BaseConvPlan) -> CompiledKernel {
+        CompiledKernel::compile(&bc.fused_kernel_ir()).unwrap()
+    }
+
+    /// Base conversion on a fresh pool with a freshly compiled kernel.
+    fn convert(src: &RnsPlan, bc: &BaseConvPlan, a: &RnsMatrix) -> (RnsMatrix, LaunchStats) {
+        src.base_convert(bc, a, &conversion_kernel(bc), &BufferPool::new())
+    }
 
     /// Generates `count` distinct primes of `bits` bits from a seeded rng
     /// (through the shared deterministic basis builder).
@@ -1548,14 +961,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xba5e);
         let values: Vec<BigUint> = (0..17).map(|_| random_bits(&mut rng, 190)).collect();
         let a = RnsMatrix::from_biguints(&src, &values);
-        let (out, stats) = src.base_convert(&bc, &a);
+        let (out, stats) = convert(&src, &bc, &a);
         assert_eq!(out.row_count(), dst.moduli_count());
         assert_eq!(out.len(), values.len());
-        assert_eq!(
-            stats.threads,
-            src.moduli_count() + dst.moduli_count(),
-            "one thread per source row plus one per target row"
-        );
+        assert_eq!(stats.threads, values.len(), "one thread per element");
         for (c, v) in values.iter().enumerate() {
             let oracle = src_ctx.base_convert(&dst_ctx, &src_ctx.to_residues(v));
             assert_eq!(out.element(c), oracle, "column {c}");
@@ -1574,7 +983,7 @@ mod tests {
             .map(|_| moma_bignum::random::random_below(&mut rng, src.product()))
             .collect();
         let a = RnsMatrix::from_biguints(&src, &values);
-        let (out, _) = src.base_convert(&bc, &a);
+        let (out, _) = convert(&src, &bc, &a);
         for (c, v) in values.iter().enumerate() {
             let reconstructed = dst.to_biguints(&out)[c].clone();
             let excess = &reconstructed - v;
@@ -1602,63 +1011,10 @@ mod tests {
             .map(|_| moma_bignum::random::random_below(&mut rng, src.product()))
             .collect();
         let a = RnsMatrix::from_biguints(&src, &values);
-        let (out, _) = src.base_convert(&bc, &a);
+        let (out, _) = convert(&src, &bc, &a);
         for (c, v) in values.iter().enumerate() {
             let oracle = src_ctx.base_convert(&dst_ctx, &src_ctx.to_residues(v));
             assert_eq!(out.element(c), oracle, "column {c}");
-        }
-    }
-
-    #[test]
-    fn compiled_base_convert_matches_rowwise_path() {
-        let src = RnsPlan::new(&RnsContext::with_capacity_bits(160));
-        let dst = RnsPlan::new(&RnsContext::with_moduli(&primes(0xcc, 4, 31)));
-        let bc = BaseConvPlan::new(&src, &dst);
-        let mut rng = StdRng::seed_from_u64(0xc0);
-        let values: Vec<BigUint> = (0..13).map(|_| random_bits(&mut rng, 150)).collect();
-        let a = RnsMatrix::from_biguints(&src, &values);
-        let (plain, _) = src.base_convert(&bc, &a);
-        let (compiled, stats) = src.base_convert_compiled(&bc, &a);
-        assert_eq!(compiled, plain);
-        assert_eq!(
-            stats.threads,
-            src.moduli_count() + dst.moduli_count() * values.len()
-        );
-    }
-
-    #[test]
-    fn mac_kernel_ir_is_fused_to_one_accumulation_loop() {
-        let src = RnsPlan::new(&RnsContext::with_moduli_count(4));
-        let dst = RnsPlan::new(&RnsContext::with_moduli(&primes(0x1f, 3, 31)));
-        let bc = BaseConvPlan::new(&src, &dst);
-        for s in 0..dst.moduli_count() {
-            let fused = bc.mac_kernel_ir(s);
-            moma_ir::validate::validate(&fused).expect("fused kernel validates");
-            let counts = CompiledKernel::compile(&fused)
-                .unwrap()
-                .counts_per_element()
-                .clone();
-            assert_eq!(
-                counts.get("macreduce"),
-                src.moduli_count() as u64,
-                "row {s}: one accumulation term per source modulus"
-            );
-            assert_eq!(
-                counts.get("reducewide"),
-                1,
-                "row {s}: one deferred reduction"
-            );
-            assert_eq!(
-                counts.get("macmod"),
-                0,
-                "row {s}: no per-term Barrett reductions left"
-            );
-            // The unfused oracle is still the naive chain.
-            let chain = CompiledKernel::compile(&bc.mac_kernel_ir_unfused(s)).unwrap();
-            assert_eq!(
-                chain.counts_per_element().get("macmod"),
-                src.moduli_count() as u64
-            );
         }
     }
 
@@ -1694,23 +1050,20 @@ mod tests {
             .map(|_| moma_bignum::random::random_below(&mut rng, src.product()))
             .collect();
         let a = RnsMatrix::from_biguints(&src, &values);
-        let (direct, direct_stats) = src.base_convert(&bc, &a);
-        let (fused, fused_stats) = src.base_convert_fused(&bc, &a);
-        assert_eq!(fused, direct, "fusion must not change a single bit");
-        assert_eq!(direct_stats.launches, 2);
+        let (fused, fused_stats) = convert(&src, &bc, &a);
         assert_eq!(
             fused_stats.launches, 1,
             "the whole conversion is one launch"
         );
         assert_eq!(fused_stats.threads, values.len(), "one thread per element");
-        // And per element against the BigUint oracle.
+        // Bit for bit the direct BigUint oracle, per element.
         for (c, v) in values.iter().enumerate() {
             let oracle = src_ctx.base_convert(&dst_ctx, &src_ctx.to_residues(v));
             assert_eq!(fused.element(c), oracle, "column {c}");
         }
         // Empty batches short-circuit.
         let empty = RnsMatrix::from_biguints(&src, &[]);
-        let (out, stats) = src.base_convert_fused(&bc, &empty);
+        let (out, stats) = convert(&src, &bc, &empty);
         assert!(out.is_empty());
         assert_eq!(stats.launches, 0);
     }
@@ -1721,9 +1074,10 @@ mod tests {
         let src = RnsPlan::new(&RnsContext::with_moduli_count(3));
         let dst = RnsPlan::new(&RnsContext::with_moduli(&primes(0x7a, 3, 31)));
         let bc = BaseConvPlan::new(&src, &dst);
-        let wrong = CompiledKernel::compile(&bc.mac_kernel_ir(0)).unwrap();
+        let wider = RnsPlan::new(&RnsContext::with_moduli_count(4));
+        let wrong = conversion_kernel(&BaseConvPlan::new(&wider, &dst));
         let a = RnsMatrix::from_biguints(&src, &[BigUint::one()]);
-        src.base_convert_fused_with(&bc, &a, &wrong);
+        src.base_convert(&bc, &a, &wrong, &BufferPool::new());
     }
 
     #[test]
@@ -1736,7 +1090,7 @@ mod tests {
             .map(|_| moma_bignum::random::random_below(&mut rng, plan.product()))
             .collect();
         let a = RnsMatrix::from_biguints(&plan, &values);
-        let (out, stats) = plan.scale_and_round(&rp, &a);
+        let (out, stats) = plan.scale_and_round(&rp, &a, &BufferPool::new());
         assert_eq!(out.row_count(), plan.moduli_count() - 1);
         assert_eq!(stats.threads, plan.moduli_count() - 1);
         let last = BigUint::from(*ctx.moduli().last().unwrap());
@@ -1766,7 +1120,7 @@ mod tests {
             .map(|_| moma_bignum::random::random_below(&mut rng, plan.product()))
             .collect();
         let a = RnsMatrix::from_biguints(&plan, &values);
-        let (out, _) = plan.scale_and_round(&rp, &a);
+        let (out, _) = plan.scale_and_round(&rp, &a, &BufferPool::new());
         for (c, v) in values.iter().enumerate() {
             assert_eq!(
                 out.element(c),
@@ -1790,8 +1144,8 @@ mod tests {
             .map(|_| moma_bignum::random::random_below(&mut rng, plan.product()))
             .collect();
         let a = RnsMatrix::from_biguints(&plan, &values);
-        let (rescaled, _) = plan.scale_and_round(&rp, &a);
-        let (extended, _) = rp.output_plan().base_convert(&bc, &rescaled);
+        let (rescaled, _) = plan.scale_and_round(&rp, &a, &BufferPool::new());
+        let (extended, _) = convert(rp.output_plan(), &bc, &rescaled);
         let out_ctx = ctx.without_last();
         let dst_ctx = RnsContext::with_moduli(&primes(0xf00, 4, 31));
         for (c, v) in values.iter().enumerate() {
@@ -1812,15 +1166,22 @@ mod tests {
             .map(|_| moma_bignum::random::random_below(&mut rng, plan.product()))
             .collect();
         let a = RnsMatrix::from_biguints(&plan, &values);
-        let (fused, fused_stats) = plan.rescale_then_extend(&p, &a);
-        let (two_pass, two_pass_stats) = plan.rescale_then_extend_two_pass(&p, &a);
-        assert_eq!(fused, two_pass, "fusion must not change a single bit");
-        // The fusion saves one whole launch round (the separate rescale pass).
+        let pool = BufferPool::new();
+        let (fused, fused_stats) = plan.rescale_then_extend(&p, &a, &pool);
+        // The two-pass chain, composed from its single entry points: rescale
+        // into an intermediate matrix, then convert it.
+        let (rescaled, _) = plan.scale_and_round(p.rescale_plan(), &a, &pool);
+        let (two_pass, _) = convert(
+            p.rescale_plan().output_plan(),
+            p.base_conv_plan(),
+            &rescaled,
+        );
+        assert_eq!(fused, two_pass, "folding must not change a single bit");
         assert_eq!(fused_stats.launches, 2);
-        assert_eq!(two_pass_stats.launches, 3);
         assert_eq!(
-            fused_stats.threads + plan.moduli_count() - 1,
-            two_pass_stats.threads
+            fused_stats.threads,
+            plan.moduli_count() - 1 + dst.moduli_count(),
+            "one thread per surviving source row plus one per target row"
         );
         // And matches the BigUint oracle chain per element.
         let out_ctx = ctx.without_last();
@@ -1843,7 +1204,7 @@ mod tests {
             .map(|_| moma_bignum::random::random_below(&mut rng, plan.product()))
             .collect();
         let a = RnsMatrix::from_biguints(&plan, &values);
-        let (fused, _) = plan.rescale_then_extend(&p, &a);
+        let (fused, _) = plan.rescale_then_extend(&p, &a, &BufferPool::new());
         let out_ctx = ctx.without_last();
         let dst_ctx = RnsContext::with_moduli(&dst_moduli);
         for (c, v) in values.iter().enumerate() {
@@ -1891,9 +1252,11 @@ mod tests {
         let (va, vb) = (draw(17), draw(17));
         let a = RnsMatrix::from_biguints(&plan, &va);
         let b = RnsMatrix::from_biguints(&plan, &vb);
-        let prod = plan.mul(&a, &b);
-        let (unfused, chain_stats) = plan.rescale_then_extend(&p, &prod);
-        let (fused, stats) = plan.mul_rescale_then_extend_fused(&p, &a, &b);
+        let pool = BufferPool::new();
+        let compiled = CompiledKernel::compile(&p.mul_fused_kernel_ir()).unwrap();
+        let (prod, _) = plan.apply(BlasOp::VecMul, None, &a, &b, &pool);
+        let (unfused, chain_stats) = plan.rescale_then_extend(&p, &prod, &pool);
+        let (fused, stats) = plan.mul_rescale_then_extend(&p, &a, &b, &compiled, &pool);
         assert_eq!(fused, unfused, "fusion must not change a single bit");
         // mul (1 launch) + rescale_then_extend (2) vs the whole chain in one.
         assert_eq!(chain_stats.launches, 2);
@@ -1901,37 +1264,9 @@ mod tests {
         assert_eq!(stats.threads, va.len(), "one thread per element");
         // Empty batches short-circuit.
         let empty = RnsMatrix::from_biguints(&plan, &[]);
-        let (out, stats) = plan.mul_rescale_then_extend_fused(&p, &empty, &empty);
+        let (out, stats) = plan.mul_rescale_then_extend(&p, &empty, &empty, &compiled, &pool);
         assert!(out.is_empty());
         assert_eq!(stats.launches, 0);
-    }
-
-    #[test]
-    fn fused_path_is_priced_cheaper_by_the_cost_model() {
-        let plan = RnsPlan::new(&RnsContext::with_moduli_count(6));
-        let dst = RnsPlan::new(&RnsContext::with_moduli(&primes(0x9, 6, 31)));
-        let p = plan.rescale_extend_plan(&dst);
-        assert!(p.fused_counts().total() < p.two_pass_counts().total());
-        let model = CostModel::new(moma_gpu::DeviceSpec::H100);
-        assert!(p.fused_is_faster(&model, 4096));
-    }
-
-    #[test]
-    fn compiled_base_convert_accepts_external_kernels() {
-        let src = RnsPlan::new(&RnsContext::with_moduli_count(4));
-        let dst = RnsPlan::new(&RnsContext::with_moduli(&primes(0x77, 3, 31)));
-        let bc = BaseConvPlan::new(&src, &dst);
-        let kernels: Vec<Arc<CompiledKernel>> = (0..dst.moduli_count())
-            .map(|s| Arc::new(CompiledKernel::compile(&bc.mac_kernel_ir(s)).unwrap()))
-            .collect();
-        let mut rng = StdRng::seed_from_u64(0xeeee);
-        let values: Vec<BigUint> = (0..7)
-            .map(|_| moma_bignum::random::random_below(&mut rng, src.product()))
-            .collect();
-        let a = RnsMatrix::from_biguints(&src, &values);
-        let (internal, _) = src.base_convert_compiled(&bc, &a);
-        let (external, _) = src.base_convert_compiled_with(&bc, &a, &kernels);
-        assert_eq!(internal, external);
     }
 
     #[test]
@@ -1940,10 +1275,12 @@ mod tests {
         let dst = RnsPlan::new(&RnsContext::with_moduli(&primes(0xe, 3, 31)));
         let bc = BaseConvPlan::new(&src, &dst);
         let empty = RnsMatrix::from_biguints(&src, &[]);
-        assert!(src.base_convert(&bc, &empty).0.is_empty());
-        assert!(src.base_convert_compiled(&bc, &empty).0.is_empty());
+        assert!(convert(&src, &bc, &empty).0.is_empty());
         let rp = src.rescale_plan();
-        assert!(src.scale_and_round(&rp, &empty).0.is_empty());
+        assert!(src
+            .scale_and_round(&rp, &empty, &BufferPool::new())
+            .0
+            .is_empty());
     }
 
     #[test]
@@ -1954,7 +1291,7 @@ mod tests {
         let dst = RnsPlan::new(&RnsContext::with_moduli(&primes(0xd, 3, 31)));
         let bc = BaseConvPlan::new(&a, &dst);
         let m = RnsMatrix::from_biguints(&b, &[BigUint::one()]);
-        b.base_convert(&bc, &m);
+        convert(&b, &bc, &m);
     }
 
     #[test]
@@ -2007,8 +1344,8 @@ mod tests {
         let p2 = RescaleExtendPlan::from_parts(rp2, bc2, p.fused_factors().to_vec())
             .expect("fresh fused factors restore");
         assert_eq!(p2.fused_factors(), p.fused_factors());
-        let (fresh, _) = src.rescale_then_extend(&p, &a);
-        let (restored, _) = src.rescale_then_extend(&p2, &a);
+        let (fresh, _) = src.rescale_then_extend(&p, &a, &BufferPool::new());
+        let (restored, _) = src.rescale_then_extend(&p2, &a, &BufferPool::new());
         assert_eq!(restored, fresh);
     }
 
@@ -2074,53 +1411,40 @@ mod tests {
     #[test]
     fn pooled_conversion_chain_matches_heap_and_goes_allocation_free() {
         let (src, p, values) = chain_fixture();
-        let pool = moma_gpu::BufferPool::new();
+        let pool = BufferPool::new();
         let a = RnsMatrix::from_biguints(&src, &values);
+        let kernel = conversion_kernel(&p.bc);
 
-        // Heap references (and their advertised plane allocations).
-        let (heap_sr, sr_stats) = src.scale_and_round(&p.rescale, &a);
+        // Stand-alone references: a fresh pool per call allocates each plane.
+        let (heap_sr, sr_stats) = src.scale_and_round(&p.rescale, &a, &BufferPool::new());
         assert_eq!(sr_stats.allocs, 1);
-        let (heap_bc, bc_stats) = p.rescale.out.base_convert(&p.bc, &heap_sr);
-        assert_eq!(bc_stats.allocs, 2, "output plane plus pseudo plane");
-        let (heap_fused, fused_stats) = src.rescale_then_extend(&p, &a);
-        assert_eq!(fused_stats.allocs, 2);
-        let (heap_two_pass, _) = src.rescale_then_extend_two_pass(&p, &a);
-        assert_eq!(heap_two_pass, heap_bc);
+        let (heap_bc, bc_stats) =
+            p.rescale
+                .out
+                .base_convert(&p.bc, &heap_sr, &kernel, &BufferPool::new());
+        assert_eq!(bc_stats.allocs, 1, "the output plane only");
+        let (heap_fused, fused_stats) = src.rescale_then_extend(&p, &a, &BufferPool::new());
+        assert_eq!(fused_stats.allocs, 2, "output plane plus pseudo plane");
+        assert_eq!(heap_fused, heap_bc);
 
-        // Warm the pool with one cold round shaped exactly like the steady
-        // state — all four results held concurrently — so the shelves end up
-        // with enough resident planes for the peak demand.
-        {
-            let (mut sr, _) = src.scale_and_round_pooled(&p.rescale, &a, &pool);
-            let (mut bc, _) = p.rescale.out.base_convert_pooled(&p.bc, &sr, &pool);
-            let (mut fused, _) = src.rescale_then_extend_pooled(&p, &a, &pool);
-            let (mut two, _) = src.rescale_then_extend_two_pass_pooled(&p, &a, &pool);
-            pool.recycle(sr.take_storage());
-            pool.recycle(bc.take_storage());
-            pool.recycle(fused.take_storage());
-            pool.recycle(two.take_storage());
-        }
-
-        // Steady state: bit-identical to the heap path, zero pool misses.
-        for round in 0..4 {
+        // Round 0 runs on the cold pool, shaped exactly like the steady state —
+        // all three results held concurrently — so the shelves end up with
+        // enough resident planes for the peak demand; every later round is
+        // bit-identical to the stand-alone results with zero pool misses.
+        for round in 0..5 {
             let before = pool.misses();
-            let (mut sr, sr_stats) = src.scale_and_round_pooled(&p.rescale, &a, &pool);
-            let (mut bc, bc_stats) = p.rescale.out.base_convert_pooled(&p.bc, &sr, &pool);
-            let (mut fused, fused_stats) = src.rescale_then_extend_pooled(&p, &a, &pool);
-            let (mut two, two_stats) = src.rescale_then_extend_two_pass_pooled(&p, &a, &pool);
+            let (mut sr, sr_stats) = src.scale_and_round(&p.rescale, &a, &pool);
+            let (mut bc, bc_stats) = p.rescale.out.base_convert(&p.bc, &sr, &kernel, &pool);
+            let (mut fused, fused_stats) = src.rescale_then_extend(&p, &a, &pool);
             assert_eq!(sr, heap_sr, "round {round}");
             assert_eq!(bc, heap_bc, "round {round}");
             assert_eq!(fused, heap_fused, "round {round}");
-            assert_eq!(two, heap_two_pass, "round {round}");
-            assert_eq!(sr_stats.allocs, 0, "round {round}");
-            assert_eq!(bc_stats.allocs, 0, "round {round}");
-            assert_eq!(fused_stats.allocs, 0, "round {round}");
-            assert_eq!(two_stats.allocs, 0, "round {round}");
-            assert_eq!(pool.misses(), before, "round {round} never missed");
+            let allocs = sr_stats.allocs + bc_stats.allocs + fused_stats.allocs;
+            assert_eq!(allocs, if round == 0 { 4 } else { 0 }, "round {round}");
+            assert_eq!(pool.misses() - before, allocs as u64, "round {round}");
             pool.recycle(sr.take_storage());
             pool.recycle(bc.take_storage());
             pool.recycle(fused.take_storage());
-            pool.recycle(two.take_storage());
         }
     }
 }

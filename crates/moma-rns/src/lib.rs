@@ -17,9 +17,8 @@
 //!   arithmetic on the hot path;
 //! * [`baseconv`] — the RNS operations FHE pipelines chain *between* element-wise
 //!   stages: [`BaseConvPlan`] precomputes the fast-base-extension tables once per
-//!   basis pair and [`RnsPlan::base_convert`] runs the sum-of-products
-//!   accumulation one launcher thread per target residue row (with a generated
-//!   multiply-accumulate kernel as the compiled path), while [`RescalePlan`] /
+//!   basis pair and [`RnsPlan::base_convert`] runs the whole conversion as one
+//!   launch of the generated all-rows kernel, while [`RescalePlan`] /
 //!   [`RnsPlan::scale_and_round`] implement approximate division-by-`m_k` with
 //!   rounding (the CKKS/BGV rescale primitive).
 //!

@@ -17,13 +17,22 @@
 //! * [`RnsMatrix`] stores a vector of `n` big integers as a flat `#moduli × n`
 //!   row-major matrix (structure-of-arrays): row `r` holds the residues of all `n`
 //!   elements modulo basis prime `m_r`;
-//! * element-wise operations ([`RnsPlan::apply`]) dispatch one virtual GPU thread
-//!   per residue row through [`moma_gpu::launch_chunks`] (each thread filling its
-//!   row of the flat output in place), and
-//!   [`RnsPlan::mul_compiled`] routes the same per-residue multiplication through a
-//!   *generated* machine-level kernel via [`moma_gpu::launch_compiled`] — so GRNS
-//!   vector ops and MoMA compiled kernels are measured on the same launch
-//!   infrastructure.
+//! * element-wise operations run through exactly one entry point,
+//!   [`RnsPlan::apply`]: one virtual GPU thread per residue row through
+//!   [`moma_gpu::launch_chunks`], each thread filling its row of the flat
+//!   output in place against the row's precomputed Barrett context;
+//! * the `mul→axpy` chain runs through [`RnsPlan::mul_axpy`], which executes
+//!   the *generated* all-rows chain kernel ([`RnsPlan::mul_axpy_kernel_ir`]) in
+//!   one launch via [`moma_gpu::launch::launch_compiled_rows`]. It is the only
+//!   implementation because the alternative is two [`RnsPlan::apply`] calls and
+//!   a full intermediate matrix, which any caller can still compose by hand.
+//!
+//! Every entry point takes the [`BufferPool`] its output plane comes from (a
+//! stand-alone caller passes `&BufferPool::new()`) and, where the op is
+//! generated, the [`CompiledKernel`] to run: a plan carries tables and IR
+//! builders only, and whoever calls it owns compilation — `moma::Session`
+//! through its fused-kernel cache, a test or bench through
+//! `CompiledKernel::compile(&plan.mul_axpy_kernel_ir())`.
 //!
 //! The conversion-cost trade-off the paper measures is explicit in the types:
 //! everything on [`RnsMatrix`] is `BigUint`-free, while [`RnsPlan::to_biguints`]
@@ -35,12 +44,11 @@
 use crate::{RnsContext, RnsInt};
 use moma_bignum::BigUint;
 use moma_blas::BlasOp;
-use moma_gpu::launch::{launch_chunks, launch_compiled, launch_compiled_rows, LaunchStats};
+use moma_gpu::launch::{launch_chunks, launch_compiled_rows, LaunchStats};
 use moma_gpu::pool::BufferPool;
 use moma_ir::compiled::CompiledKernel;
 use moma_ir::{Kernel, KernelBuilder, Op, Operand, Ty};
 use moma_mp::single::SingleBarrett;
-use std::sync::{Arc, OnceLock};
 
 /// Why a restored [`RnsPlan`] table set was rejected by
 /// [`RnsPlan::from_tables`]. Every variant is fail-closed: nothing about the
@@ -95,6 +103,8 @@ impl std::error::Error for PlanRestoreError {}
 ///
 /// ```
 /// use moma_bignum::BigUint;
+/// use moma_blas::BlasOp;
+/// use moma_gpu::BufferPool;
 /// use moma_rns::{RnsContext, RnsMatrix, RnsPlan};
 ///
 /// let ctx = RnsContext::with_capacity_bits(256);
@@ -103,7 +113,7 @@ impl std::error::Error for PlanRestoreError {}
 /// let b: Vec<BigUint> = (5u64..9).map(BigUint::from).collect();
 /// let ma = RnsMatrix::from_biguints(&plan, &a);
 /// let mb = RnsMatrix::from_biguints(&plan, &b);
-/// let prod = plan.mul(&ma, &mb);
+/// let (prod, _) = plan.apply(BlasOp::VecMul, None, &ma, &mb, &BufferPool::new());
 /// assert_eq!(plan.to_biguints(&prod)[0], &a[0] * &b[0]);
 /// ```
 #[derive(Debug, Clone)]
@@ -126,15 +136,6 @@ pub struct RnsPlan {
     /// CRT reconstruction data per modulus: `(M_i = product / m_i, y_i =
     /// M_i^{-1} mod m_i)`.
     pub(crate) crt: Vec<(BigUint, u64)>,
-    /// One *generated* single-word Barrett modmul kernel per modulus, compiled
-    /// lazily on the first [`RnsPlan::mul_compiled`] call (the plain arithmetic
-    /// paths never pay for them) and cached for every call after.
-    mul_kernels: OnceLock<Vec<CompiledKernel>>,
-    /// The single all-rows fused `mul→axpy` chain kernel
-    /// ([`RnsPlan::mul_axpy_kernel_ir`]), compiled lazily on the first
-    /// [`RnsPlan::mul_axpy_fused`] call. Session-owned caches compile the IR
-    /// themselves and run [`RnsPlan::mul_axpy_fused_with`].
-    axpy_kernel: OnceLock<Arc<CompiledKernel>>,
 }
 
 impl RnsPlan {
@@ -170,8 +171,6 @@ impl RnsPlan {
             limb_residues,
             product: ctx.product.clone(),
             crt: ctx.crt.clone(),
-            mul_kernels: OnceLock::new(),
-            axpy_kernel: OnceLock::new(),
         }
     }
 
@@ -265,8 +264,6 @@ impl RnsPlan {
             limb_residues,
             product,
             crt,
-            mul_kernels: OnceLock::new(),
-            axpy_kernel: OnceLock::new(),
         })
     }
 
@@ -299,26 +296,6 @@ impl RnsPlan {
         self.crt_reconstruct(|r| x.residues[r])
     }
 
-    /// Element-wise `a + b` over matrices (one launcher thread per residue row).
-    pub fn add(&self, a: &RnsMatrix, b: &RnsMatrix) -> RnsMatrix {
-        self.apply(BlasOp::VecAdd, None, a, b).0
-    }
-
-    /// Element-wise `a - b` (well-defined modulo the basis product).
-    pub fn sub(&self, a: &RnsMatrix, b: &RnsMatrix) -> RnsMatrix {
-        self.apply(BlasOp::VecSub, None, a, b).0
-    }
-
-    /// Element-wise `a * b`.
-    pub fn mul(&self, a: &RnsMatrix, b: &RnsMatrix) -> RnsMatrix {
-        self.apply(BlasOp::VecMul, None, a, b).0
-    }
-
-    /// `a·x + y` with an RNS scalar `a`.
-    pub fn axpy(&self, a: &RnsInt, x: &RnsMatrix, y: &RnsMatrix) -> RnsMatrix {
-        self.apply(BlasOp::Axpy, Some(a), x, y).0
-    }
-
     /// Runs one BLAS operation element-wise over two matrices, one virtual GPU
     /// thread per residue row, and reports the launch statistics.
     ///
@@ -326,6 +303,11 @@ impl RnsPlan {
     /// Barrett context, performs no `BigUint` arithmetic and no per-element
     /// allocation, and all rows share the same [`moma_gpu::launch_chunks`]
     /// infrastructure the positional BLAS batches use.
+    ///
+    /// The output plane is acquired from `pool` and `allocs` counts the pool
+    /// *misses* of the call, so a warm pool reports `allocs == 0`; the caller
+    /// owns the result and decides when its storage flows back (see
+    /// [`RnsMatrix::take_storage`]).
     ///
     /// # Panics
     ///
@@ -337,63 +319,11 @@ impl RnsPlan {
         scalar: Option<&RnsInt>,
         a: &RnsMatrix,
         b: &RnsMatrix,
-    ) -> (RnsMatrix, LaunchStats) {
-        // One flat allocation; every launcher thread fills its own residue row in
-        // place (no per-row collection or concatenation).
-        let mut data = vec![0u64; self.moduli_count() * a.cols];
-        let mut stats = self.apply_rows(op, scalar, a, b, &mut data);
-        stats.allocs += usize::from(a.cols > 0);
-        (
-            RnsMatrix {
-                rows: self.moduli_count(),
-                cols: a.cols,
-                data,
-            },
-            stats,
-        )
-    }
-
-    /// [`RnsPlan::apply`] with the output plane acquired from `pool` instead of
-    /// the allocator. The returned statistics count pool *misses* in the window
-    /// as allocations, so a warm pool reports `allocs == 0`; the caller owns
-    /// the result and decides when its storage flows back (see
-    /// [`RnsMatrix::take_storage`]).
-    pub fn apply_pooled(
-        &self,
-        op: BlasOp,
-        scalar: Option<&RnsInt>,
-        a: &RnsMatrix,
-        b: &RnsMatrix,
         pool: &BufferPool,
     ) -> (RnsMatrix, LaunchStats) {
-        let before = pool.misses();
-        let mut data = pool.acquire(self.moduli_count() * a.cols);
-        let mut stats = self.apply_rows(op, scalar, a, b, &mut data);
-        stats.allocs += (pool.misses() - before) as usize;
-        (
-            RnsMatrix {
-                rows: self.moduli_count(),
-                cols: a.cols,
-                data,
-            },
-            stats,
-        )
-    }
-
-    /// The shared body of [`RnsPlan::apply`] and [`RnsPlan::apply_pooled`]:
-    /// validates shapes and fills the caller-provided output plane.
-    fn apply_rows(
-        &self,
-        op: BlasOp,
-        scalar: Option<&RnsInt>,
-        a: &RnsMatrix,
-        b: &RnsMatrix,
-        data: &mut [u64],
-    ) -> LaunchStats {
         self.check_shape(a);
         self.check_shape(b);
         assert_eq!(a.cols, b.cols, "matrix width mismatch");
-        assert_eq!(data.len(), self.moduli_count() * a.cols);
         let scalar = match op {
             BlasOp::Axpy => {
                 let s = scalar.expect("axpy requires an RNS scalar");
@@ -407,9 +337,7 @@ impl RnsPlan {
             _ => None,
         };
         let cols = a.cols;
-        if cols == 0 {
-            LaunchStats::default()
-        } else {
+        RnsMatrix::filled_from(pool, self.moduli_count(), cols, |data| {
             launch_chunks(data, cols, |r, out| {
                 let ctx = &self.ctxs[r];
                 // Per-row dispatch recorded at plan build: the narrow
@@ -442,52 +370,7 @@ impl RnsPlan {
                     }
                 }
             })
-        }
-    }
-
-    /// Element-wise `a * b` routed through a *generated* machine-level modular
-    /// multiplication kernel per residue row, executed with
-    /// [`moma_gpu::launch_compiled`].
-    ///
-    /// Functionally identical to [`RnsPlan::mul`]; it exists so the GRNS-style
-    /// residue arithmetic and MoMA's compiled positional kernels can be measured
-    /// on the exact same executor and launcher. (The generated kernel pays an
-    /// exact-division reduction per element, so this path is a measurement
-    /// harness, not the fast path.)
-    pub fn mul_compiled(&self, a: &RnsMatrix, b: &RnsMatrix) -> (RnsMatrix, LaunchStats) {
-        self.check_shape(a);
-        self.check_shape(b);
-        assert_eq!(a.cols, b.cols, "matrix width mismatch");
-        let cols = a.cols;
-        let mut data = Vec::with_capacity(self.moduli_count() * cols);
-        let mut total = LaunchStats::default();
-        let kernels = self.mul_kernels.get_or_init(|| {
-            self.ctxs
-                .iter()
-                .map(|b| {
-                    CompiledKernel::compile(&modmul_kernel(b))
-                        .expect("generated residue kernel compiles")
-                })
-                .collect()
-        });
-        for (r, compiled) in kernels.iter().enumerate() {
-            let ar = a.row(r);
-            let br = b.row(r);
-            let (outs, stats) = launch_compiled(compiled, cols, |i, params| {
-                params[0] = ar[i];
-                params[1] = br[i];
-            });
-            data.extend_from_slice(&outs);
-            total.accumulate(stats);
-        }
-        (
-            RnsMatrix {
-                rows: self.moduli_count(),
-                cols,
-                data,
-            },
-            total,
-        )
+        })
     }
 
     /// Builds the IR of the **all-rows** fused `s·(a∘b) + y` chain kernel: one
@@ -552,58 +435,22 @@ impl RnsPlan {
     }
 
     /// `s·(a∘b) + z` — the element-wise multiply immediately scaled and
-    /// accumulated — in **one** launch through the generated fused chain
-    /// kernel, instead of the two launches (and one full intermediate matrix)
-    /// of [`RnsPlan::mul`] followed by [`RnsPlan::axpy`]. Bit-for-bit equal to
-    /// that unfused sequence.
+    /// accumulated — in **one** launch through the generated chain kernel
+    /// `compiled` (compiled by the caller from
+    /// [`RnsPlan::mul_axpy_kernel_ir`]; the scalar is a kernel parameter, so
+    /// one compilation serves every scalar over the basis). Bit-for-bit equal
+    /// to [`RnsPlan::apply`] with [`BlasOp::VecMul`] followed by
+    /// [`BlasOp::Axpy`], without their second launch and intermediate matrix.
+    ///
+    /// The output plane comes from `pool`; `allocs` reports the pool-miss
+    /// delta of the call.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix shapes or the scalar basis do not match the plan.
-    pub fn mul_axpy_fused(
-        &self,
-        a: &RnsMatrix,
-        b: &RnsMatrix,
-        s: &RnsInt,
-        z: &RnsMatrix,
-    ) -> (RnsMatrix, LaunchStats) {
-        let compiled = self.axpy_kernel.get_or_init(|| {
-            Arc::new(
-                CompiledKernel::compile(&self.mul_axpy_kernel_ir())
-                    .expect("generated fused chain kernel compiles"),
-            )
-        });
-        self.mul_axpy_fused_with(a, b, s, z, compiled)
-    }
-
-    /// [`RnsPlan::mul_axpy_fused`] with a caller-supplied compiled chain kernel
-    /// — the entry point for session-owned kernel caches, which compile
-    /// [`RnsPlan::mul_axpy_kernel_ir`] once per basis and reuse it across every
-    /// scalar and call.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`RnsPlan::mul_axpy_fused`] does, or if `compiled` does not
-    /// take four parameters and produce one output per basis modulus.
-    pub fn mul_axpy_fused_with(
-        &self,
-        a: &RnsMatrix,
-        b: &RnsMatrix,
-        s: &RnsInt,
-        z: &RnsMatrix,
-        compiled: &CompiledKernel,
-    ) -> (RnsMatrix, LaunchStats) {
-        let rows = self.moduli_count();
-        let cols = a.cols;
-        let mut data = vec![0u64; rows * cols];
-        let mut stats = self.mul_axpy_fused_rows(a, b, s, z, compiled, &mut data);
-        stats.allocs += usize::from(cols > 0);
-        (RnsMatrix { rows, cols, data }, stats)
-    }
-
-    /// [`RnsPlan::mul_axpy_fused_with`] with the output plane acquired from
-    /// `pool`; `allocs` reports the pool-miss delta of the window.
-    pub fn mul_axpy_fused_with_pool(
+    /// Panics if the matrix shapes or the scalar basis do not match the plan,
+    /// or if `compiled` does not take four parameters and produce one output
+    /// per basis modulus.
+    pub fn mul_axpy(
         &self,
         a: &RnsMatrix,
         b: &RnsMatrix,
@@ -612,26 +459,6 @@ impl RnsPlan {
         compiled: &CompiledKernel,
         pool: &BufferPool,
     ) -> (RnsMatrix, LaunchStats) {
-        let rows = self.moduli_count();
-        let cols = a.cols;
-        let before = pool.misses();
-        let mut data = pool.acquire(rows * cols);
-        let mut stats = self.mul_axpy_fused_rows(a, b, s, z, compiled, &mut data);
-        stats.allocs += (pool.misses() - before) as usize;
-        (RnsMatrix { rows, cols, data }, stats)
-    }
-
-    /// The shared body of the fused-chain entry points: validates shapes and
-    /// fills the caller-provided output plane.
-    fn mul_axpy_fused_rows(
-        &self,
-        a: &RnsMatrix,
-        b: &RnsMatrix,
-        s: &RnsInt,
-        z: &RnsMatrix,
-        compiled: &CompiledKernel,
-        data: &mut [u64],
-    ) -> LaunchStats {
         self.check_shape(a);
         self.check_shape(b);
         self.check_shape(z);
@@ -649,10 +476,7 @@ impl RnsPlan {
             (4 * rows, rows),
             "fused chain kernel shape must match the basis"
         );
-        assert_eq!(data.len(), rows * cols);
-        if cols == 0 {
-            LaunchStats::default()
-        } else {
+        RnsMatrix::filled_from(pool, rows, cols, |data| {
             launch_compiled_rows(compiled, data, cols, |p, lo, lanes| {
                 let r = p / 4;
                 let plane = match p % 4 {
@@ -663,7 +487,7 @@ impl RnsPlan {
                 };
                 lanes.copy_from_slice(&plane[r * cols + lo..r * cols + lo + lanes.len()]);
             })
-        }
+        })
     }
 
     /// Reduces every element modulo a user modulus `q` that is not the basis
@@ -722,27 +546,6 @@ fn residue_of(ctx: &SingleBarrett, narrow: bool, pows: &[u64], limbs: &[u64]) ->
         acc = ctx.add_mod(acc, mul_mod(ctx, narrow, limb % ctx.q, pow));
     }
     acc
-}
-
-/// Builds the generated single-word Barrett modular-multiplication kernel for one
-/// residue modulus: `out = (a · b) mod q` with `q`, `μ`, and the modulus bit-width
-/// baked in as constants (the paper's Listing 1 `_smulmod` shape).
-fn modmul_kernel(ctx: &SingleBarrett) -> Kernel {
-    let mut kb = KernelBuilder::new(format!("rns_modmul_m{:x}", ctx.q));
-    let a = kb.param("a", Ty::UInt(64));
-    let b = kb.param("b", Ty::UInt(64));
-    let out = kb.output("out", Ty::UInt(64));
-    kb.push(
-        vec![out],
-        Op::MulModBarrett {
-            a: a.into(),
-            b: b.into(),
-            q: Operand::Const(ctx.q),
-            mu: Operand::Const(ctx.mu),
-            mbits: ctx.mbits,
-        },
-    );
-    kb.build()
 }
 
 /// A vector of big integers in residue form, stored structure-of-arrays.
@@ -807,6 +610,28 @@ impl RnsMatrix {
                 }
             });
         }
+    }
+
+    /// The shared tail of every [`RnsPlan`] execution entry point: acquires a
+    /// `rows × cols` plane from `pool`, lets `fill` run the launches over it,
+    /// and adds the pool misses of that window (`fill` may draw scratch planes
+    /// from the same pool) to the reported `allocs`. An empty result touches
+    /// neither the pool nor the launcher.
+    pub(crate) fn filled_from(
+        pool: &BufferPool,
+        rows: usize,
+        cols: usize,
+        fill: impl FnOnce(&mut [u64]) -> LaunchStats,
+    ) -> (Self, LaunchStats) {
+        if cols == 0 {
+            let data = Vec::new();
+            return (RnsMatrix { rows, cols, data }, LaunchStats::default());
+        }
+        let before = pool.misses();
+        let mut data = pool.acquire(rows * cols);
+        let mut stats = fill(&mut data);
+        stats.allocs += (pool.misses() - before) as usize;
+        (RnsMatrix { rows, cols, data }, stats)
     }
 
     /// A copy of this matrix whose residue plane comes from `pool` instead of
@@ -898,6 +723,11 @@ mod tests {
         (ctx, plan, a, b)
     }
 
+    /// Element-wise product on a fresh pool (the stand-alone form of `apply`).
+    fn mul(plan: &RnsPlan, a: &RnsMatrix, b: &RnsMatrix) -> RnsMatrix {
+        plan.apply(BlasOp::VecMul, None, a, b, &BufferPool::new()).0
+    }
+
     #[test]
     fn residues_match_context_oracle() {
         let (ctx, plan, a, _) = setup(12, 140);
@@ -929,7 +759,7 @@ mod tests {
             (BlasOp::VecSub, |c, x, y| c.sub(x, y)),
         ];
         for (op, oracle) in checks {
-            let (out, stats) = plan.apply(op, None, &ma, &mb);
+            let (out, stats) = plan.apply(op, None, &ma, &mb, &BufferPool::new());
             assert_eq!(stats.threads, plan.moduli_count(), "{op:?}");
             for c in 0..a.len() {
                 assert_eq!(
@@ -947,22 +777,12 @@ mod tests {
         let s = BigUint::from(0xdead_beefu64);
         let mx = RnsMatrix::from_biguints(&plan, &x);
         let my = RnsMatrix::from_biguints(&plan, &y);
-        let out = plan.axpy(&plan.to_residues(&s), &mx, &my);
+        let scalar = plan.to_residues(&s);
+        let (out, _) = plan.apply(BlasOp::Axpy, Some(&scalar), &mx, &my, &BufferPool::new());
         let back = plan.to_biguints(&out);
         for c in 0..x.len() {
             assert_eq!(back[c], &(&s * &x[c]) + &y[c]);
         }
-    }
-
-    #[test]
-    fn compiled_kernel_path_matches_rowwise_path() {
-        let (_, plan, a, b) = setup(10, 96);
-        let ma = RnsMatrix::from_biguints(&plan, &a);
-        let mb = RnsMatrix::from_biguints(&plan, &b);
-        let fast = plan.mul(&ma, &mb);
-        let (compiled, stats) = plan.mul_compiled(&ma, &mb);
-        assert_eq!(compiled, fast);
-        assert_eq!(stats.threads, plan.moduli_count() * a.len());
     }
 
     #[test]
@@ -1008,9 +828,11 @@ mod tests {
         let b = RnsMatrix::from_biguints(&plan, &vb);
         let z = RnsMatrix::from_biguints(&plan, &vz);
         let s = plan.to_residues(&s_val);
-        let (prod, mul_stats) = plan.apply(BlasOp::VecMul, None, &a, &b);
-        let (unfused, axpy_stats) = plan.apply(BlasOp::Axpy, Some(&s), &prod, &z);
-        let (fused, stats) = plan.mul_axpy_fused(&a, &b, &s, &z);
+        let pool = BufferPool::new();
+        let compiled = CompiledKernel::compile(&plan.mul_axpy_kernel_ir()).unwrap();
+        let (prod, mul_stats) = plan.apply(BlasOp::VecMul, None, &a, &b, &pool);
+        let (unfused, axpy_stats) = plan.apply(BlasOp::Axpy, Some(&s), &prod, &z, &pool);
+        let (fused, stats) = plan.mul_axpy(&a, &b, &s, &z, &compiled, &pool);
         assert_eq!(fused, unfused, "fusion must not change a single bit");
         assert_eq!(mul_stats.launches + axpy_stats.launches, 2);
         assert_eq!(stats.launches, 1, "the whole chain is one launch");
@@ -1023,7 +845,7 @@ mod tests {
         }
         // Empty batches short-circuit.
         let empty = RnsMatrix::from_biguints(&plan, &[]);
-        let (out, stats) = plan.mul_axpy_fused(&empty, &empty, &s, &empty);
+        let (out, stats) = plan.mul_axpy(&empty, &empty, &s, &empty, &compiled, &pool);
         assert!(out.is_empty());
         assert_eq!(stats.launches, 0);
     }
@@ -1036,14 +858,15 @@ mod tests {
         let m = RnsMatrix::from_biguints(&plan, &[BigUint::one()]);
         let s = plan.to_residues(&BigUint::one());
         let wrong = CompiledKernel::compile(&other.mul_axpy_kernel_ir()).unwrap();
-        plan.mul_axpy_fused_with(&m, &m, &s, &m, &wrong);
+        plan.mul_axpy(&m, &m, &s, &m, &wrong, &BufferPool::new());
     }
 
     #[test]
     fn reduce_mod_matches_oracle() {
         let (ctx, plan, a, b) = setup(4, 120);
         let q = BigUint::from_hex("ffffffffffffffffffffffffffffff61").unwrap();
-        let prod = plan.mul(
+        let prod = mul(
+            &plan,
             &RnsMatrix::from_biguints(&plan, &a),
             &RnsMatrix::from_biguints(&plan, &b),
         );
@@ -1059,7 +882,7 @@ mod tests {
         let plan = RnsPlan::with_capacity_bits(64);
         let m = RnsMatrix::from_biguints(&plan, &[]);
         assert!(m.is_empty());
-        assert!(plan.mul(&m, &m).is_empty());
+        assert!(mul(&plan, &m, &m).is_empty());
         assert!(plan.to_biguints(&m).is_empty());
     }
 
@@ -1076,7 +899,7 @@ mod tests {
         let small = RnsPlan::with_capacity_bits(64);
         let large = RnsPlan::with_capacity_bits(256);
         let m = RnsMatrix::from_biguints(&large, &[BigUint::one()]);
-        small.mul(&m, &m);
+        mul(&small, &m, &m);
     }
 
     #[test]
@@ -1094,8 +917,8 @@ mod tests {
         // The restored plan computes identically to the fresh one.
         let ma = RnsMatrix::from_biguints(&restored, &a);
         let mb = RnsMatrix::from_biguints(&restored, &b);
-        assert_eq!(restored.mul(&ma, &mb), plan.mul(&ma, &mb));
-        assert_eq!(plan.to_biguints(&restored.mul(&ma, &mb)).len(), a.len());
+        assert_eq!(mul(&restored, &ma, &mb), mul(&plan, &ma, &mb));
+        assert_eq!(plan.to_biguints(&mul(&restored, &ma, &mb)).len(), a.len());
     }
 
     #[test]
@@ -1164,37 +987,25 @@ mod tests {
         let s = plan.to_residues(&BigUint::from(0x5eedu64));
         let compiled = CompiledKernel::compile(&plan.mul_axpy_kernel_ir()).unwrap();
 
-        let (heap_mul, heap_stats) = plan.apply(BlasOp::VecMul, None, &ma, &mb);
-        assert_eq!(heap_stats.allocs, 1, "heap path allocates its plane");
-        let (heap_fused, _) = plan.mul_axpy_fused_with(&ma, &mb, &s, &mb, &compiled);
+        // A fresh pool per call is the stand-alone form: it allocates its plane.
+        let (heap_mul, heap_stats) = plan.apply(BlasOp::VecMul, None, &ma, &mb, &BufferPool::new());
+        assert_eq!(heap_stats.allocs, 1, "a fresh pool allocates the plane");
+        let (heap_fused, _) = plan.mul_axpy(&ma, &mb, &s, &mb, &compiled, &BufferPool::new());
 
-        // Cold pool: the planes miss, so the first round reports allocations.
-        let (mut cold_mul, cold_stats) = plan.apply_pooled(BlasOp::VecMul, None, &ma, &mb, &pool);
-        assert_eq!(cold_mul, heap_mul, "pooled result is bit-identical");
-        assert_eq!(cold_stats.allocs, 1, "cold pool misses once");
-        let (mut cold_fused, _) =
-            plan.mul_axpy_fused_with_pool(&ma, &mb, &s, &mb, &compiled, &pool);
-        assert_eq!(cold_fused, heap_fused);
-        pool.recycle(cold_mul.take_storage());
-        pool.recycle(cold_fused.take_storage());
-
-        // Warm pool: every plane is served from the shelves.
-        for round in 0..5 {
+        // Round 0 runs on the cold pool and misses once per plane; from then on
+        // every plane is served from the shelves, bit-identical results.
+        for round in 0..6 {
             let before = pool.misses();
-            let (mut warm_mul, warm_stats) =
-                plan.apply_pooled(BlasOp::VecMul, None, &ma, &mb, &pool);
-            let (mut warm_fused, fused_stats) =
-                plan.mul_axpy_fused_with_pool(&ma, &mb, &s, &mb, &compiled, &pool);
-            assert_eq!(warm_mul, heap_mul, "round {round}");
-            assert_eq!(warm_fused, heap_fused, "round {round}");
-            assert_eq!(warm_stats.allocs, 0, "round {round} mul is allocation-free");
-            assert_eq!(
-                fused_stats.allocs, 0,
-                "round {round} fused is allocation-free"
-            );
-            assert_eq!(pool.misses(), before, "round {round} never missed");
-            pool.recycle(warm_mul.take_storage());
-            pool.recycle(warm_fused.take_storage());
+            let (mut mul, mul_stats) = plan.apply(BlasOp::VecMul, None, &ma, &mb, &pool);
+            let (mut fused, fused_stats) = plan.mul_axpy(&ma, &mb, &s, &mb, &compiled, &pool);
+            assert_eq!(mul, heap_mul, "round {round}");
+            assert_eq!(fused, heap_fused, "round {round}");
+            let expect = usize::from(round == 0);
+            assert_eq!(mul_stats.allocs, expect, "round {round} mul");
+            assert_eq!(fused_stats.allocs, expect, "round {round} fused");
+            assert_eq!(pool.misses() - before, 2 * expect as u64, "round {round}");
+            pool.recycle(mul.take_storage());
+            pool.recycle(fused.take_storage());
         }
 
         // from_biguints_pooled follows the same contract.

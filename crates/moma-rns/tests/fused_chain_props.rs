@@ -1,10 +1,12 @@
 //! Property tests for the fused rescale-and-extend chain: on random mixed
 //! narrow/wide bases and random inputs, `rescale_then_extend` must match the
 //! `scale_and_round` → `base_convert` two-step `BigUint` oracle **bit for bit**
-//! (including the `x + αM⁻` overshoot), and the two planned paths (fused and
-//! two-pass) must agree with each other.
+//! (including the `x + αM⁻` overshoot), and so must the same two steps run one
+//! after the other on the planned engine.
 
 use moma_bignum::BigUint;
+use moma_gpu::BufferPool;
+use moma_ir::CompiledKernel;
 use moma_rns::{RnsContext, RnsMatrix, RnsPlan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -60,10 +62,17 @@ proptest! {
             .collect();
         let a = RnsMatrix::from_biguints(&src, &values);
 
-        let (fused, fused_stats) = src.rescale_then_extend(&p, &a);
-        let (two_pass, _) = src.rescale_then_extend_two_pass(&p, &a);
-        prop_assert_eq!(&fused, &two_pass, "fused and two-pass paths must agree");
-        prop_assert_eq!(fused_stats.launches, 2, "fused path is two launch rounds");
+        let pool = BufferPool::new();
+        let (fused, fused_stats) = src.rescale_then_extend(&p, &a, &pool);
+        let (rescaled, _) = src.scale_and_round(p.rescale_plan(), &a, &pool);
+        let bc = p.base_conv_plan();
+        let kernel = CompiledKernel::compile(&bc.fused_kernel_ir()).unwrap();
+        let (two_pass, _) = p
+            .rescale_plan()
+            .output_plan()
+            .base_convert(bc, &rescaled, &kernel, &pool);
+        prop_assert_eq!(&fused, &two_pass, "the folded sweep and the two steps must agree");
+        prop_assert_eq!(fused_stats.launches, 2, "the folded sweep is two launch rounds");
 
         let out_ctx = src_ctx.without_last();
         for (c, v) in values.iter().enumerate() {
@@ -90,7 +99,7 @@ proptest! {
             .map(|_| moma_bignum::random::random_below(&mut rng, src.product()))
             .collect();
         let a = RnsMatrix::from_biguints(&src, &values);
-        let (out, _) = src.rescale_then_extend(&p, &a);
+        let (out, _) = src.rescale_then_extend(&p, &a, &BufferPool::new());
         let src_ctx = RnsContext::with_moduli(&src.moduli().collect::<Vec<_>>());
         let short_product = p.rescale_plan().output_plan().product().clone();
         for (c, v) in values.iter().enumerate() {

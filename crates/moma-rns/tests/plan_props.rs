@@ -5,6 +5,8 @@
 use moma_bignum::prime::random_prime;
 use moma_bignum::{random::random_bits, BigUint};
 use moma_blas::BlasOp;
+use moma_gpu::BufferPool;
+use moma_ir::CompiledKernel;
 use moma_rns::vector::RnsVector;
 use moma_rns::{BaseConvPlan, RnsContext, RnsMatrix, RnsPlan};
 use proptest::prelude::*;
@@ -37,6 +39,11 @@ fn random_mixed_basis(seed: u64, count: usize) -> Vec<u64> {
         }
     }
     out
+}
+
+/// Element-wise product on a fresh pool (the stand-alone form of `apply`).
+fn mul(plan: &RnsPlan, a: &RnsMatrix, b: &RnsMatrix) -> RnsMatrix {
+    plan.apply(BlasOp::VecMul, None, a, b, &BufferPool::new()).0
 }
 
 /// Random values strictly below `bound`.
@@ -85,7 +92,7 @@ proptest! {
         let ma = RnsMatrix::from_biguints(&plan, &a);
         let mb = RnsMatrix::from_biguints(&plan, &b);
         for op in [BlasOp::VecMul, BlasOp::VecAdd, BlasOp::VecSub] {
-            let (out, _) = plan.apply(op, None, &ma, &mb);
+            let (out, _) = plan.apply(op, None, &ma, &mb, &BufferPool::new());
             for c in 0..n {
                 let oracle = match op {
                     BlasOp::VecMul => ctx.mul(&va.elements[c], &vb.elements[c]),
@@ -109,30 +116,17 @@ proptest! {
         let plan = RnsPlan::with_capacity_bits(2 * bits.max(64) + 8);
         let (x, y) = random_values(seed, n, bits);
         let s = BigUint::from(scalar);
-        let out = plan.axpy(
-            &plan.to_residues(&s),
+        let (out, _) = plan.apply(
+            BlasOp::Axpy,
+            Some(&plan.to_residues(&s)),
             &RnsMatrix::from_biguints(&plan, &x),
             &RnsMatrix::from_biguints(&plan, &y),
+            &BufferPool::new(),
         );
         let back = plan.to_biguints(&out);
         for c in 0..n {
             prop_assert_eq!(&back[c], &(&(&s * &x[c]) + &y[c]), "column {}", c);
         }
-    }
-
-    /// The compiled-kernel multiplication path computes exactly what the rowwise
-    /// Barrett path computes.
-    #[test]
-    fn compiled_mul_matches_rowwise_mul(
-        seed in any::<u64>(),
-        n in 1usize..12,
-        bits in 8u32..100,
-    ) {
-        let plan = RnsPlan::with_capacity_bits(2 * bits + 8);
-        let (a, b) = random_values(seed, n, bits);
-        let ma = RnsMatrix::from_biguints(&plan, &a);
-        let mb = RnsMatrix::from_biguints(&plan, &b);
-        prop_assert_eq!(plan.mul_compiled(&ma, &mb).0, plan.mul(&ma, &mb));
     }
 
     /// The planned engine round-trips on bases mixing narrow (≤32-bit) and wide
@@ -152,7 +146,7 @@ proptest! {
         let ma = RnsMatrix::from_biguints(&plan, &a);
         prop_assert_eq!(plan.to_biguints(&ma), a.clone(), "round trip");
         let mb = RnsMatrix::from_biguints(&plan, &b);
-        let out = plan.mul(&ma, &mb);
+        let out = mul(&plan, &ma, &mb);
         for c in 0..n {
             prop_assert_eq!(
                 out.element(c),
@@ -163,8 +157,7 @@ proptest! {
     }
 
     /// Fast base extension agrees bit-for-bit with the BigUint oracle on random
-    /// basis pairs mixing narrow and wide moduli, on both the row-wise and the
-    /// generated-kernel paths.
+    /// basis pairs mixing narrow and wide moduli.
     #[test]
     fn base_convert_matches_oracle_on_random_bases(
         seed in any::<u64>(),
@@ -179,9 +172,8 @@ proptest! {
         let bc = BaseConvPlan::new(&src, &dst);
         let values = random_below_n(seed ^ 0x5a1, n, src_ctx.product());
         let a = RnsMatrix::from_biguints(&src, &values);
-        let (out, _) = src.base_convert(&bc, &a);
-        let (compiled, _) = src.base_convert_compiled(&bc, &a);
-        prop_assert_eq!(&compiled, &out, "compiled path must match row-wise path");
+        let kernel = CompiledKernel::compile(&bc.fused_kernel_ir()).unwrap();
+        let (out, _) = src.base_convert(&bc, &a, &kernel, &BufferPool::new());
         for (c, v) in values.iter().enumerate() {
             let oracle = src_ctx.base_convert(&dst_ctx, &src_ctx.to_residues(v));
             prop_assert_eq!(out.element(c), oracle, "column {}", c);
@@ -201,7 +193,7 @@ proptest! {
         let rp = plan.rescale_plan();
         let values = random_below_n(seed ^ 0x0f, n, ctx.product());
         let a = RnsMatrix::from_biguints(&plan, &values);
-        let (out, _) = plan.scale_and_round(&rp, &a);
+        let (out, _) = plan.scale_and_round(&rp, &a, &BufferPool::new());
         let last = BigUint::from(*ctx.moduli().last().unwrap());
         for (c, v) in values.iter().enumerate() {
             prop_assert_eq!(
@@ -228,7 +220,8 @@ proptest! {
         let (a, b) = random_values(seed, n, bits);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let q = random_bits(&mut rng, bits.max(2)) + BigUint::one();
-        let prod = plan.mul(
+        let prod = mul(
+            &plan,
             &RnsMatrix::from_biguints(&plan, &a),
             &RnsMatrix::from_biguints(&plan, &b),
         );
@@ -240,6 +233,64 @@ proptest! {
                 "column {}",
                 c
             );
+        }
+    }
+}
+
+/// An empty vector goes through every execution entry point without touching
+/// the pool or the launcher, and a one-element vector matches the `BigUint`
+/// oracle through all six.
+#[test]
+fn empty_and_single_element_vectors_through_every_entry_point() {
+    let src_ctx = RnsContext::with_moduli(&random_mixed_basis(0x5e7, 4));
+    let dst_ctx = RnsContext::with_moduli(&random_mixed_basis(0xd57, 3));
+    let out_ctx = src_ctx.without_last();
+    let src = RnsPlan::new(&src_ctx);
+    let dst = RnsPlan::new(&dst_ctx);
+    let bc = BaseConvPlan::new(&src, &dst);
+    let rp = src.rescale_plan();
+    let p = src.rescale_extend_plan(&dst);
+    let compile = |ir| CompiledKernel::compile(&ir).unwrap();
+    let bc_kernel = compile(bc.fused_kernel_ir());
+    let axpy_kernel = compile(src.mul_axpy_kernel_ir());
+    let chain_kernel = compile(p.mul_fused_kernel_ir());
+    let s = src.to_residues(&BigUint::from(0x5ca1a7u64));
+    let pool = BufferPool::new();
+
+    for cols in [0usize, 1] {
+        let x = random_below_n(0xa ^ cols as u64, cols, src_ctx.product());
+        let y = random_below_n(0xb ^ cols as u64, cols, src_ctx.product());
+        let a = RnsMatrix::from_biguints(&src, &x);
+        let b = RnsMatrix::from_biguints(&src, &y);
+        let before = pool.stats();
+        let results = [
+            src.apply(BlasOp::VecMul, None, &a, &b, &pool),
+            src.mul_axpy(&a, &b, &s, &b, &axpy_kernel, &pool),
+            src.base_convert(&bc, &a, &bc_kernel, &pool),
+            src.scale_and_round(&rp, &a, &pool),
+            src.rescale_then_extend(&p, &a, &pool),
+            src.mul_rescale_then_extend(&p, &a, &b, &chain_kernel, &pool),
+        ];
+        if cols == 0 {
+            assert_eq!(pool.stats(), before, "an empty op must not touch the pool");
+            for (out, stats) in &results {
+                assert!(out.is_empty());
+                assert_eq!((stats.launches, stats.allocs), (0, 0));
+            }
+            continue;
+        }
+        let (ra, rb) = (src_ctx.to_residues(&x[0]), src_ctx.to_residues(&y[0]));
+        let prod = src_ctx.mul(&ra, &rb);
+        let oracles = [
+            prod.clone(),
+            src_ctx.add(&src_ctx.mul(&prod, &s), &rb),
+            src_ctx.base_convert(&dst_ctx, &ra),
+            src_ctx.scale_and_round(&ra),
+            out_ctx.base_convert(&dst_ctx, &src_ctx.scale_and_round(&ra)),
+            out_ctx.base_convert(&dst_ctx, &src_ctx.scale_and_round(&prod)),
+        ];
+        for (i, ((out, _), oracle)) in results.iter().zip(&oracles).enumerate() {
+            assert_eq!(&out.element(0), oracle, "entry point {i}");
         }
     }
 }

@@ -12,8 +12,8 @@
 //!   cache lock; same-key requests build exactly once, different-key requests
 //!   never serialize). The session is a cheap `Clone` handle over shared state
 //!   — `Send + Sync`, shareable across threads. Typed handles —
-//!   [`session::RnsSpace`] / [`session::RnsVec`] with chainable ops and
-//!   cost-model-selected execution paths (including the fused
+//!   [`session::RnsSpace`] / [`session::RnsVec`] with chainable ops, each
+//!   running the one implementation `moma-rns` has for it (including the fused
 //!   [`session::RnsVec::rescale_then_extend`] chain), [`session::NttSpace`]
 //!   with stage-batched transforms — sit on top and are *owned*
 //!   (`Send + 'static`), free to cross threads or sit in a request queue;

@@ -6,16 +6,14 @@
 //! subsystem in this reproduction has its own precompute-once object —
 //! [`NttPlan64`]/[`NttPlan`], [`RnsPlan`], [`BaseConvPlan`], [`RescalePlan`],
 //! [`RescaleExtendPlan`], `CompiledKernel`. Before this module, callers had to
-//! hand-assemble those objects and pick among execution paths by hand. A
-//! [`Session`] is the one owner of all of them:
+//! hand-assemble those objects. A [`Session`] is the one owner of all of them:
 //!
-//! * it owns a device ([`DeviceSpec`]) and the [`CostModel`] derived from it,
-//!   which drives automatic execution-path selection (fused vs two-pass chains,
-//!   direct vs generated-kernel conversions);
+//! * it owns a device ([`DeviceSpec`]), which the modelled estimates run on;
 //! * it owns a *generated-kernel* cache (keyed by operation, bit-width, and
-//!   multiplication algorithm) and a *compiled-kernel* cache
-//!   ([`moma_ir::KernelCache`], keyed by operation, width, and baked-in
-//!   modulus);
+//!   multiplication algorithm) and the *compiled-kernel* cache of the all-rows
+//!   RNS chain kernels ([`moma_ir::KernelCache`], keyed by chain shape and
+//!   basis) — the plans in `moma-rns` carry tables and IR builders only, so
+//!   this cache is the one place a chain kernel is compiled;
 //! * it owns plan caches: [`NttPlan64`] keyed by `(q, n)`, multi-word
 //!   [`NttPlan`] keyed by `(limbs, bits, n)`, [`RnsPlan`] keyed by basis,
 //!   [`BaseConvPlan`]/[`RescaleExtendPlan`] keyed by basis pair, and
@@ -63,9 +61,14 @@
 //!
 //! On top of the caches sit typed handles: [`Session::rns`] yields an
 //! [`RnsSpace`] whose [`RnsVec`]s chain `add`/`mul`/`axpy`/`base_convert`/
-//! `rescale`/[`RnsVec::rescale_then_extend`] (the fused BEHZ `FastBConvSK`
-//! chain, selected automatically over the two-pass path by the cost model), and
-//! [`Session::ntt`] yields an [`NttSpace`] whose
+//! `rescale`/[`RnsVec::rescale_then_extend`] (the folded BEHZ `FastBConvSK`
+//! sweep). Each `RnsVec` operation runs the one implementation `moma-rns` has
+//! for it — there is no execution-path choice to make: the generated all-rows
+//! kernel for `base_convert`, `mul_axpy` and `mul_rescale_then_extend` (one
+//! launch each; the unfused sequences they replace are the same arithmetic
+//! plus a launch and an intermediate matrix), row-wise launches for the
+//! element-wise ops and `rescale`, the folded two-round sweep for
+//! `rescale_then_extend`. [`Session::ntt`] yields an [`NttSpace`] whose
 //! [`NttSpace::forward_batch`] runs many transforms with one launch per
 //! butterfly stage (grid = batch × n/2) — the paper's batched NTT.
 //!
@@ -130,7 +133,10 @@ pub struct CacheStats {
 pub struct SessionStats {
     /// Generated-kernel cache (op, bit-width, multiplication algorithm).
     pub generated: CacheStats,
-    /// Compiled per-modulus kernel cache (op, width, modulus).
+    /// Always `0/0`: the per-modulus compiled-kernel cache this counted is gone
+    /// (every compiled RNS kernel is an all-rows chain kernel, counted under
+    /// `fused`). The field leaves with ROADMAP direction 1's
+    /// `Session::report()`, once the repo benchmark no longer reads it.
     pub kernels: CacheStats,
     /// Single-word NTT plans, keyed by `(q, n)`.
     pub ntt: CacheStats,
@@ -346,11 +352,9 @@ impl<K: std::hash::Hash + Eq + Clone, V: ?Sized> PlanCache<K, V> {
 pub(crate) struct SessionState {
     device: DeviceSpec,
     compiler: Compiler,
-    cost: CostModel,
     generated: PlanCache<(KernelOp, u32, MulAlgorithm), GeneratedKernel>,
-    kernels: KernelCache,
-    /// Compiled all-rows fused chain kernels, separate from the per-modulus
-    /// `kernels` cache so chain-fusion reuse is observable on its own counters.
+    /// Compiled all-rows chain kernels (base conversion, `mul→axpy`,
+    /// `mul→rescale→extend`), one entry per chain shape and basis (pair).
     fused: KernelCache,
     pub(crate) ntt64: PlanCache<(u64, usize), NttPlan64>,
     /// Negacyclic (`ψ`-twisted) single-word plans — a separate cache from
@@ -425,9 +429,7 @@ impl Session {
             state: Arc::new(SessionState {
                 device,
                 compiler: Compiler::new(config),
-                cost: CostModel::new(device),
                 generated: PlanCache::default(),
-                kernels: KernelCache::new(),
                 fused: KernelCache::new(),
                 ntt64: PlanCache::default(),
                 ntt64_neg: PlanCache::default(),
@@ -449,14 +451,9 @@ impl Session {
         Arc::ptr_eq(&self.state, &other.state)
     }
 
-    /// The device this session models and selects execution paths for.
+    /// The device this session models.
     pub fn device(&self) -> DeviceSpec {
         self.state.device
-    }
-
-    /// The cost model path selection runs on.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.state.cost
     }
 
     /// The session's shared buffer pool: residue planes and launcher scratch
@@ -472,11 +469,7 @@ impl Session {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             generated: self.state.generated.stats(),
-            kernels: CacheStats {
-                hits: self.state.kernels.hits(),
-                misses: self.state.kernels.misses(),
-                contended: 0,
-            },
+            kernels: CacheStats::default(),
             ntt: self.state.ntt64.stats(),
             ntt_negacyclic: self.state.ntt64_neg.stats(),
             ntt_multiword: self.state.ntt_mw.stats(),
@@ -766,29 +759,6 @@ impl Session {
             .get_or_build(key, || Arc::new(src.rescale_extend_plan(dst)))
     }
 
-    /// The compiled per-target-modulus MAC kernels of a conversion plan, served
-    /// from the session kernel cache under
-    /// `("baseconv_mac[<source basis>]", 64, m'_s)` keys — so every conversion
-    /// over the same basis pair, from any plan object, shares one compilation.
-    fn baseconv_mac_kernels(&self, bc: &BaseConvPlan, src: &RnsPlan) -> Vec<Arc<CompiledKernel>> {
-        // The kernel constants depend on the source basis (cross-row tables),
-        // not just the target modulus; the key carries the source moduli
-        // verbatim — two bases must never share a key, a hash could collide.
-        let op = format!("baseconv_mac[{}]", basis_key(src));
-        bc.dst_plan()
-            .moduli()
-            .enumerate()
-            .map(|(s, m)| {
-                self.state
-                    .kernels
-                    .get_or_compile(KernelCacheKey::new(op.clone(), 64, m), || {
-                        bc.mac_kernel_ir(s)
-                    })
-                    .expect("generated baseconv kernels compile")
-            })
-            .collect()
-    }
-
     /// The compiled all-rows fused conversion kernel of `bc`
     /// ([`BaseConvPlan::fused_kernel_ir`]), served from the session's
     /// fused-chain kernel cache under a basis-pair key.
@@ -831,85 +801,6 @@ impl Session {
             .fused
             .get_or_compile(KernelCacheKey::new(op, 64, 0), || p.mul_fused_kernel_ir())
             .expect("generated fused chain kernel compiles")
-    }
-
-    /// Prices the direct (widening-accumulate) conversion path against the
-    /// all-rows fused generated kernel for `k` source and `l` target moduli,
-    /// and returns `true` when the generated path is cheaper on the session
-    /// device. The direct path runs **two** launches — the pseudo-residue
-    /// planes, then the cross-basis sums — writing and re-reading the whole
-    /// pseudo plane in between; the fused kernel runs the entire conversion as
-    /// division-free accumulation loops in **one** launch with the
-    /// pseudo-residues held in registers.
-    fn compiled_convert_is_faster(&self, k: u64, l: u64, cols: usize) -> bool {
-        let cols = cols.max(1) as u64;
-        let cost = &self.state.cost;
-        // Both paths execute the same algebra per element: one Barrett
-        // multiply per source row, then a widening accumulation with one wide
-        // reduction per target row. Price that shared mix identically on both
-        // sides — what actually differs is the second launch and the
-        // pseudo-residue plane the direct path writes and re-reads through
-        // memory (the fused kernel holds it in registers).
-        let mut alg = OpCounts::new();
-        alg.add_mnemonic("mulmod", k);
-        alg.add_mnemonic("macreduce", l * k);
-        alg.add_mnemonic("reducewide", l);
-        let direct = cost.estimate_launch(&alg, cols, 8 * 2 * k).total
-            + cost
-                .estimate_launch(&OpCounts::new(), cols, 8 * (k + l))
-                .total;
-        let fused_est = cost.estimate_launch(&alg, cols, 8 * (k + l)).total;
-        fused_est < direct
-    }
-
-    /// Prices the unfused `mul` then `axpy` sequence (two launches and a full
-    /// intermediate product matrix) against the all-rows fused chain kernel
-    /// (one launch, product in registers) over a `k`-modulus basis, and
-    /// returns `true` when the fused kernel is cheaper on the session device.
-    fn fused_mul_axpy_is_faster(&self, k: u64, cols: usize) -> bool {
-        let cols = cols.max(1) as u64;
-        let cost = &self.state.cost;
-        // Same algebra on both sides — k modular multiplies, then k
-        // multiply-accumulate steps — priced identically; the unfused
-        // sequence pays a second launch and routes the product through a full
-        // intermediate matrix instead of registers.
-        let mut alg = OpCounts::new();
-        alg.add_mnemonic("mulmod", k);
-        alg.add_mnemonic("macmod", k);
-        let unfused = cost.estimate_launch(&alg, cols, 8 * 3 * k).total
-            + cost
-                .estimate_launch(&OpCounts::new(), cols, 8 * 3 * k)
-                .total;
-        let fused_est = cost.estimate_launch(&alg, cols, 8 * 4 * k).total;
-        fused_est < unfused
-    }
-
-    /// Prices the unfused `mul` then rescale-and-extend sequence against the
-    /// all-rows `mul→rescale→extend` chain kernel (one launch, every
-    /// intermediate in registers), and returns `true` when the chain kernel is
-    /// cheaper on the session device. `k` is the source basis size (dropped
-    /// modulus included).
-    fn fused_mul_rescale_extend_is_faster(
-        &self,
-        p: &RescaleExtendPlan,
-        k: u64,
-        cols: usize,
-    ) -> bool {
-        let cols = cols.max(1) as u64;
-        let l = p.dst_plan().moduli_count() as u64;
-        let cost = &self.state.cost;
-        // The chain kernel runs the same algebra as `mul` followed by the
-        // fused rescale-and-extend kernel; price that shared mix identically
-        // on both sides. The unfused sequence pays the second launch and the
-        // product-matrix round trip the chain keeps in registers.
-        let mut alg = p.fused_counts();
-        alg.add_mnemonic("mulmod", k);
-        let unfused = cost.estimate_launch(&alg, cols, 8 * 3 * k).total
-            + cost
-                .estimate_launch(&OpCounts::new(), cols, 8 * (k + l))
-                .total;
-        let fused_est = cost.estimate_launch(&alg, cols, 8 * (2 * k + l)).total;
-        fused_est < unfused
     }
 }
 
@@ -1075,12 +966,6 @@ impl RnsSpace {
         self.session.rescale_extend_plan_for(&self.plan, &dst.plan)
     }
 
-    /// The compiled per-target-modulus MAC kernels of `bc`, served from the
-    /// session kernel cache (compiled on first request, shared after).
-    pub fn conversion_kernels(&self, bc: &BaseConvPlan) -> Vec<Arc<CompiledKernel>> {
-        self.session.baseconv_mac_kernels(bc, &self.plan)
-    }
-
     /// Wraps an existing residue matrix (over this space's basis) in a vector
     /// handle.
     ///
@@ -1103,8 +988,7 @@ impl RnsSpace {
 
 /// A vector of big integers in residue form over a session-cached basis, with
 /// chainable operations. Every operation routes through the session's plan and
-/// kernel caches and — where more than one execution path exists — picks the
-/// path the session cost model prices cheaper.
+/// kernel caches and runs the single `moma-rns` entry point for it.
 ///
 /// Owned like every session handle: a vector encoded on one thread can be
 /// moved to (or shared with) another and operated on there.
@@ -1167,9 +1051,14 @@ impl RnsVec {
     }
 
     fn wrap(&self, matrix: RnsMatrix) -> RnsVec {
+        self.wrap_over(&self.plan, matrix)
+    }
+
+    /// A result of this vector's session over another basis.
+    fn wrap_over(&self, plan: &Arc<RnsPlan>, matrix: RnsMatrix) -> RnsVec {
         RnsVec {
             session: self.session.clone(),
-            plan: Arc::clone(&self.plan),
+            plan: Arc::clone(plan),
             matrix,
         }
     }
@@ -1185,7 +1074,7 @@ impl RnsVec {
     ///
     /// Panics on basis or length mismatch.
     pub fn add(&self, other: &RnsVec) -> RnsVec {
-        let (matrix, _) = self.plan.apply_pooled(
+        let (matrix, _) = self.plan.apply(
             BlasOp::VecAdd,
             None,
             &self.matrix,
@@ -1201,7 +1090,7 @@ impl RnsVec {
     ///
     /// Panics on basis or length mismatch.
     pub fn sub(&self, other: &RnsVec) -> RnsVec {
-        let (matrix, _) = self.plan.apply_pooled(
+        let (matrix, _) = self.plan.apply(
             BlasOp::VecSub,
             None,
             &self.matrix,
@@ -1227,7 +1116,7 @@ impl RnsVec {
     ///
     /// Panics on basis or length mismatch.
     pub fn mul_with_stats(&self, other: &RnsVec) -> (RnsVec, LaunchStats) {
-        let (matrix, stats) = self.plan.apply_pooled(
+        let (matrix, stats) = self.plan.apply(
             BlasOp::VecMul,
             None,
             &self.matrix,
@@ -1244,7 +1133,7 @@ impl RnsVec {
     /// Panics on basis or length mismatch, or if `a` exceeds the dynamic range.
     pub fn axpy(&self, a: &BigUint, y: &RnsVec) -> RnsVec {
         let scalar = self.plan.to_residues(a);
-        let (matrix, _) = self.plan.apply_pooled(
+        let (matrix, _) = self.plan.apply(
             BlasOp::Axpy,
             Some(&scalar),
             &self.matrix,
@@ -1255,43 +1144,36 @@ impl RnsVec {
     }
 
     /// Fast base extension into `dst`'s basis (the approximate `x + αM`
-    /// conversion), through the session-cached [`BaseConvPlan`].
-    ///
-    /// The execution path is picked by the session cost model: the direct
-    /// widening-accumulate rounds, or the *generated* all-rows fused kernel
-    /// served from the session's fused-kernel cache (one launch for the whole
-    /// conversion) — callers no longer choose between two methods.
+    /// conversion), through the session-cached [`BaseConvPlan`] and its
+    /// generated all-rows kernel from the session's fused-kernel cache: one
+    /// launch for the whole conversion.
     ///
     /// # Panics
     ///
     /// Panics under the [`RnsPlan::base_convert`] conditions.
     pub fn base_convert(&self, dst: &RnsSpace) -> RnsVec {
+        self.base_convert_with_stats(dst).0
+    }
+
+    /// Like [`RnsVec::base_convert`], also returning the launch statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the [`RnsPlan::base_convert`] conditions.
+    pub fn base_convert_with_stats(&self, dst: &RnsSpace) -> (RnsVec, LaunchStats) {
         let bc = self.session.baseconv_plan(&self.plan, &dst.plan);
-        let k = self.plan.moduli_count() as u64;
-        let l = dst.plan.moduli_count() as u64;
-        let (matrix, _) = if self.session.compiled_convert_is_faster(k, l, self.len()) {
-            let kernel = self.session.baseconv_fused_kernel(&bc, &self.plan);
-            self.plan
-                .base_convert_fused_with_pool(&bc, &self.matrix, &kernel, self.pool())
-        } else {
-            self.plan
-                .base_convert_pooled(&bc, &self.matrix, self.pool())
-        };
-        RnsVec {
-            matrix,
-            session: self.session.clone(),
-            plan: Arc::clone(&dst.plan),
-        }
+        let kernel = self.session.baseconv_fused_kernel(&bc, &self.plan);
+        let (matrix, stats) = self
+            .plan
+            .base_convert(&bc, &self.matrix, &kernel, self.pool());
+        (self.wrap_over(&dst.plan, matrix), stats)
     }
 
     /// `a·(self ∘ other) + y` — the multiply-then-axpy chain — with a
-    /// positional scalar `a`.
-    ///
-    /// The session cost model picks between the unfused two-launch sequence
-    /// ([`RnsVec::mul`] then [`RnsVec::axpy`]) and the all-rows fused chain
-    /// kernel served from the session's fused-kernel cache: one launch, with
-    /// the intermediate product held in registers instead of a full matrix.
-    /// Both paths compute bit-for-bit the same result.
+    /// positional scalar `a`, in one launch of the generated all-rows chain
+    /// kernel served from the session's fused-kernel cache: the intermediate
+    /// product stays in registers instead of a full matrix. Bit-for-bit
+    /// [`RnsVec::mul`] then [`RnsVec::axpy`].
     ///
     /// # Panics
     ///
@@ -1300,8 +1182,7 @@ impl RnsVec {
         self.mul_axpy_with_stats(other, a, y).0
     }
 
-    /// Like [`RnsVec::mul_axpy`], also returning the launch statistics of the
-    /// selected path.
+    /// Like [`RnsVec::mul_axpy`], also returning the launch statistics.
     ///
     /// # Panics
     ///
@@ -1313,55 +1194,35 @@ impl RnsVec {
         y: &RnsVec,
     ) -> (RnsVec, LaunchStats) {
         let scalar = self.plan.to_residues(a);
-        let k = self.plan.moduli_count() as u64;
-        let (matrix, stats) = if self.session.fused_mul_axpy_is_faster(k, self.len()) {
-            let kernel = self.session.mul_axpy_kernel(&self.plan);
-            self.plan.mul_axpy_fused_with_pool(
-                &self.matrix,
-                &other.matrix,
-                &scalar,
-                &y.matrix,
-                &kernel,
-                self.pool(),
-            )
-        } else {
-            let (mut prod, mut stats) = self.plan.apply_pooled(
-                BlasOp::VecMul,
-                None,
-                &self.matrix,
-                &other.matrix,
-                self.pool(),
-            );
-            let (out, round) =
-                self.plan
-                    .apply_pooled(BlasOp::Axpy, Some(&scalar), &prod, &y.matrix, self.pool());
-            self.pool().recycle(prod.take_storage());
-            stats.accumulate(round);
-            (out, stats)
-        };
+        let kernel = self.session.mul_axpy_kernel(&self.plan);
+        let (matrix, stats) = self.plan.mul_axpy(
+            &self.matrix,
+            &other.matrix,
+            &scalar,
+            &y.matrix,
+            &kernel,
+            self.pool(),
+        );
         (self.wrap(matrix), stats)
     }
 
     /// The whole `mul→rescale→extend` chain: element-wise product with
     /// `other`, rounded division by the dropped modulus, re-expression in
-    /// `dst`'s basis.
-    ///
-    /// The session cost model picks between the unfused sequence
-    /// ([`RnsVec::mul`] then [`RnsVec::rescale_then_extend`]) and the all-rows
-    /// fused chain kernel served from the session's fused-kernel cache: one
-    /// launch, every intermediate in registers. Both paths compute bit-for-bit
-    /// the same result.
+    /// `dst`'s basis — in one launch of the generated all-rows chain kernel
+    /// served from the session's fused-kernel cache, every intermediate in
+    /// registers. Bit-for-bit [`RnsVec::mul`] then
+    /// [`RnsVec::rescale_then_extend`].
     ///
     /// # Panics
     ///
     /// Panics on basis or length mismatch, if the basis has fewer than two
-    /// moduli, or under the [`RnsPlan::base_convert`] accumulator conditions.
+    /// moduli, or under the [`BaseConvPlan::new`] accumulator conditions.
     pub fn mul_rescale_then_extend(&self, other: &RnsVec, dst: &RnsSpace) -> RnsVec {
         self.mul_rescale_then_extend_with_stats(other, dst).0
     }
 
     /// Like [`RnsVec::mul_rescale_then_extend`], also returning the launch
-    /// statistics of the selected path.
+    /// statistics.
     ///
     /// # Panics
     ///
@@ -1372,45 +1233,15 @@ impl RnsVec {
         dst: &RnsSpace,
     ) -> (RnsVec, LaunchStats) {
         let p = self.session.rescale_extend_plan_for(&self.plan, &dst.plan);
-        let k = self.plan.moduli_count() as u64;
-        let fused_chain = self
-            .session
-            .fused_mul_rescale_extend_is_faster(&p, k, self.len());
-        let (matrix, stats) = if fused_chain {
-            let kernel = self.session.mul_rescale_extend_kernel(&p, &self.plan);
-            self.plan.mul_rescale_then_extend_fused_with_pool(
-                &p,
-                &self.matrix,
-                &other.matrix,
-                &kernel,
-                self.pool(),
-            )
-        } else {
-            let (mut prod, mut stats) = self.plan.apply_pooled(
-                BlasOp::VecMul,
-                None,
-                &self.matrix,
-                &other.matrix,
-                self.pool(),
-            );
-            let (out, round) = if p.fused_is_faster(&self.session.state.cost, self.len()) {
-                self.plan.rescale_then_extend_pooled(&p, &prod, self.pool())
-            } else {
-                self.plan
-                    .rescale_then_extend_two_pass_pooled(&p, &prod, self.pool())
-            };
-            self.pool().recycle(prod.take_storage());
-            stats.accumulate(round);
-            (out, stats)
-        };
-        (
-            RnsVec {
-                matrix,
-                session: self.session.clone(),
-                plan: Arc::clone(&dst.plan),
-            },
-            stats,
-        )
+        let kernel = self.session.mul_rescale_extend_kernel(&p, &self.plan);
+        let (matrix, stats) = self.plan.mul_rescale_then_extend(
+            &p,
+            &self.matrix,
+            &other.matrix,
+            &kernel,
+            self.pool(),
+        );
+        (self.wrap_over(&dst.plan, matrix), stats)
     }
 
     /// Approximate scaled rounding (the CKKS/BGV rescale): divides every
@@ -1422,9 +1253,7 @@ impl RnsVec {
     /// Panics if the basis has fewer than two moduli.
     pub fn rescale(&self) -> RnsVec {
         let rp = self.session.rescale_plan_for(&self.plan);
-        let (matrix, _) = self
-            .plan
-            .scale_and_round_pooled(&rp, &self.matrix, self.pool());
+        let (matrix, _) = self.plan.scale_and_round(&rp, &self.matrix, self.pool());
         let out_moduli: Vec<u64> = rp.output_plan().moduli().collect();
         // The rescale plan already carries a fully built plan for the shortened
         // basis; seed the basis cache with it rather than rebuilding one (the
@@ -1434,52 +1263,33 @@ impl RnsVec {
             .state
             .rns
             .get_or_build(out_moduli, || Arc::new(rp.output_plan().clone()));
-        RnsVec {
-            matrix,
-            session: self.session.clone(),
-            plan,
-        }
+        self.wrap_over(&plan, matrix)
     }
 
     /// The fused rescale-and-extend chain (BEHZ `FastBConvSK`): drops the last
     /// basis modulus with rounding **and** re-expresses the quotient in `dst`'s
-    /// basis, through the session-cached [`RescaleExtendPlan`]. The fused
-    /// single-sweep kernel and the two-pass rescale→extend chain compute
-    /// bit-for-bit the same result; the session cost model picks whichever it
-    /// prices cheaper for this vector's length
-    /// ([`RescaleExtendPlan::fused_is_faster`]).
+    /// basis, through the session-cached [`RescaleExtendPlan`] — the folded
+    /// two-round sweep, bit-for-bit [`RnsVec::rescale`] then
+    /// [`RnsVec::base_convert`] without the intermediate rescaled matrix.
     ///
     /// # Panics
     ///
     /// Panics if the basis has fewer than two moduli, or under the
-    /// [`RnsPlan::base_convert`] accumulator conditions.
+    /// [`BaseConvPlan::new`] accumulator conditions.
     pub fn rescale_then_extend(&self, dst: &RnsSpace) -> RnsVec {
         self.rescale_then_extend_with_stats(dst).0
     }
 
     /// Like [`RnsVec::rescale_then_extend`], also returning the launch
-    /// statistics of the selected path.
+    /// statistics.
     ///
     /// # Panics
     ///
     /// Panics under the [`RnsVec::rescale_then_extend`] conditions.
     pub fn rescale_then_extend_with_stats(&self, dst: &RnsSpace) -> (RnsVec, LaunchStats) {
         let p = self.session.rescale_extend_plan_for(&self.plan, &dst.plan);
-        let (matrix, stats) = if p.fused_is_faster(&self.session.state.cost, self.len()) {
-            self.plan
-                .rescale_then_extend_pooled(&p, &self.matrix, self.pool())
-        } else {
-            self.plan
-                .rescale_then_extend_two_pass_pooled(&p, &self.matrix, self.pool())
-        };
-        (
-            RnsVec {
-                matrix,
-                session: self.session.clone(),
-                plan: Arc::clone(&dst.plan),
-            },
-            stats,
-        )
+        let (matrix, stats) = self.plan.rescale_then_extend(&p, &self.matrix, self.pool());
+        (self.wrap_over(&dst.plan, matrix), stats)
     }
 }
 
@@ -1578,8 +1388,7 @@ impl RingSpace {
     ///
     /// Panics if `v` is already raised.
     pub fn forward_ntt(&self, v: &mut RingVec) -> LaunchStats {
-        self.ring
-            .forward_ntt(v.elt.as_mut().expect("live element"), self.session.pool())
+        self.ring.forward_ntt(v.elt.as_mut().expect("live element"))
     }
 
     /// Lowers `v` back to the coefficient domain in place.
@@ -1588,8 +1397,7 @@ impl RingSpace {
     ///
     /// Panics if `v` is already lowered.
     pub fn inverse_ntt(&self, v: &mut RingVec) -> LaunchStats {
-        self.ring
-            .inverse_ntt(v.elt.as_mut().expect("live element"), self.session.pool())
+        self.ring.inverse_ntt(v.elt.as_mut().expect("live element"))
     }
 
     /// Pointwise ring multiply (both operands raised, same level).
@@ -1931,7 +1739,7 @@ mod tests {
             after.rescale_extend.misses,
             miss_baseline.rescale_extend.misses
         );
-        assert_eq!(after.kernels.misses, miss_baseline.kernels.misses);
+        assert_eq!(after.fused.misses, miss_baseline.fused.misses);
         assert!(after.rescale_extend.hits > miss_baseline.rescale_extend.hits);
     }
 

@@ -4,6 +4,7 @@
 //! they wrap.
 
 use moma::bignum::BigUint;
+use moma::gpu::DeviceSpec;
 use moma::rns::RnsContext;
 use moma::{KernelOp, KernelSpec, Session};
 use rand::rngs::StdRng;
@@ -27,8 +28,7 @@ fn second_identical_request_builds_nothing_anywhere() {
     // Warm-up: every cache misses once.
     let _ = session.compile(&KernelSpec::new(KernelOp::Butterfly, 256));
     let ntt = session.ntt_default(256);
-    let bc = src.conversion_to(&dst);
-    let _ = src.conversion_kernels(&bc);
+    let _ = src.conversion_to(&dst);
     let warm = src.encode(&values).mul(&src.encode(&values));
     let _ = warm.rescale_then_extend(&dst);
     let _ = warm.base_convert(&dst);
@@ -40,14 +40,13 @@ fn second_identical_request_builds_nothing_anywhere() {
     assert!(baseline.baseconv.misses > 0);
     assert!(baseline.rescale.misses > 0);
     assert!(baseline.rescale_extend.misses > 0);
-    assert!(baseline.kernels.misses > 0);
+    assert!(baseline.fused.misses > 0);
 
     // The identical second round: hits only, not a single new build.
     let _ = session.compile(&KernelSpec::new(KernelOp::Butterfly, 256));
     let ntt_again = session.ntt_default(256);
     assert!(std::ptr::eq(ntt.plan(), ntt_again.plan()));
-    let bc_again = src.conversion_to(&dst);
-    let _ = src.conversion_kernels(&bc_again);
+    let _ = src.conversion_to(&dst);
     let again = src.encode(&values).mul(&src.encode(&values));
     let _ = again.rescale_then_extend(&dst);
     let _ = again.base_convert(&dst);
@@ -60,12 +59,12 @@ fn second_identical_request_builds_nothing_anywhere() {
     assert_eq!(after.baseconv.misses, baseline.baseconv.misses);
     assert_eq!(after.rescale.misses, baseline.rescale.misses);
     assert_eq!(after.rescale_extend.misses, baseline.rescale_extend.misses);
-    assert_eq!(after.kernels.misses, baseline.kernels.misses);
+    assert_eq!(after.fused.misses, baseline.fused.misses);
     assert!(after.generated.hits > baseline.generated.hits);
     assert!(after.ntt.hits > baseline.ntt.hits);
     assert!(after.baseconv.hits > baseline.baseconv.hits);
     assert!(after.rescale_extend.hits > baseline.rescale_extend.hits);
-    assert!(after.kernels.hits > baseline.kernels.hits);
+    assert!(after.fused.hits > baseline.fused.hits);
 }
 
 #[test]
@@ -163,25 +162,42 @@ fn batched_ntt_launch_count_is_independent_of_batch_size() {
     }
 }
 
+/// Each chain op runs its one implementation whatever the device or length:
+/// the generated all-rows kernel (one launch) for `base_convert`, `mul_axpy`
+/// and `mul_rescale_then_extend`, the folded two-round sweep for
+/// `rescale_then_extend` — and on a warm pool none of them allocates.
 #[test]
-fn session_compiled_conversion_kernels_are_shared_across_plans() {
-    let session = Session::default();
-    let src = session.rns_with_capacity(96);
-    let dst_moduli = RnsContext::with_random_primes(3, 31, 0xabcd)
-        .moduli()
-        .to_vec();
-    let dst = session.rns(&dst_moduli);
-    let bc = src.conversion_to(&dst);
-    let first = src.conversion_kernels(&bc);
-    let second = src.conversion_kernels(&bc);
-    assert_eq!(first.len(), dst_moduli.len());
-    for (a, b) in first.iter().zip(&second) {
-        assert!(
-            std::sync::Arc::ptr_eq(a, b),
-            "kernels must be shared, not recompiled"
-        );
+fn chain_ops_launch_counts_hold_on_every_device_and_length() {
+    for device in DeviceSpec::all() {
+        let session = Session::new(device);
+        let src = session.rns_with_capacity(160);
+        let dst = session.rns(&src.moduli()[..4]);
+        let a = BigUint::from(0x1234_5678_9abc_u64);
+        for len in [1usize, 7, 4096] {
+            let x = src.encode(&random_values(11, len, src.product()));
+            let w = src.encode(&random_values(12, len, src.product()));
+            let run = || {
+                [
+                    x.base_convert_with_stats(&dst).1,
+                    x.mul_axpy_with_stats(&w, &a, &x).1,
+                    x.mul_rescale_then_extend_with_stats(&w, &dst).1,
+                    x.rescale_then_extend_with_stats(&dst).1,
+                ]
+            };
+            run(); // every result dropped again: the pool is warm from here on
+            let warm = run();
+            assert_eq!(
+                warm.map(|s| s.launches),
+                [1, 1, 1, 2],
+                "{} len {len}",
+                device.name
+            );
+            assert_eq!(
+                warm.map(|s| s.allocs),
+                [0; 4],
+                "{} len {len}: warm pool",
+                device.name
+            );
+        }
     }
-    let stats = session.stats();
-    assert_eq!(stats.kernels.misses, dst_moduli.len() as u64);
-    assert_eq!(stats.kernels.hits, dst_moduli.len() as u64);
 }
