@@ -11,8 +11,9 @@
 //!   cargo run -p moma-bench --bin reproduce --release -- --quick # bench only, fast
 //!
 //! Items: table1, table2, codegen, fig1, fig2, fig3, fig4, fig5a, fig5b, claims, serve,
-//! bench. `--quick` reduces the bench iteration counts (CI smoke mode); on its own it
-//! implies the `serve` and `bench` items only.
+//! bench, all. `--quick` reduces the bench iteration counts (CI smoke mode); on its own
+//! it implies the `serve` and `bench` items only. Any other argument is rejected with a
+//! non-zero exit, so a mistyped item cannot pass for a run that printed nothing.
 //!
 //! `serve` runs the closed-loop batching-service bench: N simulated clients in a
 //! closed loop against a `moma-serve` server over one shared session, batched
@@ -28,10 +29,8 @@ use moma::bignum::BigUint;
 use moma::blas::batch::{run_batch, Batch};
 use moma::blas::gpu::run_batch_parallel;
 use moma::blas::BlasOp;
-use moma::gpu::cost::{calibrate, CalibrationSample, OpWeights};
 use moma::gpu::{BufferPool, DeviceSpec};
 use moma::ir::compiled::CompiledKernel;
-use moma::ir::cost::OpCounts;
 use moma::ir::interp;
 use moma::mp::{ModRing, MpUint, MulAlgorithm as RtMulAlgorithm};
 use moma::ntt::params::{paper_modulus, NttParams};
@@ -48,10 +47,23 @@ use rand::{Rng, SeedableRng};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Every item name `reproduce` accepts on its command line.
+const ITEMS: [&str; 13] = [
+    "table1", "table2", "codegen", "fig1", "fig2", "fig3", "fig4", "fig5a", "fig5b", "claims",
+    "serve", "bench", "all",
+];
+
 fn main() {
     let all_args: Vec<String> = std::env::args().skip(1).collect();
     let quick = all_args.iter().any(|a| a == "--quick");
     let args: Vec<String> = all_args.into_iter().filter(|a| a != "--quick").collect();
+    if let Some(unknown) = args.iter().find(|a| !ITEMS.contains(&a.as_str())) {
+        eprintln!(
+            "reproduce: unknown item `{unknown}`; valid items: {} (and --quick)",
+            ITEMS.join(", ")
+        );
+        std::process::exit(2);
+    }
     // `--quick` with no explicit items means "bench smoke only"; otherwise the
     // item list (or its absence = everything) decides as before.
     let bench_only = quick && args.is_empty();
@@ -671,7 +683,6 @@ fn bench_ntt_u128(session: &Session, n: usize, iters: u32) -> (f64, Vec<NttBench
 /// Result of one interpreted-vs-compiled kernel batch measurement.
 struct KernelBatchBench {
     name: String,
-    counts: OpCounts,
     interp_ns: f64,
     compiled_ns: f64,
     speedup: f64,
@@ -722,7 +733,6 @@ fn bench_kernel_batch(op: KernelOp, bits: u32, elements: usize, iters: u32) -> K
         / elements as f64;
     KernelBatchBench {
         name: kernel.name.clone(),
-        counts: compiled.counts_per_element().clone(),
         interp_ns: interpreted,
         compiled_ns,
         speedup: interpreted / compiled_ns,
@@ -923,8 +933,9 @@ fn bench_fused_mul_chain(
 }
 
 /// Benchmarks the 64-bit planned NTT executed inline vs stage-by-stage on the
-/// virtual-GPU launcher (one thread per butterfly, a launch barrier per stage).
-/// Returns `(inline_ns_per_butterfly, launcher_ns_per_butterfly)`.
+/// virtual-GPU launcher (one thread per butterfly, a launch barrier per stage;
+/// a one-row [`moma::NttSpace::forward_batch`], so the working plane rides the
+/// session pool). Returns `(inline_ns_per_butterfly, launcher_ns_per_butterfly)`.
 fn bench_ntt_launcher(session: &Session, n: usize, iters: u32) -> (f64, f64) {
     let space = session.ntt_default(n);
     let mut rng = rand::thread_rng();
@@ -932,7 +943,7 @@ fn bench_ntt_launcher(session: &Session, n: usize, iters: u32) -> (f64, f64) {
     let butterflies = butterfly_count(n) as f64;
     let inline = best_run(iters, &data, |w| space.forward(w)) * 1e9 / butterflies;
     let launched = best_run(iters, &data, |w| {
-        space.plan().forward_on_launcher(w);
+        space.forward_batch(w);
     }) * 1e9
         / butterflies;
     (inline, launched)
@@ -951,7 +962,8 @@ struct BatchedNttBench {
 
 /// Benchmarks `batch` transforms of size `n` run through one stage-batched
 /// launch sequence ([`moma::NttSpace::forward_batch`], grid = batch × n/2 per
-/// stage) vs the same transforms launched one by one.
+/// stage) vs the same transforms launched one by one (a one-row
+/// `forward_batch` each).
 fn bench_ntt_batched(session: &Session, n: usize, batch: usize, iters: u32) -> BatchedNttBench {
     let space = session.ntt_default(n);
     let mut rng = rand::thread_rng();
@@ -965,7 +977,7 @@ fn bench_ntt_batched(session: &Session, n: usize, batch: usize, iters: u32) -> B
         / butterflies;
     let single = best_run(iters, &data, |w| {
         for transform in w.chunks_exact_mut(n) {
-            space.plan().forward_on_launcher(transform);
+            space.forward_batch(transform);
         }
     }) * 1e9
         / butterflies;
@@ -974,7 +986,7 @@ fn bench_ntt_batched(session: &Session, n: usize, batch: usize, iters: u32) -> B
     let batched_launches = space.forward_batch(&mut probe).launches;
     let mut single_launches = 0;
     for transform in probe.chunks_exact_mut(n) {
-        single_launches += space.plan().forward_on_launcher(transform).launches;
+        single_launches += space.forward_batch(transform).launches;
     }
     BatchedNttBench {
         batched_ns_per_butterfly: batched,
@@ -1764,56 +1776,6 @@ fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &Overload
         println!("  compiled-vs-interpreted speedup: {:.2}x", k.speedup);
     }
 
-    // Feed the measured compiled-executor numbers back into the analytical cost
-    // model: fit the per-op weight scale so `weights.weigh(counts)` predicts
-    // ns/element on this host (ROADMAP "GPU cost-model calibration").
-    let samples: Vec<CalibrationSample> = [&modmul, &butterfly]
-        .into_iter()
-        .map(|k| CalibrationSample {
-            counts: k.counts.clone(),
-            measured_ns: k.compiled_ns,
-        })
-        .collect();
-    let base = OpWeights::default();
-    // The fit now names its failure mode; a skipped calibration is *reported*
-    // (console + JSON) instead of the entry silently vanishing from the file.
-    let cost_calibration = match calibrate(&base, &samples) {
-        Ok(calibrated) => {
-            let cal_scale = calibrated.mul / base.mul;
-            println!("\nCost-model calibration from the two compiled-kernel samples:");
-            println!("  fitted scale   {cal_scale:>10.4} ns per default-weight cycle");
-            println!(
-                "  weights (ns/op)  mul {:.2}  mul_low {:.2}  add/sub {:.2}  logic {:.2}  shift {:.2}  copy {:.2}",
-                calibrated.mul,
-                calibrated.mul_low,
-                calibrated.add_sub,
-                calibrated.logic,
-                calibrated.shift,
-                calibrated.copy
-            );
-            format!(
-                "{{\n    \"samples\": {},\n    \"scale_ns_per_cycle\": {cal_scale:.4},\n    \
-                 \"weights_ns\": {{\"mul\": {:.3}, \"mul_low\": {:.3}, \
-                 \"add_sub\": {:.3}, \"logic\": {:.3}, \
-                 \"shift\": {:.3}, \"copy\": {:.3}}}\n  }}",
-                samples.len(),
-                calibrated.mul,
-                calibrated.mul_low,
-                calibrated.add_sub,
-                calibrated.logic,
-                calibrated.shift,
-                calibrated.copy
-            )
-        }
-        Err(why) => {
-            println!("\nCost-model calibration skipped: {why}");
-            format!(
-                "{{\n    \"samples\": {},\n    \"skipped\": \"{why}\"\n  }}",
-                samples.len()
-            )
-        }
-    };
-
     let (blas_seq, blas_par, blas_speedup) = bench_blas_batch(batch_size, n, iters);
     println!("\n256-bit BLAS vector multiplication, batch {batch_size} x {n} (ns per element):");
     println!("  sequential     {blas_seq:>10.2}");
@@ -1865,7 +1827,6 @@ fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &Overload
          \"interpreted_ns_per_element\": {interp_ns:.2},\n    \
          \"compiled_ns_per_element\": {compiled_ns:.2},\n    \
          \"compiled_vs_interpreted_speedup\": {kernel_speedup:.3}\n  }},\n  \
-         \"cost_calibration\": {cost_calibration},\n  \
          \"blas_batch\": {{\n    \"bits\": 256,\n    \"op\": \"{mul_key}\",\n    \
          \"batch\": {batch_size},\n    \"vector_len\": {n},\n    \
          \"sequential_ns_per_element\": {blas_seq:.2},\n    \

@@ -2,16 +2,19 @@
 
 use crate::batch::{apply_element, Batch};
 use crate::BlasOp;
-use moma_gpu::launch::{launch_map, LaunchStats};
+use moma_gpu::launch::{launch_chunks, LaunchStats};
 use moma_mp::{ModRing, MpUint};
 
 /// Runs one BLAS operation over a batch with one virtual GPU thread per element,
 /// returning the result and the launch statistics (wall-clock time on the host thread
 /// pool).
 ///
-/// Elements are chunked across `std::thread::scope` workers sized by the machine's
-/// available parallelism; every worker writes a disjoint slice of the output, so the
-/// launch has no lock on its hot path.
+/// The output is sized up front and filled in place by
+/// [`launch_chunks`] with unit chunks: contiguous element ranges go to
+/// `std::thread::scope` workers sized by the machine's available parallelism and
+/// every worker writes its own disjoint slice, so the launch has no lock and no
+/// collection step on its hot path. The output vector is the one allocation the
+/// statistics report.
 ///
 /// # Panics
 ///
@@ -25,10 +28,11 @@ pub fn run_batch_parallel<const L: usize>(
 ) -> (Batch<L>, LaunchStats) {
     assert_eq!(x.data.len(), y.data.len(), "batch shape mismatch");
     assert_eq!(x.vector_len, y.vector_len, "batch shape mismatch");
-    let n = x.data.len();
-    let (data, stats) = launch_map(n, |i| {
-        apply_element(ring, op, a_scalar, x.data[i], y.data[i])
+    let mut data = vec![MpUint::ZERO; x.data.len()];
+    let mut stats = launch_chunks(&mut data, 1, |i, out| {
+        out[0] = apply_element(ring, op, a_scalar, x.data[i], y.data[i]);
     });
+    stats.allocs += usize::from(!data.is_empty());
     (
         Batch {
             data,

@@ -50,7 +50,7 @@ impl Default for OpWeights {
 impl OpWeights {
     /// Weighted cost of one kernel execution with the given operation counts, in
     /// whatever unit the weights are expressed in (device cycles for the default
-    /// weights, measured nanoseconds for [`calibrate`]d weights).
+    /// weights).
     ///
     /// High-level modular statements (`mulmod`, `addmod`, `submod`, and the
     /// fused `macmod`) are weighed by the operation mix of their single-word
@@ -89,131 +89,6 @@ impl OpWeights {
             + counts.get("macmod") as f64 * (mulmod + addmod)
             + counts.get("macreduce") as f64 * macreduce
             + counts.get("reducewide") as f64 * reducewide
-    }
-
-    /// Returns the weights uniformly scaled by `factor`.
-    pub fn scaled(&self, factor: f64) -> OpWeights {
-        OpWeights {
-            mul: self.mul * factor,
-            mul_low: self.mul_low * factor,
-            add_sub: self.add_sub * factor,
-            logic: self.logic * factor,
-            shift: self.shift * factor,
-            copy: self.copy * factor,
-        }
-    }
-}
-
-/// One measured observation for weight calibration: a kernel's per-element word
-/// operation counts paired with its measured per-element runtime.
-#[derive(Debug, Clone)]
-pub struct CalibrationSample {
-    /// Word-operation counts of one kernel execution (e.g.
-    /// `moma_ir::compiled::CompiledKernel::counts_per_element`).
-    pub counts: OpCounts,
-    /// Measured wall-clock nanoseconds per element.
-    pub measured_ns: f64,
-}
-
-/// Why a calibration fit could not produce usable weights.
-///
-/// The variants separate "the caller fed the fit garbage" (no samples, an
-/// unusable measurement, counts with no weighted work) from "the data itself
-/// rejected the model" (a non-positive or non-finite fitted scale), so callers
-/// like `moma-bench` can *report* why calibration was skipped instead of
-/// silently omitting the result.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CalibrateError {
-    /// The sample set was empty — nothing to fit.
-    NoSamples,
-    /// A sample carried a zero, negative, or non-finite measured runtime; such a
-    /// measurement can never be explained by non-negative op weights, so the fit
-    /// refuses it instead of letting it silently drag the scale to zero.
-    InvalidMeasurement {
-        /// Index of the offending sample.
-        index: usize,
-        /// Its measured per-element nanoseconds.
-        measured_ns: f64,
-    },
-    /// No sample contained any weighted work (all op counts weighed zero), so
-    /// the least-squares denominator vanished.
-    NoWeightedWork,
-    /// The fit completed but produced a scale that cannot be applied (zero,
-    /// negative, or non-finite).
-    DegenerateFit {
-        /// The rejected scale.
-        scale: f64,
-    },
-}
-
-impl std::fmt::Display for CalibrateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CalibrateError::NoSamples => write!(f, "no calibration samples"),
-            CalibrateError::InvalidMeasurement { index, measured_ns } => write!(
-                f,
-                "sample {index} has an unusable measurement ({measured_ns} ns/element)"
-            ),
-            CalibrateError::NoWeightedWork => {
-                write!(
-                    f,
-                    "no sample contains weighted work (all op counts weigh 0)"
-                )
-            }
-            CalibrateError::DegenerateFit { scale } => {
-                write!(f, "fit produced an unusable scale ({scale})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CalibrateError {}
-
-/// Fits the per-op weights to measured data, replacing the hand-set defaults.
-///
-/// The model stays linear in the operation counts, so fitting the relative
-/// weights jointly from a handful of benchmark rows is under-determined; instead
-/// this keeps the *ratios* of `base` and fits the single scale `s` minimizing the
-/// least-squares error `Σ (s·w(cᵢ) − tᵢ)²` over the samples — the closed form
-/// `s = Σ w(cᵢ)·tᵢ / Σ w(cᵢ)²`. The returned weights are therefore in *measured
-/// nanoseconds per op*: `weights.weigh(counts)` predicts the per-element runtime
-/// of a kernel on the measured platform. `reproduce bench` feeds the rows of
-/// `BENCH_ntt_blas.json` through this to keep the cost model anchored to real
-/// numbers.
-///
-/// # Errors
-///
-/// Returns a [`CalibrateError`] naming the first problem found: an empty sample
-/// set, an unusable measurement, counts with no weighted work, or a degenerate
-/// fitted scale.
-pub fn calibrate(
-    base: &OpWeights,
-    samples: &[CalibrationSample],
-) -> Result<OpWeights, CalibrateError> {
-    if samples.is_empty() {
-        return Err(CalibrateError::NoSamples);
-    }
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (index, s) in samples.iter().enumerate() {
-        if !s.measured_ns.is_finite() || s.measured_ns <= 0.0 {
-            return Err(CalibrateError::InvalidMeasurement {
-                index,
-                measured_ns: s.measured_ns,
-            });
-        }
-        let predicted = base.weigh(&s.counts);
-        num += predicted * s.measured_ns;
-        den += predicted * predicted;
-    }
-    if den == 0.0 {
-        return Err(CalibrateError::NoWeightedWork);
-    }
-    let scale = num / den;
-    if scale.is_finite() && scale > 0.0 {
-        Ok(base.scaled(scale))
-    } else {
-        Err(CalibrateError::DegenerateFit { scale })
     }
 }
 
@@ -449,53 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn calibrate_recovers_a_known_scale() {
-        let base = OpWeights::default();
-        // Synthesize measurements from the base weights scaled by a known factor;
-        // the least-squares fit must recover it exactly (up to float error).
-        let truth = 7.25;
-        let samples: Vec<CalibrationSample> = [counts(4, 8), counts(30, 60), counts(1, 0)]
-            .into_iter()
-            .map(|c| CalibrationSample {
-                measured_ns: base.weigh(&c) * truth,
-                counts: c,
-            })
-            .collect();
-        let fitted = calibrate(&base, &samples).expect("fit succeeds");
-        assert!((fitted.mul - base.mul * truth).abs() < 1e-9);
-        assert!((fitted.add_sub - base.add_sub * truth).abs() < 1e-9);
-        for s in &samples {
-            assert!((fitted.weigh(&s.counts) - s.measured_ns).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn calibrate_balances_noisy_samples() {
-        let base = OpWeights::default();
-        // Two samples pulling in different directions: the fit lands between the
-        // per-sample scales, weighted toward the heavier kernel.
-        let heavy = counts(30, 60);
-        let light = counts(2, 4);
-        let samples = [
-            CalibrationSample {
-                measured_ns: base.weigh(&heavy) * 3.0,
-                counts: heavy,
-            },
-            CalibrationSample {
-                measured_ns: base.weigh(&light) * 5.0,
-                counts: light,
-            },
-        ];
-        let fitted = calibrate(&base, &samples).expect("fit succeeds");
-        let scale = fitted.mul / base.mul;
-        assert!(scale > 3.0 && scale < 5.0, "scale {scale}");
-        assert!(
-            (scale - 3.0).abs() < (scale - 5.0).abs(),
-            "heavier sample dominates the fit (scale {scale})"
-        );
-    }
-
-    #[test]
     fn high_level_modular_ops_weigh_their_expansion_mix() {
         let w = OpWeights::default();
         let mut fused = OpCounts::new();
@@ -521,15 +349,6 @@ mod tests {
         let mulmod = 2.0 * w.mul + w.mul_low + 2.0 * w.shift + 2.0 * w.add_sub + 2.0 * w.logic;
         let addmod = 2.0 * w.add_sub + 5.0 * w.logic;
         assert!((weighed - (2.0 * mulmod + addmod)).abs() < 1e-9);
-        // A calibration sample made of fused ops now carries weighted work.
-        let fit = calibrate(
-            &w,
-            &[CalibrationSample {
-                counts: fused,
-                measured_ns: 100.0,
-            }],
-        );
-        assert!(fit.is_ok(), "fused-op sample must be fittable: {fit:?}");
     }
 
     #[test]
@@ -572,47 +391,5 @@ mod tests {
         let reduce_word = w.mul + w.mul_low + 2.0 * w.add_sub + 2.0 * w.logic;
         let reducewide = 2.0 * reduce_word + mulmod + addmod;
         assert!((fused_cost - (k as f64 * macreduce + reducewide)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn calibrate_names_each_failure_mode() {
-        let base = OpWeights::default();
-        assert_eq!(calibrate(&base, &[]), Err(CalibrateError::NoSamples));
-        // No weighted work at all.
-        assert_eq!(
-            calibrate(
-                &base,
-                &[CalibrationSample {
-                    counts: OpCounts::new(),
-                    measured_ns: 10.0,
-                }]
-            ),
-            Err(CalibrateError::NoWeightedWork)
-        );
-        // Zero/negative/non-finite measurements are flagged with their index
-        // instead of silently dragging the scale to zero.
-        for bad in [0.0, -4.5, f64::NAN, f64::INFINITY] {
-            let samples = [
-                CalibrationSample {
-                    counts: counts(2, 2),
-                    measured_ns: 8.0,
-                },
-                CalibrationSample {
-                    counts: counts(3, 3),
-                    measured_ns: bad,
-                },
-            ];
-            match calibrate(&base, &samples) {
-                Err(CalibrateError::InvalidMeasurement { index: 1, .. }) => {}
-                other => panic!("expected InvalidMeasurement for {bad}, got {other:?}"),
-            }
-        }
-        // Every error renders a human-readable reason for the bench report.
-        assert!(CalibrateError::NoSamples
-            .to_string()
-            .contains("no calibration"));
-        assert!(CalibrateError::DegenerateFit { scale: -1.0 }
-            .to_string()
-            .contains("-1"));
     }
 }

@@ -8,26 +8,19 @@
 //! runs the first range and `std::thread::scope` workers the others, each element
 //! runs the same kernel, and the wall-clock time of the whole launch is reported.
 //!
-//! Three tiers of entry points:
+//! One entry point per launch shape:
 //!
-//! * [`launch_indexed`] — runs a side-effecting closure per element (the most general
-//!   form; callers own their output storage and synchronization);
-//! * [`launch_map`] / [`launch_map_with`] — runs a *value-returning* closure per
-//!   element and collects the results in index order. Each worker writes a disjoint
-//!   chunk, so there is no lock on the output path; the `_with` variant additionally
-//!   gives every worker its own mutable state (a compiled-kernel scratch frame, an
-//!   RNG, …) initialized once per worker rather than once per element;
-//! * [`launch_kernel`] / [`launch_compiled`] — executes a *generated* machine-level
-//!   kernel per element. `launch_kernel` compiles the kernel once and routes the hot
-//!   loop through [`moma_ir::compiled::CompiledKernel`]; the tree interpreter remains
-//!   available as the correctness oracle (`moma_ir::interp`), and the test suites
-//!   cross-check the two. [`launch_compiled_batch`] is the flat single-output batch
-//!   form, and [`launch_compiled_rows`] the multi-output form that scatters each
-//!   output to its own row — the shape fused residue kernels (one kernel computing
-//!   every target row of a base conversion) need to run in a single launch.
+//! | entry point | one virtual thread per | output |
+//! | --- | --- | --- |
+//! | [`launch_indexed`] | index `i` — a side-effecting closure; NTT butterflies | the caller's own storage and synchronization |
+//! | [`launch_chunks`] | `chunk_len`-sized chunk of a `&mut` slice — a residue row, a thread block | written in place |
+//! | [`launch_compiled_batch`] | row of a flat row-major input batch, run through a generated [`CompiledKernel`] | returned flat, element-major |
+//! | [`launch_compiled_rows`] | element of a multi-output [`CompiledKernel`], run in lane blocks | scattered in place, one row per output |
+//!
+//! The tree interpreter (`moma_ir::interp`) is the correctness oracle for the two
+//! compiled shapes; the test suites cross-check them against it.
 
 use moma_ir::compiled::{BlockScratch, CompiledKernel, Scratch};
-use moma_ir::Kernel;
 use std::cell::RefCell;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -49,9 +42,8 @@ pub struct LaunchStats {
     pub launches: usize,
     /// Plane-sized heap buffers (output planes, working planes) the launch
     /// path allocated. In-place entry points ([`launch_indexed`],
-    /// [`launch_chunks`], [`launch_compiled_rows`],
-    /// [`launch_compiled_batch_into`]) report `0` — the caller owns the
-    /// output — and ops that route their planes through a
+    /// [`launch_chunks`], [`launch_compiled_rows`]) report `0` — the caller
+    /// owns the output — and ops that route their planes through a
     /// [`crate::pool::BufferPool`] report the pool-miss delta, so a warm
     /// steady state reports `0` end to end. Per-worker scratch frames are
     /// O(registers), not plane-sized, and are excluded (the inline
@@ -207,73 +199,15 @@ where
     }
 }
 
-/// Runs `f(i)` for every `i` in `0..n` in parallel and collects the results in
-/// index order.
-///
-/// Each worker fills a disjoint output chunk, so no synchronization is needed on
-/// the result path (unlike routing writes through a shared mutex, which serializes
-/// exactly the part of the launch that was supposed to be parallel).
-pub fn launch_map<T, F>(n: usize, f: F) -> (Vec<T>, LaunchStats)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    launch_map_with(n, || (), |(), i| f(i))
-}
-
-/// Like [`launch_map`], but gives each worker its own mutable state created by
-/// `init` — scratch buffers, per-worker RNGs — initialized once per worker instead
-/// of once per element.
-pub fn launch_map_with<S, T, I, F>(n: usize, init: I, f: F) -> (Vec<T>, LaunchStats)
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let start = Instant::now();
-    // One output vector per range; the first one then absorbs the others, so a
-    // single-range launch hands its vector back untouched.
-    let mut parts: Vec<Vec<T>> = std::iter::repeat_with(Vec::new)
-        .take(worker_count())
-        .collect();
-    let mut slots = parts.iter_mut();
-    let workers = dispatch(
-        n,
-        |_, _| slots.next().expect("one slot per worker range"),
-        |lo, hi, slot| {
-            let mut state = init();
-            slot.extend((lo..hi).map(|i| f(&mut state, i)));
-        },
-    );
-    let mut parts = parts.into_iter();
-    let mut results = parts.next().unwrap_or_default();
-    results.reserve_exact(n - results.len());
-    for part in parts {
-        results.extend(part);
-    }
-    (
-        results,
-        LaunchStats {
-            threads: n,
-            workers,
-            launches: 1,
-            // The collected output buffer; map launches that must not allocate
-            // belong on [`launch_chunks`] (in place) instead.
-            allocs: usize::from(n > 0),
-            elapsed: start.elapsed(),
-        },
-    )
-}
-
 /// Runs one virtual thread per `chunk_len`-sized chunk of `out`, giving each
 /// thread index-order mutable access to exactly its own chunk (the last chunk may
 /// be shorter when the length does not divide evenly).
 ///
-/// This is the in-place counterpart of [`launch_map`] for kernels whose natural
-/// unit of work is a whole row — e.g. one RNS residue plane — rather than one
-/// element: the caller allocates the flat output once and every worker writes its
-/// disjoint rows directly, with no per-row collection or concatenation on the
-/// launch path.
+/// This is the shape for kernels whose natural unit of work is a whole row —
+/// e.g. one RNS residue plane — and, with `chunk_len == 1`, for per-element maps
+/// into a pre-sized output: the caller allocates the flat output once and every
+/// worker writes its disjoint chunks directly, with no per-chunk collection or
+/// concatenation on the launch path.
 ///
 /// # Panics
 ///
@@ -310,42 +244,46 @@ where
     }
 }
 
-/// Executes an already-compiled machine-level kernel once per element,
-/// returning the outputs flat in element order ([`CompiledKernel::output_count`]
-/// words per element).
+/// Executes an already-compiled kernel over a whole row-major input batch in one
+/// launch: element `i`'s parameters occupy
+/// `inputs[i * param_count .. (i + 1) * param_count]`, and the outputs are
+/// returned flat in the same element order (`output_count` words per element).
 ///
-/// `fill(i, params)` writes the parameter words for element `i` into the
-/// provided slice. Each worker reuses one scratch frame and one parameter
-/// buffer for its whole chunk and writes outputs straight into its disjoint
-/// rows of the flat result — there is no per-element `Vec` on either the input
-/// or the output path (the allocations that made the old
-/// `Vec<Vec<u64>>`-collecting form an order of magnitude slower than the
-/// arithmetic it was launching).
+/// Contiguous row ranges are split across the host workers, each worker reuses
+/// one scratch frame and writes its slice of the flat output directly — no
+/// per-element input `Vec`, no per-element output allocation, no closure
+/// dispatch. The one output buffer is the launch's only allocation
+/// (`allocs == 1`, `0` for an empty batch).
 ///
 /// # Panics
 ///
-/// Panics if execution fails on any element (which would indicate an invalid
-/// generated kernel or malformed inputs).
-pub fn launch_compiled<I>(compiled: &CompiledKernel, n: usize, fill: I) -> (Vec<u64>, LaunchStats)
-where
-    I: Fn(usize, &mut [u64]) + Sync,
-{
-    let p = compiled.param_count();
+/// Panics if `inputs.len()` is not a multiple of the kernel's parameter count,
+/// or if execution fails on any element (an invalid generated kernel or
+/// malformed inputs).
+pub fn launch_compiled_batch(compiled: &CompiledKernel, inputs: &[u64]) -> (Vec<u64>, LaunchStats) {
+    let p = compiled.param_count().max(1);
+    assert!(
+        inputs.len() % p == 0,
+        "flat input length must be a multiple of the parameter count"
+    );
+    let n = if compiled.param_count() == 0 {
+        0
+    } else {
+        inputs.len() / p
+    };
     let oc = compiled.output_count();
-    let start = Instant::now();
     let mut out = vec![0u64; n * oc];
+    let start = Instant::now();
     let mut rest: &mut [u64] = &mut out;
     let workers = dispatch(
         n,
         |lo, hi| take_front(&mut rest, (hi - lo) * oc),
         |lo, hi, out_slice| {
             with_inline_scratch(|scratch| {
-                let mut params = vec![0u64; p];
                 for i in lo..hi {
-                    fill(i, &mut params);
                     compiled
                         .run_into(
-                            &params,
+                            &inputs[i * p..(i + 1) * p],
                             scratch,
                             &mut out_slice[(i - lo) * oc..(i - lo + 1) * oc],
                         )
@@ -364,99 +302,6 @@ where
             elapsed: start.elapsed(),
         },
     )
-}
-
-/// Executes an already-compiled kernel over a whole row-major input batch in one
-/// launch: element `i`'s parameters occupy
-/// `inputs[i * param_count .. (i + 1) * param_count]`, and the outputs are
-/// returned flat in the same element order (`output_count` words per element).
-///
-/// This is the fast path for large batches: contiguous row ranges are split
-/// across the host workers, each worker reuses one scratch frame and writes its
-/// slice of the flat output directly — no per-element input `Vec`, no
-/// per-element output allocation, no closure dispatch (the overhead that made
-/// the per-element [`launch_compiled`] path ~10× slower than the direct
-/// arithmetic it was measuring).
-///
-/// # Panics
-///
-/// Panics if `inputs.len()` is not a multiple of the kernel's parameter count,
-/// or if execution fails on any element (an invalid generated kernel or
-/// malformed inputs).
-pub fn launch_compiled_batch(compiled: &CompiledKernel, inputs: &[u64]) -> (Vec<u64>, LaunchStats) {
-    let p = compiled.param_count().max(1);
-    assert!(
-        inputs.len() % p == 0,
-        "flat input length must be a multiple of the parameter count"
-    );
-    let n = if compiled.param_count() == 0 {
-        0
-    } else {
-        inputs.len() / p
-    };
-    let mut out = vec![0u64; n * compiled.output_count()];
-    let mut stats = launch_compiled_batch_into(compiled, inputs, &mut out);
-    stats.allocs += usize::from(n > 0);
-    (out, stats)
-}
-
-/// The caller-owns-the-output form of [`launch_compiled_batch`]: outputs are
-/// written straight into `out` (`output_count` words per element, element
-/// order), and the launch allocates nothing — callers that recycle `out`
-/// through a [`crate::pool::BufferPool`] get an allocation-free steady state.
-///
-/// # Panics
-///
-/// Panics if `inputs.len()` is not a multiple of the kernel's parameter count,
-/// if `out.len()` is not `elements × output_count`, or if execution fails on
-/// any element.
-pub fn launch_compiled_batch_into(
-    compiled: &CompiledKernel,
-    inputs: &[u64],
-    out: &mut [u64],
-) -> LaunchStats {
-    let p = compiled.param_count().max(1);
-    assert!(
-        inputs.len() % p == 0,
-        "flat input length must be a multiple of the parameter count"
-    );
-    let n = if compiled.param_count() == 0 {
-        0
-    } else {
-        inputs.len() / p
-    };
-    let oc = compiled.output_count();
-    assert_eq!(
-        out.len(),
-        n * oc,
-        "output length must be elements * output_count()"
-    );
-    let start = Instant::now();
-    let mut rest = out;
-    let workers = dispatch(
-        n,
-        |lo, hi| take_front(&mut rest, (hi - lo) * oc),
-        |lo, hi, out_slice| {
-            with_inline_scratch(|scratch| {
-                for i in lo..hi {
-                    compiled
-                        .run_into(
-                            &inputs[i * p..(i + 1) * p],
-                            scratch,
-                            &mut out_slice[(i - lo) * oc..(i - lo + 1) * oc],
-                        )
-                        .unwrap_or_else(|e| panic!("generated kernel failed on element {i}: {e}"));
-                }
-            })
-        },
-    );
-    LaunchStats {
-        threads: n,
-        workers,
-        launches: 1,
-        allocs: 0,
-        elapsed: start.elapsed(),
-    }
 }
 
 /// Executes a multi-output compiled kernel over every element in a single
@@ -543,28 +388,6 @@ where
     }
 }
 
-/// Executes a generated machine-level kernel once per element, returning the
-/// outputs flat in element order (`output_count` words per element).
-///
-/// The kernel is compiled to register-allocated bytecode once, then the batch runs
-/// through [`launch_compiled`]: `fill(i, params)` writes element `i`'s parameter
-/// words into the provided slice. Callers that launch the same kernel repeatedly
-/// should compile once with [`CompiledKernel::compile`] and call
-/// [`launch_compiled`] directly.
-///
-/// # Panics
-///
-/// Panics if the kernel fails to compile or fails on any element (which would
-/// indicate an invalid generated kernel).
-pub fn launch_kernel<I>(kernel: &Kernel, n: usize, fill: I) -> (Vec<u64>, LaunchStats)
-where
-    I: Fn(usize, &mut [u64]) + Sync,
-{
-    let compiled = CompiledKernel::compile(kernel)
-        .unwrap_or_else(|e| panic!("generated kernel failed to compile: {e}"));
-    launch_compiled(&compiled, n, fill)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,9 +411,6 @@ mod tests {
         let stats = launch_indexed(0, |_| panic!("must not run"));
         assert_eq!(stats.threads, 0);
         assert_eq!(stats.nanos_per_element(), 0.0);
-        let (out, stats) = launch_map(0, |_| -> u64 { panic!("must not run") });
-        assert!(out.is_empty());
-        assert_eq!(stats.threads, 0);
     }
 
     #[test]
@@ -601,46 +421,7 @@ mod tests {
         // Two blocks are two ranges wherever there is a second core to run on.
         let stats = launch_chunks(&mut [0u8; 2], 1, |_, _| {});
         assert_eq!(stats.workers, cores.min(2));
-        // Per-range state is built once per range: the report matches the
-        // number of ranges that really ran.
-        let inits = AtomicUsize::new(0);
-        let (_, stats) = launch_map_with(1000, || inits.fetch_add(1, Ordering::Relaxed), |_, i| i);
-        assert_eq!(stats.workers, inits.load(Ordering::Relaxed));
-        assert!((1..=cores).contains(&stats.workers));
-    }
-
-    #[test]
-    fn map_collects_results_in_index_order() {
-        let (out, stats) = launch_map(10_000, |i| i * i);
-        assert_eq!(out.len(), 10_000);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i * i));
-        assert_eq!(stats.threads, 10_000);
-    }
-
-    #[test]
-    fn map_with_initializes_state_per_worker_not_per_element() {
-        let inits = AtomicUsize::new(0);
-        let (out, stats) = launch_map_with(
-            5000,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |count, i| {
-                // The state is a per-worker call counter bounded by the element
-                // count; the result stays dependent only on `i`.
-                *count += 1;
-                assert!(*count <= 5000);
-                i
-            },
-        );
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i));
-        let created = inits.load(Ordering::Relaxed);
-        assert!(
-            created <= stats.workers,
-            "state must be per worker ({created} inits for {} workers)",
-            stats.workers
-        );
+        assert!((1..=cores).contains(&launch_indexed(1000, |_| {}).workers));
     }
 
     #[test]
@@ -707,35 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_launch_collects_outputs_in_order() {
-        // A trivial generated kernel: out = a + b (mod 2^64) with carry.
-        let mut kb = KernelBuilder::new("vecadd");
-        let a = kb.param("a", Ty::UInt(64));
-        let b = kb.param("b", Ty::UInt(64));
-        let carry = kb.local("carry", Ty::Flag);
-        let sum = kb.output("sum", Ty::UInt(64));
-        kb.push(
-            vec![carry, sum],
-            Op::AddWide {
-                a: a.into(),
-                b: b.into(),
-                carry_in: None,
-            },
-        );
-        let kernel = kb.build();
-
-        let (outputs, stats) = launch_kernel(&kernel, 512, |i, params| {
-            params[0] = i as u64;
-            params[1] = 2 * i as u64;
-        });
-        assert_eq!(stats.threads, 512);
-        assert_eq!(outputs.len(), 512);
-        for (i, out) in outputs.iter().enumerate() {
-            assert_eq!(*out, 3 * i as u64);
-        }
-    }
-
-    #[test]
     fn compiled_batch_launch_matches_per_element_launch() {
         let mut kb = KernelBuilder::new("modmul");
         let a = kb.param("a", Ty::UInt(64));
@@ -764,48 +516,14 @@ mod tests {
             "one flat output buffer, nothing per element"
         );
         assert_eq!(batch_out.len(), n);
-        let (per_elt, stats) = launch_compiled(&compiled, n, |i, params| {
-            params[0] = i as u64 * 77;
-            params[1] = i as u64 * 131 + 5;
-        });
-        assert_eq!(stats.allocs, 1);
-        assert_eq!(per_elt, batch_out);
+        for (i, (params, out)) in flat.chunks_exact(2).zip(&batch_out).enumerate() {
+            let per_elt = compiled.run(params).unwrap();
+            assert_eq!(per_elt.outputs, [*out], "element {i}");
+        }
         let (empty, stats) = launch_compiled_batch(&compiled, &[]);
         assert!(empty.is_empty());
         assert_eq!(stats.threads, 0);
         assert_eq!(stats.allocs, 0);
-    }
-
-    #[test]
-    fn batch_into_writes_caller_buffer_without_allocating() {
-        let mut kb = KernelBuilder::new("double");
-        let a = kb.param("a", Ty::UInt(64));
-        let o = kb.output("o", Ty::UInt(64));
-        kb.push(
-            vec![o],
-            Op::MulLow {
-                a: a.into(),
-                b: moma_ir::Operand::Const(2),
-            },
-        );
-        let compiled = CompiledKernel::compile(&kb.build()).unwrap();
-        let inputs: Vec<u64> = (0..257).collect();
-        let mut out = vec![u64::MAX; 257];
-        let stats = launch_compiled_batch_into(&compiled, &inputs, &mut out);
-        assert_eq!(stats.threads, 257);
-        assert_eq!(stats.allocs, 0, "the caller owns the output buffer");
-        assert!(out.iter().enumerate().all(|(i, &v)| v == 2 * i as u64));
-    }
-
-    #[test]
-    #[should_panic(expected = "output length")]
-    fn batch_into_rejects_mismatched_output_length() {
-        let mut kb = KernelBuilder::new("copy");
-        let a = kb.param("a", Ty::UInt(64));
-        let o = kb.output("o", Ty::UInt(64));
-        kb.push(vec![o], Op::Copy { src: a.into() });
-        let compiled = CompiledKernel::compile(&kb.build()).unwrap();
-        launch_compiled_batch_into(&compiled, &[1, 2, 3], &mut [0u64; 2]);
     }
 
     #[test]
@@ -845,9 +563,8 @@ mod tests {
         assert_eq!(stats.threads, cols);
         assert_eq!(stats.launches, 1);
         assert_eq!(stats.allocs, 0, "rows launches write in place");
-        let (oracle, _) = launch_compiled(&compiled, cols, |i, params| {
-            params.copy_from_slice(&inputs[i]);
-        });
+        let flat: Vec<u64> = inputs.iter().flatten().copied().collect();
+        let (oracle, _) = launch_compiled_batch(&compiled, &flat);
         for i in 0..cols {
             assert_eq!(out[i], oracle[2 * i], "row 0 element {i}");
             assert_eq!(out[cols + i], oracle[2 * i + 1], "row 1 element {i}");
@@ -899,9 +616,8 @@ mod tests {
         let kernel = kb.build();
         let compiled = CompiledKernel::compile(&kernel).unwrap();
         let feed = |i: usize| [i as u64 * 77, i as u64 * 131 + 5, 2_147_483_647];
-        let (outputs, _) = launch_compiled(&compiled, 256, |i, params| {
-            params.copy_from_slice(&feed(i));
-        });
+        let flat: Vec<u64> = (0..256).flat_map(feed).collect();
+        let (outputs, _) = launch_compiled_batch(&compiled, &flat);
         for (i, out) in outputs.iter().enumerate() {
             let oracle = interp::run(&kernel, &feed(i)).unwrap();
             assert_eq!(oracle.outputs.len(), 1);

@@ -7,9 +7,9 @@
 //! * [`device`] — device models for the H100, RTX 4090, and V100 with the Table 2
 //!   specifications plus the public architectural figures the cost model needs;
 //! * [`launch`] — a data-parallel batch launcher that executes one virtual CUDA thread
-//!   per element on a host thread pool (used both for functional execution of generated
-//!   kernels through the `moma-ir` interpreter and for wall-clock measurements of the
-//!   runtime-library kernels);
+//!   per element on a host thread pool, one entry point per launch shape (used both
+//!   for functional execution of generated kernels through the `moma-ir` compiled
+//!   executor and for wall-clock measurements of the runtime-library kernels);
 //! * [`pool`] — a thread-safe buffer pool that hands out reusable plane-sized
 //!   `u64` (and `AtomicU64`) buffers keyed by size class, the host stand-in for a
 //!   device memory pool: steady-state serving acquires every working plane here
@@ -21,7 +21,7 @@
 //!   NTT sizes above 2^10.
 //!
 //! Absolute times are not expected to match the authors' hardware; the model is
-//! calibrated so that the *shape* of the paper's figures (scaling with bit-width and
+//! tuned so that the *shape* of the paper's figures (scaling with bit-width and
 //! transform size, device ordering, memory cliffs) is preserved.
 
 #![forbid(unsafe_code)]
@@ -35,7 +35,6 @@ pub mod pool;
 pub use cost::{CostModel, KernelCostEstimate};
 pub use device::DeviceSpec;
 pub use launch::{
-    launch_chunks, launch_compiled, launch_compiled_batch, launch_compiled_batch_into,
-    launch_indexed, launch_kernel, launch_map, launch_map_with, LaunchStats,
+    launch_chunks, launch_compiled_batch, launch_compiled_rows, launch_indexed, LaunchStats,
 };
 pub use pool::{BufferPool, PoolStats};

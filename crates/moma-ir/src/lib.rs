@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod compiled;
 pub mod cost;
 pub mod emit;
@@ -51,7 +50,6 @@ mod kernel;
 mod ty;
 pub mod validate;
 
-pub use cache::{KernelCache, KernelCacheKey};
 pub use compiled::{BatchRunResult, CompiledKernel};
 pub use kernel::{Kernel, KernelBuilder, Op, Operand, Stmt, Var, VarId};
 pub use ty::Ty;

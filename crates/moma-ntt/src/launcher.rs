@@ -1,24 +1,21 @@
 //! NTT execution on the simulated GPU launcher: a stage-launched executor and
-//! a block-resident one.
+//! a block-resident one, for single-word ([`NttPlan64`]) transforms.
 //!
-//! The inline plan paths ([`NttPlan::forward`], [`NttPlan64::forward`]) walk the
-//! butterfly stages as serial host loops. The paper maps **one CUDA thread per
-//! butterfly** (§5.1); this module reproduces both ways it orders the stages:
+//! The inline plan path ([`NttPlan64::forward`]) walks the butterfly stages as
+//! serial host loops. The paper maps **one CUDA thread per butterfly** (§5.1);
+//! this module reproduces both ways it orders the stages:
 //!
-//! * **Stage launches** — each stage is its own grid (one virtual thread per
-//!   butterfly), reading the plan's twiddles through [`NttPlan64::stage`] /
-//!   [`NttPlan::stage`]; the join at the end of each launch is the grid barrier.
-//!   * Single word ([`NttPlan64`], [`moma_gpu::launch_indexed`]): the data lives
-//!     in a `Vec<AtomicU64>` plane for the duration of the transform. Within a
-//!     stage every butterfly touches only its own pair of slots, so relaxed
-//!     atomics are just the safe-Rust spelling of CUDA's disjoint global-memory
-//!     accesses. Butterflies use the inline path's Shoup multiplication and
-//!     `[0, 4q)` lazy reduction; a final element-parallel pass normalizes. A
-//!     batch of same-size transforms rides *one* launch per stage (grid =
-//!     rows × n/2): `log2 n + 1` launches whatever the row count.
-//!   * Multi word ([`NttPlan`], [`moma_gpu::launch_map`]): each stage returns
-//!     its `n/2` butterfly output pairs, which are then scattered back — the
-//!     double-buffered form, since `MpUint` values cannot be updated atomically.
+//! * **Stage launches** — each stage is its own grid
+//!   ([`moma_gpu::launch_indexed`], one virtual thread per butterfly), reading
+//!   the plan's twiddles through [`NttPlan64::stage`]; the join at the end of
+//!   each launch is the grid barrier. The data lives in a pooled `AtomicU64`
+//!   plane for the duration of the transform. Within a stage every butterfly
+//!   touches only its own pair of slots, so relaxed atomics are just the
+//!   safe-Rust spelling of CUDA's disjoint global-memory accesses. Butterflies
+//!   use the inline path's Shoup multiplication and `[0, 4q)` lazy reduction; a
+//!   final element-parallel pass normalizes. A batch of same-size transforms
+//!   rides *one* launch per stage (grid = rows × n/2): `log2 n + 1` launches
+//!   whatever the row count.
 //! * **Block-resident** — a whole transform stays in one thread block's shared
 //!   memory and the block loops over the stages itself: one launch per
 //!   transform, which is how the paper runs every size below the Figure 3a
@@ -29,22 +26,23 @@
 //!   the cost model's fit, `2·n·8 B ≤ shared_mem_bytes` (a 64-bit row plus its
 //!   twiddles; 64 KiB at n = 4096, within all three modelled devices).
 //!
+//! Four entry points, one pair per executor:
+//!
 //! | entry point | executor | launches |
 //! | --- | --- | --- |
 //! | [`forward_rows`] / [`inverse_rows`]: a plan (modulus) per row — the residue plane of a ring element, `moma-ring`'s raise/lower | block-resident | 1 |
-//! | [`NttPlan64::forward_batch_on_launcher`] and its inverse / `_pooled` / single-transform forms: one plan for every row — `Session`'s `NttSpace` | stage | `log2 n + 1` |
-//! | [`NttPlan::forward_on_launcher`] / `inverse_on_launcher`: multi-word | stage | `log2 n` (+ 1 to scale) |
+//! | [`NttPlan64::forward_batch_on_launcher`] / [`NttPlan64::inverse_batch_on_launcher`]: one plan for every row, working plane from the caller's [`BufferPool`] — `Session`'s `NttSpace` (a single transform is a one-row batch; a stand-alone caller passes `&BufferPool::new()`) | stage | `log2 n + 1` |
 //!
-//! `tests/launcher_props.rs` pins the two single-word executors bit-for-bit
-//! against each other and the inline plan. On a small host the stage executor
-//! degrades to the inline loop plus per-stage launch bookkeeping — the overhead
-//! `reproduce bench` records as the `ntt_launcher` entry.
+//! Multi-word plans ([`crate::NttPlan`]) run inline only. `tests/launcher_props.rs`
+//! pins the two executors bit-for-bit against each other and the inline plan. On
+//! a small host the stage executor degrades to the inline loop plus per-stage
+//! launch bookkeeping — the overhead `reproduce bench` records as the
+//! `ntt_launcher` entry.
 
-use crate::plan::{NttPlan, NttPlan64, Stage64};
+use crate::plan::{NttPlan64, Stage64};
 use crate::transform::bit_reverse_permute;
-use moma_gpu::launch::{launch_chunks, launch_indexed, launch_map, LaunchStats};
+use moma_gpu::launch::{launch_chunks, launch_indexed, LaunchStats};
 use moma_gpu::pool::BufferPool;
-use moma_mp::MpUint;
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -104,11 +102,10 @@ fn gather_rows<'p>(
 /// launch: `log2 n + 1` launches whatever `rows` is. A same-modulus batch is the
 /// case where every row names the same plan.
 ///
-/// The data lives in a `rows × n` plane of atomics for the duration of the
-/// transform (from `pool` when given, else the heap); `allocs` in the returned
-/// statistics counts that plane — the pool-miss delta of the window, so a warm
-/// pool reports `0`. Inputs must be reduced below their row's modulus; outputs
-/// are reduced.
+/// The data lives in a `rows × n` plane of atomics acquired from `pool` for the
+/// duration of the transform; `allocs` in the returned statistics counts that
+/// plane — the pool-miss delta of the window, so a warm pool reports `0`. Inputs
+/// must be reduced below their row's modulus; outputs are reduced.
 ///
 /// # Panics
 ///
@@ -119,7 +116,7 @@ fn transform_rows<'p>(
     plan_of: impl Fn(usize) -> &'p NttPlan64,
     data: &mut [u64],
     forward: bool,
-    pool: Option<&BufferPool>,
+    pool: &BufferPool,
 ) -> LaunchStats {
     assert!(rows > 0, "a transform needs at least one row");
     let n = plan_of(0).n;
@@ -145,13 +142,8 @@ fn transform_rows<'p>(
     let log_half = half.trailing_zeros();
     let log_n = log_half + 1;
 
-    let pool = pool.map(|pool| (pool, pool.misses()));
-    let cells: Vec<AtomicU64> = match pool {
-        Some((pool, _)) => pool.acquire_cells(data.len()),
-        None => std::iter::repeat_with(AtomicU64::default)
-            .take(data.len())
-            .collect(),
-    };
+    let misses_before = pool.misses();
+    let cells: Vec<AtomicU64> = pool.acquire_cells(data.len());
     for (row, row_cells) in data.chunks_exact_mut(n).zip(cells.chunks_exact(n)) {
         bit_reverse_permute(row);
         for (cell, &x) in row_cells.iter().zip(row.iter()) {
@@ -242,13 +234,8 @@ fn transform_rows<'p>(
     };
     stats.accumulate(pass);
 
-    stats.allocs += match pool {
-        Some((pool, misses_before)) => {
-            pool.recycle_cells(cells);
-            (pool.misses() - misses_before) as usize
-        }
-        None => 1,
-    };
+    pool.recycle_cells(cells);
+    stats.allocs += (pool.misses() - misses_before) as usize;
     stats
 }
 
@@ -314,96 +301,38 @@ pub fn inverse_rows<P: Borrow<NttPlan64> + Sync>(plans: &[P], data: &mut [u64]) 
 }
 
 impl NttPlan64 {
-    /// In-place forward transform with every stage dispatched through
-    /// [`launch_indexed`], one virtual thread per butterfly. Inputs must be
-    /// reduced (`< q`); outputs are reduced. Returns the accumulated launch
-    /// statistics of all stages plus the final normalize pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n`.
-    pub fn forward_on_launcher(&self, data: &mut [u64]) -> LaunchStats {
-        assert_eq!(
-            data.len(),
-            self.n,
-            "data length must equal the transform size"
-        );
-        self.forward_batch_on_launcher(data)
-    }
-
-    /// In-place inverse transform (with `1/n` scaling) with every stage
-    /// dispatched through [`launch_indexed`]. Inputs must be reduced; outputs are
-    /// reduced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n`.
-    pub fn inverse_on_launcher(&self, data: &mut [u64]) -> LaunchStats {
-        assert_eq!(
-            data.len(),
-            self.n,
-            "data length must equal the transform size"
-        );
-        self.inverse_batch_on_launcher(data)
-    }
-
     /// Forward-transforms a whole batch of `data.len() / n` transforms in place,
     /// with each butterfly stage of **all** transforms dispatched as one launch
     /// (grid = batch × n/2, one virtual thread per butterfly) — the paper's
     /// batched NTT. The per-stage grid barrier is paid once per stage, not once
     /// per transform: the returned statistics report `log2 n + 1` launches
-    /// however large the batch is.
+    /// however large the batch is. A single transform is a batch of one.
     ///
-    /// Inputs must be reduced (`< q`); outputs are reduced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` is not a non-zero multiple of `self.n`.
-    pub fn forward_batch_on_launcher(&self, data: &mut [u64]) -> LaunchStats {
-        self.transform_batch(data, true, None)
-    }
-
-    /// [`NttPlan64::forward_batch_on_launcher`] with the atomic working plane
-    /// acquired from (and returned to) `pool` instead of the allocator. The
-    /// returned statistics count pool *misses* in the window as allocations, so
-    /// a warm pool reports `allocs == 0`.
-    pub fn forward_batch_on_launcher_pooled(
-        &self,
-        data: &mut [u64],
-        pool: &BufferPool,
-    ) -> LaunchStats {
-        self.transform_batch(data, true, Some(pool))
-    }
-
-    /// Inverse-transforms a whole batch of `data.len() / n` transforms in place
-    /// (with `1/n` scaling), one launch per butterfly stage across the whole
-    /// batch. Inputs must be reduced; outputs are reduced.
+    /// The atomic working plane is acquired from (and returned to) `pool`; the
+    /// statistics count pool *misses* in the window as allocations, so a warm
+    /// pool reports `allocs == 0`. Inputs must be reduced (`< q`); outputs are
+    /// reduced.
     ///
     /// # Panics
     ///
     /// Panics if `data.len()` is not a non-zero multiple of `self.n`.
-    pub fn inverse_batch_on_launcher(&self, data: &mut [u64]) -> LaunchStats {
-        self.transform_batch(data, false, None)
+    pub fn forward_batch_on_launcher(&self, data: &mut [u64], pool: &BufferPool) -> LaunchStats {
+        self.transform_batch(data, true, pool)
     }
 
-    /// [`NttPlan64::inverse_batch_on_launcher`] with the atomic working plane
-    /// acquired from (and returned to) `pool`; `allocs` reports the pool-miss
-    /// delta of the window.
-    pub fn inverse_batch_on_launcher_pooled(
-        &self,
-        data: &mut [u64],
-        pool: &BufferPool,
-    ) -> LaunchStats {
-        self.transform_batch(data, false, Some(pool))
+    /// Inverse counterpart of [`NttPlan64::forward_batch_on_launcher`] (with
+    /// `1/n` scaling): one launch per butterfly stage across the whole batch,
+    /// working plane from `pool`. Inputs must be reduced; outputs are reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not a non-zero multiple of `self.n`.
+    pub fn inverse_batch_on_launcher(&self, data: &mut [u64], pool: &BufferPool) -> LaunchStats {
+        self.transform_batch(data, false, pool)
     }
 
     /// A same-modulus batch is the row executor with every row naming `self`.
-    fn transform_batch(
-        &self,
-        data: &mut [u64],
-        forward: bool,
-        pool: Option<&BufferPool>,
-    ) -> LaunchStats {
+    fn transform_batch(&self, data: &mut [u64], forward: bool, pool: &BufferPool) -> LaunchStats {
         assert!(
             !data.is_empty() && data.len() % self.n == 0,
             "data length must be a non-zero multiple of the transform size"
@@ -412,68 +341,10 @@ impl NttPlan64 {
     }
 }
 
-impl<const L: usize> NttPlan<L> {
-    /// Forward transform with every stage dispatched through [`launch_map`], one
-    /// virtual thread per butterfly (each producing its output pair, scattered
-    /// back between stages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n`.
-    pub fn forward_on_launcher(&self, data: &mut [MpUint<L>]) -> LaunchStats {
-        self.run_stages_on_launcher(data, true)
-    }
-
-    /// Inverse transform (with `1/n` scaling) with every stage dispatched through
-    /// [`launch_map`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n`.
-    pub fn inverse_on_launcher(&self, data: &mut [MpUint<L>]) -> LaunchStats {
-        let mut stats = self.run_stages_on_launcher(data, false);
-        let n_inv = self.n_inv();
-        let (scaled, pass) = launch_map(self.n, |i| self.ring.mul(data[i], n_inv));
-        stats.accumulate(pass);
-        data.copy_from_slice(&scaled);
-        stats
-    }
-
-    fn run_stages_on_launcher(&self, data: &mut [MpUint<L>], forward: bool) -> LaunchStats {
-        assert_eq!(
-            data.len(),
-            self.n,
-            "data length must equal the transform size"
-        );
-        bit_reverse_permute(data);
-        let mut stats = LaunchStats::default();
-        let mut m = 1;
-        while m < self.n {
-            let twiddles = self.stage(forward, m);
-            let (pairs, stage) = launch_map(self.n / 2, |t| {
-                let i = butterfly_base(t, m);
-                let x = data[i];
-                let wy = self.ring.mul(twiddles[t & (m - 1)], data[i + m]);
-                (self.ring.add(x, wy), self.ring.sub(x, wy))
-            });
-            stats.accumulate(stage);
-            for (t, &(hi, lo)) in pairs.iter().enumerate() {
-                let i = butterfly_base(t, m);
-                data[i] = hi;
-                data[i + m] = lo;
-            }
-            m <<= 1;
-        }
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::NttParams;
     use crate::transform::butterfly_count;
-    use moma_mp::MulAlgorithm;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -494,17 +365,18 @@ mod tests {
     #[test]
     fn launcher64_matches_inline_plan() {
         let plan = NttPlan64::new(256);
+        let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(91);
         let data: Vec<u64> = (0..256).map(|_| rng.gen::<u64>() % plan.ctx.q).collect();
         let mut inline = data.clone();
         let mut launched = data.clone();
         plan.forward(&mut inline);
-        let stats = plan.forward_on_launcher(&mut launched);
+        let stats = plan.forward_batch_on_launcher(&mut launched, &pool);
         assert_eq!(launched, inline, "forward must match the inline plan");
         // (n/2)·log2 n butterflies plus the n-element normalize pass.
         assert_eq!(stats.threads as u64, butterfly_count(256) + 256);
         plan.inverse(&mut inline);
-        plan.inverse_on_launcher(&mut launched);
+        plan.inverse_batch_on_launcher(&mut launched, &pool);
         assert_eq!(launched, inline, "inverse must match the inline plan");
         assert_eq!(launched, data, "inverse ∘ forward must be the identity");
     }
@@ -512,11 +384,12 @@ mod tests {
     #[test]
     fn launcher64_outputs_are_fully_reduced() {
         let plan = NttPlan64::new(128);
+        let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(92);
         let mut data: Vec<u64> = (0..128).map(|_| rng.gen::<u64>() % plan.ctx.q).collect();
-        plan.forward_on_launcher(&mut data);
+        plan.forward_batch_on_launcher(&mut data, &pool);
         assert!(data.iter().all(|&x| x < plan.ctx.q));
-        plan.inverse_on_launcher(&mut data);
+        plan.inverse_batch_on_launcher(&mut data, &pool);
         assert!(data.iter().all(|&x| x < plan.ctx.q));
     }
 
@@ -525,26 +398,28 @@ mod tests {
         let n = 128;
         let batch = 5;
         let plan = NttPlan64::new(n);
+        let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(94);
         let data: Vec<u64> = (0..batch * n)
             .map(|_| rng.gen::<u64>() % plan.ctx.q)
             .collect();
         let mut batched = data.clone();
-        let stats = plan.forward_batch_on_launcher(&mut batched);
+        let stats = plan.forward_batch_on_launcher(&mut batched, &pool);
         // One launch per stage plus the normalize pass, independent of batch.
         assert_eq!(stats.launches, n.trailing_zeros() as usize + 1);
         assert_eq!(
             stats.threads as u64,
             batch as u64 * butterfly_count(n) + (batch * n) as u64
         );
+        // One transform at a time is a one-row batch each.
         let mut single = data.clone();
         let mut single_launches = 0;
         for transform in single.chunks_exact_mut(n) {
-            single_launches += plan.forward_on_launcher(transform).launches;
+            single_launches += plan.forward_batch_on_launcher(transform, &pool).launches;
         }
         assert_eq!(batched, single, "batched forward must match per-transform");
         assert_eq!(single_launches, batch * (n.trailing_zeros() as usize + 1));
-        let inv_stats = plan.inverse_batch_on_launcher(&mut batched);
+        let inv_stats = plan.inverse_batch_on_launcher(&mut batched, &pool);
         assert_eq!(inv_stats.launches, n.trailing_zeros() as usize + 1);
         assert_eq!(
             batched, data,
@@ -553,35 +428,17 @@ mod tests {
     }
 
     #[test]
-    fn launcher_multiword_matches_inline_plan() {
-        let params = NttParams::<2>::for_paper_modulus(64, 128, MulAlgorithm::Schoolbook);
-        let plan = NttPlan::new(&params);
-        let mut rng = StdRng::seed_from_u64(93);
-        let data: Vec<_> = (0..64)
-            .map(|_| params.ring.random_element(&mut rng))
-            .collect();
-        let mut inline = data.clone();
-        let mut launched = data.clone();
-        plan.forward(&mut inline);
-        plan.forward_on_launcher(&mut launched);
-        assert_eq!(launched, inline, "forward must match the inline plan");
-        plan.inverse(&mut inline);
-        plan.inverse_on_launcher(&mut launched);
-        assert_eq!(launched, inline, "inverse must match the inline plan");
-        assert_eq!(launched, data);
-    }
-
-    #[test]
     fn negacyclic_launcher_matches_inline_plan() {
         let n = 128;
         let batch = 3;
         let plan = NttPlan64::negacyclic(12289, n);
+        let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(96);
         let data: Vec<u64> = (0..batch * n)
             .map(|_| rng.gen::<u64>() % plan.ctx.q)
             .collect();
         let mut launched = data.clone();
-        let stats = plan.forward_batch_on_launcher(&mut launched);
+        let stats = plan.forward_batch_on_launcher(&mut launched, &pool);
         // The folded twist stage replaces the plain stage 1: still one launch
         // per stage plus the normalize pass.
         assert_eq!(stats.launches, n.trailing_zeros() as usize + 1);
@@ -590,7 +447,7 @@ mod tests {
             plan.forward(transform);
         }
         assert_eq!(launched, inline, "negacyclic forward must match inline");
-        let inv_stats = plan.inverse_batch_on_launcher(&mut launched);
+        let inv_stats = plan.inverse_batch_on_launcher(&mut launched, &pool);
         assert_eq!(inv_stats.launches, n.trailing_zeros() as usize + 1);
         assert_eq!(
             launched, data,
@@ -599,47 +456,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "data length")]
-    fn launcher_wrong_length_panics() {
-        let plan = NttPlan64::new(64);
-        let mut data = vec![0u64; 32];
-        plan.forward_on_launcher(&mut data);
-    }
-
-    #[test]
     #[should_panic(expected = "multiple of the transform size")]
     fn batched_launcher_rejects_ragged_batches() {
         let plan = NttPlan64::new(64);
         let mut data = vec![0u64; 96];
-        plan.forward_batch_on_launcher(&mut data);
-    }
-
-    #[test]
-    fn unpooled_batch_reports_one_plane_allocation() {
-        let plan = NttPlan64::new(64);
-        let mut data = vec![1u64; 128];
-        assert_eq!(plan.forward_batch_on_launcher(&mut data).allocs, 1);
-        assert_eq!(plan.inverse_batch_on_launcher(&mut data).allocs, 1);
+        plan.forward_batch_on_launcher(&mut data, &BufferPool::new());
     }
 
     #[test]
     fn pooled_batch_matches_unpooled_and_is_allocation_free_when_warm() {
         let plan = NttPlan64::new(128);
-        let pool = moma_gpu::BufferPool::new();
+        let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(95);
         let data: Vec<u64> = (0..3 * 128)
             .map(|_| rng.gen::<u64>() % plan.ctx.q)
             .collect();
-        let mut plain = data.clone();
+        // The inline plan touches no pool: it is the unpooled reference.
+        let mut inline = data.clone();
         let mut pooled = data.clone();
-        plan.forward_batch_on_launcher(&mut plain);
+        inline.chunks_exact_mut(128).for_each(|t| plan.forward(t));
         // Cold pool: the first acquire misses, and the miss is the alloc count.
-        let cold = plan.forward_batch_on_launcher_pooled(&mut pooled, &pool);
-        assert_eq!(pooled, plain, "pooled forward must match the heap path");
+        let cold = plan.forward_batch_on_launcher(&mut pooled, &pool);
+        assert_eq!(pooled, inline, "pooled forward must match the inline plan");
         assert_eq!(cold.allocs, 1, "a cold pool allocates the plane once");
-        plan.inverse_batch_on_launcher(&mut plain);
-        let warm = plan.inverse_batch_on_launcher_pooled(&mut pooled, &pool);
-        assert_eq!(pooled, plain, "pooled inverse must match the heap path");
+        let warm = plan.inverse_batch_on_launcher(&mut pooled, &pool);
         assert_eq!(
             warm.allocs, 0,
             "a warm pool serves the plane without allocating"
@@ -650,16 +490,8 @@ mod tests {
         );
         // Steady state: many more rounds, zero further allocations.
         for _ in 0..5 {
-            assert_eq!(
-                plan.forward_batch_on_launcher_pooled(&mut pooled, &pool)
-                    .allocs,
-                0
-            );
-            assert_eq!(
-                plan.inverse_batch_on_launcher_pooled(&mut pooled, &pool)
-                    .allocs,
-                0
-            );
+            assert_eq!(plan.forward_batch_on_launcher(&mut pooled, &pool).allocs, 0);
+            assert_eq!(plan.inverse_batch_on_launcher(&mut pooled, &pool).allocs, 0);
         }
         assert_eq!(pooled, data);
     }

@@ -13,9 +13,12 @@
 //! * [`plan`] — precomputed execution plans: bit-reversed twiddle tables built once
 //!   per (modulus, n), with Shoup precomputed quotients and lazy reduction on the
 //!   single-word path — the hot-path entry points for repeated transforms;
-//! * [`launcher`] — stage-level batched execution of the plans on the simulated
-//!   GPU launcher: each stage dispatches one virtual thread per butterfly through
-//!   `moma_gpu::launch_indexed`/`launch_map`, the paper's §5.1 execution shape;
+//! * [`launcher`] — execution of the single-word plans on the simulated GPU
+//!   launcher, the paper's §5.1 execution shape: a same-modulus batch dispatches
+//!   one virtual thread per butterfly per stage through `moma_gpu::launch_indexed`
+//!   (`NttPlan64::{forward,inverse}_batch_on_launcher`), a residue plane runs one
+//!   resident block per row through `moma_gpu::launch_chunks`
+//!   (`launcher::{forward,inverse}_rows`);
 //! * [`mod@reference`] — the `O(n^2)` direct DFT used as a correctness oracle;
 //! * [`polymul`] — NTT-based polynomial multiplication (the application motivating the
 //!   kernel in FHE/ZKP workloads).

@@ -5,11 +5,9 @@
 
 use moma_bignum::prime::is_prime;
 use moma_bignum::BigUint;
-use moma_gpu::LaunchStats;
-use moma_mp::MulAlgorithm;
+use moma_gpu::{BufferPool, LaunchStats};
 use moma_ntt::launcher::{forward_rows, inverse_rows};
-use moma_ntt::params::NttParams;
-use moma_ntt::plan::{NttPlan, NttPlan64};
+use moma_ntt::plan::NttPlan64;
 use moma_ntt::transform::butterfly_count;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -64,9 +62,10 @@ proptest! {
 
     /// The block-resident rows executor: each row of a `rows × n` plane under
     /// its own modulus (random mixed widths, 16–60 bits) is bit-identical to
-    /// that row's inline plan *and* to the stage executor run on that row, in
-    /// both directions, in one launch whatever the row count — rows 1–9 cover
-    /// `rows < workers` and ragged `rows % workers ≠ 0` splits. Row 0 is the
+    /// that row's inline plan *and* to the stage executor run on that row (a
+    /// one-row batch), in both directions, in one launch whatever the row
+    /// count — rows 1–9 cover `rows < workers` and ragged
+    /// `rows % workers ≠ 0` splits. Row 0 is the
     /// arithmetic edge: the largest modulus the stack can build (60 bits, so
     /// the lazy `[0, 4q)` values run closest to the word boundary) with every
     /// input at `q − 1`.
@@ -104,6 +103,7 @@ proptest! {
             stats.launches == 1 && stats.threads == rows * n / 2 && stats.allocs == 0
         };
 
+        let pool = BufferPool::new();
         let mut inline = data.clone();
         let mut staged = data.clone();
         let mut launched = data.clone();
@@ -111,7 +111,7 @@ proptest! {
             plan.forward(row);
         }
         for (row, plan) in staged.chunks_exact_mut(n).zip(&plans) {
-            plan.forward_on_launcher(row);
+            plan.forward_batch_on_launcher(row, &pool);
         }
         let stats = forward_rows(&plans, &mut launched);
         prop_assert_eq!(&launched, &inline, "forward vs inline");
@@ -122,7 +122,7 @@ proptest! {
             plan.inverse(row);
         }
         for (row, plan) in staged.chunks_exact_mut(n).zip(&plans) {
-            plan.inverse_on_launcher(row);
+            plan.inverse_batch_on_launcher(row, &pool);
         }
         let stats = inverse_rows(&plans, &mut launched);
         prop_assert_eq!(&launched, &inline, "inverse vs inline");
@@ -131,43 +131,24 @@ proptest! {
         prop_assert_eq!(launched, data, "identity");
     }
 
-    /// Single-word path: launcher forward/inverse match the inline plan and
-    /// compose to the identity, with fully reduced outputs.
+    /// The stage executor on a one-row batch: forward/inverse match the inline
+    /// plan and compose to the identity, with fully reduced outputs.
     #[test]
     fn launcher64_matches_inline_plan(seed in any::<u64>(), log_n in 1u32..10) {
         let n = 1usize << log_n;
         let plan = NttPlan64::new(n);
+        let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % plan.ctx.q).collect();
         let mut inline = data.clone();
         let mut launched = data.clone();
         plan.forward(&mut inline);
-        let stats = plan.forward_on_launcher(&mut launched);
+        let stats = plan.forward_batch_on_launcher(&mut launched, &pool);
         prop_assert_eq!(&launched, &inline, "forward");
         prop_assert!(launched.iter().all(|&x| x < plan.ctx.q), "reduced");
         prop_assert_eq!(stats.threads as u64, butterfly_count(n) + n as u64);
         plan.inverse(&mut inline);
-        plan.inverse_on_launcher(&mut launched);
-        prop_assert_eq!(&launched, &inline, "inverse");
-        prop_assert_eq!(launched, data, "identity");
-    }
-
-    /// Multi-word path (2 limbs / 128 bits): launcher stages match the inline
-    /// plan and compose to the identity.
-    #[test]
-    fn launcher_multiword_matches_inline_plan(seed in any::<u64>(), log_n in 1u32..7) {
-        let n = 1usize << log_n;
-        let params = NttParams::<2>::for_paper_modulus(n, 128, MulAlgorithm::Schoolbook);
-        let plan = NttPlan::new(&params);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data: Vec<_> = (0..n).map(|_| params.ring.random_element(&mut rng)).collect();
-        let mut inline = data.clone();
-        let mut launched = data.clone();
-        plan.forward(&mut inline);
-        plan.forward_on_launcher(&mut launched);
-        prop_assert_eq!(&launched, &inline, "forward");
-        plan.inverse(&mut inline);
-        plan.inverse_on_launcher(&mut launched);
+        plan.inverse_batch_on_launcher(&mut launched, &pool);
         prop_assert_eq!(&launched, &inline, "inverse");
         prop_assert_eq!(launched, data, "identity");
     }

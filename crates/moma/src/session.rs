@@ -11,9 +11,9 @@
 //! * it owns a device ([`DeviceSpec`]), which the modelled estimates run on;
 //! * it owns a *generated-kernel* cache (keyed by operation, bit-width, and
 //!   multiplication algorithm) and the *compiled-kernel* cache of the all-rows
-//!   RNS chain kernels ([`moma_ir::KernelCache`], keyed by chain shape and
-//!   basis) — the plans in `moma-rns` carry tables and IR builders only, so
-//!   this cache is the one place a chain kernel is compiled;
+//!   RNS chain kernels (keyed by chain shape and basis) — the plans in
+//!   `moma-rns` carry tables and IR builders only, so this cache is the one
+//!   place a chain kernel is compiled;
 //! * it owns plan caches: [`NttPlan64`] keyed by `(q, n)`, multi-word
 //!   [`NttPlan`] keyed by `(limbs, bits, n)`, [`RnsPlan`] keyed by basis,
 //!   [`BaseConvPlan`]/[`RescaleExtendPlan`] keyed by basis pair, and
@@ -98,9 +98,9 @@ use moma_blas::BlasOp;
 use moma_gpu::launch::LaunchStats;
 use moma_gpu::pool::{BufferPool, PoolStats};
 use moma_gpu::{CostModel, DeviceSpec};
-use moma_ir::cache::{KernelCache, KernelCacheKey};
 use moma_ir::compiled::CompiledKernel;
 use moma_ir::cost::OpCounts;
+use moma_ir::Kernel;
 use moma_ntt::plan::{NttPlan, NttPlan64};
 use moma_rewrite::{KernelOp, KernelSpec, LoweringConfig, MulAlgorithm};
 use moma_ring::{Domain, RingContext, RingElt, RingPlanSource};
@@ -354,8 +354,9 @@ pub(crate) struct SessionState {
     compiler: Compiler,
     generated: PlanCache<(KernelOp, u32, MulAlgorithm), GeneratedKernel>,
     /// Compiled all-rows chain kernels (base conversion, `mul→axpy`,
-    /// `mul→rescale→extend`), one entry per chain shape and basis (pair).
-    fused: KernelCache,
+    /// `mul→rescale→extend`), one entry per chain shape and basis (pair),
+    /// compiled outside the map lock like every other build.
+    fused: PlanCache<String, CompiledKernel>,
     pub(crate) ntt64: PlanCache<(u64, usize), NttPlan64>,
     /// Negacyclic (`ψ`-twisted) single-word plans — a separate cache from
     /// `ntt64` because the same `(q, n)` key legitimately names both a cyclic
@@ -430,7 +431,7 @@ impl Session {
                 device,
                 compiler: Compiler::new(config),
                 generated: PlanCache::default(),
-                fused: KernelCache::new(),
+                fused: PlanCache::default(),
                 ntt64: PlanCache::default(),
                 ntt64_neg: PlanCache::default(),
                 ntt_mw: PlanCache::default(),
@@ -478,11 +479,7 @@ impl Session {
             rescale: self.state.rescale.stats(),
             rescale_extend: self.state.rescale_extend.stats(),
             ring: self.state.ring.stats(),
-            fused: CacheStats {
-                hits: self.state.fused.hits(),
-                misses: self.state.fused.misses(),
-                contended: 0,
-            },
+            fused: self.state.fused.stats(),
             pool: self.state.pool.stats(),
         }
     }
@@ -768,10 +765,7 @@ impl Session {
             basis_key(src),
             basis_key(bc.dst_plan())
         );
-        self.state
-            .fused
-            .get_or_compile(KernelCacheKey::new(op, 64, 0), || bc.fused_kernel_ir())
-            .expect("generated fused conversion kernel compiles")
+        self.fused_kernel(op, || bc.fused_kernel_ir())
     }
 
     /// The compiled all-rows `mul→axpy` chain kernel of a basis
@@ -779,10 +773,7 @@ impl Session {
     /// so one cache entry serves every scalar over the basis.
     fn mul_axpy_kernel(&self, plan: &RnsPlan) -> Arc<CompiledKernel> {
         let op = format!("mul_axpy_fused[{}]", basis_key(plan));
-        self.state
-            .fused
-            .get_or_compile(KernelCacheKey::new(op, 64, 0), || plan.mul_axpy_kernel_ir())
-            .expect("generated fused chain kernel compiles")
+        self.fused_kernel(op, || plan.mul_axpy_kernel_ir())
     }
 
     /// The compiled all-rows `mul→rescale→extend` chain kernel of a basis pair
@@ -797,10 +788,15 @@ impl Session {
             basis_key(src),
             basis_key(p.dst_plan())
         );
-        self.state
-            .fused
-            .get_or_compile(KernelCacheKey::new(op, 64, 0), || p.mul_fused_kernel_ir())
-            .expect("generated fused chain kernel compiles")
+        self.fused_kernel(op, || p.mul_fused_kernel_ir())
+    }
+
+    /// The fused-chain kernel cached under `key`, compiled from `ir()` on the
+    /// first request.
+    fn fused_kernel(&self, key: String, ir: impl FnOnce() -> Kernel) -> Arc<CompiledKernel> {
+        self.state.fused.get_or_build(key, || {
+            Arc::new(CompiledKernel::compile(&ir()).expect("generated fused chain kernel compiles"))
+        })
     }
 }
 
@@ -881,7 +877,7 @@ impl NttSpace {
     /// Panics if `data.len()` is not a non-zero multiple of `self.n()`.
     pub fn forward_batch(&self, data: &mut [u64]) -> LaunchStats {
         self.plan
-            .forward_batch_on_launcher_pooled(data, &self.session.state.pool)
+            .forward_batch_on_launcher(data, &self.session.state.pool)
     }
 
     /// Inverse counterpart of [`NttSpace::forward_batch`] (with `1/n` scaling).
@@ -891,7 +887,7 @@ impl NttSpace {
     /// Panics if `data.len()` is not a non-zero multiple of `self.n()`.
     pub fn inverse_batch(&self, data: &mut [u64]) -> LaunchStats {
         self.plan
-            .inverse_batch_on_launcher_pooled(data, &self.session.state.pool)
+            .inverse_batch_on_launcher(data, &self.session.state.pool)
     }
 }
 

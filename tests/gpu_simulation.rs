@@ -1,8 +1,9 @@
 //! Integration test: the simulated GPU — generated kernels executed one virtual thread
 //! per element, and the analytical cost model's qualitative properties.
 
-use moma::gpu::launch::launch_kernel;
+use moma::gpu::launch_compiled_batch;
 use moma::gpu::{CostModel, DeviceSpec};
+use moma::ir::CompiledKernel;
 use moma::mp::{ModRing, MpUint};
 use moma::ntt::params::paper_modulus;
 use moma::{Compiler, KernelOp, KernelSpec, MulAlgorithm, Session};
@@ -27,11 +28,11 @@ fn generated_vecaddmod_on_simulated_gpu_matches_runtime_library() {
         let l = x.limbs();
         [l[1], l[0]]
     };
-    let (outputs, stats) = launch_kernel(&generated.kernel, n, |i, params| {
-        params[0..2].copy_from_slice(&msb(&a[i]));
-        params[2..4].copy_from_slice(&msb(&b[i]));
-        params[4..6].copy_from_slice(&msb(&q));
-    });
+    let compiled = CompiledKernel::compile(&generated.kernel).expect("generated kernel compiles");
+    let inputs: Vec<u64> = (0..n)
+        .flat_map(|i| [msb(&a[i]), msb(&b[i]), msb(&q)].concat())
+        .collect();
+    let (outputs, stats) = launch_compiled_batch(&compiled, &inputs);
     assert_eq!(stats.threads, n);
     // Outputs come back flat, `output_count` (here 2) words per element.
     for i in 0..n {
@@ -101,10 +102,11 @@ fn launcher_handles_large_batches_deterministically() {
     let data: Vec<u64> = (0..10_000).map(|_| rng.gen()).collect();
     let generated = Compiler::default().compile(&KernelSpec::new(KernelOp::ModAdd, 64));
     let q = paper_modulus(64).to_u64().unwrap();
-    let fill = |i: usize, params: &mut [u64]| {
-        params.copy_from_slice(&[data[i] % q, data[(i + 1) % data.len()] % q, q]);
-    };
-    let (out1, _) = launch_kernel(&generated.kernel, data.len(), fill);
-    let (out2, _) = launch_kernel(&generated.kernel, data.len(), fill);
+    let compiled = CompiledKernel::compile(&generated.kernel).expect("generated kernel compiles");
+    let inputs: Vec<u64> = (0..data.len())
+        .flat_map(|i| [data[i] % q, data[(i + 1) % data.len()] % q, q])
+        .collect();
+    let (out1, _) = launch_compiled_batch(&compiled, &inputs);
+    let (out2, _) = launch_compiled_batch(&compiled, &inputs);
     assert_eq!(out1, out2);
 }

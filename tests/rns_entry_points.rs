@@ -1,9 +1,11 @@
-//! `moma-rns` runs each operation exactly one way. It once exposed 22 execution
-//! entry points for 6 operations — {heap, `_pooled`} × {plan-owned kernel,
-//! `_with`, `_with_pool`} × {direct, `_compiled`, `_fused`, `_two_pass`} — most
-//! of them the losing side of a choice nobody made. This scan keeps that matrix
-//! from growing back: a new variant has to replace an entry point, not sit
-//! beside it.
+//! Each operation is run, and each launch shape launched, exactly one way.
+//! `moma-rns` once exposed 22 execution entry points for 6 operations — {heap,
+//! `_pooled`} × {plan-owned kernel, `_with`, `_with_pool`} × {direct,
+//! `_compiled`, `_fused`, `_two_pass`} — and `moma-gpu` / `moma-ntt` nine
+//! `launch_*` and ten launcher functions for four launch shapes and two
+//! executors, most of them the losing side of a choice nobody made. These scans
+//! keep that matrix from growing back: a new variant has to replace an entry
+//! point, not sit beside it.
 
 use std::path::Path;
 
@@ -22,12 +24,30 @@ const VARIANT_SUFFIXES: [&str; 6] = [
 /// (`from_biguints`, `Clone`) have callers outside tests.
 const STORAGE_CONSTRUCTORS: [&str; 2] = ["from_biguints_pooled", "clone_with_pool"];
 
-#[test]
-fn moma_rns_keeps_one_entry_point_per_operation() {
-    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../moma-rns/src");
-    let mut variants = Vec::new();
-    let mut entry_points = Vec::new();
-    for entry in std::fs::read_dir(&src).expect("crates/moma-rns/src") {
+/// One `pub fn` of a scanned source directory.
+struct PubFn {
+    /// Source file name (`launch.rs`).
+    file: String,
+    name: String,
+    /// Everything between `pub fn ` and the body's opening brace.
+    signature: String,
+}
+
+impl PubFn {
+    fn is_variant(&self) -> bool {
+        VARIANT_SUFFIXES.iter().any(|s| self.name.ends_with(s))
+            && !STORAGE_CONSTRUCTORS.contains(&self.name.as_str())
+    }
+}
+
+/// Every `pub fn` in the `.rs` files directly under `crates/<krate>/src`.
+fn pub_fns(krate: &str) -> Vec<PubFn> {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join(krate)
+        .join("src");
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(&src).unwrap_or_else(|e| panic!("{}: {e}", src.display())) {
         let path = entry.expect("directory entry").path();
         let text = std::fs::read_to_string(&path).expect("readable source file");
         for (at, _) in text.match_indices("pub fn ") {
@@ -38,24 +58,40 @@ fn moma_rns_keeps_one_entry_point_per_operation() {
                 .split(|c: char| !c.is_alphanumeric() && c != '_')
                 .next()
                 .unwrap_or("");
-            if VARIANT_SUFFIXES.iter().any(|s| name.ends_with(s))
-                && !STORAGE_CONSTRUCTORS.contains(&name)
-            {
-                variants.push(format!("{}: {name}", path.display()));
-            }
-            // Every execution entry point returns the result and its launches.
-            if signature.contains("-> (RnsMatrix, LaunchStats)") {
-                entry_points.push(name.to_string());
-            }
+            found.push(PubFn {
+                file: path.file_name().unwrap().to_string_lossy().into_owned(),
+                name: name.to_string(),
+                signature: signature.to_string(),
+            });
         }
     }
-    assert!(
-        variants.is_empty(),
-        "execution-variant entry points are back in moma-rns: {variants:#?}"
-    );
-    entry_points.sort();
+    found
+}
+
+/// The sorted names of the functions `keep` selects.
+fn names_where(fns: &[PubFn], keep: impl Fn(&PubFn) -> bool) -> Vec<&str> {
+    let mut names: Vec<&str> = fns
+        .iter()
+        .filter(|f| keep(f))
+        .map(|f| f.name.as_str())
+        .collect();
+    names.sort_unstable();
+    names
+}
+
+#[test]
+fn moma_rns_keeps_one_entry_point_per_operation() {
+    let fns = pub_fns("moma-rns");
     assert_eq!(
-        entry_points,
+        names_where(&fns, PubFn::is_variant),
+        Vec::<&str>::new(),
+        "execution-variant entry points are back in moma-rns"
+    );
+    // Every execution entry point returns the result and its launches.
+    assert_eq!(
+        names_where(&fns, |f| f
+            .signature
+            .contains("-> (RnsMatrix, LaunchStats)")),
         [
             "apply",
             "base_convert",
@@ -65,5 +101,45 @@ fn moma_rns_keeps_one_entry_point_per_operation() {
             "scale_and_round",
         ],
         "RnsPlan has one public execution entry point per operation"
+    );
+}
+
+#[test]
+fn launches_and_launcher_transforms_keep_one_entry_point_per_shape() {
+    let gpu = pub_fns("moma-gpu");
+    let ntt = pub_fns("moma-ntt");
+    // `BufferPool::{acquire_cells, recycle_cells}` sit beside `acquire` /
+    // `recycle` as storage for a second element type, not as a second way to
+    // execute anything; no suffix above catches them, on purpose.
+    assert_eq!(
+        names_where(&gpu, PubFn::is_variant),
+        Vec::<&str>::new(),
+        "execution-variant entry points are back in moma-gpu"
+    );
+    assert_eq!(
+        names_where(&ntt, PubFn::is_variant),
+        Vec::<&str>::new(),
+        "execution-variant entry points are back in moma-ntt"
+    );
+    assert_eq!(
+        names_where(&gpu, |f| f.name.starts_with("launch_")),
+        [
+            "launch_chunks",
+            "launch_compiled_batch",
+            "launch_compiled_rows",
+            "launch_indexed",
+        ],
+        "moma-gpu has one launch function per launch shape"
+    );
+    assert_eq!(
+        names_where(&ntt, |f| f.file == "launcher.rs"
+            && (f.name.ends_with("_on_launcher") || f.name.ends_with("_rows"))),
+        [
+            "forward_batch_on_launcher",
+            "forward_rows",
+            "inverse_batch_on_launcher",
+            "inverse_rows",
+        ],
+        "launcher.rs has one forward/inverse pair per executor"
     );
 }
