@@ -14,13 +14,15 @@
 //! | --- | --- | --- |
 //! | [`launch_indexed`] | index `i` — a side-effecting closure; NTT butterflies | the caller's own storage and synchronization |
 //! | [`launch_chunks`] | `chunk_len`-sized chunk of a `&mut` slice — a residue row, a thread block | written in place |
-//! | [`launch_compiled_batch`] | row of a flat row-major input batch, run through a generated [`CompiledKernel`] | returned flat, element-major |
+//! | [`launch_compiled_batch`] | row of a flat row-major input batch, run through a generated [`CompiledKernel`] in lane blocks | returned flat, element-major |
 //! | [`launch_compiled_rows`] | element of a multi-output [`CompiledKernel`], run in lane blocks | scattered in place, one row per output |
 //!
-//! The tree interpreter (`moma_ir::interp`) is the correctness oracle for the two
-//! compiled shapes; the test suites cross-check them against it.
+//! The two compiled shapes run the same lane-block executor and differ only in
+//! layout (element-major in and out, or planes in and rows out). The tree
+//! interpreter (`moma_ir::interp`) is their correctness oracle; the test suites
+//! cross-check them against it.
 
-use moma_ir::compiled::{BlockScratch, CompiledKernel, Scratch};
+use moma_ir::compiled::{BlockScratch, CompiledKernel, LANE_BLOCK};
 use std::cell::RefCell;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -45,9 +47,10 @@ pub struct LaunchStats {
     /// [`launch_chunks`], [`launch_compiled_rows`]) report `0` — the caller
     /// owns the output — and ops that route their planes through a
     /// [`crate::pool::BufferPool`] report the pool-miss delta, so a warm
-    /// steady state reports `0` end to end. Per-worker scratch frames are
-    /// O(registers), not plane-sized, and are excluded (the inline
-    /// single-worker path reuses a thread-local frame and allocates none).
+    /// steady state reports `0` end to end. Per-worker frames are
+    /// O(registers × `LANE_BLOCK`), not plane-sized, and are excluded (the
+    /// inline single-worker path reuses a thread-local frame and allocates
+    /// none).
     pub allocs: usize,
     /// Wall-clock time of the launch.
     pub elapsed: Duration,
@@ -150,20 +153,14 @@ fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
 }
 
 thread_local! {
-    /// Reusable per-thread scratch frames for the compiled paths. Scratch
-    /// frames self-retag when they move between kernels, so one frame per
-    /// thread serves every kernel that thread ever launches — the calling
-    /// thread's share of a launch allocates no scratch at all in the steady
-    /// state. Scoped worker threads are born fresh per launch, so theirs is
-    /// built once per launch; that frame is O(registers), not plane-sized, and
-    /// is excluded from [`LaunchStats::allocs`].
-    static INLINE_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    /// Reusable per-thread lane-block frame for the compiled shapes. A frame
+    /// self-retags when it moves between kernels, so one frame per thread
+    /// serves every kernel that thread ever launches — the calling thread's
+    /// share of a launch allocates no scratch at all in the steady state.
+    /// Scoped worker threads are born fresh per launch, so theirs is built
+    /// once per launch; that frame is O(registers × `LANE_BLOCK`), not
+    /// plane-sized, and is excluded from [`LaunchStats::allocs`].
     static INLINE_BLOCK_SCRATCH: RefCell<BlockScratch> = RefCell::new(BlockScratch::default());
-}
-
-/// Runs `f` with this thread's reusable scratch frame.
-fn with_inline_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    INLINE_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 /// Runs `f` with this thread's reusable lane-block frame.
@@ -249,17 +246,18 @@ where
 /// `inputs[i * param_count .. (i + 1) * param_count]`, and the outputs are
 /// returned flat in the same element order (`output_count` words per element).
 ///
-/// Contiguous row ranges are split across the host workers, each worker reuses
-/// one scratch frame and writes its slice of the flat output directly — no
-/// per-element input `Vec`, no per-element output allocation, no closure
-/// dispatch. The one output buffer is the launch's only allocation
+/// Contiguous row ranges are split across the host workers; each worker runs
+/// its range through [`CompiledKernel::run_elements`] (lane blocks on one
+/// reused frame) and writes its slice of the flat output directly — no
+/// per-element input `Vec`, no per-element output allocation, one instruction
+/// dispatch per block. The one output buffer is the launch's only allocation
 /// (`allocs == 1`, `0` for an empty batch).
 ///
 /// # Panics
 ///
 /// Panics if `inputs.len()` is not a multiple of the kernel's parameter count,
-/// or if execution fails on any element (an invalid generated kernel or
-/// malformed inputs).
+/// or if execution fails (an invalid generated kernel or malformed inputs);
+/// the message names the element range of the worker's block.
 pub fn launch_compiled_batch(compiled: &CompiledKernel, inputs: &[u64]) -> (Vec<u64>, LaunchStats) {
     let p = compiled.param_count().max(1);
     assert!(
@@ -279,16 +277,12 @@ pub fn launch_compiled_batch(compiled: &CompiledKernel, inputs: &[u64]) -> (Vec<
         n,
         |lo, hi| take_front(&mut rest, (hi - lo) * oc),
         |lo, hi, out_slice| {
-            with_inline_scratch(|scratch| {
-                for i in lo..hi {
-                    compiled
-                        .run_into(
-                            &inputs[i * p..(i + 1) * p],
-                            scratch,
-                            &mut out_slice[(i - lo) * oc..(i - lo + 1) * oc],
-                        )
-                        .unwrap_or_else(|e| panic!("generated kernel failed on element {i}: {e}"));
-                }
+            with_inline_block_scratch(|scratch| {
+                compiled
+                    .run_elements(hi - lo, &inputs[lo * p..hi * p], scratch, out_slice)
+                    .unwrap_or_else(|e| {
+                        panic!("generated kernel failed in elements {lo}..{hi}: {e}")
+                    })
             })
         },
     );
@@ -310,8 +304,8 @@ pub fn launch_compiled_batch(compiled: &CompiledKernel, inputs: &[u64]) -> (Vec<
 ///
 /// Elements run in lane blocks through [`CompiledKernel::run_lanes`]: each
 /// bytecode instruction dispatches once per block of up to
-/// [`moma_ir::compiled::LANE_BLOCK`] elements, and parameters are loaded a
-/// whole block at a time — `fill(p, lo, lanes)` must write parameter `p` for
+/// [`LANE_BLOCK`] elements, and parameters are loaded a whole
+/// block at a time — `fill(p, lo, lanes)` must write parameter `p` for
 /// the consecutive elements `lo..lo + lanes.len()` into `lanes`, which for
 /// row-major input planes is a contiguous row copy rather than a per-element
 /// gather. Compared with running one [`launch_compiled_batch`] per output row,
@@ -360,7 +354,7 @@ where
             with_inline_block_scratch(|scratch| {
                 let mut base = lo;
                 while base < hi {
-                    let n = (hi - base).min(moma_ir::compiled::LANE_BLOCK);
+                    let n = (hi - base).min(LANE_BLOCK);
                     compiled
                         .run_lanes(
                             n,

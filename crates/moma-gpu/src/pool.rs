@@ -97,8 +97,13 @@ impl BufferPool {
 
     /// Hands out a zeroed buffer of exactly `len` words, reusing a shelved
     /// buffer when one of the right class is available (a *hit*: no heap
-    /// allocation happens) and allocating otherwise (a *miss*).
+    /// allocation happens) and allocating otherwise (a *miss*). An empty
+    /// request is neither: it gets an unallocated `Vec` and touches no shelf,
+    /// so encoding an empty vector does not draw a [`MIN_CLASS`]-word buffer.
     pub fn acquire(&self, len: usize) -> Vec<u64> {
+        if len == 0 {
+            return Vec::new();
+        }
         let class = class_for(len);
         let shelved = {
             let mut shelves = self.shelves.lock().unwrap_or_else(PoisonError::into_inner);
@@ -142,8 +147,11 @@ impl BufferPool {
     /// Hands out a zeroed `AtomicU64` working plane of exactly `len` cells —
     /// the atomic twin of [`BufferPool::acquire`], for in-place butterfly
     /// stages whose disjoint writes are spelled with relaxed atomics. Shares
-    /// the hit/miss counters with the `u64` side.
+    /// the hit/miss counters with the `u64` side, and the empty-request rule.
     pub fn acquire_cells(&self, len: usize) -> Vec<AtomicU64> {
+        if len == 0 {
+            return Vec::new();
+        }
         let class = class_for(len);
         let shelved = {
             let mut shelves = self
@@ -313,6 +321,22 @@ mod tests {
         assert!(again
             .iter()
             .all(|c| c.load(std::sync::atomic::Ordering::Relaxed) == 0));
+    }
+
+    #[test]
+    fn empty_acquires_take_no_buffer_and_recycle_to_nothing() {
+        let pool = BufferPool::new();
+        pool.recycle(pool.acquire(10));
+        pool.recycle_cells(pool.acquire_cells(10));
+        let before = pool.stats();
+        let (words, cells) = (pool.acquire(0), pool.acquire_cells(0));
+        assert_eq!((words.capacity(), cells.capacity()), (0, 0));
+        assert_eq!(pool.stats(), before, "no hit, no miss, both shelves intact");
+        pool.recycle(words);
+        pool.recycle_cells(cells);
+        let after = pool.stats();
+        assert_eq!(after.recycled, before.recycled);
+        assert_eq!(after.resident_buffers, before.resident_buffers);
     }
 
     #[test]

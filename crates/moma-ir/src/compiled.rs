@@ -11,13 +11,21 @@
 //! * **Register allocation** — variables are linear-scan-allocated into dense `u64`
 //!   slots; a slot is recycled as soon as the last read of its variable has
 //!   executed, so the scratch frame is much smaller than the variable count and is
-//!   reused across batch elements with zero per-element allocation.
+//!   reused across lane blocks with zero per-element allocation.
 //! * **Static checking** — width limits and use-before-def are verified once at
 //!   compile time (straight-line code makes the check exact), so the execution loop
 //!   has no error paths.
 //! * **Precomputed masks and counts** — destination masks are baked into each
 //!   bytecode op, and the per-element [`OpCounts`] is computed once (statement
 //!   counts are exact execution counts for straight-line kernels).
+//!
+//! One loop gives the bytecode its meaning: `exec_lanes` runs every instruction
+//! across a block of up to [`LANE_BLOCK`] elements before dispatching the next.
+//! [`CompiledKernel::run_lanes`] is its entry point (callers fill and drain whole
+//! lane runs), [`CompiledKernel::run_elements`] walks an element-major batch over it
+//! block by block, and [`CompiledKernel::run`] / [`CompiledKernel::run_batch`] are
+//! that walk over one element and over a whole batch; there is no per-element frame
+//! or executor.
 //!
 //! The interpreter remains the semantic reference: `CompiledKernel::run` is
 //! observationally identical to [`interp::run`](crate::interp::run), and the test
@@ -30,9 +38,10 @@ use crate::{Kernel, Op, Operand, VarId};
 /// A bytecode operand: a register slot index.
 ///
 /// There are no immediate operands at execution time — compile-time constants are
-/// materialized into dedicated registers that [`CompiledKernel::run_with`] preloads
-/// before the body runs. That keeps every instruction small (better bytecode cache
-/// density) and every operand read a single indexed load.
+/// materialized into dedicated registers, broadcast across their lanes once when a
+/// [`BlockScratch`] frame is first used by the kernel. That keeps every instruction
+/// small (better bytecode cache density) and every operand read a single indexed
+/// load.
 type Src = u32;
 
 /// A bytecode destination: a register slot plus the write mask of its type width.
@@ -168,29 +177,18 @@ pub const LANE_BLOCK: usize = 128;
 /// Reusable lane-block execution state for [`CompiledKernel::run_lanes`]: a
 /// register frame holding [`LANE_BLOCK`] lanes per register (lane-major per
 /// register, so each register's lanes are one contiguous run), plus the
-/// multi-word shift staging buffer. Create one per worker with
-/// [`CompiledKernel::block_scratch`] and reuse it across blocks.
+/// multi-word shift staging buffer (the source words' lanes, word-major).
+/// Create one per worker with [`CompiledKernel::block_scratch`] and reuse it
+/// across blocks.
 #[derive(Debug, Clone, Default)]
 pub struct BlockScratch {
     regs: Vec<u64>,
     shr: Vec<u64>,
-    /// Id of the kernel whose constants currently occupy the frame (`0` = none),
-    /// exactly as the per-element [`Scratch`] frame's tag.
-    tag: u64,
-}
-
-/// Reusable per-worker execution state: the register frame plus the multi-word
-/// shift staging buffer. Create one per thread with [`CompiledKernel::scratch`] and
-/// pass it to every [`CompiledKernel::run_with`] call to amortize the allocation
-/// across a whole batch.
-#[derive(Debug, Clone, Default)]
-pub struct Scratch {
-    regs: Vec<u64>,
-    shr: Vec<u64>,
     /// Id of the kernel whose constants currently occupy the frame's constant
-    /// registers (`0` = none). Lets [`CompiledKernel::run_with`] skip the
-    /// per-element constant preload when the same kernel reuses the frame, which
-    /// matters for constant-heavy fused kernels run over large batches.
+    /// registers (`0` = none). Constant registers are never written by the body,
+    /// so [`CompiledKernel::run_lanes`] skips the resize-and-broadcast when the
+    /// same kernel reuses the frame — which matters for constant-heavy fused
+    /// kernels run over many blocks.
     tag: u64,
 }
 
@@ -218,7 +216,7 @@ pub struct Scratch {
 pub struct CompiledKernel {
     name: String,
     /// Process-unique id (clones share it — they carry identical constants), used
-    /// to recognize a [`Scratch`] frame whose constant registers are already
+    /// to recognize a [`BlockScratch`] frame whose constant registers are already
     /// loaded for this kernel.
     id: u64,
     code: Vec<Code>,
@@ -228,8 +226,8 @@ pub struct CompiledKernel {
     param_names: Vec<String>,
     /// Register slot of each output, in signature order.
     outputs: Vec<u32>,
-    /// Materialized constants: `const_values[k]` is preloaded into register
-    /// `const_base + k` before each element executes.
+    /// Materialized constants: `const_values[k]` is broadcast into register
+    /// `const_base + k` when a frame is preloaded.
     const_base: usize,
     const_values: Vec<u64>,
     n_regs: usize,
@@ -259,7 +257,7 @@ impl CompiledKernel {
         let slot_of = |v: VarId| alloc.slot_at_def[v.0].expect("defined vars have slots");
 
         // Constants are interned into registers past the allocator's frame; they
-        // are preloaded once per element and never written by the body.
+        // are broadcast once per frame and never written by the body.
         let const_base = alloc.n_regs;
         let mut const_values: Vec<u64> = Vec::new();
         let mut const_map: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
@@ -383,7 +381,7 @@ impl CompiledKernel {
                     // than trusting the kernel's copies: execution stays exact
                     // (`== Σaᵢbᵢ mod q`) even for kernels that never went through
                     // the validator. recip == 0 flags moduli outside the
-                    // single-word Barrett domain; exec falls back to `u128 %`.
+                    // single-word Barrett domain; execution falls back to `u128 %`.
                     let (mu, mbits, radix, recip) = barrett_constants(*q);
                     Code::MacReduceMod(Box::new(MacReduceOp {
                         d: dst(stmt.dsts[0]),
@@ -447,129 +445,31 @@ impl CompiledKernel {
         &self.counts
     }
 
-    /// Creates an execution scratch frame sized for this kernel, with the
-    /// materialized constants already loaded.
-    pub fn scratch(&self) -> Scratch {
-        let mut regs = vec![0; self.n_regs];
-        regs[self.const_base..self.n_regs].copy_from_slice(&self.const_values);
-        Scratch {
-            regs,
-            shr: Vec::new(),
-            tag: self.id,
-        }
-    }
-
-    /// Executes the kernel once, reusing `scratch` and appending the outputs to
-    /// `out`.
+    /// Executes the kernel once and returns outputs plus operation counts — the
+    /// drop-in equivalent of [`interp::run`](crate::interp::run), run as a
+    /// one-lane block.
     ///
     /// # Errors
     ///
     /// Returns [`InterpError::ArgumentCount`] or [`InterpError::InputTooWide`] on
     /// bad inputs (all other failure modes were ruled out at compile time).
-    pub fn run_with(
-        &self,
-        inputs: &[u64],
-        scratch: &mut Scratch,
-        out: &mut Vec<u64>,
-    ) -> Result<(), InterpError> {
-        if inputs.len() != self.params.len() {
-            return Err(InterpError::ArgumentCount {
-                expected: self.params.len(),
-                got: inputs.len(),
-            });
-        }
-        // Constant registers are never written by the body, so a frame tagged
-        // with this kernel's id still holds them from the previous element; only
-        // a frame carried over from another kernel (or a default one) needs the
-        // resize-and-preload.
-        if scratch.tag != self.id {
-            scratch.regs.clear();
-            scratch.regs.resize(self.n_regs, 0);
-            scratch.regs[self.const_base..self.n_regs].copy_from_slice(&self.const_values);
-            scratch.tag = self.id;
-        }
-        for (idx, ((slot, bits), &input)) in self.params.iter().zip(inputs).enumerate() {
-            if *bits < 64 && input >> bits != 0 {
-                return Err(InterpError::InputTooWide {
-                    var: self.param_names[idx].clone(),
-                });
-            }
-            scratch.regs[*slot as usize] = input;
-        }
-        self.exec(scratch);
-        out.extend(self.outputs.iter().map(|o| scratch.regs[*o as usize]));
-        Ok(())
-    }
-
-    /// Executes the kernel once, reusing `scratch` and writing the outputs into
-    /// the caller-provided slice — the allocation-free twin of
-    /// [`Self::run_with`] for callers that own a flat row-major output buffer
-    /// (the batch launcher writes each element's outputs straight into its
-    /// row, with no per-element staging `Vec`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` is not exactly [`Self::output_count`] — a caller
-    /// bug, like a mis-sliced output row.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run_with`].
-    pub fn run_into(
-        &self,
-        inputs: &[u64],
-        scratch: &mut Scratch,
-        out: &mut [u64],
-    ) -> Result<(), InterpError> {
-        assert_eq!(
-            out.len(),
-            self.outputs.len(),
-            "output slice length must equal output_count()"
-        );
-        if inputs.len() != self.params.len() {
-            return Err(InterpError::ArgumentCount {
-                expected: self.params.len(),
-                got: inputs.len(),
-            });
-        }
-        if scratch.tag != self.id {
-            scratch.regs.clear();
-            scratch.regs.resize(self.n_regs, 0);
-            scratch.regs[self.const_base..self.n_regs].copy_from_slice(&self.const_values);
-            scratch.tag = self.id;
-        }
-        for (idx, ((slot, bits), &input)) in self.params.iter().zip(inputs).enumerate() {
-            if *bits < 64 && input >> bits != 0 {
-                return Err(InterpError::InputTooWide {
-                    var: self.param_names[idx].clone(),
-                });
-            }
-            scratch.regs[*slot as usize] = input;
-        }
-        self.exec(scratch);
-        for (slot, o) in self.outputs.iter().zip(out) {
-            *o = scratch.regs[*slot as usize];
-        }
-        Ok(())
-    }
-
-    /// Executes the kernel once and returns outputs plus operation counts — the
-    /// drop-in equivalent of [`interp::run`](crate::interp::run).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run_with`].
     pub fn run(&self, inputs: &[u64]) -> Result<RunResult, InterpError> {
-        let mut scratch = self.scratch();
-        let mut outputs = Vec::with_capacity(self.outputs.len());
-        self.run_with(inputs, &mut scratch, &mut outputs)?;
+        if inputs.len() != self.params.len() {
+            return Err(InterpError::ArgumentCount {
+                expected: self.params.len(),
+                got: inputs.len(),
+            });
+        }
+        let mut outputs = vec![0; self.outputs.len()];
+        self.run_elements(1, inputs, &mut self.block_scratch(), &mut outputs)?;
         Ok(RunResult {
             outputs,
             counts: self.counts.clone(),
         })
     }
 
-    /// Executes the kernel over a whole batch with one shared scratch frame.
+    /// Executes the kernel over a whole batch, [`LANE_BLOCK`] elements at a time
+    /// on one frame.
     ///
     /// `inputs` is row-major: element `i`'s parameters occupy
     /// `inputs[i * param_count .. (i + 1) * param_count]`. Outputs are returned
@@ -594,17 +494,61 @@ impl CompiledKernel {
         } else {
             inputs.len() / p
         };
-        let mut scratch = self.scratch();
-        let mut outputs = Vec::with_capacity(elements * self.outputs.len());
-        for row in 0..elements {
-            self.run_with(&inputs[row * p..(row + 1) * p], &mut scratch, &mut outputs)?;
-        }
+        let mut outputs = vec![0; elements * self.outputs.len()];
+        self.run_elements(elements, inputs, &mut self.block_scratch(), &mut outputs)?;
         Ok(BatchRunResult {
             elements,
             outputs_per_element: self.outputs.len(),
             outputs,
             counts: self.counts.scaled(elements as u64),
         })
+    }
+
+    /// Executes `n` elements of an element-major batch on the caller's frame:
+    /// element `e`'s parameters are `inputs[e * param_count .. (e + 1) * param_count]`
+    /// and its outputs land in `out[e * output_count .. (e + 1) * output_count]`.
+    /// This is the one walk over lane blocks — [`Self::run_lanes`] with a strided
+    /// gather as `fill` and a strided scatter as `sink` — under [`Self::run`],
+    /// [`Self::run_batch`] and each worker range of the batch launcher.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::run_lanes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len() != n * param_count` or
+    /// `out.len() != n * output_count` — a caller bug, like a mis-sliced row.
+    pub fn run_elements(
+        &self,
+        n: usize,
+        inputs: &[u64],
+        scratch: &mut BlockScratch,
+        out: &mut [u64],
+    ) -> Result<(), InterpError> {
+        let (p, oc) = (self.params.len(), self.outputs.len());
+        assert_eq!(inputs.len(), n * p, "inputs must hold n parameter rows");
+        assert_eq!(out.len(), n * oc, "out must hold n output rows");
+        for base in (0..n).step_by(LANE_BLOCK) {
+            let len = (n - base).min(LANE_BLOCK);
+            let rows = &inputs[base * p..(base + len) * p];
+            let outs = &mut out[base * oc..(base + len) * oc];
+            self.run_lanes(
+                len,
+                scratch,
+                |k, lanes| {
+                    for (lane, row) in lanes.iter_mut().zip(rows.chunks_exact(p)) {
+                        *lane = row[k];
+                    }
+                },
+                |j, lanes| {
+                    for (row, &v) in outs.chunks_exact_mut(oc).zip(lanes) {
+                        row[j] = v;
+                    }
+                },
+            )?;
+        }
+        Ok(())
     }
 
     /// Creates a reusable lane-block frame for [`Self::run_lanes`].
@@ -616,9 +560,8 @@ impl CompiledKernel {
 
     /// Executes the kernel over `n` elements (`n ≤ LANE_BLOCK`) in lock-step
     /// lanes: every bytecode instruction runs across all `n` lanes before the
-    /// next instruction dispatches, so the per-instruction dispatch (and the
-    /// per-element call overhead of [`Self::run_with`]) is amortized over the
-    /// whole block — the difference that makes generated fused kernels
+    /// next instruction dispatches, so the per-instruction dispatch is amortized
+    /// over the whole block — the difference that makes generated fused kernels
     /// competitive with hand-written loops on wide batches.
     ///
     /// `fill(p, lanes)` must write parameter `p`'s value for each of the `n`
@@ -682,10 +625,10 @@ impl CompiledKernel {
         scratch.tag = self.id;
     }
 
-    /// The lane-block twin of [`Self::exec`]: one instruction dispatch per
-    /// block, a tight `0..n` lane loop per instruction. Kept in exact semantic
-    /// lock-step with `exec` (same arms, same masking) — the
-    /// `run_lanes_matches_per_element_run` test asserts the equivalence.
+    /// The bytecode execution loop — the only one: one instruction dispatch per
+    /// block, a tight `0..n` lane loop per instruction, no lookups, no `Option`s,
+    /// no allocation. The tree interpreter is its oracle: the tests here and the
+    /// crosscheck suites compare the two element by element.
     fn exec_lanes(&self, scratch: &mut BlockScratch, n: usize) {
         const B: usize = LANE_BLOCK;
         let consts_from = self.const_base;
@@ -794,28 +737,39 @@ impl CompiledKernel {
                     }
                 }
                 Code::ShrMulti(op) => {
-                    // Rare in fused hot paths; stage per lane exactly as `exec`
-                    // does (destinations may alias source words).
-                    let word_bits = op.word_bits;
+                    // A limb shift plus one funnel shift per destination word,
+                    // as the emitters spell it; the interpreter's bit walk is
+                    // the oracle. Every source word's lanes are staged first —
+                    // destinations may alias sources — least-significant word
+                    // first and masked to the word width, which a constant word
+                    // may exceed. `max(1)`: a zero-width word masks to zero and
+                    // must not divide by it.
+                    let wb = op.word_bits.max(1) as usize;
+                    let wmask = mask64(op.word_bits);
                     let nw = op.words.len();
-                    let total_bits = word_bits * nw as u32;
-                    for e in 0..n {
-                        scratch.shr.clear();
-                        for w in &op.words {
-                            scratch.shr.push(regs[*w as usize * B + e]);
-                        }
-                        for (k, dst) in op.dsts.iter().rev().enumerate() {
-                            let mut v: u64 = 0;
-                            for bit in 0..word_bits {
-                                let src_bit = op.shift + k as u32 * word_bits + bit;
-                                if src_bit < total_bits {
-                                    let word = nw as u32 - 1 - src_bit / word_bits;
-                                    let b =
-                                        (scratch.shr[word as usize] >> (src_bit % word_bits)) & 1;
-                                    v |= b << bit;
-                                }
+                    let shr = &mut scratch.shr;
+                    shr.clear();
+                    for w in op.words.iter().rev() {
+                        let sb = *w as usize * B;
+                        shr.extend(regs[sb..sb + n].iter().map(|&v| v & wmask));
+                    }
+                    for (k, dst) in op.dsts.iter().rev().enumerate() {
+                        let off = op.shift as usize + k * wb;
+                        let (idx, r) = (off / wb, off % wb);
+                        let db = dst.reg as usize * B;
+                        let out = &mut regs[db..db + n];
+                        if idx >= nw {
+                            out.fill(0);
+                        } else if r == 0 || idx + 1 == nw {
+                            for (o, &lo) in out.iter_mut().zip(&shr[idx * n..]) {
+                                *o = (lo >> r) & dst.mask;
                             }
-                            regs[dst.reg as usize * B + e] = v & dst.mask;
+                        } else {
+                            let (lo, hi) = shr[idx * n..].split_at(n);
+                            let mask = wmask & dst.mask;
+                            for ((o, &lo), &hi) in out.iter_mut().zip(lo).zip(hi) {
+                                *o = ((lo >> r) | (hi << (wb - r))) & mask;
+                            }
                         }
                     }
                 }
@@ -879,9 +833,8 @@ impl CompiledKernel {
                     // constant operand — a fused cross-basis coefficient, say —
                     // is read once as a scalar instead of streaming its
                     // broadcast lanes. The first pair *assigns*, so the
-                    // accumulators need no per-instruction zeroing. Same bound
-                    // argument as `exec`: the validator caps Σᵢ aᵢ·bᵢ, so they
-                    // cannot wrap.
+                    // accumulators need no per-instruction zeroing. The validator
+                    // bounds Σᵢ aᵢ·bᵢ by the operand widths, so they cannot wrap.
                     if op.pairs.is_empty() {
                         accs[..n].fill(0);
                     }
@@ -921,142 +874,6 @@ impl CompiledKernel {
                         };
                         *dst = v & op.d.mask;
                     }
-                }
-            }
-        }
-    }
-
-    /// The bytecode execution loop: no lookups, no `Option`s, no allocation.
-    fn exec(&self, scratch: &mut Scratch) {
-        let regs = &mut scratch.regs;
-        let rd = |regs: &[u64], s: Src| -> u64 { regs[s as usize] };
-        for op in &self.code {
-            match op {
-                Code::Copy { d, s } => {
-                    regs[d.reg as usize] = rd(regs, *s) & d.mask;
-                }
-                Code::AddWide {
-                    carry,
-                    sum,
-                    a,
-                    b,
-                    cin,
-                    sum_bits,
-                } => {
-                    let cin = rd(regs, *cin) as u128;
-                    let t = rd(regs, *a) as u128 + rd(regs, *b) as u128 + cin;
-                    regs[carry.reg as usize] = ((t >> sum_bits) as u64) & carry.mask;
-                    regs[sum.reg as usize] = (t as u64) & sum.mask;
-                }
-                Code::Sub { d, a, b, bin } => {
-                    let bin = rd(regs, *bin);
-                    let t = rd(regs, *a).wrapping_sub(rd(regs, *b)).wrapping_sub(bin);
-                    regs[d.reg as usize] = t & d.mask;
-                }
-                Code::MulWide {
-                    hi,
-                    lo,
-                    a,
-                    b,
-                    lo_bits,
-                } => {
-                    let p = rd(regs, *a) as u128 * rd(regs, *b) as u128;
-                    regs[hi.reg as usize] = ((p >> lo_bits) as u64) & hi.mask;
-                    regs[lo.reg as usize] = (p as u64) & lo.mask;
-                }
-                Code::MulLow { d, a, b } => {
-                    regs[d.reg as usize] = rd(regs, *a).wrapping_mul(rd(regs, *b)) & d.mask;
-                }
-                Code::Lt { d, a, b } => {
-                    regs[d.reg as usize] = (rd(regs, *a) < rd(regs, *b)) as u64;
-                }
-                Code::Eq { d, a, b } => {
-                    regs[d.reg as usize] = (rd(regs, *a) == rd(regs, *b)) as u64;
-                }
-                Code::BoolAnd { d, a, b } => {
-                    regs[d.reg as usize] = (rd(regs, *a) != 0 && rd(regs, *b) != 0) as u64;
-                }
-                Code::BoolOr { d, a, b } => {
-                    regs[d.reg as usize] = (rd(regs, *a) != 0 || rd(regs, *b) != 0) as u64;
-                }
-                Code::Select {
-                    d,
-                    cond,
-                    if_true,
-                    if_false,
-                } => {
-                    let v = if rd(regs, *cond) != 0 {
-                        rd(regs, *if_true)
-                    } else {
-                        rd(regs, *if_false)
-                    };
-                    regs[d.reg as usize] = v & d.mask;
-                }
-                Code::ShrMulti(op) => {
-                    // Destinations may alias source words, so stage the sources in
-                    // the reusable scratch buffer first (no per-call allocation).
-                    scratch.shr.clear();
-                    for w in &op.words {
-                        scratch.shr.push(regs[*w as usize]);
-                    }
-                    let src_words = &scratch.shr;
-                    let n = src_words.len();
-                    let word_bits = op.word_bits;
-                    let total_bits = word_bits * n as u32;
-                    for (k, dst) in op.dsts.iter().rev().enumerate() {
-                        let mut v: u64 = 0;
-                        for bit in 0..word_bits {
-                            let src_bit = op.shift + k as u32 * word_bits + bit;
-                            if src_bit < total_bits {
-                                let word = n as u32 - 1 - src_bit / word_bits;
-                                let b = (src_words[word as usize] >> (src_bit % word_bits)) & 1;
-                                v |= b << bit;
-                            }
-                        }
-                        regs[dst.reg as usize] = v & dst.mask;
-                    }
-                }
-                Code::AddMod { d, a, b, q } => {
-                    let q = rd(regs, *q) as u128;
-                    let v = (rd(regs, *a) as u128 + rd(regs, *b) as u128) % q;
-                    regs[d.reg as usize] = (v as u64) & d.mask;
-                }
-                Code::SubMod { d, a, b, q } => {
-                    let q = rd(regs, *q);
-                    let a = rd(regs, *a);
-                    let b = rd(regs, *b);
-                    let v = if a < b {
-                        (a as u128 + q as u128 - b as u128) as u64
-                    } else {
-                        a - b
-                    };
-                    regs[d.reg as usize] = v & d.mask;
-                }
-                Code::MulModBarrett { d, a, b, q } => {
-                    let q = rd(regs, *q) as u128;
-                    let v = (rd(regs, *a) as u128 * rd(regs, *b) as u128) % q;
-                    regs[d.reg as usize] = (v as u64) & d.mask;
-                }
-                Code::MulAddMod { d, a, b, c, q } => {
-                    let q = rd(regs, *q) as u128;
-                    // a·b + c cannot overflow u128 for word-sized operands.
-                    let v =
-                        (rd(regs, *a) as u128 * rd(regs, *b) as u128 + rd(regs, *c) as u128) % q;
-                    regs[d.reg as usize] = (v as u64) & d.mask;
-                }
-                Code::MacReduceMod(op) => {
-                    // The validator bounds Σᵢ aᵢ·bᵢ by the operand widths, so the
-                    // accumulator cannot wrap; one reduction closes the loop.
-                    let mut acc: u128 = 0;
-                    for (a, b) in &op.pairs {
-                        acc += rd(regs, *a) as u128 * rd(regs, *b) as u128;
-                    }
-                    let v = if op.recip != 0 {
-                        reduce_wide(acc, op)
-                    } else {
-                        (acc % op.q as u128) as u64
-                    };
-                    regs[op.d.reg as usize] = v & op.d.mask;
                 }
             }
         }
@@ -1432,11 +1249,11 @@ mod tests {
 
     #[test]
     fn run_lanes_matches_per_element_run() {
-        // The lane-block executor must be element-wise identical to the
-        // per-element path, including the constant-operand scalar fast path
-        // in `MacReduceMod` (the `Const(7)` / `Const(11)` pairs below) and
-        // partial trailing blocks. One scratch frame is reused across block
-        // sizes to exercise the preload tag as well.
+        // The lane-block executor must be element-wise identical to the tree
+        // interpreter run once per element, including the constant-operand
+        // scalar fast path in `MacReduceMod` (the `Const(7)` / `Const(11)` pairs
+        // below) and partial trailing blocks. One scratch frame is reused
+        // across block sizes to exercise the preload tag as well.
         let q = (1u64 << 52) - 47;
         let mut kb = KernelBuilder::new("lanes_mix");
         let a = kb.param("a", Ty::UInt(52));
@@ -1503,7 +1320,7 @@ mod tests {
             )
             .unwrap();
             for e in 0..n {
-                let one = c.run(&[a_vals[e], b_vals[e]]).unwrap();
+                let one = interp::run(&k, &[a_vals[e], b_vals[e]]).unwrap();
                 assert_eq!(
                     vec![got[0][e], got[1][e]],
                     one.outputs,
@@ -1543,7 +1360,7 @@ mod tests {
 
     #[test]
     fn scratch_tag_skips_stale_constant_reload_only_for_same_kernel() {
-        // A scratch frame carried from kernel A to kernel B must be refilled with
+        // A block frame carried from kernel A to kernel B must be refilled with
         // B's constants (different id), while reuse under one kernel keeps them.
         let build = |name: &str, k: u64| {
             let mut kb = KernelBuilder::new(name);
@@ -1556,16 +1373,20 @@ mod tests {
                     b: Operand::Const(k),
                 },
             );
-            CompiledKernel::compile(&kb.build()).unwrap()
+            let kernel = kb.build();
+            let compiled = CompiledKernel::compile(&kernel).unwrap();
+            (kernel, compiled)
         };
-        let k3 = build("times3", 3);
-        let k5 = build("times5", 5);
-        let mut scratch = k3.scratch();
-        let mut out = Vec::new();
-        k3.run_with(&[10], &mut scratch, &mut out).unwrap();
-        k5.run_with(&[10], &mut scratch, &mut out).unwrap();
-        k3.run_with(&[11], &mut scratch, &mut out).unwrap();
-        assert_eq!(out, vec![30, 50, 33]);
+        let times3 = build("times3", 3);
+        let times5 = build("times5", 5);
+        let mut scratch = times3.1.block_scratch();
+        for ((kernel, compiled), input) in [(&times3, 10), (&times5, 10), (&times3, 11)] {
+            let mut out = [0];
+            compiled
+                .run_elements(1, &[input], &mut scratch, &mut out)
+                .unwrap();
+            assert_eq!(out[..], interp::run(kernel, &[input]).unwrap().outputs);
+        }
     }
 
     #[test]
@@ -1590,25 +1411,108 @@ mod tests {
         assert_eq!(c.run(&[2, 3]).unwrap().counts.total(), 1);
     }
 
+    /// Runs 129 elements of `k` through `run` (each) and through `run_batch` at
+    /// sizes on both sides of a block boundary, and compares every element with
+    /// the tree interpreter.
+    fn assert_matches_interp_across_blocks(k: &Kernel, what: &str) {
+        let c = CompiledKernel::compile(k).unwrap();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let rows: Vec<Vec<u64>> = (0..LANE_BLOCK + 1)
+            .map(|_| {
+                let draw = |p: &VarId| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (x ^ x >> 31) & mask64(k.ty(*p).bits())
+                };
+                k.params.iter().map(draw).collect()
+            })
+            .collect();
+        let oracle: Vec<Vec<u64>> = rows
+            .iter()
+            .map(|row| interp::run(k, row).unwrap().outputs)
+            .collect();
+        for (e, row) in rows.iter().enumerate() {
+            assert_eq!(
+                c.run(row).unwrap().outputs,
+                oracle[e],
+                "{what}: run, element {e}"
+            );
+        }
+        for n in [1, LANE_BLOCK - 1, LANE_BLOCK, LANE_BLOCK + 1] {
+            let batch = c.run_batch(&rows[..n].concat()).unwrap();
+            assert_eq!(batch.elements, n);
+            for (e, want) in oracle[..n].iter().enumerate() {
+                assert_eq!(batch.element(e), want, "{what}: batch of {n}, element {e}");
+            }
+        }
+    }
+
     #[test]
     fn shr_multi_with_aliased_destinations() {
-        // dsts == words: the staging buffer must prevent read-after-write hazards.
-        let mut kb = KernelBuilder::new("shr_alias");
-        let hi = kb.param("hi", Ty::UInt(64));
-        let lo = kb.param("lo", Ty::UInt(64));
-        let out_hi = kb.output("out_hi", Ty::UInt(64));
-        let out_lo = kb.output("out_lo", Ty::UInt(64));
-        kb.push(
-            vec![out_hi, out_lo],
-            Op::ShrMulti {
-                words: vec![hi.into(), lo.into()],
-                shift: 100,
-            },
-        );
-        let k = kb.build();
-        let c = CompiledKernel::compile(&k).unwrap();
-        let (h, l) = (0x1234_5678_9abc_def0u64, 0x0fed_cba9_8765_4321u64);
-        assert_eq!(c.run(&[h, l]).unwrap(), interp::run(&k, &[h, l]).unwrap());
+        // The executor shifts by limb plus funnel shift where the interpreter
+        // walks bits. Per word width, word count and shift (including the limb
+        // boundaries and shifts at or past the total width, which the validator
+        // rejects but compile() does not), five shapes: as many fresh
+        // destinations as words (the allocator hands them the dying sources'
+        // slots), fewer destinations than words, the source variables
+        // themselves as destinations in reverse order, a constant source word
+        // with bits above the word width, and destinations wider than it.
+        for word_bits in [64u32, 32] {
+            for n_words in 2..=4usize {
+                let total = word_bits * n_words as u32;
+                for shift in [
+                    0,
+                    1,
+                    word_bits - 1,
+                    word_bits,
+                    word_bits + 1,
+                    total - 1,
+                    total,
+                    total + 5,
+                    // The original case of this test: 100 of 128 bits.
+                    100,
+                ] {
+                    for shape in ["fresh", "fewer", "in_place", "const_word", "wide_dsts"] {
+                        let ty = Ty::UInt(word_bits);
+                        let mut kb = KernelBuilder::new("shr");
+                        let vars: Vec<VarId> = (0..n_words)
+                            .map(|i| kb.param(format!("w{i}"), ty))
+                            .collect();
+                        let mut words: Vec<Operand> = vars.iter().map(|v| (*v).into()).collect();
+                        if shape == "const_word" {
+                            words[1] = Operand::Const(0xdead_beef_cafe_f00d);
+                        }
+                        let n_dsts = if shape == "fewer" {
+                            n_words - 1
+                        } else {
+                            n_words
+                        };
+                        let out_ty = if shape == "wide_dsts" {
+                            Ty::UInt(64)
+                        } else {
+                            ty
+                        };
+                        let outs: Vec<VarId> = (0..n_dsts)
+                            .map(|i| kb.output(format!("o{i}"), out_ty))
+                            .collect();
+                        if shape == "in_place" {
+                            let dsts: Vec<VarId> = vars.iter().rev().copied().collect();
+                            kb.push(dsts.clone(), Op::ShrMulti { words, shift });
+                            for (o, d) in outs.iter().zip(dsts) {
+                                kb.push(vec![*o], Op::Copy { src: d.into() });
+                            }
+                        } else {
+                            kb.push(outs, Op::ShrMulti { words, shift });
+                        }
+                        assert_matches_interp_across_blocks(
+                            &kb.build(),
+                            &format!("{shape}, {n_words} x {word_bits} bits >> {shift}"),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

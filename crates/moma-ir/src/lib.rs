@@ -17,9 +17,10 @@
 //!   reference and correctness oracle) that also counts word-level operations for the
 //!   cost model;
 //! * [`compiled`] — a bytecode executor that register-allocates variables into dense
-//!   slots at compile time; batch execution ([`compiled::CompiledKernel::run_batch`])
-//!   reuses one scratch frame across elements and is the execution backend of the
-//!   simulated GPU's hot path;
+//!   slots at compile time and runs every instruction across a block of 128 elements
+//!   before dispatching the next ([`compiled::CompiledKernel::run_lanes`]); batch
+//!   execution ([`compiled::CompiledKernel::run_batch`]) walks blocks on one frame.
+//!   It is the execution backend of the simulated GPU's hot path;
 //! * [`emit`] — source emitters producing CUDA-like C (mirroring the paper's
 //!   Listings 1–4) and Rust.
 //!

@@ -7,6 +7,7 @@
 //! function of the input words, so the check feeds fully random (width-masked)
 //! inputs and requires bit-exact agreement.
 
+use moma_ir::compiled::LANE_BLOCK;
 use moma_ir::cost::OpCounts;
 use moma_ir::{interp, validate, CompiledKernel, Kernel, KernelBuilder, Op, Operand, Ty};
 use moma_rewrite::{lower, HighLevelKernel, KernelOp, KernelSpec, LoweringConfig, MulAlgorithm};
@@ -30,15 +31,19 @@ fn random_inputs(kernel: &Kernel, rng: &mut StdRng) -> Vec<u64> {
         .collect()
 }
 
-/// Runs `rounds` random elements through both executors (per-element interpretation
-/// and one compiled `run_batch`) and demands identical outputs and identical
-/// aggregated operation counts.
-fn crosscheck(kernel: &Kernel, rounds: usize, seed: u64) {
+/// Elements per cross-check: one full lane block and a partial one, so every
+/// kernel crosses a block boundary inside `run_batch`.
+const ROUNDS: usize = LANE_BLOCK + 37;
+
+/// Runs [`ROUNDS`] random elements through both executors (per-element
+/// interpretation and one compiled `run_batch`) and demands identical outputs and
+/// identical aggregated operation counts.
+fn crosscheck(kernel: &Kernel, seed: u64) {
     validate::validate(kernel).expect("kernel must type-check");
     let compiled = CompiledKernel::compile(kernel)
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", kernel.name));
     let mut rng = StdRng::seed_from_u64(seed);
-    let rows: Vec<Vec<u64>> = (0..rounds)
+    let rows: Vec<Vec<u64>> = (0..ROUNDS)
         .map(|_| random_inputs(kernel, &mut rng))
         .collect();
     let flat: Vec<u64> = rows.iter().flatten().copied().collect();
@@ -46,7 +51,7 @@ fn crosscheck(kernel: &Kernel, rounds: usize, seed: u64) {
     let batch = compiled
         .run_batch(&flat)
         .unwrap_or_else(|e| panic!("{}: batch run failed: {e}", kernel.name));
-    assert_eq!(batch.elements, rounds);
+    assert_eq!(batch.elements, ROUNDS);
 
     let mut interp_counts = OpCounts::new();
     for (i, row) in rows.iter().enumerate() {
@@ -89,7 +94,7 @@ fn compiled_matches_interpreter_on_all_rewrite_kernels() {
                 };
                 let lowered = lower(&hl, &config);
                 assert!(lowered.kernel.is_machine_level(64));
-                crosscheck(&lowered.kernel, 25, seed);
+                crosscheck(&lowered.kernel, seed);
                 seed += 1;
             }
         }
@@ -119,7 +124,7 @@ fn compiled_matches_interpreter_on_the_daddmod_smoke_kernel() {
         zero_top_bits: 0,
     };
     let lowered = lower(&hl, &LoweringConfig::default());
-    crosscheck(&lowered.kernel, 100, 0x00da_0d0d);
+    crosscheck(&lowered.kernel, 0x00da_0d0d);
 }
 
 #[test]
@@ -132,5 +137,5 @@ fn compiled_matches_interpreter_on_small_word_lowerings() {
     };
     let lowered = lower(&hl, &config);
     assert!(lowered.kernel.is_machine_level(32));
-    crosscheck(&lowered.kernel, 50, 0x3232);
+    crosscheck(&lowered.kernel, 0x3232);
 }

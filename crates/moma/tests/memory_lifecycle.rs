@@ -98,6 +98,15 @@ fn steady_state_serving_is_allocation_free_after_warmup() {
                 let values = random_values(&mut rng, src.product(), 16);
                 let a = src.encode(&values);
                 let _ = a.base_convert(&dst);
+                // An empty vector draws no plane, not even a minimum-class one.
+                let before = session.stats().pool;
+                let _ = src.encode(&[]);
+                let after = session.stats().pool;
+                assert_eq!(
+                    (after.hits, after.misses),
+                    (before.hits, before.misses),
+                    "round {round}: an empty encode drew from the pool"
+                );
             }
         }
     }

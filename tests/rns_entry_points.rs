@@ -3,9 +3,10 @@
 //! `_pooled`} × {plan-owned kernel, `_with`, `_with_pool`} × {direct,
 //! `_compiled`, `_fused`, `_two_pass`} — and `moma-gpu` / `moma-ntt` nine
 //! `launch_*` and ten launcher functions for four launch shapes and two
-//! executors, most of them the losing side of a choice nobody made. These scans
-//! keep that matrix from growing back: a new variant has to replace an entry
-//! point, not sit beside it.
+//! executors, most of them the losing side of a choice nobody made; `moma-ir`
+//! kept a per-element copy of its bytecode loop beside the lane-block one. These
+//! scans keep that matrix from growing back: a new variant has to replace an
+//! entry point, not sit beside it.
 
 use std::path::Path;
 
@@ -142,4 +143,32 @@ fn launches_and_launcher_transforms_keep_one_entry_point_per_shape() {
         ],
         "launcher.rs has one forward/inverse pair per executor"
     );
+}
+
+#[test]
+fn compiled_kernels_run_on_one_executor() {
+    let ir = pub_fns("moma-ir");
+    assert_eq!(
+        names_where(&ir, PubFn::is_variant),
+        Vec::<&str>::new(),
+        "execution-variant entry points are back in moma-ir"
+    );
+    assert_eq!(
+        names_where(&ir, |f| f.file == "compiled.rs"
+            && f.name.starts_with("run")),
+        ["run", "run_batch", "run_elements", "run_lanes"],
+        "CompiledKernel runs one element, a batch, an element-major range or a lane block"
+    );
+    // Private functions too: a second `exec*` is a second loop giving the
+    // bytecode its meaning, to be kept in step with the first by hand.
+    let compiled = Path::new(env!("CARGO_MANIFEST_DIR")).join("../moma-ir/src/compiled.rs");
+    let text = std::fs::read_to_string(&compiled).expect("readable source file");
+    let execs: Vec<&str> = text
+        .match_indices("fn exec")
+        .map(|(at, _)| {
+            let name = &text[at + "fn ".len()..];
+            &name[..name.find('(').unwrap_or(name.len())]
+        })
+        .collect();
+    assert_eq!(execs, ["exec_lanes"], "compiled.rs has one execution loop");
 }
