@@ -13,7 +13,9 @@
 //!   modulus (so hot-path reductions are Barrett multiplications, not `u128`
 //!   divisions), the residues of every power of the limb radix `2^64` (so
 //!   positional→residue conversion is a dot product over machine words with no
-//!   arbitrary-precision arithmetic), and the CRT reconstruction data;
+//!   arbitrary-precision arithmetic), and the CRT reconstruction data, both as
+//!   `BigUint`s (the snapshot view) and as fixed-width word rows (what
+//!   residue→positional conversion runs on);
 //! * [`RnsMatrix`] stores a vector of `n` big integers as a flat `#moduli × n`
 //!   row-major matrix (structure-of-arrays): row `r` holds the residues of all `n`
 //!   elements modulo basis prime `m_r`;
@@ -35,11 +37,17 @@
 //! `CompiledKernel::compile(&plan.mul_axpy_kernel_ir())`.
 //!
 //! The conversion-cost trade-off the paper measures is explicit in the types:
-//! everything on [`RnsMatrix`] is `BigUint`-free, while [`RnsPlan::to_biguints`]
+//! everything on [`RnsMatrix`] is residue-local, while [`RnsPlan::to_biguints`]
 //! and [`RnsPlan::reduce_mod`] — the operations RNS cannot do residue-locally —
-//! pay the CRT reconstruction through arbitrary-precision arithmetic. Positional
-//! (MoMA-style) multi-word arithmetic never pays that step, which is the heart of
-//! the Figure 2 comparison.
+//! pay a CRT reconstruction per element: `#moduli` scalar × multi-word
+//! multiply-accumulates and a conditional-subtraction ladder. The codec itself
+//! is the paper's premise applied to its own boundary — both directions run on
+//! fixed-width machine words as launches ([`RnsMatrix::from_biguints`] one
+//! thread per residue row, [`RnsPlan::to_biguints`] one thread per column
+//! chunk), with no `BigUint` arithmetic and no hardware division; a `BigUint`
+//! is only read limb by limb on the way in and built from finished limbs on the
+//! way out. Positional (MoMA-style) multi-word arithmetic never pays that step
+//! at all, which is the heart of the Figure 2 comparison.
 
 use crate::{RnsContext, RnsInt};
 use moma_bignum::BigUint;
@@ -48,7 +56,17 @@ use moma_gpu::launch::{launch_chunks, launch_compiled_rows, LaunchStats};
 use moma_gpu::pool::BufferPool;
 use moma_ir::compiled::CompiledKernel;
 use moma_ir::{Kernel, KernelBuilder, Op, Operand, Ty};
-use moma_mp::single::SingleBarrett;
+use moma_mp::single::{smac, SingleBarrett};
+
+/// Terms of one exact `u128` sum of products in forward conversion: a limb is
+/// below `2^64` and a table entry below `q < 2^60`, so sixteen products sum to
+/// less than `16 · 2^124 = 2^128`.
+const ENCODE_GROUP: usize = 16;
+
+/// Columns per virtual thread of [`RnsPlan::to_biguints`]. A matrix of at most
+/// this many columns is one chunk, which the launcher runs on the calling
+/// thread without spawning.
+const DECODE_CHUNK: usize = 256;
 
 /// Why a restored [`RnsPlan`] table set was rejected by
 /// [`RnsPlan::from_tables`]. Every variant is fail-closed: nothing about the
@@ -136,6 +154,16 @@ pub struct RnsPlan {
     /// CRT reconstruction data per modulus: `(M_i = product / m_i, y_i =
     /// M_i^{-1} mod m_i)`.
     pub(crate) crt: Vec<(BigUint, u64)>,
+    /// The `M_i` of `crt` as fixed-width little-endian rows, `limbs` words each
+    /// (`limbs` = the word count of the product, the row length of
+    /// `limb_residues`), flat in basis order — the multiplicands of reverse
+    /// conversion's scalar × multi-word multiply-accumulate.
+    pub(crate) crt_words: Vec<u64>,
+    /// `2^j · product` for `j < ⌈log₂(k + 1)⌉` (`k` moduli) as `limbs + 1`-word
+    /// rows, flat in ascending `j`: the CRT sum is below `k · product`, so one
+    /// conditional subtraction per row, largest first, reduces it modulo the
+    /// product.
+    pub(crate) product_shifts: Vec<u64>,
 }
 
 impl RnsPlan {
@@ -144,33 +172,64 @@ impl RnsPlan {
     /// The plan computes the same residues and reconstructions as the context; the
     /// crosscheck tests exploit that to use [`RnsContext`] as the oracle.
     pub fn new(ctx: &RnsContext) -> Self {
-        let ctxs: Vec<SingleBarrett> = ctx.moduli.iter().map(|&m| SingleBarrett::new(m)).collect();
+        let ctxs = ctx.moduli.iter().map(|&m| SingleBarrett::new(m)).collect();
+        Self::with_derived_tables(ctxs, ctx.product.clone(), ctx.crt.clone())
+    }
+
+    /// The tail both constructors share: derives every table that is a function
+    /// of the basis, its product and the CRT data — the tables a snapshot never
+    /// carries.
+    fn with_derived_tables(
+        ctxs: Vec<SingleBarrett>,
+        product: BigUint,
+        crt: Vec<(BigUint, u64)>,
+    ) -> Self {
         // The narrow-vs-wide multiplication dispatch is validated here, once per
         // basis, where the path is *selected* — not at each call site. Mixed
         // bases (narrow and wide moduli in one plan) are fully supported; each
         // residue row gets the fastest multiplication that is correct for it.
         let narrow: Vec<bool> = ctxs.iter().map(SingleBarrett::is_narrow).collect();
-        let max_limbs = ctx.product.bits().div_ceil(64) as usize;
+        let limbs = product.bits().div_ceil(64) as usize;
         let limb_residues = ctxs
             .iter()
             .map(|b| {
                 // radix = 2^64 mod m, then successive powers by Barrett multiplication.
                 let radix = b.radix_residue();
-                let mut pows = Vec::with_capacity(max_limbs);
+                let mut pows = Vec::with_capacity(limbs);
                 let mut cur = 1u64;
-                for _ in 0..max_limbs {
+                for _ in 0..limbs {
                     pows.push(cur);
                     cur = b.mul_mod(cur, radix);
                 }
                 pows
             })
             .collect();
+        let crt_words = crt
+            .iter()
+            .flat_map(|(mi, _)| mi.to_limbs_le(limbs))
+            .collect();
+        // Each CRT term is at most (m_i − 1)·M_i < product, so the sum of all k
+        // is below k·product, which must fit the `limbs + 1`-word accumulator;
+        // with 2^(shifts−1) ≤ k < 2^shifts every row fits it too, and one
+        // conditional subtraction per row brings the sum below the product.
+        let k = ctxs.len();
+        assert!(
+            product.mul_u64(k as u64).bits() <= 64 * (limbs as u32 + 1),
+            "a CRT sum of {k} terms does not fit {} words",
+            limbs + 1
+        );
+        let shifts = (k + 1).next_power_of_two().trailing_zeros();
+        let product_shifts = (0..shifts)
+            .flat_map(|j| product.shl_bits(j).to_limbs_le(limbs + 1))
+            .collect();
         RnsPlan {
             ctxs,
             narrow,
             limb_residues,
-            product: ctx.product.clone(),
-            crt: ctx.crt.clone(),
+            product,
+            crt,
+            crt_words,
+            product_shifts,
         }
     }
 
@@ -213,7 +272,8 @@ impl RnsPlan {
     /// inverse of `M_i = ∏_{j≠i} m_j` exists mod `m_i` only then), which is all
     /// CRT correctness needs; primality is a property of the *generated* bases,
     /// not a requirement of the arithmetic. Barrett contexts, narrow-path
-    /// verdicts, and limb-radix residues are recomputed, never deserialized.
+    /// verdicts, limb-radix residues and the fixed-width decode tables are
+    /// recomputed, never deserialized.
     pub fn from_tables(
         moduli: &[u64],
         product: BigUint,
@@ -243,33 +303,14 @@ impl RnsPlan {
                 return Err(PlanRestoreError::BadCrt { index });
             }
         }
-        let narrow: Vec<bool> = ctxs.iter().map(SingleBarrett::is_narrow).collect();
-        let max_limbs = product.bits().div_ceil(64) as usize;
-        let limb_residues = ctxs
-            .iter()
-            .map(|b| {
-                let radix = b.radix_residue();
-                let mut pows = Vec::with_capacity(max_limbs);
-                let mut cur = 1u64;
-                for _ in 0..max_limbs {
-                    pows.push(cur);
-                    cur = b.mul_mod(cur, radix);
-                }
-                pows
-            })
-            .collect();
-        Ok(RnsPlan {
-            ctxs,
-            narrow,
-            limb_residues,
-            product,
-            crt,
-        })
+        Ok(Self::with_derived_tables(ctxs, product, crt))
     }
 
     /// Converts one positional integer into residues with no `BigUint`
-    /// arithmetic: each residue is a Barrett dot product of the value's machine
-    /// words against the precomputed limb-radix residues.
+    /// arithmetic: each residue is an exact sum of products of the value's
+    /// machine words against the precomputed limb-radix residues, reduced once
+    /// per group of 16 terms (see [`RnsMatrix::from_biguints`], of which this
+    /// is one column).
     ///
     /// # Panics
     ///
@@ -281,16 +322,16 @@ impl RnsPlan {
             residues: self
                 .ctxs
                 .iter()
-                .zip(&self.narrow)
                 .zip(&self.limb_residues)
-                .map(|((ctx, &narrow), pows)| residue_of(ctx, narrow, pows, limbs))
+                .map(|(ctx, pows)| residue_of(ctx, pows, limbs))
                 .collect(),
         }
     }
 
     /// Reconstructs the positional value of one residue column via the Chinese
-    /// remainder theorem — the explicit conversion path where arbitrary-precision
-    /// arithmetic is allowed (and unavoidable).
+    /// remainder theorem — one column of [`RnsPlan::to_biguints`], with the same
+    /// word-level arithmetic under the same `Σ < k · product` bound. Residues
+    /// need not be normalised: each is reduced modulo its basis prime first.
     pub fn from_residues(&self, x: &RnsInt) -> BigUint {
         assert_eq!(x.residues.len(), self.moduli_count());
         self.crt_reconstruct(|r| x.residues[r])
@@ -498,21 +539,43 @@ impl RnsPlan {
         RnsMatrix::from_biguints(self, &reduced)
     }
 
-    /// Converts a whole matrix back to positional integers (CRT per column).
+    /// Converts a whole matrix back to positional integers: one CRT
+    /// reconstruction per column, run as one launch with a virtual thread per
+    /// chunk of 256 columns (a matrix that fits one chunk decodes on the calling
+    /// thread).
+    ///
+    /// A column is reconstructed on machine words only. Per basis modulus
+    /// `t_r = y_r · (residue_r mod m_r) mod m_r` is one division-free word
+    /// reduction and one Barrett multiplication, and `t_r · M_r` is added into a
+    /// `limbs + 1`-word accumulator by a scalar × multi-word
+    /// multiply-accumulate. The sum is below `k · product` for `k` moduli — the
+    /// bound the plan asserts against the accumulator width when it is built —
+    /// so subtracting `2^j · product` where it fits, for `j` from
+    /// `⌈log₂(k + 1)⌉ − 1` down to 0, leaves the value below the product. The
+    /// accumulator becomes the result's limbs, the only allocation per column.
     pub fn to_biguints(&self, a: &RnsMatrix) -> Vec<BigUint> {
         self.check_shape(a);
-        (0..a.cols)
-            .map(|c| self.crt_reconstruct(|r| a.data[r * a.cols + c]))
-            .collect()
+        let mut out = vec![BigUint::zero(); a.cols];
+        launch_chunks(&mut out, DECODE_CHUNK, |chunk, values| {
+            for (c, v) in (chunk * DECODE_CHUNK..).zip(values) {
+                *v = self.crt_reconstruct(|r| a.data[r * a.cols + c]);
+            }
+        });
+        out
     }
 
     fn crt_reconstruct(&self, residue: impl Fn(usize) -> u64) -> BigUint {
-        let mut acc = BigUint::zero();
-        for (r, (ctx, (mi, yi))) in self.ctxs.iter().zip(&self.crt).enumerate() {
-            let t = ctx.mul_mod(residue(r) % ctx.q, *yi);
-            acc = &acc + &(mi * &BigUint::from(t));
+        let limbs = self.limb_residues[0].len();
+        let mut acc = vec![0u64; limbs + 1];
+        let rows = self.crt_words.chunks_exact(limbs);
+        for (r, ((ctx, (_, yi)), mi)) in self.ctxs.iter().zip(&self.crt).zip(rows).enumerate() {
+            let t = ctx.mul_mod(ctx.reduce_word(residue(r)), *yi);
+            mac_words(&mut acc, t, mi);
         }
-        &acc % &self.product
+        for shifted in self.product_shifts.chunks_exact(limbs + 1).rev() {
+            sub_words_if_fits(&mut acc, shifted);
+        }
+        BigUint::from_limbs_le(acc)
     }
 
     pub(crate) fn check_shape(&self, a: &RnsMatrix) {
@@ -534,18 +597,59 @@ pub(crate) fn mul_mod(ctx: &SingleBarrett, narrow: bool, a: u64, b: u64) -> u64 
     }
 }
 
-/// Computes `value mod q` from little-endian machine words: a Barrett dot product
-/// against the precomputed residues of the limb-radix powers.
-fn residue_of(ctx: &SingleBarrett, narrow: bool, pows: &[u64], limbs: &[u64]) -> u64 {
+/// Computes `value mod q` from little-endian machine words: the dot product of
+/// the words with the precomputed residues of the limb-radix powers, summed
+/// exactly in a `u128` and reduced once per [`ENCODE_GROUP`] terms — a limb is
+/// below `2^64` and a table entry below `q < 2^60`, so sixteen products cannot
+/// overflow the accumulator. No per-limb reduction and no hardware division.
+fn residue_of(ctx: &SingleBarrett, pows: &[u64], limbs: &[u64]) -> u64 {
     assert!(
         limbs.len() <= pows.len(),
         "value exceeds the RNS dynamic range"
     );
-    let mut acc = 0u64;
-    for (&limb, &pow) in limbs.iter().zip(pows) {
-        acc = ctx.add_mod(acc, mul_mod(ctx, narrow, limb % ctx.q, pow));
+    let groups = limbs.chunks(ENCODE_GROUP).zip(pows.chunks(ENCODE_GROUP));
+    groups.fold(0u64, |acc, (limbs, pows)| {
+        let sum = limbs
+            .iter()
+            .zip(pows)
+            .fold(0u128, |sum, (&limb, &pow)| smac(sum, limb, pow));
+        ctx.add_mod(acc, ctx.reduce_wide(sum))
+    })
+}
+
+/// `acc += t · words`: the scalar × multi-word multiply-accumulate of reverse
+/// conversion, over little-endian words. `acc` is one word longer than `words`
+/// and the caller guarantees the sum fits it (the `k · product` bound of
+/// [`RnsPlan::to_biguints`]).
+fn mac_words(acc: &mut [u64], t: u64, words: &[u64]) {
+    let (top, low) = acc.split_last_mut().expect("accumulator is never empty");
+    debug_assert_eq!(low.len(), words.len());
+    let mut carry = 0u64;
+    for (a, &w) in low.iter_mut().zip(words) {
+        // t·w + a + carry ≤ (2^64 − 1)^2 + 2·(2^64 − 1) = 2^128 − 1.
+        let wide = t as u128 * w as u128 + *a as u128 + carry as u128;
+        *a = wide as u64;
+        carry = (wide >> 64) as u64;
     }
-    acc
+    let (sum, overflow) = top.overflowing_add(carry);
+    debug_assert!(!overflow, "CRT accumulator overflowed");
+    *top = sum;
+}
+
+/// `acc -= sub` if `acc ≥ sub`, over equal-length little-endian words.
+fn sub_words_if_fits(acc: &mut [u64], sub: &[u64]) {
+    debug_assert_eq!(acc.len(), sub.len());
+    if acc.iter().rev().lt(sub.iter().rev()) {
+        return;
+    }
+    let mut borrow = false;
+    for (a, &s) in acc.iter_mut().zip(sub) {
+        let (d, b1) = a.overflowing_sub(s);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        *a = d;
+        borrow = b1 | b2;
+    }
+    debug_assert!(!borrow);
 }
 
 /// A vector of big integers in residue form, stored structure-of-arrays.
@@ -563,53 +667,51 @@ pub struct RnsMatrix {
 impl RnsMatrix {
     /// Converts a slice of positional integers into SoA residue form, one
     /// launcher thread per residue row. Apart from reading each value's machine
-    /// words, the conversion performs no `BigUint` arithmetic.
+    /// words, the conversion performs no `BigUint` arithmetic: a residue is the
+    /// exact `u128` sum of `limb_j · (2^(64·j) mod m_r)` over the value's limbs,
+    /// reduced once per group of 16 terms (sixteen products of a word and a
+    /// sub-`2^60` table entry cannot overflow) — no per-limb reduction, no
+    /// hardware division.
     ///
     /// # Panics
     ///
     /// Panics if any value is not below the plan's dynamic range.
     pub fn from_biguints(plan: &RnsPlan, values: &[BigUint]) -> Self {
-        let mut data = vec![0u64; plan.moduli_count() * values.len()];
-        Self::fill_from_biguints(plan, values, &mut data);
-        RnsMatrix {
-            rows: plan.moduli_count(),
-            cols: values.len(),
-            data,
-        }
+        Self::encoded(plan, values, |len| vec![0u64; len])
     }
 
     /// [`RnsMatrix::from_biguints`] with the residue plane acquired from `pool`
     /// instead of the allocator. The matrix owns the buffer; recycle it through
     /// [`RnsMatrix::take_storage`] (or an owner's `Drop`, as `moma`'s `RnsVec`
-    /// does) when the matrix is done.
+    /// does) when the matrix is done. A rejected value panics before the pool
+    /// is touched.
     pub fn from_biguints_pooled(plan: &RnsPlan, values: &[BigUint], pool: &BufferPool) -> Self {
-        let mut data = pool.acquire(plan.moduli_count() * values.len());
-        Self::fill_from_biguints(plan, values, &mut data);
-        RnsMatrix {
-            rows: plan.moduli_count(),
-            cols: values.len(),
-            data,
-        }
+        Self::encoded(plan, values, |len| pool.acquire(len))
     }
 
-    /// The shared forward-conversion body: one launcher thread per residue row,
-    /// writing into the caller-provided plane.
-    fn fill_from_biguints(plan: &RnsPlan, values: &[BigUint], data: &mut [u64]) {
+    /// The shared forward-conversion body: range-checks every value, only then
+    /// takes the residue plane from `acquire`, and fills it with one launcher
+    /// thread per residue row.
+    fn encoded(
+        plan: &RnsPlan,
+        values: &[BigUint],
+        acquire: impl FnOnce(usize) -> Vec<u64>,
+    ) -> Self {
         for v in values {
             assert!(v < &plan.product, "value exceeds the RNS dynamic range");
         }
-        let cols = values.len();
-        assert_eq!(data.len(), plan.moduli_count() * cols);
+        let (rows, cols) = (plan.moduli_count(), values.len());
+        let mut data = acquire(rows * cols);
         if cols > 0 {
-            launch_chunks(data, cols, |r, out| {
+            launch_chunks(&mut data, cols, |r, out| {
                 let ctx = &plan.ctxs[r];
-                let narrow = plan.narrow[r];
                 let pows = &plan.limb_residues[r];
                 for (o, v) in out.iter_mut().zip(values) {
-                    *o = residue_of(ctx, narrow, pows, v.limbs());
+                    *o = residue_of(ctx, pows, v.limbs());
                 }
             });
         }
+        RnsMatrix { rows, cols, data }
     }
 
     /// The shared tail of every [`RnsPlan`] execution entry point: acquires a
@@ -884,6 +986,118 @@ mod tests {
         assert!(m.is_empty());
         assert!(mul(&plan, &m, &m).is_empty());
         assert!(plan.to_biguints(&m).is_empty());
+        // The pooled form draws nothing for an empty plane.
+        let pool = BufferPool::new();
+        let pooled = RnsMatrix::from_biguints_pooled(&plan, &[], &pool);
+        assert_eq!(pooled, m);
+        assert!(plan.to_biguints(&pooled).is_empty());
+        assert_eq!(pool.stats(), BufferPool::new().stats());
+    }
+
+    /// The codec at every column count around the decode chunk: a launch of
+    /// zero, one, and several chunks with a ragged tail, the matrix forms
+    /// agreeing column by column with the one-value forms and with the
+    /// `RnsContext` oracle, edge values (`0`, `1`, `M−1`) landing on both sides
+    /// of every chunk boundary.
+    #[test]
+    fn codec_agrees_with_the_oracle_at_every_chunk_shape() {
+        let ctx = RnsContext::with_capacity_bits(190);
+        let plan = RnsPlan::new(&ctx);
+        let top = &plan.product - &BigUint::one();
+        let mut rng = StdRng::seed_from_u64(0xc0dec);
+        for cols in [0, 1, DECODE_CHUNK - 1, DECODE_CHUNK, DECODE_CHUNK + 1, 4096] {
+            let values: Vec<BigUint> = (0..cols)
+                .map(|c| match c % 5 {
+                    0 => top.clone(),
+                    1 => BigUint::zero(),
+                    2 => BigUint::one(),
+                    _ => moma_bignum::random::random_below(&mut rng, &plan.product),
+                })
+                .collect();
+            let m = RnsMatrix::from_biguints(&plan, &values);
+            let back = plan.to_biguints(&m);
+            assert_eq!(back, values, "{cols} columns");
+            for (c, v) in values.iter().enumerate() {
+                let column = m.element(c);
+                assert_eq!(column, ctx.to_residues(v), "{cols} columns, column {c}");
+                assert_eq!(column, plan.to_residues(v), "{cols} columns, column {c}");
+                assert_eq!(
+                    &plan.from_residues(&column),
+                    v,
+                    "{cols} columns, column {c}"
+                );
+                assert_eq!(&ctx.from_residues(&column), v, "{cols} columns, column {c}");
+            }
+        }
+    }
+
+    /// The word-level helpers at their stated bounds, against `u128` and
+    /// `BigUint` arithmetic: a full group of worst-case products (every limb
+    /// `2^64 − 1`, every table entry `q − 1` for the largest supported `q`) is
+    /// exact in `residue_of`, on either side of the group boundary; `mac_words`
+    /// carries into the accumulator's extra word; `sub_words_if_fits` subtracts
+    /// on equality and leaves a smaller accumulator alone.
+    #[test]
+    fn word_helpers_are_exact_at_their_bounds() {
+        let ctx = SingleBarrett::new((1 << 60) - 1);
+        let q = ctx.q as u128;
+        for len in [1, ENCODE_GROUP - 1, ENCODE_GROUP, ENCODE_GROUP + 1, 40] {
+            let (limbs, pows) = (vec![u64::MAX; len], vec![ctx.q - 1; len]);
+            let term = (u64::MAX as u128 % q) * (q - 1) % q;
+            let expect = (0..len).fold(0u128, |sum, _| (sum + term) % q);
+            assert_eq!(
+                residue_of(&ctx, &pows, &limbs) as u128,
+                expect,
+                "{len} limbs"
+            );
+        }
+
+        let big = |words: &[u64]| BigUint::from_limbs_le(words.to_vec());
+        let words = [u64::MAX, u64::MAX - 1, u64::MAX];
+        let mut acc = vec![u64::MAX, 7, u64::MAX, 0];
+        let expect = &big(&acc) + &big(&words).mul_u64(u64::MAX);
+        mac_words(&mut acc, u64::MAX, &words);
+        assert_eq!(big(&acc), expect);
+        assert_ne!(acc[3], 0, "the product carried into the extra word");
+
+        let equal = acc.clone();
+        sub_words_if_fits(&mut acc, &equal);
+        assert_eq!(acc, [0; 4], "an equal subtrahend fits");
+        let mut acc = vec![5, 0, 1, 0];
+        sub_words_if_fits(&mut acc, &[6, 0, 1, 0]);
+        assert_eq!(acc, [5, 0, 1, 0], "a larger subtrahend does not");
+        sub_words_if_fits(&mut acc, &[6, 0, 0, 0]);
+        assert_eq!(acc, [u64::MAX, u64::MAX, 0, 0], "borrows ripple upward");
+    }
+
+    /// A rejected encode must leave a warm pool exactly as it found it: the
+    /// range check runs before the plane is acquired, so the shelved plane is
+    /// still there for the next valid encode of that size.
+    #[test]
+    fn rejected_pooled_encode_leaves_the_pool_untouched() {
+        let (_, plan, a, _) = setup(14, 120);
+        let pool = BufferPool::new();
+        let mut warm = RnsMatrix::from_biguints_pooled(&plan, &a, &pool);
+        pool.recycle(warm.take_storage());
+        let before = pool.stats();
+        assert_eq!((before.misses, before.resident_buffers), (1, 1));
+
+        let mut bad = a.clone();
+        bad[13] = plan.product.clone();
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            RnsMatrix::from_biguints_pooled(&plan, &bad, &pool)
+        }));
+        let message = *rejected
+            .expect_err("a value equal to the product is out of range")
+            .downcast::<&str>()
+            .expect("assert! with a literal message panics with a &str");
+        assert_eq!(message, "value exceeds the RNS dynamic range");
+        assert_eq!(pool.stats(), before, "the rejected encode touched the pool");
+
+        // The next valid encode of that size is still a hit.
+        let again = RnsMatrix::from_biguints_pooled(&plan, &a, &pool);
+        assert_eq!(pool.stats().misses, before.misses);
+        assert_eq!(plan.to_biguints(&again), a);
     }
 
     #[test]
@@ -912,13 +1126,17 @@ mod tests {
         assert_eq!(restored.moduli().collect::<Vec<u64>>(), moduli);
         assert_eq!(restored.product, plan.product);
         assert_eq!(restored.crt_tables(), plan.crt_tables());
+        // Every derived table is rebuilt by the same builder, none restored.
         assert_eq!(restored.narrow, plan.narrow);
         assert_eq!(restored.limb_residues, plan.limb_residues);
+        assert_eq!(restored.crt_words, plan.crt_words);
+        assert_eq!(restored.product_shifts, plan.product_shifts);
         // The restored plan computes identically to the fresh one.
         let ma = RnsMatrix::from_biguints(&restored, &a);
         let mb = RnsMatrix::from_biguints(&restored, &b);
-        assert_eq!(mul(&restored, &ma, &mb), mul(&plan, &ma, &mb));
-        assert_eq!(plan.to_biguints(&mul(&restored, &ma, &mb)).len(), a.len());
+        let prod = mul(&restored, &ma, &mb);
+        assert_eq!(prod, mul(&plan, &ma, &mb));
+        assert_eq!(restored.to_biguints(&prod), plan.to_biguints(&prod));
     }
 
     #[test]

@@ -237,6 +237,122 @@ proptest! {
     }
 }
 
+/// The largest prime below `2^60` — the largest modulus the stack can build
+/// (`SingleBarrett` caps at 60 bits).
+fn largest_60_bit_prime() -> u64 {
+    let mut rng = StdRng::seed_from_u64(0x60);
+    (0..1u64 << 60)
+        .rev()
+        .find(|&p| moma_bignum::prime::is_prime(&mut rng, &BigUint::from(p)))
+        .expect("there is a prime below 2^60")
+}
+
+/// The codec at its arithmetic edges, against `RnsContext`'s `BigUint` CRT. On
+/// bases of one modulus, two 32-bit moduli whose product fills its word, only
+/// 60-bit moduli (the largest 60-bit prime first; 18 limbs, so a residue is a
+/// sum over two 16-term groups of full-width products), only 30-bit moduli, a
+/// narrow/wide mix, and the default 31-bit moduli out to 19 limbs, the values
+/// `0`, `1`, `M−1` (every residue `m_r − 1`), every `M − m_r`, and the
+/// limb-count boundaries encode to the oracle's residues and decode back —
+/// through the matrix forms and the one-value forms alike. Decode is then
+/// repeated on *unnormalised* planes (each residue raised to the largest word
+/// in its class, or replaced by `u64::MAX`), which must still reduce every
+/// residue modulo its prime first.
+#[test]
+fn codec_matches_the_biguint_crt_at_the_edges() {
+    let top = largest_60_bit_prime();
+    assert_eq!(64 - top.leading_zeros(), 60);
+    let mut wide_only = vec![top];
+    wide_only.extend(
+        RnsContext::with_random_primes(18, 60, 0xed6e)
+            .moduli()
+            .iter()
+            .filter(|&&m| m != top),
+    );
+    let bases = [
+        ("one 60-bit modulus", RnsContext::with_moduli(&[top])),
+        ("one 31-bit modulus", RnsContext::with_moduli_count(1)),
+        // A 64-bit product: the CRT sum (below 2·M) carries into the
+        // accumulator's extra word.
+        (
+            "product fills its limb",
+            RnsContext::with_moduli(&[(1 << 32) - 5, (1 << 32) - 17]),
+        ),
+        ("60-bit moduli only", RnsContext::with_moduli(&wide_only)),
+        (
+            "30-bit moduli only",
+            RnsContext::with_random_primes(9, 30, 0x30),
+        ),
+        (
+            "mixed widths",
+            RnsContext::with_moduli(&random_mixed_basis(0xed6e, 6)),
+        ),
+        ("19 limbs", RnsContext::with_capacity_bits(1100)),
+    ];
+    for (name, ctx) in &bases {
+        let plan = RnsPlan::new(ctx);
+        let product = ctx.product();
+        let limbs = product.bits().div_ceil(64);
+        let mut values = vec![BigUint::zero(), BigUint::one(), product - &BigUint::one()];
+        values.extend(ctx.moduli().iter().map(|&m| product - &BigUint::from(m)));
+        // One limb fewer than the product, all ones; and the smallest value
+        // with as many limbs as the product — on the 19-limb basis also the
+        // 16/17-limb pair either side of the encode group boundary.
+        for words in [limbs - 1, 16] {
+            if (1..limbs).contains(&words) {
+                let radix_power = BigUint::one() << (64 * words);
+                values.push(&radix_power - &BigUint::one());
+                values.push(radix_power);
+            }
+        }
+        values.extend(random_below_n(0xed6e, 5, product));
+        if limbs > 16 {
+            assert!(values.iter().any(|v| v.limbs().len() == 16));
+            assert!(values.iter().filter(|v| v.limbs().len() >= 17).count() > 5);
+        }
+
+        let mut m = RnsMatrix::from_biguints(&plan, &values);
+        assert_eq!(plan.to_biguints(&m), values, "{name}: round trip");
+        for (c, v) in values.iter().enumerate() {
+            let residues = ctx.to_residues(v);
+            assert_eq!(m.element(c), residues, "{name}: encode, column {c}");
+            assert_eq!(plan.to_residues(v), residues, "{name}: to_residues {c}");
+            assert_eq!(&plan.from_residues(&residues), v, "{name}: decode {c}");
+        }
+        assert!(
+            m.element(2)
+                .residues
+                .iter()
+                .zip(ctx.moduli())
+                .all(|(&r, &q)| r == q - 1),
+            "{name}: M−1 is q−1 in every row"
+        );
+
+        // Unnormalised planes: same classes, residues up to `u64::MAX`.
+        let cols = values.len();
+        let moduli = ctx.moduli().to_vec();
+        for (i, x) in m.plane_mut().iter_mut().enumerate() {
+            let (q, c) = (moduli[i / cols], i % cols);
+            *x = match c % 3 {
+                0 => *x + (u64::MAX - *x) / q * q,
+                1 => u64::MAX,
+                _ => *x + q,
+            };
+            assert!(*x >= q);
+        }
+        let decoded = plan.to_biguints(&m);
+        for (c, got) in decoded.iter().enumerate() {
+            let column = m.element(c);
+            let oracle = ctx.from_residues(&column);
+            assert_eq!(got, &oracle, "{name}: unnormalised column {c}");
+            assert_eq!(plan.from_residues(&column), oracle, "{name}: column {c}");
+            if c % 3 != 1 {
+                assert_eq!(got, &values[c], "{name}: class of column {c} unchanged");
+            }
+        }
+    }
+}
+
 /// An empty vector goes through every execution entry point without touching
 /// the pool or the launcher, and a one-element vector matches the `BigUint`
 /// oracle through all six.

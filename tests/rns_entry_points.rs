@@ -4,9 +4,10 @@
 //! `_compiled`, `_fused`, `_two_pass`} — and `moma-gpu` / `moma-ntt` nine
 //! `launch_*` and ten launcher functions for four launch shapes and two
 //! executors, most of them the losing side of a choice nobody made; `moma-ir`
-//! kept a per-element copy of its bytecode loop beside the lane-block one. These
-//! scans keep that matrix from growing back: a new variant has to replace an
-//! entry point, not sit beside it.
+//! kept a per-element copy of its bytecode loop beside the lane-block one; the
+//! planned CRT codec ran on `BigUint` arithmetic until it was replaced, in
+//! place, by word-level launches. These scans keep that matrix from growing
+//! back: a new variant has to replace an entry point, not sit beside it.
 
 use std::path::Path;
 
@@ -103,6 +104,54 @@ fn moma_rns_keeps_one_entry_point_per_operation() {
         ],
         "RnsPlan has one public execution entry point per operation"
     );
+}
+
+/// The text of the function `name` in `source`, from its `fn` to the closing
+/// brace at the indentation of the line that declares it.
+fn fn_text<'a>(source: &'a str, name: &str) -> &'a str {
+    let at = source
+        .find(&format!("fn {name}("))
+        .unwrap_or_else(|| panic!("no `fn {name}`"));
+    let line = source[..at].rfind('\n').map_or(0, |nl| nl + 1);
+    let indent = source[line..].len() - source[line..].trim_start_matches(' ').len();
+    let close = format!("\n{}}}\n", " ".repeat(indent));
+    let end = source[at..]
+        .find(&close)
+        .expect("function has a closing brace");
+    &source[at..at + end]
+}
+
+#[test]
+fn the_crt_codec_runs_on_machine_words_behind_five_entry_points() {
+    // `RnsContext`/`RnsVector` (lib.rs, vector.rs) keep the `BigUint` forms of
+    // the same names as the oracle; the planned codec is plan.rs's alone. A
+    // word-level/fast/lazy twin would carry one of these names with a suffix.
+    let fns = pub_fns("moma-rns");
+    assert_eq!(
+        names_where(&fns, |f| f.file == "plan.rs"
+            && (f.name.contains("residues") || f.name.contains("biguints"))),
+        [
+            "from_biguints",
+            "from_biguints_pooled",
+            "from_residues",
+            "to_biguints",
+            "to_residues",
+        ],
+        "the planned codec has one encode and one decode, per matrix and per value"
+    );
+    // And what is behind them: no arbitrary-precision product, conversion or
+    // remainder in reconstruction, no division of any kind in either direction.
+    let plan = Path::new(env!("CARGO_MANIFEST_DIR")).join("../moma-rns/src/plan.rs");
+    let text = std::fs::read_to_string(&plan).expect("readable source file");
+    for name in ["to_biguints", "crt_reconstruct", "residue_of"] {
+        let body = fn_text(&text, name);
+        for banned in ["%", " / ", "* &", "BigUint::from("] {
+            assert!(
+                !body.contains(banned),
+                "plan.rs `{name}` contains `{banned}`:\n{body}"
+            );
+        }
+    }
 }
 
 #[test]
