@@ -1611,7 +1611,7 @@ fn bench_fhe_ladder(session: &Session, quick: bool) -> LadderBench {
     let b = space.encode(0, &b_coeffs);
 
     // Warm-up: one full ladder builds every negacyclic plan, level basis, and
-    // fused rescale chain, and stocks the pool with every plane the steady
+    // rescale step, and stocks the pool with every plane the steady
     // state cycles through.
     let _ = run_ladder(&space, &a, &b);
     // Warm counters: launches are deterministic; allocations must be zero —

@@ -99,7 +99,7 @@ impl BufferPool {
     /// buffer when one of the right class is available (a *hit*: no heap
     /// allocation happens) and allocating otherwise (a *miss*). An empty
     /// request is neither: it gets an unallocated `Vec` and touches no shelf,
-    /// so encoding an empty vector does not draw a [`MIN_CLASS`]-word buffer.
+    /// so encoding an empty vector does not draw a `MIN_CLASS`-word buffer.
     pub fn acquire(&self, len: usize) -> Vec<u64> {
         if len == 0 {
             return Vec::new();

@@ -2,15 +2,15 @@
 //! ladders.
 //!
 //! This crate composes the engine's primitives — planned negacyclic NTTs
-//! ([`moma_ntt::NttPlan64::negacyclic`]), BEHZ base extension, and the fused
-//! rescale-then-extend chain ([`moma_rns::RnsPlan::rescale_then_extend`])
-//! — into the workload they exist for: a CKKS/BGV-shaped **level ladder** where
-//! each multiply is transform → pointwise → inverse (the `ψ`-twist folded into
-//! the transforms, no separate twist pass) followed by an exact rescale that
-//! drops one modulus from the basis.
+//! ([`moma_ntt::NttPlan64::negacyclic`]), the RNS BLAS plan, and the
+//! residue-local rescale ([`moma_rns::RnsPlan::scale_and_round`]) — into the
+//! workload they exist for: a CKKS/BGV-shaped **level ladder** where each
+//! multiply is transform → pointwise → inverse (the `ψ`-twist folded into the
+//! transforms, no separate twist pass) followed by an exact rescale that drops
+//! one modulus from the basis.
 //!
 //! * [`RingContext`] — a moduli ladder `Q = q₀·…·q_L` with one negacyclic NTT
-//!   plan per modulus and one RNS plan + fused rescale step per level.
+//!   plan per modulus and one RNS plan + rescale step per level.
 //! * [`RingElt`] — an element of `R_Q` at some level, RNS- and NTT-domain
 //!   aware, with its residue plane pooled so steady-state ladder traffic is
 //!   allocation-free on a warm [`moma_gpu::BufferPool`].

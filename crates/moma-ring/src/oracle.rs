@@ -3,8 +3,8 @@
 //! Everything here is deliberately slow and obvious: schoolbook `X^n + 1`
 //! reduction and a per-coefficient [`RnsContext::scale_and_round`] replay.
 //! The property tests and the `fhe_ladder` bench crosscheck pin the planned
-//! engine path (folded-twist NTT → pointwise → inverse → fused
-//! rescale-then-extend) against these functions **bit for bit**.
+//! engine path (folded-twist NTT → pointwise → inverse → residue-local
+//! rescale) against these functions **bit for bit**.
 
 use moma_bignum::BigUint;
 use moma_rns::RnsContext;
@@ -46,7 +46,7 @@ pub fn add(modulus: &BigUint, a: &[BigUint], b: &[BigUint]) -> Vec<BigUint> {
         .collect()
 }
 
-/// One oracle rescale: each coefficient through the unfused
+/// One oracle rescale: each coefficient through the
 /// [`RnsContext::scale_and_round`] reference (divide by the basis' last
 /// modulus with the engine's exact rounding), reconstructed over the
 /// shortened basis.

@@ -2,9 +2,10 @@
 //! over an RNS moduli ladder, with every hot operation riding the planned
 //! engine — multi-modulus negacyclic NTTs (one block-resident launch for the
 //! whole residue plane, each row transformed in place), pointwise products
-//! through the RNS BLAS plan, and level drops through the fused
-//! rescale-then-extend chain. All working planes come from a caller-provided
-//! [`BufferPool`], so a warm ladder reports zero allocations per level.
+//! through the RNS BLAS plan, and level drops through the residue-local
+//! rescale (one launch; the result is already over the next level's basis).
+//! All working planes come from a caller-provided [`BufferPool`], so a warm
+//! ladder reports zero allocations per level.
 
 use std::sync::Arc;
 
@@ -14,7 +15,7 @@ use moma_gpu::launch::LaunchStats;
 use moma_gpu::pool::BufferPool;
 use moma_ntt::launcher::{forward_rows, inverse_rows};
 use moma_ntt::NttPlan64;
-use moma_rns::{RescaleExtendPlan, RnsContext, RnsMatrix, RnsPlan};
+use moma_rns::{RescalePlan, RnsContext, RnsMatrix, RnsPlan};
 
 /// Which representation a [`RingElt`]'s residue rows currently hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,9 +35,8 @@ pub trait RingPlanSource {
     fn negacyclic_plan(&self, q: u64, n: usize) -> Arc<NttPlan64>;
     /// An RNS plan over exactly `moduli` (in order).
     fn rns_plan(&self, moduli: &[u64]) -> Arc<RnsPlan>;
-    /// The fused rescale-then-extend step from `src` onto `dst`.
-    fn rescale_extend_plan(&self, src: &Arc<RnsPlan>, dst: &Arc<RnsPlan>)
-        -> Arc<RescaleExtendPlan>;
+    /// The rescale step dropping `src`'s last modulus.
+    fn rescale_plan(&self, src: &Arc<RnsPlan>) -> Arc<RescalePlan>;
 }
 
 /// The no-cache [`RingPlanSource`]: every plan built on the spot.
@@ -52,20 +52,16 @@ impl RingPlanSource for ColdSource {
         Arc::new(RnsPlan::new(&RnsContext::with_moduli(moduli)))
     }
 
-    fn rescale_extend_plan(
-        &self,
-        src: &Arc<RnsPlan>,
-        dst: &Arc<RnsPlan>,
-    ) -> Arc<RescaleExtendPlan> {
-        Arc::new(src.rescale_extend_plan(dst))
+    fn rescale_plan(&self, src: &Arc<RnsPlan>) -> Arc<RescalePlan> {
+        Arc::new(src.rescale_plan())
     }
 }
 
-/// One rung of the ladder: the RNS plan over the level's basis and the fused
-/// step down onto the next (one-shorter) basis, `None` at the floor.
+/// One rung of the ladder: the RNS plan over the level's basis and the rescale
+/// step that drops its last modulus, `None` at the floor.
 struct RingLevel {
     rns: Arc<RnsPlan>,
-    step: Option<Arc<RescaleExtendPlan>>,
+    step: Option<Arc<RescalePlan>>,
 }
 
 /// A negacyclic ring over a moduli ladder `Q = q₀·…·q_L`.
@@ -114,24 +110,16 @@ impl RingContext {
             );
             assert_eq!(plan.ctx.q, q, "plan source returned a mismatched modulus");
         }
-        // One RNS plan per prefix length; `rns_plans[len − 1]` covers
-        // `moduli[..len]`.
-        let rns_plans: Vec<Arc<RnsPlan>> = (1..=moduli.len())
+        // One level per prefix length, longest basis first.
+        let levels = (1..=moduli.len())
+            .rev()
             .map(|len| {
-                let p = source.rns_plan(&moduli[..len]);
+                let rns = source.rns_plan(&moduli[..len]);
                 assert!(
-                    p.moduli().eq(moduli[..len].iter().copied()),
+                    rns.moduli().eq(moduli[..len].iter().copied()),
                     "plan source returned a mismatched RNS basis"
                 );
-                p
-            })
-            .collect();
-        let levels = (0..moduli.len())
-            .map(|d| {
-                let len = moduli.len() - d;
-                let rns = Arc::clone(&rns_plans[len - 1]);
-                let step =
-                    (len >= 2).then(|| source.rescale_extend_plan(&rns, &rns_plans[len - 2]));
+                let step = (len >= 2).then(|| source.rescale_plan(&rns));
                 RingLevel { rns, step }
             })
             .collect();
@@ -306,9 +294,9 @@ impl RingContext {
         )
     }
 
-    /// Drops the level's last modulus through the fused rescale-then-extend
-    /// chain (two launch rounds; the extension onto the shortened basis is
-    /// exact because every target modulus divides the shortened product).
+    /// Drops the level's last modulus `q_k` with rounding: one residue-local
+    /// launch, `y_r = (x_r − c)·q_k⁻¹ + (c > q_k/2) mod q_r` per surviving
+    /// row — the rows of the next level's basis, so nothing is converted.
     ///
     /// # Panics
     ///
@@ -325,7 +313,7 @@ impl RingContext {
         );
         let lvl = &self.levels[elt.level];
         let step = lvl.step.as_ref().expect("already at the ladder floor");
-        let (matrix, stats) = lvl.rns.rescale_then_extend(step, &elt.matrix, pool);
+        let (matrix, stats) = lvl.rns.scale_and_round(step, &elt.matrix, pool);
         (
             RingElt {
                 level: elt.level + 1,
@@ -596,6 +584,98 @@ mod tests {
         let warm = run(&pool);
         assert!(cold > 0, "cold run must miss the empty pool");
         assert_eq!(warm, 0, "warm ladder must be allocation-free");
+    }
+
+    #[test]
+    fn rescale_is_one_launch_at_every_level_and_allocation_free_when_warm() {
+        let n = 32;
+        let ring = RingContext::new(n, &ladder_primes(n, &[50, 30, 45, 30, 40]));
+        let pool = BufferPool::new();
+        for pass in ["cold", "warm"] {
+            for level in 0..ring.steps() {
+                let elt = ring.encode(level, &random_coeffs(10, &ring, level), &pool);
+                let (out, stats) = ring.rescale_to_next_level(&elt, &pool);
+                assert_eq!(stats.launches, 1, "{pass} rescale at level {level}");
+                assert_eq!(stats.threads, ring.basis(level + 1).len());
+                if pass == "warm" {
+                    assert_eq!(stats.allocs, 0, "warm rescale at level {level}");
+                }
+                elt.recycle(&pool);
+                out.recycle(&pool);
+            }
+        }
+    }
+
+    #[test]
+    fn eight_level_ladder_is_thirty_three_launches() {
+        // A step is raise (×2 on distinct operands, ×1 when squaring) +
+        // pointwise + lower + rescale, one launch each: 5, then 4 per squaring.
+        let n = 16;
+        let ring = RingContext::new(n, &crate::ladder::default_ladder(n, 8));
+        let pool = BufferPool::new();
+        let ea = ring.encode(0, &random_coeffs(11, &ring, 0), &pool);
+        let eb = ring.encode(0, &random_coeffs(12, &ring, 0), &pool);
+        let (mut cur, stats) = ring.ladder_step(&ea, &eb, &pool);
+        assert_eq!(stats.launches, 5, "a·b");
+        let mut total = stats.launches;
+        for level in 1..ring.steps() {
+            let (next, stats) = ring.ladder_step(&cur, &cur, &pool);
+            assert_eq!(stats.launches, 4, "squaring at level {level}");
+            total += stats.launches;
+            cur.recycle(&pool);
+            cur = next;
+        }
+        assert_eq!(ring.steps(), 8);
+        assert_eq!(total, 33);
+        for e in [ea, eb, cur] {
+            e.recycle(&pool);
+        }
+    }
+
+    #[test]
+    fn rescale_matches_the_oracle_at_the_edges_of_every_level() {
+        // Down this ladder the dropped modulus is in turn between the
+        // survivors (50 bits under a 60-bit row), below all of them (the
+        // second 30-bit prime: the fold of `c` is inert), between again, and
+        // above the only survivor (60 bits over 30, k = 2: the fold is live).
+        let n = 16;
+        let moduli = ladder_primes(n, &[30, 60, 45, 30, 50]);
+        assert!(moduli[3] < moduli[0]);
+        let ring = RingContext::new(n, &moduli);
+        let pool = BufferPool::new();
+        let mut rng = StdRng::seed_from_u64(13);
+        for level in 0..ring.steps() {
+            let basis = ring.basis(level);
+            let q = ring.product(level);
+            let last = BigUint::from(*basis.last().unwrap());
+            let half = BigUint::from(basis.last().unwrap() / 2);
+            let one = BigUint::one();
+            let top_quotient = &(q / &last) - &one;
+            // 0, 1, Q−1; exact multiples of the dropped modulus; and, over the
+            // smallest and the largest quotient, the last residue on both
+            // sides of the rounding threshold and at its maximum.
+            let mut coeffs = vec![BigUint::zero(), one.clone(), q - &one];
+            let t = random_below(&mut rng, &top_quotient);
+            coeffs.extend([&one, &top_quotient, &t].map(|t| t * &last));
+            for t in [BigUint::zero(), top_quotient] {
+                let base = &t * &last;
+                coeffs.extend([&half, &(&half + &one), &(&last - &one)].map(|c| &base + c));
+            }
+            coeffs.extend((coeffs.len()..n).map(|_| random_below(&mut rng, q)));
+            assert_eq!(coeffs.len(), n);
+
+            let elt = ring.encode(level, &coeffs, &pool);
+            let (out, _) = ring.rescale_to_next_level(&elt, &pool);
+            let want = oracle::rescale(&RnsContext::with_moduli(basis), &coeffs);
+            assert_eq!(ring.decode(&out), want, "level {level}");
+            // Decoding forgives a residue of `q_r`; the plane must not hold one.
+            for (c, w) in want.iter().enumerate() {
+                let residues = ring.rns_plan(level + 1).to_residues(w);
+                assert_eq!(out.matrix().element(c), residues, "level {level}, {c}");
+            }
+            elt.recycle(&pool);
+            out.recycle(&pool);
+        }
     }
 
     #[test]

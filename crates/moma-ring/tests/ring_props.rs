@@ -1,7 +1,7 @@
 //! Property tests for the negacyclic ring layer: on random mixed narrow/wide
 //! moduli ladders and random coefficients, the planned engine path
-//! (folded-twist NTT → pointwise multiply → inverse NTT, fused
-//! rescale-then-extend per ladder step) must match the schoolbook `BigUint`
+//! (folded-twist NTT → pointwise multiply → inverse NTT, residue-local
+//! rescale per ladder step) must match the schoolbook `BigUint`
 //! oracle — [`moma_ring::oracle::negacyclic_mul`] for a single multiply and
 //! [`moma_ring::oracle::ladder_replay`] for a full ladder — **bit for bit**.
 

@@ -353,6 +353,77 @@ fn codec_matches_the_biguint_crt_at_the_edges() {
     }
 }
 
+/// The rescale at its arithmetic edges. Every value below `M` is `t·m_k + c`
+/// with `c` its last residue, and rescales to `t + (c > ⌊m_k/2⌋)`: the suite
+/// crosses the quotients `0`, `1`, `M/m_k − 1` and a random one with the last
+/// residues `0` (exact multiples of `m_k`), `1`, `⌊m_k/2⌋` and `⌊m_k/2⌋ + 1`
+/// (either side of the rounding threshold) and `m_k − 1` — so `0`, `1` and
+/// `M − 1` (every residue `m_r − 1`, rounding up to `M/m_k ≡ 0`) are among
+/// them — on bases whose dropped modulus is above every survivor (`c` must be
+/// folded into each row), below every survivor (the fold is inert), the
+/// largest 60-bit prime as the dropped modulus and as a survivor, and `k = 2`
+/// both ways round. Checked against the `BigUint` oracle and against that
+/// definition directly.
+#[test]
+fn scale_and_round_matches_the_oracle_at_the_edges() {
+    let top = largest_60_bit_prime();
+    let mut rng = StdRng::seed_from_u64(0x5ca1e);
+    let mut prime = |bits| random_prime(&mut rng, bits).to_u64().expect("fits u64");
+    let (p30, p33, p50) = (prime(30), prime(33), prime(50));
+    let bases = [
+        ("dropped above every survivor", vec![p33, p30, p50, top]),
+        ("dropped below every survivor", vec![p50, top, p33, p30]),
+        ("k = 2, wide dropped", vec![p30, top]),
+        ("k = 2, narrow dropped", vec![top, p30]),
+        ("60-bit moduli only", vec![prime(60), top, prime(60)]),
+        ("mixed widths", random_mixed_basis(0x5ca1e, 6)),
+    ];
+    for (name, moduli) in &bases {
+        let ctx = RnsContext::with_moduli(moduli);
+        let plan = RnsPlan::new(&ctx);
+        let rp = plan.rescale_plan();
+        let last = *moduli.last().unwrap();
+        let half = last / 2;
+        let quotients = &(ctx.product() / &BigUint::from(last));
+        let mut pairs = Vec::new();
+        for t in [
+            BigUint::zero(),
+            BigUint::one(),
+            quotients - &BigUint::one(),
+            random_below_n(0x7, 1, quotients).remove(0),
+        ] {
+            for c in [0, 1, half, half + 1, last - 1] {
+                pairs.push((t.clone(), c));
+            }
+        }
+        let values: Vec<BigUint> = pairs
+            .iter()
+            .map(|(t, c)| &(t * &BigUint::from(last)) + &BigUint::from(*c))
+            .collect();
+        let a = RnsMatrix::from_biguints(&plan, &values);
+        assert!(
+            (a.element(14).residues.iter().zip(moduli)).all(|(&r, &q)| r == q - 1),
+            "{name}: column 14 is M−1"
+        );
+        let (out, stats) = plan.scale_and_round(&rp, &a, &BufferPool::new());
+        assert_eq!(stats.launches, 1, "{name}");
+        for (col, ((t, c), v)) in pairs.iter().zip(&values).enumerate() {
+            let got = out.element(col);
+            assert_eq!(
+                got,
+                ctx.scale_and_round(&ctx.to_residues(v)),
+                "{name}: column {col} vs the oracle"
+            );
+            let y = t + &BigUint::from(u64::from(*c > half));
+            let by_definition: Vec<u64> = moduli[..moduli.len() - 1]
+                .iter()
+                .map(|&m| (&y % &BigUint::from(m)).to_u64().unwrap())
+                .collect();
+            assert_eq!(got.residues, by_definition, "{name}: column {col}");
+        }
+    }
+}
+
 /// An empty vector goes through every execution entry point without touching
 /// the pool or the launcher, and a one-element vector matches the `BigUint`
 /// oracle through all six.

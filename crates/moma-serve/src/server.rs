@@ -472,7 +472,7 @@ impl Server {
     /// Registers a negacyclic ring ladder — `R_q = Z_q[X]/(X^n + 1)` over the
     /// RNS ladder `moduli` — and returns its id. The ring context and every
     /// plan a [`WorkItem::LadderStep`] needs (negacyclic NTT plans per
-    /// modulus, level bases, fused rescale chains) are session-cached, built
+    /// modulus, level bases, rescale steps) are session-cached, built
     /// at most once, and shared by every request for this tenant.
     ///
     /// # Panics

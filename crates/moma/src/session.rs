@@ -712,7 +712,7 @@ impl Session {
     /// `Q = q₀·…·q_L`, building (or reusing) the `(n, ladder)`-keyed
     /// [`RingContext`]. The context is assembled through the session's plan
     /// caches ([`RingPlanSource`]), so its negacyclic NTT plans, per-level RNS
-    /// plans, and fused rescale steps are all shared with any other ring — or
+    /// plans, and rescale steps are all shared with any other ring — or
     /// direct space — over the same parameters.
     ///
     /// # Panics
@@ -1296,7 +1296,8 @@ impl RnsVec {
 /// The session is the plan provider for every ring context it hands out:
 /// contexts assemble themselves from the stampede-controlled caches, so two
 /// rings over overlapping ladders share their negacyclic plans, per-level RNS
-/// plans, and fused rescale steps.
+/// plans, and rescale steps (the same [`RescalePlan`]s [`RnsSpace::rescale_plan`]
+/// serves).
 impl RingPlanSource for Session {
     fn negacyclic_plan(&self, q: u64, n: usize) -> Arc<NttPlan64> {
         self.negacyclic_plan_for(q, n)
@@ -1306,12 +1307,8 @@ impl RingPlanSource for Session {
         Session::rns_plan(self, moduli)
     }
 
-    fn rescale_extend_plan(
-        &self,
-        src: &Arc<RnsPlan>,
-        dst: &Arc<RnsPlan>,
-    ) -> Arc<RescaleExtendPlan> {
-        self.rescale_extend_plan_for(src, dst)
+    fn rescale_plan(&self, src: &Arc<RnsPlan>) -> Arc<RescalePlan> {
+        self.rescale_plan_for(src)
     }
 }
 
@@ -1416,8 +1413,8 @@ impl RingSpace {
         (self.wrap(elt), stats)
     }
 
-    /// Drops the level's last modulus through the session-cached fused
-    /// rescale-then-extend chain.
+    /// Drops the level's last modulus through the session-cached
+    /// [`RescalePlan`]: one residue-local launch.
     ///
     /// # Panics
     ///

@@ -163,9 +163,10 @@ fn snapshot_restores_every_plan_cache_bit_for_bit() {
     assert_eq!(report.multiword_plans, 1);
     assert!(report.rns_plans >= 2, "source and target bases at least");
     assert!(report.baseconv_plans >= 1);
-    assert!(report.rescale_plans >= 1);
-    // The explicit fused chain plus one per ladder step of the ring context.
-    assert_eq!(report.rescale_extend_plans, 1 + (ring_ladder().len() - 1));
+    // The explicit `rescale()` plus one per ladder step of the ring context.
+    assert_eq!(report.rescale_plans, 1 + (ring_ladder().len() - 1));
+    // The explicit fused chain only: the ring extends onto no other basis.
+    assert_eq!(report.rescale_extend_plans, 1);
     assert_eq!(report.negacyclic_plans, ring_ladder().len());
     assert_eq!(report.ring_contexts, 1);
     assert!(report.capacity_entries >= 1);
@@ -188,13 +189,21 @@ fn snapshot_restores_every_plan_cache_bit_for_bit() {
     // The ring caches round-trip too: re-requesting the warm ladder is a pure
     // hit (the one recorded miss is restore's own reassembly), and the
     // restored context computes bit-for-bit what the original does.
-    let misses_after_restore = (stats.ring.misses, stats.ntt_negacyclic.misses);
+    let misses_after_restore = (
+        stats.ring.misses,
+        stats.ntt_negacyclic.misses,
+        stats.rescale.misses,
+    );
     let ladder = ring_ladder();
     let warm_ring = warm.ring(16, &ladder);
     let fresh_ring = fresh.ring(16, &ladder);
     let after = fresh.stats();
     assert_eq!(
-        (after.ring.misses, after.ntt_negacyclic.misses),
+        (
+            after.ring.misses,
+            after.ntt_negacyclic.misses,
+            after.rescale.misses,
+        ),
         misses_after_restore,
         "restored ring caches serve requests without rebuilding"
     );
@@ -216,6 +225,76 @@ fn snapshot_restores_every_plan_cache_bit_for_bit() {
     assert_eq!(again.rescale_extend_plans, 0);
     assert_eq!(again.negacyclic_plans, 0);
     assert_eq!(again.ring_contexts, 0);
+}
+
+/// A ring snapshot of the shape written before the ring's level drop became a
+/// residue-local rescale: the ring key, one fused rescale-and-extend plan per
+/// level pair in section 7, and an empty section 6. It must still restore —
+/// the section-7 entries are seeded and simply unused, and the ring builds
+/// its rescale steps from the restored level bases.
+#[test]
+fn ring_snapshot_of_the_rescale_extend_shape_still_restores() {
+    let ladder = ring_ladder();
+    let steps = ladder.len() - 1;
+    let warm = Session::default();
+    let warm_ring = warm.ring(16, &ladder);
+    for len in 2..=ladder.len() {
+        let _ = warm
+            .rns(&ladder[..len])
+            .rescale_extend_to(&warm.rns(&ladder[..len - 1]));
+    }
+    // Empty the rescale section: an old ring held no `RescalePlan`s.
+    let bytes = with_section_payload(warm.snapshot(), 6, &0u64.to_le_bytes());
+
+    let fresh = Session::default();
+    let report = fresh.restore(&bytes).expect("old-shape snapshot restores");
+    assert_eq!(report.ring_contexts, 1);
+    assert_eq!(report.rescale_extend_plans, steps);
+    assert_eq!(report.rescale_plans, 0);
+    assert_eq!(report.negacyclic_plans, ladder.len());
+    let stats = fresh.stats();
+    assert_eq!(stats.rns.misses, 0, "every level basis was seeded");
+    assert_eq!(stats.ntt_negacyclic.misses, 0);
+    assert_eq!(
+        stats.rescale.misses, steps as u64,
+        "steps are built, not read"
+    );
+    assert_eq!(stats.rescale_extend.misses, 0);
+
+    // A full ladder on the restored ring: bit-identical to the warm ring and
+    // to the `BigUint` replay.
+    let fresh_ring = fresh.ring(16, &ladder);
+    let mut rng = StdRng::seed_from_u64(0x01d5);
+    let a = random_values(&mut rng, warm_ring.product(0), 16);
+    let b = random_values(&mut rng, warm_ring.product(0), 16);
+    let run = |ring: &moma::RingSpace| {
+        let (mut cur, _) = ring.ladder_step(&ring.encode(0, &a), &ring.encode(0, &b));
+        for _ in 1..steps {
+            cur = ring.ladder_step(&cur, &cur).0;
+        }
+        ring.decode(&cur)
+    };
+    let want = moma::ring::oracle::ladder_replay(&ladder, &a, &b, steps);
+    assert_eq!(run(&warm_ring), want, "warm ring vs oracle");
+    assert_eq!(run(&fresh_ring), want, "restored ring vs oracle");
+}
+
+/// Replaces the payload of section `tag` in a snapshot and re-seals it.
+fn with_section_payload(bytes: Vec<u8>, tag: u32, payload: &[u8]) -> Vec<u8> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let len_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    // magic(8) + version(4), then the two length-prefixed identity strings;
+    // each section is tag(4) + payload length(8) + payload.
+    let mut at = 12;
+    for _ in 0..2 {
+        at += 4 + u32_at(at) as usize;
+    }
+    while u32_at(at) != tag {
+        at += 12 + len_at(at + 4);
+    }
+    let rest = at + 12 + len_at(at + 4);
+    let new_len = (payload.len() as u64).to_le_bytes();
+    patch_checksum([&bytes[..at + 4], &new_len, payload, &bytes[rest..]].concat())
 }
 
 /// Encodes the same values on both sessions and asserts the restored plans

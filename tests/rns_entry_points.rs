@@ -6,8 +6,10 @@
 //! executors, most of them the losing side of a choice nobody made; `moma-ir`
 //! kept a per-element copy of its bytecode loop beside the lane-block one; the
 //! planned CRT codec ran on `BigUint` arithmetic until it was replaced, in
-//! place, by word-level launches. These scans keep that matrix from growing
-//! back: a new variant has to replace an entry point, not sit beside it.
+//! place, by word-level launches; the ring dropped a level through a base
+//! extension onto the basis it was already in. These scans keep that matrix
+//! from growing back: a new variant has to replace an entry point, not sit
+//! beside it.
 
 use std::path::Path;
 
@@ -121,6 +123,18 @@ fn fn_text<'a>(source: &'a str, name: &str) -> &'a str {
     &source[at..at + end]
 }
 
+/// The names of the functions, private ones too, that `source` declares with
+/// a name starting with `prefix`, in source order.
+fn fn_names<'a>(source: &'a str, prefix: &str) -> Vec<&'a str> {
+    source
+        .match_indices(&format!("fn {prefix}"))
+        .map(|(at, _)| {
+            let name = &source[at + "fn ".len()..];
+            &name[..name.find('(').unwrap_or(name.len())]
+        })
+        .collect()
+}
+
 #[test]
 fn the_crt_codec_runs_on_machine_words_behind_five_entry_points() {
     // `RnsContext`/`RnsVector` (lib.rs, vector.rs) keep the `BigUint` forms of
@@ -212,12 +226,40 @@ fn compiled_kernels_run_on_one_executor() {
     // bytecode its meaning, to be kept in step with the first by hand.
     let compiled = Path::new(env!("CARGO_MANIFEST_DIR")).join("../moma-ir/src/compiled.rs");
     let text = std::fs::read_to_string(&compiled).expect("readable source file");
-    let execs: Vec<&str> = text
-        .match_indices("fn exec")
-        .map(|(at, _)| {
-            let name = &text[at + "fn ".len()..];
-            &name[..name.find('(').unwrap_or(name.len())]
-        })
-        .collect();
-    assert_eq!(execs, ["exec_lanes"], "compiled.rs has one execution loop");
+    assert_eq!(
+        fn_names(&text, "exec"),
+        ["exec_lanes"],
+        "compiled.rs has one execution loop"
+    );
+}
+
+#[test]
+fn the_ring_drops_a_level_without_a_base_conversion() {
+    // A rescaled value already lives over the next level's basis: the ring
+    // names no conversion and asks its plan source for no conversion plan.
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../moma-ring/src");
+    let mut ring = String::new();
+    for entry in std::fs::read_dir(&src).expect("moma-ring sources") {
+        let path = entry.expect("directory entry").path();
+        let text = std::fs::read_to_string(&path).expect("readable source file");
+        for banned in ["RescaleExtendPlan", "rescale_then_extend", "base_convert"] {
+            assert!(
+                !text.contains(banned),
+                "{} names `{banned}`",
+                path.display()
+            );
+        }
+        if path.ends_with("ring.rs") {
+            ring = text;
+        }
+    }
+    let (_, decl) = ring
+        .split_once("pub trait RingPlanSource {")
+        .expect("ring.rs declares RingPlanSource");
+    let (decl, _) = decl.split_once("\n}\n").expect("trait has a closing brace");
+    assert_eq!(
+        fn_names(decl, ""),
+        ["negacyclic_plan", "rns_plan", "rescale_plan"],
+        "a ring is assembled from transform plans, level bases and rescale steps"
+    );
 }
