@@ -1,0 +1,515 @@
+//! `reproduce bench`: the ten micro sections of `BENCH_ntt_blas.json` — naive vs
+//! planned NTT, the stage-launched NTT, the planned RNS engine and its chain
+//! operations, session warm start, interpreted vs compiled kernel batches and
+//! the parallel BLAS batch. One function per section returns that section's
+//! object; every timed field is a `{min, median, max}` triple over the run's
+//! samples, and the speedups are ratios of minima (the best-of-N figure earlier
+//! files recorded). `--quick` lowers iteration counts only, never a shape, so a
+//! quick and a full run agree on every count. What a served request or a ring
+//! ladder costs end to end is the repo benchmark's to say (`benchmark/`).
+
+use crate::figures::{baseconv_target, sample};
+use crate::heading;
+use crate::json::Json;
+use moma::blas::batch::{run_batch, Batch};
+use moma::blas::gpu::run_batch_parallel;
+use moma::blas::BlasOp;
+use moma::gpu::BufferPool;
+use moma::ir::compiled::CompiledKernel;
+use moma::ir::interp;
+use moma::mp::{ModRing, MpUint, MulAlgorithm as RtMulAlgorithm};
+use moma::ntt::params::{paper_modulus, NttParams};
+use moma::ntt::transform::{butterfly_count, forward, Ntt64};
+use moma::rewrite::{builders, lower};
+use moma::rns::{vector as rns_vec, RnsContext, RnsMatrix};
+use moma::{KernelOp, KernelSpec, LoweringConfig, Session};
+use rand::Rng;
+use std::time::Instant;
+
+/// Smallest, middle and largest sample of one timed row, in the row's unit.
+#[derive(Clone, Copy)]
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn json(self, decimals: usize) -> Json {
+        Json::Obj(vec![
+            ("min", Json::Num(self.min, decimals)),
+            ("median", Json::Num(self.median, decimals)),
+            ("max", Json::Num(self.max, decimals)),
+        ])
+    }
+}
+
+/// Runs `f` `iters` times, each on a fresh clone of `data` (setup excluded from
+/// the timed region), and returns the spread of wall-clock seconds × `scale`.
+fn sample_runs<T: Clone>(iters: u32, scale: f64, data: &T, mut f: impl FnMut(&mut T)) -> Spread {
+    let mut samples: Vec<f64> = (0..iters)
+        .map(|_| {
+            let mut work = data.clone();
+            let start = Instant::now();
+            f(&mut work);
+            let elapsed = start.elapsed().as_secs_f64();
+            std::hint::black_box(&work);
+            elapsed * scale
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    Spread {
+        min: samples[0],
+        median: samples[samples.len() / 2],
+        max: samples[samples.len() - 1],
+    }
+}
+
+/// [`sample_runs`] over a call that owns no input: its result is the work.
+fn sample_calls<R>(iters: u32, scale: f64, mut f: impl FnMut() -> R) -> Spread {
+    sample_runs(iters, scale, &(), |_| {
+        std::hint::black_box(f());
+    })
+}
+
+/// How many times faster `fast`'s best run is than `slow`'s.
+fn ratio(slow: Spread, fast: Spread) -> Json {
+    Json::Num(slow.min / fast.min, 3)
+}
+
+/// A `rows` array of `{path, <field>: spread}` objects.
+fn path_rows(field: &'static str, rows: &[(&str, Spread)]) -> Json {
+    let row = |&(path, spread): &(&str, Spread)| {
+        Json::Obj(vec![
+            ("path", Json::Str(path.to_string())),
+            (field, spread.json(2)),
+        ])
+    };
+    Json::Arr(rows.iter().map(row).collect())
+}
+
+pub fn run(session: &Session, quick: bool) {
+    heading(if quick {
+        "Hot-path bench (quick mode) -> BENCH_ntt_blas.json"
+    } else {
+        "Hot-path bench -> BENCH_ntt_blas.json"
+    });
+    let iters = if quick { 3 } else { 10 };
+    let kernel_iters = if quick { 2 } else { 5 };
+    let n = 1024;
+    let batch_size = 64;
+    // At 2^10 elements the unfused chain's extra launch and the fused kernel's
+    // VM dispatch cost land within noise of each other, too unstable for CI's
+    // ordering check; 2^12 costs microseconds per run.
+    let rns_elements = 1 << 12;
+    let document = Json::Obj(vec![
+        ("generated_by", Json::Str("reproduce bench".to_string())),
+        ("quick", Json::Bool(quick)),
+        ("ntt", ntt(session, n, iters)),
+        ("ntt_launcher", ntt_launcher(session, n, iters)),
+        ("ntt_launcher_batched", ntt_batched(session, n, 16, iters)),
+        ("rns_blas", rns_blas(session, 256, rns_elements, iters)),
+        (
+            "rns_baseconv",
+            rns_baseconv(session, 256, rns_elements, iters),
+        ),
+        (
+            "rns_fused_chain",
+            fused_mul_chain(session, 256, rns_elements, iters),
+        ),
+        ("session_warm_start", session_warm_start(iters)),
+        (
+            "session_fused_rescale_extend",
+            rescale_extend(session, 256, rns_elements, iters),
+        ),
+        (
+            "kernel_batch",
+            kernel_batch(KernelOp::ModMul, 128, batch_size * n, kernel_iters),
+        ),
+        ("blas_batch", blas_batch(batch_size, n, iters)),
+    ])
+    .render();
+    std::fs::write("BENCH_ntt_blas.json", &document).expect("write BENCH_ntt_blas.json");
+    print!("{document}");
+    println!("\nwrote BENCH_ntt_blas.json");
+}
+
+/// The forward NTT per butterfly, naive loop vs session-cached plan: 64-bit
+/// (Barrett loop vs Shoup/lazy-reduction plan) and 128-bit, two limbs (naive
+/// loop vs precomputed-table plan).
+fn ntt(session: &Session, n: usize, iters: u32) -> Json {
+    let per_butterfly = 1e9 / butterfly_count(n) as f64;
+    let mut rng = rand::thread_rng();
+    let ntt = Ntt64::new(n);
+    let space = session.ntt_default(n);
+    let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % ntt.ctx.q).collect();
+    let naive_u64 = sample_runs(iters, per_butterfly, &data, |w| ntt.forward(w));
+    let planned_u64 = sample_runs(iters, per_butterfly, &data, |w| space.forward(w));
+
+    let params = NttParams::<2>::for_paper_modulus(n, 128, RtMulAlgorithm::Schoolbook);
+    let plan = session.ntt_multiword::<2>(128, n);
+    let data: Vec<_> = (0..n)
+        .map(|_| params.ring.random_element(&mut rng))
+        .collect();
+    let naive_u128 = sample_runs(iters, per_butterfly, &data, |w| forward(&params, w));
+    let planned_u128 = sample_runs(iters, per_butterfly, &data, |w| plan.forward(w));
+    Json::Obj(vec![
+        ("n", Json::Int(n)),
+        (
+            "rows",
+            path_rows(
+                "ns_per_butterfly",
+                &[
+                    ("naive_u64", naive_u64),
+                    ("planned_u64", planned_u64),
+                    ("naive_u128", naive_u128),
+                    ("planned_u128", planned_u128),
+                ],
+            ),
+        ),
+        (
+            "planned_vs_naive_speedup_u64",
+            ratio(naive_u64, planned_u64),
+        ),
+        (
+            "planned_vs_naive_speedup_u128",
+            ratio(naive_u128, planned_u128),
+        ),
+    ])
+}
+
+/// The 64-bit planned NTT inline vs stage by stage on the virtual-GPU launcher
+/// (one thread per butterfly, a launch barrier per stage; a one-row
+/// [`moma::NttSpace::forward_batch`], so the working plane rides the session
+/// pool). A ratio above 1 is what the per-stage barrier costs on this host.
+fn ntt_launcher(session: &Session, n: usize, iters: u32) -> Json {
+    let per_butterfly = 1e9 / butterfly_count(n) as f64;
+    let space = session.ntt_default(n);
+    let mut rng = rand::thread_rng();
+    let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % space.modulus()).collect();
+    let inline = sample_runs(iters, per_butterfly, &data, |w| space.forward(w));
+    let launched = sample_runs(iters, per_butterfly, &data, |w| {
+        space.forward_batch(w);
+    });
+    Json::Obj(vec![
+        ("n", Json::Int(n)),
+        ("inline_ns_per_butterfly", inline.json(2)),
+        ("launcher_ns_per_butterfly", launched.json(2)),
+        ("launcher_vs_inline_ratio", ratio(launched, inline)),
+    ])
+}
+
+/// `batch` transforms of size `n` through one stage-batched launch sequence
+/// ([`moma::NttSpace::forward_batch`], grid = batch × n/2 per stage) vs the
+/// same transforms launched one by one (a one-row `forward_batch` each). The
+/// launch counts are the point: batching keeps them at `log2 n + 1` however
+/// many transforms ride along, where one-by-one pays that per transform.
+fn ntt_batched(session: &Session, n: usize, batch: usize, iters: u32) -> Json {
+    let per_butterfly = 1e9 / (batch as u64 * butterfly_count(n)) as f64;
+    let space = session.ntt_default(n);
+    let mut rng = rand::thread_rng();
+    let data: Vec<u64> = (0..batch * n)
+        .map(|_| rng.gen::<u64>() % space.modulus())
+        .collect();
+    let batched = sample_runs(iters, per_butterfly, &data, |w| {
+        space.forward_batch(w);
+    });
+    let single = sample_runs(iters, per_butterfly, &data, |w| {
+        for transform in w.chunks_exact_mut(n) {
+            space.forward_batch(transform);
+        }
+    });
+    // Launch counts are deterministic; read them off one run of each shape.
+    let mut probe = data.clone();
+    let batched_launches = space.forward_batch(&mut probe).launches;
+    let single_launches = probe
+        .chunks_exact_mut(n)
+        .map(|transform| space.forward_batch(transform).launches)
+        .sum();
+    Json::Obj(vec![
+        ("n", Json::Int(n)),
+        ("batch", Json::Int(batch)),
+        ("batched_ns_per_butterfly", batched.json(2)),
+        ("single_ns_per_butterfly", single.json(2)),
+        ("batched_stage_launches", Json::Int(batched_launches)),
+        ("per_transform_stage_launches", Json::Int(single_launches)),
+    ])
+}
+
+/// RNS vector ops per element: the `BigUint`-backed `RnsContext` path
+/// (per-element residue `Vec`s, `u128 %` reduction) vs the planned SoA engine
+/// (`RnsPlan`/`RnsMatrix`, per-residue-row Barrett kernels on the launcher).
+fn rns_blas(session: &Session, bits: u32, elements: usize, iters: u32) -> Json {
+    let ctx = RnsContext::with_capacity_bits(2 * bits + 8);
+    let space = session.rns_with_capacity(2 * bits + 8);
+    let plan = space.plan();
+    let (a, b) = (sample(bits, elements), sample(bits, elements));
+    let va = rns_vec::RnsVector::from_biguints(&ctx, &a);
+    let vb = rns_vec::RnsVector::from_biguints(&ctx, &b);
+    let ma = RnsMatrix::from_biguints(plan, &a);
+    let mb = RnsMatrix::from_biguints(plan, &b);
+    let per_elt = 1e9 / elements as f64;
+    let planned = |op: BlasOp| {
+        sample_calls(iters, per_elt, || {
+            plan.apply(op, None, &ma, &mb, &BufferPool::new())
+        })
+    };
+    let ctx_mul = sample_calls(iters, per_elt, || rns_vec::vec_mul(&ctx, &va, &vb));
+    let planned_mul = planned(BlasOp::VecMul);
+    let ctx_add = sample_calls(iters, per_elt, || rns_vec::vec_add(&ctx, &va, &vb));
+    let planned_add = planned(BlasOp::VecAdd);
+    Json::Obj(vec![
+        ("bits", Json::Int(bits as usize)),
+        ("elements", Json::Int(elements)),
+        (
+            "rows",
+            path_rows(
+                "ns_per_element",
+                &[
+                    ("rns_ctx_vec_mul", ctx_mul),
+                    ("rns_planned_vec_mul", planned_mul),
+                    ("rns_ctx_vec_add", ctx_add),
+                    ("rns_planned_vec_add", planned_add),
+                ],
+            ),
+        ),
+        (
+            "planned_vs_ctx_speedup_vec_mul",
+            ratio(ctx_mul, planned_mul),
+        ),
+    ])
+}
+
+/// The RNS operations FHE pipelines chain between element-wise stages, on the
+/// planned engine: fast base extension (the generated all-rows kernel, once on
+/// a fresh pool per call and once on the warm session pool) and approximate
+/// scaled rounding, each with its launches and plane allocations per op.
+fn rns_baseconv(session: &Session, bits: u32, elements: usize, iters: u32) -> Json {
+    let src = session.rns_with_capacity(2 * bits + 8);
+    let plan = src.plan();
+    let dst = session.rns(baseconv_target(plan.moduli_count(), 0xba5e_c0de).moduli());
+    let bc = src.conversion_to(&dst);
+    let kernel = CompiledKernel::compile(&bc.fused_kernel_ir())
+        .expect("generated conversion kernel compiles");
+    let rp = src.rescale_plan();
+    let ma = RnsMatrix::from_biguints(plan, &sample(bits, elements));
+    // Probe runs record launches and plane allocations per op; the second
+    // warm-pool probe is the steady state (same arithmetic, zero heap planes).
+    let convert_stats = plan.base_convert(&bc, &ma, &kernel, &BufferPool::new()).1;
+    let rescale_stats = plan.scale_and_round(&rp, &ma, &BufferPool::new()).1;
+    let pool = session.pool();
+    let warm_convert = || {
+        let (mut out, stats) = plan.base_convert(&bc, &ma, &kernel, pool);
+        pool.recycle(std::hint::black_box(&mut out).take_storage());
+        stats
+    };
+    warm_convert();
+    let warm_stats = warm_convert();
+    let per_elt = 1e9 / elements as f64;
+    let convert = sample_calls(iters, per_elt, || {
+        plan.base_convert(&bc, &ma, &kernel, &BufferPool::new())
+    });
+    let warm = sample_calls(iters, per_elt, warm_convert);
+    let rescale = sample_calls(iters, per_elt, || {
+        plan.scale_and_round(&rp, &ma, &BufferPool::new())
+    });
+    let rows = [
+        ("rns_base_convert", convert, convert_stats),
+        ("rns_base_convert_warm_pool", warm, warm_stats),
+        ("rns_rescale", rescale, rescale_stats),
+    ]
+    .map(|(path, spread, stats)| {
+        Json::Obj(vec![
+            ("path", Json::Str(path.to_string())),
+            ("ns_per_element", spread.json(2)),
+            ("launches_per_op", Json::Int(stats.launches)),
+            ("allocations_per_op", Json::Int(stats.allocs)),
+        ])
+    });
+    Json::Obj(vec![
+        ("bits", Json::Int(bits as usize)),
+        ("elements", Json::Int(elements)),
+        ("rows", Json::Arr(rows.into())),
+    ])
+}
+
+/// The generated all-rows `s·(a∘b) + z` chain kernel (one launch,
+/// intermediates in registers) against the unfused sequence composed here from
+/// two `apply` calls (two launches, one full intermediate matrix), plus the
+/// plane allocations of the session-level chain on a warm pool.
+fn fused_mul_chain(session: &Session, bits: u32, elements: usize, iters: u32) -> Json {
+    let src = session.rns_with_capacity(2 * bits + 8);
+    let plan = src.plan();
+    let [a, b, z] = [(); 3].map(|_| sample(bits, elements));
+    let s = sample(bits, 1).remove(0);
+    let ma = RnsMatrix::from_biguints(plan, &a);
+    let mb = RnsMatrix::from_biguints(plan, &b);
+    let mz = RnsMatrix::from_biguints(plan, &z);
+    let sres = plan.to_residues(&s);
+    let kernel = CompiledKernel::compile(&plan.mul_axpy_kernel_ir())
+        .expect("generated chain kernel compiles");
+    let fused = || plan.mul_axpy(&ma, &mb, &sres, &mz, &kernel, &BufferPool::new());
+    let unfused = || {
+        let (prod, mut stats) = plan.apply(BlasOp::VecMul, None, &ma, &mb, &BufferPool::new());
+        let (out, round) = plan.apply(BlasOp::Axpy, Some(&sres), &prod, &mz, &BufferPool::new());
+        stats.accumulate(round);
+        (out, stats)
+    };
+    let per_elt = 1e9 / elements as f64;
+    let fused_ns = sample_calls(iters, per_elt, &fused);
+    let unfused_ns = sample_calls(iters, per_elt, &unfused);
+    // The first session-level call warms the session pool, the second is the
+    // steady state: every plane reused, zero heap allocations.
+    let va = src.encode(&a);
+    let vb = src.encode(&b);
+    let vz = src.encode(&z);
+    va.mul_axpy(&vb, &s, &vz);
+    let session_allocs = va.mul_axpy_with_stats(&vb, &s, &vz).1.allocs;
+    Json::Obj(vec![
+        ("bits", Json::Int(bits as usize)),
+        ("elements", Json::Int(elements)),
+        ("chain", Json::Str("mul_axpy".to_string())),
+        ("fused_ns_per_element", fused_ns.json(2)),
+        ("unfused_ns_per_element", unfused_ns.json(2)),
+        ("fused_vs_unfused_speedup", ratio(unfused_ns, fused_ns)),
+        ("fused_launches_per_op", Json::Int(fused().1.launches)),
+        ("unfused_launches_per_op", Json::Int(unfused().1.launches)),
+        ("session_allocations_per_op", Json::Int(session_allocs)),
+    ])
+}
+
+/// Populates every plan family the warm-start section measures: a 64-bit NTT
+/// plan and an RNS basis with its conversion, rescale, and fused-chain plans.
+fn warm_start_workload(session: &Session) {
+    let _ = session.ntt_default(1024);
+    let src = session.rns_with_capacity(256);
+    let dst = session.rns(&src.moduli()[..4]);
+    let _ = src.conversion_to(&dst);
+    let _ = src.rescale_plan();
+    let _ = src.rescale_extend_to(&dst);
+}
+
+/// Precompute-once warm start: building the plan caches cold vs
+/// [`Session::restore`] from a snapshot. Restore validates every table
+/// arithmetically but skips the expensive builds (prime search, twiddle
+/// generation, CRT inverses), so it must win.
+fn session_warm_start(iters: u32) -> Json {
+    let warm = Session::default();
+    warm_start_workload(&warm);
+    let bytes = warm.snapshot();
+    let report = Session::default()
+        .restore(&bytes)
+        .expect("bench snapshot restores");
+    let plans_restored = report.ntt_plans
+        + report.multiword_plans
+        + report.rns_plans
+        + report.baseconv_plans
+        + report.rescale_plans
+        + report.rescale_extend_plans;
+    let cold_build = sample_calls(iters, 1e3, || {
+        let session = Session::default();
+        warm_start_workload(&session);
+        session
+    });
+    let restore = sample_calls(iters, 1e3, || {
+        let session = Session::default();
+        session.restore(&bytes).expect("bench snapshot restores");
+        session
+    });
+    Json::Obj(vec![
+        ("cold_build_ms", cold_build.json(3)),
+        ("restore_ms", restore.json(3)),
+        ("warm_start_speedup", ratio(cold_build, restore)),
+        ("snapshot_bytes", Json::Int(bytes.len())),
+        ("plans_restored", Json::Int(plans_restored)),
+    ])
+}
+
+/// The folded rescale-and-extend sweep over the session-cached plan.
+fn rescale_extend(session: &Session, bits: u32, elements: usize, iters: u32) -> Json {
+    let src = session.rns_with_capacity(2 * bits + 8);
+    let plan = src.plan();
+    let dst = session.rns(baseconv_target(plan.moduli_count() - 1, 0xf00d_cafe).moduli());
+    let p = src.rescale_extend_to(&dst);
+    let ma = RnsMatrix::from_biguints(plan, &sample(bits, elements));
+    let fused = sample_calls(iters, 1e9 / elements as f64, || {
+        plan.rescale_then_extend(&p, &ma, &BufferPool::new())
+    });
+    Json::Obj(vec![
+        ("bits", Json::Int(bits as usize)),
+        ("elements", Json::Int(elements)),
+        ("fused_ns_per_element", fused.json(2)),
+    ])
+}
+
+/// Batch execution of a generated machine-level kernel: per-element tree
+/// interpretation vs the compiled bytecode executor.
+fn kernel_batch(op: KernelOp, bits: u32, elements: usize, iters: u32) -> Json {
+    let hl = builders::build(&KernelSpec::new(op, bits));
+    let lowered = lower(&hl, &LoweringConfig::default());
+    let kernel = &lowered.kernel;
+    let compiled = CompiledKernel::compile(kernel).expect("lowered kernels compile");
+
+    // Random inputs masked to each parameter's width; the two executors compute
+    // the same function on any input, so correctness of the values is irrelevant
+    // here (the cross-check tests cover it).
+    let mut rng = rand::thread_rng();
+    let widths: Vec<u32> = kernel.params.iter().map(|p| kernel.ty(*p).bits()).collect();
+    let p = widths.len();
+    let rows: Vec<u64> = (0..elements * p)
+        .map(|i| match widths[i % p] {
+            b if b >= 64 => rng.gen(),
+            b => rng.gen::<u64>() & ((1u64 << b) - 1),
+        })
+        .collect();
+
+    let per_elt = 1e9 / elements as f64;
+    let interpreted = sample_calls(iters, per_elt, || {
+        for row in rows.chunks_exact(p) {
+            let run = interp::run(kernel, row).expect("interpreter accepts generated kernels");
+            std::hint::black_box(&run.outputs);
+        }
+    });
+    let compiled_ns = sample_calls(iters, per_elt, || {
+        compiled.run_batch(&rows).expect("compiled batch runs")
+    });
+    Json::Obj(vec![
+        ("kernel", Json::Str(kernel.name.clone())),
+        ("elements", Json::Int(elements)),
+        ("interpreted_ns_per_element", interpreted.json(2)),
+        ("compiled_ns_per_element", compiled_ns.json(2)),
+        (
+            "compiled_vs_interpreted_speedup",
+            ratio(interpreted, compiled_ns),
+        ),
+    ])
+}
+
+/// The BLAS batch path: sequential loop vs scoped-thread parallel launch.
+fn blas_batch(batch_size: usize, vector_len: usize, iters: u32) -> Json {
+    let q = MpUint::<4>::from_limbs_le(&paper_modulus(256).to_limbs_le(4));
+    let ring = ModRing::new(q);
+    let mut rng = rand::thread_rng();
+    let x = Batch::<4>::random(&ring, &mut rng, batch_size, vector_len);
+    let y = Batch::<4>::random(&ring, &mut rng, batch_size, vector_len);
+    let a = ring.random_element(&mut rng);
+    let per_elt = 1e9 / (batch_size * vector_len) as f64;
+    let sequential = sample_calls(iters, per_elt, || {
+        run_batch(&ring, BlasOp::VecMul, a, &x, &y)
+    });
+    let parallel = sample_calls(iters, per_elt, || {
+        run_batch_parallel(&ring, BlasOp::VecMul, a, &x, &y).0
+    });
+    Json::Obj(vec![
+        ("bits", Json::Int(256)),
+        ("op", Json::Str(BlasOp::VecMul.key().to_string())),
+        ("batch", Json::Int(batch_size)),
+        ("vector_len", Json::Int(vector_len)),
+        ("sequential_ns_per_element", sequential.json(2)),
+        ("parallel_ns_per_element", parallel.json(2)),
+        (
+            "parallel_vs_sequential_speedup",
+            ratio(sequential, parallel),
+        ),
+    ])
+}

@@ -19,3 +19,20 @@ fn unknown_item_is_rejected_before_anything_runs() {
         "the valid items are listed: {stderr}"
     );
 }
+
+#[test]
+fn the_retired_serve_item_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("serve")
+        .output()
+        .expect("reproduce spawns");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing runs before the rejection");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let items = stderr
+        .split_once("valid items: ")
+        .expect("the valid items are listed")
+        .1;
+    assert!(items.contains("bench"), "{stderr}");
+    assert!(!items.contains("serve"), "{stderr}");
+}

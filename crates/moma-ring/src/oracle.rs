@@ -2,7 +2,8 @@
 //!
 //! Everything here is deliberately slow and obvious: schoolbook `X^n + 1`
 //! reduction and a per-coefficient [`RnsContext::scale_and_round`] replay.
-//! The property tests and the `fhe_ladder` bench crosscheck pin the planned
+//! The property tests, `ring.rs::full_ladder_matches_oracle_replay` and the
+//! repository benchmark's `ladder_inline` reference check pin the planned
 //! engine path (folded-twist NTT → pointwise → inverse → residue-local
 //! rescale) against these functions **bit for bit**.
 

@@ -110,8 +110,9 @@ pub enum WorkItem {
         data: Vec<u64>,
     },
     /// The fused RNS chain `(a · b) → rescale → extend` over a tenant's basis
-    /// pair: element-wise multiply in the source basis, then the fused
-    /// rescale-and-extend into the destination basis.
+    /// pair: element-wise multiply in the source basis, rescale, and extend
+    /// into the destination basis, in one launch of the generated chain kernel
+    /// ([`moma::RnsVec::mul_rescale_then_extend`]).
     RnsMulRescaleExtend {
         /// The basis pair, from [`Server::register_tenant`].
         tenant: TenantId,
@@ -672,6 +673,14 @@ impl Client {
                         "transform size {n} is not a power of two ≥ 2"
                     )));
                 }
+                // The planner asserts these; a request must not reach the
+                // worker to find out. (Primality costs too much to test here.)
+                let in_range = *n <= 1 << 32 && (3..1 << 60).contains(q);
+                if !in_range || q % 2 == 0 || (q - 1) % *n as u64 != 0 {
+                    return Err(ServeError::BadRequest(format!(
+                        "q = {q} is not an odd modulus in [3, 2^60) with {n} dividing q - 1"
+                    )));
+                }
                 if data.len() != *n {
                     return Err(ServeError::BadRequest(format!(
                         "{} coefficients for an {n}-point transform",
@@ -1084,7 +1093,7 @@ fn run_batch(shared: &Shared, seqs: &[u64], items: &[WorkItem]) -> (Vec<Response
                 (t.src.clone(), t.dst.clone())
             };
             // Concatenate every request's operands into one vector pair: the
-            // whole group then costs one multiply + one fused chain.
+            // whole group then costs one launch of the fused chain kernel.
             let mut lengths = Vec::with_capacity(items.len());
             let mut flat_a = Vec::new();
             let mut flat_b = Vec::new();
@@ -1098,8 +1107,7 @@ fn run_batch(shared: &Shared, seqs: &[u64], items: &[WorkItem]) -> (Vec<Response
             }
             let va = src.encode(&flat_a);
             let vb = src.encode(&flat_b);
-            let (product, mul_stats) = va.mul_with_stats(&vb);
-            let (out, chain_stats) = product.rescale_then_extend_with_stats(&dst);
+            let (out, stats) = va.mul_rescale_then_extend_with_stats(&vb, &dst);
             let mut values = out.to_biguints().into_iter();
             let responses = lengths
                 .iter()
@@ -1107,7 +1115,7 @@ fn run_batch(shared: &Shared, seqs: &[u64], items: &[WorkItem]) -> (Vec<Response
                 .collect();
             (
                 responses,
-                (mul_stats.launches + chain_stats.launches) as u64,
+                stats.launches as u64,
                 shared.session.pool().misses() - misses_before,
             )
         }
@@ -1291,6 +1299,7 @@ mod tests {
                 b: b.clone(),
             })
             .unwrap();
+        assert_eq!(done.batch_launches, 1, "the whole chain is one launch");
         let Response::Rns(values) = done.response else {
             panic!("RNS work yields RNS responses")
         };
@@ -1438,6 +1447,29 @@ mod tests {
                 n: 8,
                 data: vec![q; 8],
             },
+            // A request names its own modulus: q = 1 (all-zero data is
+            // "reduced"), an even q, q ≥ 2^60, and n ∤ q − 1 would each
+            // panic in the planner on the worker.
+            WorkItem::NttForward {
+                q: 1,
+                n: 8,
+                data: vec![0; 8],
+            },
+            WorkItem::NttInverse {
+                q: 6,
+                n: 8,
+                data: vec![1; 8],
+            },
+            WorkItem::NttForward {
+                q: (1 << 60) + 1,
+                n: 8,
+                data: vec![1; 8],
+            },
+            WorkItem::NttForward {
+                q: 7,
+                n: 8,
+                data: vec![1; 8],
+            },
         ];
         for item in bad {
             assert!(matches!(
@@ -1453,16 +1485,22 @@ mod tests {
             }),
             Err(ServeError::UnknownTenant(3))
         ));
-        assert_eq!(server.stats().submitted, 0);
+        let stats = server.stats();
+        assert_eq!(
+            (stats.submitted, stats.batches, stats.restarts),
+            (0, 0, 0),
+            "nothing was queued, run, or crashed"
+        );
     }
 
     #[test]
     fn a_panicking_batch_fails_alone_and_the_server_keeps_serving() {
         let server = Server::new(Session::default(), ServeConfig::default());
         let client = server.client();
-        // q = 6 passes the cheap submit-time checks but the NTT planner panics.
+        // q = 9 passes the cheap submit-time checks (odd, 8 | q − 1) but is
+        // composite, so the NTT planner panics.
         let poisoned = client.call(WorkItem::NttForward {
-            q: 6,
+            q: 9,
             n: 8,
             data: vec![1; 8],
         });
