@@ -134,9 +134,8 @@ pub fn run(session: &Session, quick: bool) {
     println!("\nwrote BENCH_ntt_blas.json");
 }
 
-/// The forward NTT per butterfly, naive loop vs session-cached plan: 64-bit
-/// (Barrett loop vs Shoup/lazy-reduction plan) and 128-bit, two limbs (naive
-/// loop vs precomputed-table plan).
+/// The forward NTT per butterfly, naive Barrett loop vs session-cached
+/// Shoup/lazy-reduction plan: 64-bit, and 128-bit on two limbs.
 fn ntt(session: &Session, n: usize, iters: u32) -> Json {
     let per_butterfly = 1e9 / butterfly_count(n) as f64;
     let mut rng = rand::thread_rng();

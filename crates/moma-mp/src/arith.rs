@@ -157,6 +157,32 @@ impl<const L: usize> MpUint<L> {
         MpUint { limbs: out }
     }
 
+    /// High half of the full product: `⌊self · rhs / 2^(64·L)⌋`, exactly (every
+    /// column of the schoolbook product is accumulated, so the carries out of the
+    /// discarded low half are not lost).
+    ///
+    /// Fixed shape — `L²` word products, no data-dependent branch. Row `i` adds
+    /// `self[i] · rhs` into an `L`-limb window over limbs `i..i+L` of the running
+    /// product and slides the window up one limb; the limb that slides out is a
+    /// finished limb of the low half.
+    #[inline]
+    pub fn mul_hi(&self, rhs: &Self) -> Self {
+        let mut window = [0u64; L];
+        for i in 0..L {
+            let a = self.limbs[i];
+            let mut carry = 0u64;
+            for j in 0..L {
+                let t = a as u128 * rhs.limbs[j] as u128 + window[j] as u128 + carry as u128;
+                if j > 0 {
+                    window[j - 1] = t as u64;
+                }
+                carry = (t >> 64) as u64;
+            }
+            window[L - 1] = carry;
+        }
+        MpUint { limbs: window }
+    }
+
     /// Left shift by `bits` (bits shifted past the top are lost).
     pub fn shl_bits(&self, bits: u32) -> Self {
         if bits as usize >= 64 * L {

@@ -120,6 +120,71 @@ impl<const L: usize> ModRing<L> {
         }
     }
 
+    /// Precomputes the Shoup quotient `⌊w · 2^(64·L) / q⌋` for a fixed
+    /// multiplicand `w < q` — the `L`-word counterpart of
+    /// [`crate::single::SingleBarrett::shoup_precompute`].
+    ///
+    /// Set-up only: one bit of the quotient per step of a binary long division
+    /// (`64·L` doublings of the remainder), so a table of them costs about as
+    /// much as building the twiddles it annotates.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `w >= q`.
+    pub fn shoup_precompute(&self, w: MpUint<L>) -> MpUint<L> {
+        let q = self.modulus();
+        debug_assert!(w < q);
+        let mut rem = w;
+        let mut quotient = MpUint::<L>::ZERO;
+        for _ in 0..64 * L {
+            let (doubled, carry) = rem.overflowing_add(&rem);
+            let (reduced, borrow) = doubled.overflowing_sub(&q);
+            let bit = carry || !borrow;
+            rem = if bit { reduced } else { doubled };
+            quotient = quotient.wrapping_add(&quotient);
+            quotient.limbs[0] |= bit as u64;
+        }
+        quotient
+    }
+
+    /// Lazy Shoup multiplication: `lo(w·y) − lo(hi(w_shoup·y)·q)`, a value
+    /// congruent to `w · y (mod q)` in the half-reduced range `[0, 2q)` — the
+    /// `L`-word counterpart of
+    /// [`crate::single::SingleBarrett::mul_mod_shoup_lazy`].
+    ///
+    /// `w_shoup` must be [`Self::shoup_precompute`]`(w)`. **Any** `y < 2^(64·L)`
+    /// is accepted, so callers chaining butterflies may leave `y` lazily reduced.
+    /// With `w_shoup = (w·β − r)/q`, `β = 2^(64·L)`, `0 ≤ r < q`, the quotient
+    /// estimate `h = ⌊w_shoup·y/β⌋` satisfies `w·y/q − 1 − r·y/(q·β) < h ≤ w·y/q`,
+    /// hence `0 ≤ w·y − h·q < q + r·y/β < 2q`; the bound needs the *exact* high
+    /// product ([`MpUint::mul_hi`]), which is why it is not a truncated one.
+    ///
+    /// One fixed-shape high product and two low products — no shift, no
+    /// comparison, no correction. The result is computed modulo `β`, so the ring
+    /// needs `2q ≤ β` (every Barrett ring has it; a full-width Montgomery ring
+    /// does not).
+    #[inline]
+    pub fn mul_mod_shoup_lazy(&self, y: MpUint<L>, w: MpUint<L>, w_shoup: MpUint<L>) -> MpUint<L> {
+        let q = self.modulus();
+        debug_assert!(w < q);
+        debug_assert!(q.bits() < MpUint::<L>::BITS, "2q must fit the word count");
+        let h = w_shoup.mul_hi(&y);
+        w.wrapping_mul(&y).wrapping_sub(&h.wrapping_mul(&q))
+    }
+
+    /// Fully reduced Shoup multiplication: `(w · y) mod q`, the lazy product of
+    /// [`Self::mul_mod_shoup_lazy`] plus the one conditional subtraction it omits.
+    #[inline]
+    pub fn mul_mod_shoup(&self, y: MpUint<L>, w: MpUint<L>, w_shoup: MpUint<L>) -> MpUint<L> {
+        let t = self.mul_mod_shoup_lazy(y, w, w_shoup);
+        let (reduced, borrow) = t.overflowing_sub(&self.modulus());
+        if borrow {
+            t
+        } else {
+            reduced
+        }
+    }
+
     /// Modular exponentiation.
     pub fn pow(&self, base: MpUint<L>, exp: &MpUint<L>) -> MpUint<L> {
         let mut result = MpUint::<L>::ONE;

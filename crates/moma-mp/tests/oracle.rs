@@ -37,10 +37,19 @@ fn check_ring_ops<const L: usize>(a: MpUint<L>, b: MpUint<L>, q: MpUint<L>) {
     let ring = ModRing::new(q);
     let q_big = to_big(&q);
 
+    let raw = a;
     let a = barrett.reduce_full(a);
     let b = barrett.reduce_full(b);
     let (a_big, b_big) = (to_big(&a), to_big(&b));
     assert!(a_big < q_big && b_big < q_big);
+
+    // Shoup products take any L-word value on the lazy side, reduced or not.
+    let b_shoup = ring.shoup_precompute(b);
+    let lazy = ring.mul_mod_shoup_lazy(raw, b, b_shoup);
+    assert!(to_big(&lazy) < &q_big + &q_big);
+    let expected_raw = to_big(&raw).mod_mul(&b_big, &q_big);
+    assert_eq!(&to_big(&lazy) % &q_big, expected_raw);
+    assert_eq!(to_big(&ring.mul_mod_shoup(raw, b, b_shoup)), expected_raw);
 
     // Addition / subtraction.
     assert_eq!(
@@ -66,6 +75,7 @@ fn check_ring_ops<const L: usize>(a: MpUint<L>, b: MpUint<L>, q: MpUint<L>) {
     assert_eq!(to_big(&hi), &full >> (64 * L as u32));
     let (lo_k, hi_k) = a.widening_mul_karatsuba(&b);
     assert_eq!((lo_k, hi_k), (lo, hi));
+    assert_eq!(a.mul_hi(&b), hi);
 
     // Exponentiation on a small exponent.
     let exp = MpUint::<L>::from_u64(13);
@@ -73,6 +83,71 @@ fn check_ring_ops<const L: usize>(a: MpUint<L>, b: MpUint<L>, q: MpUint<L>) {
         to_big(&barrett.pow_mod(a, &exp)),
         a_big.mod_pow(&BigUint::from(13u64), &q_big)
     );
+}
+
+/// The `L`-word Shoup primitives at the edges of their domains: the lazy
+/// operand at both ends of `[0, q)`, `[0, 2q)`, `[0, 4q)` and of the word count
+/// itself; the fixed multiplicand at both ends of `[0, q)`.
+fn check_shoup_edges<const L: usize>(q_hex: &str) {
+    let q = MpUint::<L>::from_hex(q_hex);
+    assert_eq!(q.bits(), 64 * L as u32 - 4);
+    let ring = ModRing::new(q);
+    let q_big = to_big(&q);
+    let radix = BigUint::one() << (64 * L as u32);
+    let one = MpUint::<L>::ONE;
+    let two_q = q.wrapping_add(&q);
+    let four_q = two_q.wrapping_add(&two_q);
+    let ys = [
+        MpUint::ZERO,
+        one,
+        q.wrapping_sub(&one),
+        q,
+        two_q.wrapping_sub(&one),
+        four_q.wrapping_sub(&one),
+        MpUint::MAX,
+    ];
+    for w in [MpUint::ZERO, one, MpUint::from_u64(2), q.wrapping_sub(&one)] {
+        let w_big = to_big(&w);
+        let w_shoup = ring.shoup_precompute(w);
+        assert_eq!(
+            to_big(&w_shoup),
+            &(&w_big * &radix) / &q_big,
+            "quotient: L={L} w={w}"
+        );
+        for y in ys {
+            let expected = to_big(&y).mod_mul(&w_big, &q_big);
+            let lazy = ring.mul_mod_shoup_lazy(y, w, w_shoup);
+            assert!(lazy < two_q, "range: L={L} w={w} y={y}");
+            assert_eq!(
+                &to_big(&lazy) % &q_big,
+                expected,
+                "residue: L={L} w={w} y={y}"
+            );
+            assert_eq!(
+                to_big(&ring.mul_mod_shoup(y, w, w_shoup)),
+                expected,
+                "reduced: L={L} w={w} y={y}"
+            );
+            let full = &to_big(&w_shoup) * &to_big(&y);
+            assert_eq!(
+                to_big(&w_shoup.mul_hi(&y)),
+                &full >> (64 * L as u32),
+                "high product: L={L} w={w} y={y}"
+            );
+        }
+    }
+}
+
+/// At the paper's evaluation moduli (`moma_ntt::params::PAPER_MODULI_HEX`):
+/// exactly `64L − 4` bits, the least headroom a Barrett ring can have.
+#[test]
+fn shoup_primitives_match_the_oracle_at_the_edges() {
+    check_shoup_edges::<1>("fffffa000000001");
+    check_shoup_edges::<2>("fffffffffffffffffffffe100000001");
+    check_shoup_edges::<3>("fffffffffffffffffffffffffffffffffffffd800000001");
+    check_shoup_edges::<4>("fffffffffffffffffffffffffffffffffffffffffffffffffffffe200000001");
+    check_shoup_edges::<6>("fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff1500000001");
+    check_shoup_edges::<16>("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffebc00000001");
 }
 
 proptest! {

@@ -11,8 +11,9 @@
 //! * [`transform`] — the iterative radix-2 Cooley–Tukey forward and inverse transforms
 //!   over [`moma_mp::MpUint`] elements, plus a 64-bit single-word variant;
 //! * [`plan`] — precomputed execution plans: bit-reversed twiddle tables built once
-//!   per (modulus, n), with Shoup precomputed quotients and lazy reduction on the
-//!   single-word path — the hot-path entry points for repeated transforms;
+//!   per (modulus, n), with Shoup precomputed quotients and lazy reduction on
+//!   both the multi-word and the single-word path — the hot-path entry points for
+//!   repeated transforms;
 //! * [`launcher`] — execution of the single-word plans on the simulated GPU
 //!   launcher, the paper's §5.1 execution shape: a same-modulus batch dispatches
 //!   one virtual thread per butterfly per stage through `moma_gpu::launch_indexed`

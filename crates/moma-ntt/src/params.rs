@@ -21,6 +21,10 @@ pub const PAPER_MODULI_HEX: [(u32, &str); 9] = [
     (1024, "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffebc00000001"),
 ];
 
+/// The largest transform size the evaluation moduli support: every one of them is
+/// `≡ 1 (mod 2^32)`, so `2^32` is the largest power of two dividing `q − 1`.
+pub const MAX_PAPER_TRANSFORM_SIZE: usize = 1 << 32;
+
 /// Returns the evaluation modulus for a given kernel bit-width as a [`BigUint`].
 ///
 /// # Panics
@@ -65,7 +69,7 @@ impl<const L: usize> NttParams<L> {
             "NTT size must be a power of two"
         );
         assert!(
-            n <= 1 << 32,
+            n <= MAX_PAPER_TRANSFORM_SIZE,
             "the evaluation moduli support sizes up to 2^32"
         );
         let q_big = paper_modulus(bits);

@@ -10,14 +10,19 @@
 //! * [`NttPlan`] — the multi-word path. Precomputes the flat bit-reversed-order
 //!   twiddle tables (Harvey's layout: entry `m + j` holds `ω_{2m}^j`, so every
 //!   stage reads its twiddles sequentially) for the forward and inverse transforms
-//!   plus `n^{-1}`, and runs butterflies with exactly one ring multiplication each.
-//! * [`NttPlan64`] — the single-word path. Additionally stores a Shoup
-//!   precomputed quotient per twiddle ([`SingleBarrett::shoup_precompute`]) and
-//!   executes the butterfly stages with **lazy reduction**: values live in
-//!   `[0, 4q)` through the stages (one conditional subtraction per butterfly
-//!   instead of three) and are normalized to `[0, q)` in a single final pass.
-//!   This is Harvey's butterfly, valid because the evaluation modulus has 60 bits
-//!   (`4q < 2^64`).
+//!   plus `n^{-1}`, each with a column of Shoup precomputed quotients
+//!   ([`ModRing::shoup_precompute`]), and runs Harvey's butterfly on `L` words:
+//!   one lazy Shoup product each (a fixed-shape high product and two low
+//!   products — no Barrett reduction, no shift, no correction), values in
+//!   `[0, 4q)` through the stages, one normalize pass at the end. Valid because
+//!   the plan checks `4q < 2^(64·L)` when it is built.
+//! * [`NttPlan64`] — the single-word path, the same discipline on machine words:
+//!   a Shoup quotient per twiddle ([`SingleBarrett::shoup_precompute`]) and
+//!   **lazy reduction** through the butterfly stages: values live in
+//!   `[0, 4q)` (one conditional subtraction per butterfly instead of three) and
+//!   are normalized to `[0, q)` in a single final pass. Valid because the
+//!   evaluation modulus has 60 bits (`4q < 2^64`). It additionally carries the
+//!   negacyclic twist and the launcher's stage views.
 
 use crate::params::NttParams;
 use crate::transform::{bit_reverse_permute, stage_roots, stage_roots_u64, Ntt64};
@@ -28,8 +33,10 @@ use rand::SeedableRng;
 /// A reusable execution plan for `n`-point transforms over `L`-limb elements.
 ///
 /// Building a plan costs about `n` ring multiplications (one serial pass per
-/// stage-aggregate table); every subsequent transform then does one multiplication
-/// per butterfly instead of the naive loop's two, and no stage-root derivation.
+/// stage-aggregate table) plus one Shoup quotient per twiddle; every subsequent
+/// transform then spends one lazy Shoup product per butterfly — a fixed-shape
+/// high product and two low products — where the naive loop spends two full
+/// Barrett multiplications, and does no stage-root derivation.
 ///
 /// # Example
 ///
@@ -51,30 +58,68 @@ pub struct NttPlan<const L: usize> {
     pub n: usize,
     /// The coefficient ring `Z_q`.
     pub ring: ModRing<L>,
+    /// `2q`, the fold bound of the lazy butterflies.
+    two_q: MpUint<L>,
     /// Forward twiddles in bit-reversed (Harvey) layout: `fwd[m + j] = ω_{2m}^j`
     /// for every stage half-length `m = 1, 2, …, n/2` and `0 ≤ j < m`. Entry 0 is
     /// unused padding so the table is indexed directly by `m + j`.
     fwd: Vec<MpUint<L>>,
+    /// [`ModRing::shoup_precompute`] of every forward twiddle, same layout.
+    fwd_shoup: Vec<MpUint<L>>,
     /// Inverse twiddles in the same layout, built from `ω^{-1}`.
     inv: Vec<MpUint<L>>,
-    /// `n^{-1} mod q` for the inverse transform's final scaling.
+    inv_shoup: Vec<MpUint<L>>,
+    /// `n^{-1} mod q` for the inverse transform's final scaling, and its quotient.
     n_inv: MpUint<L>,
+    n_inv_shoup: MpUint<L>,
 }
 
 impl<const L: usize> NttPlan<L> {
     /// Builds a plan from existing transform parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `4q < 2^(64·L)`, i.e. the modulus leaves two bits of
+    /// headroom in its `L` words. The lazy butterflies keep values in `[0, 4q)`
+    /// between stages; `params.ring` is a public field and a full-width
+    /// Montgomery ring can be put there, so this is a real `assert!` where the
+    /// lazy discipline is entered (as in [`NttPlan64::from_ntt`]) — a violation
+    /// in a release build would silently wrap the butterfly arithmetic.
     pub fn new(params: &NttParams<L>) -> Self {
+        let ring = params.ring;
+        let q = ring.modulus();
+        assert!(
+            q.bits() + 2 <= MpUint::<L>::BITS,
+            "lazy-reduction NTT requires q < 2^{} so values in [0, 4q) fit {} words (got {} bits)",
+            MpUint::<L>::BITS - 2,
+            L,
+            q.bits()
+        );
+        let fwd = build_table(&ring, params.omega, params.n);
+        let inv = build_table(&ring, params.omega_inv, params.n);
+        let quotients = |table: &[MpUint<L>]| -> Vec<MpUint<L>> {
+            table.iter().map(|&w| ring.shoup_precompute(w)).collect()
+        };
         NttPlan {
             n: params.n,
-            ring: params.ring,
-            fwd: build_table(&params.ring, params.omega, params.n),
-            inv: build_table(&params.ring, params.omega_inv, params.n),
+            ring,
+            two_q: q.wrapping_add(&q),
+            fwd_shoup: quotients(&fwd),
+            inv_shoup: quotients(&inv),
+            fwd,
+            inv,
             n_inv: params.n_inv,
+            n_inv_shoup: ring.shoup_precompute(params.n_inv),
         }
     }
 
     /// Convenience constructor: derives parameters for the evaluation modulus of
     /// `bits`-bit kernels and builds the plan.
+    ///
+    /// `alg` selects the products of the ring's Barrett multiplication — what
+    /// the plan build and [`crate::polymul`]'s pointwise step run on. The
+    /// butterflies do not consult it: their three products are fixed-shape
+    /// schoolbook ([`ModRing::mul_mod_shoup_lazy`]).
     ///
     /// # Panics
     ///
@@ -84,7 +129,8 @@ impl<const L: usize> NttPlan<L> {
     }
 
     /// The twiddle factors of one butterfly stage, selected by direction and
-    /// stage half-length `m` (a power of two below `n`): entry `j` is `ω_{2m}^j`.
+    /// stage half-length `m` (a power of two below `n`): entry `j` is `ω_{2m}^j`,
+    /// reduced. (Their Shoup quotients are derived data and stay private.)
     ///
     /// This — not the raw tables — is the interface stage-level executors (the
     /// launcher, session batching) consume plans through, so the table layout
@@ -107,57 +153,97 @@ impl<const L: usize> NttPlan<L> {
         self.n_inv
     }
 
-    /// In-place forward NTT using the precomputed tables.
+    /// In-place forward NTT using the precomputed tables. Inputs must be reduced
+    /// (`< q`); outputs are reduced.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != self.n`.
     pub fn forward(&self, data: &mut [MpUint<L>]) {
-        self.run(data, &self.fwd);
+        self.run_lazy(data, &self.fwd, &self.fwd_shoup);
+        let q = self.ring.modulus();
+        for x in data.iter_mut() {
+            *x = fold(fold(*x, &self.two_q), &q);
+        }
     }
 
     /// In-place inverse NTT (including the `1/n` scaling) using the precomputed
-    /// tables.
+    /// tables. Inputs must be reduced (`< q`); outputs are reduced.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != self.n`.
     pub fn inverse(&self, data: &mut [MpUint<L>]) {
-        self.run(data, &self.inv);
+        self.run_lazy(data, &self.inv, &self.inv_shoup);
+        // The scaling multiplication doubles as the normalize pass: the Shoup
+        // product accepts the stages' [0, 4q) values as they are.
         for x in data.iter_mut() {
-            *x = self.ring.mul(*x, self.n_inv);
+            *x = self.ring.mul_mod_shoup(*x, self.n_inv, self.n_inv_shoup);
         }
     }
 
-    fn run(&self, data: &mut [MpUint<L>], table: &[MpUint<L>]) {
+    /// Runs the butterfly stages with values lazily reduced in `[0, 4q)`.
+    ///
+    /// Harvey's butterfly on `L` words: fold `x` into `[0, 2q)` with one
+    /// conditional subtraction, take the lazy Shoup product
+    /// `t = w·y mod q ∈ [0, 2q)` (which accepts `y` unfolded), and emit `x + t`
+    /// and `x − t + 2q`, both `< 4q` — representable because [`NttPlan::new`]
+    /// checked `4q < 2^(64·L)`.
+    fn run_lazy(&self, data: &mut [MpUint<L>], table: &[MpUint<L>], shoup: &[MpUint<L>]) {
         assert_eq!(
             data.len(),
             self.n,
             "data length must equal the transform size"
         );
         bit_reverse_permute(data);
+        let two_q = self.two_q;
         // Stage m = 1 uses only the twiddle ω^0 = 1: no multiplication needed.
+        // Inputs are reduced, so `x + y < 2q` and `x + 2q − y < 3q`.
         for pair in data.chunks_exact_mut(2) {
             let x = pair[0];
             let y = pair[1];
-            pair[0] = self.ring.add(x, y);
-            pair[1] = self.ring.sub(x, y);
+            debug_assert!(x.max(y) < self.ring.modulus(), "inputs must be reduced");
+            pair[0] = x.wrapping_add(&y);
+            pair[1] = x.wrapping_add(&two_q).wrapping_sub(&y);
         }
         let mut m = 2;
         while m < self.n {
             let twiddles = &table[m..2 * m];
-            let mut start = 0;
-            while start < self.n {
-                for (j, &w) in twiddles.iter().enumerate() {
-                    let x = data[start + j];
-                    let wy = self.ring.mul(w, data[start + j + m]);
-                    data[start + j] = self.ring.add(x, wy);
-                    data[start + j + m] = self.ring.sub(x, wy);
+            let quotients = &shoup[m..2 * m];
+            for block in data.chunks_exact_mut(2 * m) {
+                let (xs, ys) = block.split_at_mut(m);
+                for (((x, y), &w), &ws) in xs
+                    .iter_mut()
+                    .zip(ys.iter_mut())
+                    .zip(twiddles)
+                    .zip(quotients)
+                {
+                    debug_assert!(self.in_lazy_range(x) && self.in_lazy_range(y));
+                    let xv = fold(*x, &two_q);
+                    let t = self.ring.mul_mod_shoup_lazy(*y, w, ws);
+                    *x = xv.wrapping_add(&t);
+                    *y = xv.wrapping_add(&two_q).wrapping_sub(&t);
                 }
-                start += 2 * m;
             }
             m <<= 1;
         }
+        debug_assert!(data.iter().all(|v| self.in_lazy_range(v)));
+    }
+
+    /// `v < 4q`: the invariant every value between stages satisfies.
+    fn in_lazy_range(&self, v: &MpUint<L>) -> bool {
+        *v < self.two_q.wrapping_add(&self.two_q)
+    }
+}
+
+/// One conditional subtraction: `v − bound` if `v ≥ bound`, else `v`.
+#[inline]
+fn fold<const L: usize>(v: MpUint<L>, bound: &MpUint<L>) -> MpUint<L> {
+    let (reduced, borrow) = v.overflowing_sub(bound);
+    if borrow {
+        v
+    } else {
+        reduced
     }
 }
 
@@ -871,18 +957,112 @@ mod tests {
         assert_eq!(a, b, "planned inverse must match the naive path");
     }
 
+    /// `forward` pinned to the O(n²) definition of the DFT and `inverse` to the
+    /// definition of its inverse, bit for bit, with every output reduced — on
+    /// random inputs and on the ones that sit at the ends of the lazy range. A
+    /// round trip alone would survive a range error made consistently in both
+    /// directions.
     #[test]
     fn plan_matches_dft_oracle() {
-        let params = NttParams::<2>::for_paper_modulus(32, 128, MulAlgorithm::Schoolbook);
-        let plan = NttPlan::new(&params);
-        let mut rng = StdRng::seed_from_u64(72);
-        let data: Vec<_> = (0..32)
-            .map(|_| params.ring.random_element(&mut rng))
-            .collect();
-        let expected = naive_dft(&params, &data);
-        let mut actual = data.clone();
-        plan.forward(&mut actual);
-        assert_eq!(actual, expected);
+        fn check<const L: usize>(bits: u32, n: usize) {
+            let params = NttParams::<L>::for_paper_modulus(n, bits, MulAlgorithm::Schoolbook);
+            let plan = NttPlan::new(&params);
+            let ring = &params.ring;
+            let q = ring.modulus();
+            // Σ x[j]·ω^(−jk): the inverse's definition before its 1/n scaling.
+            let conjugate = NttParams {
+                omega: params.omega_inv,
+                omega_inv: params.omega,
+                ..params.clone()
+            };
+            let mut rng = StdRng::seed_from_u64(72 + bits as u64 + n as u64);
+            let mut impulse = vec![MpUint::ZERO; n];
+            impulse[1] = MpUint::ONE;
+            let inputs = [
+                (0..n).map(|_| ring.random_element(&mut rng)).collect(),
+                vec![q.wrapping_sub(&MpUint::ONE); n],
+                vec![MpUint::ZERO; n],
+                impulse,
+            ];
+            for (case, data) in inputs.iter().enumerate() {
+                let mut actual = data.clone();
+                plan.forward(&mut actual);
+                assert!(actual.iter().all(|x| *x < q), "{bits} bits, n={n}, #{case}");
+                assert_eq!(
+                    actual,
+                    naive_dft(&params, data),
+                    "{bits} bits, n={n}, #{case}"
+                );
+                let mut actual = data.clone();
+                plan.inverse(&mut actual);
+                assert!(actual.iter().all(|x| *x < q), "{bits} bits, n={n}, #{case}");
+                let expected: Vec<_> = naive_dft(&conjugate, data)
+                    .into_iter()
+                    .map(|x| ring.mul(x, params.n_inv))
+                    .collect();
+                assert_eq!(actual, expected, "inverse: {bits} bits, n={n}, #{case}");
+            }
+        }
+        check::<1>(64, 64);
+        check::<2>(128, 2);
+        check::<2>(128, 32);
+        check::<2>(128, 1024);
+        check::<4>(256, 32);
+        check::<6>(384, 16);
+        check::<16>(1024, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "q < 2^126")]
+    fn plan_rejects_moduli_without_lazy_headroom() {
+        // `NttParams`' fields are public, so a full-width Montgomery ring can be
+        // put where the constructors only ever put a (64L − 4)-bit Barrett one.
+        // The plan must not inherit its [0, 4q) headroom from its callers.
+        let good = NttParams::<2>::for_paper_modulus(4, 128, MulAlgorithm::Schoolbook);
+        let forged = NttParams {
+            ring: ModRing::new_montgomery(MpUint::from_hex("7fffffffffffffffffffffffffffffff")),
+            ..good
+        };
+        NttPlan::new(&forged);
+    }
+
+    /// The evaluation moduli have exactly `64L − 4` bits: `4q` fits with two bits
+    /// to spare, and on the input that drives the lazy values highest (every
+    /// coefficient `q − 1`) nothing between stages reaches `4q` — the per-stage
+    /// `debug_assert!`s in `run_lazy` check every intermediate, the explicit
+    /// assertion the last stage's.
+    #[test]
+    fn plan_paper_moduli_keep_lazy_values_below_4q() {
+        fn check<const L: usize>(bits: u32, n: usize) {
+            let plan = NttPlan::<L>::for_paper_modulus(n, bits, MulAlgorithm::Schoolbook);
+            let q = plan.ring.modulus();
+            assert_eq!(q.bits(), bits - 4);
+            let four_q = plan
+                .two_q
+                .checked_add(&plan.two_q)
+                .expect("4q must fit the word count");
+            assert_eq!(plan.two_q, q.checked_add(&q).expect("no wrap computing 2q"));
+            let data = vec![q.wrapping_sub(&MpUint::ONE); n];
+            for (table, shoup) in [(&plan.fwd, &plan.fwd_shoup), (&plan.inv, &plan.inv_shoup)] {
+                let mut lazy = data.clone();
+                plan.run_lazy(&mut lazy, table, shoup);
+                assert!(lazy.iter().all(|x| *x < four_q), "{bits} bits");
+            }
+            let mut work = data.clone();
+            plan.forward(&mut work);
+            assert!(work.iter().all(|x| *x < q));
+            plan.inverse(&mut work);
+            assert_eq!(work, data, "{bits} bits");
+        }
+        check::<1>(64, 64);
+        check::<2>(128, 256);
+        check::<3>(192, 16);
+        check::<4>(256, 16);
+        check::<5>(320, 16);
+        check::<6>(384, 16);
+        check::<8>(512, 8);
+        check::<12>(768, 8);
+        check::<16>(1024, 8);
     }
 
     #[test]

@@ -12,18 +12,22 @@ use moma_mp::MpUint;
 pub fn naive_dft<const L: usize>(params: &NttParams<L>, data: &[MpUint<L>]) -> Vec<MpUint<L>> {
     assert_eq!(data.len(), params.n);
     let ring = &params.ring;
-    let n = params.n as u64;
-    let mut out = Vec::with_capacity(params.n);
-    for k in 0..n {
-        let mut acc = MpUint::<L>::ZERO;
-        for (j, &x) in data.iter().enumerate() {
-            let exponent = (j as u64 % n).wrapping_mul(k) % n;
-            let w = ring.pow(params.omega, &MpUint::from_u64(exponent));
-            acc = ring.add(acc, ring.mul(x, w));
-        }
-        out.push(acc);
+    let n = params.n;
+    // ω^0 .. ω^(n−1), one multiplication each; ω^(jk) is entry `jk mod n`.
+    let mut powers = Vec::with_capacity(n);
+    let mut cur = MpUint::<L>::ONE;
+    for _ in 0..n {
+        powers.push(cur);
+        cur = ring.mul(cur, params.omega);
     }
-    out
+    (0..n)
+        .map(|k| {
+            data.iter().enumerate().fold(MpUint::ZERO, |acc, (j, &x)| {
+                let w = powers[(j as u64 * k as u64 % n as u64) as usize];
+                ring.add(acc, ring.mul(x, w))
+            })
+        })
+        .collect()
 }
 
 /// Schoolbook polynomial multiplication over `Z_q` (Equation 11): the `O(n^2)` oracle

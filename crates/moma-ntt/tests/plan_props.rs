@@ -15,17 +15,25 @@ use rand::{Rng, SeedableRng};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// NttPlan (multi-word): inverse ∘ forward is the identity.
+    /// NttPlan (multi-word, Shoup + lazy reduction): inverse ∘ forward is the
+    /// identity, every output is fully reduced, and the forward transform is the
+    /// naive Barrett path's bit for bit.
     #[test]
     fn plan_forward_inverse_is_identity(seed in any::<u64>(), log_n in 1u32..7) {
         let n = 1usize << log_n;
         let params = NttParams::<2>::for_paper_modulus(n, 128, MulAlgorithm::Schoolbook);
         let plan = NttPlan::new(&params);
+        let q = params.ring.modulus();
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<_> = (0..n).map(|_| params.ring.random_element(&mut rng)).collect();
         let mut work = data.clone();
         plan.forward(&mut work);
+        prop_assert!(work.iter().all(|x| *x < q), "forward output reduced");
+        let mut naive = data.clone();
+        moma_ntt::forward(&params, &mut naive);
+        prop_assert_eq!(&work, &naive);
         plan.inverse(&mut work);
+        prop_assert!(work.iter().all(|x| *x < q), "inverse output reduced");
         prop_assert_eq!(work, data);
     }
 

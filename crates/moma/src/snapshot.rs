@@ -661,11 +661,15 @@ impl Session {
             rescale_extend_plans.push(((t.src, t.dst), Arc::new(plan)));
         }
 
-        // Multi-word keys: validate shape, then rebuild (the build is the
-        // expensive part being warmed here, so rebuild only below, after all
-        // fallible validation has passed).
+        // Multi-word keys: reject here every key `NttParams::for_paper_modulus`
+        // would refuse — the rebuild below runs after the caches are seeded and
+        // must not be able to panic. (The build is the expensive part being
+        // warmed, so it happens only once all fallible validation has passed.)
         for &(limbs, bits, n) in &parsed.ntt_mw {
-            if bits != limbs * 64 || !n.is_power_of_two() || n < 2 {
+            if bits != limbs * 64
+                || !n.is_power_of_two()
+                || !(2..=moma_ntt::params::MAX_PAPER_TRANSFORM_SIZE).contains(&n)
+            {
                 return Err(SnapshotError::Malformed("invalid multi-word NTT key"));
             }
             if !matches!(limbs, 1 | 2 | 3 | 4 | 5 | 6 | 8 | 12 | 16) {

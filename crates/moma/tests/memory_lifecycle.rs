@@ -488,6 +488,35 @@ fn snapshot_rejects_wrong_key_or_basis() {
     ));
 }
 
+/// A multi-word key the plan constructor would refuse — `n = 2^33`, one past
+/// what the evaluation moduli support — is a typed error from the validation
+/// pass. It used to pass the key check and panic inside the rebuild, after
+/// every other section had been seeded.
+#[test]
+fn snapshot_rejects_a_multiword_key_the_constructor_would_refuse() {
+    let (warm, _) = warm_session();
+    let key = [
+        &1u64.to_le_bytes()[..],     // one entry
+        &2u32.to_le_bytes(),         // limbs
+        &128u32.to_le_bytes(),       // bits
+        &(1u64 << 33).to_le_bytes(), // n
+    ]
+    .concat();
+    let bytes = with_section_payload(warm.snapshot(), 3, &key);
+
+    let fresh = Session::default();
+    assert!(matches!(
+        fresh.restore(&bytes),
+        Err(SnapshotError::Malformed("invalid multi-word NTT key"))
+    ));
+    assert_eq!(fresh.stats().ntt_multiword.misses, 0, "nothing was rebuilt");
+    assert_eq!(
+        fresh.snapshot(),
+        Session::default().snapshot(),
+        "nothing was seeded in any cache"
+    );
+}
+
 /// Recomputes the trailing FNV-1a checksum after tampering with content bytes
 /// (so the arithmetic validators, not the checksum, are what reject it).
 fn patch_checksum(mut bytes: Vec<u8>) -> Vec<u8> {
