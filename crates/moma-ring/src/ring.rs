@@ -4,25 +4,34 @@
 //! whole residue plane, each row transformed in place), pointwise products
 //! through the RNS BLAS plan, and level drops through the residue-local
 //! rescale (one launch; the result is already over the next level's basis).
-//! All working planes come from a caller-provided [`BufferPool`], so a warm
-//! ladder reports zero allocations per level.
+//! A ladder step stays in the evaluation domain: it transforms only the
+//! dropped modulus' row and the survivors' rounding corrections, `k` row
+//! transforms for a `k`-modulus basis instead of the `2k` of a lower/raise
+//! round trip. All working planes come from a caller-provided [`BufferPool`],
+//! so a warm ladder reports zero allocations per level.
 
 use std::sync::Arc;
 
 use moma_bignum::BigUint;
 use moma_blas::BlasOp;
-use moma_gpu::launch::LaunchStats;
+use moma_gpu::launch::{launch_chunks, LaunchStats};
 use moma_gpu::pool::BufferPool;
 use moma_ntt::launcher::{forward_rows, inverse_rows};
 use moma_ntt::NttPlan64;
+use moma_rns::plan::mul_mod;
 use moma_rns::{RescalePlan, RnsContext, RnsMatrix, RnsPlan};
 
 /// Which representation a [`RingElt`]'s residue rows currently hold.
+///
+/// Every operation says which domain it takes and returns; [`RingContext::decode`]
+/// reads either, and [`RingContext::ladder_step`] takes either and returns the
+/// evaluation domain, except on the step onto the ladder floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Domain {
-    /// Polynomial coefficients (the encode/decode and rescale domain).
+    /// Polynomial coefficients (the encode and coefficient-rescale domain).
     Coefficient,
-    /// Negacyclic NTT evaluations (the pointwise-multiply domain).
+    /// Negacyclic NTT evaluations (the pointwise-multiply domain, where a
+    /// ladder stays between steps).
     Evaluation,
 }
 
@@ -186,23 +195,23 @@ impl RingContext {
         }
     }
 
-    /// Decodes a coefficient-domain element back to `BigUint` coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elt` is in the evaluation domain.
-    pub fn decode(&self, elt: &RingElt) -> Vec<BigUint> {
-        assert_eq!(
-            elt.domain,
-            Domain::Coefficient,
-            "decode needs the coefficient domain"
-        );
-        self.levels[elt.level].rns.to_biguints(&elt.matrix)
-    }
-
-    /// A pooled copy of `elt`.
-    pub fn clone_elt(&self, elt: &RingElt, pool: &BufferPool) -> RingElt {
-        elt.clone_with_pool(pool)
+    /// Decodes `elt` back to `BigUint` coefficients, in either domain. A
+    /// coefficient-domain element is reconstructed as it lies; an
+    /// evaluation-domain one is lowered on a copy drawn from `pool` (one
+    /// launch, the copy recycled before returning), so `elt` itself is left
+    /// untouched and a warm pool allocates no plane.
+    pub fn decode(&self, elt: &RingElt, pool: &BufferPool) -> Vec<BigUint> {
+        let rns = &self.levels[elt.level].rns;
+        match elt.domain {
+            Domain::Coefficient => rns.to_biguints(&elt.matrix),
+            Domain::Evaluation => {
+                let mut lowered = elt.clone_with_pool(pool);
+                self.inverse_ntt(&mut lowered);
+                let values = rns.to_biguints(&lowered.matrix);
+                lowered.recycle(pool);
+                values
+            }
+        }
     }
 
     /// Raises `elt` into the evaluation domain in place: one multi-modulus
@@ -324,52 +333,149 @@ impl RingContext {
         )
     }
 
-    /// One full ladder level on coefficient-domain operands: raise → pointwise
-    /// multiply → inverse → rescale onto the next level's basis. Passing the
-    /// same element for `a` and `b` squares it with a single raise. All
-    /// intermediates are recycled into `pool`, so a warm pool makes the whole
-    /// step allocation-free.
+    /// One full ladder level: `a·b` divided by the level's last modulus with
+    /// rounding, over the next level's basis. Operands may come in either
+    /// domain: a coefficient-domain one is raised on a pooled copy (one
+    /// launch), an evaluation-domain one is read where it lies. Passing the
+    /// same element for `a` and `b` squares it with at most one raise.
+    ///
+    /// The product never leaves the evaluation domain. Rescale is linear, so
+    /// with `c` the product's residue under the dropped modulus `q_k` and
+    /// `δ = (c > q_k/2)`, every survivor row `r` is
+    /// `ŷ_r = (â_r·b̂_r − NTT_r(c − δ·q_k))·q_k⁻¹ mod q_r`: one single-row
+    /// launch forms and lowers the dropped row to get `c`, and one launch over
+    /// the survivors builds, raises and applies the correction rows — `k` row
+    /// transforms for `k` moduli. The result is in the evaluation domain and,
+    /// once lowered, bit-identical to [`RingContext::rescale_to_next_level`]
+    /// on the lowered product. The step onto the ladder floor is the
+    /// exception: there the product is lowered (2 rows) and rescaled on
+    /// coefficients, so a ladder ends in the coefficient domain.
+    ///
+    /// All intermediates are recycled into `pool`, so a warm pool makes the
+    /// whole step allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics on a level/domain mismatch or if `a` is at the ladder floor.
+    /// Panics on a level mismatch or if `a` is at the ladder floor.
     pub fn ladder_step(
         &self,
         a: &RingElt,
         b: &RingElt,
         pool: &BufferPool,
     ) -> (RingElt, LaunchStats) {
-        assert_eq!(
-            a.domain,
-            Domain::Coefficient,
-            "ladder steps start from coefficients"
-        );
+        assert_eq!(a.level, b.level, "ring multiply needs matching levels");
+        assert!(a.level < self.steps(), "already at the ladder floor");
         let mut stats = LaunchStats::default();
-        let mut fa = self.clone_elt(a, pool);
-        stats.accumulate(self.forward_ntt(&mut fa));
-        let mut prod = if std::ptr::eq(a, b) {
-            let (p, s) = self.mul(&fa, &fa, pool);
-            stats.accumulate(s);
-            p
+        let squaring = std::ptr::eq(a, b);
+        let raised_a = self.raised_copy(a, pool, &mut stats);
+        let raised_b = if squaring {
+            None
         } else {
-            assert_eq!(
-                b.domain,
-                Domain::Coefficient,
-                "ladder steps start from coefficients"
-            );
-            let mut fb = self.clone_elt(b, pool);
-            stats.accumulate(self.forward_ntt(&mut fb));
-            let (p, s) = self.mul(&fa, &fb, pool);
-            stats.accumulate(s);
-            fb.recycle(pool);
-            p
+            self.raised_copy(b, pool, &mut stats)
         };
-        fa.recycle(pool);
-        stats.accumulate(self.inverse_ntt(&mut prod));
-        let (next, s) = self.rescale_to_next_level(&prod, pool);
+        let fa = raised_a.as_ref().unwrap_or(a);
+        let fb = if squaring {
+            fa
+        } else {
+            raised_b.as_ref().unwrap_or(b)
+        };
+        let (next, s) = if a.level + 1 == self.steps() {
+            let (mut prod, s) = self.mul(fa, fb, pool);
+            stats.accumulate(s);
+            stats.accumulate(self.inverse_ntt(&mut prod));
+            let rescaled = self.rescale_to_next_level(&prod, pool);
+            prod.recycle(pool);
+            rescaled
+        } else {
+            self.mul_rescale(fa, fb, pool)
+        };
         stats.accumulate(s);
-        prod.recycle(pool);
+        for raised in [raised_a, raised_b].into_iter().flatten() {
+            raised.recycle(pool);
+        }
         (next, stats)
+    }
+
+    /// A raised pooled copy of `elt` if it holds coefficients, `None` if it
+    /// is already in the evaluation domain.
+    fn raised_copy(
+        &self,
+        elt: &RingElt,
+        pool: &BufferPool,
+        stats: &mut LaunchStats,
+    ) -> Option<RingElt> {
+        (elt.domain == Domain::Coefficient).then(|| {
+            let mut raised = elt.clone_with_pool(pool);
+            stats.accumulate(self.forward_ntt(&mut raised));
+            raised
+        })
+    }
+
+    /// `a·b` (both raised, same level, above the floor) rescaled onto the next
+    /// level's basis without leaving the evaluation domain: the two launches
+    /// [`RingContext::ladder_step`] describes. Each launch reports its thread
+    /// blocks' `n/2` butterfly threads per transformed row, as the raise and
+    /// lower launches do.
+    fn mul_rescale(&self, a: &RingElt, b: &RingElt, pool: &BufferPool) -> (RingElt, LaunchStats) {
+        let n = self.n;
+        let step = self.levels[a.level]
+            .step
+            .as_ref()
+            .expect("already at the ladder floor");
+        let survivors = a.matrix.row_count() - 1;
+        let dropped = &self.ntt[survivors];
+        let (q_k, half) = (dropped.ctx.q, dropped.ctx.q / 2);
+
+        // The dropped modulus' product row, lowered: `c`.
+        let misses_before = pool.misses();
+        let mut c = pool.acquire(n);
+        let mut stats = launch_chunks(&mut c, n, |_, c| {
+            let (ctx, narrow) = (&dropped.ctx, dropped.ctx.is_narrow());
+            let (ar, br) = (a.matrix.row(survivors), b.matrix.row(survivors));
+            for ((c, &x), &y) in c.iter_mut().zip(ar).zip(br) {
+                *c = mul_mod(ctx, narrow, x, y);
+            }
+            dropped.inverse(c);
+        });
+        stats.threads = n / 2;
+        stats.allocs += (pool.misses() - misses_before) as usize;
+
+        // Every survivor row: the correction `e_r = c − δ·q_k mod q_r`, raised
+        // in place, then `(â_r·b̂_r − ê_r)·q_k⁻¹`.
+        let (matrix, mut s) = RnsMatrix::filled_from(pool, survivors, n, |data| {
+            launch_chunks(data, n, |r, row| {
+                let plan = &self.ntt[r];
+                let (ctx, narrow) = (&plan.ctx, plan.ctx.is_narrow());
+                let q_k_r = ctx.reduce_word(q_k);
+                for (e, &c) in row.iter_mut().zip(&c) {
+                    let c_r = ctx.reduce_word(c);
+                    *e = if c > half {
+                        ctx.sub_mod(c_r, q_k_r)
+                    } else {
+                        c_r
+                    };
+                }
+                plan.forward(row);
+                let inv = step.inverse_table()[r];
+                let inv_shoup = ctx.shoup_precompute(inv);
+                let (ar, br) = (a.matrix.row(r), b.matrix.row(r));
+                for ((e, &x), &y) in row.iter_mut().zip(ar).zip(br) {
+                    let diff = ctx.sub_mod(mul_mod(ctx, narrow, x, y), *e);
+                    *e = ctx.mul_mod_shoup(diff, inv, inv_shoup);
+                }
+            })
+        });
+        s.threads = survivors * n / 2;
+        stats.accumulate(s);
+        pool.recycle(c);
+        (
+            RingElt {
+                level: a.level + 1,
+                domain: Domain::Evaluation,
+                matrix,
+            },
+            stats,
+        )
     }
 }
 
@@ -446,7 +552,7 @@ mod tests {
         ring.forward_ntt(&mut eb);
         let (mut prod, _) = ring.mul(&ea, &eb, &pool);
         ring.inverse_ntt(&mut prod);
-        let got = ring.decode(&prod);
+        let got = ring.decode(&prod, &pool);
 
         assert_eq!(got, oracle::negacyclic_mul(ring.product(0), &a, &b));
         for e in [ea, eb, prod] {
@@ -468,17 +574,17 @@ mod tests {
         let ea = ring.encode(0, &a, &pool);
         let eb = ring.encode(0, &b, &pool);
         let (sum, _) = ring.add(&ea, &eb, &pool);
-        assert_eq!(ring.decode(&sum), want);
+        assert_eq!(ring.decode(&sum, &pool), want);
         sum.recycle(&pool);
 
         // Evaluation domain: add commutes with the transform.
-        let mut fa = ring.clone_elt(&ea, &pool);
-        let mut fb = ring.clone_elt(&eb, &pool);
+        let mut fa = ea.clone_with_pool(&pool);
+        let mut fb = eb.clone_with_pool(&pool);
         ring.forward_ntt(&mut fa);
         ring.forward_ntt(&mut fb);
         let (mut fsum, _) = ring.add(&fa, &fb, &pool);
         ring.inverse_ntt(&mut fsum);
-        assert_eq!(ring.decode(&fsum), want);
+        assert_eq!(ring.decode(&fsum, &pool), want);
         for e in [ea, eb, fa, fb, fsum] {
             e.recycle(&pool);
         }
@@ -505,7 +611,7 @@ mod tests {
         }
         assert_eq!(cur.level(), ring.steps());
         assert_eq!(ring.basis(cur.level()), &moduli[..1]);
-        let got = ring.decode(&cur);
+        let got = ring.decode(&cur, &pool);
         cur.recycle(&pool);
 
         assert_eq!(got, oracle::ladder_replay(&moduli, &a, &b, ring.steps()));
@@ -553,7 +659,30 @@ mod tests {
         let mut elt = ring.encode(0, &coeffs, &BufferPool::new());
         assert_eq!(ring.forward_ntt(&mut elt).allocs, 0);
         assert_eq!(ring.inverse_ntt(&mut elt).allocs, 0);
-        assert_eq!(ring.decode(&elt), coeffs, "lower ∘ raise is the identity");
+        let decoded = ring.decode(&elt, &BufferPool::new());
+        assert_eq!(decoded, coeffs, "lower ∘ raise is the identity");
+    }
+
+    #[test]
+    fn decoding_an_evaluation_form_element_leaves_it_untouched_and_is_allocation_free_when_warm() {
+        let n = 32;
+        let ring = RingContext::new(n, &ladder_primes(n, &[50, 30, 45]));
+        let pool = BufferPool::new();
+        let coeffs = random_coeffs(14, &ring, 0);
+        let mut elt = ring.encode(0, &coeffs, &pool);
+        ring.forward_ntt(&mut elt);
+        let raised = elt.matrix().clone();
+        assert_eq!(ring.decode(&elt, &pool), coeffs, "cold decode");
+        let misses = pool.misses();
+        assert_eq!(ring.decode(&elt, &pool), coeffs, "warm decode");
+        assert_eq!(pool.misses(), misses, "a warm decode allocates no plane");
+        assert_eq!(elt.domain(), Domain::Evaluation);
+        assert_eq!(
+            elt.matrix(),
+            &raised,
+            "decode lowers a copy, not the element"
+        );
+        elt.recycle(&pool);
     }
 
     #[test]
@@ -607,26 +736,44 @@ mod tests {
     }
 
     #[test]
-    fn eight_level_ladder_is_thirty_three_launches() {
-        // A step is raise (×2 on distinct operands, ×1 when squaring) +
-        // pointwise + lower + rescale, one launch each: 5, then 4 per squaring.
+    fn eight_level_ladder_is_nineteen_launches_and_sixty_two_row_transforms() {
+        // Every launch that transforms rows reports n/2 butterfly threads per
+        // row, so a step's threads count its row transforms. a·b raises both
+        // level-0 operands (9 rows each, 2 launches); every step above the
+        // floor is then 2 launches on a k-row basis: the dropped row lowered
+        // (1 row) and the survivors' corrections raised (k − 1 rows). The
+        // step onto the floor multiplies (one thread per row, 2), lowers its 2
+        // rows and rescales on coefficients (one thread per survivor row, 1).
         let n = 16;
         let ring = RingContext::new(n, &crate::ladder::default_ladder(n, 8));
+        assert_eq!(ring.steps(), 8);
         let pool = BufferPool::new();
         let ea = ring.encode(0, &random_coeffs(11, &ring, 0), &pool);
         let eb = ring.encode(0, &random_coeffs(12, &ring, 0), &pool);
-        let (mut cur, stats) = ring.ladder_step(&ea, &eb, &pool);
-        assert_eq!(stats.launches, 5, "a·b");
-        let mut total = stats.launches;
+        let (mut cur, first) = ring.ladder_step(&ea, &eb, &pool);
+        assert_eq!((first.launches, first.threads), (4, (9 + 9 + 9) * n / 2));
+        let (mut launches, mut transforms) = (first.launches, first.threads / (n / 2));
         for level in 1..ring.steps() {
+            assert_eq!(cur.domain(), Domain::Evaluation, "between steps");
             let (next, stats) = ring.ladder_step(&cur, &cur, &pool);
-            assert_eq!(stats.launches, 4, "squaring at level {level}");
-            total += stats.launches;
+            // (launches, row transforms, threads of the launches that
+            // transform nothing)
+            let (want_launches, want_rows, other_threads) = if level + 1 < ring.steps() {
+                (2, ring.basis(level).len(), 0)
+            } else {
+                (3, 2, 2 + 1)
+            };
+            assert_eq!(stats.launches, want_launches, "launches at level {level}");
+            let transformed = (stats.threads - other_threads) / (n / 2);
+            assert_eq!(transformed, want_rows, "row transforms at level {level}");
+            launches += stats.launches;
+            transforms += transformed;
             cur.recycle(&pool);
             cur = next;
         }
-        assert_eq!(ring.steps(), 8);
-        assert_eq!(total, 33);
+        assert_eq!(cur.domain(), Domain::Coefficient, "a ladder ends lowered");
+        assert_eq!(launches, 19);
+        assert_eq!(transforms, 62);
         for e in [ea, eb, cur] {
             e.recycle(&pool);
         }
@@ -664,17 +811,46 @@ mod tests {
             coeffs.extend((coeffs.len()..n).map(|_| random_below(&mut rng, q)));
             assert_eq!(coeffs.len(), n);
 
+            let want = oracle::rescale(&RnsContext::with_moduli(basis), &coeffs);
             let elt = ring.encode(level, &coeffs, &pool);
             let (out, _) = ring.rescale_to_next_level(&elt, &pool);
-            let want = oracle::rescale(&RnsContext::with_moduli(basis), &coeffs);
-            assert_eq!(ring.decode(&out), want, "level {level}");
+
+            // The same edges through the evaluation-domain rescale a ladder
+            // step runs, as the product `coeffs · 1`.
+            let mut unit = vec![BigUint::zero(); n];
+            unit[0] = one.clone();
+            let mut raised = elt.clone_with_pool(&pool);
+            let mut raised_unit = ring.encode(level, &unit, &pool);
+            ring.forward_ntt(&mut raised);
+            ring.forward_ntt(&mut raised_unit);
+            let (mut evaluated, _) = ring.mul_rescale(&raised, &raised_unit, &pool);
+            assert_eq!(evaluated.domain(), Domain::Evaluation);
+            let next = ring.basis(level + 1);
+            for (r, &q_r) in next.iter().enumerate() {
+                let row = evaluated.matrix().row(r);
+                assert!(row.iter().all(|&y| y < q_r), "level {level}, row {r}");
+            }
+            assert_eq!(
+                ring.decode(&evaluated, &pool),
+                want,
+                "level {level}, raised"
+            );
+            ring.inverse_ntt(&mut evaluated);
+
+            assert_eq!(ring.decode(&out, &pool), want, "level {level}");
             // Decoding forgives a residue of `q_r`; the plane must not hold one.
             for (c, w) in want.iter().enumerate() {
                 let residues = ring.rns_plan(level + 1).to_residues(w);
                 assert_eq!(out.matrix().element(c), residues, "level {level}, {c}");
+                assert_eq!(
+                    evaluated.matrix().element(c),
+                    residues,
+                    "level {level}, {c}"
+                );
             }
-            elt.recycle(&pool);
-            out.recycle(&pool);
+            for e in [elt, out, raised, raised_unit, evaluated] {
+                e.recycle(&pool);
+            }
         }
     }
 
@@ -692,7 +868,7 @@ mod tests {
             .collect();
         let elt = ring.encode(0, &coeffs, &pool);
         let (out, _) = ring.rescale_to_next_level(&elt, &pool);
-        let got = ring.decode(&out);
+        let got = ring.decode(&out, &pool);
         let want: Vec<BigUint> = coeffs.iter().map(|c| c / &last).collect();
         assert_eq!(got, want);
         elt.recycle(&pool);

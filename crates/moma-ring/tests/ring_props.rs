@@ -66,7 +66,7 @@ proptest! {
         ring.inverse_ntt(&mut prod);
 
         let want = oracle::negacyclic_mul(ring.product(level), &a, &b);
-        prop_assert_eq!(ring.decode(&prod), want);
+        prop_assert_eq!(ring.decode(&prod, &pool), want);
         for e in [ea, eb, prod] {
             e.recycle(&pool);
         }
@@ -95,7 +95,7 @@ proptest! {
         prop_assert_eq!(floor.level(), ring.steps());
 
         let want = oracle::ladder_replay(&moduli, &a, &b, ring.steps());
-        prop_assert_eq!(ring.decode(&floor), want);
+        prop_assert_eq!(ring.decode(&floor, &pool), want);
         for e in [ea, eb, floor] {
             e.recycle(&pool);
         }

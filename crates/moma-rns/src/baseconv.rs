@@ -628,7 +628,8 @@ impl RescalePlan {
     }
 
     /// The dropped modulus' inverses, `m_k^{-1} mod m_r` per surviving modulus
-    /// — the serialization view used by session snapshots.
+    /// — what the ring's evaluation-domain rescale multiplies each survivor
+    /// row by, and the serialization view used by session snapshots.
     pub fn inverse_table(&self) -> &[u64] {
         &self.inv_last
     }

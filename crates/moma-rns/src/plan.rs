@@ -584,12 +584,13 @@ impl RnsPlan {
     }
 }
 
-/// `(a · b) mod q`, dispatching on the `narrow` verdict the plan recorded at
-/// construction: the single-widening-multiplication path for validated ≤32-bit
-/// moduli (always true for the 31-bit bases [`RnsContext`] constructs by
-/// default), the general Barrett path for wide rows of a mixed basis.
+/// `(a · b) mod q`, dispatching on the `narrow` verdict the caller recorded
+/// once per row ([`SingleBarrett::is_narrow`], as the plan does at
+/// construction): the single-widening-multiplication path for ≤32-bit moduli
+/// (always true for the 31-bit bases [`RnsContext`] constructs by default),
+/// the general Barrett path for wide rows of a mixed basis.
 #[inline]
-pub(crate) fn mul_mod(ctx: &SingleBarrett, narrow: bool, a: u64, b: u64) -> u64 {
+pub fn mul_mod(ctx: &SingleBarrett, narrow: bool, a: u64, b: u64) -> u64 {
     if narrow {
         ctx.mul_mod_narrow(a, b)
     } else {
@@ -714,12 +715,13 @@ impl RnsMatrix {
         RnsMatrix { rows, cols, data }
     }
 
-    /// The shared tail of every [`RnsPlan`] execution entry point: acquires a
-    /// `rows × cols` plane from `pool`, lets `fill` run the launches over it,
-    /// and adds the pool misses of that window (`fill` may draw scratch planes
-    /// from the same pool) to the reported `allocs`. An empty result touches
-    /// neither the pool nor the launcher.
-    pub(crate) fn filled_from(
+    /// The shared tail of every [`RnsPlan`] execution entry point, and of the
+    /// ring layer's fused kernels: acquires a `rows × cols` plane from `pool`,
+    /// lets `fill` run the launches over it, and adds the pool misses of that
+    /// window (`fill` may draw scratch planes from the same pool) to the
+    /// reported `allocs`. An empty result touches neither the pool nor the
+    /// launcher. `fill` must leave every row reduced below its modulus.
+    pub fn filled_from(
         pool: &BufferPool,
         rows: usize,
         cols: usize,

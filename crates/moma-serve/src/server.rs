@@ -1129,8 +1129,11 @@ fn run_batch(shared: &Shared, seqs: &[u64], items: &[WorkItem]) -> (Vec<Response
             };
             // Every request in the group shares the tenant's ring context, so
             // the whole batch pays the plan lookups once and cycles the same
-            // pooled planes; each step is the fused raise → multiply → lower →
-            // rescale chain at the group's level.
+            // pooled planes. Each reply is decoded, so a step is raise →
+            // multiply → lower → coefficient rescale on the operands the
+            // request already owns: `ladder_step`'s evaluation-domain rescale
+            // would add a lowering of the result (4k − 1 row transforms
+            // against 3k) and clone both operands to raise them.
             let mut launches = 0u64;
             let responses = items
                 .iter()
@@ -1138,9 +1141,17 @@ fn run_batch(shared: &Shared, seqs: &[u64], items: &[WorkItem]) -> (Vec<Response
                     let WorkItem::LadderStep { a, b, .. } = item else {
                         unreachable!("dispatcher groups by batch key");
                     };
-                    let va = space.encode(*level, a);
-                    let vb = space.encode(*level, b);
-                    let (out, stats) = space.ladder_step(&va, &vb);
+                    let mut va = space.encode(*level, a);
+                    let mut vb = space.encode(*level, b);
+                    let mut stats = space.forward_ntt(&mut va);
+                    stats.accumulate(space.forward_ntt(&mut vb));
+                    let (mut product, s) = space.mul(&va, &vb);
+                    stats.accumulate(s);
+                    drop((va, vb));
+                    stats.accumulate(space.inverse_ntt(&mut product));
+                    let (out, s) = space.rescale_to_next_level(&product);
+                    stats.accumulate(s);
+                    drop(product);
                     launches += stats.launches as u64;
                     Response::Ladder(space.decode(&out))
                 })

@@ -1364,13 +1364,11 @@ impl RingSpace {
         self.wrap(self.ring.encode(level, values, self.session.pool()))
     }
 
-    /// Decodes a coefficient-domain element back to `BigUint` coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is in the evaluation domain.
+    /// Decodes `v` back to `BigUint` coefficients, in either domain: an
+    /// evaluation-domain element is lowered on a copy from the session pool,
+    /// leaving `v` untouched (see [`RingContext::decode`]).
     pub fn decode(&self, v: &RingVec) -> Vec<BigUint> {
-        self.ring.decode(v.elt())
+        self.ring.decode(v.elt(), self.session.pool())
     }
 
     /// Raises `v` into the evaluation domain in place (one multi-modulus
@@ -1426,9 +1424,13 @@ impl RingSpace {
         (self.wrap(elt), stats)
     }
 
-    /// One full ladder level: raise → pointwise multiply → inverse → rescale
-    /// onto the next level's basis. Passing the same vector for `a` and `b`
-    /// squares it with a single raise.
+    /// One full ladder level: `a·b` rescaled onto the next level's basis.
+    /// Operands may be in either domain (coefficient ones are raised on
+    /// pooled copies) and the result stays in the evaluation domain, ready
+    /// for the next step, except on the step onto the ladder floor, which
+    /// returns coefficients; [`RingSpace::decode`] reads either. Passing the
+    /// same vector for `a` and `b` squares it with at most one raise. See
+    /// [`RingContext::ladder_step`] for the launches.
     ///
     /// # Panics
     ///

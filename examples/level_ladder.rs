@@ -3,9 +3,11 @@
 //! Run with: `cargo run -p moma-examples --example level_ladder`
 //!
 //! The workload every RNS-CKKS-shaped FHE scheme runs per multiplicative
-//! level: negacyclic multiply in `R_q = Z_q[X]/(X^n + 1)` (folded-twist NTT →
-//! pointwise → inverse NTT), then rescale-and-drop one modulus from the
-//! ladder. This example walks that ladder three ways:
+//! level: negacyclic multiply in `R_q = Z_q[X]/(X^n + 1)` (pointwise, in the
+//! folded-twist NTT domain), then rescale-and-drop one modulus from the
+//! ladder — in the evaluation domain too, so the running value is raised once
+//! and lowered once, on the step onto the floor. This example walks that
+//! ladder three ways:
 //!
 //! 1. **Inline** — `Session::ring` hands out a shared [`moma::RingSpace`];
 //!    the full ladder (first step `a · b`, every later step squares the
@@ -77,8 +79,14 @@ fn main() {
     // Recycle the floor-level planes so the warm re-run finds every buffer
     // back in the pool.
     drop(floor);
+    // Two raises for `a·b`, two launches per step in the evaluation domain
+    // (the dropped row lowered, the survivors' corrections raised), and one
+    // more on the step onto the floor, which lowers and rescales on
+    // coefficients.
+    assert_eq!(launches, 2 * levels + 3, "launches per ladder");
     println!(
-        "ladder of {levels} levels: {launches} launches ({:.1}/level), \
+        "ladder of {levels} levels: {launches} launches ({:.1}/level: 2 per step in the \
+         evaluation domain, + 2 raises, + 1 on the step onto the floor), \
          end state matches the schoolbook oracle bit for bit",
         launches as f64 / levels as f64
     );
