@@ -1,10 +1,10 @@
 //! `reproduce bench`: the ten micro sections of `BENCH_ntt_blas.json` — naive vs
 //! planned NTT, the stage-launched NTT, the planned RNS engine and its chain
-//! operations, session warm start, interpreted vs compiled kernel batches and
-//! the parallel BLAS batch. One function per section returns that section's
-//! object; every timed field is a `{min, median, max}` triple over the run's
-//! samples, and the speedups are ratios of minima (the best-of-N figure earlier
-//! files recorded). `--quick` lowers iteration counts only, never a shape, so a
+//! operations, session warm start, interpreted vs compiled vs launched kernel
+//! batches and the parallel BLAS batch. One function per section returns that
+//! section's object; every timed field is a `{min, median, max}` triple over
+//! the run's samples, and the speedups are ratios of minima (the best-of-N
+//! figure earlier files recorded). `--quick` lowers iteration counts only, never a shape, so a
 //! quick and a full run agree on every count. What a served request or a ring
 //! ladder costs end to end is the repo benchmark's to say (`benchmark/`).
 
@@ -14,7 +14,7 @@ use crate::json::Json;
 use moma::blas::batch::{run_batch, Batch};
 use moma::blas::gpu::run_batch_parallel;
 use moma::blas::BlasOp;
-use moma::gpu::BufferPool;
+use moma::gpu::{launch_compiled_batch, BufferPool};
 use moma::ir::compiled::CompiledKernel;
 use moma::ir::interp;
 use moma::mp::{ModRing, MpUint, MulAlgorithm as RtMulAlgorithm};
@@ -442,7 +442,9 @@ fn rescale_extend(session: &Session, bits: u32, elements: usize, iters: u32) -> 
 }
 
 /// Batch execution of a generated machine-level kernel: per-element tree
-/// interpretation vs the compiled bytecode executor.
+/// interpretation, the compiled bytecode executor, and one batch launch —
+/// which runs the kernel's build-time native twin when the fixed set has one,
+/// as it has for the modmul this row times.
 fn kernel_batch(op: KernelOp, bits: u32, elements: usize, iters: u32) -> Json {
     let hl = builders::build(&KernelSpec::new(op, bits));
     let lowered = lower(&hl, &LoweringConfig::default());
@@ -472,11 +474,13 @@ fn kernel_batch(op: KernelOp, bits: u32, elements: usize, iters: u32) -> Json {
     let compiled_ns = sample_calls(iters, per_elt, || {
         compiled.run_batch(&rows).expect("compiled batch runs")
     });
+    let launched = sample_calls(iters, per_elt, || launch_compiled_batch(&compiled, &rows).0);
     Json::Obj(vec![
         ("kernel", Json::Str(kernel.name.clone())),
         ("elements", Json::Int(elements)),
         ("interpreted_ns_per_element", interpreted.json(2)),
         ("compiled_ns_per_element", compiled_ns.json(2)),
+        ("launched_ns_per_element", launched.json(2)),
         (
             "compiled_vs_interpreted_speedup",
             ratio(interpreted, compiled_ns),

@@ -14,14 +14,20 @@
 //! | --- | --- | --- |
 //! | [`launch_indexed`] | index `i` — a side-effecting closure; NTT butterflies | the caller's own storage and synchronization |
 //! | [`launch_chunks`] | `chunk_len`-sized chunk of a `&mut` slice — a residue row, a thread block | written in place |
-//! | [`launch_compiled_batch`] | row of a flat row-major input batch, run through a generated [`CompiledKernel`] in lane blocks | returned flat, element-major |
+//! | [`launch_compiled_batch`] | row of a flat row-major input batch, run through a generated [`CompiledKernel`]: its build-time native twin if the fixed set has one, else lane blocks | returned flat, element-major |
 //! | [`launch_compiled_rows`] | element of a multi-output [`CompiledKernel`], run in lane blocks | scattered in place, one row per output |
 //!
 //! The two compiled shapes run the same lane-block executor and differ only in
-//! layout (element-major in and out, or planes in and rows out). The tree
-//! interpreter (`moma_ir::interp`) is their correctness oracle; the test suites
-//! cross-check them against it.
+//! layout (element-major in and out, or planes in and rows out). A batch launch
+//! first looks the kernel's fingerprint up in the fixed set that `build.rs`
+//! emitted with the rewrite system and rustc compiled (the default-config
+//! modmul at 128 and 256 bits); on a match each worker runs that native
+//! function over its rows instead. Kernels built at run time, such as the RNS
+//! fused kernels the rows shape launches, never match. The tree interpreter
+//! (`moma_ir::interp`) is the correctness oracle of both executors; the test
+//! suites cross-check them against it.
 
+use crate::native;
 use moma_ir::compiled::{BlockScratch, CompiledKernel, LANE_BLOCK};
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -107,7 +113,8 @@ fn worker_count() -> usize {
 }
 
 /// The dispatch every entry point shares: cuts `0..n` into one contiguous
-/// range per worker (fewer when `n` is small) and runs `body(lo, hi, part)`
+/// range per worker (fewer when `n` is small, and none shorter than
+/// `min_range` elements but the last) and runs `body(lo, hi, part)`
 /// once per range, where `part = carve(lo, hi)` is that range's share of the
 /// caller's output. `carve` is called on the calling thread, once per range in
 /// ascending order, so it can walk a `&mut` cursor over the output. The calling
@@ -115,7 +122,7 @@ fn worker_count() -> usize {
 /// with a single range (one worker, or `n == 1`) never touches the scheduler.
 /// Returns the number of ranges that ran — the host threads that were busy at
 /// once, `0` when `n == 0` — for [`LaunchStats::workers`].
-fn dispatch<P, C, B>(n: usize, mut carve: C, body: B) -> usize
+fn dispatch<P, C, B>(n: usize, min_range: usize, mut carve: C, body: B) -> usize
 where
     P: Send,
     C: FnMut(usize, usize) -> P,
@@ -124,7 +131,7 @@ where
     if n == 0 {
         return 0;
     }
-    let chunk = n.div_ceil(worker_count());
+    let chunk = n.div_ceil(worker_count()).max(min_range);
     let first_hi = chunk.min(n);
     let first = carve(0, first_hi);
     if first_hi == n {
@@ -144,6 +151,12 @@ where
     });
     n.div_ceil(chunk)
 }
+
+/// The fewest rows a native twin runs per range. A twin costs ~7–50 ns per
+/// element, so a shorter range's share of the work is about what spawning its
+/// worker costs (18–25 µs on an idle 2-core host, several times that on a
+/// loaded one); the bytecode executor, ~10× slower per element, splits freely.
+pub(crate) const NATIVE_MIN_RANGE: usize = 8192;
 
 /// Cuts the next `len` elements off the front of the cursor `rest`.
 fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
@@ -180,6 +193,7 @@ where
     let start = Instant::now();
     let workers = dispatch(
         n,
+        1,
         |_, _| (),
         |lo, hi, ()| {
             for i in lo..hi {
@@ -222,6 +236,7 @@ where
     let mut rest = out;
     let workers = dispatch(
         n,
+        1,
         |lo, hi| {
             let len = ((hi - lo) * chunk_len).min(rest.len());
             take_front(&mut rest, len)
@@ -247,10 +262,14 @@ where
 /// returned flat in the same element order (`output_count` words per element).
 ///
 /// Contiguous row ranges are split across the host workers; each worker runs
-/// its range through [`CompiledKernel::run_elements`] (lane blocks on one
-/// reused frame) and writes its slice of the flat output directly — no
-/// per-element input `Vec`, no per-element output allocation, one instruction
-/// dispatch per block. The one output buffer is the launch's only allocation
+/// its range and writes its slice of the flat output directly — no
+/// per-element input `Vec`, no per-element output allocation. A kernel whose
+/// [`CompiledKernel::fingerprint`] matches a member of the fixed set built at
+/// compile time runs as that native function, in ranges of at least 8192 rows
+/// (a shorter range costs less than spawning its worker); any other runs
+/// through [`CompiledKernel::run_elements`] (lane blocks on one reused frame,
+/// one instruction dispatch per block). Both compute what the tree interpreter
+/// computes. The one output buffer is the launch's only allocation
 /// (`allocs == 1`, `0` for an empty batch).
 ///
 /// # Panics
@@ -272,18 +291,25 @@ pub fn launch_compiled_batch(compiled: &CompiledKernel, inputs: &[u64]) -> (Vec<
     let oc = compiled.output_count();
     let mut out = vec![0u64; n * oc];
     let start = Instant::now();
+    let twin = native::twin(compiled);
+    let min_range = if twin.is_some() { NATIVE_MIN_RANGE } else { 1 };
     let mut rest: &mut [u64] = &mut out;
     let workers = dispatch(
         n,
+        min_range,
         |lo, hi| take_front(&mut rest, (hi - lo) * oc),
         |lo, hi, out_slice| {
-            with_inline_block_scratch(|scratch| {
-                compiled
-                    .run_elements(hi - lo, &inputs[lo * p..hi * p], scratch, out_slice)
-                    .unwrap_or_else(|e| {
-                        panic!("generated kernel failed in elements {lo}..{hi}: {e}")
-                    })
-            })
+            let rows = &inputs[lo * p..hi * p];
+            match twin {
+                Some(run) => run(rows, out_slice),
+                None => with_inline_block_scratch(|scratch| {
+                    compiled
+                        .run_elements(hi - lo, rows, scratch, out_slice)
+                        .unwrap_or_else(|e| {
+                            panic!("generated kernel failed in elements {lo}..{hi}: {e}")
+                        })
+                }),
+            }
         },
     );
     (
@@ -344,6 +370,7 @@ where
     let mut rests: Vec<&mut [u64]> = out.chunks_mut(cols.max(1)).collect();
     let workers = dispatch(
         elements,
+        1,
         |lo, hi| -> Vec<&mut [u64]> {
             rests
                 .iter_mut()

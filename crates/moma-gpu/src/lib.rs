@@ -9,7 +9,9 @@
 //! * [`launch`] — a data-parallel batch launcher that executes one virtual CUDA thread
 //!   per element on a host thread pool, one entry point per launch shape (used both
 //!   for functional execution of generated kernels through the `moma-ir` compiled
-//!   executor and for wall-clock measurements of the runtime-library kernels);
+//!   executor — or, for the fixed kernel set this crate's build script emits with
+//!   the rewrite system, rustc-built native twins — and for wall-clock
+//!   measurements of the runtime-library kernels);
 //! * [`pool`] — a thread-safe buffer pool that hands out reusable plane-sized
 //!   `u64` (and `AtomicU64`) buffers keyed by size class, the host stand-in for a
 //!   device memory pool: steady-state serving acquires every working plane here
@@ -30,6 +32,7 @@
 pub mod cost;
 pub mod device;
 pub mod launch;
+mod native;
 pub mod pool;
 
 pub use cost::{CostModel, KernelCostEstimate};

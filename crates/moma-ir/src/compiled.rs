@@ -219,6 +219,8 @@ pub struct CompiledKernel {
     /// to recognize a [`BlockScratch`] frame whose constant registers are already
     /// loaded for this kernel.
     id: u64,
+    /// [`Kernel::fingerprint`] of the kernel this was compiled from.
+    fingerprint: u64,
     code: Vec<Code>,
     /// Register slot and declared bit-width of each parameter, in signature order.
     params: Vec<(u32, u32)>,
@@ -399,6 +401,7 @@ impl CompiledKernel {
         Ok(CompiledKernel {
             name: kernel.name.clone(),
             id: next_kernel_id(),
+            fingerprint: kernel.fingerprint(),
             code,
             params: kernel
                 .params
@@ -421,6 +424,12 @@ impl CompiledKernel {
     /// The kernel name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The [`Kernel::fingerprint`] of the kernel this was compiled from: what a
+    /// launcher matches against the kernels it has a native build of.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Number of register slots in the execution frame (after linear-scan reuse;

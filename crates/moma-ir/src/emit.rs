@@ -4,11 +4,12 @@
 //! remaining high-level modular operations). The CUDA emitter writes the same style of
 //! code as the paper's listings: `uint64_t` words, `unsigned __int128` for the
 //! intermediate double words, carries extracted with shifts, and conditional assignments
-//! with the ternary operator.
+//! with the ternary operator. The Rust emitter's output is compiled: `moma-gpu`'s build
+//! script builds the fixed kernel set from it.
 
 use crate::{Kernel, Op, Operand, Ty, VarId};
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Failure while emitting source code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,7 +97,10 @@ pub fn emit_cuda(kernel: &Kernel) -> Result<String, EmitError> {
         }
     };
     let mut out = String::new();
-    out.push_str("// Generated by the MoMA rewrite system (machine word: 64 bits).\n");
+    out.push_str(&format!(
+        "// Generated by the MoMA rewrite system (machine word: {} bits).\n",
+        word_bits(kernel)
+    ));
     out.push_str(&format!("__device__ void {}(", kernel.name));
     let mut first = true;
     for o in &kernel.outputs {
@@ -285,10 +289,7 @@ fn emit_shr_multi_c(
     operand: &dyn Fn(Operand) -> String,
     dst: &dyn Fn(VarId) -> String,
 ) {
-    let word_bits = words
-        .iter()
-        .find_map(|o| o.as_var().map(|v| kernel.ty(v).bits()))
-        .unwrap_or(64);
+    let word_bits = shr_word_bits(kernel, words);
     let n = words.len() as u32;
     let limb_shift = shift / word_bits;
     let bit_shift = shift % word_bits;
@@ -319,198 +320,192 @@ fn emit_shr_multi_c(
     }
 }
 
-/// Emits safe Rust source for a fully lowered kernel (inputs and outputs by value,
-/// `u128` for the intermediate double words).
+/// Emits safe Rust source for a fully lowered kernel: one function that takes
+/// the parameters as a `[u64; P]` array (destructured into their names, in
+/// signature order) and returns the outputs as a `[u64; O]` array, with `u128`
+/// for the intermediate double words and `bool` for flags.
+///
+/// Words narrower than 64 bits are held in `u64`s and every such destination
+/// is masked to its width, so on inputs that fit their parameters the function
+/// computes exactly what [`interp::run`](crate::interp::run) computes. A name
+/// that nothing reads is bound with a `_` prefix, literal zero addends are
+/// left out, and no expression carries parentheses it does not need, so the
+/// kernels the rewrite system emits build without `#[allow]`s under the
+/// workspace's `clippy -D warnings`.
 ///
 /// # Errors
 ///
 /// Returns [`EmitError`] if the kernel is not fully lowered.
 pub fn emit_rust(kernel: &Kernel) -> Result<String, EmitError> {
     check_lowered(kernel)?;
-    let name = |v: VarId| kernel.var(v).name.clone();
-    let rust_ty = |ty: Ty| match ty {
-        Ty::Flag => "bool",
-        Ty::UInt(_) => "u64",
+    let mut read = vec![false; kernel.vars.len()];
+    for v in kernel
+        .body
+        .iter()
+        .flat_map(|stmt| rust_reads(kernel, stmt))
+        .filter_map(|o| o.as_var())
+        .chain(kernel.outputs.iter().copied())
+    {
+        read[v.0] = true;
+    }
+    let is_flag = |v: VarId| kernel.ty(v) == Ty::Flag;
+    let name = |v: VarId| kernel.var(v).name.as_str();
+    // An operand read as a word, as a double word, and as a flag.
+    let word = |o: Operand| match o {
+        Operand::Var(v) if is_flag(v) => format!("u64::from({})", name(v)),
+        Operand::Var(v) => name(v).to_string(),
+        Operand::Const(c) => format!("{c}u64"),
     };
-    let operand = |o: Operand| -> String {
-        match o {
-            Operand::Var(v) => {
-                if kernel.ty(v) == Ty::Flag {
-                    format!("({} as u64)", name(v))
-                } else {
-                    name(v)
-                }
+    let wide = |o: Operand| match o {
+        Operand::Var(v) => format!("u128::from({})", name(v)),
+        Operand::Const(c) => format!("{c}u128"),
+    };
+    let flag = |o: Operand| match o {
+        Operand::Var(v) if is_flag(v) => name(v).to_string(),
+        Operand::Var(v) => format!("{} != 0", name(v)),
+        Operand::Const(c) => (c != 0).to_string(),
+    };
+    // A destination's read as a word or as a flag, by its own type.
+    let value = |d: VarId, o: Operand| if is_flag(d) { flag(o) } else { word(o) };
+    // `let dst = expr;`, masked to the width of a sub-64-bit word.
+    let bind = |out: &mut String, d: VarId, expr: String| {
+        let (underscore, name) = (if read[d.0] { "" } else { "_" }, name(d));
+        let written = match kernel.ty(d) {
+            Ty::UInt(w) if w < 64 && expr.contains(' ') => {
+                writeln!(
+                    out,
+                    "    let {underscore}{name} = ({expr}) & {:#x};",
+                    mask(w)
+                )
             }
-            Operand::Const(c) => format!("{c}u64"),
-        }
+            Ty::UInt(w) if w < 64 => {
+                writeln!(out, "    let {underscore}{name} = {expr} & {:#x};", mask(w))
+            }
+            _ => writeln!(out, "    let {underscore}{name} = {expr};"),
+        };
+        written.expect("writing to a String");
     };
-    let mut out = String::new();
-    out.push_str("/// Generated by the MoMA rewrite system (machine word: 64 bits).\n");
-    out.push_str(&format!("pub fn {}(", kernel.name));
-    for (i, p) in kernel.params.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+
+    let mut out = format!(
+        "/// Generated by the MoMA rewrite system (machine word: {} bits).\n",
+        word_bits(kernel)
+    );
+    let params: Vec<String> = kernel
+        .params
+        .iter()
+        .map(|&p| {
+            let underscore = if read[p.0] { "" } else { "_" };
+            format!("{underscore}{}", name(p))
+        })
+        .collect();
+    out.push_str(&format!(
+        "pub fn {}([{}]: [u64; {}]) -> [u64; {}] {{\n",
+        kernel.name,
+        params.join(", "),
+        params.len(),
+        kernel.outputs.len()
+    ));
+    for &p in &kernel.params {
+        if is_flag(p) && read[p.0] {
+            out.push_str(&format!("    let {0} = {0} != 0;\n", name(p)));
         }
-        out.push_str(&format!("{}: {}", name(*p), rust_ty(kernel.ty(*p))));
     }
-    out.push_str(") -> (");
-    for (i, o) in kernel.outputs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(rust_ty(kernel.ty(*o)));
-    }
-    out.push_str(") {\n");
 
     for (i, stmt) in kernel.body.iter().enumerate() {
         if let Some(c) = &stmt.comment {
             out.push_str(&format!("    // {c}\n"));
         }
+        let d = stmt.dsts[0];
         match &stmt.op {
-            Op::Copy { src } => {
-                out.push_str(&format!(
-                    "    let {} = {};\n",
-                    name(stmt.dsts[0]),
-                    operand(*src)
-                ));
-            }
+            Op::Copy { src } => bind(&mut out, d, value(d, *src)),
             Op::AddWide { a, b, carry_in } => {
+                // Literal zero addends are left out; an all-zero sum is `0u128`.
+                let terms: Vec<String> = [Some(*a), Some(*b), *carry_in]
+                    .into_iter()
+                    .flatten()
+                    .filter(|o| !o.is_const(0))
+                    .map(wide)
+                    .collect();
+                let sum = if terms.is_empty() {
+                    "0u128".to_string()
+                } else {
+                    terms.join(" + ")
+                };
+                out.push_str(&format!("    let s{i} = {sum};\n"));
                 let w = kernel.ty(stmt.dsts[1]).bits();
-                let carry_term = carry_in
-                    .map(|c| format!(" + {} as u128", operand(c)))
-                    .unwrap_or_default();
-                out.push_str(&format!(
-                    "    let s{i} = {} as u128 + {} as u128{};\n",
-                    operand(*a),
-                    operand(*b),
-                    carry_term
-                ));
-                out.push_str(&format!(
-                    "    let {} = s{i} as u64; let {} = (s{i} >> {w}) != 0;\n",
-                    name(stmt.dsts[1]),
-                    name(stmt.dsts[0])
-                ));
+                bind(&mut out, d, format!("s{i} >> {w} != 0"));
+                bind(&mut out, stmt.dsts[1], format!("s{i} as u64"));
             }
             Op::Sub { a, b, borrow_in } => {
                 let borrow_term = borrow_in
-                    .map(|c| format!(".wrapping_sub({})", operand(c)))
+                    .map(|c| format!(".wrapping_sub({})", word(c)))
                     .unwrap_or_default();
-                out.push_str(&format!(
-                    "    let {} = {}.wrapping_sub({}){};\n",
-                    name(stmt.dsts[0]),
-                    operand(*a),
-                    operand(*b),
-                    borrow_term
-                ));
+                let diff = format!("{}.wrapping_sub({}){borrow_term}", word(*a), word(*b));
+                bind(&mut out, d, diff);
             }
             Op::MulWide { a, b } => {
+                out.push_str(&format!("    let p{i} = {} * {};\n", wide(*a), wide(*b)));
                 let w = kernel.ty(stmt.dsts[1]).bits();
-                out.push_str(&format!(
-                    "    let p{i} = {} as u128 * {} as u128;\n",
-                    operand(*a),
-                    operand(*b)
-                ));
-                out.push_str(&format!(
-                    "    let {} = p{i} as u64; let {} = (p{i} >> {w}) as u64;\n",
-                    name(stmt.dsts[1]),
-                    name(stmt.dsts[0])
-                ));
+                bind(&mut out, d, format!("(p{i} >> {w}) as u64"));
+                bind(&mut out, stmt.dsts[1], format!("p{i} as u64"));
             }
             Op::MulLow { a, b } => {
-                out.push_str(&format!(
-                    "    let {} = {}.wrapping_mul({});\n",
-                    name(stmt.dsts[0]),
-                    operand(*a),
-                    operand(*b)
-                ));
+                bind(
+                    &mut out,
+                    d,
+                    format!("{}.wrapping_mul({})", word(*a), word(*b)),
+                );
             }
-            Op::Lt { a, b } => {
-                out.push_str(&format!(
-                    "    let {} = {} < {};\n",
-                    name(stmt.dsts[0]),
-                    operand(*a),
-                    operand(*b)
-                ));
-            }
-            Op::Eq { a, b } => {
-                out.push_str(&format!(
-                    "    let {} = {} == {};\n",
-                    name(stmt.dsts[0]),
-                    operand(*a),
-                    operand(*b)
-                ));
-            }
-            Op::BoolAnd { a, b } => {
-                out.push_str(&format!(
-                    "    let {} = ({} != 0) && ({} != 0);\n",
-                    name(stmt.dsts[0]),
-                    operand(*a),
-                    operand(*b)
-                ));
-            }
-            Op::BoolOr { a, b } => {
-                out.push_str(&format!(
-                    "    let {} = ({} != 0) || ({} != 0);\n",
-                    name(stmt.dsts[0]),
-                    operand(*a),
-                    operand(*b)
-                ));
-            }
+            Op::Lt { a, b } => bind(&mut out, d, format!("{} < {}", word(*a), word(*b))),
+            Op::Eq { a, b } => bind(&mut out, d, format!("{} == {}", word(*a), word(*b))),
+            Op::BoolAnd { a, b } => bind(&mut out, d, format!("{} && {}", flag(*a), flag(*b))),
+            Op::BoolOr { a, b } => bind(&mut out, d, format!("{} || {}", flag(*a), flag(*b))),
             Op::Select {
                 cond,
                 if_true,
                 if_false,
             } => {
-                out.push_str(&format!(
-                    "    let {} = if {} != 0 {{ {} }} else {{ {} }};\n",
-                    name(stmt.dsts[0]),
-                    operand(*cond),
-                    operand(*if_true),
-                    operand(*if_false)
-                ));
+                let select = format!(
+                    "if {} {{ {} }} else {{ {} }}",
+                    flag(*cond),
+                    value(d, *if_true),
+                    value(d, *if_false)
+                );
+                bind(&mut out, d, select);
             }
             Op::ShrMulti { words, shift } => {
-                let word_bits = words
-                    .iter()
-                    .find_map(|o| o.as_var().map(|v| kernel.ty(v).bits()))
-                    .unwrap_or(64);
+                let word_bits = shr_word_bits(kernel, words);
                 let n = words.len() as u32;
                 let limb_shift = shift / word_bits;
                 let bit_shift = shift % word_bits;
-                let src_limb = |limb: u32| -> Option<String> {
-                    if limb >= n {
-                        None
-                    } else {
-                        Some(operand(words[(n - 1 - limb) as usize]))
-                    }
-                };
+                let src_limb = |limb: u32| (limb < n).then(|| word(words[(n - 1 - limb) as usize]));
                 let m = stmt.dsts.len() as u32;
-                for (di, d) in stmt.dsts.iter().enumerate() {
-                    let limb = m - 1 - di as u32;
-                    let lo_src = limb + limb_shift;
-                    let mut expr = match src_limb(lo_src) {
-                        Some(s) if bit_shift > 0 => format!("({s} >> {bit_shift})"),
+                for (di, &dst) in stmt.dsts.iter().enumerate() {
+                    let lo_src = limb_shift + m - 1 - di as u32;
+                    let lo = match src_limb(lo_src) {
+                        Some(s) if bit_shift > 0 => format!("{s} >> {bit_shift}"),
                         Some(s) => s,
                         None => "0u64".to_string(),
                     };
-                    if bit_shift > 0 {
-                        if let Some(hi) = src_limb(lo_src + 1) {
-                            expr = format!("{expr} | ({hi} << {})", word_bits - bit_shift);
+                    let expr = match src_limb(lo_src + 1) {
+                        Some(hi) if bit_shift > 0 => {
+                            format!("({lo}) | ({hi} << {})", word_bits - bit_shift)
                         }
-                    }
-                    out.push_str(&format!("    let {} = {};\n", name(*d), expr));
+                        _ => lo,
+                    };
+                    bind(&mut out, dst, expr);
                 }
             }
             Op::MacReduceMod { pairs, q, .. } => {
                 let terms: Vec<String> = pairs
                     .iter()
-                    .map(|(a, b)| format!("{} as u128 * {} as u128", operand(*a), operand(*b)))
+                    .map(|(a, b)| format!("{} * {}", wide(*a), wide(*b)))
                     .collect();
-                out.push_str(&format!(
-                    "    let {} = (({}) % {q}u128) as u64;\n",
-                    name(stmt.dsts[0]),
-                    terms.join(" + ")
-                ));
+                let sum = match terms.as_slice() {
+                    [term] => term.clone(),
+                    _ => format!("({})", terms.join(" + ")),
+                };
+                bind(&mut out, d, format!("({sum} % {q}u128) as u64"));
             }
             Op::AddMod { .. }
             | Op::SubMod { .. }
@@ -520,15 +515,58 @@ pub fn emit_rust(kernel: &Kernel) -> Result<String, EmitError> {
             }
         }
     }
-    out.push_str("    (");
-    for (i, o) in kernel.outputs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&name(*o));
-    }
-    out.push_str(")\n}\n");
+    let outputs: Vec<String> = kernel
+        .outputs
+        .iter()
+        .map(|&o| word(Operand::Var(o)))
+        .collect();
+    out.push_str(&format!("    [{}]\n}}\n", outputs.join(", ")));
     Ok(out)
+}
+
+/// The operands the emitted Rust for `stmt` reads: all of them, except the
+/// source words of a multi-word shift that lie wholly below the shift or above
+/// the words it keeps.
+fn rust_reads(kernel: &Kernel, stmt: &crate::Stmt) -> Vec<Operand> {
+    match &stmt.op {
+        Op::ShrMulti { words, shift } => {
+            let word_bits = shr_word_bits(kernel, words);
+            let n = words.len() as u32;
+            let (limb_shift, bit_shift) = (shift / word_bits, shift % word_bits);
+            let top = limb_shift + stmt.dsts.len() as u32 + u32::from(bit_shift > 0);
+            (limb_shift..top.min(n))
+                .map(|limb| words[(n - 1 - limb) as usize])
+                .collect()
+        }
+        op => op.operands(),
+    }
+}
+
+/// The word width of a multi-word shift: that of its first variable word
+/// (constants are typed by their use sites), as the interpreter reads it.
+fn shr_word_bits(kernel: &Kernel, words: &[Operand]) -> u32 {
+    words
+        .iter()
+        .find_map(|o| o.as_var().map(|v| kernel.ty(v).bits()))
+        .unwrap_or(64)
+}
+
+/// The low `bits` bits set (`bits < 64`).
+fn mask(bits: u32) -> u64 {
+    (1u64 << bits) - 1
+}
+
+/// The machine word a lowered kernel was split to: its widest word type.
+fn word_bits(kernel: &Kernel) -> u32 {
+    kernel
+        .vars
+        .iter()
+        .filter_map(|v| match v.ty {
+            Ty::UInt(w) => Some(w),
+            Ty::Flag => None,
+        })
+        .max()
+        .unwrap_or(64)
 }
 
 #[cfg(test)]
@@ -594,10 +632,12 @@ mod tests {
     #[test]
     fn rust_emission_structure() {
         let src = emit_rust(&addmod_like_kernel()).unwrap();
-        assert!(src.contains("pub fn saddmod(a: u64, b: u64, q: u64) -> (u64)"));
-        assert!(src.contains("as u128"));
+        assert!(src.contains("(machine word: 64 bits)"));
+        assert!(src.contains("pub fn saddmod([a, b, q]: [u64; 3]) -> [u64; 1]"));
+        assert!(src.contains("let _carry = s0 >> 64 != 0;"));
+        assert!(src.contains("u128::from(a)"));
         assert!(src.contains("wrapping_sub"));
-        assert!(src.ends_with("}\n"));
+        assert!(src.ends_with("    [c]\n}\n"));
     }
 
     #[test]

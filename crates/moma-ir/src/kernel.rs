@@ -2,6 +2,7 @@
 
 use crate::Ty;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifier of a variable inside one [`Kernel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,7 +57,7 @@ impl From<VarId> for Operand {
 /// An operation. Shapes mirror the left-hand sides of the paper's rewrite rules
 /// (Table 1): multi-destination assignments carry their extra outputs (carry bits,
 /// product high halves) explicitly.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Op {
     /// `dst = src` — a move between equal-width values (or a flag into a word).
     Copy {
@@ -365,6 +366,75 @@ impl Kernel {
     pub fn is_empty(&self) -> bool {
         self.body.is_empty()
     }
+
+    /// A structural fingerprint of what the kernel computes: every variable's
+    /// type, the parameter and output lists, and each statement's destinations
+    /// and operation (tag, operands, constants). Names and comments are left
+    /// out, so two kernels that differ only in those share a fingerprint.
+    ///
+    /// The walk allocates nothing, and the value is the same in every process
+    /// and on every target: a build script and the program it builds agree on
+    /// it, which is how a kernel compiled at run time finds the native twin
+    /// lowered from the same spec at build time.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fingerprinter::default();
+        h.write_usize(self.vars.len());
+        for var in &self.vars {
+            var.ty.hash(&mut h);
+        }
+        self.params.hash(&mut h);
+        self.outputs.hash(&mut h);
+        h.write_usize(self.body.len());
+        for stmt in &self.body {
+            stmt.dsts.hash(&mut h);
+            stmt.op.hash(&mut h);
+        }
+        h.finish()
+    }
+}
+
+/// The hasher behind [`Kernel::fingerprint`]: every write is widened to one
+/// little-endian `u64` word and mixed in FxHash style (rotate, xor, multiply),
+/// then finished with the splitmix64 finalizer. Unlike the standard library's
+/// hashers it is unseeded and independent of the target's pointer width.
+#[derive(Default)]
+struct Fingerprinter(u64);
+
+impl Hasher for Fingerprinter {
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
 }
 
 impl fmt::Display for Kernel {
@@ -578,6 +648,28 @@ mod tests {
         let text = k.to_string();
         assert!(text.contains("kernel demo(a: u64, b: u64) -> (s: u64)"));
         assert!(text.contains("add"));
+    }
+
+    #[test]
+    fn fingerprint_follows_structure_not_names() {
+        let k = small_kernel();
+        let mut renamed = k.clone();
+        renamed.name = "other".to_string();
+        renamed.vars[0].name = "x".to_string();
+        renamed.body[0].comment = Some("note".to_string());
+        assert_eq!(k.fingerprint(), renamed.fingerprint());
+
+        let mut carried = k.clone();
+        if let Op::AddWide { carry_in, .. } = &mut carried.body[0].op {
+            *carry_in = Some(Operand::Const(1));
+        }
+        let mut narrower = k.clone();
+        narrower.vars[1].ty = Ty::UInt(32);
+        let mut swapped = k.clone();
+        swapped.params.swap(0, 1);
+        for changed in [carried, narrower, swapped] {
+            assert_ne!(k.fingerprint(), changed.fingerprint(), "{changed}");
+        }
     }
 
     #[test]

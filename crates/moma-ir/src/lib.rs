@@ -22,7 +22,10 @@
 //!   execution ([`compiled::CompiledKernel::run_batch`]) walks blocks on one frame.
 //!   It is the execution backend of the simulated GPU's hot path;
 //! * [`emit`] — source emitters producing CUDA-like C (mirroring the paper's
-//!   Listings 1–4) and Rust.
+//!   Listings 1–4) and safe Rust. The Rust is compiled: `moma-gpu`'s build
+//!   script builds a fixed kernel set from it, found again at run time by
+//!   [`Kernel::fingerprint`], and a test fixture builds 32-bit-word kernels
+//!   to check it against the interpreter.
 //!
 //! # Example
 //!

@@ -16,7 +16,10 @@ pub struct GeneratedKernel {
     pub lowered: Lowered,
     /// Emitted CUDA-like C source (what the paper's tool chain hands to nvcc).
     pub cuda_source: String,
-    /// Emitted Rust source (for inspection and documentation).
+    /// Emitted Rust source: what the fixed kernel set is built from natively
+    /// (`moma-gpu`'s build script compiles this emitter's output for the
+    /// default-config modmul at 128 and 256 bits, and batch launches of those
+    /// kernels run it).
     pub rust_source: String,
     /// Static word-level operation counts (the cost model input).
     pub op_counts: OpCounts,

@@ -229,7 +229,88 @@ fn compiled_kernels_run_on_one_executor() {
     assert_eq!(
         fn_names(&text, "exec"),
         ["exec_lanes"],
-        "compiled.rs has one execution loop"
+        "compiled.rs has one bytecode loop"
+    );
+}
+
+/// Beside the one bytecode loop, a fixed kernel set runs as native twins that
+/// `moma-gpu`'s build script emits from the rewrite system's output. They are
+/// reachable only through a private fingerprint table: one crate-private
+/// lookup, asked by one launch shape, and no public name in `moma-gpu` for any
+/// of it.
+#[test]
+fn native_twins_sit_behind_one_private_table() {
+    let gpu = Path::new(env!("CARGO_MANIFEST_DIR")).join("../moma-gpu");
+    let read = |file: &str| {
+        std::fs::read_to_string(gpu.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+    };
+    let lib = read("src/lib.rs");
+    assert!(lib.contains("\nmod native;\n") && !lib.contains("pub mod native"));
+    let native = read("src/native.rs");
+    let native = native.split("#[cfg(test)]").next().expect("some source");
+    assert_eq!(fn_names(native, ""), ["twin"], "native.rs has one lookup");
+    assert!(native.contains("pub(crate) fn twin("));
+    assert_eq!(
+        native.matches("include!(").count(),
+        1,
+        "the build script's module is included in one place"
+    );
+    let launch = read("src/launch.rs");
+    let callers: Vec<&str> = fn_names(&launch, "")
+        .into_iter()
+        .filter(|name| fn_text(&launch, name).contains("native::twin("))
+        .collect();
+    assert_eq!(callers, ["launch_compiled_batch"], "one launch shape asks");
+    assert!(
+        read("build.rs").contains("emit_rust(&kernel)"),
+        "the twins are the rewrite system's emitted Rust"
+    );
+
+    // The public surface: every `pub fn` and every public re-export.
+    assert_eq!(
+        names_where(&pub_fns("moma-gpu"), |_| true),
+        [
+            "accumulate",
+            "acquire",
+            "acquire_cells",
+            "all",
+            "cycles_per_thread",
+            "estimate_launch",
+            "estimate_ntt",
+            "launch_chunks",
+            "launch_compiled_batch",
+            "launch_compiled_rows",
+            "launch_indexed",
+            "misses",
+            "misses_since",
+            "nanos",
+            "nanos_per_element",
+            "new",
+            "new",
+            "ntt_time_per_butterfly_ns",
+            "peak_ops_per_second",
+            "recycle",
+            "recycle_cells",
+            "shared_mem_bytes",
+            "stats",
+            "weigh",
+        ],
+        "moma-gpu's public functions"
+    );
+    let exports: Vec<&str> = lib.lines().filter(|l| l.starts_with("pub ")).collect();
+    assert_eq!(
+        exports,
+        [
+            "pub mod cost;",
+            "pub mod device;",
+            "pub mod launch;",
+            "pub mod pool;",
+            "pub use cost::{CostModel, KernelCostEstimate};",
+            "pub use device::DeviceSpec;",
+            "pub use launch::{",
+            "pub use pool::{BufferPool, PoolStats};",
+        ],
+        "moma-gpu's public modules and re-exports"
     );
 }
 
