@@ -16,6 +16,19 @@
 //! 3. **lone muls** — any remaining constant-modulus [`Op::MulModBarrett`]
 //!    becomes a single-pair accumulation, trading the executor's `u128 %` for
 //!    the Barrett sequence.
+//! 4. **dead terms** — a pair with a constant factor `c ≡ 0 (mod q)` is
+//!    dropped from every accumulation the stage builds or meets; a sum that
+//!    loses every pair becomes a [`Op::Copy`] of the constant 0. A base
+//!    conversion whose target modulus is also a source modulus has exactly
+//!    one such row entry that is not zero, `(M/m_s) mod m_s`.
+//! 5. **scaled sums** — a pair `(p, c)` with constant `c` whose producer is
+//!    `p = (Σᵢ aᵢ·kᵢ) mod q` — an accumulation under the same `q` with every
+//!    `kᵢ` constant, used only here and not an output — becomes the pairs
+//!    `(aᵢ, kᵢ·c mod q)`; the producer is left for dead-code elimination.
+//!
+//! Rules 4 and 5 are exact modular algebra on constants: the sum they leave
+//! is congruent to the old one term for term, and the one reduction at the
+//! end makes the results equal.
 //!
 //! Fusion is conservative: it runs only on SSA kernels (every variable written
 //! exactly once — true of everything the builders and the lowering pipeline
@@ -41,7 +54,8 @@ pub fn fuse(kernel: &Kernel) -> (Kernel, bool) {
     let a = fuse_mul_into_add(kernel, &mut body);
     let b = fuse_mac_chains(kernel, &mut body);
     let c = fuse_lone_mulmods(kernel, &mut body);
-    if !(a || b || c) {
+    let d = fold_constant_sums(kernel, &mut body);
+    if !(a || b || c || d) {
         return (kernel.clone(), false);
     }
     let mut out = kernel.clone();
@@ -139,8 +153,8 @@ struct Chain {
 
 /// Rule 2: a chain `t₁ = (a₁·b₁ + seed) mod q; t₂ = (a₂·b₂ + t₁) mod q; …`
 /// becomes one accumulation loop `d = (Σᵢ aᵢ·bᵢ [+ seed·1]) mod q` at the final
-/// statement's position. A zero seed is dropped; any other seed folds in as the
-/// extra pair `(seed, 1)`.
+/// statement's position. The seed folds in as the extra pair `(seed, 1)`, which
+/// rule 4 drops when the seed is a constant `≡ 0 (mod q)`.
 fn fuse_mac_chains(kernel: &Kernel, body: &mut [Stmt]) -> bool {
     let uses = use_counts(kernel, body);
     let outputs: HashSet<VarId> = kernel.outputs.iter().copied().collect();
@@ -168,7 +182,6 @@ fn fuse_mac_chains(kernel: &Kernel, body: &mut [Stmt]) -> bool {
                     pairs.push((a, b));
                     pairs
                 }
-                None if c.is_const(0) => vec![(a, b)],
                 None => vec![(c, Operand::Const(1)), (a, b)],
             };
             chains.insert(
@@ -215,10 +228,97 @@ fn fuse_lone_mulmods(kernel: &Kernel, body: &mut [Stmt]) -> bool {
     changed
 }
 
+/// Rules 4 and 5 on the accumulations already built: each one absorbs the
+/// constant-coefficient sums that feed it through a constant factor (rule 5)
+/// and sheds the terms a constant zeroes (rule 4). An accumulation whose
+/// absorbed form fails the accumulator bound keeps its producers.
+fn fold_constant_sums(kernel: &Kernel, body: &mut [Stmt]) -> bool {
+    let uses = use_counts(kernel, body);
+    let outputs: HashSet<VarId> = kernel.outputs.iter().copied().collect();
+    let mut def: HashMap<VarId, usize> = HashMap::new();
+    let mut changed = false;
+    for j in 0..body.len() {
+        if let Op::MacReduceMod { pairs, q, .. } = &body[j].op {
+            let q = *q;
+            let mut folded = Vec::with_capacity(pairs.len());
+            let mut absorbed = false;
+            for &pair in pairs {
+                let terms = constant_factor(pair).and_then(|(p, c)| {
+                    let Operand::Var(v) = p else { return None };
+                    if uses[v.0] != 1 || outputs.contains(&v) {
+                        return None;
+                    }
+                    scaled_terms(&body[*def.get(&v)?].op, q, c)
+                });
+                match terms {
+                    Some(terms) => {
+                        folded.extend(terms);
+                        absorbed = true;
+                    }
+                    None => folded.push(pair),
+                }
+            }
+            let dst = body[j].dsts[0];
+            let mut rebuilt = None;
+            if absorbed {
+                rebuilt = macreduce_op(kernel, q, &folded, dst);
+            }
+            if rebuilt.is_none() && pairs.iter().any(|&pair| is_dead(pair, q)) {
+                rebuilt = macreduce_op(kernel, q, pairs, dst);
+            }
+            if let Some(op) = rebuilt {
+                body[j].op = op;
+                changed = true;
+            }
+        }
+        for d in &body[j].dsts {
+            def.insert(*d, j);
+        }
+    }
+    changed
+}
+
+/// Splits a product term into its other operand and its constant factor, if
+/// it has one (the right-hand constant when both are).
+fn constant_factor((a, b): (Operand, Operand)) -> Option<(Operand, u64)> {
+    match (a, b) {
+        (other, Operand::Const(c)) | (Operand::Const(c), other) => Some((other, c)),
+        _ => None,
+    }
+}
+
+/// The terms `(aᵢ, kᵢ·c mod q)` of `c · producer` when `producer` is an
+/// accumulation under `q` whose every term has a constant factor `kᵢ`.
+fn scaled_terms(producer: &Op, q: u64, c: u64) -> Option<Vec<(Operand, Operand)>> {
+    let Op::MacReduceMod { pairs, q: pq, .. } = producer else {
+        return None;
+    };
+    if *pq != q {
+        return None;
+    }
+    pairs
+        .iter()
+        .map(|&pair| {
+            let (a, k) = constant_factor(pair)?;
+            let kc = (k as u128 * c as u128 % q as u128) as u64;
+            Some((a, Operand::Const(kc)))
+        })
+        .collect()
+}
+
+/// True when a product term is `≡ 0 (mod q)` by a constant factor alone.
+fn is_dead((a, b): (Operand, Operand), q: u64) -> bool {
+    [a, b]
+        .iter()
+        .any(|o| matches!(o, Operand::Const(c) if c % q == 0))
+}
+
 /// Builds a validated [`Op::MacReduceMod`] for `pairs` under `q`, or `None` when
 /// the modulus is outside the single-word Barrett domain, the destination cannot
 /// hold a residue, or the accumulator bound cannot be shown statically (the same
 /// checks the validator enforces — fusion must never produce an invalid kernel).
+/// Dead terms (rule 4) are dropped first; when none is left the result is a
+/// copy of the constant 0.
 fn macreduce_op(kernel: &Kernel, q: u64, pairs: &[(Operand, Operand)], dst: VarId) -> Option<Op> {
     if q < 2 {
         return None;
@@ -231,6 +331,16 @@ fn macreduce_op(kernel: &Kernel, q: u64, pairs: &[(Operand, Operand)], dst: VarI
         Ty::UInt(dw) if dw >= mbits => {}
         _ => return None,
     }
+    let pairs: Vec<(Operand, Operand)> = pairs
+        .iter()
+        .copied()
+        .filter(|&pair| !is_dead(pair, q))
+        .collect();
+    if pairs.is_empty() {
+        return Some(Op::Copy {
+            src: Operand::Const(0),
+        });
+    }
     let bound = |o: &Operand| -> Option<u128> {
         match o {
             Operand::Const(v) => Some(*v as u128),
@@ -241,12 +351,12 @@ fn macreduce_op(kernel: &Kernel, q: u64, pairs: &[(Operand, Operand)], dst: VarI
         }
     };
     let mut worst: u128 = 0;
-    for (a, b) in pairs {
+    for (a, b) in &pairs {
         worst = worst.checked_add(bound(a)?.checked_mul(bound(b)?)?)?;
     }
     let q128 = q as u128;
     Some(Op::MacReduceMod {
-        pairs: pairs.to_vec(),
+        pairs,
         q,
         mu: ((1u128 << (2 * mbits + 3)) / q128) as u64,
         mbits,
@@ -258,7 +368,7 @@ fn macreduce_op(kernel: &Kernel, q: u64, pairs: &[(Operand, Operand)], dst: VarI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moma_ir::{interp, validate::validate, KernelBuilder};
+    use moma_ir::{interp, validate::validate, CompiledKernel, KernelBuilder};
 
     fn barrett_operands(q: u64) -> (Operand, u32) {
         let mbits = 64 - q.leading_zeros();
@@ -268,33 +378,82 @@ mod tests {
 
     /// One base-conversion target row: out = Σᵢ xᵢ·cᵢ mod q over a zero seed.
     fn mac_chain_kernel(q: u64, terms: u64) -> Kernel {
-        let (mu, mbits) = barrett_operands(q);
+        let coeffs: Vec<u64> = (0..terms).map(|i| 1000 + i).collect();
+        chain_kernel(q, &coeffs, Operand::Const(0))
+    }
+
+    /// out = (Σᵢ xᵢ·coeffsᵢ + seed) mod q as a `MulAddMod` chain over 56-bit
+    /// parameters.
+    fn chain_kernel(q: u64, coeffs: &[u64], seed: Operand) -> Kernel {
         let mut kb = KernelBuilder::new("chain");
-        let xs: Vec<VarId> = (0..terms)
+        let xs: Vec<VarId> = (0..coeffs.len())
             .map(|i| kb.param(format!("x{i}"), Ty::UInt(56)))
             .collect();
         let out = kb.output("out", Ty::UInt(56));
-        let mut acc = Operand::Const(0);
-        for (i, x) in xs.iter().enumerate() {
+        let mut acc = seed;
+        for (i, (x, &c)) in xs.iter().zip(coeffs).enumerate() {
             let dst = if i + 1 == xs.len() {
                 out
             } else {
                 kb.local(format!("acc{i}"), Ty::UInt(56))
             };
-            kb.push(
-                vec![dst],
-                Op::MulAddMod {
-                    a: (*x).into(),
-                    b: Operand::Const(1000 + i as u64),
-                    c: acc,
-                    q: Operand::Const(q),
-                    mu,
-                    mbits,
-                },
-            );
+            mac(&mut kb, dst, (*x).into(), Operand::Const(c), acc, q);
             acc = dst.into();
         }
         kb.build()
+    }
+
+    /// Pushes `dst = (a·b + c) mod q`.
+    fn mac(kb: &mut KernelBuilder, dst: VarId, a: Operand, b: Operand, c: Operand, q: u64) {
+        let (mu, mbits) = barrett_operands(q);
+        kb.push(
+            vec![dst],
+            Op::MulAddMod {
+                a,
+                b,
+                c,
+                q: Operand::Const(q),
+                mu,
+                mbits,
+            },
+        );
+    }
+
+    /// Optimizes `k`, validates the result, and holds it to `k` — interpreted
+    /// and compiled — on all-zero, all-ones and mixed inputs (each masked to
+    /// its parameter's width).
+    fn optimized_matches_unfused(k: &Kernel) -> Kernel {
+        let fused = crate::passes::optimize(k);
+        validate(&fused).unwrap();
+        let compiled = CompiledKernel::compile(&fused).unwrap();
+        let masked = |f: &dyn Fn(usize) -> u64| -> Vec<u64> {
+            k.params
+                .iter()
+                .enumerate()
+                .map(|(i, p)| f(i) & (u64::MAX >> (64 - k.ty(*p).bits())))
+                .collect()
+        };
+        for inputs in [
+            masked(&|_| 0),
+            masked(&|_| u64::MAX),
+            masked(&|i| 0x9e37_79b9_7f4a_7c15u64.rotate_left(7 * i as u32)),
+        ] {
+            let oracle = interp::run(k, &inputs).unwrap().outputs;
+            let via_interp = interp::run(&fused, &inputs).unwrap().outputs;
+            assert_eq!(via_interp, oracle, "inputs {inputs:x?}");
+            let batch = compiled.run_batch(&inputs).unwrap();
+            assert_eq!(batch.element(0), &oracle[..], "inputs {inputs:x?}");
+        }
+        fused
+    }
+
+    /// The product terms of the accumulation that writes `dst`.
+    fn pairs_of(kernel: &Kernel, dst: VarId) -> Vec<(Operand, Operand)> {
+        let stmt = kernel.body.iter().find(|s| s.dsts == [dst]).unwrap();
+        match &stmt.op {
+            Op::MacReduceMod { pairs, .. } => pairs.clone(),
+            other => panic!("expected an accumulation, got {other:?}"),
+        }
     }
 
     #[test]
@@ -433,5 +592,229 @@ mod tests {
         let k = kb.build();
         let (_, changed) = fuse(&k);
         assert!(!changed);
+    }
+
+    #[test]
+    fn dead_terms_are_dropped_wherever_they_sit() {
+        let q = (1u64 << 52) - 47;
+        let seed = Operand::Const(0);
+        for (coeffs, seed, live) in [
+            (vec![0, 3, 5, 7], seed, 3),        // head
+            (vec![3, 0, 5, 7], seed, 3),        // middle
+            (vec![3, 5, 7, 0], seed, 3),        // tail
+            (vec![3, 5], Operand::Const(q), 2), // a seed ≡ 0 (mod q)
+            (vec![3, q, 5, 2 * q], seed, 2),    // nonzero literals ≡ 0 (mod q)
+        ] {
+            let k = chain_kernel(q, &coeffs, seed);
+            let fused = optimized_matches_unfused(&k);
+            let pairs = pairs_of(&fused, k.outputs[0]);
+            assert_eq!(pairs.len(), live, "{coeffs:?}");
+            assert!(pairs.iter().all(|&pair| !is_dead(pair, q)), "{pairs:?}");
+        }
+    }
+
+    #[test]
+    fn an_all_zero_chain_becomes_a_copy_of_zero() {
+        let q = (1u64 << 52) - 47;
+        let k = chain_kernel(q, &[0, q, 0], Operand::Const(2 * q));
+        let fused = optimized_matches_unfused(&k);
+        assert_eq!(fused.body.len(), 1);
+        assert_eq!(
+            fused.body[0].op,
+            Op::Copy {
+                src: Operand::Const(0)
+            }
+        );
+    }
+
+    #[test]
+    fn a_propagated_zero_is_dropped_from_a_built_accumulation() {
+        // `t` sums to a copy of 0 once its terms die; copy propagation then
+        // hands the consumer's built accumulation the term `(0, 5)`.
+        let q = (1u64 << 52) - 47;
+        let mut kb = KernelBuilder::new("zero_feeds_sum");
+        let x = kb.param("x", Ty::UInt(56));
+        let t = kb.local("t", Ty::UInt(56));
+        let a0 = kb.local("a0", Ty::UInt(56));
+        let out = kb.output("out", Ty::UInt(56));
+        mac(
+            &mut kb,
+            t,
+            x.into(),
+            Operand::Const(q),
+            Operand::Const(0),
+            q,
+        );
+        mac(
+            &mut kb,
+            a0,
+            x.into(),
+            Operand::Const(3),
+            Operand::Const(0),
+            q,
+        );
+        mac(&mut kb, out, t.into(), Operand::Const(5), a0.into(), q);
+        let k = kb.build();
+        let fused = optimized_matches_unfused(&k);
+        assert_eq!(
+            pairs_of(&fused, out),
+            [(Operand::Var(x), Operand::Const(3))]
+        );
+    }
+
+    /// A two-term producer `t = (x₀·k₀ + x₁·k₁) mod qp` and a consumer
+    /// `out = (t·c + x₂·5) mod q`, with `t` also an output or feeding a second
+    /// output as asked. 60-bit parameters over a 40-bit modulus.
+    fn scaled_sum_kernel(
+        qp: u64,
+        q: u64,
+        ks: [Operand; 2],
+        c: u64,
+        t_is_output: bool,
+        second_use: bool,
+    ) -> (Kernel, VarId, VarId) {
+        let mut kb = KernelBuilder::new("scaled_sum");
+        let xs: Vec<VarId> = (0..3)
+            .map(|i| kb.param(format!("x{i}"), Ty::UInt(60)))
+            .collect();
+        let t0 = kb.local("t0", Ty::UInt(60));
+        let t = if t_is_output {
+            kb.output("t", Ty::UInt(60))
+        } else {
+            kb.local("t", Ty::UInt(60))
+        };
+        let a0 = kb.local("a0", Ty::UInt(60));
+        let out = kb.output("out", Ty::UInt(60));
+        mac(&mut kb, t0, xs[0].into(), ks[0], Operand::Const(0), qp);
+        mac(&mut kb, t, xs[1].into(), ks[1], t0.into(), qp);
+        mac(
+            &mut kb,
+            a0,
+            t.into(),
+            Operand::Const(c),
+            Operand::Const(0),
+            q,
+        );
+        mac(&mut kb, out, xs[2].into(), Operand::Const(5), a0.into(), q);
+        if second_use {
+            let again = kb.output("again", Ty::UInt(60));
+            mac(
+                &mut kb,
+                again,
+                t.into(),
+                Operand::Const(c),
+                Operand::Const(0),
+                q,
+            );
+        }
+        (kb.build(), t, out)
+    }
+
+    #[test]
+    fn a_constant_scaled_sum_absorbs_its_producer() {
+        let q = (1u64 << 40) - 87;
+        let ks = [Operand::Const(q - 2), Operand::Const(11)];
+        let (k, t, out) = scaled_sum_kernel(q, q, ks, q - 3, false, false);
+        let fused = optimized_matches_unfused(&k);
+        // (q−2)(q−3) ≡ 6 and 11·(q−3) ≡ −33 (mod q).
+        let pairs = pairs_of(&fused, out);
+        let consts: Vec<Operand> = pairs.iter().map(|p| p.1).collect();
+        assert_eq!(
+            consts,
+            [Operand::Const(6), Operand::Const(q - 33), Operand::Const(5)]
+        );
+        assert!(fused.body.iter().all(|s| s.dsts != [t]), "producer is dead");
+    }
+
+    #[test]
+    fn scaled_sums_fold_only_single_use_same_modulus_constant_producers() {
+        let q = (1u64 << 40) - 87;
+        let consts = [Operand::Const(7), Operand::Const(11)];
+        let cases = [
+            ("multi-use producer", q, consts, true, false),
+            ("output producer", q, consts, false, true),
+            (
+                "different modulus",
+                (1u64 << 40) - 195,
+                consts,
+                false,
+                false,
+            ),
+        ];
+        for (what, qp, ks, second_use, t_is_output) in cases {
+            let (k, t, out) = scaled_sum_kernel(qp, q, ks, 3, t_is_output, second_use);
+            let fused = optimized_matches_unfused(&k);
+            assert!(
+                pairs_of(&fused, out).contains(&(Operand::Var(t), Operand::Const(3))),
+                "{what}"
+            );
+        }
+        // A var × var term has no constant to scale.
+        let mut kb = KernelBuilder::new("var_var_producer");
+        let xs: Vec<VarId> = (0..3)
+            .map(|i| kb.param(format!("x{i}"), Ty::UInt(60)))
+            .collect();
+        let t = kb.local("t", Ty::UInt(60));
+        let out = kb.output("out", Ty::UInt(60));
+        mac(&mut kb, t, xs[0].into(), xs[1].into(), xs[2].into(), q);
+        mac(
+            &mut kb,
+            out,
+            t.into(),
+            Operand::Const(3),
+            Operand::Const(0),
+            q,
+        );
+        let k = kb.build();
+        let fused = optimized_matches_unfused(&k);
+        assert_eq!(
+            pairs_of(&fused, out),
+            [(Operand::Var(t), Operand::Const(3))]
+        );
+    }
+
+    #[test]
+    fn a_scaled_sum_past_the_accumulator_bound_stays_unfolded() {
+        // Twenty 64-bit terms with small constants fit the accumulator; scaled
+        // by q−1 they become twenty 64 × 60-bit terms (~20·2^124), which do not.
+        let q = (1u64 << 60) - 93;
+        let mut kb = KernelBuilder::new("wide_producer");
+        let xs: Vec<VarId> = (0..20)
+            .map(|i| kb.param(format!("x{i}"), Ty::UInt(64)))
+            .collect();
+        let t = kb.local("t", Ty::UInt(64));
+        let out = kb.output("out", Ty::UInt(64));
+        let mut acc = Operand::Const(0);
+        for (i, x) in xs.iter().enumerate() {
+            let dst = if i + 1 == xs.len() {
+                t
+            } else {
+                kb.local(format!("acc{i}"), Ty::UInt(64))
+            };
+            mac(
+                &mut kb,
+                dst,
+                (*x).into(),
+                Operand::Const(i as u64 + 1),
+                acc,
+                q,
+            );
+            acc = dst.into();
+        }
+        mac(
+            &mut kb,
+            out,
+            t.into(),
+            Operand::Const(q - 1),
+            Operand::Const(0),
+            q,
+        );
+        let k = kb.build();
+        let fused = optimized_matches_unfused(&k);
+        assert_eq!(pairs_of(&fused, t).len(), 20);
+        assert_eq!(
+            pairs_of(&fused, out),
+            [(Operand::Var(t), Operand::Const(q - 1))]
+        );
     }
 }

@@ -7,9 +7,10 @@
 //! Coverage: every kernel shape the rewrite system generates (both widths,
 //! both multiplication splitting rules), plus the RNS chain kernels — the
 //! all-rows conversion, the `mul→axpy` chain, and the `mul→rescale→extend`
-//! chain — on random mixed narrow/wide bases.
+//! chain — on random mixed narrow/wide bases, disjoint and sharing moduli
+//! (the shared case is where fusion's dead-term and scaled-sum rules fire).
 
-use moma_ir::{interp, validate, CompiledKernel, Kernel};
+use moma_ir::{interp, validate, CompiledKernel, Kernel, Op};
 use moma_rewrite::passes::optimize;
 use moma_rewrite::{lower, KernelSpec, LoweringConfig, MulAlgorithm};
 use moma_rns::{BaseConvPlan, RnsContext, RnsPlan};
@@ -93,8 +94,81 @@ fn mixed_basis(seed: u64, count: usize, widths: &[u32]) -> Vec<u64> {
     moduli
 }
 
+/// Basis pairs that share moduli, cut from one basis `all` of at least four:
+/// `dst ⊂ src`, `src ⊂ dst`, a partial overlap, and the rescale-then-extend
+/// shape (`all` without its last modulus, and back).
+fn shared_basis_pairs(all: &[u64]) -> Vec<(Vec<u64>, Vec<u64>)> {
+    let n = all.len();
+    let every_other: Vec<u64> = all.iter().step_by(2).copied().collect();
+    vec![
+        (all.to_vec(), every_other.clone()),
+        (every_other, all.to_vec()),
+        (all[..n - 1].to_vec(), all[1..].to_vec()),
+        (all.to_vec(), all[..n - 1].to_vec()),
+        (all[..n - 1].to_vec(), all.to_vec()),
+    ]
+}
+
+fn plan(moduli: &[u64]) -> RnsPlan {
+    RnsPlan::new(&RnsContext::with_moduli(moduli))
+}
+
+/// Product terms across every accumulation, and statement count.
+fn shape(kernel: &Kernel) -> (usize, usize) {
+    let pairs = kernel
+        .body
+        .iter()
+        .map(|s| match &s.op {
+            Op::MacReduceMod { pairs, .. } => pairs.len(),
+            _ => 0,
+        })
+        .sum();
+    (pairs, kernel.body.len())
+}
+
+/// The chain kernels at the 520-bit capacity basis (19 × 31-bit moduli) in
+/// the shape `rns_chain_inline` runs: `mul→axpy` on the basis, the
+/// `mul→rescale→extend` onto its first 18 moduli, and the conversion back.
+/// Before the dead-term and scaled-sum rules the two cross-basis kernels were
+/// 360 pairs / 37 statements and 397 pairs / 110 statements: every target
+/// modulus is also a source modulus, so all but one entry of each target
+/// row's cross table is `(M/m_r) mod m_s = 0`.
+#[test]
+fn chain_kernel_shapes_at_the_520_bit_capacity_basis() {
+    let src = RnsPlan::with_capacity_bits(520);
+    let moduli: Vec<u64> = src.moduli().collect();
+    assert_eq!(moduli.len(), 19);
+    let dst = plan(&moduli[..18]);
+    // 18 pseudo-residues + 18 one-term shared rows + one 18-term row.
+    assert_eq!(
+        shape(&BaseConvPlan::new(&dst, &src).fused_kernel_ir()),
+        (54, 37)
+    );
+    // Each one-term row absorbs its two-term pseudo-residue sum.
+    assert_eq!(
+        shape(&src.rescale_extend_plan(&dst).mul_fused_kernel_ir()),
+        (73, 92)
+    );
+    // No zero constants and no constant-scaled sums: unchanged.
+    assert_eq!(shape(&src.mul_axpy_kernel_ir()), (57, 38));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// All three chain kernels survive fusion bit for bit on basis pairs that
+    /// share moduli, where the cross tables carry zeros.
+    #[test]
+    fn chain_kernels_survive_fusion_on_shared_bases(seed in any::<u64>(), count in 4usize..8) {
+        let all = mixed_basis(seed, count, &[31, 52, 40]);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5a4e);
+        for (src, dst) in shared_basis_pairs(&all) {
+            let (src, dst) = (plan(&src), plan(&dst));
+            fused_matches_unfused(&BaseConvPlan::new(&src, &dst).fused_kernel_ir_unfused(), 3, &mut rng);
+            fused_matches_unfused(&src.rescale_extend_plan(&dst).mul_fused_kernel_ir_unfused(), 3, &mut rng);
+            fused_matches_unfused(&src.mul_axpy_kernel_ir_unfused(), 2, &mut rng);
+        }
+    }
 
     /// Every kernel shape the rewrite system generates survives the optimizer
     /// (fusion included) bit for bit.
