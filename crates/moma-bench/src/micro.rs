@@ -21,6 +21,7 @@ use moma::mp::{ModRing, MpUint, MulAlgorithm as RtMulAlgorithm};
 use moma::ntt::params::{paper_modulus, NttParams};
 use moma::ntt::transform::{butterfly_count, forward, Ntt64};
 use moma::rewrite::{builders, lower};
+use moma::ring::default_ladder;
 use moma::rns::{vector as rns_vec, RnsContext, RnsMatrix};
 use moma::{KernelOp, KernelSpec, LoweringConfig, Session};
 use rand::Rng;
@@ -135,7 +136,9 @@ pub fn run(session: &Session, quick: bool) {
 }
 
 /// The forward NTT per butterfly, naive Barrett loop vs session-cached
-/// Shoup/lazy-reduction plan: 64-bit, and 128-bit on two limbs.
+/// Shoup/lazy-reduction plan: 64-bit, and 128-bit on two limbs. Beside them,
+/// the ladder's row shape: one negacyclic n = 4096 row at the ladder's 50-bit
+/// prime, forward and inverse, in µs per transform.
 fn ntt(session: &Session, n: usize, iters: u32) -> Json {
     let per_butterfly = 1e9 / butterfly_count(n) as f64;
     let mut rng = rand::thread_rng();
@@ -152,6 +155,15 @@ fn ntt(session: &Session, n: usize, iters: u32) -> Json {
         .collect();
     let naive_u128 = sample_runs(iters, per_butterfly, &data, |w| forward(&params, w));
     let planned_u128 = sample_runs(iters, per_butterfly, &data, |w| plan.forward(w));
+
+    let row_n = 4096;
+    let q = default_ladder(row_n, 0)[0];
+    let row = session.ntt_negacyclic(q, row_n);
+    let data: Vec<u64> = (0..row_n).map(|_| rng.gen_range(0..q)).collect();
+    // A row costs tens of µs, so it affords more samples than the rows above.
+    let row_iters = 20 * iters;
+    let row_forward = sample_runs(row_iters, 1e6, &data, |w| row.forward(w));
+    let row_inverse = sample_runs(row_iters, 1e6, &data, |w| row.inverse(w));
     Json::Obj(vec![
         ("n", Json::Int(n)),
         (
@@ -173,6 +185,15 @@ fn ntt(session: &Session, n: usize, iters: u32) -> Json {
         (
             "planned_vs_naive_speedup_u128",
             ratio(naive_u128, planned_u128),
+        ),
+        (
+            "negacyclic_row",
+            Json::Obj(vec![
+                ("n", Json::Int(row_n)),
+                ("q_bits", Json::Int(64 - q.leading_zeros() as usize)),
+                ("forward_us", row_forward.json(2)),
+                ("inverse_us", row_inverse.json(2)),
+            ]),
         ),
     ])
 }

@@ -39,8 +39,7 @@
 //! launch bookkeeping — the overhead `reproduce bench` records as the
 //! `ntt_launcher` entry.
 
-use crate::plan::{NttPlan64, Stage64};
-use crate::transform::bit_reverse_permute;
+use crate::plan::{reduce_once, NttPlan64, Stage64};
 use moma_gpu::launch::{launch_chunks, launch_indexed, LaunchStats};
 use moma_gpu::pool::BufferPool;
 use std::borrow::Borrow;
@@ -144,8 +143,10 @@ fn transform_rows<'p>(
 
     let misses_before = pool.misses();
     let cells: Vec<AtomicU64> = pool.acquire_cells(data.len());
+    // Every row has the same n, so the first plan's swap list permutes them all.
+    let reversal = plan_of(0).bit_reversal();
     for (row, row_cells) in data.chunks_exact_mut(n).zip(cells.chunks_exact(n)) {
-        bit_reverse_permute(row);
+        reversal.apply(row);
         for (cell, &x) in row_cells.iter().zip(row.iter()) {
             cell.store(x, Ordering::Relaxed);
         }
@@ -188,10 +189,7 @@ fn transform_rows<'p>(
                 // Harvey's lazy butterfly, identical to the inline hot loop: fold
                 // x into [0, 2q), take the lazy Shoup product t = w·y mod q in
                 // [0, 2q), and emit x + t and x − t + 2q, both < 4q.
-                let mut x = cells[i].load(Ordering::Relaxed);
-                if x >= two_q {
-                    x -= two_q;
-                }
+                let x = reduce_once(cells[i].load(Ordering::Relaxed), two_q);
                 let y = cells[k].load(Ordering::Relaxed);
                 let t = shoup_lazy(y, table.twiddles[j], table.shoup[j], q);
                 cells[i].store(x + t, Ordering::Relaxed);
@@ -210,14 +208,7 @@ fn transform_rows<'p>(
         // from the last stage.
         launch_chunks(data, 1, |i, out| {
             let RowView { q, two_q, .. } = views[i >> log_n];
-            let mut v = cells[i].load(Ordering::Relaxed);
-            if v >= two_q {
-                v -= two_q;
-            }
-            if v >= q {
-                v -= q;
-            }
-            out[0] = v;
+            out[0] = reduce_once(reduce_once(cells[i].load(Ordering::Relaxed), two_q), q);
         })
     } else {
         // The scaling multiply doubles as the normalize pass, as in the inline
@@ -228,8 +219,7 @@ fn transform_rows<'p>(
             let RowView { q, table, .. } = views[i >> log_n];
             let j = i & (table.twiddles.len() - 1);
             let x = cells[i].load(Ordering::Relaxed);
-            let t = shoup_lazy(x, table.twiddles[j], table.shoup[j], q);
-            out[0] = if t >= q { t - q } else { t };
+            out[0] = reduce_once(shoup_lazy(x, table.twiddles[j], table.shoup[j], q), q);
         })
     };
     stats.accumulate(pass);
