@@ -409,26 +409,21 @@ fn warm_start_workload(session: &Session) {
     let _ = src.rescale_extend_to(&dst);
 }
 
-/// Precompute-once warm start: building the plan caches cold vs
-/// [`Session::restore`] from a snapshot. Restore validates every table
-/// arithmetically but skips the expensive builds (prime search, twiddle
-/// generation, CRT inverses), so it must win.
-fn session_warm_start(iters: u32) -> Json {
+/// Cold build vs [`Session::restore`] of one workload's plan caches: the
+/// snapshot, its restore report, and the two timing spreads.
+fn warm_start_timings(
+    iters: u32,
+    workload: impl Fn(&Session),
+) -> (Vec<u8>, moma::RestoreReport, Spread, Spread) {
     let warm = Session::default();
-    warm_start_workload(&warm);
+    workload(&warm);
     let bytes = warm.snapshot();
     let report = Session::default()
         .restore(&bytes)
         .expect("bench snapshot restores");
-    let plans_restored = report.ntt_plans
-        + report.multiword_plans
-        + report.rns_plans
-        + report.baseconv_plans
-        + report.rescale_plans
-        + report.rescale_extend_plans;
     let cold_build = sample_calls(iters, 1e3, || {
         let session = Session::default();
-        warm_start_workload(&session);
+        workload(&session);
         session
     });
     let restore = sample_calls(iters, 1e3, || {
@@ -436,12 +431,43 @@ fn session_warm_start(iters: u32) -> Json {
         session.restore(&bytes).expect("bench snapshot restores");
         session
     });
+    (bytes, report, cold_build, restore)
+}
+
+/// Precompute-once warm start at two shapes. The micro shape (the NTT and RNS
+/// plans above) restores without its capacity basis' prime search, so restore
+/// must win. The ladder shape (an 8-level ring at n = 4096, its ladder
+/// searched once outside the timing) restores by building the very plans a
+/// cold build builds: the two times are the same work and carry no ordering.
+fn session_warm_start(iters: u32) -> Json {
+    let (bytes, report, cold_build, restore) = warm_start_timings(iters, warm_start_workload);
+    let plans_restored = report.ntt_plans
+        + report.multiword_plans
+        + report.rns_plans
+        + report.baseconv_plans
+        + report.rescale_plans
+        + report.rescale_extend_plans;
+    let (n, levels) = (4096, 8);
+    let ladder = default_ladder(n, levels);
+    let (ladder_bytes, _, ladder_cold, ladder_restore) = warm_start_timings(iters, |s| {
+        let _ = s.ring(n, &ladder);
+    });
     Json::Obj(vec![
         ("cold_build_ms", cold_build.json(3)),
         ("restore_ms", restore.json(3)),
         ("warm_start_speedup", ratio(cold_build, restore)),
         ("snapshot_bytes", Json::Int(bytes.len())),
         ("plans_restored", Json::Int(plans_restored)),
+        (
+            "ladder",
+            Json::Obj(vec![
+                ("n", Json::Int(n)),
+                ("levels", Json::Int(levels)),
+                ("cold_build_ms", ladder_cold.json(3)),
+                ("restore_ms", ladder_restore.json(3)),
+                ("snapshot_bytes", Json::Int(ladder_bytes.len())),
+            ]),
+        ),
     ])
 }
 

@@ -35,5 +35,5 @@ pub mod reference;
 pub mod transform;
 
 pub use params::NttParams;
-pub use plan::{NttPlan, NttPlan64, NttRestoreError, Stage64};
+pub use plan::{NttPlan, NttPlan64, Stage64};
 pub use transform::{forward, inverse, Ntt64};

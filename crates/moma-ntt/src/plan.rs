@@ -28,7 +28,6 @@ use crate::params::NttParams;
 use crate::transform::{bit_reverse_permute, stage_roots, stage_roots_u64, BitReversal, Ntt64};
 use moma_mp::single::SingleBarrett;
 use moma_mp::{ModRing, MpUint, MulAlgorithm};
-use rand::SeedableRng;
 
 /// A reusable execution plan for `n`-point transforms over `L`-limb elements.
 ///
@@ -355,60 +354,6 @@ pub struct Twist64View<'a> {
     pub inverse_scale: Stage64<'a>,
 }
 
-/// Why a restored [`NttPlan64`] table set was rejected by
-/// [`NttPlan64::from_tables`]. Every variant is fail-closed: nothing about the
-/// plan is usable once validation stops.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NttRestoreError {
-    /// The modulus is outside the supported range (`q < 2` or above 60 bits).
-    BadModulus {
-        /// The rejected modulus.
-        q: u64,
-    },
-    /// `n` is not a power of two ≥ 2, or a table length does not match it.
-    BadShape {
-        /// The claimed transform size.
-        n: usize,
-        /// Length of the provided forward table.
-        fwd_len: usize,
-        /// Length of the provided inverse table.
-        inv_len: usize,
-    },
-    /// A twiddle entry or `n^{-1}` is not reduced below `q`.
-    Unreduced,
-    /// The tables fail a structural identity (stage recurrence, root-of-unity
-    /// ladder, forward·inverse ≠ 1, or `n·n^{-1} ≠ 1`). The message names the
-    /// first identity that failed.
-    InconsistentTables(&'static str),
-}
-
-impl std::fmt::Display for NttRestoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NttRestoreError::BadModulus { q } => {
-                write!(f, "modulus {q} is outside the supported 60-bit range")
-            }
-            NttRestoreError::BadShape {
-                n,
-                fwd_len,
-                inv_len,
-            } => write!(
-                f,
-                "shape mismatch: n = {n}, forward table length {fwd_len}, \
-                 inverse table length {inv_len}"
-            ),
-            NttRestoreError::Unreduced => {
-                write!(f, "a restored table entry is not reduced below the modulus")
-            }
-            NttRestoreError::InconsistentTables(what) => {
-                write!(f, "restored twiddle tables are inconsistent: {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for NttRestoreError {}
-
 /// One butterfly stage's twiddle view for [`NttPlan64`]: the twiddle factors and
 /// their Shoup precomputed quotients, in lock-step order (entry `j` is
 /// `ω_{2m}^j` and its quotient).
@@ -436,11 +381,17 @@ impl NttPlan64 {
     ///
     /// # Panics
     ///
-    /// Panics under the conditions of [`Ntt64::with_modulus`] (and the `q < 2^62`
-    /// lazy-reduction bound, which [`moma_mp::single::SingleBarrett`]'s 60-bit
-    /// cap already implies).
+    /// Panics when [`Ntt64::try_with_modulus`] refuses the key.
     pub fn with_modulus(q: u64, n: usize) -> Self {
-        Self::from_ntt(&Ntt64::with_modulus(q, n))
+        Self::try_with_modulus(q, n).unwrap_or_else(|e| panic!("{e} (q = {q}, n = {n})"))
+    }
+
+    /// [`NttPlan64::with_modulus`], returning why a key is refused (see
+    /// [`Ntt64::try_with_modulus`]) instead of panicking — the entry point
+    /// snapshot restore builds untrusted keys through. The 60-bit modulus cap
+    /// implies the `q < 2^62` lazy-reduction bound.
+    pub fn try_with_modulus(q: u64, n: usize) -> Result<Self, &'static str> {
+        Ntt64::try_with_modulus(q, n).map(|ntt| Self::from_ntt(&ntt))
     }
 
     /// Builds the plan from an existing naive transform context (same modulus,
@@ -498,37 +449,39 @@ impl NttPlan64 {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two in `[2, 2^31]`, if `q` is not an odd
-    /// prime below `2^60`, or if `2n` does not divide `q − 1`.
+    /// Panics when [`NttPlan64::try_negacyclic`] refuses the key.
     pub fn negacyclic(q: u64, n: usize) -> Self {
-        assert!(
-            n.is_power_of_two() && (2..=1 << 31).contains(&n),
-            "transform size must be a power of two in [2, 2^31]"
-        );
+        Self::try_negacyclic(q, n).unwrap_or_else(|e| panic!("{e} (q = {q}, n = {n})"))
+    }
+
+    /// [`NttPlan64::negacyclic`], returning why a key is refused instead of
+    /// panicking: `n` not a power of two in `[2, 2^31]`, `q` not an odd prime
+    /// below `2^60`, or `2n` not dividing `q − 1`.
+    pub fn try_negacyclic(q: u64, n: usize) -> Result<Self, &'static str> {
+        if !(n.is_power_of_two() && (2..=1 << 31).contains(&n)) {
+            return Err("transform size must be a power of two in [2, 2^31]");
+        }
+        if !(3..1 << 60).contains(&q) {
+            return Err("NTT modulus must be an odd prime below 2^60");
+        }
         let two_n = 2 * n as u64;
-        assert!(
-            (q - 1) % two_n == 0,
-            "negacyclic transform requires q ≡ 1 (mod 2n): no primitive 2n-th root otherwise"
-        );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(q);
-        assert!(
-            moma_bignum::prime::is_prime(&mut rng, &moma_bignum::BigUint::from(q)),
-            "NTT modulus must be prime"
-        );
+        if (q - 1) % two_n != 0 {
+            return Err(
+                "negacyclic transform requires q ≡ 1 (mod 2n): no primitive 2n-th root otherwise",
+            );
+        }
+        if !moma_bignum::prime::is_prime_u64(q) {
+            return Err("NTT modulus must be prime");
+        }
         let ctx = SingleBarrett::new(q);
         // Deterministic ψ search: ψ = g^((q−1)/2n) is a 2n-th root; it is
         // primitive exactly when ψ^n = −1 (its order divides 2n = 2^{k+1} but
         // not 2^k, hence equals 2n).
         let cofactor = (q - 1) / two_n;
-        let mut psi = 0;
-        for g in 3u64..2000 {
-            let candidate = ctx.pow_mod(g, cofactor);
-            if ctx.pow_mod(candidate, n as u64) == q - 1 {
-                psi = candidate;
-                break;
-            }
-        }
-        assert!(psi != 0, "no primitive 2n-th root found");
+        let psi = (3u64..2000)
+            .map(|g| ctx.pow_mod(g, cofactor))
+            .find(|&candidate| ctx.pow_mod(candidate, n as u64) == q - 1)
+            .ok_or("no primitive 2n-th root found")?;
         let omega = ctx.mul_mod(psi, psi);
         let omega_inv = ctx.inv_mod(omega);
         let n_inv = ctx.inv_mod(n as u64 % q);
@@ -536,7 +489,7 @@ impl NttPlan64 {
         let inv = build_table_u64(&ctx, omega_inv, n);
         let fwd_shoup = fwd.iter().map(|&w| ctx.shoup_precompute(w)).collect();
         let inv_shoup = inv.iter().map(|&w| ctx.shoup_precompute(w)).collect();
-        NttPlan64 {
+        Ok(NttPlan64 {
             n,
             ctx,
             two_q: 2 * q,
@@ -548,21 +501,13 @@ impl NttPlan64 {
             n_inv_shoup: ctx.shoup_precompute(n_inv),
             twist: Some(build_twist_u64(&ctx, psi, n_inv, n)),
             bit_reversal: BitReversal::new(n),
-        }
+        })
     }
 
     /// `true` if this plan computes the negacyclic transform pair over
     /// `Z_q[X]/(X^n + 1)` rather than the cyclic one.
     pub fn is_negacyclic(&self) -> bool {
         self.twist.is_some()
-    }
-
-    /// The primitive `2n`-th root `ψ` of a negacyclic plan (`None` for cyclic
-    /// plans) — together with [`NttPlan64::twiddle_tables`] this is the full
-    /// serialization view: the twist tables are derived data, rebuilt and
-    /// validated on restore.
-    pub fn psi(&self) -> Option<u64> {
-        self.twist.as_ref().map(|t| t.psi)
     }
 
     /// Borrowed view of the negacyclic twist tables (`None` for cyclic plans):
@@ -580,144 +525,6 @@ impl NttPlan64 {
                 shoup: &t.inv_scale_shoup,
             },
         })
-    }
-
-    /// The full forward and inverse twiddle tables in the flat Harvey layout
-    /// (entry `m + j` is `ω_{2m}^j`; entry 0 is padding) — the serialization
-    /// view used by session snapshots. The Shoup quotient tables are *not*
-    /// exposed: they are derived data, recomputed on restore so a snapshot
-    /// cannot smuggle in mismatched quotients.
-    pub fn twiddle_tables(&self) -> (&[u64], &[u64]) {
-        (&self.fwd, &self.inv)
-    }
-
-    /// Rebuilds a plan from snapshot data: the modulus, transform size, both
-    /// twiddle tables, and `n^{-1}`. This is the warm-start constructor — it
-    /// skips the primitive-root search entirely — but it does **not** trust its
-    /// input: every structural identity a freshly built table satisfies is
-    /// checked, and any failure rejects the whole plan with a typed error.
-    ///
-    /// Checks, in order: modulus range, power-of-two shape and table lengths,
-    /// reduction of every entry, `n·n^{-1} ≡ 1`, `fwd[i]·inv[i] ≡ 1` for every
-    /// entry, each stage's geometric recurrence `fwd[m+j+1] = fwd[m+j]·fwd[m+1]`
-    /// with `fwd[m] = 1`, the squaring ladder `fwd[2m+1]² = fwd[m+1]` between
-    /// stages, and the primitivity anchor `fwd[3]² = −1` (which, with the
-    /// ladder, forces every stage generator to have exactly its stage's order).
-    /// Shoup quotients and `2q` are recomputed, never deserialized.
-    pub fn from_tables(
-        q: u64,
-        n: usize,
-        fwd: Vec<u64>,
-        inv: Vec<u64>,
-        n_inv: u64,
-    ) -> Result<Self, NttRestoreError> {
-        if q < 2 || (64 - q.leading_zeros()) > 60 {
-            return Err(NttRestoreError::BadModulus { q });
-        }
-        if !n.is_power_of_two() || n < 2 || fwd.len() != n.max(2) || inv.len() != n.max(2) {
-            return Err(NttRestoreError::BadShape {
-                n,
-                fwd_len: fwd.len(),
-                inv_len: inv.len(),
-            });
-        }
-        if n_inv >= q || fwd.iter().chain(&inv).any(|&w| w >= q) {
-            return Err(NttRestoreError::Unreduced);
-        }
-        let ctx = SingleBarrett::new(q);
-        if ctx.mul_mod(n as u64 % q, n_inv) != 1 {
-            return Err(NttRestoreError::InconsistentTables("n · n⁻¹ ≠ 1"));
-        }
-        if fwd
-            .iter()
-            .zip(&inv)
-            .any(|(&w, &wi)| ctx.mul_mod(w, wi) != 1)
-        {
-            return Err(NttRestoreError::InconsistentTables(
-                "forward · inverse twiddle ≠ 1",
-            ));
-        }
-        // Per-stage geometric recurrence: entries m..2m must be the powers of
-        // the stage generator fwd[m + 1], starting from fwd[m] = 1.
-        let mut m = 1;
-        while m < n {
-            if fwd[m] != 1 {
-                return Err(NttRestoreError::InconsistentTables("stage entry j = 0 ≠ 1"));
-            }
-            // Stage m = 1 has the single entry ω⁰ = 1 and no generator slot:
-            // fwd[2] belongs to stage 2 (and is out of bounds when n = 2).
-            let g = if m == 1 { 1 } else { fwd[m + 1] };
-            let mut cur = 1u64;
-            for j in 0..m {
-                if fwd[m + j] != cur {
-                    return Err(NttRestoreError::InconsistentTables(
-                        "stage twiddles break the geometric recurrence",
-                    ));
-                }
-                cur = ctx.mul_mod(cur, g);
-            }
-            m <<= 1;
-        }
-        // Squaring ladder between stages: ω_{4m}² = ω_{2m}, anchored at
-        // ω_4² = −1. Together with the recurrence above this forces every
-        // stage generator to be a primitive root of exactly its stage's order.
-        if n >= 4 && ctx.mul_mod(fwd[3], fwd[3]) != q - 1 {
-            return Err(NttRestoreError::InconsistentTables("ω₄² ≠ −1"));
-        }
-        let mut m = 2;
-        while 2 * m < n {
-            if ctx.mul_mod(fwd[2 * m + 1], fwd[2 * m + 1]) != fwd[m + 1] {
-                return Err(NttRestoreError::InconsistentTables(
-                    "stage generators break the squaring ladder",
-                ));
-            }
-            m <<= 1;
-        }
-        let fwd_shoup = fwd.iter().map(|&w| ctx.shoup_precompute(w)).collect();
-        let inv_shoup = inv.iter().map(|&w| ctx.shoup_precompute(w)).collect();
-        Ok(NttPlan64 {
-            n,
-            ctx,
-            two_q: 2 * q,
-            fwd,
-            fwd_shoup,
-            inv,
-            inv_shoup,
-            n_inv,
-            n_inv_shoup: ctx.shoup_precompute(n_inv),
-            twist: None,
-            bit_reversal: BitReversal::new(n),
-        })
-    }
-
-    /// [`NttPlan64::from_tables`] for **negacyclic** plans: validates the cyclic
-    /// table set identically, then checks that `ψ` is reduced and squares to the
-    /// tables' own stage root `ω` (for `n = 2`, to `−1`). Together with the
-    /// cyclic identities — which force `ω` to be a primitive `n`-th root — this
-    /// makes `ψ` a primitive `2n`-th root, so a tampered `ψ` cannot validate.
-    /// The twist tables themselves are derived data: rebuilt from `ψ` here,
-    /// never deserialized.
-    pub fn from_tables_negacyclic(
-        q: u64,
-        n: usize,
-        fwd: Vec<u64>,
-        inv: Vec<u64>,
-        n_inv: u64,
-        psi: u64,
-    ) -> Result<Self, NttRestoreError> {
-        let mut plan = Self::from_tables(q, n, fwd, inv, n_inv)?;
-        if psi >= q {
-            return Err(NttRestoreError::Unreduced);
-        }
-        let ctx = plan.ctx;
-        // The last stage's generator entry fwd[n/2 + 1] is ω itself; n = 2 has
-        // no generator slot (its only twiddle is ω⁰ = 1) and ω₂ = −1.
-        let omega = if n >= 4 { plan.fwd[n / 2 + 1] } else { q - 1 };
-        if ctx.mul_mod(psi, psi) != omega {
-            return Err(NttRestoreError::InconsistentTables("ψ² ≠ ω"));
-        }
-        plan.twist = Some(build_twist_u64(&ctx, psi, plan.n_inv, n));
-        Ok(plan)
     }
 
     /// The twiddle factors and Shoup quotients of one butterfly stage, selected
@@ -756,12 +563,6 @@ impl NttPlan64 {
     /// executor permutes its rows with it too.
     pub fn bit_reversal(&self) -> &BitReversal {
         &self.bit_reversal
-    }
-
-    /// `n^{-1} mod q` and its Shoup precomputed quotient, the inverse
-    /// transform's final scaling pair.
-    pub fn n_inv_pair(&self) -> (u64, u64) {
-        (self.n_inv, self.n_inv_shoup)
     }
 
     /// The inverse transform's final scaling factors as a table whose length
@@ -1214,107 +1015,6 @@ mod tests {
         plan.forward(&mut data);
     }
 
-    /// Serializes and restores `plan` through the snapshot accessors.
-    fn roundtrip_tables(plan: &NttPlan64) -> Result<NttPlan64, NttRestoreError> {
-        let (fwd, inv) = plan.twiddle_tables();
-        NttPlan64::from_tables(
-            plan.ctx.q,
-            plan.n,
-            fwd.to_vec(),
-            inv.to_vec(),
-            plan.n_inv_pair().0,
-        )
-    }
-
-    #[test]
-    fn from_tables_roundtrips_bit_for_bit() {
-        for n in [2usize, 4, 64, 512] {
-            let fresh = NttPlan64::new(n);
-            let restored = roundtrip_tables(&fresh).expect("a fresh plan's tables must validate");
-            assert_eq!(restored.twiddle_tables(), fresh.twiddle_tables());
-            assert_eq!(restored.n_inv_pair(), fresh.n_inv_pair(), "n = {n}");
-            assert_eq!(restored.two_q(), fresh.two_q());
-            let mut rng = StdRng::seed_from_u64(75);
-            let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % fresh.ctx.q).collect();
-            let mut a = data.clone();
-            let mut b = data;
-            fresh.forward(&mut a);
-            restored.forward(&mut b);
-            assert_eq!(a, b, "restored plan must transform identically (n = {n})");
-        }
-    }
-
-    #[test]
-    fn from_tables_rejects_tampering() {
-        let plan = NttPlan64::new(64);
-        let (fwd, inv) = plan.twiddle_tables();
-        let (n_inv, _) = plan.n_inv_pair();
-        let q = plan.ctx.q;
-
-        // Out-of-range modulus.
-        assert!(matches!(
-            NttPlan64::from_tables(1 << 61, 64, fwd.to_vec(), inv.to_vec(), n_inv),
-            Err(NttRestoreError::BadModulus { .. })
-        ));
-        // Truncated table.
-        assert!(matches!(
-            NttPlan64::from_tables(q, 64, fwd[..32].to_vec(), inv.to_vec(), n_inv),
-            Err(NttRestoreError::BadShape { .. })
-        ));
-        // Unreduced entry.
-        let mut big = fwd.to_vec();
-        big[5] = q;
-        assert!(matches!(
-            NttPlan64::from_tables(q, 64, big, inv.to_vec(), n_inv),
-            Err(NttRestoreError::Unreduced)
-        ));
-        // A flipped twiddle breaks an identity (inverse pairing or recurrence).
-        let mut flipped = fwd.to_vec();
-        flipped[37] ^= 1;
-        assert!(matches!(
-            NttPlan64::from_tables(q, 64, flipped, inv.to_vec(), n_inv),
-            Err(NttRestoreError::InconsistentTables(_))
-        ));
-        // A consistently tampered pair (fwd and inv both changed so the product
-        // stays 1) still breaks the stage recurrence.
-        let mut f2 = fwd.to_vec();
-        let mut i2 = inv.to_vec();
-        f2[33] = plan.ctx.mul_mod(f2[33], f2[33]);
-        i2[33] = plan.ctx.mul_mod(i2[33], i2[33]);
-        assert!(matches!(
-            NttPlan64::from_tables(q, 64, f2, i2, n_inv),
-            Err(NttRestoreError::InconsistentTables(_))
-        ));
-        // Wrong scaling factor.
-        assert!(matches!(
-            NttPlan64::from_tables(q, 64, fwd.to_vec(), inv.to_vec(), n_inv ^ 1),
-            Err(NttRestoreError::InconsistentTables(_))
-        ));
-        // Tables from a different (q, n) pair fail against this modulus: the
-        // other plan's 60-bit twiddles are almost surely unreduced mod this q,
-        // and whatever survives reduction cannot satisfy the identities.
-        let other = NttPlan64::with_modulus(momaprime_other(), 64);
-        let (ofwd, oinv) = other.twiddle_tables();
-        assert!(
-            NttPlan64::from_tables(q, 64, ofwd.to_vec(), oinv.to_vec(), n_inv).is_err(),
-            "another modulus' tables must not validate"
-        );
-    }
-
-    /// A second NTT-friendly prime (q ≡ 1 mod 2n for n = 64) distinct from the
-    /// default evaluation modulus.
-    fn momaprime_other() -> u64 {
-        // 12289 = 3 · 2^12 + 1, the classic Falcon/NewHope modulus.
-        12289
-    }
-
-    #[test]
-    fn from_tables_accepts_alternate_modulus() {
-        let fresh = NttPlan64::with_modulus(12289, 128);
-        let restored = roundtrip_tables(&fresh).expect("alternate-modulus tables must validate");
-        assert_eq!(restored.twiddle_tables(), fresh.twiddle_tables());
-    }
-
     /// Schoolbook negacyclic convolution in `Z_q[X]/(X^n + 1)`: products that
     /// wrap past degree `n` come back negated.
     fn naive_negacyclic_mul(ctx: &SingleBarrett, a: &[u64], b: &[u64]) -> Vec<u64> {
@@ -1340,7 +1040,7 @@ mod tests {
             let plan = NttPlan64::negacyclic(q, n);
             assert!(plan.is_negacyclic());
             assert!(!NttPlan64::with_modulus(q, n).is_negacyclic());
-            let psi = plan.psi().expect("negacyclic plan exposes ψ");
+            let psi = plan.twist().expect("negacyclic plan has a twist").psi;
             assert_eq!(
                 plan.ctx.pow_mod(psi, n as u64),
                 q - 1,
@@ -1410,54 +1110,38 @@ mod tests {
     }
 
     #[test]
-    fn negacyclic_from_tables_roundtrips_and_rejects_tampering() {
-        let fresh = NttPlan64::negacyclic(12289, 64);
-        let (fwd, inv) = fresh.twiddle_tables();
-        let (n_inv, _) = fresh.n_inv_pair();
-        let psi = fresh.psi().unwrap();
-        let q = fresh.ctx.q;
-
-        let restored =
-            NttPlan64::from_tables_negacyclic(q, 64, fwd.to_vec(), inv.to_vec(), n_inv, psi)
-                .expect("a fresh negacyclic plan's tables must validate");
-        assert!(restored.is_negacyclic());
-        assert_eq!(restored.psi(), Some(psi));
-        let mut rng = StdRng::seed_from_u64(78);
-        let data: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() % q).collect();
-        let mut a = data.clone();
-        let mut b = data;
-        fresh.forward(&mut a);
-        restored.forward(&mut b);
-        assert_eq!(a, b, "restored negacyclic plan must transform identically");
-        fresh.inverse(&mut a);
-        restored.inverse(&mut b);
-        assert_eq!(a, b);
-
-        // An unreduced ψ is rejected before any arithmetic.
-        assert!(matches!(
-            NttPlan64::from_tables_negacyclic(q, 64, fwd.to_vec(), inv.to_vec(), n_inv, q),
-            Err(NttRestoreError::Unreduced)
-        ));
-        // A tampered ψ no longer squares to the tables' stage root.
-        assert!(matches!(
-            NttPlan64::from_tables_negacyclic(q, 64, fwd.to_vec(), inv.to_vec(), n_inv, psi ^ 1),
-            Err(NttRestoreError::InconsistentTables(_))
-        ));
-        // −ψ is the other valid square root of ω: it must validate and produce
-        // a plan that is its own consistent transform pair.
-        let neg_psi = q - psi;
-        let other =
-            NttPlan64::from_tables_negacyclic(q, 64, fwd.to_vec(), inv.to_vec(), n_inv, neg_psi)
-                .expect("−ψ is also a primitive 2n-th root");
-        let mut rng = StdRng::seed_from_u64(79);
-        let data: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() % q).collect();
-        let mut w = data.clone();
-        other.forward(&mut w);
-        other.inverse(&mut w);
-        assert_eq!(w, data);
-        // Tampered cyclic tables still fail closed through the base validation.
-        let mut bad = fwd.to_vec();
-        bad[33] ^= 1;
-        assert!(NttPlan64::from_tables_negacyclic(q, 64, bad, inv.to_vec(), n_inv, psi).is_err());
+    fn try_constructors_refuse_what_the_panicking_ones_panic_on() {
+        // 65 = 5 · 13 is ≡ 1 mod 64 but composite; 17 is prime but 64 ∤ 16;
+        // 2^60 + 1 is past the single-word Barrett cap.
+        for (q, n) in [
+            (65u64, 32usize),
+            (17, 64),
+            ((1 << 60) + 1, 2),
+            (12289, 48),
+            (0, 2),
+        ] {
+            assert!(
+                NttPlan64::try_with_modulus(q, n).is_err(),
+                "cyclic ({q}, {n})"
+            );
+            assert!(
+                NttPlan64::try_negacyclic(q, n).is_err(),
+                "negacyclic ({q}, {n})"
+            );
+        }
+        // 12289 = 3 · 2^12 + 1 admits a cyclic plan at n = 4096 but no
+        // negacyclic one (that needs 2n | q − 1).
+        assert!(NttPlan64::try_with_modulus(12289, 4096).is_ok());
+        assert_eq!(
+            NttPlan64::try_negacyclic(12289, 4096).err(),
+            Some("negacyclic transform requires q ≡ 1 (mod 2n): no primitive 2n-th root otherwise")
+        );
+        let fallible = NttPlan64::try_negacyclic(12289, 64).expect("valid key");
+        let panicking = NttPlan64::negacyclic(12289, 64);
+        let mut a: Vec<u64> = (0..64).collect();
+        let mut b = a.clone();
+        fallible.forward(&mut a);
+        panicking.forward(&mut b);
+        assert_eq!(a, b, "one constructor behind both entry points");
     }
 }

@@ -3,7 +3,6 @@
 use crate::params::NttParams;
 use moma_mp::single::SingleBarrett;
 use moma_mp::MpUint;
-use rand::SeedableRng;
 
 /// Permutes `data` into bit-reversed order in place, deriving every index on
 /// the fly. The plans' hot path walks a precomputed [`BitReversal`] instead;
@@ -221,41 +220,45 @@ impl Ntt64 {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two between 2 and 2^32, if `q` is not an
-    /// odd prime below `2^60` (the [`SingleBarrett`] bound), or if `n` does not
-    /// divide `q − 1` (no primitive `n`-th root of unity exists then).
+    /// Panics when [`Ntt64::try_with_modulus`] refuses the key.
     pub fn with_modulus(q: u64, n: usize) -> Self {
-        assert!(n.is_power_of_two() && (2..=1 << 32).contains(&n));
-        assert!(
-            (q - 1) % n as u64 == 0,
-            "transform size must divide q - 1 (no primitive root of unity otherwise)"
-        );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(q);
-        assert!(
-            moma_bignum::prime::is_prime(&mut rng, &moma_bignum::BigUint::from(q)),
-            "NTT modulus must be prime"
-        );
+        Self::try_with_modulus(q, n).unwrap_or_else(|e| panic!("{e} (q = {q}, n = {n})"))
+    }
+
+    /// [`Ntt64::with_modulus`], returning why a key is refused instead of
+    /// panicking: `n` not a power of two between 2 and 2^32, `q` not an odd
+    /// prime below `2^60` (the [`SingleBarrett`] bound), or `n` not dividing
+    /// `q − 1` (no primitive `n`-th root of unity exists then).
+    pub fn try_with_modulus(q: u64, n: usize) -> Result<Self, &'static str> {
+        if !(n.is_power_of_two() && (2..=1 << 32).contains(&n)) {
+            return Err("transform size must be a power of two in [2, 2^32]");
+        }
+        if !(3..1 << 60).contains(&q) {
+            return Err("NTT modulus must be an odd prime below 2^60");
+        }
+        if (q - 1) % n as u64 != 0 {
+            return Err("transform size must divide q - 1 (no primitive root of unity otherwise)");
+        }
+        if !moma_bignum::prime::is_prime_u64(q) {
+            return Err("NTT modulus must be prime");
+        }
         let ctx = SingleBarrett::new(q);
         // Deterministic generator search as in the multi-word case.
         let cofactor = (q - 1) / n as u64;
-        let mut omega = 0;
-        for g in 3u64..1000 {
-            let candidate = ctx.pow_mod(g, cofactor);
-            if n == 1 || ctx.pow_mod(candidate, n as u64 / 2) != 1 {
-                omega = candidate;
-                break;
-            }
-        }
-        assert!(omega != 0, "no primitive root found");
+        let omega = (3u64..1000)
+            .map(|g| ctx.pow_mod(g, cofactor))
+            .find(|&candidate| ctx.pow_mod(candidate, n as u64 / 2) != 1)
+            .filter(|&omega| omega != 0)
+            .ok_or("no primitive root found")?;
         let omega_inv = ctx.inv_mod(omega);
         let n_inv = ctx.inv_mod(n as u64 % q);
-        Ntt64 {
+        Ok(Ntt64 {
             n,
             ctx,
             omega,
             omega_inv,
             n_inv,
-        }
+        })
     }
 
     /// In-place forward transform.

@@ -6,10 +6,7 @@
 //! the top of the requested bit width so the search is reproducible and the
 //! primes are as large as the width allows (maximising rescale headroom).
 
-use moma_bignum::prime::is_prime;
-use moma_bignum::BigUint;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use moma_bignum::prime::is_prime_u64;
 
 /// Largest prime `q = k·2n + 1` of exactly `bits` bits not already in `taken`.
 fn next_ladder_prime(n: usize, bits: u32, taken: &[u64]) -> u64 {
@@ -26,7 +23,7 @@ fn next_ladder_prime(n: usize, bits: u32, taken: &[u64]) -> u64 {
             q >= 1u64 << (bits - 1),
             "prime search exhausted the {bits}-bit window for n = {n}"
         );
-        if !taken.contains(&q) && is_prime(&mut StdRng::seed_from_u64(q), &BigUint::from(q)) {
+        if !taken.contains(&q) && is_prime_u64(q) {
             return q;
         }
         k -= 1;
@@ -81,7 +78,7 @@ mod tests {
         assert_eq!(moduli.len(), 5);
         for (i, &q) in moduli.iter().enumerate() {
             assert_eq!((q - 1) % (2 * n as u64), 0, "q ≡ 1 mod 2n");
-            assert!(is_prime(&mut StdRng::seed_from_u64(q), &BigUint::from(q)));
+            assert!(is_prime_u64(q));
             assert!(!moduli[..i].contains(&q), "distinct");
         }
         // Repeated same-width requests walk further down the progression.

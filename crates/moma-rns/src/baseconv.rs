@@ -65,67 +65,6 @@ use moma_ir::compiled::CompiledKernel;
 use moma_ir::{Kernel, KernelBuilder, Op, Operand, Ty};
 use moma_mp::single::{smac, SingleBarrett};
 
-/// Why a restored conversion-plan table set was rejected by
-/// [`BaseConvPlan::from_tables`], [`RescalePlan::from_tables`], or
-/// [`RescaleExtendPlan::from_parts`]. Every variant is fail-closed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConvRestoreError {
-    /// Table lengths or basis pairings do not match the plans they claim to
-    /// belong to.
-    ShapeMismatch,
-    /// A pseudo-residue factor disagrees with the source plan's CRT inverse.
-    BadPseudoFactor {
-        /// Index of the offending source modulus.
-        index: usize,
-    },
-    /// A cross-basis table entry disagrees with the recomputed
-    /// `|M/m_r|_{m'_s}`.
-    BadCrossTable {
-        /// Flat row-major index (`s·k + r`) of the offending entry.
-        index: usize,
-    },
-    /// A dropped-modulus inverse fails `inv_last[r] · m_k ≢ 1 (mod m_r)`.
-    BadInverse {
-        /// Index of the offending surviving modulus.
-        index: usize,
-    },
-    /// A folded factor fails `fused[r] ≠ inv_last[r] · inv_punctured[r]`.
-    BadFusedFactor {
-        /// Index of the offending surviving modulus.
-        index: usize,
-    },
-}
-
-impl std::fmt::Display for ConvRestoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConvRestoreError::ShapeMismatch => {
-                write!(f, "conversion tables do not match the claimed basis pair")
-            }
-            ConvRestoreError::BadPseudoFactor { index } => {
-                write!(
-                    f,
-                    "pseudo-residue factor {index} fails its inverse identity"
-                )
-            }
-            ConvRestoreError::BadCrossTable { index } => {
-                write!(
-                    f,
-                    "cross-basis table entry {index} disagrees with the source CRT"
-                )
-            }
-            ConvRestoreError::BadInverse { index } => {
-                write!(f, "dropped-modulus inverse {index} fails its identity")
-            }
-            ConvRestoreError::BadFusedFactor { index } => {
-                write!(f, "folded rescale-extend factor {index} fails its identity")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConvRestoreError {}
-
 /// Precomputed tables for fast base extension from one basis into another.
 ///
 /// Built once per `(source, target)` basis pair; every subsequent
@@ -167,18 +106,23 @@ impl BaseConvPlan {
     ///
     /// # Panics
     ///
-    /// Panics if the widening sum-of-products could overflow its 128-bit
-    /// accumulator — `k` terms of `(m_r − 1)·(m'_s − 1)` each — which cannot
-    /// happen for any realistic basis (it needs ≥ 2^8 moduli of 60 bits).
+    /// Panics when [`BaseConvPlan::try_new`] refuses the pair.
     pub fn new(src: &RnsPlan, dst: &RnsPlan) -> Self {
+        Self::try_new(src, dst).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`BaseConvPlan::new`], returning an error instead of panicking when the
+    /// widening sum-of-products could overflow its 128-bit accumulator — `k`
+    /// terms of `(m_r − 1)·(m'_s − 1)` each — which needs ≥ 2^8 source moduli
+    /// of 60 bits.
+    pub fn try_new(src: &RnsPlan, dst: &RnsPlan) -> Result<Self, &'static str> {
         let k = src.moduli_count();
         let max_src = src.moduli().max().expect("basis is non-empty");
         let max_dst = dst.moduli().max().expect("basis is non-empty");
         let worst_term = (max_src - 1) as u128 * (max_dst - 1) as u128;
-        assert!(
-            worst_term == 0 || k as u128 <= u128::MAX / worst_term,
-            "basis pair too large for the widening accumulator ({k} source moduli)"
-        );
+        if worst_term != 0 && k as u128 > u128::MAX / worst_term {
+            return Err("basis pair too large for the widening accumulator");
+        }
         // crt[r] = (M/m_r, (M/m_r)^{-1} mod m_r): both halves of the fast
         // conversion are already precomputed by the source plan.
         let inv_punctured: Vec<u64> = src.crt.iter().map(|(_, yi)| *yi).collect();
@@ -189,78 +133,17 @@ impl BaseConvPlan {
                 cross.push((mi % &m_big).to_u64().expect("residue fits a word"));
             }
         }
-        BaseConvPlan {
-            src_moduli: src.moduli().collect(),
-            inv_punctured,
-            cross,
-            dst: dst.clone(),
-        }
-    }
-
-    /// The target plan matrices produced by this conversion live over.
-    pub fn dst_plan(&self) -> &RnsPlan {
-        &self.dst
-    }
-
-    /// The source basis moduli this plan converts from.
-    pub fn source_moduli(&self) -> &[u64] {
-        &self.src_moduli
-    }
-
-    /// The conversion tables — `(M/m_r)^{-1} mod m_r` per source modulus, then
-    /// the row-major cross-basis table `|M/m_r|_{m'_s}` — the serialization
-    /// view used by session snapshots.
-    pub fn conversion_tables(&self) -> (&[u64], &[u64]) {
-        (&self.inv_punctured, &self.cross)
-    }
-
-    /// Rebuilds a conversion plan from snapshot data over already-restored
-    /// source and target plans. Nothing is trusted: each pseudo-residue factor
-    /// must equal the source plan's CRT inverse exactly (they are copies by
-    /// construction), and each cross-basis entry is recomputed as
-    /// `M/m_r mod m'_s` from the source CRT numerators and compared — so a
-    /// tampered table, or tables paired with the wrong basis, fail closed.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the [`BaseConvPlan::new`] accumulator-width conditions.
-    pub fn from_tables(
-        src: &RnsPlan,
-        dst: &RnsPlan,
-        inv_punctured: Vec<u64>,
-        cross: Vec<u64>,
-    ) -> Result<Self, ConvRestoreError> {
-        let k = src.moduli_count();
-        let max_src = src.moduli().max().expect("basis is non-empty");
-        let max_dst = dst.moduli().max().expect("basis is non-empty");
-        let worst_term = (max_src - 1) as u128 * (max_dst - 1) as u128;
-        assert!(
-            worst_term == 0 || k as u128 <= u128::MAX / worst_term,
-            "basis pair too large for the widening accumulator ({k} source moduli)"
-        );
-        if inv_punctured.len() != k || cross.len() != dst.moduli_count() * k {
-            return Err(ConvRestoreError::ShapeMismatch);
-        }
-        for (index, (&ip, (_, yi))) in inv_punctured.iter().zip(src.crt_tables()).enumerate() {
-            if ip != *yi {
-                return Err(ConvRestoreError::BadPseudoFactor { index });
-            }
-        }
-        for (s, dst_ctx) in dst.ctxs.iter().enumerate() {
-            let m_big = moma_bignum::BigUint::from(dst_ctx.q);
-            for (r, (mi, _)) in src.crt_tables().iter().enumerate() {
-                let expect = (mi % &m_big).to_u64().expect("residue fits a word");
-                if cross[s * k + r] != expect {
-                    return Err(ConvRestoreError::BadCrossTable { index: s * k + r });
-                }
-            }
-        }
         Ok(BaseConvPlan {
             src_moduli: src.moduli().collect(),
             inv_punctured,
             cross,
             dst: dst.clone(),
         })
+    }
+
+    /// The target plan matrices produced by this conversion live over.
+    pub fn dst_plan(&self) -> &RnsPlan {
+        &self.dst
     }
 
     pub(crate) fn check_source(&self, src: &RnsPlan) {
@@ -602,8 +485,16 @@ impl RescalePlan {
     ///
     /// Panics if `src` has fewer than two moduli.
     pub fn new(src: &RnsPlan) -> Self {
+        Self::try_new(src).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`RescalePlan::new`], returning an error instead of panicking when
+    /// `src` has fewer than two moduli.
+    pub fn try_new(src: &RnsPlan) -> Result<Self, &'static str> {
         let moduli: Vec<u64> = src.moduli().collect();
-        assert!(moduli.len() >= 2, "rescale needs at least two basis moduli");
+        if moduli.len() < 2 {
+            return Err("rescale needs at least two basis moduli");
+        }
         let last = *moduli.last().expect("non-empty basis");
         // The source plan already validated its basis; skip re-running the
         // primality checks on the surviving moduli.
@@ -615,11 +506,11 @@ impl RescalePlan {
             .iter()
             .map(|ctx| ctx.inv_mod(last % ctx.q))
             .collect();
-        RescalePlan {
+        Ok(RescalePlan {
             src_moduli: moduli,
             out,
             inv_last,
-        }
+        })
     }
 
     /// The plan the rescaled matrices live over.
@@ -629,38 +520,9 @@ impl RescalePlan {
 
     /// The dropped modulus' inverses, `m_k^{-1} mod m_r` per surviving modulus
     /// — what the ring's evaluation-domain rescale multiplies each survivor
-    /// row by, and the serialization view used by session snapshots.
+    /// row by.
     pub fn inverse_table(&self) -> &[u64] {
         &self.inv_last
-    }
-
-    /// Rebuilds a rescale plan from snapshot data over an already-restored
-    /// source plan and output plan. The output plan must be exactly the source
-    /// basis without its last modulus, and every inverse must satisfy
-    /// `inv_last[r] · m_k ≡ 1 (mod m_r)`; anything else fails closed.
-    pub fn from_tables(
-        src: &RnsPlan,
-        out: RnsPlan,
-        inv_last: Vec<u64>,
-    ) -> Result<Self, ConvRestoreError> {
-        let moduli: Vec<u64> = src.moduli().collect();
-        if moduli.len() < 2
-            || !out.moduli().eq(moduli[..moduli.len() - 1].iter().copied())
-            || inv_last.len() != moduli.len() - 1
-        {
-            return Err(ConvRestoreError::ShapeMismatch);
-        }
-        let last = *moduli.last().expect("non-empty basis");
-        for (index, (ctx, &inv)) in out.ctxs.iter().zip(&inv_last).enumerate() {
-            if inv >= ctx.q || ctx.mul_mod(inv, last % ctx.q) != 1 {
-                return Err(ConvRestoreError::BadInverse { index });
-            }
-        }
-        Ok(RescalePlan {
-            src_moduli: moduli,
-            out,
-            inv_last,
-        })
     }
 
     pub(crate) fn check_source(&self, src: &RnsPlan) {
@@ -696,11 +558,17 @@ impl RescaleExtendPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `src` has fewer than two moduli, or under the
-    /// [`BaseConvPlan::new`] accumulator-width conditions.
+    /// Panics when [`RescaleExtendPlan::try_new`] refuses the pair.
     pub fn new(src: &RnsPlan, dst: &RnsPlan) -> Self {
-        let rescale = RescalePlan::new(src);
-        let bc = BaseConvPlan::new(&rescale.out, dst);
+        Self::try_new(src, dst).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`RescaleExtendPlan::new`], returning an error instead of panicking
+    /// under the [`RescalePlan::try_new`] and [`BaseConvPlan::try_new`]
+    /// conditions.
+    pub fn try_new(src: &RnsPlan, dst: &RnsPlan) -> Result<Self, &'static str> {
+        let rescale = RescalePlan::try_new(src)?;
+        let bc = BaseConvPlan::try_new(&rescale.out, dst)?;
         let fused = rescale
             .out
             .ctxs
@@ -709,7 +577,7 @@ impl RescaleExtendPlan {
             .zip(&bc.inv_punctured)
             .map(|((ctx, &inv_last), &ip)| ctx.mul_mod(inv_last, ip))
             .collect();
-        RescaleExtendPlan { rescale, bc, fused }
+        Ok(RescaleExtendPlan { rescale, bc, fused })
     }
 
     /// Builds the IR of the **all-rows** `mul→rescale→extend` chain kernel: one
@@ -867,42 +735,6 @@ impl RescaleExtendPlan {
             }
         }
         kb.build()
-    }
-
-    /// The folded per-row factors `f_r = m_k^{-1}·(M⁻/m_r)^{-1} mod m_r` — the
-    /// serialization view used by session snapshots.
-    pub fn fused_factors(&self) -> &[u64] {
-        &self.fused
-    }
-
-    /// Rebuilds a fused rescale-and-extend plan from its already-restored
-    /// halves plus the folded factor table. The conversion half must be built
-    /// over the rescale half's output basis, and each folded factor must equal
-    /// `inv_last[r] · inv_punctured[r] mod m_r` exactly; anything else fails
-    /// closed.
-    pub fn from_parts(
-        rescale: RescalePlan,
-        bc: BaseConvPlan,
-        fused: Vec<u64>,
-    ) -> Result<Self, ConvRestoreError> {
-        let km1 = rescale.out.moduli_count();
-        if !bc.src_moduli.iter().copied().eq(rescale.out.moduli()) || fused.len() != km1 {
-            return Err(ConvRestoreError::ShapeMismatch);
-        }
-        for (index, (((ctx, &inv_last), &ip), &f)) in rescale
-            .out
-            .ctxs
-            .iter()
-            .zip(&rescale.inv_last)
-            .zip(&bc.inv_punctured)
-            .zip(&fused)
-            .enumerate()
-        {
-            if f != ctx.mul_mod(inv_last, ip) {
-                return Err(ConvRestoreError::BadFusedFactor { index });
-            }
-        }
-        Ok(RescaleExtendPlan { rescale, bc, fused })
     }
 
     /// The unfused rescale half (whose output plan is the shortened basis).
@@ -1349,7 +1181,7 @@ mod tests {
     }
 
     /// A (source, fused-chain) pair plus a batch of values under the source
-    /// product, shared by the restore and pooling tests.
+    /// product.
     fn chain_fixture() -> (RnsPlan, RescaleExtendPlan, Vec<BigUint>) {
         let src = RnsPlan::new(&RnsContext::with_moduli(&mixed_basis(0x77)));
         let dst = RnsPlan::new(&RnsContext::with_moduli(&primes(0xd0, 5, 31)));
@@ -1359,92 +1191,6 @@ mod tests {
             .map(|_| moma_bignum::random::random_below(&mut rng, src.product()))
             .collect();
         (src, p, values)
-    }
-
-    #[test]
-    fn restore_constructors_roundtrip_bit_for_bit() {
-        let (src, p, values) = chain_fixture();
-        let a = RnsMatrix::from_biguints(&src, &values);
-
-        // BaseConvPlan: tables out, tables back in, identical results.
-        let (ip, cross) = p.bc.conversion_tables();
-        let bc2 = BaseConvPlan::from_tables(&p.rescale.out, &p.bc.dst, ip.to_vec(), cross.to_vec())
-            .expect("fresh conversion tables restore");
-        assert_eq!(bc2.source_moduli(), p.bc.source_moduli());
-        assert_eq!(bc2.conversion_tables(), p.bc.conversion_tables());
-
-        // RescalePlan.
-        let rp2 = RescalePlan::from_tables(&src, p.rescale.out.clone(), p.rescale.inv_last.clone())
-            .expect("fresh rescale tables restore");
-        assert_eq!(rp2.inverse_table(), p.rescale.inverse_table());
-
-        // RescaleExtendPlan from the two restored halves: the rebuilt chain
-        // computes bit-for-bit what the freshly built one does.
-        let p2 = RescaleExtendPlan::from_parts(rp2, bc2, p.fused_factors().to_vec())
-            .expect("fresh fused factors restore");
-        assert_eq!(p2.fused_factors(), p.fused_factors());
-        let (fresh, _) = src.rescale_then_extend(&p, &a, &BufferPool::new());
-        let (restored, _) = src.rescale_then_extend(&p2, &a, &BufferPool::new());
-        assert_eq!(restored, fresh);
-    }
-
-    #[test]
-    fn restore_constructors_fail_closed() {
-        let (src, p, _) = chain_fixture();
-        let out = &p.rescale.out;
-        let dst = &p.bc.dst;
-        let (ip, cross) = p.bc.conversion_tables();
-
-        // BaseConvPlan: truncated tables, flipped pseudo factor, flipped cross word.
-        assert!(matches!(
-            BaseConvPlan::from_tables(out, dst, ip[1..].to_vec(), cross.to_vec()),
-            Err(ConvRestoreError::ShapeMismatch)
-        ));
-        let mut bad_ip = ip.to_vec();
-        bad_ip[2] ^= 1;
-        assert!(matches!(
-            BaseConvPlan::from_tables(out, dst, bad_ip, cross.to_vec()),
-            Err(ConvRestoreError::BadPseudoFactor { index: 2 })
-        ));
-        let mut bad_cross = cross.to_vec();
-        bad_cross[4] ^= 1;
-        assert!(matches!(
-            BaseConvPlan::from_tables(out, dst, ip.to_vec(), bad_cross),
-            Err(ConvRestoreError::BadCrossTable { index: 4 })
-        ));
-
-        // RescalePlan: flipped inverse, wrong output basis, short table.
-        let mut bad_inv = p.rescale.inv_last.clone();
-        bad_inv[0] ^= 1;
-        assert!(matches!(
-            RescalePlan::from_tables(&src, out.clone(), bad_inv),
-            Err(ConvRestoreError::BadInverse { index: 0 })
-        ));
-        assert!(matches!(
-            RescalePlan::from_tables(&src, dst.clone(), p.rescale.inv_last.clone()),
-            Err(ConvRestoreError::ShapeMismatch)
-        ));
-        assert!(matches!(
-            RescalePlan::from_tables(&src, out.clone(), p.rescale.inv_last[1..].to_vec()),
-            Err(ConvRestoreError::ShapeMismatch)
-        ));
-
-        // RescaleExtendPlan: flipped fused factor, conversion half over the
-        // wrong basis.
-        let rp = RescalePlan::new(&src);
-        let bc = BaseConvPlan::new(out, dst);
-        let mut bad_fused = p.fused_factors().to_vec();
-        bad_fused[1] ^= 1;
-        assert!(matches!(
-            RescaleExtendPlan::from_parts(rp, bc, bad_fused),
-            Err(ConvRestoreError::BadFusedFactor { index: 1 })
-        ));
-        let rp = RescalePlan::new(&src);
-        let wrong_bc = BaseConvPlan::new(&src, dst);
-        assert!(matches!(
-            RescaleExtendPlan::from_parts(rp, wrong_bc, p.fused_factors().to_vec()),
-            Err(ConvRestoreError::ShapeMismatch)
-        ));
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub mod baseconv;
 pub mod plan;
 pub mod vector;
 
-pub use baseconv::{BaseConvPlan, ConvRestoreError, RescaleExtendPlan, RescalePlan};
-pub use plan::{PlanRestoreError, RnsMatrix, RnsPlan};
+pub use baseconv::{BaseConvPlan, RescaleExtendPlan, RescalePlan};
+pub use plan::{RnsMatrix, RnsPlan};
 
 use moma_bignum::{prime, BigUint};
 use moma_mp::single::SingleBarrett;
@@ -50,6 +50,12 @@ use std::collections::HashSet;
 /// accumulator without overflow handling, mirroring GRNS's use of the GPU's
 /// floating-point units (whose exactly-representable integer range is similar).
 pub const MODULUS_BITS: u32 = 31;
+
+/// The number of [`MODULUS_BITS`]-bit moduli [`RnsContext::with_capacity_bits`]
+/// draws to cover `bits` bits of dynamic range (one spare modulus of headroom).
+pub fn capacity_moduli_count(bits: u32) -> usize {
+    bits.div_ceil(MODULUS_BITS - 1) as usize + 1
+}
 
 /// A basis of pairwise-distinct word-sized primes.
 ///
@@ -83,8 +89,7 @@ impl RnsContext {
     /// Panics if `bits` is zero.
     pub fn with_capacity_bits(bits: u32) -> Self {
         assert!(bits > 0, "capacity must be positive");
-        let count = bits.div_ceil(MODULUS_BITS - 1) as usize + 1;
-        Self::with_moduli_count(count)
+        Self::with_moduli_count(capacity_moduli_count(bits))
     }
 
     /// Creates a context with exactly `count` deterministic prime moduli.
@@ -128,20 +133,31 @@ impl RnsContext {
     ///
     /// # Panics
     ///
-    /// Panics if the basis is empty, contains a duplicate, a non-prime, or a
-    /// modulus wider than 60 bits (the single-word Barrett limit).
+    /// Panics when [`RnsContext::try_with_moduli`] refuses the basis.
     pub fn with_moduli(moduli: &[u64]) -> Self {
-        assert!(!moduli.is_empty(), "need at least one modulus");
-        let mut seen = HashSet::with_capacity(moduli.len());
-        let mut rng = StdRng::seed_from_u64(0x7072_696d_6573);
-        for &m in moduli {
-            assert!(seen.insert(m), "duplicate modulus {m}");
-            assert!(
-                prime::is_prime(&mut rng, &BigUint::from(m)),
-                "modulus {m} is not prime (CRT reconstruction needs a prime basis)"
-            );
+        Self::try_with_moduli(moduli).unwrap_or_else(|e| panic!("{e}: {moduli:?}"))
+    }
+
+    /// [`RnsContext::with_moduli`], returning why a basis is refused instead
+    /// of panicking: it is empty, or contains a duplicate, a non-prime, or a
+    /// modulus wider than 60 bits (the single-word Barrett limit).
+    pub fn try_with_moduli(moduli: &[u64]) -> Result<Self, &'static str> {
+        if moduli.is_empty() {
+            return Err("need at least one modulus");
         }
-        Self::from_moduli(moduli.to_vec())
+        let mut seen = HashSet::with_capacity(moduli.len());
+        for &m in moduli {
+            if !seen.insert(m) {
+                return Err("duplicate modulus");
+            }
+            if m >= 1 << 60 {
+                return Err("modulus wider than the 60-bit single-word Barrett limit");
+            }
+            if !prime::is_prime_u64(m) {
+                return Err("modulus is not prime (CRT reconstruction needs a prime basis)");
+            }
+        }
+        Ok(Self::from_moduli(moduli.to_vec()))
     }
 
     /// Shared constructor tail: precomputes the products and CRT data for an

@@ -14,8 +14,8 @@
 //!   divisions), the residues of every power of the limb radix `2^64` (so
 //!   positional→residue conversion is a dot product over machine words with no
 //!   arbitrary-precision arithmetic), and the CRT reconstruction data, both as
-//!   `BigUint`s (the snapshot view) and as fixed-width word rows (what
-//!   residue→positional conversion runs on);
+//!   `BigUint`s (what base-conversion tables derive from) and as fixed-width
+//!   word rows (what residue→positional conversion runs on);
 //! * [`RnsMatrix`] stores a vector of `n` big integers as a flat `#moduli × n`
 //!   row-major matrix (structure-of-arrays): row `r` holds the residues of all `n`
 //!   elements modulo basis prime `m_r`;
@@ -67,49 +67,6 @@ const ENCODE_GROUP: usize = 16;
 /// this many columns is one chunk, which the launcher runs on the calling
 /// thread without spawning.
 const DECODE_CHUNK: usize = 256;
-
-/// Why a restored [`RnsPlan`] table set was rejected by
-/// [`RnsPlan::from_tables`]. Every variant is fail-closed: nothing about the
-/// plan is usable once validation stops.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanRestoreError {
-    /// A modulus is outside the supported range (`q < 2` or above 60 bits).
-    BadModulus {
-        /// The rejected modulus.
-        q: u64,
-    },
-    /// The basis is empty or the CRT table length does not match it.
-    ShapeMismatch,
-    /// The claimed product is not the product of the moduli.
-    BadProduct,
-    /// A CRT entry fails its identity (`M_i · m_i ≠ product` or
-    /// `y_i · M_i ≢ 1 mod m_i`).
-    BadCrt {
-        /// Index of the offending basis modulus.
-        index: usize,
-    },
-}
-
-impl std::fmt::Display for PlanRestoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanRestoreError::BadModulus { q } => {
-                write!(f, "modulus {q} is outside the supported 60-bit range")
-            }
-            PlanRestoreError::ShapeMismatch => {
-                write!(f, "basis and CRT table shapes do not match")
-            }
-            PlanRestoreError::BadProduct => {
-                write!(f, "claimed dynamic range is not the product of the moduli")
-            }
-            PlanRestoreError::BadCrt { index } => {
-                write!(f, "CRT entry {index} fails its reconstruction identity")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanRestoreError {}
 
 /// Precomputed per-basis execution data for the planned residue engine.
 ///
@@ -172,18 +129,8 @@ impl RnsPlan {
     /// The plan computes the same residues and reconstructions as the context; the
     /// crosscheck tests exploit that to use [`RnsContext`] as the oracle.
     pub fn new(ctx: &RnsContext) -> Self {
-        let ctxs = ctx.moduli.iter().map(|&m| SingleBarrett::new(m)).collect();
-        Self::with_derived_tables(ctxs, ctx.product.clone(), ctx.crt.clone())
-    }
-
-    /// The tail both constructors share: derives every table that is a function
-    /// of the basis, its product and the CRT data — the tables a snapshot never
-    /// carries.
-    fn with_derived_tables(
-        ctxs: Vec<SingleBarrett>,
-        product: BigUint,
-        crt: Vec<(BigUint, u64)>,
-    ) -> Self {
+        let ctxs: Vec<SingleBarrett> = ctx.moduli.iter().map(|&m| SingleBarrett::new(m)).collect();
+        let (product, crt) = (ctx.product.clone(), ctx.crt.clone());
         // The narrow-vs-wide multiplication dispatch is validated here, once per
         // basis, where the path is *selected* — not at each call site. Mixed
         // bases (narrow and wide moduli in one plan) are fully supported; each
@@ -253,57 +200,6 @@ impl RnsPlan {
     /// The product of the basis (the dynamic range).
     pub fn product(&self) -> &BigUint {
         &self.product
-    }
-
-    /// The CRT reconstruction tables, `(M_i = product/m_i, y_i = M_i^{-1} mod
-    /// m_i)` per basis modulus — the serialization view used by session
-    /// snapshots (the `M_i` are the expensive-to-rebuild part: one
-    /// arbitrary-precision division each on a cold build).
-    pub fn crt_tables(&self) -> &[(BigUint, u64)] {
-        &self.crt
-    }
-
-    /// Rebuilds a plan from snapshot data: the basis moduli, their product, and
-    /// the CRT tables. This is the warm-start constructor — it skips the prime
-    /// search and every `product / m_i` division — but it does **not** trust
-    /// its input: the product is re-derived by multiplication, and each CRT
-    /// entry must satisfy `M_i · m_i = product` and `y_i · M_i ≡ 1 (mod m_i)`.
-    /// Together those identities force the moduli to be pairwise coprime (an
-    /// inverse of `M_i = ∏_{j≠i} m_j` exists mod `m_i` only then), which is all
-    /// CRT correctness needs; primality is a property of the *generated* bases,
-    /// not a requirement of the arithmetic. Barrett contexts, narrow-path
-    /// verdicts, limb-radix residues and the fixed-width decode tables are
-    /// recomputed, never deserialized.
-    pub fn from_tables(
-        moduli: &[u64],
-        product: BigUint,
-        crt: Vec<(BigUint, u64)>,
-    ) -> Result<Self, PlanRestoreError> {
-        if let Some(&q) = moduli
-            .iter()
-            .find(|&&q| q < 2 || (64 - q.leading_zeros()) > 60)
-        {
-            return Err(PlanRestoreError::BadModulus { q });
-        }
-        if moduli.is_empty() || crt.len() != moduli.len() {
-            return Err(PlanRestoreError::ShapeMismatch);
-        }
-        let mut check = BigUint::from(1u64);
-        for &m in moduli {
-            check = &check * &BigUint::from(m);
-        }
-        if check != product {
-            return Err(PlanRestoreError::BadProduct);
-        }
-        let ctxs: Vec<SingleBarrett> = moduli.iter().map(|&m| SingleBarrett::new(m)).collect();
-        for (index, ((mi, yi), ctx)) in crt.iter().zip(&ctxs).enumerate() {
-            let m_big = BigUint::from(ctx.q);
-            let residue = (mi % &m_big).to_u64().expect("residue fits a word");
-            if *yi >= ctx.q || mi * &m_big != product || ctx.mul_mod(*yi, residue) != 1 {
-                return Err(PlanRestoreError::BadCrt { index });
-            }
-        }
-        Ok(Self::with_derived_tables(ctxs, product, crt))
     }
 
     /// Converts one positional integer into residues with no `BigUint`
@@ -1116,86 +1012,6 @@ mod tests {
         let large = RnsPlan::with_capacity_bits(256);
         let m = RnsMatrix::from_biguints(&large, &[BigUint::one()]);
         mul(&small, &m, &m);
-    }
-
-    #[test]
-    fn from_tables_roundtrips_bit_for_bit() {
-        let (_, plan, a, b) = setup(11, 150);
-        let moduli: Vec<u64> = plan.moduli().collect();
-        let restored =
-            RnsPlan::from_tables(&moduli, plan.product.clone(), plan.crt_tables().to_vec())
-                .expect("fresh tables restore");
-        assert_eq!(restored.moduli().collect::<Vec<u64>>(), moduli);
-        assert_eq!(restored.product, plan.product);
-        assert_eq!(restored.crt_tables(), plan.crt_tables());
-        // Every derived table is rebuilt by the same builder, none restored.
-        assert_eq!(restored.narrow, plan.narrow);
-        assert_eq!(restored.limb_residues, plan.limb_residues);
-        assert_eq!(restored.crt_words, plan.crt_words);
-        assert_eq!(restored.product_shifts, plan.product_shifts);
-        // The restored plan computes identically to the fresh one.
-        let ma = RnsMatrix::from_biguints(&restored, &a);
-        let mb = RnsMatrix::from_biguints(&restored, &b);
-        let prod = mul(&restored, &ma, &mb);
-        assert_eq!(prod, mul(&plan, &ma, &mb));
-        assert_eq!(restored.to_biguints(&prod), plan.to_biguints(&prod));
-    }
-
-    #[test]
-    fn from_tables_fails_closed() {
-        let plan = RnsPlan::with_capacity_bits(128);
-        let moduli: Vec<u64> = plan.moduli().collect();
-        let product = plan.product.clone();
-        let crt = plan.crt_tables().to_vec();
-
-        // Modulus out of range.
-        let mut bad = moduli.clone();
-        bad[0] = 1;
-        assert!(matches!(
-            RnsPlan::from_tables(&bad, product.clone(), crt.clone()),
-            Err(PlanRestoreError::BadModulus { q: 1 })
-        ));
-        let mut wide = moduli.clone();
-        wide[0] = 1 << 61;
-        assert!(matches!(
-            RnsPlan::from_tables(&wide, product.clone(), crt.clone()),
-            Err(PlanRestoreError::BadModulus { .. })
-        ));
-
-        // Table count disagrees with the basis.
-        assert!(matches!(
-            RnsPlan::from_tables(&moduli, product.clone(), crt[1..].to_vec()),
-            Err(PlanRestoreError::ShapeMismatch)
-        ));
-        assert!(matches!(
-            RnsPlan::from_tables(&[], BigUint::one(), Vec::new()),
-            Err(PlanRestoreError::ShapeMismatch)
-        ));
-
-        // Product that is not the basis product.
-        assert!(matches!(
-            RnsPlan::from_tables(&moduli, &product + &BigUint::one(), crt.clone()),
-            Err(PlanRestoreError::BadProduct)
-        ));
-
-        // A flipped inverse word.
-        let mut tampered = crt.clone();
-        tampered[1].1 ^= 1;
-        assert!(matches!(
-            RnsPlan::from_tables(&moduli, product.clone(), tampered),
-            Err(PlanRestoreError::BadCrt { index: 1 })
-        ));
-
-        // A perturbed punctured product M_i.
-        let mut tampered = crt.clone();
-        tampered[0].0 = &tampered[0].0 + &BigUint::one();
-        assert!(matches!(
-            RnsPlan::from_tables(&moduli, product.clone(), tampered),
-            Err(PlanRestoreError::BadCrt { index: 0 })
-        ));
-
-        // Everything intact still restores.
-        assert!(RnsPlan::from_tables(&moduli, product, crt).is_ok());
     }
 
     #[test]

@@ -316,16 +316,20 @@ impl<K: std::hash::Hash + Eq + Clone, V: ?Sized> PlanCache<K, V> {
         }
     }
 
-    /// Every published entry, for snapshotting. In-flight builds are skipped —
-    /// a snapshot taken mid-build simply omits that plan.
-    pub(crate) fn entries(&self) -> Vec<(K, Arc<V>)> {
+    /// Every published key in ascending order, for snapshotting. In-flight
+    /// builds are skipped — a snapshot taken mid-build simply omits that plan.
+    pub(crate) fn keys(&self) -> Vec<K>
+    where
+        K: Ord,
+    {
         let map = lock_unpoisoned(&self.map);
-        map.iter()
-            .filter_map(|(k, slot)| match &*lock_unpoisoned(&slot.state) {
-                SlotState::Ready(value) => Some((k.clone(), Arc::clone(value))),
-                _ => None,
-            })
-            .collect()
+        let mut keys: Vec<K> = map
+            .iter()
+            .filter(|(_, slot)| matches!(*lock_unpoisoned(&slot.state), SlotState::Ready(_)))
+            .map(|(k, _)| k.clone())
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Publishes a prebuilt value under `key` unless the key is already

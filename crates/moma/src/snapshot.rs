@@ -1,7 +1,14 @@
-//! Warm-start persistence: serialize a [`Session`]'s plan caches to bytes and
-//! seed a fresh session from them, skipping every prime search, twiddle-table
-//! build, and CRT precomputation — the *precompute once, execute many*
+//! Warm-start persistence: serialize the *keys* of a [`Session`]'s plan caches
+//! to bytes and seed a fresh session by rebuilding every plan from its key
+//! through the ordinary constructors — the *precompute once, execute many*
 //! discipline extended across process restarts.
+//!
+//! A snapshot stores what a cold build was asked for or searched for — a
+//! modulus and a transform size, a basis, a basis pair, a ring's ladder — and
+//! never a table. Rebuilding a plan's tables from its key is cheap (one pass
+//! per table, word-size primality checks); what a cold session pays on top is
+//! the search for the keys themselves (the capacity memo's prime search), and
+//! that is what a snapshot skips.
 //!
 //! # Format
 //!
@@ -10,46 +17,51 @@
 //!
 //! ```text
 //! "MOMASNAP"            8-byte magic
-//! version: u32 LE       currently 2
+//! version: u32 LE       currently 3 (a version-2 table snapshot is rejected)
 //! toolchain: u32 LE length + UTF-8 bytes    writer toolchain id
 //! build: u32 LE length + UTF-8 bytes        writer build id
 //! sections              tag: u32 LE, payload_len: u64 LE, payload bytes
 //! checksum: u64 LE      FNV-1a 64 over everything before it
 //! ```
 //!
-//! The toolchain/build identity pair is the transport-hardening gate: a
+//! The toolchain/build identity pair is checked before any section is read: a
 //! snapshot written by a different toolchain or crate build is rejected with
-//! [`SnapshotError::IncompatibleBuild`] **before any section is read** —
-//! table layout subtleties between builds can then never reach the table
-//! validators, let alone the caches.
+//! [`SnapshotError::IncompatibleBuild`].
 //!
-//! All integers are little-endian; `BigUint`s are a limb count followed by
-//! little-endian 64-bit limbs; a basis is a modulus count followed by the
-//! moduli. Sections may appear in any order but at most once each; an unknown
-//! tag fails closed (a newer writer's snapshot is rejected, not half-read).
+//! All integers are little-endian; a basis is a modulus count followed by the
+//! moduli. Every section payload is an entry count followed by its keys, in
+//! ascending key order. Sections may appear in any order but at most once
+//! each; an unknown tag fails closed (a newer writer's snapshot is rejected,
+//! not half-read).
 //!
-//! | tag | section |
-//! |-----|---------|
-//! | 1   | capacity-bits → basis memo |
-//! | 2   | single-word NTT plans: `(q, n)` + twiddle tables + `n⁻¹` |
-//! | 3   | multi-word NTT plan **keys** (`limbs`, `bits`, `n`) — tables are rebuilt on restore |
-//! | 4   | RNS plans: basis + product + CRT tables |
-//! | 5   | base-conversion plans: basis pair + pseudo-factor and cross tables |
-//! | 6   | rescale plans: basis + dropped-modulus inverses |
-//! | 7   | fused rescale-and-extend plans: basis pair + all component tables |
-//! | 8   | negacyclic NTT plans: `(q, n)` + twiddle tables + `n⁻¹` + `ψ` (twist tables are rebuilt) |
-//! | 9   | negacyclic ring context **keys** (`n`, moduli ladder) — contexts reassemble from the seeded caches |
+//! | tag | section | key |
+//! |-----|---------|-----|
+//! | 1   | capacity-bits → basis memo | `bits: u32`, basis |
+//! | 2   | single-word cyclic NTT plans | `q: u64`, `n: u64` |
+//! | 3   | multi-word NTT plans | `limbs: u32`, `bits: u32`, `n: u64` |
+//! | 4   | RNS plans | basis |
+//! | 5   | base-conversion plans | source basis, target basis |
+//! | 6   | rescale plans | source basis |
+//! | 7   | fused rescale-and-extend plans | source basis, target basis |
+//! | 8   | negacyclic NTT plans | `q: u64`, `n: u64` |
+//! | 9   | negacyclic ring contexts | `n: u64`, moduli ladder |
 //!
 //! # Trust model
 //!
-//! A snapshot is an *accelerator*, not an authority: every table is validated
-//! on load against arithmetic identities that a fresh build would satisfy by
-//! construction (see [`NttPlan64::from_tables`], [`RnsPlan::from_tables`],
-//! [`BaseConvPlan::from_tables`], …), and all derived values — Shoup
-//! quotients, Barrett contexts, narrow-path verdicts — are recomputed, never
-//! deserialized. Wrong `(q, n)`, a tampered basis, a flipped table word,
-//! truncated bytes, or a version bump all fail closed with a typed
-//! [`SnapshotError`]; nothing is seeded from a snapshot that fails any check.
+//! A snapshot is an *accelerator*, not an authority: **a restored plan is a
+//! cold build of its key.** Every key goes through the same fallible
+//! constructor the panicking cold-build entry point delegates to
+//! ([`NttPlan64::try_with_modulus`], [`NttPlan64::try_negacyclic`],
+//! [`RnsContext::try_with_moduli`], [`BaseConvPlan::try_new`],
+//! [`RescalePlan::try_new`], [`RescaleExtendPlan::try_new`]), so a tampered
+//! key either fails closed with a typed [`SnapshotError`] or names another
+//! valid plan, built exactly as a cold request for it would build it. There
+//! are no tables to tamper with. A capacity memo entry must have the shape
+//! [`RnsContext::with_capacity_bits`] gives (its modulus count, each modulus a
+//! [`MODULUS_BITS`]-bit prime), and no key may ask for more than
+//! [`MAX_KEY_WORDS`] words, so restore work is bounded by the snapshot.
+//! Truncated bytes, a bad checksum or a version bump fail closed too; nothing
+//! is seeded from a snapshot that fails any check.
 //!
 //! ```
 //! use moma::Session;
@@ -67,21 +79,22 @@
 //! assert_eq!(fresh.stats().ntt.misses, 0);
 //! ```
 
-use crate::session::Session;
-use moma_bignum::BigUint;
-use moma_ntt::plan::{NttPlan64, NttRestoreError};
+use crate::session::{lock_unpoisoned, PlanCache, Session};
+use moma_ntt::plan::NttPlan64;
 use moma_rns::{
-    BaseConvPlan, ConvRestoreError, PlanRestoreError, RescaleExtendPlan, RescalePlan, RnsPlan,
+    capacity_moduli_count, BaseConvPlan, RescaleExtendPlan, RescalePlan, RnsContext, RnsPlan,
+    MODULUS_BITS,
 };
-use rand::{rngs::StdRng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// 8-byte file magic.
 const MAGIC: &[u8; 8] = b"MOMASNAP";
 /// Current format version.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 /// Writer toolchain identity, embedded in (and checked against) every
 /// snapshot. Derived from the workspace's pinned minimum toolchain: a snapshot
 /// from a binary built under a different pin is rejected up front.
@@ -89,6 +102,14 @@ const TOOLCHAIN_ID: &str = concat!("rust-", env!("CARGO_PKG_RUST_VERSION"));
 /// Writer build identity (crate version), the second half of the
 /// compatibility gate.
 const BUILD_ID: &str = concat!("moma-", env!("CARGO_PKG_VERSION"));
+
+/// The most one key may ask restore to build, as `n × words`: a transform's
+/// size times its words per element, a ring's degree times its ladder length,
+/// a basis's modulus count squared (the size of its CRT table). Restore runs
+/// the ordinary constructors on untrusted keys, so without a cap a 24-byte key
+/// could demand a 2^32-point plan. 2^22 is the largest transform size
+/// `reproduce`'s Figure 3 sweep names; the ladder uses 2^12.
+pub const MAX_KEY_WORDS: usize = 1 << 22;
 
 const TAG_CAPACITY: u32 = 1;
 const TAG_NTT64: u32 = 2;
@@ -114,8 +135,7 @@ pub enum SnapshotError {
         found: u32,
     },
     /// The snapshot was written by a different toolchain or build. Checked
-    /// immediately after the version — *before* any section or table is read —
-    /// so cross-build layout subtleties can never reach the validators.
+    /// immediately after the version, before any section is read.
     IncompatibleBuild {
         /// Which identity mismatched: `"toolchain"` or `"build"`.
         what: &'static str,
@@ -138,15 +158,9 @@ pub enum SnapshotError {
         /// The unknown tag.
         tag: u32,
     },
-    /// A structurally invalid field (impossible count, unsupported limb
-    /// width, a referenced basis missing from the RNS section, …).
+    /// A structurally invalid field, a key over [`MAX_KEY_WORDS`], or a key
+    /// its constructor refuses; the message says which.
     Malformed(&'static str),
-    /// A single-word NTT plan failed table validation.
-    Ntt(NttRestoreError),
-    /// An RNS plan failed CRT-table validation.
-    Rns(PlanRestoreError),
-    /// A conversion/rescale plan failed table validation.
-    Conv(ConvRestoreError),
 }
 
 impl fmt::Display for SnapshotError {
@@ -177,32 +191,11 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::UnknownSection { tag } => write!(f, "unknown section tag {tag}"),
             SnapshotError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
-            SnapshotError::Ntt(e) => write!(f, "NTT plan rejected: {e}"),
-            SnapshotError::Rns(e) => write!(f, "RNS plan rejected: {e}"),
-            SnapshotError::Conv(e) => write!(f, "conversion plan rejected: {e}"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
-
-impl From<NttRestoreError> for SnapshotError {
-    fn from(e: NttRestoreError) -> Self {
-        SnapshotError::Ntt(e)
-    }
-}
-
-impl From<PlanRestoreError> for SnapshotError {
-    fn from(e: PlanRestoreError) -> Self {
-        SnapshotError::Rns(e)
-    }
-}
-
-impl From<ConvRestoreError> for SnapshotError {
-    fn from(e: ConvRestoreError) -> Self {
-        SnapshotError::Conv(e)
-    }
-}
 
 /// What [`Session::restore`] seeded, per cache. Entries already present in the
 /// session (same key) are skipped and not counted.
@@ -210,23 +203,22 @@ impl From<ConvRestoreError> for SnapshotError {
 pub struct RestoreReport {
     /// Capacity-bits → basis memo entries.
     pub capacity_entries: usize,
-    /// Single-word NTT plans seeded from their tables.
+    /// Single-word cyclic NTT plans.
     pub ntt_plans: usize,
-    /// Multi-word NTT plans rebuilt from their keys.
+    /// Multi-word NTT plans.
     pub multiword_plans: usize,
-    /// RNS plans seeded from their CRT tables.
+    /// RNS plans: the section's bases plus every basis another key names.
     pub rns_plans: usize,
-    /// Base-conversion plans seeded from their tables.
+    /// Base-conversion plans.
     pub baseconv_plans: usize,
-    /// Rescale plans seeded from their inverse tables.
+    /// Rescale plans.
     pub rescale_plans: usize,
-    /// Fused rescale-and-extend plans seeded from their component tables.
+    /// Fused rescale-and-extend plans.
     pub rescale_extend_plans: usize,
-    /// Negacyclic single-word NTT plans seeded from their tables (the `ψ`
-    /// twist tables are rebuilt from the validated `ψ`, never deserialized).
+    /// Negacyclic single-word NTT plans: the section's plans plus one per
+    /// modulus of every ring key.
     pub negacyclic_plans: usize,
-    /// Negacyclic ring contexts reassembled from their `(n, ladder)` keys over
-    /// the freshly seeded plan caches.
+    /// Negacyclic ring contexts, reassembled over the seeded plan caches.
     pub ring_contexts: usize,
 }
 
@@ -249,17 +241,43 @@ fn put_words(out: &mut Vec<u8>, words: &[u64]) {
     }
 }
 
-fn put_biguint(out: &mut Vec<u8>, v: &BigUint) {
-    put_words(out, v.limbs());
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
 }
 
+fn put_transform_key(out: &mut Vec<u8>, &(q, n): &(u64, usize)) {
+    put_u64(out, q);
+    put_u64(out, n as u64);
+}
+
+fn put_basis_pair(out: &mut Vec<u8>, (src, dst): &(Vec<u64>, Vec<u64>)) {
+    put_words(out, src);
+    put_words(out, dst);
+}
+
+/// Writes one section: tag, payload length, entry count, then every entry.
+fn write_section<T>(
+    out: &mut Vec<u8>,
+    tag: u32,
+    entries: &[T],
+    mut put: impl FnMut(&mut Vec<u8>, &T),
+) {
+    put_u32(out, tag);
+    let len_at = out.len();
+    put_u64(out, 0); // patched below
+    let start = out.len();
+    put_u64(out, entries.len() as u64);
+    for entry in entries {
+        put(out, entry);
+    }
+    let len = (out.len() - start) as u64;
+    out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
 /// FNV-1a 64 over a byte slice — the integrity trailer. Not cryptographic;
-/// the arithmetic validation on load is what provides the actual safety.
+/// building every key through its checked constructor is what provides the
+/// actual safety.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -305,24 +323,37 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// A count of `min_entry_bytes`-sized entries, rejected when it could not
-    /// possibly fit in the remaining payload (an attacker-controlled count
-    /// must not drive a huge allocation).
-    fn count(&mut self, min_entry_bytes: usize) -> Result<usize, SnapshotError> {
+    /// A transform size or ring degree; one that does not fit a `usize`
+    /// saturates, which the size cap then rejects.
+    fn size(&mut self) -> Result<usize, SnapshotError> {
+        Ok(usize::try_from(self.u64()?).unwrap_or(usize::MAX))
+    }
+
+    /// A count-prefixed list of entries of at least `min_entry_bytes` each.
+    /// A count that could not possibly fit in the remaining payload is
+    /// rejected before anything is allocated for it.
+    fn list<T>(
+        &mut self,
+        min_entry_bytes: usize,
+        mut entry: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
         let n = self.u64()?;
         if (n as u128) * (min_entry_bytes as u128) > self.remaining() as u128 {
             return Err(SnapshotError::Truncated);
         }
-        Ok(n as usize)
+        (0..n).map(|_| entry(self)).collect()
     }
 
     fn words(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.u64()).collect()
+        self.list(8, Self::u64)
     }
 
-    fn biguint(&mut self) -> Result<BigUint, SnapshotError> {
-        Ok(BigUint::from_limbs_le(self.words()?))
+    fn transform_key(&mut self) -> Result<(u64, usize), SnapshotError> {
+        Ok((self.u64()?, self.size()?))
+    }
+
+    fn basis_pair(&mut self) -> Result<(Vec<u64>, Vec<u64>), SnapshotError> {
+        Ok((self.words()?, self.words()?))
     }
 
     fn finish(self) -> Result<(), SnapshotError> {
@@ -333,73 +364,69 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Section payloads (parsed form)
-// ---------------------------------------------------------------------------
-
-struct RescaleTables {
-    src: Vec<u64>,
-    inv_last: Vec<u64>,
-}
-
-struct BaseConvTables {
-    src: Vec<u64>,
-    dst: Vec<u64>,
-    inv_punctured: Vec<u64>,
-    cross: Vec<u64>,
-}
-
-struct RescaleExtendTables {
-    src: Vec<u64>,
-    dst: Vec<u64>,
-    inv_last: Vec<u64>,
-    inv_punctured: Vec<u64>,
-    cross: Vec<u64>,
-    fused: Vec<u64>,
-}
-
-/// One parsed 64-bit NTT plan section entry: `(q, n, fwd, inv, n_inv)`.
-type Ntt64Tables = (u64, usize, Vec<u64>, Vec<u64>, u64);
-/// One parsed negacyclic plan entry: the cyclic tables plus `ψ`.
-type Ntt64NegTables = (u64, usize, Vec<u64>, Vec<u64>, u64, u64);
-/// One parsed RNS plan section entry: `(moduli, product, crt)`.
-type RnsTables = (Vec<u64>, BigUint, Vec<(BigUint, u64)>);
-/// A validated conversion plan keyed by its `(src, dst)` basis pair.
-type KeyedPlan<P> = ((Vec<u64>, Vec<u64>), Arc<P>);
-
+/// Every key a snapshot lists, section by section.
 #[derive(Default)]
-struct Parsed {
+struct Keys {
     capacity: Vec<(u32, Vec<u64>)>,
-    ntt64: Vec<Ntt64Tables>,
+    ntt64: Vec<(u64, usize)>,
     ntt_mw: Vec<(u32, u32, usize)>,
-    rns: Vec<RnsTables>,
-    baseconv: Vec<BaseConvTables>,
-    rescale: Vec<RescaleTables>,
-    rescale_extend: Vec<RescaleExtendTables>,
-    ntt64_neg: Vec<Ntt64NegTables>,
+    rns: Vec<Vec<u64>>,
+    baseconv: Vec<(Vec<u64>, Vec<u64>)>,
+    rescale: Vec<Vec<u64>>,
+    rescale_extend: Vec<(Vec<u64>, Vec<u64>)>,
+    ntt64_neg: Vec<(u64, usize)>,
     ring: Vec<(usize, Vec<u64>)>,
 }
 
-fn serialize_basis(out: &mut Vec<u8>, plan: &RnsPlan) {
-    put_words(out, &plan.moduli().collect::<Vec<u64>>());
+/// Rejects a key asking for more than [`MAX_KEY_WORDS`].
+fn check_size(n: usize, words: usize) -> Result<(), SnapshotError> {
+    if n.saturating_mul(words) > MAX_KEY_WORDS {
+        return Err(SnapshotError::Malformed("key exceeds the restore size cap"));
+    }
+    Ok(())
 }
 
-fn serialize_rns_plan(out: &mut Vec<u8>, plan: &RnsPlan) {
-    serialize_basis(out, plan);
-    put_biguint(out, plan.product());
-    put_u64(out, plan.crt_tables().len() as u64);
-    for (mi, yi) in plan.crt_tables() {
-        put_biguint(out, mi);
-        put_u64(out, *yi);
-    }
+/// Builds `key`'s plan into `plans` with its fallible constructor, unless an
+/// earlier key already did.
+fn build_into<K: Hash + Eq, V>(
+    plans: &mut HashMap<K, Arc<V>>,
+    key: K,
+    build: impl FnOnce() -> Result<V, &'static str>,
+) -> Result<Arc<V>, SnapshotError> {
+    Ok(match plans.entry(key) {
+        Entry::Occupied(e) => Arc::clone(e.get()),
+        Entry::Vacant(e) => {
+            Arc::clone(e.insert(Arc::new(build().map_err(SnapshotError::Malformed)?)))
+        }
+    })
+}
+
+/// The RNS plan of `moduli`, built (once) into `plans`.
+fn basis(
+    plans: &mut HashMap<Vec<u64>, Arc<RnsPlan>>,
+    moduli: &[u64],
+) -> Result<Arc<RnsPlan>, SnapshotError> {
+    check_size(moduli.len(), moduli.len())?;
+    build_into(plans, moduli.to_vec(), || {
+        RnsContext::try_with_moduli(moduli).map(|ctx| RnsPlan::new(&ctx))
+    })
+}
+
+/// Publishes every plan in `plans` that `cache` lacks; returns how many.
+fn seed<K: Hash + Eq + Clone, V>(cache: &PlanCache<K, V>, plans: HashMap<K, Arc<V>>) -> usize {
+    plans
+        .into_iter()
+        .map(|(key, plan)| usize::from(cache.seed(key, plan)))
+        .sum()
 }
 
 impl Session {
-    /// Serializes every published plan cache entry — single- and multi-word
-    /// NTT plans, RNS plans, base-conversion/rescale/fused-chain plans, and
-    /// the capacity-basis memo — into the versioned snapshot format (see the
-    /// [`snapshot`](crate::snapshot) module docs). Plans still mid-build when the
-    /// snapshot is taken are simply omitted. The output is deterministic:
+    /// Serializes the key of every published plan cache entry — single- and
+    /// multi-word NTT plans, RNS plans, base-conversion/rescale/fused-chain
+    /// plans, negacyclic plans, ring contexts — and the capacity-basis memo
+    /// into the versioned snapshot format (see the
+    /// [`snapshot`](crate::snapshot) module docs). Plans still mid-build when
+    /// the snapshot is taken are simply omitted. The output is deterministic:
     /// entries are sorted by key.
     pub fn snapshot(&self) -> Vec<u8> {
         let state = &self.state;
@@ -409,161 +436,51 @@ impl Session {
         put_str(&mut out, TOOLCHAIN_ID);
         put_str(&mut out, BUILD_ID);
 
-        // Section 1: capacity memo.
-        let capacity: BTreeMap<u32, Vec<u64>> =
-            crate::session::lock_unpoisoned(&state.capacity_bases)
-                .iter()
-                .map(|(bits, moduli)| (*bits, moduli.clone()))
-                .collect();
-        write_section(&mut out, TAG_CAPACITY, |p| {
-            put_u64(p, capacity.len() as u64);
-            for (bits, moduli) in &capacity {
-                put_u32(p, *bits);
-                put_words(p, moduli);
-            }
-        });
-
-        // Section 2: single-word NTT plans, tables and all.
-        let mut ntt64 = state.ntt64.entries();
-        ntt64.sort_by_key(|(key, _)| *key);
-        write_section(&mut out, TAG_NTT64, |p| {
-            put_u64(p, ntt64.len() as u64);
-            for ((q, n), plan) in &ntt64 {
-                put_u64(p, *q);
-                put_u64(p, *n as u64);
-                let (fwd, inv) = plan.twiddle_tables();
-                put_words(p, fwd);
-                put_words(p, inv);
-                put_u64(p, plan.n_inv_pair().0);
-            }
-        });
-
-        // Section 3: multi-word NTT plans, keys only — the tables are a pure
-        // function of the key and the session's lowering configuration, and
-        // type erasure (`dyn Any`) hides the limb width needed to read them
-        // back generically; restore rebuilds them.
-        let mut mw: Vec<(u32, u32, usize)> = state
-            .ntt_mw
-            .entries()
-            .into_iter()
-            .map(|(key, _)| key)
+        let mut capacity: Vec<(u32, Vec<u64>)> = lock_unpoisoned(&state.capacity_bases)
+            .iter()
+            .map(|(bits, moduli)| (*bits, moduli.clone()))
             .collect();
-        mw.sort_unstable();
-        write_section(&mut out, TAG_NTT_MW, |p| {
-            put_u64(p, mw.len() as u64);
-            for (limbs, bits, n) in &mw {
-                put_u32(p, *limbs);
-                put_u32(p, *bits);
-                put_u64(p, *n as u64);
-            }
+        capacity.sort_unstable();
+        write_section(&mut out, TAG_CAPACITY, &capacity, |p, (bits, moduli)| {
+            put_u32(p, *bits);
+            put_words(p, moduli);
         });
-
-        // Section 4: RNS plans. Conversion plans reference bases by value, so
-        // every basis any section mentions must restore from here: include the
-        // shortened output bases of rescale plans alongside the cache entries.
-        let mut rns: BTreeMap<Vec<u64>, Arc<RnsPlan>> = state.rns.entries().into_iter().collect();
-        for (_, rp) in state.rescale.entries() {
-            let out_plan = rp.output_plan();
-            rns.entry(out_plan.moduli().collect())
-                .or_insert_with(|| Arc::new(out_plan.clone()));
-        }
-        for (_, p) in state.rescale_extend.entries() {
-            let out_plan = p.rescale_plan().output_plan();
-            rns.entry(out_plan.moduli().collect())
-                .or_insert_with(|| Arc::new(out_plan.clone()));
-            rns.entry(p.dst_plan().moduli().collect())
-                .or_insert_with(|| Arc::new(p.dst_plan().clone()));
-        }
-        for (key, bc) in state.baseconv.entries() {
-            rns.entry(key.1.clone())
-                .or_insert_with(|| Arc::new(bc.dst_plan().clone()));
-        }
-        write_section(&mut out, TAG_RNS, |p| {
-            put_u64(p, rns.len() as u64);
-            for plan in rns.values() {
-                serialize_rns_plan(p, plan);
-            }
+        write_section(&mut out, TAG_NTT64, &state.ntt64.keys(), put_transform_key);
+        write_section(
+            &mut out,
+            TAG_NTT_MW,
+            &state.ntt_mw.keys(),
+            |p, &(limbs, bits, n)| {
+                put_u32(p, limbs);
+                put_u32(p, bits);
+                put_u64(p, n as u64);
+            },
+        );
+        write_section(&mut out, TAG_RNS, &state.rns.keys(), |p, m| put_words(p, m));
+        write_section(
+            &mut out,
+            TAG_BASECONV,
+            &state.baseconv.keys(),
+            put_basis_pair,
+        );
+        write_section(&mut out, TAG_RESCALE, &state.rescale.keys(), |p, m| {
+            put_words(p, m)
         });
-
-        // Section 5: base-conversion plans.
-        let mut baseconv = state.baseconv.entries();
-        baseconv.sort_by(|(a, _), (b, _)| a.cmp(b));
-        write_section(&mut out, TAG_BASECONV, |p| {
-            put_u64(p, baseconv.len() as u64);
-            for ((src, dst), bc) in &baseconv {
-                put_words(p, src);
-                put_words(p, dst);
-                let (ip, cross) = bc.conversion_tables();
-                put_words(p, ip);
-                put_words(p, cross);
-            }
-        });
-
-        // Section 6: rescale plans.
-        let mut rescale = state.rescale.entries();
-        rescale.sort_by(|(a, _), (b, _)| a.cmp(b));
-        write_section(&mut out, TAG_RESCALE, |p| {
-            put_u64(p, rescale.len() as u64);
-            for (src, rp) in &rescale {
-                put_words(p, src);
-                put_words(p, rp.inverse_table());
-            }
-        });
-
-        // Section 7: fused rescale-and-extend plans — the component tables of
-        // both halves plus the folded factors.
-        let mut rescale_extend = state.rescale_extend.entries();
-        rescale_extend.sort_by(|(a, _), (b, _)| a.cmp(b));
-        write_section(&mut out, TAG_RESCALE_EXTEND, |p| {
-            put_u64(p, rescale_extend.len() as u64);
-            for ((src, dst), plan) in &rescale_extend {
-                put_words(p, src);
-                put_words(p, dst);
-                put_words(p, plan.rescale_plan().inverse_table());
-                let (ip, cross) = plan.base_conv_plan().conversion_tables();
-                put_words(p, ip);
-                put_words(p, cross);
-                put_words(p, plan.fused_factors());
-            }
-        });
-
-        // Section 8: negacyclic NTT plans — the cyclic tables plus ψ; the
-        // twist tables are a pure function of ψ and are rebuilt on restore
-        // after ψ itself is validated against the tables (ψ² = ω).
-        let mut neg = state.ntt64_neg.entries();
-        neg.sort_by_key(|(key, _)| *key);
-        write_section(&mut out, TAG_NTT64_NEG, |p| {
-            put_u64(p, neg.len() as u64);
-            for ((q, n), plan) in &neg {
-                put_u64(p, *q);
-                put_u64(p, *n as u64);
-                let (fwd, inv) = plan.twiddle_tables();
-                put_words(p, fwd);
-                put_words(p, inv);
-                put_u64(p, plan.n_inv_pair().0);
-                put_u64(
-                    p,
-                    plan.psi().expect("negacyclic cache holds negacyclic plans"),
-                );
-            }
-        });
-
-        // Section 9: ring context keys only — a context holds no tables of its
-        // own (everything lives in the component caches above), so restore
-        // reassembles it over the freshly seeded plans.
-        let mut ring: Vec<(usize, Vec<u64>)> = state
-            .ring
-            .entries()
-            .into_iter()
-            .map(|(key, _)| key)
-            .collect();
-        ring.sort();
-        write_section(&mut out, TAG_RING, |p| {
-            put_u64(p, ring.len() as u64);
-            for (n, moduli) in &ring {
-                put_u64(p, *n as u64);
-                put_words(p, moduli);
-            }
+        write_section(
+            &mut out,
+            TAG_RESCALE_EXTEND,
+            &state.rescale_extend.keys(),
+            put_basis_pair,
+        );
+        write_section(
+            &mut out,
+            TAG_NTT64_NEG,
+            &state.ntt64_neg.keys(),
+            put_transform_key,
+        );
+        write_section(&mut out, TAG_RING, &state.ring.keys(), |p, (n, moduli)| {
+            put_u64(p, *n as u64);
+            put_words(p, moduli);
         });
 
         let checksum = fnv1a(&out);
@@ -571,102 +488,78 @@ impl Session {
         out
     }
 
-    /// Validates `bytes` and seeds this session's plan caches from it. Every
-    /// table is checked against the arithmetic identities a fresh build would
-    /// satisfy; any failure — bad magic, version, checksum, truncation,
-    /// tampered table — rejects the *whole* snapshot with a typed error and
-    /// seeds nothing. Keys already present in the session keep their existing
-    /// plans (restore never evicts).
+    /// Validates `bytes` and seeds this session's plan caches from it: every
+    /// key is built through its ordinary fallible constructor into locals, and
+    /// the caches are seeded only once every key has been built. Any failure —
+    /// bad magic, version, checksum, truncation, a key over the size cap or
+    /// refused by its constructor — rejects the *whole* snapshot with a typed
+    /// error and seeds nothing. Keys already present in the session keep their
+    /// existing plans (restore never evicts).
     pub fn restore(&self, bytes: &[u8]) -> Result<RestoreReport, SnapshotError> {
-        let parsed = parse(bytes)?;
+        let keys = parse(bytes)?;
+        let mut rns = HashMap::new();
+        let mut ntt64 = HashMap::new();
+        let mut neg = HashMap::new();
+        let mut baseconv = HashMap::new();
+        let mut rescale = HashMap::new();
+        let mut rescale_extend = HashMap::new();
 
-        // Validate everything into plain values *before* touching any cache:
-        // a snapshot that fails halfway must leave the session untouched.
-        let mut ntt_plans: Vec<((u64, usize), Arc<NttPlan64>)> = Vec::new();
-        for (q, n, fwd, inv, n_inv) in parsed.ntt64 {
-            let plan = NttPlan64::from_tables(q, n, fwd, inv, n_inv)?;
-            ntt_plans.push(((q, n), Arc::new(plan)));
-        }
-
-        let mut neg_plans: Vec<((u64, usize), Arc<NttPlan64>)> = Vec::new();
-        for (q, n, fwd, inv, n_inv, psi) in parsed.ntt64_neg {
-            let plan = NttPlan64::from_tables_negacyclic(q, n, fwd, inv, n_inv, psi)?;
-            neg_plans.push(((q, n), Arc::new(plan)));
-        }
-
-        // Ring keys: validate fully here (shape, congruence, primality) so a
-        // hostile key fails closed with an error instead of panicking the
-        // reassembly below.
-        for (n, moduli) in &parsed.ring {
-            if !n.is_power_of_two() || *n < 2 || moduli.is_empty() {
-                return Err(SnapshotError::Malformed("invalid ring key"));
+        for (bits, moduli) in &keys.capacity {
+            // Exactly what `RnsContext::with_capacity_bits(bits)` could have
+            // produced: anything else would serve a wrong-sized basis.
+            if *bits == 0
+                || moduli.len() != capacity_moduli_count(*bits)
+                || moduli.iter().any(|&m| m >> (MODULUS_BITS - 1) != 1)
+            {
+                return Err(SnapshotError::Malformed(
+                    "capacity memo entry does not have the capacity basis' shape",
+                ));
             }
-            for (i, &q) in moduli.iter().enumerate() {
-                if moduli[..i].contains(&q) {
-                    return Err(SnapshotError::Malformed("duplicate ring modulus"));
-                }
-                if !(3..1 << 60).contains(&q) || (q - 1) % (2 * *n as u64) != 0 {
-                    return Err(SnapshotError::Malformed(
-                        "ring modulus not ≡ 1 mod 2n in range",
-                    ));
-                }
-                if !moma_bignum::prime::is_prime(&mut StdRng::seed_from_u64(q), &BigUint::from(q)) {
-                    return Err(SnapshotError::Malformed("ring modulus not prime"));
-                }
+            basis(&mut rns, moduli)?;
+        }
+        for moduli in &keys.rns {
+            basis(&mut rns, moduli)?;
+        }
+        for &(q, n) in &keys.ntt64 {
+            check_size(n, 1)?;
+            build_into(&mut ntt64, (q, n), || NttPlan64::try_with_modulus(q, n))?;
+        }
+        for &(q, n) in &keys.ntt64_neg {
+            check_size(n, 1)?;
+            build_into(&mut neg, (q, n), || NttPlan64::try_negacyclic(q, n))?;
+        }
+        for (src, dst) in &keys.baseconv {
+            let (s, d) = (basis(&mut rns, src)?, basis(&mut rns, dst)?);
+            build_into(&mut baseconv, (src.clone(), dst.clone()), || {
+                BaseConvPlan::try_new(&s, &d)
+            })?;
+        }
+        for src in &keys.rescale {
+            let s = basis(&mut rns, src)?;
+            build_into(&mut rescale, src.clone(), || RescalePlan::try_new(&s))?;
+        }
+        for (src, dst) in &keys.rescale_extend {
+            let (s, d) = (basis(&mut rns, src)?, basis(&mut rns, dst)?);
+            build_into(&mut rescale_extend, (src.clone(), dst.clone()), || {
+                RescaleExtendPlan::try_new(&s, &d)
+            })?;
+        }
+        // A ring key passes when its ladder is a basis and every modulus
+        // admits the negacyclic plan; the level bases and rescale steps it
+        // also needs then cannot fail, and are drawn (or built) when the
+        // context is reassembled below.
+        for (n, ladder) in &keys.ring {
+            check_size(*n, ladder.len())?;
+            basis(&mut rns, ladder)?;
+            for &q in ladder {
+                build_into(&mut neg, (q, *n), || NttPlan64::try_negacyclic(q, *n))?;
             }
         }
-
-        let mut rns_plans: HashMap<Vec<u64>, Arc<RnsPlan>> = HashMap::new();
-        for (moduli, product, crt) in parsed.rns {
-            let plan = RnsPlan::from_tables(&moduli, product, crt)?;
-            rns_plans.insert(moduli, Arc::new(plan));
-        }
-        let lookup = |basis: &[u64]| -> Result<&Arc<RnsPlan>, SnapshotError> {
-            rns_plans
-                .get(basis)
-                .ok_or(SnapshotError::Malformed("referenced basis not in snapshot"))
-        };
-
-        let mut baseconv_plans: Vec<KeyedPlan<BaseConvPlan>> = Vec::new();
-        for t in parsed.baseconv {
-            let src = lookup(&t.src)?;
-            let dst = lookup(&t.dst)?;
-            let bc = BaseConvPlan::from_tables(src, dst, t.inv_punctured, t.cross)?;
-            baseconv_plans.push(((t.src, t.dst), Arc::new(bc)));
-        }
-
-        let mut rescale_plans: Vec<(Vec<u64>, Arc<RescalePlan>)> = Vec::new();
-        for t in parsed.rescale {
-            let src = lookup(&t.src)?;
-            if t.src.len() < 2 {
-                return Err(SnapshotError::Malformed("rescale basis too small"));
-            }
-            let out = lookup(&t.src[..t.src.len() - 1])?;
-            let rp = RescalePlan::from_tables(src, out.as_ref().clone(), t.inv_last)?;
-            rescale_plans.push((t.src, Arc::new(rp)));
-        }
-
-        let mut rescale_extend_plans: Vec<KeyedPlan<RescaleExtendPlan>> = Vec::new();
-        for t in parsed.rescale_extend {
-            let src = lookup(&t.src)?;
-            if t.src.len() < 2 {
-                return Err(SnapshotError::Malformed("rescale basis too small"));
-            }
-            let shortened = &t.src[..t.src.len() - 1];
-            let out = lookup(shortened)?;
-            let dst = lookup(&t.dst)?;
-            let rp = RescalePlan::from_tables(src, out.as_ref().clone(), t.inv_last)?;
-            let bc = BaseConvPlan::from_tables(out, dst, t.inv_punctured, t.cross)?;
-            let plan = RescaleExtendPlan::from_parts(rp, bc, t.fused)?;
-            rescale_extend_plans.push(((t.src, t.dst), Arc::new(plan)));
-        }
-
-        // Multi-word keys: reject here every key `NttParams::for_paper_modulus`
-        // would refuse — the rebuild below runs after the caches are seeded and
-        // must not be able to panic. (The build is the expensive part being
-        // warmed, so it happens only once all fallible validation has passed.)
-        for &(limbs, bits, n) in &parsed.ntt_mw {
-            if bits != limbs * 64
+        // Multi-word keys: reject every key `NttParams::for_paper_modulus`
+        // would refuse; the rebuild below runs after the caches are seeded
+        // and must not be able to panic.
+        for &(limbs, bits, n) in &keys.ntt_mw {
+            if limbs.checked_mul(64) != Some(bits)
                 || !n.is_power_of_two()
                 || !(2..=moma_ntt::params::MAX_PAPER_TRANSFORM_SIZE).contains(&n)
             {
@@ -675,45 +568,32 @@ impl Session {
             if !matches!(limbs, 1 | 2 | 3 | 4 | 5 | 6 | 8 | 12 | 16) {
                 return Err(SnapshotError::Malformed("unsupported multi-word width"));
             }
+            check_size(n, limbs as usize)?;
         }
 
-        // All validation passed: seed.
+        // Every key passed: seed.
         let state = &self.state;
         let mut report = RestoreReport::default();
         {
-            let mut memo = crate::session::lock_unpoisoned(&state.capacity_bases);
-            for (bits, moduli) in parsed.capacity {
-                if let std::collections::hash_map::Entry::Vacant(e) = memo.entry(bits) {
+            let mut memo = lock_unpoisoned(&state.capacity_bases);
+            for (bits, moduli) in keys.capacity {
+                if let Entry::Vacant(e) = memo.entry(bits) {
                     e.insert(moduli);
                     report.capacity_entries += 1;
                 }
             }
         }
-        for (key, plan) in ntt_plans {
-            report.ntt_plans += usize::from(state.ntt64.seed(key, plan));
-        }
-        for (moduli, plan) in rns_plans {
-            report.rns_plans += usize::from(state.rns.seed(moduli, plan));
-        }
-        for (key, plan) in baseconv_plans {
-            report.baseconv_plans += usize::from(state.baseconv.seed(key, plan));
-        }
-        for (key, plan) in rescale_plans {
-            report.rescale_plans += usize::from(state.rescale.seed(key, plan));
-        }
-        for (key, plan) in rescale_extend_plans {
-            report.rescale_extend_plans += usize::from(state.rescale_extend.seed(key, plan));
-        }
-        for (key, plan) in neg_plans {
-            report.negacyclic_plans += usize::from(state.ntt64_neg.seed(key, plan));
-        }
-        for (limbs, bits, n) in parsed.ntt_mw {
+        report.ntt_plans = seed(&state.ntt64, ntt64);
+        report.negacyclic_plans = seed(&state.ntt64_neg, neg);
+        report.rns_plans = seed(&state.rns, rns);
+        report.baseconv_plans = seed(&state.baseconv, baseconv);
+        report.rescale_plans = seed(&state.rescale, rescale);
+        report.rescale_extend_plans = seed(&state.rescale_extend, rescale_extend);
+        for (limbs, bits, n) in keys.ntt_mw {
             report.multiword_plans += usize::from(self.rebuild_multiword(limbs, bits, n));
         }
-        // Rings last: reassembly draws on every cache seeded above, so a
-        // snapshot's ring contexts come back without rebuilding a single
-        // component plan.
-        for (n, moduli) in parsed.ring {
+        // Rings last: reassembly draws on every cache seeded above.
+        for (n, moduli) in keys.ring {
             report.ring_contexts += usize::from(self.rebuild_ring(n, &moduli));
         }
         Ok(report)
@@ -740,8 +620,7 @@ impl Session {
     }
 
     /// Reassembles one ring context from its key through the normal cache
-    /// path (its component plans were just seeded). Returns `false` when the
-    /// key was already cached.
+    /// path. Returns `false` when the key was already cached.
     fn rebuild_ring(&self, n: usize, moduli: &[u64]) -> bool {
         let before = self.stats().ring;
         drop(self.ring_context(n, moduli));
@@ -749,20 +628,10 @@ impl Session {
     }
 }
 
-fn write_section(out: &mut Vec<u8>, tag: u32, fill: impl FnOnce(&mut Vec<u8>)) {
-    put_u32(out, tag);
-    let len_at = out.len();
-    put_u64(out, 0); // patched below
-    let start = out.len();
-    fill(out);
-    let len = (out.len() - start) as u64;
-    out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Validates the envelope (magic, version, checksum) and parses every section
-/// payload into plain tables. No arithmetic validation happens here — that is
-/// the restore constructors' job.
-fn parse(bytes: &[u8]) -> Result<Parsed, SnapshotError> {
+/// Validates the envelope (magic, version, checksum, build identity) and
+/// parses every section into its keys. No key is checked here — that is the
+/// constructors' job in [`Session::restore`].
+fn parse(bytes: &[u8]) -> Result<Keys, SnapshotError> {
     if bytes.len() < MAGIC.len() + 4 + 8 {
         return Err(SnapshotError::TooShort);
     }
@@ -779,9 +648,6 @@ fn parse(bytes: &[u8]) -> Result<Parsed, SnapshotError> {
     if version != VERSION {
         return Err(SnapshotError::BadVersion { found: version });
     }
-    // Compatibility gate: toolchain and build identity, checked before any
-    // section is parsed — a cross-build snapshot never reaches the table
-    // validators.
     for (what, expected) in [("toolchain", TOOLCHAIN_ID), ("build", BUILD_ID)] {
         let len = reader.u32()? as usize;
         if len > 256 {
@@ -797,11 +663,11 @@ fn parse(bytes: &[u8]) -> Result<Parsed, SnapshotError> {
         }
     }
 
-    let mut parsed = Parsed::default();
+    let mut keys = Keys::default();
     let mut seen: Vec<u32> = Vec::new();
     while reader.remaining() > 0 {
         let tag = reader.u32()?;
-        let len = reader.u64()? as usize;
+        let len = usize::try_from(reader.u64()?).unwrap_or(usize::MAX);
         let payload = reader.take(len)?;
         if seen.contains(&tag) {
             return Err(SnapshotError::DuplicateSection { tag });
@@ -809,102 +675,124 @@ fn parse(bytes: &[u8]) -> Result<Parsed, SnapshotError> {
         seen.push(tag);
         let mut r = Reader::new(payload);
         match tag {
-            TAG_CAPACITY => {
-                let n = r.count(4 + 8)?;
-                for _ in 0..n {
-                    let bits = r.u32()?;
-                    let moduli = r.words()?;
-                    parsed.capacity.push((bits, moduli));
-                }
-            }
-            TAG_NTT64 => {
-                let n = r.count(8 * 5)?;
-                for _ in 0..n {
-                    let q = r.u64()?;
-                    let size = r.u64()? as usize;
-                    let fwd = r.words()?;
-                    let inv = r.words()?;
-                    let n_inv = r.u64()?;
-                    parsed.ntt64.push((q, size, fwd, inv, n_inv));
-                }
-            }
-            TAG_NTT_MW => {
-                let n = r.count(4 + 4 + 8)?;
-                for _ in 0..n {
-                    let limbs = r.u32()?;
-                    let bits = r.u32()?;
-                    let size = r.u64()? as usize;
-                    parsed.ntt_mw.push((limbs, bits, size));
-                }
-            }
-            TAG_RNS => {
-                let n = r.count(8 * 3)?;
-                for _ in 0..n {
-                    let moduli = r.words()?;
-                    let product = r.biguint()?;
-                    let entries = r.count(8 * 2)?;
-                    let crt = (0..entries)
-                        .map(|_| Ok((r.biguint()?, r.u64()?)))
-                        .collect::<Result<Vec<_>, SnapshotError>>()?;
-                    parsed.rns.push((moduli, product, crt));
-                }
-            }
-            TAG_BASECONV => {
-                let n = r.count(8 * 4)?;
-                for _ in 0..n {
-                    parsed.baseconv.push(BaseConvTables {
-                        src: r.words()?,
-                        dst: r.words()?,
-                        inv_punctured: r.words()?,
-                        cross: r.words()?,
-                    });
-                }
-            }
-            TAG_RESCALE => {
-                let n = r.count(8 * 2)?;
-                for _ in 0..n {
-                    parsed.rescale.push(RescaleTables {
-                        src: r.words()?,
-                        inv_last: r.words()?,
-                    });
-                }
-            }
-            TAG_RESCALE_EXTEND => {
-                let n = r.count(8 * 6)?;
-                for _ in 0..n {
-                    parsed.rescale_extend.push(RescaleExtendTables {
-                        src: r.words()?,
-                        dst: r.words()?,
-                        inv_last: r.words()?,
-                        inv_punctured: r.words()?,
-                        cross: r.words()?,
-                        fused: r.words()?,
-                    });
-                }
-            }
-            TAG_NTT64_NEG => {
-                let n = r.count(8 * 6)?;
-                for _ in 0..n {
-                    let q = r.u64()?;
-                    let size = r.u64()? as usize;
-                    let fwd = r.words()?;
-                    let inv = r.words()?;
-                    let n_inv = r.u64()?;
-                    let psi = r.u64()?;
-                    parsed.ntt64_neg.push((q, size, fwd, inv, n_inv, psi));
-                }
-            }
-            TAG_RING => {
-                let n = r.count(8 * 2)?;
-                for _ in 0..n {
-                    let size = r.u64()? as usize;
-                    let moduli = r.words()?;
-                    parsed.ring.push((size, moduli));
-                }
-            }
+            TAG_CAPACITY => keys.capacity = r.list(12, |r| Ok((r.u32()?, r.words()?)))?,
+            TAG_NTT64 => keys.ntt64 = r.list(16, Reader::transform_key)?,
+            TAG_NTT_MW => keys.ntt_mw = r.list(16, |r| Ok((r.u32()?, r.u32()?, r.size()?)))?,
+            TAG_RNS => keys.rns = r.list(8, Reader::words)?,
+            TAG_BASECONV => keys.baseconv = r.list(16, Reader::basis_pair)?,
+            TAG_RESCALE => keys.rescale = r.list(8, Reader::words)?,
+            TAG_RESCALE_EXTEND => keys.rescale_extend = r.list(16, Reader::basis_pair)?,
+            TAG_NTT64_NEG => keys.ntt64_neg = r.list(16, Reader::transform_key)?,
+            TAG_RING => keys.ring = r.list(16, |r| Ok((r.size()?, r.words()?)))?,
             other => return Err(SnapshotError::UnknownSection { tag: other }),
         }
         r.finish()?;
     }
-    Ok(parsed)
+    Ok(keys)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moma_bignum::BigUint;
+
+    /// The plan caches the lifecycle tests' warm session populates: cyclic
+    /// and multi-word NTT plans, a capacity basis with its conversion,
+    /// rescale and fused-chain plans, and a negacyclic ring ladder.
+    fn warm_session() -> Session {
+        let session = Session::default();
+        let _ = session.ntt_default(64);
+        let _ = session.ntt(12289, 16);
+        let _ = session.ntt_multiword::<2>(128, 32);
+        let src = session.rns_with_capacity(160);
+        let dst = session.rns(&src.moduli()[..4]);
+        let v = src.encode(&[BigUint::from(12345u64)]);
+        let _ = v.mul(&v).rescale_then_extend(&dst);
+        let _ = v.base_convert(&dst);
+        let _ = v.rescale();
+        let _ = session.ring(16, &moma_ring::ladder::default_ladder(16, 3));
+        session
+    }
+
+    /// A session built cold from `keys` through the public entry points.
+    fn cold_build(keys: Keys) -> Session {
+        let s = Session::default();
+        for (bits, moduli) in keys.capacity {
+            let _ = s.rns(&moduli);
+            lock_unpoisoned(&s.state.capacity_bases)
+                .entry(bits)
+                .or_insert(moduli);
+        }
+        for m in &keys.rns {
+            let _ = s.rns(m);
+        }
+        for (q, n) in keys.ntt64 {
+            let _ = s.ntt(q, n);
+        }
+        for (q, n) in keys.ntt64_neg {
+            let _ = s.ntt_negacyclic(q, n);
+        }
+        for (src, dst) in &keys.baseconv {
+            let _ = s.rns(src).conversion_to(&s.rns(dst));
+        }
+        for src in &keys.rescale {
+            let _ = s.rns(src).rescale_plan();
+        }
+        for (src, dst) in &keys.rescale_extend {
+            let _ = s.rns(src).rescale_extend_to(&s.rns(dst));
+        }
+        for (limbs, bits, n) in keys.ntt_mw {
+            s.rebuild_multiword(limbs, bits, n);
+        }
+        for (n, ladder) in &keys.ring {
+            let _ = s.ring(*n, ladder);
+        }
+        s
+    }
+
+    /// Flips every byte of a real snapshot (re-sealing the checksum) and cuts
+    /// it at every length (re-sealed or not). Nothing may panic, and every
+    /// result is either a typed error that seeded nothing or caches equal to
+    /// a cold build of the keys the bytes name.
+    #[test]
+    fn every_mutation_is_a_typed_error_or_a_cold_build_of_its_keys() {
+        let bytes = warm_session().snapshot();
+        let content = &bytes[..bytes.len() - 8];
+        let empty = Session::default().snapshot();
+        let seal = |mut content: Vec<u8>| {
+            let checksum = fnv1a(&content);
+            put_u64(&mut content, checksum);
+            content
+        };
+        let (mut rejected, mut restored) = (0, 0);
+        let mut check = |candidate: Vec<u8>| {
+            let fresh = Session::default();
+            match fresh.restore(&candidate) {
+                Err(_) => {
+                    rejected += 1;
+                    assert_eq!(fresh.snapshot(), empty, "a rejected snapshot seeds nothing");
+                }
+                Ok(_) => {
+                    restored += 1;
+                    let keys = parse(&candidate).expect("restored bytes parse");
+                    assert_eq!(fresh.snapshot(), cold_build(keys).snapshot());
+                }
+            }
+        };
+        for at in 0..content.len() {
+            for flip in [0x01, 0xff] {
+                let mut mutated = content.to_vec();
+                mutated[at] ^= flip;
+                check(seal(mutated));
+            }
+        }
+        for len in 0..content.len() {
+            check(seal(content[..len].to_vec()));
+            check(bytes[..len].to_vec());
+        }
+        assert!(
+            restored > 0 && rejected > restored,
+            "{rejected} rejected, {restored} restored"
+        );
+    }
 }

@@ -298,8 +298,8 @@ fn with_section_payload(bytes: Vec<u8>, tag: u32, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Encodes the same values on both sessions and asserts the restored plans
-/// compute bit-for-bit what the originals do — the crosscheck that restored
-/// tables are the same tables, not merely compatible ones.
+/// compute bit-for-bit what the originals do — the crosscheck that a plan
+/// rebuilt from its key is the plan, not merely a compatible one.
 fn fresh_encode_crosscheck(
     warm: &Session,
     fresh: &Session,
@@ -366,6 +366,14 @@ fn snapshot_rejects_truncation_and_tampering() {
         Err(SnapshotError::BadVersion { found: 0x7f })
     ));
 
+    // A version-2 snapshot (the table format) is refused whole.
+    let mut v2 = bytes.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert!(matches!(
+        Session::default().restore(&patch_checksum(v2)),
+        Err(SnapshotError::BadVersion { found: 2 })
+    ));
+
     // Foreign toolchain identity: rejected up front. The header is
     // magic(8) + version(4) + toolchain(len:4 + bytes) + build(len:4 + bytes).
     let tlen = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
@@ -387,8 +395,8 @@ fn snapshot_rejects_truncation_and_tampering() {
         Err(SnapshotError::IncompatibleBuild { what: "build", .. })
     ));
 
-    // Ordering: when a table is corrupted *and* the identity mismatches, the
-    // identity gate fires — cross-build bytes never reach a table validator.
+    // Ordering: when a key is corrupted *and* the identity mismatches, the
+    // identity gate fires — cross-build bytes never reach a constructor.
     let mut bad = bytes.clone();
     bad[16] ^= 0x20;
     let mid = bytes.len() / 2;
@@ -412,10 +420,9 @@ fn snapshot_rejects_truncation_and_tampering() {
         Err(SnapshotError::BadChecksum)
     ));
 
-    // A flipped table word *with* a correct checksum: the arithmetic
-    // validation must catch it. Flip one bit in each 8-byte word of the
-    // content and require every attempt to fail (whichever section the word
-    // lands in, some validator owns it).
+    // A flipped bit *with* a correct checksum: the key checks must catch it.
+    // Flip one bit every 8 bytes of the content and require most attempts to
+    // fail (whichever key the bit lands in, its constructor checks it).
     let mut rejected = 0;
     for word in (12..bytes.len() - 8).step_by(8) {
         let mut bad = bytes.clone();
@@ -430,10 +437,10 @@ fn snapshot_rejects_truncation_and_tampering() {
             );
         }
     }
-    // Not every single-bit flip is semantically detectable (e.g. a capacity
-    // memo entry or a section count shrink can parse as a smaller valid
-    // snapshot), but table words dominate the byte stream: the overwhelming
-    // majority of flips must be rejected.
+    // Not every single-bit flip is detectable: a flipped modulus can be
+    // another valid prime, and a section count shrink can parse as a smaller
+    // valid snapshot. But a flipped key is almost never another valid key, so
+    // the overwhelming majority of flips must be rejected.
     let words = (bytes.len() - 20) / 8;
     assert!(
         rejected * 10 >= words * 8,
@@ -448,18 +455,42 @@ fn snapshot_rejects_wrong_key_or_basis() {
     let bytes = warm.snapshot();
 
     // The NTT section of this minimal snapshot is: ...tag,len,count,q,n,...
-    // Find q (the paper modulus) in the byte stream and retarget the plan at
-    // a different (valid) modulus: the tables no longer validate.
+    // Retarget the key's q: a composite q ≡ 1 (mod 64) and a prime q with
+    // 64 ∤ q − 1 are refused by the plan constructor, typed.
     let q = warm.ntt_default(64).modulus();
     let pos = find_word(&bytes, q).expect("q serialized");
-    let mut bad = bytes.clone();
-    bad[pos..pos + 8].copy_from_slice(&12289u64.to_le_bytes());
+    let retarget = |to: u64| {
+        let mut bad = bytes.clone();
+        bad[pos..pos + 8].copy_from_slice(&to.to_le_bytes());
+        patch_checksum(bad)
+    };
+    for (bad_q, why) in [
+        (65, "NTT modulus must be prime"),
+        (
+            17,
+            "transform size must divide q - 1 (no primitive root of unity otherwise)",
+        ),
+    ] {
+        let fresh = Session::default();
+        match fresh.restore(&retarget(bad_q)) {
+            Err(SnapshotError::Malformed(what)) => assert_eq!(what, why, "q = {bad_q}"),
+            other => panic!("q = {bad_q} must be refused, got {other:?}"),
+        }
+        assert_eq!(fresh.stats().ntt.misses, 0, "nothing seeded");
+    }
+    // A different *valid* key (12289 = 3·2^12 + 1) restores as exactly the
+    // plan a cold build of that key is.
     let fresh = Session::default();
-    assert!(matches!(
-        fresh.restore(&patch_checksum(bad)),
-        Err(SnapshotError::Ntt(_))
-    ));
-    assert_eq!(fresh.stats().ntt.misses, 0, "nothing seeded");
+    let report = fresh
+        .restore(&retarget(12289))
+        .expect("a valid key restores");
+    assert_eq!(report.ntt_plans, 1);
+    let restored = fresh.ntt(12289, 64);
+    assert_eq!(fresh.stats().ntt.misses, 0, "served from the restored plan");
+    let (mut a, mut b): (Vec<u64>, Vec<u64>) = ((0..64).collect(), (0..64).collect());
+    restored.forward(&mut a);
+    Session::default().ntt(12289, 64).forward(&mut b);
+    assert_eq!(a, b, "the restored plan is the cold plan");
 
     // Same fail-closed behaviour for a tampered RNS basis modulus. The basis
     // is requested explicitly (no capacity memo) so the first serialized
@@ -517,8 +548,74 @@ fn snapshot_rejects_a_multiword_key_the_constructor_would_refuse() {
     );
 }
 
+/// A capacity memo entry must have the shape `with_capacity_bits` gives: an
+/// entry re-keyed from 96 to 4096 bits would otherwise serve a 5-modulus,
+/// 154-bit basis to a caller asking for 4096 bits of dynamic range.
+#[test]
+fn snapshot_rejects_a_capacity_entry_of_the_wrong_shape() {
+    let warm = Session::default();
+    let honest = warm.rns_with_capacity(96).moduli();
+    let bytes = warm.snapshot();
+    // Section 1 opens the body: tag(4) + length(8) + count(8) + bits(4).
+    let tlen = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let blen = u32::from_le_bytes(bytes[16 + tlen..20 + tlen].try_into().unwrap()) as usize;
+    let bits_at = 20 + tlen + blen + 4 + 8 + 8;
+    assert_eq!(bytes[bits_at..bits_at + 4], 96u32.to_le_bytes());
+    let mut bad = bytes.clone();
+    bad[bits_at..bits_at + 4].copy_from_slice(&4096u32.to_le_bytes());
+
+    let fresh = Session::default();
+    assert!(matches!(
+        fresh.restore(&patch_checksum(bad)),
+        Err(SnapshotError::Malformed(_))
+    ));
+    assert_eq!(
+        fresh.snapshot(),
+        Session::default().snapshot(),
+        "nothing seeded"
+    );
+    assert_eq!(fresh.rns_with_capacity(4096).moduli().len(), 138);
+    assert_eq!(fresh.rns_with_capacity(96).moduli(), honest);
+}
+
+/// No key may ask restore for more than `MAX_KEY_WORDS` (`n × words`): a
+/// 2^23-point single-word plan over the paper modulus (which supports it) and
+/// a two-limb plan at 2^22 points are one step over, so both are refused
+/// before anything is built.
+#[test]
+fn snapshot_rejects_keys_over_the_size_cap() {
+    use moma::snapshot::MAX_KEY_WORDS;
+    let (warm, _) = warm_session();
+    let q = warm.ntt_default(64).modulus();
+    let ntt_key = [
+        &1u64.to_le_bytes()[..],
+        &q.to_le_bytes(),
+        &(2 * MAX_KEY_WORDS as u64).to_le_bytes(),
+    ]
+    .concat();
+    let multiword_key = [
+        &1u64.to_le_bytes()[..],
+        &2u32.to_le_bytes(),
+        &128u32.to_le_bytes(),
+        &(MAX_KEY_WORDS as u64).to_le_bytes(),
+    ]
+    .concat();
+    for (tag, key) in [(2, ntt_key), (3, multiword_key)] {
+        let fresh = Session::default();
+        assert!(matches!(
+            fresh.restore(&with_section_payload(warm.snapshot(), tag, &key)),
+            Err(SnapshotError::Malformed("key exceeds the restore size cap"))
+        ));
+        assert_eq!(
+            fresh.snapshot(),
+            Session::default().snapshot(),
+            "nothing seeded"
+        );
+    }
+}
+
 /// Recomputes the trailing FNV-1a checksum after tampering with content bytes
-/// (so the arithmetic validators, not the checksum, are what reject it).
+/// (so the key checks, not the checksum, are what reject it).
 fn patch_checksum(mut bytes: Vec<u8>) -> Vec<u8> {
     let n = bytes.len() - 8;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

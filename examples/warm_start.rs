@@ -1,7 +1,7 @@
-//! Warm start: snapshot a session's precomputed plan caches to bytes, restore
-//! them into a fresh session, and serve with zero plan builds *and* zero heap
-//! plane allocations — the precompute-once-execute-many contract surviving a
-//! process restart.
+//! Warm start: snapshot the keys of a session's plan caches to bytes, rebuild
+//! the plans from them in a fresh session, and serve with zero plan builds
+//! *and* zero heap plane allocations — the precompute-once-execute-many
+//! contract surviving a process restart.
 //!
 //! Run with: `cargo run -p moma-examples --example warm_start`
 
@@ -33,16 +33,17 @@ fn main() {
         warm.stats().rescale_extend.misses,
     );
 
-    // 2. Snapshot: every plan cache serialized to a self-describing, versioned,
-    //    checksummed byte format. In production this goes to a file next to
-    //    the service binary.
+    // 2. Snapshot: the key of every cached plan (moduli, sizes, basis pairs —
+    //    never a table) in a self-describing, versioned, checksummed byte
+    //    format. In production this goes to a file next to the service binary.
     let bytes = warm.snapshot();
     println!("snapshot: {} bytes", bytes.len());
 
-    // 3. "Next boot": a fresh session restores the caches instead of building
-    //    them. Every table is validated arithmetically before anything is
-    //    seeded — a corrupt or mismatched snapshot is rejected whole, and the
-    //    session falls back to cold builds.
+    // 3. "Next boot": a fresh session rebuilds every plan from its key through
+    //    the ordinary constructors, skipping the searches a cold boot runs (the
+    //    capacity basis' prime search). Every key is checked and nothing is
+    //    seeded until all of them have been built — a corrupt or mismatched
+    //    snapshot is rejected whole, and the session falls back to cold builds.
     let boot = Instant::now();
     let fresh = Session::default();
     let report = fresh.restore(&bytes).expect("snapshot restores");
