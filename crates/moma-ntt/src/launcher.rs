@@ -12,10 +12,11 @@
 //!   plane for the duration of the transform. Within a stage every butterfly
 //!   touches only its own pair of slots, so relaxed atomics are just the
 //!   safe-Rust spelling of CUDA's disjoint global-memory accesses. Butterflies
-//!   use the inline path's Shoup multiplication and `[0, 4q)` lazy reduction; a
-//!   final element-parallel pass normalizes. A batch of same-size transforms
-//!   rides *one* launch per stage (grid = rows × n/2): `log2 n + 1` launches
-//!   whatever the row count.
+//!   use the inline loop's primitives — the `u64` lazy Shoup product
+//!   ([`NttWord::mul_mod_shoup_lazy`]) and fold ([`reduce_once`]) — and its
+//!   `[0, 4q)` lazy reduction; a final element-parallel pass normalizes. A
+//!   batch of same-size transforms rides *one* launch per stage (grid =
+//!   rows × n/2): `log2 n + 1` launches whatever the row count.
 //! * **Block-resident** — a whole transform stays in one thread block's shared
 //!   memory and the block loops over the stages itself: one launch per
 //!   transform, which is how the paper runs every size below the Figure 3a
@@ -33,13 +34,14 @@
 //! | [`forward_rows`] / [`inverse_rows`]: a plan (modulus) per row — the residue plane of a ring element, `moma-ring`'s raise/lower | block-resident | 1 |
 //! | [`NttPlan64::forward_batch_on_launcher`] / [`NttPlan64::inverse_batch_on_launcher`]: one plan for every row, working plane from the caller's [`BufferPool`] — `Session`'s `NttSpace` (a single transform is a one-row batch; a stand-alone caller passes `&BufferPool::new()`) | stage | `log2 n + 1` |
 //!
-//! Multi-word plans ([`crate::NttPlan`]) run inline only. `tests/launcher_props.rs`
-//! pins the two executors bit-for-bit against each other and the inline plan. On
+//! Multi-word plans ([`crate::NttPlan`], the same [`crate::plan::Plan`] type on
+//! a wider word) run inline only. `tests/launcher_props.rs` pins the two
+//! executors bit-for-bit against each other and the inline plan. On
 //! a small host the stage executor degrades to the inline loop plus per-stage
 //! launch bookkeeping — the overhead `reproduce bench` records as the
 //! `ntt_launcher` entry.
 
-use crate::plan::{reduce_once, NttPlan64, Stage64};
+use crate::plan::{reduce_once, NttPlan64, NttWord, Stage64};
 use moma_gpu::launch::{launch_chunks, launch_indexed, LaunchStats};
 use moma_gpu::pool::BufferPool;
 use std::borrow::Borrow;
@@ -51,15 +53,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 fn butterfly_base(t: usize, m: usize) -> usize {
     let log_m = m.trailing_zeros();
     ((t >> log_m) << (log_m + 1)) | (t & (m - 1))
-}
-
-/// The lazy Shoup product of the inline hot loop
-/// ([`moma_mp::single::SingleBarrett::mul_mod_shoup_lazy`]) with the modulus
-/// passed by value: `w·x mod q` in `[0, 2q)` for any `x < 4q`.
-#[inline]
-fn shoup_lazy(x: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
-    let hi = ((w_shoup as u128 * x as u128) >> 64) as u64;
-    w.wrapping_mul(x).wrapping_sub(hi.wrapping_mul(q))
 }
 
 /// What the threads of one launch read of one row's plan: the row's modulus
@@ -86,7 +79,7 @@ fn gather_rows<'p>(
     views.extend((0..rows).map(|r| {
         let plan = plan_of(r);
         RowView {
-            q: plan.ctx.q,
+            q: plan.ring.q,
             two_q: plan.two_q(),
             table: table_of(plan),
         }
@@ -172,8 +165,8 @@ fn transform_rows<'p>(
                 let i = (row << log_n) + j;
                 let x = cells[i].load(Ordering::Relaxed);
                 let y = cells[i + 1].load(Ordering::Relaxed);
-                let t0 = shoup_lazy(x, table.twiddles[j], table.shoup[j], q);
-                let t1 = shoup_lazy(y, table.twiddles[j + 1], table.shoup[j + 1], q);
+                let t0 = u64::mul_mod_shoup_lazy(x, table.twiddles[j], table.shoup[j], q);
+                let t1 = u64::mul_mod_shoup_lazy(y, table.twiddles[j + 1], table.shoup[j + 1], q);
                 cells[i].store(t0 + t1, Ordering::Relaxed);
                 cells[i + 1].store(t0 + two_q - t1, Ordering::Relaxed);
             })
@@ -191,7 +184,7 @@ fn transform_rows<'p>(
                 // [0, 2q), and emit x + t and x − t + 2q, both < 4q.
                 let x = reduce_once(cells[i].load(Ordering::Relaxed), two_q);
                 let y = cells[k].load(Ordering::Relaxed);
-                let t = shoup_lazy(y, table.twiddles[j], table.shoup[j], q);
+                let t = u64::mul_mod_shoup_lazy(y, table.twiddles[j], table.shoup[j], q);
                 cells[i].store(x + t, Ordering::Relaxed);
                 cells[k].store(x + two_q - t, Ordering::Relaxed);
             })
@@ -219,7 +212,10 @@ fn transform_rows<'p>(
             let RowView { q, table, .. } = views[i >> log_n];
             let j = i & (table.twiddles.len() - 1);
             let x = cells[i].load(Ordering::Relaxed);
-            out[0] = reduce_once(shoup_lazy(x, table.twiddles[j], table.shoup[j], q), q);
+            out[0] = reduce_once(
+                u64::mul_mod_shoup_lazy(x, table.twiddles[j], table.shoup[j], q),
+                q,
+            );
         })
     };
     stats.accumulate(pass);
@@ -357,7 +353,7 @@ mod tests {
         let plan = NttPlan64::new(256);
         let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(91);
-        let data: Vec<u64> = (0..256).map(|_| rng.gen::<u64>() % plan.ctx.q).collect();
+        let data: Vec<u64> = (0..256).map(|_| rng.gen::<u64>() % plan.ring.q).collect();
         let mut inline = data.clone();
         let mut launched = data.clone();
         plan.forward(&mut inline);
@@ -376,11 +372,11 @@ mod tests {
         let plan = NttPlan64::new(128);
         let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(92);
-        let mut data: Vec<u64> = (0..128).map(|_| rng.gen::<u64>() % plan.ctx.q).collect();
+        let mut data: Vec<u64> = (0..128).map(|_| rng.gen::<u64>() % plan.ring.q).collect();
         plan.forward_batch_on_launcher(&mut data, &pool);
-        assert!(data.iter().all(|&x| x < plan.ctx.q));
+        assert!(data.iter().all(|&x| x < plan.ring.q));
         plan.inverse_batch_on_launcher(&mut data, &pool);
-        assert!(data.iter().all(|&x| x < plan.ctx.q));
+        assert!(data.iter().all(|&x| x < plan.ring.q));
     }
 
     #[test]
@@ -391,7 +387,7 @@ mod tests {
         let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(94);
         let data: Vec<u64> = (0..batch * n)
-            .map(|_| rng.gen::<u64>() % plan.ctx.q)
+            .map(|_| rng.gen::<u64>() % plan.ring.q)
             .collect();
         let mut batched = data.clone();
         let stats = plan.forward_batch_on_launcher(&mut batched, &pool);
@@ -425,7 +421,7 @@ mod tests {
         let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(96);
         let data: Vec<u64> = (0..batch * n)
-            .map(|_| rng.gen::<u64>() % plan.ctx.q)
+            .map(|_| rng.gen::<u64>() % plan.ring.q)
             .collect();
         let mut launched = data.clone();
         let stats = plan.forward_batch_on_launcher(&mut launched, &pool);
@@ -459,7 +455,7 @@ mod tests {
         let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(95);
         let data: Vec<u64> = (0..3 * 128)
-            .map(|_| rng.gen::<u64>() % plan.ctx.q)
+            .map(|_| rng.gen::<u64>() % plan.ring.q)
             .collect();
         // The inline plan touches no pool: it is the unpooled reference.
         let mut inline = data.clone();

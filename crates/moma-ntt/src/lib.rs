@@ -10,10 +10,12 @@
 //!   and root-of-unity generation;
 //! * [`transform`] — the iterative radix-2 Cooley–Tukey forward and inverse transforms
 //!   over [`moma_mp::MpUint`] elements, plus a 64-bit single-word variant;
-//! * [`plan`] — precomputed execution plans: bit-reversed twiddle tables built once
-//!   per (modulus, n), with Shoup precomputed quotients and lazy reduction on
-//!   both the multi-word and the single-word path — the hot-path entry points for
-//!   repeated transforms;
+//! * [`plan`] — precomputed execution plans: one type, [`plan::Plan`], generic
+//!   over the residue word ([`plan::NttWord`]), with the aliases [`NttPlan64`]
+//!   (`u64`) and [`NttPlan`] (`MpUint<L>`). Bit-reversed twiddle tables are
+//!   built once per (modulus, n) with Shoup precomputed quotients, and one lazy
+//!   butterfly loop runs every plan — the hot-path entry points for repeated
+//!   transforms;
 //! * [`launcher`] — execution of the single-word plans on the simulated GPU
 //!   launcher, the paper's §5.1 execution shape: a same-modulus batch dispatches
 //!   one virtual thread per butterfly per stage through `moma_gpu::launch_indexed`

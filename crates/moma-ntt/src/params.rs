@@ -91,28 +91,6 @@ impl<const L: usize> NttParams<L> {
             n_inv,
         }
     }
-
-    /// Precomputes the twiddle factors `omega^0 .. omega^(n/2 - 1)`.
-    pub fn twiddles(&self) -> Vec<MpUint<L>> {
-        let mut tw = Vec::with_capacity(self.n / 2);
-        let mut cur = MpUint::<L>::ONE;
-        for _ in 0..self.n / 2 {
-            tw.push(cur);
-            cur = self.ring.mul(cur, self.omega);
-        }
-        tw
-    }
-
-    /// Precomputes the inverse twiddle factors.
-    pub fn inverse_twiddles(&self) -> Vec<MpUint<L>> {
-        let mut tw = Vec::with_capacity(self.n / 2);
-        let mut cur = MpUint::<L>::ONE;
-        for _ in 0..self.n / 2 {
-            tw.push(cur);
-            cur = self.ring.mul(cur, self.omega_inv);
-        }
-        tw
-    }
 }
 
 /// Finds a primitive `n`-th root of unity modulo `q`, where `n | q - 1`.
@@ -182,20 +160,5 @@ mod tests {
         assert_eq!(ring.mul(params.omega, params.omega_inv), MpUint::ONE);
         let n_red = ring.reduce(MpUint::from_u64(1024));
         assert_eq!(ring.mul(n_red, params.n_inv), MpUint::ONE);
-    }
-
-    #[test]
-    fn twiddles_are_distinct_powers() {
-        let params = NttParams::<2>::for_paper_modulus(64, 128, MulAlgorithm::Schoolbook);
-        let tw = params.twiddles();
-        assert_eq!(tw.len(), 32);
-        assert_eq!(tw[0], MpUint::ONE);
-        assert_eq!(tw[1], params.omega);
-        // No repetitions in the first n/2 powers of a primitive n-th root.
-        for i in 0..tw.len() {
-            for j in i + 1..tw.len() {
-                assert_ne!(tw[i], tw[j], "twiddles {i} and {j} collide");
-            }
-        }
     }
 }

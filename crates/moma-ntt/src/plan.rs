@@ -5,258 +5,154 @@
 //! multiplication chain inside each block plus a stage-root derivation per stage.
 //! That is two modular multiplications per butterfly where one suffices, and it
 //! serializes work the paper distributes across CUDA threads. A plan performs all
-//! of that work **once per (modulus, n)**:
+//! of that work **once per (modulus, n)**.
 //!
-//! * [`NttPlan`] — the multi-word path. Precomputes the flat bit-reversed-order
-//!   twiddle tables (Harvey's layout: entry `m + j` holds `ω_{2m}^j`, so every
-//!   stage reads its twiddles sequentially) for the forward and inverse transforms
-//!   plus `n^{-1}`, each with a column of Shoup precomputed quotients
-//!   ([`ModRing::shoup_precompute`]), and runs Harvey's butterfly on `L` words:
-//!   one lazy Shoup product each (a fixed-shape high product and two low
-//!   products — no Barrett reduction, no shift, no correction), values in
-//!   `[0, 4q)` through the stages, one normalize pass at the end. Valid because
-//!   the plan checks `4q < 2^(64·L)` when it is built.
-//! * [`NttPlan64`] — the single-word path, the same discipline on machine words:
-//!   a Shoup quotient per twiddle ([`SingleBarrett::shoup_precompute`]) and
-//!   **lazy reduction** through the butterfly stages: values live in
-//!   `[0, 4q)` (one conditional subtraction per butterfly instead of three) and
-//!   are normalized to `[0, q)` in a single final pass. Valid because the
-//!   evaluation modulus has 60 bits (`4q < 2^64`). It additionally carries the
-//!   negacyclic twist and the launcher's stage views.
+//! There is one plan type, [`Plan`], generic over the word its residues are
+//! stored in ([`NttWord`]): [`NttPlan64`] is `Plan<u64>`, over machine words,
+//! and [`NttPlan<L>`](NttPlan) is `Plan<MpUint<L>>`, over `L`-word integers —
+//! the multi-word transform is the single-word algorithm re-run on a wider
+//! word. One builder precomputes the flat bit-reversed-order twiddle tables
+//! (Harvey's layout: entry `m + j` holds `ω_{2m}^j`, so every stage reads its
+//! twiddles sequentially) for both directions plus `n^{-1}`, each with a column
+//! of Shoup precomputed quotients. One loop runs Harvey's butterfly on them:
+//! one lazy Shoup product each (on `L` words a fixed-shape high product and two
+//! low products — no Barrett reduction, no shift, no correction), values in
+//! `[0, 4q)` through the stages, one normalize pass at the end. Valid because
+//! every constructor checks that `4q` fits the word.
+//!
+//! Only the `u64` constructors build **negacyclic** plans: the `ψ^i` twist is
+//! folded into the first forward stage and the `ψ^{-i}` untwist into the
+//! inverse's scaling pass. The `u64` plans also hand the launcher its stage
+//! views ([`Stage64`], [`Twist64View`]).
 
 use crate::params::NttParams;
-use crate::transform::{bit_reverse_permute, stage_roots, stage_roots_u64, BitReversal, Ntt64};
+use crate::transform::{bit_reverse_permute, stage_roots, BitReversal, Ntt64};
 use moma_mp::single::SingleBarrett;
 use moma_mp::{ModRing, MpUint, MulAlgorithm};
+use std::fmt::Debug;
 
-/// A reusable execution plan for `n`-point transforms over `L`-limb elements.
-///
-/// Building a plan costs about `n` ring multiplications (one serial pass per
-/// stage-aggregate table) plus one Shoup quotient per twiddle; every subsequent
-/// transform then spends one lazy Shoup product per butterfly — a fixed-shape
-/// high product and two low products — where the naive loop spends two full
-/// Barrett multiplications, and does no stage-root derivation.
-///
-/// # Example
-///
-/// ```
-/// use moma_ntt::{NttParams, NttPlan};
-/// use moma_mp::MulAlgorithm;
-///
-/// let params = NttParams::<2>::for_paper_modulus(16, 128, MulAlgorithm::Schoolbook);
-/// let plan = NttPlan::new(&params);
-/// let mut data = vec![moma_mp::U128::from_u64(7); 16];
-/// let original = data.clone();
-/// plan.forward(&mut data);
-/// plan.inverse(&mut data);
-/// assert_eq!(data, original);
-/// ```
-#[derive(Debug, Clone)]
-pub struct NttPlan<const L: usize> {
-    /// Transform size (a power of two).
-    pub n: usize,
-    /// The coefficient ring `Z_q`.
-    pub ring: ModRing<L>,
-    /// `2q`, the fold bound of the lazy butterflies.
-    two_q: MpUint<L>,
-    /// Forward twiddles in bit-reversed (Harvey) layout: `fwd[m + j] = ω_{2m}^j`
-    /// for every stage half-length `m = 1, 2, …, n/2` and `0 ≤ j < m`. Entry 0 is
-    /// unused padding so the table is indexed directly by `m + j`.
-    fwd: Vec<MpUint<L>>,
-    /// [`ModRing::shoup_precompute`] of every forward twiddle, same layout.
-    fwd_shoup: Vec<MpUint<L>>,
-    /// Inverse twiddles in the same layout, built from `ω^{-1}`.
-    inv: Vec<MpUint<L>>,
-    inv_shoup: Vec<MpUint<L>>,
-    /// `n^{-1} mod q` for the inverse transform's final scaling, and its quotient.
-    n_inv: MpUint<L>,
-    n_inv_shoup: MpUint<L>,
-    /// The permutation every transform opens with, built once from `n`.
-    bit_reversal: BitReversal,
+/// The word a [`Plan`] stores its residues in: the primitives the table
+/// builder and the lazy butterflies need, each of which `moma-mp` provides on
+/// both `u64` ([`SingleBarrett`]) and [`MpUint<L>`] ([`ModRing<L>`]).
+pub trait NttWord: Copy + PartialOrd + Debug {
+    /// The coefficient ring `Z_q` over this word.
+    type Ring: Copy + Debug;
+    /// The multiplicative identity.
+    const ONE: Self;
+    /// `self + rhs`, wrapping at the word width.
+    fn add_wrapping(self, rhs: Self) -> Self;
+    /// `self − rhs`, wrapping at the word width.
+    fn sub_wrapping(self, rhs: Self) -> Self;
+    /// One conditional subtraction as a select: `v − bound` if `v ≥ bound`,
+    /// else `v` — in `[0, bound)` for any `v < 2·bound`. Every fold of the lazy
+    /// discipline is spelled with it (see [`reduce_once`]).
+    fn reduce_once(v: Self, bound: Self) -> Self;
+    /// The modulus `q` of `ring`.
+    fn modulus(ring: &Self::Ring) -> Self;
+    /// The Shoup quotient `⌊w · 2^bits / q⌋` of a fixed multiplicand `w < q`.
+    fn shoup_precompute(ring: &Self::Ring, w: Self) -> Self;
+    /// The lazy Shoup product with the modulus passed by value: a value
+    /// congruent to `w · y (mod q)` in `[0, 2q)`, for any `y < 4q`, when
+    /// `w_shoup` is [`NttWord::shoup_precompute`]`(w)`.
+    fn mul_mod_shoup_lazy(y: Self, w: Self, w_shoup: Self, q: Self) -> Self;
+    /// `(a · b) mod q` of reduced operands — what the tables are built with.
+    fn mul(ring: &Self::Ring, a: Self, b: Self) -> Self;
 }
 
-impl<const L: usize> NttPlan<L> {
-    /// Builds a plan from existing transform parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `4q < 2^(64·L)`, i.e. the modulus leaves two bits of
-    /// headroom in its `L` words. The lazy butterflies keep values in `[0, 4q)`
-    /// between stages; `params.ring` is a public field and a full-width
-    /// Montgomery ring can be put there, so this is a real `assert!` where the
-    /// lazy discipline is entered (as in [`NttPlan64::from_ntt`]) — a violation
-    /// in a release build would silently wrap the butterfly arithmetic.
-    pub fn new(params: &NttParams<L>) -> Self {
-        let ring = params.ring;
-        let q = ring.modulus();
-        assert!(
-            q.bits() + 2 <= MpUint::<L>::BITS,
-            "lazy-reduction NTT requires q < 2^{} so values in [0, 4q) fit {} words (got {} bits)",
-            MpUint::<L>::BITS - 2,
-            L,
-            q.bits()
-        );
-        let fwd = build_table(&ring, params.omega, params.n);
-        let inv = build_table(&ring, params.omega_inv, params.n);
-        let quotients = |table: &[MpUint<L>]| -> Vec<MpUint<L>> {
-            table.iter().map(|&w| ring.shoup_precompute(w)).collect()
-        };
-        NttPlan {
-            n: params.n,
-            ring,
-            two_q: q.wrapping_add(&q),
-            fwd_shoup: quotients(&fwd),
-            inv_shoup: quotients(&inv),
-            fwd,
-            inv,
-            n_inv: params.n_inv,
-            n_inv_shoup: ring.shoup_precompute(params.n_inv),
-            bit_reversal: BitReversal::new(params.n),
-        }
+impl NttWord for u64 {
+    type Ring = SingleBarrett;
+    const ONE: Self = 1;
+
+    #[inline]
+    fn add_wrapping(self, rhs: Self) -> Self {
+        self.wrapping_add(rhs)
     }
 
-    /// Convenience constructor: derives parameters for the evaluation modulus of
-    /// `bits`-bit kernels and builds the plan.
-    ///
-    /// `alg` selects the products of the ring's Barrett multiplication — what
-    /// the plan build and [`crate::polymul`]'s pointwise step run on. The
-    /// butterflies do not consult it: their three products are fixed-shape
-    /// schoolbook ([`ModRing::mul_mod_shoup_lazy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`NttParams::for_paper_modulus`].
-    pub fn for_paper_modulus(n: usize, bits: u32, alg: MulAlgorithm) -> Self {
-        Self::new(&NttParams::for_paper_modulus(n, bits, alg))
+    #[inline]
+    fn sub_wrapping(self, rhs: Self) -> Self {
+        self.wrapping_sub(rhs)
     }
 
-    /// The twiddle factors of one butterfly stage, selected by direction and
-    /// stage half-length `m` (a power of two below `n`): entry `j` is `ω_{2m}^j`,
-    /// reduced. (Their Shoup quotients are derived data and stay private.)
-    ///
-    /// This — not the raw tables — is the interface stage-level executors (the
-    /// launcher, session batching) consume plans through, so the table layout
-    /// can change without breaking them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not a power of two in `[1, n)`.
-    pub fn stage(&self, forward: bool, m: usize) -> &[MpUint<L>] {
-        assert!(
-            m.is_power_of_two() && m < self.n,
-            "stage half-length must be a power of two below n"
-        );
-        let table = if forward { &self.fwd } else { &self.inv };
-        &table[m..2 * m]
+    #[inline]
+    fn reduce_once(v: Self, bound: Self) -> Self {
+        reduce_once(v, bound)
     }
 
-    /// `n^{-1} mod q`, the inverse transform's final scaling factor.
-    pub fn n_inv(&self) -> MpUint<L> {
-        self.n_inv
+    #[inline]
+    fn modulus(ring: &SingleBarrett) -> Self {
+        ring.q
     }
 
-    /// The bit-reversal swap list every transform opens with.
-    pub fn bit_reversal(&self) -> &BitReversal {
-        &self.bit_reversal
+    #[inline]
+    fn shoup_precompute(ring: &SingleBarrett, w: Self) -> Self {
+        ring.shoup_precompute(w)
     }
 
-    /// In-place forward NTT using the precomputed tables. Inputs must be reduced
-    /// (`< q`); outputs are reduced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n`.
-    pub fn forward(&self, data: &mut [MpUint<L>]) {
-        self.run_lazy(data, &self.fwd, &self.fwd_shoup);
-        let q = self.ring.modulus();
-        for x in data.iter_mut() {
-            *x = fold(fold(*x, &self.two_q), &q);
-        }
+    /// [`SingleBarrett::mul_mod_shoup_lazy`]: one high `u128` product and two
+    /// wrapping word products.
+    #[inline]
+    fn mul_mod_shoup_lazy(y: Self, w: Self, w_shoup: Self, q: Self) -> Self {
+        let hi = ((w_shoup as u128 * y as u128) >> 64) as u64;
+        w.wrapping_mul(y).wrapping_sub(hi.wrapping_mul(q))
     }
 
-    /// In-place inverse NTT (including the `1/n` scaling) using the precomputed
-    /// tables. Inputs must be reduced (`< q`); outputs are reduced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n`.
-    pub fn inverse(&self, data: &mut [MpUint<L>]) {
-        self.run_lazy(data, &self.inv, &self.inv_shoup);
-        // The scaling multiplication doubles as the normalize pass: the Shoup
-        // product accepts the stages' [0, 4q) values as they are.
-        for x in data.iter_mut() {
-            *x = self.ring.mul_mod_shoup(*x, self.n_inv, self.n_inv_shoup);
-        }
-    }
-
-    /// Runs the butterfly stages with values lazily reduced in `[0, 4q)`.
-    ///
-    /// Harvey's butterfly on `L` words: fold `x` into `[0, 2q)` with one
-    /// conditional subtraction, take the lazy Shoup product
-    /// `t = w·y mod q ∈ [0, 2q)` (which accepts `y` unfolded), and emit `x + t`
-    /// and `x − t + 2q`, both `< 4q` — representable because [`NttPlan::new`]
-    /// checked `4q < 2^(64·L)`.
-    fn run_lazy(&self, data: &mut [MpUint<L>], table: &[MpUint<L>], shoup: &[MpUint<L>]) {
-        assert_eq!(
-            data.len(),
-            self.n,
-            "data length must equal the transform size"
-        );
-        self.bit_reversal.apply(data);
-        let two_q = self.two_q;
-        // Stage m = 1 uses only the twiddle ω^0 = 1: no multiplication needed.
-        // Inputs are reduced, so `x + y < 2q` and `x + 2q − y < 3q`.
-        for pair in data.chunks_exact_mut(2) {
-            let x = pair[0];
-            let y = pair[1];
-            debug_assert!(x.max(y) < self.ring.modulus(), "inputs must be reduced");
-            pair[0] = x.wrapping_add(&y);
-            pair[1] = x.wrapping_add(&two_q).wrapping_sub(&y);
-        }
-        let mut m = 2;
-        while m < self.n {
-            let twiddles = &table[m..2 * m];
-            let quotients = &shoup[m..2 * m];
-            for block in data.chunks_exact_mut(2 * m) {
-                let (xs, ys) = block.split_at_mut(m);
-                for (((x, y), &w), &ws) in xs
-                    .iter_mut()
-                    .zip(ys.iter_mut())
-                    .zip(twiddles)
-                    .zip(quotients)
-                {
-                    debug_assert!(self.in_lazy_range(x) && self.in_lazy_range(y));
-                    let xv = fold(*x, &two_q);
-                    let t = self.ring.mul_mod_shoup_lazy(*y, w, ws);
-                    *x = xv.wrapping_add(&t);
-                    *y = xv.wrapping_add(&two_q).wrapping_sub(&t);
-                }
-            }
-            m <<= 1;
-        }
-        debug_assert!(data.iter().all(|v| self.in_lazy_range(v)));
-    }
-
-    /// `v < 4q`: the invariant every value between stages satisfies.
-    fn in_lazy_range(&self, v: &MpUint<L>) -> bool {
-        *v < self.two_q.wrapping_add(&self.two_q)
+    #[inline]
+    fn mul(ring: &SingleBarrett, a: Self, b: Self) -> Self {
+        ring.mul_mod(a, b)
     }
 }
 
-/// One conditional subtraction: `v − bound` if `v ≥ bound`, else `v`.
-#[inline]
-fn fold<const L: usize>(v: MpUint<L>, bound: &MpUint<L>) -> MpUint<L> {
-    let (reduced, borrow) = v.overflowing_sub(bound);
-    if borrow {
-        v
-    } else {
-        reduced
+impl<const L: usize> NttWord for MpUint<L> {
+    type Ring = ModRing<L>;
+    const ONE: Self = MpUint::ONE;
+
+    #[inline]
+    fn add_wrapping(self, rhs: Self) -> Self {
+        self.wrapping_add(&rhs)
+    }
+
+    #[inline]
+    fn sub_wrapping(self, rhs: Self) -> Self {
+        self.wrapping_sub(&rhs)
+    }
+
+    #[inline]
+    fn reduce_once(v: Self, bound: Self) -> Self {
+        let (reduced, borrow) = v.overflowing_sub(&bound);
+        if borrow {
+            v
+        } else {
+            reduced
+        }
+    }
+
+    #[inline]
+    fn modulus(ring: &ModRing<L>) -> Self {
+        ring.modulus()
+    }
+
+    #[inline]
+    fn shoup_precompute(ring: &ModRing<L>, w: Self) -> Self {
+        ring.shoup_precompute(w)
+    }
+
+    /// [`ModRing::mul_mod_shoup_lazy`] (which proves the bound): one
+    /// fixed-shape high product and two low products.
+    #[inline]
+    fn mul_mod_shoup_lazy(y: Self, w: Self, w_shoup: Self, q: Self) -> Self {
+        let h = w_shoup.mul_hi(&y);
+        w.wrapping_mul(&y).wrapping_sub(&h.wrapping_mul(&q))
+    }
+
+    #[inline]
+    fn mul(ring: &ModRing<L>, a: Self, b: Self) -> Self {
+        ring.mul(a, b)
     }
 }
 
 /// One conditional subtraction as a select: `v − bound` if `v ≥ bound`, else
-/// `v` — in `[0, bound)` for any `v < 2·bound`. The single-word plans and the
-/// stage executor spell every fold of the lazy discipline with it: into
+/// `v` — in `[0, bound)` for any `v < 2·bound`. The plans and the stage
+/// executor spell every single-word fold of the lazy discipline with it: into
 /// `[0, 2q)` before a butterfly, and from `[0, 4q)` to `[0, q)` after the last
 /// stage. The borrow of the subtraction picks the result, so it compiles to a
 /// compare and a conditional move, not a data-dependent jump, and it keeps the
@@ -272,54 +168,72 @@ pub fn reduce_once(v: u64, bound: u64) -> u64 {
     }
 }
 
-/// Builds the flat bit-reversed-layout twiddle table for `root` (a primitive `n`-th
-/// root of unity): entry `m + j` is `root^{(n/2m)·j}`, i.e. `ω_{2m}^j`.
-fn build_table<const L: usize>(ring: &ModRing<L>, root: MpUint<L>, n: usize) -> Vec<MpUint<L>> {
-    let mut table = vec![MpUint::<L>::ONE; n.max(2)];
-    // stage_roots[k] = root^(n / 2^(k+1)) = ω_{2^(k+1)}, off one squaring ladder.
-    let roots = stage_roots(ring, root, n);
-    let mut m = 1;
-    let mut stage = 0;
-    while m < n {
-        let w_2m = roots[stage];
-        let mut cur = MpUint::<L>::ONE;
-        for j in 0..m {
-            table[m + j] = cur;
-            cur = ring.mul(cur, w_2m);
-        }
-        m <<= 1;
-        stage += 1;
-    }
-    table
-}
-
-/// A single-machine-word plan over the 60-bit evaluation modulus, with Shoup
-/// precomputed quotients and lazy reduction through the butterfly stages.
+/// A reusable execution plan for `n`-point transforms over the word `W`.
 ///
-/// Each butterfly performs one [`SingleBarrett::mul_mod_shoup_lazy`] (one `u128`
-/// high product and two wrapping word multiplications), one addition, and one
-/// subtraction, with values kept in `[0, 4q)`; a single normalize pass brings the
-/// result back to `[0, q)`. Compare the naive [`Ntt64`], which spends two full
-/// Barrett multiplications (three `u128` products each) per butterfly on the
-/// twiddle chain alone.
+/// Building a plan costs about `2n` ring multiplications (one serial pass per
+/// stage-aggregate table, per direction) plus one Shoup quotient per twiddle;
+/// every subsequent transform then spends one lazy Shoup product per butterfly
+/// where the naive loop spends two full Barrett multiplications, and does no
+/// stage-root derivation. Each butterfly is Harvey's: fold `x` into `[0, 2q)`
+/// with one conditional subtraction, take the lazy Shoup product
+/// `t = w·y mod q ∈ [0, 2q)` (which accepts `y` unfolded), and emit `x + t`
+/// and `x − t + 2q`, both `< 4q`.
+///
+/// Use it through its two instantiations, [`NttPlan64`] and [`NttPlan`].
 #[derive(Debug, Clone)]
-pub struct NttPlan64 {
-    /// Transform size.
+pub struct Plan<W: NttWord> {
+    /// Transform size (a power of two).
     pub n: usize,
-    /// Single-word Barrett context for the 60-bit modulus (used for setup and the
-    /// fallback entry points; the hot loop uses the Shoup tables).
-    pub ctx: SingleBarrett,
-    two_q: u64,
-    fwd: Vec<u64>,
-    fwd_shoup: Vec<u64>,
-    inv: Vec<u64>,
-    inv_shoup: Vec<u64>,
-    n_inv: u64,
-    n_inv_shoup: u64,
-    twist: Option<Twist64>,
+    /// The coefficient ring `Z_q` (used for setup and by callers' pointwise
+    /// steps; the hot loop uses the Shoup tables).
+    pub ring: W::Ring,
+    /// `2q`, the fold bound of the lazy butterflies.
+    two_q: W,
+    /// Forward twiddles in bit-reversed (Harvey) layout: `fwd[m + j] = ω_{2m}^j`
+    /// for every stage half-length `m = 1, 2, …, n/2` and `0 ≤ j < m`. Entry 0 is
+    /// unused padding so the table is indexed directly by `m + j`.
+    fwd: Vec<W>,
+    /// [`NttWord::shoup_precompute`] of every forward twiddle, same layout.
+    fwd_shoup: Vec<W>,
+    /// Inverse twiddles in the same layout, built from `ω^{-1}`.
+    inv: Vec<W>,
+    inv_shoup: Vec<W>,
+    /// `n^{-1} mod q` for the inverse transform's final scaling, and its quotient.
+    n_inv: W,
+    n_inv_shoup: W,
+    /// The negacyclic twist tables; `None` for a cyclic plan.
+    twist: Option<Twist<W>>,
     /// The permutation every transform opens with, built once from `n`.
     bit_reversal: BitReversal,
 }
+
+/// A single-machine-word plan (the 60-bit evaluation modulus, or any
+/// NTT-friendly prime below `2^60`), cyclic or negacyclic.
+///
+/// Each butterfly performs one lazy Shoup product (one `u128` high product and
+/// two wrapping word multiplications), one addition and one subtraction.
+/// Compare the naive [`Ntt64`], which spends two full Barrett multiplications
+/// (three `u128` products each) per butterfly on the twiddle chain alone.
+pub type NttPlan64 = Plan<u64>;
+
+/// A plan over `L`-limb elements: the same loop on [`MpUint<L>`] words, built
+/// from [`NttParams`].
+///
+/// # Example
+///
+/// ```
+/// use moma_ntt::{NttParams, NttPlan};
+/// use moma_mp::MulAlgorithm;
+///
+/// let params = NttParams::<2>::for_paper_modulus(16, 128, MulAlgorithm::Schoolbook);
+/// let plan = NttPlan::new(&params);
+/// let mut data = vec![moma_mp::U128::from_u64(7); 16];
+/// let original = data.clone();
+/// plan.forward(&mut data);
+/// plan.inverse(&mut data);
+/// assert_eq!(data, original);
+/// ```
+pub type NttPlan<const L: usize> = Plan<MpUint<L>>;
 
 /// Precomputed negacyclic twist tables: the diagonal `ψ^i` multiply of the
 /// forward transform folded into the (otherwise multiplication-free) first
@@ -327,17 +241,17 @@ pub struct NttPlan64 {
 /// transform's scaling pass — a negacyclic ring multiply is therefore
 /// transform → pointwise → inverse with **no separate twist pass**.
 #[derive(Debug, Clone)]
-struct Twist64 {
+struct Twist<W> {
     /// The primitive `2n`-th root of unity (`ψ² = ω`, `ψ^n = −1`).
-    psi: u64,
+    psi: W,
     /// `ψ^{rev(i)}` for `i ∈ [0, n)`: the twist factor of slot `i` *after* the
     /// bit-reverse permutation, consumed by the folded first stage.
-    fwd_rev: Vec<u64>,
-    fwd_rev_shoup: Vec<u64>,
+    fwd_rev: Vec<W>,
+    fwd_rev_shoup: Vec<W>,
     /// `ψ^{-i}·n^{-1}` in natural order: the untwist and the `1/n` scaling in
     /// one Shoup multiply per element, consumed by the inverse's final pass.
-    inv_scale: Vec<u64>,
-    inv_scale_shoup: Vec<u64>,
+    inv_scale: Vec<W>,
+    inv_scale_shoup: Vec<W>,
 }
 
 /// Borrowed view of a plan's negacyclic twist tables, the interface stage-level
@@ -365,7 +279,272 @@ pub struct Stage64<'a> {
     pub shoup: &'a [u64],
 }
 
-impl NttPlan64 {
+impl<W: NttWord> Plan<W> {
+    /// The one table and quotient builder every constructor ends in: the
+    /// twiddle tables of `omega` and `omega_inv`, `n_inv`, and — given a
+    /// primitive `2n`-th root `psi` with `psi² = omega` — the negacyclic twist.
+    fn from_roots(
+        ring: W::Ring,
+        n: usize,
+        omega: W,
+        omega_inv: W,
+        n_inv: W,
+        psi: Option<W>,
+    ) -> Self {
+        let quotients = |table: &[W]| -> Vec<W> {
+            table
+                .iter()
+                .map(|&w| W::shoup_precompute(&ring, w))
+                .collect()
+        };
+        let twist = psi.map(|psi| {
+            let mut fwd_rev: Vec<W> = powers(ring, W::ONE, psi).take(n).collect();
+            bit_reverse_permute(&mut fwd_rev);
+            // ψ^{-1} = ψ·ω^{-1}, since ψ² = ω.
+            let psi_inv = W::mul(&ring, psi, omega_inv);
+            let inv_scale: Vec<W> = powers(ring, n_inv, psi_inv).take(n).collect();
+            Twist {
+                psi,
+                fwd_rev_shoup: quotients(&fwd_rev),
+                fwd_rev,
+                inv_scale_shoup: quotients(&inv_scale),
+                inv_scale,
+            }
+        });
+        let fwd = build_table(&ring, omega, n);
+        let inv = build_table(&ring, omega_inv, n);
+        let q = W::modulus(&ring);
+        Plan {
+            n,
+            ring,
+            two_q: q.add_wrapping(q),
+            fwd_shoup: quotients(&fwd),
+            inv_shoup: quotients(&inv),
+            fwd,
+            inv,
+            n_inv,
+            n_inv_shoup: W::shoup_precompute(&ring, n_inv),
+            twist,
+            bit_reversal: BitReversal::new(n),
+        }
+    }
+
+    /// The bit-reversal swap list every transform opens with — the stage
+    /// executor permutes its rows with it too.
+    pub fn bit_reversal(&self) -> &BitReversal {
+        &self.bit_reversal
+    }
+
+    /// In-place forward transform using the precomputed tables. Inputs must be
+    /// reduced (`< q`); outputs are reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != self.n`.
+    pub fn forward(&self, data: &mut [W]) {
+        self.run_lazy(data, true);
+        // Two passes of one select each: in one pass the two dependent
+        // selects per element are turned back into branches by x86 codegen.
+        for x in data.iter_mut() {
+            *x = W::reduce_once(*x, self.two_q);
+        }
+        let q = W::modulus(&self.ring);
+        for x in data.iter_mut() {
+            *x = W::reduce_once(*x, q);
+        }
+    }
+
+    /// In-place inverse transform (including the `1/n` scaling) using the
+    /// precomputed tables. Inputs must be reduced (`< q`); outputs are reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != self.n`.
+    pub fn inverse(&self, data: &mut [W]) {
+        self.run_lazy(data, false);
+        // The scaling multiplication doubles as the normalize pass: the lazy
+        // Shoup product accepts the stages' [0, 4q) values and lands in
+        // [0, 2q). On a negacyclic plan the per-index factor ψ^{-i}·n^{-1}
+        // replaces the uniform n^{-1}: the untwist rides the same multiply.
+        let q = W::modulus(&self.ring);
+        let scale = |x, s, s_shoup| W::reduce_once(W::mul_mod_shoup_lazy(x, s, s_shoup, q), q);
+        match &self.twist {
+            Some(tw) => {
+                for (x, (&s, &ss)) in data
+                    .iter_mut()
+                    .zip(tw.inv_scale.iter().zip(&tw.inv_scale_shoup))
+                {
+                    *x = scale(*x, s, ss);
+                }
+            }
+            None => {
+                for x in data.iter_mut() {
+                    *x = scale(*x, self.n_inv, self.n_inv_shoup);
+                }
+            }
+        }
+    }
+
+    /// Runs the butterfly stages with values lazily reduced in `[0, 4q)`.
+    ///
+    /// Stage `m = 1` needs no multiplication: its only twiddle is `ω^0 = 1`.
+    /// A negacyclic forward folds the `ψ` twist in there instead. The loops are
+    /// structured as exact chunks so the compiler drops every bounds check from
+    /// the inner loop.
+    fn run_lazy(&self, data: &mut [W], forward: bool) {
+        assert_eq!(
+            data.len(),
+            self.n,
+            "data length must equal the transform size"
+        );
+        let q = W::modulus(&self.ring);
+        let two_q = self.two_q;
+        debug_assert!(data.iter().all(|&x| x < q), "inputs must be reduced");
+        let (table, shoup) = self.tables(forward);
+        self.bit_reversal.apply(data);
+
+        // Inputs are reduced, so `x + y < 2q` and `x + 2q − y < 4q` keep the
+        // lazy invariant. The folded twist multiplies each input by its slot's
+        // ψ^{rev(i)} first (lazy Shoup product in [0, 2q)): `t₀ + t₁ < 4q` and
+        // `t₀ + 2q − t₁ < 4q` keep the same invariant at the cost of the one
+        // multiply the twist needs anyway.
+        match self.twist.as_ref().filter(|_| forward) {
+            Some(tw) => {
+                for ((pair, w), ws) in data
+                    .chunks_exact_mut(2)
+                    .zip(tw.fwd_rev.chunks_exact(2))
+                    .zip(tw.fwd_rev_shoup.chunks_exact(2))
+                {
+                    let t0 = W::mul_mod_shoup_lazy(pair[0], w[0], ws[0], q);
+                    let t1 = W::mul_mod_shoup_lazy(pair[1], w[1], ws[1], q);
+                    pair[0] = t0.add_wrapping(t1);
+                    pair[1] = t0.add_wrapping(two_q).sub_wrapping(t1);
+                }
+            }
+            None => {
+                for pair in data.chunks_exact_mut(2) {
+                    let (x, y) = (pair[0], pair[1]);
+                    pair[0] = x.add_wrapping(y);
+                    pair[1] = x.add_wrapping(two_q).sub_wrapping(y);
+                }
+            }
+        }
+
+        let mut m = 2;
+        while m < self.n {
+            let twiddles = &table[m..2 * m];
+            let quotients = &shoup[m..2 * m];
+            for block in data.chunks_exact_mut(2 * m) {
+                let (xs, ys) = block.split_at_mut(m);
+                for (((x, y), &w), &ws) in xs
+                    .iter_mut()
+                    .zip(ys.iter_mut())
+                    .zip(twiddles)
+                    .zip(quotients)
+                {
+                    debug_assert!(self.in_lazy_range(*x) && self.in_lazy_range(*y));
+                    let xv = W::reduce_once(*x, two_q);
+                    let t = W::mul_mod_shoup_lazy(*y, w, ws, q);
+                    *x = xv.add_wrapping(t);
+                    *y = xv.add_wrapping(two_q).sub_wrapping(t);
+                }
+            }
+            m <<= 1;
+        }
+        debug_assert!(data.iter().all(|&v| self.in_lazy_range(v)));
+    }
+
+    /// `v < 4q`: the invariant every value between stages satisfies.
+    fn in_lazy_range(&self, v: W) -> bool {
+        v < self.two_q.add_wrapping(self.two_q)
+    }
+
+    /// One direction's twiddle table and its Shoup quotients.
+    fn tables(&self, forward: bool) -> (&[W], &[W]) {
+        if forward {
+            (&self.fwd, &self.fwd_shoup)
+        } else {
+            (&self.inv, &self.inv_shoup)
+        }
+    }
+
+    /// The twiddles of stage half-length `m` and their Shoup quotients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not a power of two in `[1, n)`.
+    fn stage_tables(&self, forward: bool, m: usize) -> (&[W], &[W]) {
+        assert!(
+            m.is_power_of_two() && m < self.n,
+            "stage half-length must be a power of two below n"
+        );
+        let (table, shoup) = self.tables(forward);
+        (&table[m..2 * m], &shoup[m..2 * m])
+    }
+}
+
+impl<const L: usize> Plan<MpUint<L>> {
+    /// Builds a plan from existing transform parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `4q < 2^(64·L)`, i.e. the modulus leaves two bits of
+    /// headroom in its `L` words. The lazy butterflies keep values in `[0, 4q)`
+    /// between stages; `params.ring` is a public field and a full-width
+    /// Montgomery ring can be put there, so this is a real `assert!` where the
+    /// lazy discipline is entered (as in [`NttPlan64::from_ntt`]) — a violation
+    /// in a release build would silently wrap the butterfly arithmetic.
+    pub fn new(params: &NttParams<L>) -> Self {
+        let q = params.ring.modulus();
+        assert!(
+            q.bits() + 2 <= MpUint::<L>::BITS,
+            "lazy-reduction NTT requires q < 2^{} so values in [0, 4q) fit {} words (got {} bits)",
+            MpUint::<L>::BITS - 2,
+            L,
+            q.bits()
+        );
+        Self::from_roots(
+            params.ring,
+            params.n,
+            params.omega,
+            params.omega_inv,
+            params.n_inv,
+            None,
+        )
+    }
+
+    /// Convenience constructor: derives parameters for the evaluation modulus of
+    /// `bits`-bit kernels and builds the plan.
+    ///
+    /// `alg` selects the products of the ring's Barrett multiplication — what
+    /// the plan build and [`crate::polymul`]'s pointwise step run on. The
+    /// butterflies do not consult it: their three products are fixed-shape
+    /// schoolbook ([`ModRing::mul_mod_shoup_lazy`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`NttParams::for_paper_modulus`].
+    pub fn for_paper_modulus(n: usize, bits: u32, alg: MulAlgorithm) -> Self {
+        Self::new(&NttParams::for_paper_modulus(n, bits, alg))
+    }
+
+    /// The twiddle factors of one butterfly stage, selected by direction and
+    /// stage half-length `m` (a power of two below `n`): entry `j` is `ω_{2m}^j`,
+    /// reduced. (Their Shoup quotients are derived data and stay private.)
+    ///
+    /// This — not the raw tables — is the interface stage-level executors
+    /// consume plans through, so the table layout can change without breaking
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not a power of two in `[1, n)`.
+    pub fn stage(&self, forward: bool, m: usize) -> &[MpUint<L>] {
+        self.stage_tables(forward, m).0
+    }
+}
+
+impl Plan<u64> {
     /// Builds the plan for an `n`-point transform over the 60-bit evaluation
     /// modulus.
     ///
@@ -408,29 +587,13 @@ impl NttPlan64 {
     /// the plan's invariant is `q < 2^62` and is enforced where the lazy
     /// discipline is entered, not inherited from a caller's context.
     pub fn from_ntt(ntt: &Ntt64) -> Self {
-        let ctx = ntt.ctx;
+        let q = ntt.ctx.q;
         assert!(
-            ctx.q < 1 << 62,
+            q < 1 << 62,
             "lazy-reduction NTT requires q < 2^62 so values in [0, 4q) fit a word (got {} bits)",
-            64 - ctx.q.leading_zeros()
+            64 - q.leading_zeros()
         );
-        let fwd = build_table_u64(&ctx, ntt.omega, ntt.n);
-        let inv = build_table_u64(&ctx, ntt.omega_inv, ntt.n);
-        let fwd_shoup = fwd.iter().map(|&w| ctx.shoup_precompute(w)).collect();
-        let inv_shoup = inv.iter().map(|&w| ctx.shoup_precompute(w)).collect();
-        NttPlan64 {
-            n: ntt.n,
-            ctx,
-            two_q: 2 * ctx.q,
-            fwd,
-            fwd_shoup,
-            inv,
-            inv_shoup,
-            n_inv: ntt.n_inv,
-            n_inv_shoup: ctx.shoup_precompute(ntt.n_inv),
-            twist: None,
-            bit_reversal: BitReversal::new(ntt.n),
-        }
+        Self::from_roots(ntt.ctx, ntt.n, ntt.omega, ntt.omega_inv, ntt.n_inv, None)
     }
 
     /// Builds a **negacyclic** plan over `Z_q[X]/(X^n + 1)`: the transform pair
@@ -483,25 +646,15 @@ impl NttPlan64 {
             .find(|&candidate| ctx.pow_mod(candidate, n as u64) == q - 1)
             .ok_or("no primitive 2n-th root found")?;
         let omega = ctx.mul_mod(psi, psi);
-        let omega_inv = ctx.inv_mod(omega);
         let n_inv = ctx.inv_mod(n as u64 % q);
-        let fwd = build_table_u64(&ctx, omega, n);
-        let inv = build_table_u64(&ctx, omega_inv, n);
-        let fwd_shoup = fwd.iter().map(|&w| ctx.shoup_precompute(w)).collect();
-        let inv_shoup = inv.iter().map(|&w| ctx.shoup_precompute(w)).collect();
-        Ok(NttPlan64 {
-            n,
+        Ok(Self::from_roots(
             ctx,
-            two_q: 2 * q,
-            fwd,
-            fwd_shoup,
-            inv,
-            inv_shoup,
+            n,
+            omega,
+            ctx.inv_mod(omega),
             n_inv,
-            n_inv_shoup: ctx.shoup_precompute(n_inv),
-            twist: Some(build_twist_u64(&ctx, psi, n_inv, n)),
-            bit_reversal: BitReversal::new(n),
-        })
+            Some(psi),
+        ))
     }
 
     /// `true` if this plan computes the negacyclic transform pair over
@@ -538,31 +691,14 @@ impl NttPlan64 {
     ///
     /// Panics if `m` is not a power of two in `[1, n)`.
     pub fn stage(&self, forward: bool, m: usize) -> Stage64<'_> {
-        assert!(
-            m.is_power_of_two() && m < self.n,
-            "stage half-length must be a power of two below n"
-        );
-        let (table, shoup) = if forward {
-            (&self.fwd, &self.fwd_shoup)
-        } else {
-            (&self.inv, &self.inv_shoup)
-        };
-        Stage64 {
-            twiddles: &table[m..2 * m],
-            shoup: &shoup[m..2 * m],
-        }
+        let (twiddles, shoup) = self.stage_tables(forward, m);
+        Stage64 { twiddles, shoup }
     }
 
     /// `2q` — the upper bound of the lazy-reduction fold (values live in
     /// `[0, 4q)` between stages; see [`NttPlan64::from_ntt`]).
     pub fn two_q(&self) -> u64 {
         self.two_q
-    }
-
-    /// The bit-reversal swap list every transform opens with — the stage
-    /// executor permutes its rows with it too.
-    pub fn bit_reversal(&self) -> &BitReversal {
-        &self.bit_reversal
     }
 
     /// The inverse transform's final scaling factors as a table whose length
@@ -581,183 +717,22 @@ impl NttPlan64 {
             },
         }
     }
-
-    /// In-place forward transform. Inputs must be reduced (`< q`); outputs are
-    /// reduced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n`.
-    pub fn forward(&self, data: &mut [u64]) {
-        self.run_lazy(data, true);
-        // Two passes of one select each: in one pass the two dependent
-        // selects per element are turned back into branches by x86 codegen.
-        for x in data.iter_mut() {
-            *x = reduce_once(*x, self.two_q);
-        }
-        for x in data.iter_mut() {
-            *x = reduce_once(*x, self.ctx.q);
-        }
-    }
-
-    /// In-place inverse transform (with `1/n` scaling). Inputs must be reduced;
-    /// outputs are reduced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n`.
-    pub fn inverse(&self, data: &mut [u64]) {
-        self.run_lazy(data, false);
-        // The scaling multiplication doubles as the normalize pass: the lazy Shoup
-        // product accepts the stages' [0, 4q) values and lands in [0, 2q). On a
-        // negacyclic plan the per-index factor ψ^{-i}·n^{-1} replaces the uniform
-        // n^{-1}: the untwist rides the same single multiply.
-        let q = self.ctx.q;
-        if let Some(tw) = &self.twist {
-            for (x, (&s, &ss)) in data
-                .iter_mut()
-                .zip(tw.inv_scale.iter().zip(&tw.inv_scale_shoup))
-            {
-                *x = reduce_once(self.ctx.mul_mod_shoup_lazy(*x, s, ss), q);
-            }
-        } else {
-            for x in data.iter_mut() {
-                let t = self
-                    .ctx
-                    .mul_mod_shoup_lazy(*x, self.n_inv, self.n_inv_shoup);
-                *x = reduce_once(t, q);
-            }
-        }
-    }
-
-    /// Runs the butterfly stages with values lazily reduced in `[0, 4q)`.
-    ///
-    /// Harvey's butterfly: fold `x` into `[0, 2q)` with one conditional
-    /// subtraction, take the lazy Shoup product `t = w·y mod q ∈ [0, 2q)`, and emit
-    /// `x + t` and `x − t + 2q`, both `< 4q`. Correct because `4q < 2^64` for the
-    /// 60-bit modulus. The Shoup product is inlined (one high `u128` product, two
-    /// wrapping word products) and the loops are structured as exact chunks so the
-    /// compiler drops every bounds check from the inner loop.
-    fn run_lazy(&self, data: &mut [u64], forward: bool) {
-        assert_eq!(
-            data.len(),
-            self.n,
-            "data length must equal the transform size"
-        );
-        let (table, shoup) = if forward {
-            (&self.fwd, &self.fwd_shoup)
-        } else {
-            (&self.inv, &self.inv_shoup)
-        };
-        self.bit_reversal.apply(data);
-        let q = self.ctx.q;
-        let two_q = self.two_q;
-
-        // Stage m = 1 is special-cased: its only twiddle is ω^0 = 1, so the
-        // butterfly needs no multiplication at all. Inputs are reduced (< q), so
-        // `x + y < 2q` and `x + 2q − y < 4q` keep the lazy invariant.
-        //
-        // A negacyclic forward folds the ψ twist here instead: each input is
-        // multiplied by its slot's ψ^{rev(i)} (lazy Shoup product in [0, 2q)),
-        // then butterflied — `t₀ + t₁ < 4q` and `t₀ + 2q − t₁ < 4q` keep the
-        // same invariant at the cost of the one multiply the twist needs anyway.
-        match (&self.twist, forward) {
-            (Some(tw), true) => {
-                for (p, pair) in data.chunks_exact_mut(2).enumerate() {
-                    let t0 = self.ctx.mul_mod_shoup_lazy(
-                        pair[0],
-                        tw.fwd_rev[2 * p],
-                        tw.fwd_rev_shoup[2 * p],
-                    );
-                    let t1 = self.ctx.mul_mod_shoup_lazy(
-                        pair[1],
-                        tw.fwd_rev[2 * p + 1],
-                        tw.fwd_rev_shoup[2 * p + 1],
-                    );
-                    pair[0] = t0 + t1;
-                    pair[1] = t0 + two_q - t1;
-                }
-            }
-            _ => {
-                for pair in data.chunks_exact_mut(2) {
-                    let x = pair[0];
-                    let y = pair[1];
-                    pair[0] = x + y;
-                    pair[1] = x + two_q - y;
-                }
-            }
-        }
-
-        let mut m = 2;
-        while m < self.n {
-            let twiddles = &table[m..2 * m];
-            let quotients = &shoup[m..2 * m];
-            for block in data.chunks_exact_mut(2 * m) {
-                let (xs, ys) = block.split_at_mut(m);
-                for (((x, y), &w), &ws) in xs
-                    .iter_mut()
-                    .zip(ys.iter_mut())
-                    .zip(twiddles)
-                    .zip(quotients)
-                {
-                    let xv = reduce_once(*x, two_q);
-                    let yv = *y;
-                    let hi = ((ws as u128 * yv as u128) >> 64) as u64;
-                    let t = w.wrapping_mul(yv).wrapping_sub(hi.wrapping_mul(q));
-                    *x = xv + t;
-                    *y = xv + two_q - t;
-                }
-            }
-            m <<= 1;
-        }
-    }
 }
 
-/// Builds the negacyclic twist tables from a (validated) primitive `2n`-th root
-/// `ψ`: the forward factors `ψ^{rev(i)}` (bit-reverse-permuted so the folded
-/// first stage indexes them positionally) and the inverse's combined
-/// `ψ^{-i}·n^{-1}` factors in natural order, each with Shoup quotients.
-fn build_twist_u64(ctx: &SingleBarrett, psi: u64, n_inv: u64, n: usize) -> Twist64 {
-    let psi_inv = ctx.inv_mod(psi);
-    let mut fwd_rev = Vec::with_capacity(n);
-    let mut p = 1u64;
-    for _ in 0..n {
-        fwd_rev.push(p);
-        p = ctx.mul_mod(p, psi);
-    }
-    bit_reverse_permute(&mut fwd_rev);
-    let mut inv_scale = Vec::with_capacity(n);
-    let mut p = n_inv;
-    for _ in 0..n {
-        inv_scale.push(p);
-        p = ctx.mul_mod(p, psi_inv);
-    }
-    let fwd_rev_shoup = fwd_rev.iter().map(|&w| ctx.shoup_precompute(w)).collect();
-    let inv_scale_shoup = inv_scale.iter().map(|&w| ctx.shoup_precompute(w)).collect();
-    Twist64 {
-        psi,
-        fwd_rev,
-        fwd_rev_shoup,
-        inv_scale,
-        inv_scale_shoup,
-    }
+/// `start·ratio^i` for `i = 0, 1, 2, …`, one ring multiplication per term.
+fn powers<W: NttWord>(ring: W::Ring, start: W, ratio: W) -> impl Iterator<Item = W> {
+    std::iter::successors(Some(start), move |&p| Some(W::mul(&ring, p, ratio)))
 }
 
-/// `u64` counterpart of [`build_table`].
-fn build_table_u64(ctx: &SingleBarrett, root: u64, n: usize) -> Vec<u64> {
-    let mut table = vec![1u64; n.max(2)];
-    let roots = stage_roots_u64(ctx, root, n);
-    let mut m = 1;
-    let mut stage = 0;
-    while m < n {
-        let w_2m = roots[stage];
-        let mut w = 1u64;
-        for j in 0..m {
-            table[m + j] = w;
-            w = ctx.mul_mod(w, w_2m);
-        }
-        m <<= 1;
-        stage += 1;
+/// Builds the flat bit-reversed-layout twiddle table for `root` (a primitive `n`-th
+/// root of unity): entry `m + j` is `root^{(n/2m)·j}`, i.e. `ω_{2m}^j`.
+fn build_table<W: NttWord>(ring: &W::Ring, root: W, n: usize) -> Vec<W> {
+    // Entry 0 is padding, so stage m's twiddles sit at m..2m.
+    let mut table = Vec::with_capacity(n);
+    table.push(W::ONE);
+    // stage_roots[k] = root^(n / 2^(k+1)) = ω_{2m} for m = 2^k, off one squaring ladder.
+    for (k, w_2m) in stage_roots(ring, root, n).into_iter().enumerate() {
+        table.extend(powers(*ring, W::ONE, w_2m).take(1 << k));
     }
     table
 }
@@ -874,9 +849,9 @@ mod tests {
                 .expect("4q must fit the word count");
             assert_eq!(plan.two_q, q.checked_add(&q).expect("no wrap computing 2q"));
             let data = vec![q.wrapping_sub(&MpUint::ONE); n];
-            for (table, shoup) in [(&plan.fwd, &plan.fwd_shoup), (&plan.inv, &plan.inv_shoup)] {
+            for forward in [true, false] {
                 let mut lazy = data.clone();
-                plan.run_lazy(&mut lazy, table, shoup);
+                plan.run_lazy(&mut lazy, forward);
                 assert!(lazy.iter().all(|x| *x < four_q), "{bits} bits");
             }
             let mut work = data.clone();
@@ -934,11 +909,11 @@ mod tests {
     fn plan64_outputs_are_fully_reduced() {
         let plan = NttPlan64::new(256);
         let mut rng = StdRng::seed_from_u64(74);
-        let mut data: Vec<u64> = (0..256).map(|_| rng.gen::<u64>() % plan.ctx.q).collect();
+        let mut data: Vec<u64> = (0..256).map(|_| rng.gen::<u64>() % plan.ring.q).collect();
         plan.forward(&mut data);
-        assert!(data.iter().all(|&x| x < plan.ctx.q));
+        assert!(data.iter().all(|&x| x < plan.ring.q));
         plan.inverse(&mut data);
-        assert!(data.iter().all(|&x| x < plan.ctx.q));
+        assert!(data.iter().all(|&x| x < plan.ring.q));
     }
 
     /// The normalize pass sees the whole lazy range: at the ladder's 60-bit
@@ -996,13 +971,13 @@ mod tests {
         // the 2^62 bound: 4q must fit a u64 and a forward/inverse round trip must
         // stay exact on inputs packed at the top of the reduced range.
         let plan = NttPlan64::new(64);
-        assert!(plan.ctx.q < 1 << 62);
-        assert_eq!(plan.two_q, 2 * plan.ctx.q); // no wrap computing 2q
+        assert!(plan.ring.q < 1 << 62);
+        assert_eq!(plan.two_q, 2 * plan.ring.q); // no wrap computing 2q
         assert!(plan.two_q.checked_mul(2).is_some(), "4q must fit a u64");
-        let data: Vec<u64> = (0..64).map(|i| plan.ctx.q - 1 - i as u64).collect();
+        let data: Vec<u64> = (0..64).map(|i| plan.ring.q - 1 - i as u64).collect();
         let mut work = data.clone();
         plan.forward(&mut work);
-        assert!(work.iter().all(|&x| x < plan.ctx.q));
+        assert!(work.iter().all(|&x| x < plan.ring.q));
         plan.inverse(&mut work);
         assert_eq!(work, data);
     }
@@ -1042,7 +1017,7 @@ mod tests {
             assert!(!NttPlan64::with_modulus(q, n).is_negacyclic());
             let psi = plan.twist().expect("negacyclic plan has a twist").psi;
             assert_eq!(
-                plan.ctx.pow_mod(psi, n as u64),
+                plan.ring.pow_mod(psi, n as u64),
                 q - 1,
                 "ψ^n = −1 (q = {q}, n = {n})"
             );
@@ -1062,7 +1037,7 @@ mod tests {
     fn negacyclic_pointwise_product_matches_schoolbook_oracle() {
         for n in [4usize, 32, 128] {
             let plan = NttPlan64::negacyclic(12289, n);
-            let ctx = plan.ctx;
+            let ctx = plan.ring;
             let mut rng = StdRng::seed_from_u64(1000 + n as u64);
             let a: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % ctx.q).collect();
             let b: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % ctx.q).collect();
@@ -1089,9 +1064,9 @@ mod tests {
         // The 60-bit paper modulus has the form c·2^32 + 1, so every power-of-two
         // 2n up to 2^32 divides q − 1 and the negacyclic plan exists at scale.
         let cyclic = NttPlan64::new(64);
-        let q = cyclic.ctx.q;
+        let q = cyclic.ring.q;
         let plan = NttPlan64::negacyclic(q, 64);
-        let ctx = plan.ctx;
+        let ctx = plan.ring;
         let mut rng = StdRng::seed_from_u64(77);
         let a: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() % q).collect();
         let b: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() % q).collect();
@@ -1143,5 +1118,60 @@ mod tests {
         fallible.forward(&mut a);
         panicking.forward(&mut b);
         assert_eq!(a, b, "one constructor behind both entry points");
+        // q = 3, n = 2 is a valid key (ω = 2 = −1): the root search must skip
+        // the base g = 3 ≡ 0, not give up on it.
+        let tiny = NttPlan64::try_with_modulus(3, 2).expect("valid key");
+        let mut row = vec![1u64, 2];
+        tiny.forward(&mut row);
+        assert_eq!(row, [0, 2], "(1 + 2, 1 − 2) mod 3");
+        tiny.inverse(&mut row);
+        assert_eq!(row, [1, 2]);
+    }
+
+    /// `NttPlan::<1>` over the 64-bit paper modulus and `NttPlan64::new` share
+    /// the modulus and the root search, so the two instantiations of the one
+    /// loop must agree bit for bit — this pins the `MpUint` and `u64` word
+    /// impls against each other.
+    #[test]
+    fn one_word_and_multiword_plans_agree_bit_for_bit() {
+        let widen =
+            |v: &[u64]| -> Vec<MpUint<1>> { v.iter().map(|&x| MpUint::from_u64(x)).collect() };
+        let mut rng = StdRng::seed_from_u64(81);
+        for log_n in 1..=12 {
+            let n = 1usize << log_n;
+            let word = NttPlan64::new(n);
+            let limbs = NttPlan::<1>::for_paper_modulus(n, 64, MulAlgorithm::Schoolbook);
+            let q = word.ring.q;
+            assert_eq!(limbs.ring.modulus(), MpUint::from_u64(q));
+            let data: Vec<u64> = (0..n)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        q - 1
+                    } else {
+                        rng.gen_range(0..q)
+                    }
+                })
+                .collect();
+            let mut a = data.clone();
+            let mut b = widen(&data);
+            word.forward(&mut a);
+            limbs.forward(&mut b);
+            assert_eq!(b, widen(&a), "forward, n = {n}");
+            word.inverse(&mut a);
+            limbs.inverse(&mut b);
+            assert_eq!(a, data, "n = {n}");
+            assert_eq!(b, widen(&a), "inverse, n = {n}");
+        }
+    }
+
+    /// The one loop states its input contract on both words.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "inputs must be reduced")]
+    fn plan64_rejects_unreduced_inputs() {
+        let plan = NttPlan64::new(8);
+        let mut data = vec![1u64; 8];
+        data[5] = plan.ring.q;
+        plan.forward(&mut data);
     }
 }

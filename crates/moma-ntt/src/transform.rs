@@ -1,6 +1,7 @@
 //! Iterative radix-2 Cooley–Tukey NTT (decimation in time).
 
 use crate::params::NttParams;
+use crate::plan::NttWord;
 use moma_mp::single::SingleBarrett;
 use moma_mp::MpUint;
 
@@ -83,30 +84,13 @@ impl BitReversal {
 /// `roots[k+1]` squared, starting from `roots[log2 n − 1] = root`. This replaces the
 /// full `ring.pow` modular exponentiation the old loop ran once per stage —
 /// `log2 n` squarings instead of `log2 n` square-and-multiply chains.
-pub(crate) fn stage_roots<const L: usize>(
-    ring: &moma_mp::ModRing<L>,
-    root: MpUint<L>,
-    n: usize,
-) -> Vec<MpUint<L>> {
+pub(crate) fn stage_roots<W: NttWord>(ring: &W::Ring, root: W, n: usize) -> Vec<W> {
     let stages = n.trailing_zeros() as usize;
-    let mut roots = vec![MpUint::<L>::ONE; stages];
+    let mut roots = vec![W::ONE; stages];
     let mut cur = root;
     for slot in roots.iter_mut().rev() {
         *slot = cur;
-        cur = ring.mul(cur, cur);
-    }
-    roots
-}
-
-/// Single-word counterpart of [`stage_roots`]: `roots[k]` is `root^(n / 2^(k+1))`,
-/// the stage root for `len = 2^(k+1)`, derived by one squaring ladder.
-pub(crate) fn stage_roots_u64(ctx: &SingleBarrett, root: u64, n: usize) -> Vec<u64> {
-    let stages = n.trailing_zeros() as usize;
-    let mut roots = vec![1u64; stages];
-    let mut cur = root;
-    for slot in roots.iter_mut().rev() {
-        *slot = cur;
-        cur = ctx.mul_mod(cur, cur);
+        cur = W::mul(ring, cur, cur);
     }
     roots
 }
@@ -245,10 +229,12 @@ impl Ntt64 {
         let ctx = SingleBarrett::new(q);
         // Deterministic generator search as in the multi-word case.
         let cofactor = (q - 1) / n as u64;
+        // A base divisible by q (only possible for q < 1000) yields 0, which is
+        // no root at all: skip it before the primitivity test, not after.
         let omega = (3u64..1000)
             .map(|g| ctx.pow_mod(g, cofactor))
+            .filter(|&candidate| candidate != 0)
             .find(|&candidate| ctx.pow_mod(candidate, n as u64 / 2) != 1)
-            .filter(|&omega| omega != 0)
             .ok_or("no primitive root found")?;
         let omega_inv = ctx.inv_mod(omega);
         let n_inv = ctx.inv_mod(n as u64 % q);
@@ -263,23 +249,23 @@ impl Ntt64 {
 
     /// In-place forward transform.
     pub fn forward(&self, data: &mut [u64]) {
-        self.transform(data, self.omega, false);
+        self.transform(data, self.omega);
     }
 
     /// In-place inverse transform (with `1/n` scaling).
     pub fn inverse(&self, data: &mut [u64]) {
-        self.transform(data, self.omega_inv, true);
+        self.transform(data, self.omega_inv);
         for x in data.iter_mut() {
             *x = self.ctx.mul_mod(*x, self.n_inv);
         }
     }
 
-    fn transform(&self, data: &mut [u64], root: u64, _inverse: bool) {
+    fn transform(&self, data: &mut [u64], root: u64) {
         assert_eq!(data.len(), self.n);
         bit_reverse_permute(data);
         // Stage roots off one squaring ladder: stage `len` needs root^(n/len), and
         // those exponents are successive powers of two.
-        let roots = stage_roots_u64(&self.ctx, root, self.n);
+        let roots = stage_roots(&self.ctx, root, self.n);
         let mut len = 2;
         let mut stage = 0;
         while len <= self.n {

@@ -93,7 +93,7 @@ proptest! {
             .iter()
             .enumerate()
             .flat_map(|(r, plan)| {
-                let q = plan.ctx.q;
+                let q = plan.ring.q;
                 (0..n)
                     .map(|_| if r == 0 { q - 1 } else { rng.gen::<u64>() % q })
                     .collect::<Vec<_>>()
@@ -139,13 +139,13 @@ proptest! {
         let plan = NttPlan64::new(n);
         let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(seed);
-        let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % plan.ctx.q).collect();
+        let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % plan.ring.q).collect();
         let mut inline = data.clone();
         let mut launched = data.clone();
         plan.forward(&mut inline);
         let stats = plan.forward_batch_on_launcher(&mut launched, &pool);
         prop_assert_eq!(&launched, &inline, "forward");
-        prop_assert!(launched.iter().all(|&x| x < plan.ctx.q), "reduced");
+        prop_assert!(launched.iter().all(|&x| x < plan.ring.q), "reduced");
         prop_assert_eq!(stats.threads as u64, butterfly_count(n) + n as u64);
         plan.inverse(&mut inline);
         plan.inverse_batch_on_launcher(&mut launched, &pool);

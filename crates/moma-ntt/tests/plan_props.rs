@@ -44,12 +44,12 @@ proptest! {
         let n = 1usize << log_n;
         let plan = NttPlan64::new(n);
         let mut rng = StdRng::seed_from_u64(seed);
-        let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % plan.ctx.q).collect();
+        let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % plan.ring.q).collect();
         let mut work = data.clone();
         plan.forward(&mut work);
-        prop_assert!(work.iter().all(|&x| x < plan.ctx.q), "forward output reduced");
+        prop_assert!(work.iter().all(|&x| x < plan.ring.q), "forward output reduced");
         plan.inverse(&mut work);
-        prop_assert!(work.iter().all(|&x| x < plan.ctx.q), "inverse output reduced");
+        prop_assert!(work.iter().all(|&x| x < plan.ring.q), "inverse output reduced");
         prop_assert_eq!(work, data);
     }
 

@@ -117,7 +117,7 @@ impl RingContext {
                 plan.n, n,
                 "plan source returned a mismatched transform size"
             );
-            assert_eq!(plan.ctx.q, q, "plan source returned a mismatched modulus");
+            assert_eq!(plan.ring.q, q, "plan source returned a mismatched modulus");
         }
         // One level per prefix length, longest basis first.
         let levels = (1..=moduli.len())
@@ -168,11 +168,6 @@ impl RingContext {
     /// The RNS plan serving `level`.
     pub fn rns_plan(&self, level: usize) -> &Arc<RnsPlan> {
         &self.levels[level].rns
-    }
-
-    /// The negacyclic NTT plan for ladder modulus index `r`.
-    pub fn ntt_plan(&self, r: usize) -> &Arc<NttPlan64> {
-        &self.ntt[r]
     }
 
     /// The dynamic range `Q` of `level`'s basis.
@@ -424,13 +419,13 @@ impl RingContext {
             .expect("already at the ladder floor");
         let survivors = a.matrix.row_count() - 1;
         let dropped = &self.ntt[survivors];
-        let (q_k, half) = (dropped.ctx.q, dropped.ctx.q / 2);
+        let (q_k, half) = (dropped.ring.q, dropped.ring.q / 2);
 
         // The dropped modulus' product row, lowered: `c`.
         let misses_before = pool.misses();
         let mut c = pool.acquire(n);
         let mut stats = launch_chunks(&mut c, n, |_, c| {
-            let (ctx, narrow) = (&dropped.ctx, dropped.ctx.is_narrow());
+            let (ctx, narrow) = (&dropped.ring, dropped.ring.is_narrow());
             let (ar, br) = (a.matrix.row(survivors), b.matrix.row(survivors));
             for ((c, &x), &y) in c.iter_mut().zip(ar).zip(br) {
                 *c = mul_mod(ctx, narrow, x, y);
@@ -445,7 +440,7 @@ impl RingContext {
         let (matrix, mut s) = RnsMatrix::filled_from(pool, survivors, n, |data| {
             launch_chunks(data, n, |r, row| {
                 let plan = &self.ntt[r];
-                let (ctx, narrow) = (&plan.ctx, plan.ctx.is_narrow());
+                let (ctx, narrow) = (&plan.ring, plan.ring.is_narrow());
                 let q_k_r = ctx.reduce_word(q_k);
                 for (e, &c) in row.iter_mut().zip(&c) {
                     let c_r = ctx.reduce_word(c);

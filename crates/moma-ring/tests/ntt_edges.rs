@@ -46,7 +46,7 @@ fn plane(plans: &[NttPlan64], fills: &[Fill], rng: &mut StdRng) -> Vec<u64> {
         .iter()
         .zip(fills)
         .flat_map(|(plan, &fill)| {
-            let q = plan.ctx.q;
+            let q = plan.ring.q;
             (0..plan.n)
                 .map(|_| match fill {
                     Fill::Zero => 0,
@@ -81,7 +81,7 @@ fn raise_and_check(plans: &[NttPlan64], input: &[u64], what: &str) -> Vec<u64> {
         plan.forward(&mut inline);
         assert_eq!(got, inline, "{what}: row {r} forward vs the inline plan");
         assert!(
-            got.iter().all(|&v| v < plan.ctx.q),
+            got.iter().all(|&v| v < plan.ring.q),
             "{what}: row {r} forward output not reduced"
         );
     }
@@ -106,13 +106,13 @@ fn products(plans: &[NttPlan64], a: &[u64], b: &[u64], what: &str) -> Vec<u64> {
         .flat_map(|(plan, (x, y))| {
             x.iter()
                 .zip(y)
-                .map(|(&x, &y)| plan.ctx.mul_mod(x, y))
+                .map(|(&x, &y)| plan.ring.mul_mod(x, y))
                 .collect::<Vec<_>>()
         })
         .collect();
     inverse_rows(plans, &mut prod);
     for (r, (plan, row)) in plans.iter().zip(prod.chunks(n)).enumerate() {
-        let q = plan.ctx.q;
+        let q = plan.ring.q;
         assert!(
             row.iter().all(|&v| v < q),
             "{what}: row {r} product not reduced"
@@ -155,7 +155,7 @@ fn row_transforms_match_the_inline_plan_and_round_trip_at_the_edges() {
     let mut rng = StdRng::seed_from_u64(0xed9e);
     for n in [2, 64, 4096] {
         let plans = plans(n);
-        assert_eq!(plans[0].ctx.q >> 59, 1, "a 60-bit top row");
+        assert_eq!(plans[0].ring.q >> 59, 1, "a 60-bit top row");
         for k in 0..FILLS.len() {
             let input = plane(&plans, &rotation(k), &mut rng);
             raise_and_check(&plans, &input, &format!("n = {n}, rotation {k}"));
@@ -182,7 +182,7 @@ fn row_products_match_the_schoolbook_oracle_at_the_edges() {
                 let what = format!("n = {n}, rotations {k} × {}", k + shift);
                 let prod = products(&plans, &a, &b, &what);
                 for (r, plan) in plans.iter().enumerate() {
-                    let q = plan.ctx.q;
+                    let q = plan.ring.q;
                     let row = r * n..(r + 1) * n;
                     let want = schoolbook(q, &a[row.clone()], &b[row.clone()]);
                     assert_eq!(prod[row], want, "{what}: row {r} vs the oracle");
@@ -210,7 +210,7 @@ fn constant_row_products_at_n_4096_match_the_closed_form() {
             let what = format!("n = {n}, {fill_a:?} × {fill_b:?}");
             let prod = products(&plans, &a, &b, &what);
             for (r, plan) in plans.iter().enumerate() {
-                let q = plan.ctx.q;
+                let q = plan.ring.q;
                 let (alpha, beta) = (constant(fill_a, q).unwrap(), constant(fill_b, q).unwrap());
                 let want = constant_product(q, alpha, beta, n);
                 assert_eq!(prod[r * n..(r + 1) * n], want, "{what}: row {r}");

@@ -847,7 +847,7 @@ impl NttSpace {
 
     /// The modulus of the coefficient ring.
     pub fn modulus(&self) -> u64 {
-        self.plan.ctx.q
+        self.plan.ring.q
     }
 
     /// In-place forward transform on the inline hot path (Shoup multiplication,
