@@ -227,42 +227,88 @@ pub enum Op {
     },
 }
 
-impl Op {
-    /// All operands read by this operation.
-    pub fn operands(&self) -> Vec<Operand> {
-        match self {
-            Op::Copy { src } => vec![*src],
-            Op::AddWide { a, b, carry_in } => {
-                let mut v = vec![*a, *b];
-                if let Some(c) = carry_in {
-                    v.push(*c);
+/// Applies `$f` to every operand slot of `$op`, in one fixed order. The slots
+/// are `&Operand` or `&mut Operand` as `$op` is a shared or a mutable reference.
+macro_rules! visit_operands {
+    ($op:expr, $f:ident) => {
+        match $op {
+            Op::Copy { src } => $f(src),
+            Op::AddWide { a, b, carry_in: c } | Op::Sub { a, b, borrow_in: c } => {
+                $f(a);
+                $f(b);
+                if let Some(c) = c {
+                    $f(c);
                 }
-                v
-            }
-            Op::Sub { a, b, borrow_in } => {
-                let mut v = vec![*a, *b];
-                if let Some(c) = borrow_in {
-                    v.push(*c);
-                }
-                v
             }
             Op::MulWide { a, b }
             | Op::MulLow { a, b }
             | Op::Lt { a, b }
             | Op::Eq { a, b }
             | Op::BoolAnd { a, b }
-            | Op::BoolOr { a, b } => vec![*a, *b],
+            | Op::BoolOr { a, b } => {
+                $f(a);
+                $f(b);
+            }
             Op::Select {
                 cond,
                 if_true,
                 if_false,
-            } => vec![*cond, *if_true, *if_false],
-            Op::ShrMulti { words, .. } => words.clone(),
-            Op::AddMod { a, b, q } | Op::SubMod { a, b, q } => vec![*a, *b, *q],
-            Op::MulModBarrett { a, b, q, mu, .. } => vec![*a, *b, *q, *mu],
-            Op::MulAddMod { a, b, c, q, mu, .. } => vec![*a, *b, *c, *q, *mu],
-            Op::MacReduceMod { pairs, .. } => pairs.iter().flat_map(|(a, b)| [*a, *b]).collect(),
+            } => {
+                $f(cond);
+                $f(if_true);
+                $f(if_false);
+            }
+            Op::ShrMulti { words, .. } => {
+                for w in words {
+                    $f(w);
+                }
+            }
+            Op::AddMod { a, b, q } | Op::SubMod { a, b, q } => {
+                $f(a);
+                $f(b);
+                $f(q);
+            }
+            Op::MulModBarrett { a, b, q, mu, .. } => {
+                $f(a);
+                $f(b);
+                $f(q);
+                $f(mu);
+            }
+            Op::MulAddMod { a, b, c, q, mu, .. } => {
+                $f(a);
+                $f(b);
+                $f(c);
+                $f(q);
+                $f(mu);
+            }
+            Op::MacReduceMod { pairs, .. } => {
+                for (a, b) in pairs {
+                    $f(a);
+                    $f(b);
+                }
+            }
         }
+    };
+}
+
+impl Op {
+    /// All operands read by this operation, in [`Op::for_each_operand`] order.
+    pub fn operands(&self) -> Vec<Operand> {
+        let mut v = Vec::new();
+        self.for_each_operand(|o| v.push(o));
+        v
+    }
+
+    /// Passes every operand read by this operation to `f`, without allocating.
+    pub fn for_each_operand(&self, mut f: impl FnMut(Operand)) {
+        let mut read = |o: &Operand| f(*o);
+        visit_operands!(self, read);
+    }
+
+    /// Passes every operand slot of this operation to `f`, which may rewrite
+    /// it, in [`Op::for_each_operand`] order.
+    pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Operand)) {
+        visit_operands!(self, f);
     }
 
     /// A short mnemonic used by the pretty-printer and the operation counter.

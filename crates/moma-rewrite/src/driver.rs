@@ -33,12 +33,6 @@ impl Lowered {
     pub fn op_counts(&self) -> cost::OpCounts {
         cost::static_counts(&self.kernel)
     }
-
-    /// Number of recursion steps that were required (§3.2: e.g. three steps for a
-    /// 512-bit input on a 64-bit machine).
-    pub fn recursion_steps(&self) -> usize {
-        self.stages.len().saturating_sub(1)
-    }
 }
 
 /// Lowers a high-level kernel to machine words according to `config`.
@@ -122,11 +116,11 @@ fn lower_impl(
 
     // Optimization: zero pruning (non-power-of-two widths) and cleanup.
     if config.prune_zeros {
-        kernel = prune_known_zeros(&kernel, &zero_top);
+        prune_known_zeros(&mut kernel, &zero_top);
     }
     if config.simplify {
-        kernel = optimize(&kernel);
-        kernel = drop_unused_params(&kernel);
+        kernel = optimize(kernel);
+        drop_unused_params(&mut kernel);
     }
     stages.push(StageInfo {
         width: kernel.max_width(),
@@ -165,7 +159,8 @@ mod tests {
         // (512 → 256 → 128 → 64).
         let hl = build(&KernelSpec::new(KernelOp::ModAdd, 512));
         let lowered = lower(&hl, &LoweringConfig::default());
-        assert_eq!(lowered.recursion_steps(), 3 + 1); // 3 splits + optimization stage
+        // Expansion, 3 splits, optimization.
+        assert_eq!(lowered.stages.len(), 1 + 3 + 1);
         assert!(lowered.kernel.is_machine_level(64));
         let widths: Vec<u32> = lowered.stages.iter().map(|s| s.width).collect();
         assert_eq!(widths, vec![512, 256, 128, 64, 64]);

@@ -38,29 +38,48 @@
 //! unfused — correctness never depends on this pass firing.
 //!
 //! Statements made dead by fusion (the producers whose only consumer was
-//! rewritten) are left in place for [`crate::passes::eliminate_dead_code`],
-//! which runs alongside this pass in [`crate::passes::optimize`].
+//! rewritten) are left in place for dead-code elimination, which runs
+//! alongside this pass in [`crate::passes::optimize`].
 
-use moma_ir::{Kernel, Op, Operand, Stmt, Ty, VarId};
-use std::collections::{HashMap, HashSet};
+use moma_ir::{Kernel, Op, Operand, Stmt, Ty, Var, VarId};
 
-/// Applies one round of fusion. Returns the new kernel and whether anything
+/// Applies one round of fusion to `kernel` in place. Returns whether anything
 /// changed.
-pub fn fuse(kernel: &Kernel) -> (Kernel, bool) {
-    if !is_ssa(kernel) {
-        return (kernel.clone(), false);
+pub(crate) fn fuse(kernel: &mut Kernel) -> bool {
+    // Every rule rewrites a modular operation; word-level kernels have none.
+    let modular = |s: &Stmt| s.op.is_high_level() || matches!(s.op, Op::MacReduceMod { .. });
+    if !kernel.body.iter().any(modular) || !is_ssa(kernel) {
+        return false;
     }
-    let mut body = kernel.body.clone();
-    let a = fuse_mul_into_add(kernel, &mut body);
-    let b = fuse_mac_chains(kernel, &mut body);
-    let c = fuse_lone_mulmods(kernel, &mut body);
-    let d = fold_constant_sums(kernel, &mut body);
-    if !(a || b || c || d) {
-        return (kernel.clone(), false);
+    let mut is_output = vec![false; kernel.vars.len()];
+    for v in &kernel.outputs {
+        is_output[v.0] = true;
     }
-    let mut out = kernel.clone();
-    out.body = body;
-    (out, true)
+    let Kernel { vars, body, .. } = kernel;
+    let scope = Scope { vars, is_output };
+    let a = fuse_mul_into_add(&scope, body);
+    let b = fuse_mac_chains(&scope, body);
+    let c = fuse_lone_mulmods(&scope, body);
+    let d = fold_constant_sums(&scope, body);
+    a || b || c || d
+}
+
+/// What the rules read of the kernel whose body they rewrite.
+struct Scope<'a> {
+    vars: &'a [Var],
+    is_output: Vec<bool>,
+}
+
+impl Scope<'_> {
+    fn ty(&self, v: VarId) -> Ty {
+        self.vars[v.0].ty
+    }
+
+    /// True when `v` has exactly one use in the body and is not an output:
+    /// the only shape a rule may fold into its consumer.
+    fn single_use_local(&self, uses: &[u32], v: VarId) -> bool {
+        uses[v.0] == 1 && !self.is_output[v.0]
+    }
 }
 
 /// True when every variable is written at most once and no parameter is ever
@@ -83,14 +102,14 @@ fn is_ssa(kernel: &Kernel) -> bool {
 }
 
 /// Number of operand occurrences of each variable in `body`.
-fn use_counts(kernel: &Kernel, body: &[Stmt]) -> Vec<u32> {
-    let mut counts = vec![0u32; kernel.vars.len()];
+fn use_counts(scope: &Scope, body: &[Stmt]) -> Vec<u32> {
+    let mut counts = vec![0u32; scope.vars.len()];
     for stmt in body {
-        for o in stmt.op.operands() {
+        stmt.op.for_each_operand(|o| {
             if let Some(v) = o.as_var() {
                 counts[v.0] += 1;
             }
-        }
+        });
     }
     counts
 }
@@ -98,19 +117,18 @@ fn use_counts(kernel: &Kernel, body: &[Stmt]) -> Vec<u32> {
 /// Rule 1: `t = (a·b) mod q; d = (t + y) mod q` with `t` used only here becomes
 /// `d = (a·b + y) mod q`, eliminating the intermediate (the producer is left for
 /// dead-code elimination).
-fn fuse_mul_into_add(kernel: &Kernel, body: &mut [Stmt]) -> bool {
-    let uses = use_counts(kernel, body);
-    let outputs: HashSet<VarId> = kernel.outputs.iter().copied().collect();
-    let mut def: HashMap<VarId, usize> = HashMap::new();
+fn fuse_mul_into_add(scope: &Scope, body: &mut [Stmt]) -> bool {
+    let uses = use_counts(scope, body);
+    let mut def: Vec<Option<usize>> = vec![None; scope.vars.len()];
     let mut changed = false;
     for j in 0..body.len() {
         if let Op::AddMod { a, b, q } = body[j].op {
             for (t, other) in [(a, b), (b, a)] {
                 let Operand::Var(v) = t else { continue };
-                if uses[v.0] != 1 || outputs.contains(&v) {
+                if !scope.single_use_local(&uses, v) {
                     continue;
                 }
-                let Some(&i) = def.get(&v) else { continue };
+                let Some(i) = def[v.0] else { continue };
                 let Op::MulModBarrett {
                     a: ma,
                     b: mb,
@@ -137,7 +155,7 @@ fn fuse_mul_into_add(kernel: &Kernel, body: &mut [Stmt]) -> bool {
             }
         }
         for d in &body[j].dsts {
-            def.insert(*d, j);
+            def[d.0] = Some(j);
         }
     }
     changed
@@ -155,11 +173,11 @@ struct Chain {
 /// becomes one accumulation loop `d = (Σᵢ aᵢ·bᵢ [+ seed·1]) mod q` at the final
 /// statement's position. The seed folds in as the extra pair `(seed, 1)`, which
 /// rule 4 drops when the seed is a constant `≡ 0 (mod q)`.
-fn fuse_mac_chains(kernel: &Kernel, body: &mut [Stmt]) -> bool {
-    let uses = use_counts(kernel, body);
-    let outputs: HashSet<VarId> = kernel.outputs.iter().copied().collect();
-    let mut chains: HashMap<VarId, Chain> = HashMap::new();
-    let mut consumed: HashSet<VarId> = HashSet::new();
+fn fuse_mac_chains(scope: &Scope, body: &mut [Stmt]) -> bool {
+    let uses = use_counts(scope, body);
+    // The chain ending at each variable; a chain is taken out when a longer
+    // one extends it, so what is left at the end are the maximal chains.
+    let mut chains: Vec<Option<Chain>> = (0..scope.vars.len()).map(|_| None).collect();
     for (i, stmt) in body.iter().enumerate() {
         if let Op::MulAddMod {
             a,
@@ -169,37 +187,33 @@ fn fuse_mac_chains(kernel: &Kernel, body: &mut [Stmt]) -> bool {
             ..
         } = stmt.op
         {
-            let extends = match c {
-                Operand::Var(v) if uses[v.0] == 1 && !outputs.contains(&v) => {
-                    chains.get(&v).filter(|chain| chain.q == qv).map(|_| v)
+            let extended = match c {
+                Operand::Var(v)
+                    if scope.single_use_local(&uses, v)
+                        && chains[v.0].as_ref().is_some_and(|chain| chain.q == qv) =>
+                {
+                    chains[v.0].take()
                 }
                 _ => None,
             };
-            let pairs = match extends {
-                Some(v) => {
-                    consumed.insert(v);
-                    let mut pairs = chains[&v].pairs.clone();
-                    pairs.push((a, b));
-                    pairs
+            let pairs = match extended {
+                Some(mut chain) => {
+                    chain.pairs.push((a, b));
+                    chain.pairs
                 }
                 None => vec![(c, Operand::Const(1)), (a, b)],
             };
-            chains.insert(
-                stmt.dsts[0],
-                Chain {
-                    q: qv,
-                    pairs,
-                    last: i,
-                },
-            );
+            chains[stmt.dsts[0].0] = Some(Chain {
+                q: qv,
+                pairs,
+                last: i,
+            });
         }
     }
     let mut changed = false;
-    for (dst, chain) in chains {
-        if consumed.contains(&dst) {
-            continue;
-        }
-        if let Some(op) = macreduce_op(kernel, chain.q, &chain.pairs, dst) {
+    for (dst, chain) in chains.into_iter().enumerate() {
+        let Some(chain) = chain else { continue };
+        if let Some(op) = macreduce_op(scope, chain.q, &chain.pairs, VarId(dst)) {
             body[chain.last].op = op;
             changed = true;
         }
@@ -209,7 +223,7 @@ fn fuse_mac_chains(kernel: &Kernel, body: &mut [Stmt]) -> bool {
 
 /// Rule 3: any remaining constant-modulus multiplication becomes a single-pair
 /// accumulation (always within the 128-bit bound for word operands).
-fn fuse_lone_mulmods(kernel: &Kernel, body: &mut [Stmt]) -> bool {
+fn fuse_lone_mulmods(scope: &Scope, body: &mut [Stmt]) -> bool {
     let mut changed = false;
     for stmt in body.iter_mut() {
         if let Op::MulModBarrett {
@@ -219,7 +233,7 @@ fn fuse_lone_mulmods(kernel: &Kernel, body: &mut [Stmt]) -> bool {
             ..
         } = stmt.op
         {
-            if let Some(op) = macreduce_op(kernel, qv, &[(a, b)], stmt.dsts[0]) {
+            if let Some(op) = macreduce_op(scope, qv, &[(a, b)], stmt.dsts[0]) {
                 stmt.op = op;
                 changed = true;
             }
@@ -232,10 +246,9 @@ fn fuse_lone_mulmods(kernel: &Kernel, body: &mut [Stmt]) -> bool {
 /// constant-coefficient sums that feed it through a constant factor (rule 5)
 /// and sheds the terms a constant zeroes (rule 4). An accumulation whose
 /// absorbed form fails the accumulator bound keeps its producers.
-fn fold_constant_sums(kernel: &Kernel, body: &mut [Stmt]) -> bool {
-    let uses = use_counts(kernel, body);
-    let outputs: HashSet<VarId> = kernel.outputs.iter().copied().collect();
-    let mut def: HashMap<VarId, usize> = HashMap::new();
+fn fold_constant_sums(scope: &Scope, body: &mut [Stmt]) -> bool {
+    let uses = use_counts(scope, body);
+    let mut def: Vec<Option<usize>> = vec![None; scope.vars.len()];
     let mut changed = false;
     for j in 0..body.len() {
         if let Op::MacReduceMod { pairs, q, .. } = &body[j].op {
@@ -245,10 +258,10 @@ fn fold_constant_sums(kernel: &Kernel, body: &mut [Stmt]) -> bool {
             for &pair in pairs {
                 let terms = constant_factor(pair).and_then(|(p, c)| {
                     let Operand::Var(v) = p else { return None };
-                    if uses[v.0] != 1 || outputs.contains(&v) {
+                    if !scope.single_use_local(&uses, v) {
                         return None;
                     }
-                    scaled_terms(&body[*def.get(&v)?].op, q, c)
+                    scaled_terms(&body[def[v.0]?].op, q, c)
                 });
                 match terms {
                     Some(terms) => {
@@ -261,10 +274,10 @@ fn fold_constant_sums(kernel: &Kernel, body: &mut [Stmt]) -> bool {
             let dst = body[j].dsts[0];
             let mut rebuilt = None;
             if absorbed {
-                rebuilt = macreduce_op(kernel, q, &folded, dst);
+                rebuilt = macreduce_op(scope, q, &folded, dst);
             }
             if rebuilt.is_none() && pairs.iter().any(|&pair| is_dead(pair, q)) {
-                rebuilt = macreduce_op(kernel, q, pairs, dst);
+                rebuilt = macreduce_op(scope, q, pairs, dst);
             }
             if let Some(op) = rebuilt {
                 body[j].op = op;
@@ -272,7 +285,7 @@ fn fold_constant_sums(kernel: &Kernel, body: &mut [Stmt]) -> bool {
             }
         }
         for d in &body[j].dsts {
-            def.insert(*d, j);
+            def[d.0] = Some(j);
         }
     }
     changed
@@ -319,7 +332,7 @@ fn is_dead((a, b): (Operand, Operand), q: u64) -> bool {
 /// checks the validator enforces — fusion must never produce an invalid kernel).
 /// Dead terms (rule 4) are dropped first; when none is left the result is a
 /// copy of the constant 0.
-fn macreduce_op(kernel: &Kernel, q: u64, pairs: &[(Operand, Operand)], dst: VarId) -> Option<Op> {
+fn macreduce_op(scope: &Scope, q: u64, pairs: &[(Operand, Operand)], dst: VarId) -> Option<Op> {
     if q < 2 {
         return None;
     }
@@ -327,7 +340,7 @@ fn macreduce_op(kernel: &Kernel, q: u64, pairs: &[(Operand, Operand)], dst: VarI
     if mbits > 60 {
         return None;
     }
-    match kernel.ty(dst) {
+    match scope.ty(dst) {
         Ty::UInt(dw) if dw >= mbits => {}
         _ => return None,
     }
@@ -344,7 +357,7 @@ fn macreduce_op(kernel: &Kernel, q: u64, pairs: &[(Operand, Operand)], dst: VarI
     let bound = |o: &Operand| -> Option<u128> {
         match o {
             Operand::Const(v) => Some(*v as u128),
-            Operand::Var(v) => match kernel.ty(*v) {
+            Operand::Var(v) => match scope.ty(*v) {
                 Ty::UInt(w) if w < 128 => Some((1u128 << w) - 1),
                 _ => None,
             },
@@ -368,6 +381,7 @@ fn macreduce_op(kernel: &Kernel, q: u64, pairs: &[(Operand, Operand)], dst: VarI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::{eliminate_dead_code, optimize};
     use moma_ir::{interp, validate::validate, CompiledKernel, KernelBuilder};
 
     fn barrett_operands(q: u64) -> (Operand, u32) {
@@ -423,7 +437,7 @@ mod tests {
     /// and compiled — on all-zero, all-ones and mixed inputs (each masked to
     /// its parameter's width).
     fn optimized_matches_unfused(k: &Kernel) -> Kernel {
-        let fused = crate::passes::optimize(k);
+        let fused = optimize(k.clone());
         validate(&fused).unwrap();
         let compiled = CompiledKernel::compile(&fused).unwrap();
         let masked = |f: &dyn Fn(usize) -> u64| -> Vec<u64> {
@@ -460,8 +474,8 @@ mod tests {
     fn mac_chain_collapses_to_one_accumulation_loop() {
         let q = (1u64 << 52) - 47;
         let k = mac_chain_kernel(q, 6);
-        let (fused, changed) = fuse(&k);
-        assert!(changed);
+        let mut fused = k.clone();
+        assert!(fuse(&mut fused));
         validate(&fused).unwrap();
         let loops: Vec<&Stmt> = fused
             .body
@@ -473,11 +487,10 @@ mod tests {
             assert_eq!(pairs.len(), 6);
         }
         // Bit-identical to the unfused chain.
+        eliminate_dead_code(&mut fused);
         let inputs: Vec<u64> = (0..6).map(|i| (1u64 << 52) - 1 - i).collect();
         assert_eq!(
-            interp::run(&crate::passes::eliminate_dead_code(&fused).0, &inputs)
-                .unwrap()
-                .outputs,
+            interp::run(&fused, &inputs).unwrap().outputs,
             interp::run(&k, &inputs).unwrap().outputs
         );
     }
@@ -511,8 +524,8 @@ mod tests {
             },
         );
         let k = kb.build();
-        let (fused, changed) = fuse(&k);
-        assert!(changed);
+        let mut fused = k.clone();
+        assert!(fuse(&mut fused));
         // mul+add collapsed to a MulAddMod, then into an accumulation loop with
         // the addend folded as (y, 1).
         let last = &fused.body.last().unwrap().op;
@@ -520,12 +533,11 @@ mod tests {
             panic!("expected an accumulation loop, got {last:?}");
         };
         assert_eq!(pairs.len(), 2);
-        validate(&crate::passes::eliminate_dead_code(&fused).0).unwrap();
+        eliminate_dead_code(&mut fused);
+        validate(&fused).unwrap();
         for inputs in [[0u64, 0, 0], [q - 1, q - 1, q - 1], [12345, 6789, 424242]] {
             assert_eq!(
-                interp::run(&crate::passes::eliminate_dead_code(&fused).0, &inputs)
-                    .unwrap()
-                    .outputs,
+                interp::run(&fused, &inputs).unwrap().outputs,
                 interp::run(&k, &inputs).unwrap().outputs
             );
         }
@@ -566,9 +578,9 @@ mod tests {
             acc = dst.into();
         }
         let k = kb.build();
-        let (fused, changed) = fuse(&k);
-        assert!(!changed);
-        assert_eq!(fused.body.len(), k.body.len());
+        let mut fused = k.clone();
+        assert!(!fuse(&mut fused));
+        assert_eq!(fused, k);
     }
 
     #[test]
@@ -590,8 +602,9 @@ mod tests {
             },
         );
         let k = kb.build();
-        let (_, changed) = fuse(&k);
-        assert!(!changed);
+        let mut fused = k.clone();
+        assert!(!fuse(&mut fused));
+        assert_eq!(fused, k);
     }
 
     #[test]

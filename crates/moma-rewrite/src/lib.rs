@@ -44,7 +44,7 @@
 
 pub mod builders;
 pub mod expand;
-pub mod fuse;
+mod fuse;
 pub mod passes;
 pub mod rules;
 pub mod split;

@@ -2,114 +2,137 @@
 //!
 //! Three passes run after lowering (all optional, see [`crate::LoweringConfig`]):
 //!
-//! * **zero pruning** ([`prune_known_zeros`]) — the §4 optimization for
-//!   non-power-of-two input widths: parameters whose words are known to be zero at run
-//!   time are replaced by the constant 0, so the later passes can delete the operations
-//!   that only shuffle zeros around;
-//! * **simplification** ([`simplify`]) — constant folding of the operation forms that
-//!   zero pruning exposes (`x + 0`, `x · 0`, selects with equal arms, …) plus copy
-//!   propagation;
-//! * **dead-code elimination** ([`eliminate_dead_code`]) — removes statements whose
-//!   results are never used.
+//! * **zero pruning** — the §4 optimization for non-power-of-two input widths:
+//!   parameters whose words are known to be zero at run time are replaced by the
+//!   constant 0, so the later passes can delete the operations that only shuffle zeros
+//!   around;
+//! * **simplification** — constant folding of the operation forms that zero pruning
+//!   exposes (`x + 0`, `x · 0`, selects with equal arms, …) plus copy propagation;
+//! * **dead-code elimination** — removes statements whose results are never used.
 //!
-//! [`optimize`] runs simplification and DCE to a fixed point.
+//! [`optimize`] runs simplification, fusion and dead-code elimination to a fixed
+//! point. Every pass rewrites the kernel it is handed in place and reports whether it
+//! changed anything; statements are moved, never copied.
 
 use moma_ir::{Kernel, Op, Operand, Stmt, VarId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Replaces every use of a fully-known-zero variable with the constant zero.
 ///
 /// `zero_top_bits` maps variables to the number of known-zero high bits; a variable is
 /// pruned when that number equals its full width (which is how padded parameters end up
 /// after the recursive splitting of a 384-bit value stored in a 512-bit container).
-pub fn prune_known_zeros(kernel: &Kernel, zero_top_bits: &HashMap<VarId, u32>) -> Kernel {
-    let zero_vars: HashSet<VarId> = zero_top_bits
-        .iter()
-        .filter(|(v, zt)| kernel.ty(**v).bits() <= **zt)
-        .map(|(v, _)| *v)
-        .collect();
-    if zero_vars.is_empty() {
-        return kernel.clone();
+pub(crate) fn prune_known_zeros(kernel: &mut Kernel, zero_top_bits: &HashMap<VarId, u32>) {
+    let mut zero = vec![false; kernel.vars.len()];
+    for (v, zt) in zero_top_bits {
+        zero[v.0] = kernel.ty(*v).bits() <= *zt;
     }
-    let mut out = kernel.clone();
-    for stmt in &mut out.body {
-        stmt.op = map_operands(&stmt.op, &|o| match o {
-            Operand::Var(v) if zero_vars.contains(&v) => Operand::Const(0),
-            other => other,
+    for stmt in &mut kernel.body {
+        stmt.op.for_each_operand_mut(|o| {
+            if matches!(*o, Operand::Var(v) if zero[v.0]) {
+                *o = Operand::Const(0);
+            }
         });
     }
-    out
 }
 
-/// Applies one round of constant folding and copy propagation.
-///
-/// Returns the new kernel and whether anything changed.
-pub fn simplify(kernel: &Kernel) -> (Kernel, bool) {
-    let mut out = kernel.clone();
+/// Applies one round of constant folding and copy propagation. Returns whether
+/// anything changed.
+pub(crate) fn simplify(kernel: &mut Kernel) -> bool {
     let mut changed = false;
+    let n = kernel.vars.len();
+    let mut is_output = vec![false; n];
+    for v in &kernel.outputs {
+        is_output[v.0] = true;
+    }
+    // Copy propagation: `env[d]` is the operand a read of `d` is replaced by, and
+    // `readers[v]` lists the copies `d` whose replacement was `v` when recorded
+    // (an entry is stale once `env[d]` moved on; invalidation re-checks it).
+    let mut env: Vec<Option<Operand>> = vec![None; n];
+    let mut readers: Vec<Vec<VarId>> = vec![Vec::new(); n];
 
-    // Copy propagation environment: var -> replacement operand.
-    let mut env: HashMap<VarId, Operand> = HashMap::new();
-    let outputs: HashSet<VarId> = kernel.outputs.iter().copied().collect();
-
-    let mut new_body = Vec::with_capacity(out.body.len());
-    for stmt in &out.body {
+    let body = std::mem::take(&mut kernel.body);
+    let mut new_body = Vec::with_capacity(body.len());
+    for mut stmt in body {
         // Rewrite operands through the environment first.
-        let op = map_operands(&stmt.op, &|o| match o {
-            Operand::Var(v) => env.get(&v).copied().unwrap_or(o),
-            c => c,
+        let mut rewritten = false;
+        stmt.op.for_each_operand_mut(|o| {
+            if let Operand::Var(v) = *o {
+                if let Some(repl) = env[v.0].filter(|repl| *repl != *o) {
+                    *o = repl;
+                    rewritten = true;
+                }
+            }
         });
-        // Invalidate any environment entries that referenced a variable we are about to
-        // overwrite (kernels are not strictly SSA after repeated passes).
+        // Invalidate the copies of, and the copies that read, a variable we are about
+        // to overwrite (kernels are not strictly SSA after repeated passes).
         for d in &stmt.dsts {
-            env.remove(d);
-            env.retain(|_, repl| repl.as_var() != Some(*d));
+            env[d.0] = None;
+            for r in std::mem::take(&mut readers[d.0]) {
+                if env[r.0] == Some(Operand::Var(*d)) {
+                    env[r.0] = None;
+                }
+            }
         }
-        let folded = fold(&op, stmt, kernel);
-        match folded {
-            Some(new_stmts) => {
+        match fold(&mut stmt, kernel) {
+            Some(Folded::Copies(first, second)) => {
                 changed = true;
-                for s in new_stmts {
-                    register_copy(&s, &outputs, &mut env);
+                let second = second.map(|src| Stmt {
+                    dsts: vec![stmt.dsts[1]],
+                    op: Op::Copy { src },
+                    comment: None,
+                });
+                stmt.dsts.truncate(1);
+                stmt.op = Op::Copy { src: first };
+                stmt.comment = None;
+                for s in std::iter::once(stmt).chain(second) {
+                    register_copy(&s, &is_output, &mut env, &mut readers);
                     new_body.push(s);
                 }
             }
-            None => {
-                let s = Stmt {
-                    dsts: stmt.dsts.clone(),
-                    op,
-                    comment: stmt.comment.clone(),
-                };
-                if s.op != stmt.op {
-                    changed = true;
-                }
-                register_copy(&s, &outputs, &mut env);
-                new_body.push(s);
+            folded => {
+                changed |= rewritten || folded.is_some();
+                register_copy(&stmt, &is_output, &mut env, &mut readers);
+                new_body.push(stmt);
             }
         }
     }
-    out.body = new_body;
-    (out, changed)
+    kernel.body = new_body;
+    changed
 }
 
 /// Records `dst -> src` for copies of locals so later uses can be propagated.
-fn register_copy(stmt: &Stmt, outputs: &HashSet<VarId>, env: &mut HashMap<VarId, Operand>) {
+fn register_copy(
+    stmt: &Stmt,
+    is_output: &[bool],
+    env: &mut [Option<Operand>],
+    readers: &mut [Vec<VarId>],
+) {
     if let Op::Copy { src } = stmt.op {
         let dst = stmt.dsts[0];
-        if !outputs.contains(&dst) {
-            env.insert(dst, src);
+        if !is_output[dst.0] {
+            env[dst.0] = Some(src);
+            if let Operand::Var(v) = src {
+                readers[v.0].push(dst);
+            }
         }
     }
 }
 
-/// Attempts to fold a single operation into simpler statements.
-fn fold(op: &Op, stmt: &Stmt, kernel: &Kernel) -> Option<Vec<Stmt>> {
-    let copy = |dst: VarId, src: Operand| Stmt {
-        dsts: vec![dst],
-        op: Op::Copy { src },
-        comment: None,
-    };
-    match op {
+/// What [`fold`] made of a statement.
+enum Folded {
+    /// The statement becomes copies into its destinations: the first operand into
+    /// the first destination, the second (if any) into the second.
+    Copies(Operand, Option<Operand>),
+    /// The operation was narrowed in place.
+    Trimmed,
+}
+
+/// Attempts to fold a single statement into simpler ones.
+fn fold(stmt: &mut Stmt, kernel: &Kernel) -> Option<Folded> {
+    let copies = |first, second| Some(Folded::Copies(first, second));
+    let copy = |src| copies(src, None);
+    match &mut stmt.op {
         Op::AddWide { a, b, carry_in } => {
             let no_carry = carry_in.is_none() || carry_in.map(|c| c.is_const(0)).unwrap_or(false);
             if !no_carry {
@@ -117,10 +140,7 @@ fn fold(op: &Op, stmt: &Stmt, kernel: &Kernel) -> Option<Vec<Stmt>> {
             }
             if a.is_const(0) || b.is_const(0) {
                 let other = if a.is_const(0) { *b } else { *a };
-                return Some(vec![
-                    copy(stmt.dsts[0], Operand::Const(0)),
-                    copy(stmt.dsts[1], other),
-                ]);
+                return copies(Operand::Const(0), Some(other));
             }
             None
         }
@@ -128,75 +148,69 @@ fn fold(op: &Op, stmt: &Stmt, kernel: &Kernel) -> Option<Vec<Stmt>> {
             let no_borrow =
                 borrow_in.is_none() || borrow_in.map(|c| c.is_const(0)).unwrap_or(false);
             if no_borrow && b.is_const(0) {
-                return Some(vec![copy(stmt.dsts[0], *a)]);
+                return copy(*a);
             }
             None
         }
         Op::MulWide { a, b } => {
             if a.is_const(0) || b.is_const(0) {
-                return Some(vec![
-                    copy(stmt.dsts[0], Operand::Const(0)),
-                    copy(stmt.dsts[1], Operand::Const(0)),
-                ]);
+                return copies(Operand::Const(0), Some(Operand::Const(0)));
             }
             if a.is_const(1) || b.is_const(1) {
                 let other = if a.is_const(1) { *b } else { *a };
-                return Some(vec![
-                    copy(stmt.dsts[0], Operand::Const(0)),
-                    copy(stmt.dsts[1], other),
-                ]);
+                return copies(Operand::Const(0), Some(other));
             }
             None
         }
         Op::MulLow { a, b } => {
             if a.is_const(0) || b.is_const(0) {
-                return Some(vec![copy(stmt.dsts[0], Operand::Const(0))]);
+                return copy(Operand::Const(0));
             }
             if b.is_const(1) {
-                return Some(vec![copy(stmt.dsts[0], *a)]);
+                return copy(*a);
             }
             if a.is_const(1) {
-                return Some(vec![copy(stmt.dsts[0], *b)]);
+                return copy(*b);
             }
             None
         }
         Op::Lt { a, b } => {
             if b.is_const(0) {
                 // Nothing is less than zero.
-                return Some(vec![copy(stmt.dsts[0], Operand::Const(0))]);
+                return copy(Operand::Const(0));
             }
             if let (Operand::Const(x), Operand::Const(y)) = (a, b) {
-                return Some(vec![copy(stmt.dsts[0], Operand::Const((x < y) as u64))]);
+                return copy(Operand::Const((x < y) as u64));
             }
             None
         }
         Op::Eq { a, b } => {
             if let (Operand::Const(x), Operand::Const(y)) = (a, b) {
-                return Some(vec![copy(stmt.dsts[0], Operand::Const((x == y) as u64))]);
+                return copy(Operand::Const((x == y) as u64));
             }
             None
         }
         Op::BoolAnd { a, b } => {
             if a.is_const(0) || b.is_const(0) {
-                return Some(vec![copy(stmt.dsts[0], Operand::Const(0))]);
+                return copy(Operand::Const(0));
             }
             if a.is_const(1) {
-                return Some(vec![copy(stmt.dsts[0], *b)]);
+                return copy(*b);
             }
             if b.is_const(1) {
-                return Some(vec![copy(stmt.dsts[0], *a)]);
+                return copy(*a);
             }
             None
         }
         Op::BoolOr { a, b } => {
             if a.is_const(1) || b.is_const(1) {
-                return Some(vec![copy(stmt.dsts[0], Operand::Const(1))]);
+                return copy(Operand::Const(1));
             }
             if a.is_const(0) {
-                return Some(vec![copy(stmt.dsts[0], *b)]);
+                return copy(*b);
             }
             if b.is_const(0) {
-                return Some(vec![copy(stmt.dsts[0], *a)]);
+                return copy(*a);
             }
             None
         }
@@ -206,13 +220,13 @@ fn fold(op: &Op, stmt: &Stmt, kernel: &Kernel) -> Option<Vec<Stmt>> {
             if_false,
         } => {
             if cond.is_const(1) {
-                return Some(vec![copy(stmt.dsts[0], *if_true)]);
+                return copy(*if_true);
             }
             if cond.is_const(0) {
-                return Some(vec![copy(stmt.dsts[0], *if_false)]);
+                return copy(*if_false);
             }
             if if_true == if_false {
-                return Some(vec![copy(stmt.dsts[0], *if_true)]);
+                return copy(*if_true);
             }
             None
         }
@@ -223,22 +237,16 @@ fn fold(op: &Op, stmt: &Stmt, kernel: &Kernel) -> Option<Vec<Stmt>> {
                 .iter()
                 .find_map(|o| o.as_var().map(|v| kernel.ty(v).bits()))
                 .unwrap_or(64);
-            let mut trimmed = words.clone();
-            while trimmed.len() > stmt.dsts.len()
-                && trimmed.first().map(|w| w.is_const(0)).unwrap_or(false)
-                && *shift < word_bits * (trimmed.len() as u32 - 1)
+            let mut drop = 0;
+            while words.len() - drop > stmt.dsts.len()
+                && words[drop].is_const(0)
+                && *shift < word_bits * ((words.len() - drop) as u32 - 1)
             {
-                trimmed.remove(0);
+                drop += 1;
             }
-            if trimmed.len() != words.len() {
-                return Some(vec![Stmt {
-                    dsts: stmt.dsts.clone(),
-                    op: Op::ShrMulti {
-                        words: trimmed,
-                        shift: *shift,
-                    },
-                    comment: stmt.comment.clone(),
-                }]);
+            if drop > 0 {
+                words.drain(..drop);
+                return Some(Folded::Trimmed);
             }
             None
         }
@@ -246,154 +254,66 @@ fn fold(op: &Op, stmt: &Stmt, kernel: &Kernel) -> Option<Vec<Stmt>> {
     }
 }
 
-/// Rewrites every operand of an operation through `f`.
-fn map_operands(op: &Op, f: &dyn Fn(Operand) -> Operand) -> Op {
-    match op {
-        Op::Copy { src } => Op::Copy { src: f(*src) },
-        Op::AddWide { a, b, carry_in } => Op::AddWide {
-            a: f(*a),
-            b: f(*b),
-            carry_in: carry_in.map(&f),
-        },
-        Op::Sub { a, b, borrow_in } => Op::Sub {
-            a: f(*a),
-            b: f(*b),
-            borrow_in: borrow_in.map(&f),
-        },
-        Op::MulWide { a, b } => Op::MulWide { a: f(*a), b: f(*b) },
-        Op::MulLow { a, b } => Op::MulLow { a: f(*a), b: f(*b) },
-        Op::Lt { a, b } => Op::Lt { a: f(*a), b: f(*b) },
-        Op::Eq { a, b } => Op::Eq { a: f(*a), b: f(*b) },
-        Op::BoolAnd { a, b } => Op::BoolAnd { a: f(*a), b: f(*b) },
-        Op::BoolOr { a, b } => Op::BoolOr { a: f(*a), b: f(*b) },
-        Op::Select {
-            cond,
-            if_true,
-            if_false,
-        } => Op::Select {
-            cond: f(*cond),
-            if_true: f(*if_true),
-            if_false: f(*if_false),
-        },
-        Op::ShrMulti { words, shift } => Op::ShrMulti {
-            words: words.iter().map(|w| f(*w)).collect(),
-            shift: *shift,
-        },
-        Op::AddMod { a, b, q } => Op::AddMod {
-            a: f(*a),
-            b: f(*b),
-            q: f(*q),
-        },
-        Op::SubMod { a, b, q } => Op::SubMod {
-            a: f(*a),
-            b: f(*b),
-            q: f(*q),
-        },
-        Op::MulModBarrett { a, b, q, mu, mbits } => Op::MulModBarrett {
-            a: f(*a),
-            b: f(*b),
-            q: f(*q),
-            mu: f(*mu),
-            mbits: *mbits,
-        },
-        Op::MulAddMod {
-            a,
-            b,
-            c,
-            q,
-            mu,
-            mbits,
-        } => Op::MulAddMod {
-            a: f(*a),
-            b: f(*b),
-            c: f(*c),
-            q: f(*q),
-            mu: f(*mu),
-            mbits: *mbits,
-        },
-        Op::MacReduceMod {
-            pairs,
-            q,
-            mu,
-            mbits,
-            radix,
-            recip,
-        } => Op::MacReduceMod {
-            pairs: pairs.iter().map(|(a, b)| (f(*a), f(*b))).collect(),
-            q: *q,
-            mu: *mu,
-            mbits: *mbits,
-            radix: *radix,
-            recip: *recip,
-        },
-    }
-}
-
 /// Removes statements none of whose destinations are ever used (transitively).
-pub fn eliminate_dead_code(kernel: &Kernel) -> (Kernel, bool) {
-    let outputs: HashSet<VarId> = kernel.outputs.iter().copied().collect();
-    let mut live: HashSet<VarId> = outputs.clone();
+/// Returns whether any was removed.
+pub(crate) fn eliminate_dead_code(kernel: &mut Kernel) -> bool {
+    let mut live = vec![false; kernel.vars.len()];
+    for v in &kernel.outputs {
+        live[v.0] = true;
+    }
     let mut keep = vec![false; kernel.body.len()];
     // Walk backwards: a statement is live if any destination is live; its operands then
     // become live.
     for (i, stmt) in kernel.body.iter().enumerate().rev() {
-        if stmt.dsts.iter().any(|d| live.contains(d)) {
+        if stmt.dsts.iter().any(|d| live[d.0]) {
             keep[i] = true;
-            for o in stmt.op.operands() {
+            stmt.op.for_each_operand(|o| {
                 if let Operand::Var(v) = o {
-                    live.insert(v);
+                    live[v.0] = true;
                 }
-            }
+            });
             // A destination written here no longer needs earlier definitions unless it
             // is also read by this same statement; for simplicity (and correctness) we
             // keep it live, which only ever retains more code than strictly necessary.
         }
     }
-    let mut out = kernel.clone();
-    let changed = keep.iter().any(|k| !k);
-    out.body = kernel
-        .body
-        .iter()
-        .zip(&keep)
-        .filter(|(_, k)| **k)
-        .map(|(s, _)| s.clone())
-        .collect();
-    (out, changed)
+    if keep.iter().all(|k| *k) {
+        return false;
+    }
+    let mut keep = keep.into_iter();
+    kernel.body.retain(|_| keep.next() == Some(true));
+    true
 }
 
 /// Runs simplification, fusion, and dead-code elimination to a fixed point
 /// (bounded at 16 rounds, far beyond what any generated kernel needs). A second
 /// call on the result is a no-op: each round's passes report whether they
 /// changed anything, and the loop exits on the first quiet round.
-pub fn optimize(kernel: &Kernel) -> Kernel {
-    let mut current = kernel.clone();
+pub fn optimize(mut kernel: Kernel) -> Kernel {
     for _ in 0..16 {
-        let (simplified, c1) = simplify(&current);
-        let (fused, c3) = crate::fuse::fuse(&simplified);
-        let (cleaned, c2) = eliminate_dead_code(&fused);
-        current = cleaned;
-        if !c1 && !c2 && !c3 {
+        let simplified = simplify(&mut kernel);
+        let fused = crate::fuse::fuse(&mut kernel);
+        let cleaned = eliminate_dead_code(&mut kernel);
+        if !simplified && !fused && !cleaned {
             break;
         }
     }
-    current
+    kernel
 }
 
 /// Removes unused parameters (those never read by any statement). Used after pruning so
 /// that fully-zero padded words disappear from the generated signature, exactly as the
 /// paper's generated code for 381/753-bit inputs omits the zero words.
-pub fn drop_unused_params(kernel: &Kernel) -> Kernel {
-    let mut used: HashSet<VarId> = HashSet::new();
+pub(crate) fn drop_unused_params(kernel: &mut Kernel) {
+    let mut used = vec![false; kernel.vars.len()];
     for stmt in &kernel.body {
-        for o in stmt.op.operands() {
+        stmt.op.for_each_operand(|o| {
             if let Operand::Var(v) = o {
-                used.insert(v);
+                used[v.0] = true;
             }
-        }
+        });
     }
-    let mut out = kernel.clone();
-    out.params.retain(|p| used.contains(p));
-    out
+    kernel.params.retain(|p| used[p.0]);
 }
 
 #[cfg(test)]
@@ -447,8 +367,9 @@ mod tests {
     fn pruning_plus_optimization_removes_zero_work() {
         let (kernel, zt) = padded_mul_kernel();
         let before = moma_ir::cost::static_counts(&kernel);
-        let pruned = prune_known_zeros(&kernel, &zt);
-        let optimized = optimize(&pruned);
+        let mut pruned = kernel.clone();
+        prune_known_zeros(&mut pruned, &zt);
+        let optimized = optimize(pruned);
         let after = moma_ir::cost::static_counts(&optimized);
         assert_eq!(before.get("mulwide"), 2);
         assert_eq!(
@@ -477,8 +398,8 @@ mod tests {
                 if_false: a.into(),
             },
         );
-        let (s, changed) = simplify(&kb.build());
-        assert!(changed);
+        let mut s = kb.build();
+        assert!(simplify(&mut s));
         assert!(matches!(s.body[0].op, Op::Copy { .. }));
     }
 
@@ -504,8 +425,8 @@ mod tests {
             },
         );
         kb.push(vec![o], Op::Copy { src: a.into() });
-        let (out, changed) = eliminate_dead_code(&kb.build());
-        assert!(changed);
+        let mut out = kb.build();
+        assert!(eliminate_dead_code(&mut out));
         assert_eq!(out.body.len(), 1);
     }
 
@@ -537,7 +458,8 @@ mod tests {
                 b: Operand::Const(0),
             },
         );
-        let (s, _) = simplify(&kb.build());
+        let mut s = kb.build();
+        simplify(&mut s);
         assert!(matches!(
             s.body[0].op,
             Op::Copy {
@@ -562,9 +484,10 @@ mod tests {
     fn optimize_is_idempotent_including_fusion() {
         // One fixpoint run must leave nothing for a second run to do — on a plain
         // word-level kernel and on a fusable constant-modulus MAC chain alike.
-        let (kernel, zt) = padded_mul_kernel();
-        let once = optimize(&prune_known_zeros(&kernel, &zt));
-        assert_eq!(optimize(&once), once);
+        let (mut kernel, zt) = padded_mul_kernel();
+        prune_known_zeros(&mut kernel, &zt);
+        let once = optimize(kernel);
+        assert_eq!(optimize(once.clone()), once);
 
         let q = (1u64 << 40) - 87;
         let mbits = 40u32;
@@ -597,13 +520,13 @@ mod tests {
             },
         );
         let chain = kb.build();
-        let once = optimize(&chain);
+        let once = optimize(chain.clone());
         assert_eq!(
             moma_ir::cost::static_counts(&once).get("reducewide"),
             1,
             "the chain must fuse into a single accumulation loop"
         );
-        assert_eq!(optimize(&once), once);
+        assert_eq!(optimize(once.clone()), once);
         // Semantics preserved through the fused fixpoint.
         let inputs = [(1u64 << 44) - 1, 987654321];
         assert_eq!(
@@ -614,9 +537,10 @@ mod tests {
 
     #[test]
     fn unused_params_are_dropped() {
-        let (kernel, zt) = padded_mul_kernel();
-        let optimized = optimize(&prune_known_zeros(&kernel, &zt));
-        let trimmed = drop_unused_params(&optimized);
+        let (mut kernel, zt) = padded_mul_kernel();
+        prune_known_zeros(&mut kernel, &zt);
+        let mut trimmed = optimize(kernel);
+        drop_unused_params(&mut trimmed);
         assert_eq!(trimmed.params.len(), 2); // b_hi disappeared
         assert!(trimmed
             .params

@@ -784,18 +784,17 @@ pub fn split_once(
     };
 
     for stmt in &kernel.body {
-        let touches_wide = stmt.dsts.iter().any(|d| kernel.ty(*d) == Ty::UInt(wide))
-            || stmt.op.operands().iter().any(|o| {
-                o.as_var()
-                    .map(|v| kernel.ty(v) == Ty::UInt(wide))
-                    .unwrap_or(false)
-            });
+        let is_wide = |v: VarId| kernel.ty(v) == Ty::UInt(wide);
+        let mut touches_wide = stmt.dsts.iter().any(|d| is_wide(*d));
+        stmt.op
+            .for_each_operand(|o| touches_wide |= o.as_var().is_some_and(is_wide));
         if touches_wide {
             splitter.rewrite_wide_stmt(kernel, stmt);
         } else {
             // Narrow statement: remap variable ids and keep it.
             let dsts = stmt.dsts.iter().map(|d| splitter.map_dst(*d)).collect();
-            let op = remap_op(&stmt.op, &splitter);
+            let mut op = stmt.op.clone();
+            op.for_each_operand_mut(|o| *o = splitter.map_operand(*o));
             splitter.push(dsts, op, stmt.comment.clone());
         }
     }
@@ -806,90 +805,6 @@ pub fn split_once(
         kernel: kernel_out,
         mapping: splitter.mapping,
         zero_top_bits: new_zero_top,
-    }
-}
-
-/// Remaps the operands of a narrow statement.
-fn remap_op(op: &Op, s: &Splitter) -> Op {
-    let m = |o: &Operand| s.map_operand(*o);
-    match op {
-        Op::Copy { src } => Op::Copy { src: m(src) },
-        Op::AddWide { a, b, carry_in } => Op::AddWide {
-            a: m(a),
-            b: m(b),
-            carry_in: carry_in.as_ref().map(m),
-        },
-        Op::Sub { a, b, borrow_in } => Op::Sub {
-            a: m(a),
-            b: m(b),
-            borrow_in: borrow_in.as_ref().map(m),
-        },
-        Op::MulWide { a, b } => Op::MulWide { a: m(a), b: m(b) },
-        Op::MulLow { a, b } => Op::MulLow { a: m(a), b: m(b) },
-        Op::Lt { a, b } => Op::Lt { a: m(a), b: m(b) },
-        Op::Eq { a, b } => Op::Eq { a: m(a), b: m(b) },
-        Op::BoolAnd { a, b } => Op::BoolAnd { a: m(a), b: m(b) },
-        Op::BoolOr { a, b } => Op::BoolOr { a: m(a), b: m(b) },
-        Op::Select {
-            cond,
-            if_true,
-            if_false,
-        } => Op::Select {
-            cond: m(cond),
-            if_true: m(if_true),
-            if_false: m(if_false),
-        },
-        Op::ShrMulti { words, shift } => Op::ShrMulti {
-            words: words.iter().map(m).collect(),
-            shift: *shift,
-        },
-        Op::AddMod { a, b, q } => Op::AddMod {
-            a: m(a),
-            b: m(b),
-            q: m(q),
-        },
-        Op::SubMod { a, b, q } => Op::SubMod {
-            a: m(a),
-            b: m(b),
-            q: m(q),
-        },
-        Op::MulModBarrett { a, b, q, mu, mbits } => Op::MulModBarrett {
-            a: m(a),
-            b: m(b),
-            q: m(q),
-            mu: m(mu),
-            mbits: *mbits,
-        },
-        Op::MulAddMod {
-            a,
-            b,
-            c,
-            q,
-            mu,
-            mbits,
-        } => Op::MulAddMod {
-            a: m(a),
-            b: m(b),
-            c: m(c),
-            q: m(q),
-            mu: m(mu),
-            mbits: *mbits,
-        },
-        Op::MacReduceMod {
-            pairs,
-            q,
-            mu,
-            mbits,
-            radix,
-            recip,
-        } => Op::MacReduceMod {
-            pairs: pairs.iter().map(|(a, b)| (m(a), m(b))).collect(),
-            q: *q,
-            mu: *mu,
-            mbits: *mbits,
-            radix: *radix,
-            recip: *recip,
-        },
     }
 }
 

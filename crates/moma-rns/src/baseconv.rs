@@ -167,7 +167,7 @@ impl BaseConvPlan {
     /// accumulation loops; the compiled executor then runs the whole
     /// conversion division-free.
     pub fn fused_kernel_ir(&self) -> Kernel {
-        moma_rewrite::passes::optimize(&self.fused_kernel_ir_unfused())
+        moma_rewrite::passes::optimize(self.fused_kernel_ir_unfused())
     }
 
     /// The naive (pre-fusion) form of [`BaseConvPlan::fused_kernel_ir`] — the
@@ -596,7 +596,7 @@ impl RescaleExtendPlan {
     /// stage collapses every multiplication and chain into division-free
     /// [`Op::MacReduceMod`] accumulation loops.
     pub fn mul_fused_kernel_ir(&self) -> Kernel {
-        moma_rewrite::passes::optimize(&self.mul_fused_kernel_ir_unfused())
+        moma_rewrite::passes::optimize(self.mul_fused_kernel_ir_unfused())
     }
 
     /// The naive (pre-fusion) form of [`RescaleExtendPlan::mul_fused_kernel_ir`]

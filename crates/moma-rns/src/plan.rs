@@ -324,7 +324,7 @@ impl RnsPlan {
     /// kernel serves every scalar over this basis — which is what makes the
     /// kernel worth caching under a basis-shaped key.
     pub fn mul_axpy_kernel_ir(&self) -> Kernel {
-        moma_rewrite::passes::optimize(&self.mul_axpy_kernel_ir_unfused())
+        moma_rewrite::passes::optimize(self.mul_axpy_kernel_ir_unfused())
     }
 
     /// The naive (pre-fusion) form of [`RnsPlan::mul_axpy_kernel_ir`]: one

@@ -40,7 +40,7 @@ fn random_inputs(kernel: &Kernel, rng: &mut StdRng) -> Vec<u64> {
 /// exactly, on `rounds` random inputs.
 fn fused_matches_unfused(unfused: &Kernel, rounds: usize, rng: &mut StdRng) {
     validate::validate(unfused).expect("unfused kernel must type-check");
-    let fused = optimize(unfused);
+    let fused = optimize(unfused.clone());
     validate::validate(&fused).expect("fused kernel must type-check");
     assert_eq!(
         fused.params.len(),

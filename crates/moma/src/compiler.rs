@@ -3,29 +3,59 @@
 use moma_ir::cost::OpCounts;
 use moma_ir::emit::{emit_cuda, emit_rust};
 use moma_ir::{interp, Kernel};
-use moma_rewrite::{builders, lower, lower_with_trace, KernelSpec, Lowered, LoweringConfig};
+use moma_rewrite::{
+    builders, lower, lower_with_trace, KernelSpec, Lowered, LoweringConfig, StageInfo,
+};
 
-/// A generated, fully lowered cryptographic kernel.
+/// A generated, fully lowered cryptographic kernel. Its sources are emitted
+/// from [`GeneratedKernel::kernel`] on call ([`GeneratedKernel::cuda_source`],
+/// [`GeneratedKernel::rust_source`]); compiling a kernel emits no text.
 #[derive(Debug, Clone)]
 pub struct GeneratedKernel {
     /// The spec the kernel was generated from.
     pub spec: KernelSpec,
     /// The machine-level kernel IR.
     pub kernel: Kernel,
-    /// Per-stage lowering statistics.
-    pub lowered: Lowered,
-    /// Emitted CUDA-like C source (what the paper's tool chain hands to nvcc).
-    pub cuda_source: String,
-    /// Emitted Rust source: what the fixed kernel set is built from natively
-    /// (`moma-gpu`'s build script compiles this emitter's output for the
-    /// default-config modmul at 128 and 256 bits, and batch launches of those
-    /// kernels run it).
-    pub rust_source: String,
+    /// Per-stage lowering statistics, outermost width first.
+    pub stages: Vec<StageInfo>,
+    /// The machine word width the kernel was lowered to.
+    pub word_bits: u32,
     /// Static word-level operation counts (the cost model input).
     pub op_counts: OpCounts,
 }
 
 impl GeneratedKernel {
+    fn new(spec: KernelSpec, lowered: Lowered) -> Self {
+        GeneratedKernel {
+            spec,
+            op_counts: lowered.op_counts(),
+            kernel: lowered.kernel,
+            stages: lowered.stages,
+            word_bits: lowered.word_bits,
+        }
+    }
+
+    /// Emits the CUDA-like C source (what the paper's tool chain hands to nvcc).
+    ///
+    /// # Panics
+    ///
+    /// Panics if emission fails, which would indicate an incomplete lowering (a bug).
+    pub fn cuda_source(&self) -> String {
+        emit_cuda(&self.kernel).expect("lowered kernels are emittable")
+    }
+
+    /// Emits the Rust source: what the fixed kernel set is built from natively
+    /// (`moma-gpu`'s build script compiles this emitter's output for the
+    /// default-config modmul at 128 and 256 bits, and batch launches of those
+    /// kernels run it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if emission fails, which would indicate an incomplete lowering (a bug).
+    pub fn rust_source(&self) -> String {
+        emit_rust(&self.kernel).expect("lowered kernels are emittable")
+    }
+
     /// Executes the generated kernel once on the given machine words (one `u64` per
     /// surviving parameter, in signature order) by interpretation.
     ///
@@ -38,7 +68,7 @@ impl GeneratedKernel {
 
     /// Number of machine words per original value (padded width / word width).
     pub fn words_per_value(&self) -> usize {
-        (self.spec.padded_bits() / self.lowered.word_bits) as usize
+        (self.spec.padded_bits() / self.word_bits) as usize
     }
 }
 
@@ -68,24 +98,10 @@ impl Compiler {
         Compiler { config }
     }
 
-    /// Generates, lowers, and emits one kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if emission fails, which would indicate an incomplete lowering (a bug).
+    /// Generates and lowers one kernel; the sources are emitted on call
+    /// ([`GeneratedKernel::cuda_source`], [`GeneratedKernel::rust_source`]).
     pub fn compile(&self, spec: &KernelSpec) -> GeneratedKernel {
-        let hl = builders::build(spec);
-        let lowered = lower(&hl, &self.config);
-        let cuda_source = emit_cuda(&lowered.kernel).expect("lowered kernels are emittable");
-        let rust_source = emit_rust(&lowered.kernel).expect("lowered kernels are emittable");
-        GeneratedKernel {
-            spec: *spec,
-            kernel: lowered.kernel.clone(),
-            op_counts: lowered.op_counts(),
-            cuda_source,
-            rust_source,
-            lowered,
-        }
+        GeneratedKernel::new(*spec, lower(&builders::build(spec), &self.config))
     }
 
     /// Like [`Compiler::compile`], but also returns the per-stage rewrite trace
@@ -94,21 +110,8 @@ impl Compiler {
         &self,
         spec: &KernelSpec,
     ) -> (GeneratedKernel, Vec<(String, String)>) {
-        let hl = builders::build(spec);
-        let (lowered, trace) = lower_with_trace(&hl, &self.config);
-        let cuda_source = emit_cuda(&lowered.kernel).expect("lowered kernels are emittable");
-        let rust_source = emit_rust(&lowered.kernel).expect("lowered kernels are emittable");
-        (
-            GeneratedKernel {
-                spec: *spec,
-                kernel: lowered.kernel.clone(),
-                op_counts: lowered.op_counts(),
-                cuda_source,
-                rust_source,
-                lowered,
-            },
-            trace,
-        )
+        let (lowered, trace) = lower_with_trace(&builders::build(spec), &self.config);
+        (GeneratedKernel::new(*spec, lowered), trace)
     }
 }
 
@@ -122,8 +125,8 @@ mod tests {
         let compiler = Compiler::default();
         let k = compiler.compile(&KernelSpec::new(KernelOp::ModMul, 256));
         assert!(k.kernel.is_machine_level(64));
-        assert!(k.cuda_source.contains("moma_modmul_256"));
-        assert!(k.rust_source.contains("pub fn moma_modmul_256"));
+        assert!(k.cuda_source().contains("moma_modmul_256"));
+        assert!(k.rust_source().contains("pub fn moma_modmul_256"));
         assert!(k.op_counts.multiplications() >= 16);
         assert_eq!(k.words_per_value(), 4);
     }

@@ -37,8 +37,9 @@
 //! let session = Session::default();
 //!
 //! // Generate a 256-bit Barrett modular multiplication for a 64-bit machine word.
+//! // Compiling emits no text; the CUDA-like source is emitted on call.
 //! let kernel = session.compile(&KernelSpec::new(KernelOp::ModMul, 256));
-//! assert!(kernel.cuda_source.contains("__device__"));
+//! assert!(kernel.cuda_source().contains("__device__"));
 //! assert!(kernel.op_counts.multiplications() > 0);
 //!
 //! // Compile once, execute many: the second request builds nothing.

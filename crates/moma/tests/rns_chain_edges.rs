@@ -1,10 +1,10 @@
-//! `base_convert`, `rescale_then_extend` and `mul_rescale_then_extend` at
-//! their arithmetic edges, through the session entry points and against the
-//! `RnsContext` `BigUint` oracle: moduli at the largest 60-bit primes (the top
-//! of the fused kernels' single-word Barrett domain), residues that are all
-//! `q−1`, all `0` and all `1`, basis pairs that share moduli and pairs that do
-//! not, and the longest source basis the conversion's 128-bit accumulator
-//! bound admits.
+//! `base_convert`, `rescale_then_extend`, `mul_rescale_then_extend` and
+//! `mul_axpy` at their arithmetic edges, through the session entry points and
+//! against the `RnsContext` `BigUint` oracle: moduli at the largest 60-bit
+//! primes (the top of the fused kernels' single-word Barrett domain), residues
+//! that are all `q−1`, all `0` and all `1`, basis pairs that share moduli and
+//! pairs that do not, and the longest source basis the conversion's 128-bit
+//! accumulator bound admits.
 
 use moma::bignum::BigUint;
 use moma::rns::{BaseConvPlan, RnsContext, RnsPlan};
@@ -97,6 +97,34 @@ fn check_rescale_then_extend(session: &Session, name: &str, src: &[u64], dst: &[
     }
 }
 
+/// `mul_axpy` over `basis`: `s·(x∘y) + z` for the scalars `0`, `1` and
+/// `M−1`, with `(x, y)` every ordered pair of edge values and `z` cycling
+/// through them; every column against the oracle.
+fn check_mul_axpy(session: &Session, name: &str, basis: &[u64]) {
+    let ctx = RnsContext::with_moduli(basis);
+    let space = session.rns(basis);
+    let values = edge_values(&ctx);
+    let (xs, ys): (Vec<BigUint>, Vec<BigUint>) = values
+        .iter()
+        .flat_map(|x| values.iter().map(move |y| (x.clone(), y.clone())))
+        .unzip();
+    let zs: Vec<BigUint> = values.iter().cycle().take(xs.len()).cloned().collect();
+    let (x, y, z) = (space.encode(&xs), space.encode(&ys), space.encode(&zs));
+    let top = ctx.product() - &BigUint::one();
+    for s in [BigUint::zero(), BigUint::one(), top] {
+        let got = x.mul_axpy(&y, &s, &z);
+        for c in 0..xs.len() {
+            let product = ctx.mul(&ctx.to_residues(&xs[c]), &ctx.to_residues(&ys[c]));
+            let scaled = ctx.mul(&ctx.to_residues(&s), &product);
+            assert_eq!(
+                got.matrix().element(c),
+                ctx.add(&scaled, &ctx.to_residues(&zs[c])),
+                "{name}: mul_axpy by {s}, column {c}"
+            );
+        }
+    }
+}
+
 /// Both entry points from `src` into `dst`.
 fn check_pair(session: &Session, name: &str, src: &[u64], dst: &[u64]) {
     check_base_convert(session, name, src, dst);
@@ -140,6 +168,9 @@ fn conversion_chains_match_the_oracle_at_60_bit_moduli_on_shared_and_disjoint_ba
     ] {
         check_pair(&session, name, &from, &to);
     }
+    // `mul_axpy` works on one basis: the two 60-bit ones above.
+    check_mul_axpy(&session, "60-bit, largest prime", &src);
+    check_mul_axpy(&session, "60-bit, disjoint", &disjoint);
     // The workload's own shape on the default 31-bit basis.
     let capacity = RnsContext::with_capacity_bits(520).moduli().to_vec();
     let k = capacity.len();

@@ -31,9 +31,9 @@ fn main() {
     }
 
     println!("=== Emitted CUDA (the paper's Listing 2 _daddmod equivalent) ===\n");
-    println!("{}", kernel.cuda_source);
+    println!("{}", kernel.cuda_source());
 
     println!("=== Emitted CUDA for 128-bit Barrett modular multiplication (Listing 4) ===\n");
     let mulmod = compiler.compile(&KernelSpec::new(KernelOp::ModMul, 128));
-    println!("{}", mulmod.cuda_source);
+    println!("{}", mulmod.cuda_source());
 }

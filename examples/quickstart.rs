@@ -20,7 +20,6 @@ fn main() {
     println!(
         "  lowering stages (width -> statements): {:?}",
         kernel
-            .lowered
             .stages
             .iter()
             .map(|s| (s.width, s.statements))
@@ -28,11 +27,13 @@ fn main() {
     );
     println!("  word-level operations: {}", kernel.op_counts);
     println!();
+    // The source is emitted from the kernel IR when asked for.
+    let cuda = kernel.cuda_source();
     println!("--- CUDA-like source (first 20 lines) ---");
-    for line in kernel.cuda_source.lines().take(20) {
+    for line in cuda.lines().take(20) {
         println!("{line}");
     }
-    println!("... ({} lines total)\n", kernel.cuda_source.lines().count());
+    println!("... ({} lines total)\n", cuda.lines().count());
 
     // 3. Compile once, execute many: an identical request is served from the cache.
     let again = session.compile(&KernelSpec::new(KernelOp::ModMul, 256));
