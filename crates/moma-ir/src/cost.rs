@@ -5,6 +5,7 @@
 //! count per statement — exact for straight-line kernels) or dynamically from the
 //! interpreter, which records every executed operation in an [`OpCounts`].
 
+use crate::kernel::MNEMONICS;
 use crate::{Kernel, Op};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -121,9 +122,17 @@ impl fmt::Display for OpCounts {
 /// Counts the statements of a kernel by mnemonic (exact execution counts for the
 /// straight-line kernels the rewrite system produces).
 pub fn static_counts(kernel: &Kernel) -> OpCounts {
+    // One array slot per operation kind, then one map entry per kind present.
+    let mut tally = [0u64; MNEMONICS.len()];
     let mut counts = OpCounts::new();
     for stmt in &kernel.body {
-        counts.record(&stmt.op);
+        match &stmt.op {
+            op @ Op::MacReduceMod { .. } => counts.record(op),
+            op => tally[op.kind()] += 1,
+        }
+    }
+    for (mnemonic, count) in MNEMONICS.into_iter().zip(tally) {
+        counts.add_mnemonic(mnemonic, count);
     }
     counts
 }

@@ -291,6 +291,26 @@ macro_rules! visit_operands {
     };
 }
 
+/// [`Op::mnemonic`] of every variant, indexed by [`Op::kind`].
+pub(crate) const MNEMONICS: [&str; 16] = [
+    "copy",
+    "add",
+    "sub",
+    "mulwide",
+    "mullow",
+    "lt",
+    "eq",
+    "and",
+    "or",
+    "select",
+    "shr",
+    "addmod",
+    "submod",
+    "mulmod",
+    "macmod",
+    "macreduce",
+];
+
 impl Op {
     /// All operands read by this operation, in [`Op::for_each_operand`] order.
     pub fn operands(&self) -> Vec<Operand> {
@@ -313,23 +333,28 @@ impl Op {
 
     /// A short mnemonic used by the pretty-printer and the operation counter.
     pub fn mnemonic(&self) -> &'static str {
+        MNEMONICS[self.kind()]
+    }
+
+    /// The index of this operation's variant, and of its entry in [`MNEMONICS`].
+    pub(crate) fn kind(&self) -> usize {
         match self {
-            Op::Copy { .. } => "copy",
-            Op::AddWide { .. } => "add",
-            Op::Sub { .. } => "sub",
-            Op::MulWide { .. } => "mulwide",
-            Op::MulLow { .. } => "mullow",
-            Op::Lt { .. } => "lt",
-            Op::Eq { .. } => "eq",
-            Op::BoolAnd { .. } => "and",
-            Op::BoolOr { .. } => "or",
-            Op::Select { .. } => "select",
-            Op::ShrMulti { .. } => "shr",
-            Op::AddMod { .. } => "addmod",
-            Op::SubMod { .. } => "submod",
-            Op::MulModBarrett { .. } => "mulmod",
-            Op::MulAddMod { .. } => "macmod",
-            Op::MacReduceMod { .. } => "macreduce",
+            Op::Copy { .. } => 0,
+            Op::AddWide { .. } => 1,
+            Op::Sub { .. } => 2,
+            Op::MulWide { .. } => 3,
+            Op::MulLow { .. } => 4,
+            Op::Lt { .. } => 5,
+            Op::Eq { .. } => 6,
+            Op::BoolAnd { .. } => 7,
+            Op::BoolOr { .. } => 8,
+            Op::Select { .. } => 9,
+            Op::ShrMulti { .. } => 10,
+            Op::AddMod { .. } => 11,
+            Op::SubMod { .. } => 12,
+            Op::MulModBarrett { .. } => 13,
+            Op::MulAddMod { .. } => 14,
+            Op::MacReduceMod { .. } => 15,
         }
     }
 
@@ -347,11 +372,115 @@ impl Op {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stmt {
     /// Destination variables (most significant first for multi-destination ops).
-    pub dsts: Vec<VarId>,
+    pub dsts: Dsts,
     /// The operation.
     pub op: Op,
     /// Optional provenance note carried into the emitted source as a comment.
     pub comment: Option<String>,
+}
+
+/// The destination variables of one [`Stmt`], read through the slice they
+/// dereference to.
+///
+/// Every operation but a multi-word shift writes one or two variables, and
+/// those are held inline: building a statement allocates nothing for them.
+/// Equality, hashing and `Debug` are the slice's, as they were for the
+/// `Vec<VarId>` this replaces.
+#[derive(Clone)]
+pub struct Dsts(DstsRepr);
+
+#[derive(Clone)]
+enum DstsRepr {
+    One(VarId),
+    Two([VarId; 2]),
+    /// None, or more than two.
+    Many(Vec<VarId>),
+}
+
+impl Dsts {
+    /// Shortens the list to its first `len` destinations (no-op if it is not
+    /// longer).
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            *self = Dsts::from(&self[..len]);
+        }
+    }
+}
+
+impl std::ops::Deref for Dsts {
+    type Target = [VarId];
+
+    fn deref(&self) -> &[VarId] {
+        match &self.0 {
+            DstsRepr::One(d) => std::slice::from_ref(d),
+            DstsRepr::Two(ds) => ds,
+            DstsRepr::Many(ds) => ds,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Dsts {
+    fn deref_mut(&mut self) -> &mut [VarId] {
+        match &mut self.0 {
+            DstsRepr::One(d) => std::slice::from_mut(d),
+            DstsRepr::Two(ds) => ds,
+            DstsRepr::Many(ds) => ds,
+        }
+    }
+}
+
+impl From<&[VarId]> for Dsts {
+    fn from(ds: &[VarId]) -> Self {
+        Dsts(match *ds {
+            [d] => DstsRepr::One(d),
+            [hi, lo] => DstsRepr::Two([hi, lo]),
+            _ => DstsRepr::Many(ds.to_vec()),
+        })
+    }
+}
+
+impl<const N: usize> From<[VarId; N]> for Dsts {
+    fn from(ds: [VarId; N]) -> Self {
+        Dsts::from(&ds[..])
+    }
+}
+
+impl From<Vec<VarId>> for Dsts {
+    fn from(ds: Vec<VarId>) -> Self {
+        match ds.len() {
+            1 | 2 => Dsts::from(&ds[..]),
+            _ => Dsts(DstsRepr::Many(ds)),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Dsts {
+    type Item = &'a VarId;
+    type IntoIter = std::slice::Iter<'a, VarId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Dsts {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Dsts {}
+
+impl Hash for Dsts {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Dsts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// A straight-line kernel: parameters in, outputs out, no control flow (conditional
@@ -609,18 +738,18 @@ impl KernelBuilder {
     }
 
     /// Appends a statement.
-    pub fn push(&mut self, dsts: Vec<VarId>, op: Op) {
+    pub fn push(&mut self, dsts: impl Into<Dsts>, op: Op) {
         self.body.push(Stmt {
-            dsts,
+            dsts: dsts.into(),
             op,
             comment: None,
         });
     }
 
     /// Appends a statement with a provenance comment.
-    pub fn push_commented(&mut self, dsts: Vec<VarId>, op: Op, comment: impl Into<String>) {
+    pub fn push_commented(&mut self, dsts: impl Into<Dsts>, op: Op, comment: impl Into<String>) {
         self.body.push(Stmt {
-            dsts,
+            dsts: dsts.into(),
             op,
             comment: Some(comment.into()),
         });
@@ -716,6 +845,33 @@ mod tests {
         for changed in [carried, narrower, swapped] {
             assert_ne!(k.fingerprint(), changed.fingerprint(), "{changed}");
         }
+    }
+
+    /// Every length, built every way, reads, compares, hashes and prints as
+    /// the `Vec<VarId>` it replaces (the fingerprint hashes it).
+    #[test]
+    fn dsts_behave_as_their_slice() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut state = DefaultHasher::new();
+            h(&mut state);
+            state.finish()
+        };
+        for len in 0..5 {
+            let ids: Vec<VarId> = (0..len).map(VarId).collect();
+            for dsts in [Dsts::from(ids.clone()), Dsts::from(&ids[..])] {
+                assert_eq!(dsts[..], ids[..]);
+                assert_eq!(format!("{dsts:?}"), format!("{ids:?}"));
+                assert_eq!(hash(&|s| dsts.hash(s)), hash(&|s| ids.hash(s)));
+                let mut cut = dsts.clone();
+                cut.truncate(1);
+                assert_eq!(cut, Dsts::from(&ids[..len.min(1)]));
+            }
+        }
+        assert_eq!(
+            Dsts::from([VarId(4), VarId(5)]),
+            Dsts::from(vec![VarId(4), VarId(5)])
+        );
     }
 
     #[test]

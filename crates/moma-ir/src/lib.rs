@@ -55,5 +55,5 @@ mod ty;
 pub mod validate;
 
 pub use compiled::{BatchRunResult, CompiledKernel};
-pub use kernel::{Kernel, KernelBuilder, Op, Operand, Stmt, Var, VarId};
+pub use kernel::{Dsts, Kernel, KernelBuilder, Op, Operand, Stmt, Var, VarId};
 pub use ty::Ty;

@@ -123,7 +123,7 @@ impl<const L: usize> MontgomeryContext<L> {
 }
 
 /// Inverse of an odd `x` modulo 2^64 by Newton iteration.
-fn inv_mod_2_64(x: u64) -> u64 {
+pub(crate) fn inv_mod_2_64(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
     let mut inv = x; // correct to 3 bits
     for _ in 0..5 {

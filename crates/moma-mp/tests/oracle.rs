@@ -5,6 +5,8 @@ use moma_bignum::BigUint;
 use moma_mp::single::{smac, SingleBarrett};
 use moma_mp::{BarrettContext, ModRing, MontgomeryContext, MpUint, MulAlgorithm};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Converts a fixed-width value to the oracle type.
 fn to_big<const L: usize>(x: &MpUint<L>) -> BigUint {
@@ -148,6 +150,68 @@ fn shoup_primitives_match_the_oracle_at_the_edges() {
     check_shoup_edges::<4>("fffffffffffffffffffffffffffffffffffffffffffffffffffffe200000001");
     check_shoup_edges::<6>("fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff1500000001");
     check_shoup_edges::<16>("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffebc00000001");
+}
+
+/// The evaluation moduli, by kernel width (`moma_ntt::params::PAPER_MODULI_HEX`):
+/// the `k`-bit kernel's modulus has `k − 4` bits.
+const PAPER_MODULI_HEX: [(u32, &str); 9] = [
+    (64, "fffffa000000001"),
+    (128, "fffffffffffffffffffffe100000001"),
+    (192, "fffffffffffffffffffffffffffffffffffffd800000001"),
+    (256, "fffffffffffffffffffffffffffffffffffffffffffffffffffffe200000001"),
+    (320, "fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7900000001"),
+    (384, "fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff1500000001"),
+    (512, "fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff1900000001"),
+    (768, "fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff5100000001"),
+    (1024, "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffebc00000001"),
+];
+
+/// `shoup_precompute` is the exact `⌊w·2^(64L)/q⌋` for `w` at 0, 1, 2,
+/// `2^64 mod q` (the word-at-a-time multiplier itself), `q − 2`, `q − 1`, and
+/// 200 seeded random elements.
+fn check_shoup_quotients<const L: usize>(ring: ModRing<L>, rng: &mut StdRng) {
+    let q = ring.modulus();
+    let q_big = to_big(&q);
+    let one = MpUint::<L>::ONE;
+    let two = MpUint::<L>::from_u64(2);
+    let word = from_big(&(&(BigUint::one() << 64) % &q_big));
+    let edges = [
+        MpUint::ZERO,
+        one,
+        two,
+        word,
+        q.wrapping_sub(&two),
+        q.wrapping_sub(&one),
+    ];
+    let random: Vec<MpUint<L>> = (0..200).map(|_| ring.random_element(rng)).collect();
+    for w in edges.into_iter().chain(random) {
+        assert_eq!(
+            to_big(&ring.shoup_precompute(w)),
+            &(to_big(&w) << (64 * L as u32)) / &q_big,
+            "L={L} q={q} w={w}"
+        );
+    }
+}
+
+/// Every evaluation modulus that fits `L = 2, 4, 8, 16` words in a Barrett
+/// ring, and the full-width Montgomery ring over `2^127 − 1`.
+#[test]
+fn shoup_quotients_match_the_oracle() {
+    let mut rng = StdRng::seed_from_u64(44);
+    for (bits, hex) in PAPER_MODULI_HEX {
+        if bits <= 128 {
+            check_shoup_quotients(ModRing::<2>::new(MpUint::from_hex(hex)), &mut rng);
+        }
+        if bits <= 256 {
+            check_shoup_quotients(ModRing::<4>::new(MpUint::from_hex(hex)), &mut rng);
+        }
+        if bits <= 512 {
+            check_shoup_quotients(ModRing::<8>::new(MpUint::from_hex(hex)), &mut rng);
+        }
+        check_shoup_quotients(ModRing::<16>::new(MpUint::from_hex(hex)), &mut rng);
+    }
+    let mersenne = MpUint::<2>::from_hex("7fffffffffffffffffffffffffffffff");
+    check_shoup_quotients(ModRing::new_montgomery(mersenne), &mut rng);
 }
 
 proptest! {

@@ -76,11 +76,7 @@ impl<const L: usize> NttParams<L> {
         let q = MpUint::<L>::from_limbs_le(&q_big.to_limbs_le(L));
         let ring = ModRing::with_mul_algorithm(q, alg);
 
-        // A generator of the order-2^32 subgroup: g = 7^((q-1)/2^32) is primitive with
-        // overwhelming probability for these prime shapes; verify and fall back to a
-        // search if needed.
-        let omega_big = find_root_of_unity(&q_big, n as u64);
-        let omega = MpUint::<L>::from_limbs_le(&omega_big.to_limbs_le(L));
+        let omega = find_root_of_unity(&ring, n as u64);
         let omega_inv = ring.inv(omega);
         let n_inv = ring.inv(ring.reduce(MpUint::from_u64(n as u64)));
         NttParams {
@@ -93,24 +89,23 @@ impl<const L: usize> NttParams<L> {
     }
 }
 
-/// Finds a primitive `n`-th root of unity modulo `q`, where `n | q - 1`.
-fn find_root_of_unity(q: &BigUint, n: u64) -> BigUint {
-    let q_minus_1 = q - &BigUint::one();
-    let n_big = BigUint::from(n);
-    let cofactor = &q_minus_1 / &n_big;
+/// Finds a primitive `n`-th root of unity modulo `q`, where `n ≥ 2` is a power of two
+/// dividing `q - 1`: `g^((q-1)/n)` for the first candidate `g = 3, 4, …` that gives one.
+fn find_root_of_unity<const L: usize>(ring: &ModRing<L>, n: u64) -> MpUint<L> {
+    debug_assert!(n.is_power_of_two() && n >= 2);
+    let q_minus_1 = ring.modulus().wrapping_sub(&MpUint::ONE);
+    let log_n = n.trailing_zeros();
     assert!(
-        (&q_minus_1 % &n_big).is_zero(),
+        (0..log_n).all(|i| !q_minus_1.bit(i)),
         "transform size must divide q - 1"
     );
-    // Deterministic search over small candidate generators.
-    for g in 3u64.. {
-        let omega = BigUint::from(g).mod_pow(&cofactor, q);
+    let cofactor = q_minus_1.shr_bits(log_n);
+    let half = MpUint::from_u64(n / 2);
+    for g in 3u64..=1001 {
+        let omega = ring.pow(ring.reduce(MpUint::from_u64(g)), &cofactor);
         // omega has order dividing n; it is primitive iff omega^(n/2) != 1.
-        if n == 1 || !omega.mod_pow(&BigUint::from(n / 2), q).is_one() {
+        if ring.pow(omega, &half) != MpUint::ONE {
             return omega;
-        }
-        if g > 1000 {
-            break;
         }
     }
     panic!("no primitive root found (is q really of the form c*2^k + 1?)");

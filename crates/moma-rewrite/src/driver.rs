@@ -5,8 +5,7 @@ use crate::expand::expand_modular_ops;
 use crate::passes::{drop_unused_params, optimize, prune_known_zeros};
 use crate::split::split_once;
 use crate::LoweringConfig;
-use moma_ir::{cost, Kernel, VarId};
-use std::collections::HashMap;
+use moma_ir::{cost, Kernel};
 
 /// Statistics for one stage of the recursive lowering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,12 +79,10 @@ fn lower_impl(
     // Stage 0: expand the high-level modular operations (Equation 30 → Listing-style
     // word algebra at the full width).
     let mut kernel = expand_modular_ops(&hl.kernel);
-    let mut zero_top: HashMap<VarId, u32> = hl
-        .kernel
-        .params
-        .iter()
-        .map(|p| (*p, hl.zero_top_bits))
-        .collect();
+    let mut zero_top = vec![0; kernel.vars.len()];
+    for p in &hl.kernel.params {
+        zero_top[p.0] = hl.zero_top_bits;
+    }
     stages.push(StageInfo {
         width: kernel.max_width(),
         statements: kernel.len(),
@@ -99,7 +96,7 @@ fn lower_impl(
 
     // Recursive splitting: rule (19) and friends until the machine word is reached.
     while kernel.max_width() > config.word_bits {
-        let result = split_once(&kernel, &zero_top, config.mul_algorithm);
+        let result = split_once(kernel, &zero_top, config.mul_algorithm);
         kernel = result.kernel;
         zero_top = result.zero_top_bits;
         stages.push(StageInfo {

@@ -4,7 +4,8 @@
 //! native width `W` are rewritten into the sequences of widening additions,
 //! subtractions, widening multiplications, comparisons, constant shifts, and conditional
 //! selects that the paper's Listings 1–4 use. The resulting kernel still contains
-//! `W`-wide values; the [`crate::split`] stage then recurses over the data types.
+//! `W`-wide values; the type-splitting stage (the private `split` module) then recurses
+//! over the data types.
 //!
 //! One deliberate deviation from the paper: Equation (2) and Listing 1 perform the
 //! conditional subtraction when `(a + b) > q`, which leaves the unreduced value `q`
@@ -125,7 +126,7 @@ fn expand_addmod(
     let diff = fresh(kernel, "diff", w);
 
     body.push(Stmt {
-        dsts: vec![carry, sum],
+        dsts: [carry, sum].into(),
         op: Op::AddWide {
             a,
             b,
@@ -134,7 +135,7 @@ fn expand_addmod(
         comment: comment(src, "rule (22): wide addition with carry"),
     });
     body.push(Stmt {
-        dsts: vec![lt],
+        dsts: [lt].into(),
         op: Op::Lt {
             a: q,
             b: sum.into(),
@@ -142,7 +143,7 @@ fn expand_addmod(
         comment: comment(src, "rule (24): q < sum"),
     });
     body.push(Stmt {
-        dsts: vec![eq],
+        dsts: [eq].into(),
         op: Op::Eq {
             a: q,
             b: sum.into(),
@@ -150,7 +151,7 @@ fn expand_addmod(
         comment: comment(src, "rule (24): q =? sum (>= correction)"),
     });
     body.push(Stmt {
-        dsts: vec![ge],
+        dsts: [ge].into(),
         op: Op::BoolOr {
             a: lt.into(),
             b: eq.into(),
@@ -158,7 +159,7 @@ fn expand_addmod(
         comment: None,
     });
     body.push(Stmt {
-        dsts: vec![cond],
+        dsts: [cond].into(),
         op: Op::BoolOr {
             a: carry.into(),
             b: ge.into(),
@@ -166,7 +167,7 @@ fn expand_addmod(
         comment: comment(src, "rule (24): overflow or sum >= q"),
     });
     body.push(Stmt {
-        dsts: vec![diff],
+        dsts: [diff].into(),
         op: Op::Sub {
             a: sum.into(),
             b: q,
@@ -175,7 +176,7 @@ fn expand_addmod(
         comment: comment(src, "rule (25): conditional subtraction value"),
     });
     body.push(Stmt {
-        dsts: vec![c],
+        dsts: [c].into(),
         op: Op::Select {
             cond: cond.into(),
             if_true: diff.into(),
@@ -202,7 +203,7 @@ fn expand_submod(
     let fixed = fresh(kernel, "fixed", w);
 
     body.push(Stmt {
-        dsts: vec![diff],
+        dsts: [diff].into(),
         op: Op::Sub {
             a,
             b,
@@ -211,12 +212,12 @@ fn expand_submod(
         comment: comment(src, "rule (25): wrapping subtraction"),
     });
     body.push(Stmt {
-        dsts: vec![borrow],
+        dsts: [borrow].into(),
         op: Op::Lt { a, b },
         comment: comment(src, "rule (26): borrow = a < b"),
     });
     body.push(Stmt {
-        dsts: vec![carry, fixed],
+        dsts: [carry, fixed].into(),
         op: Op::AddWide {
             a: diff.into(),
             b: q,
@@ -225,7 +226,7 @@ fn expand_submod(
         comment: comment(src, "add modulus back"),
     });
     body.push(Stmt {
-        dsts: vec![c],
+        dsts: [c].into(),
         op: Op::Select {
             cond: borrow.into(),
             if_true: fixed.into(),
@@ -261,12 +262,12 @@ fn expand_mulmod(
     let c1 = fresh(kernel, "c1", w);
 
     body.push(Stmt {
-        dsts: vec![t_hi, t_lo],
+        dsts: [t_hi, t_lo].into(),
         op: Op::MulWide { a, b },
         comment: comment(src, "t = a * b (rule (28))"),
     });
     body.push(Stmt {
-        dsts: vec![r1],
+        dsts: [r1].into(),
         op: Op::ShrMulti {
             words: vec![t_hi.into(), t_lo.into()],
             shift: mbits - 2,
@@ -274,7 +275,7 @@ fn expand_mulmod(
         comment: comment(src, "r1 = t >> (mbits - 2)"),
     });
     body.push(Stmt {
-        dsts: vec![p_hi, p_lo],
+        dsts: [p_hi, p_lo].into(),
         op: Op::MulWide {
             a: r1.into(),
             b: mu,
@@ -282,7 +283,7 @@ fn expand_mulmod(
         comment: comment(src, "p = r1 * mu"),
     });
     body.push(Stmt {
-        dsts: vec![r2],
+        dsts: [r2].into(),
         op: Op::ShrMulti {
             words: vec![p_hi.into(), p_lo.into()],
             shift: mbits + 5,
@@ -290,12 +291,12 @@ fn expand_mulmod(
         comment: comment(src, "r2 = p >> (mbits + 5) ~= floor(a*b/q)"),
     });
     body.push(Stmt {
-        dsts: vec![r2q],
+        dsts: [r2q].into(),
         op: Op::MulLow { a: r2.into(), b: q },
         comment: comment(src, "r2*q (low half only, Listing 4 optimization)"),
     });
     body.push(Stmt {
-        dsts: vec![c0],
+        dsts: [c0].into(),
         op: Op::Sub {
             a: t_lo.into(),
             b: r2q.into(),
@@ -304,12 +305,12 @@ fn expand_mulmod(
         comment: comment(src, "c0 = t - r2*q, fits one word since c0 < 2q"),
     });
     body.push(Stmt {
-        dsts: vec![lt],
+        dsts: [lt].into(),
         op: Op::Lt { a: c0.into(), b: q },
         comment: comment(src, "off-by-one correction test"),
     });
     body.push(Stmt {
-        dsts: vec![c1],
+        dsts: [c1].into(),
         op: Op::Sub {
             a: c0.into(),
             b: q,
@@ -318,7 +319,7 @@ fn expand_mulmod(
         comment: None,
     });
     body.push(Stmt {
-        dsts: vec![c],
+        dsts: [c].into(),
         op: Op::Select {
             cond: lt.into(),
             if_true: c0.into(),

@@ -463,7 +463,7 @@ mod tests {
 
     /// The product terms of the accumulation that writes `dst`.
     fn pairs_of(kernel: &Kernel, dst: VarId) -> Vec<(Operand, Operand)> {
-        let stmt = kernel.body.iter().find(|s| s.dsts == [dst]).unwrap();
+        let stmt = kernel.body.iter().find(|s| s.dsts[..] == [dst]).unwrap();
         match &stmt.op {
             Op::MacReduceMod { pairs, .. } => pairs.clone(),
             other => panic!("expected an accumulation, got {other:?}"),
@@ -736,7 +736,10 @@ mod tests {
             consts,
             [Operand::Const(6), Operand::Const(q - 33), Operand::Const(5)]
         );
-        assert!(fused.body.iter().all(|s| s.dsts != [t]), "producer is dead");
+        assert!(
+            fused.body.iter().all(|s| s.dsts[..] != [t]),
+            "producer is dead"
+        );
     }
 
     #[test]

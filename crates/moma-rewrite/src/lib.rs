@@ -14,9 +14,10 @@
 //!    native width into the mid-level operations of Table 1's right-hand sides:
 //!    widening adds with explicit carries, widening multiplies, comparisons, conditional
 //!    selects, and constant multi-word shifts (the Barrett sequence of Listing 4).
-//! 3. **Type splitting** ([`split`]) applies rules (19)–(29) recursively: every value of
-//!    the current maximal width `2ω` becomes a pair of `ω`-wide values and every
-//!    operation is rewritten accordingly, until all values fit the machine word `ω₀`.
+//! 3. **Type splitting** (the private `split` module) applies rules (19)–(29)
+//!    recursively: every value of the current maximal width `2ω` becomes a pair of
+//!    `ω`-wide values and every operation is rewritten accordingly, until all values
+//!    fit the machine word `ω₀`.
 //! 4. **Optimization passes** ([`passes`]) perform the zero-pruning the paper describes
 //!    for non-power-of-two bit-widths (381-, 753-bit style inputs), plus constant
 //!    folding, copy propagation, and dead-code elimination.
@@ -47,7 +48,7 @@ pub mod expand;
 mod fuse;
 pub mod passes;
 pub mod rules;
-pub mod split;
+mod split;
 
 mod driver;
 

@@ -14,19 +14,21 @@
 //! point. Every pass rewrites the kernel it is handed in place and reports whether it
 //! changed anything; statements are moved, never copied.
 
-use moma_ir::{Kernel, Op, Operand, Stmt, VarId};
-use std::collections::HashMap;
+use moma_ir::{Kernel, Op, Operand, Stmt};
 
 /// Replaces every use of a fully-known-zero variable with the constant zero.
 ///
-/// `zero_top_bits` maps variables to the number of known-zero high bits; a variable is
-/// pruned when that number equals its full width (which is how padded parameters end up
-/// after the recursive splitting of a 384-bit value stored in a 512-bit container).
-pub(crate) fn prune_known_zeros(kernel: &mut Kernel, zero_top_bits: &HashMap<VarId, u32>) {
-    let mut zero = vec![false; kernel.vars.len()];
-    for (v, zt) in zero_top_bits {
-        zero[v.0] = kernel.ty(*v).bits() <= *zt;
-    }
+/// `zero_top_bits[v]` is the number of known-zero high bits of variable `v` (none past
+/// the end of the slice); a variable is pruned when that number equals its full width
+/// (which is how padded parameters end up after the recursive splitting of a 384-bit
+/// value stored in a 512-bit container).
+pub(crate) fn prune_known_zeros(kernel: &mut Kernel, zero_top_bits: &[u32]) {
+    let zero: Vec<bool> = kernel
+        .vars
+        .iter()
+        .enumerate()
+        .map(|(i, var)| zero_top_bits.get(i).is_some_and(|&zt| var.ty.bits() <= zt))
+        .collect();
     for stmt in &mut kernel.body {
         stmt.op.for_each_operand_mut(|o| {
             if matches!(*o, Operand::Var(v) if zero[v.0]) {
@@ -45,11 +47,12 @@ pub(crate) fn simplify(kernel: &mut Kernel) -> bool {
     for v in &kernel.outputs {
         is_output[v.0] = true;
     }
-    // Copy propagation: `env[d]` is the operand a read of `d` is replaced by, and
-    // `readers[v]` lists the copies `d` whose replacement was `v` when recorded
-    // (an entry is stale once `env[d]` moved on; invalidation re-checks it).
-    let mut env: Vec<Option<Operand>> = vec![None; n];
-    let mut readers: Vec<Vec<VarId>> = vec![Vec::new(); n];
+    // Copy propagation: `env[d]` is the operand a read of `d` is replaced by, with
+    // the write count of that operand's variable when the copy was recorded. Kernels
+    // are not strictly SSA after repeated passes, so an entry is stale once `d` or
+    // the variable it copies has been written again.
+    let mut env: Vec<Option<(Operand, u32)>> = vec![None; n];
+    let mut writes: Vec<u32> = vec![0; n];
 
     let body = std::mem::take(&mut kernel.body);
     let mut new_body = Vec::with_capacity(body.len());
@@ -58,27 +61,24 @@ pub(crate) fn simplify(kernel: &mut Kernel) -> bool {
         let mut rewritten = false;
         stmt.op.for_each_operand_mut(|o| {
             if let Operand::Var(v) = *o {
-                if let Some(repl) = env[v.0].filter(|repl| *repl != *o) {
-                    *o = repl;
-                    rewritten = true;
+                if let Some((repl, written)) = env[v.0] {
+                    let current = repl.as_var().map_or(true, |r| writes[r.0] == written);
+                    if current && repl != *o {
+                        *o = repl;
+                        rewritten = true;
+                    }
                 }
             }
         });
-        // Invalidate the copies of, and the copies that read, a variable we are about
-        // to overwrite (kernels are not strictly SSA after repeated passes).
         for d in &stmt.dsts {
             env[d.0] = None;
-            for r in std::mem::take(&mut readers[d.0]) {
-                if env[r.0] == Some(Operand::Var(*d)) {
-                    env[r.0] = None;
-                }
-            }
+            writes[d.0] += 1;
         }
         match fold(&mut stmt, kernel) {
             Some(Folded::Copies(first, second)) => {
                 changed = true;
                 let second = second.map(|src| Stmt {
-                    dsts: vec![stmt.dsts[1]],
+                    dsts: [stmt.dsts[1]].into(),
                     op: Op::Copy { src },
                     comment: None,
                 });
@@ -86,13 +86,13 @@ pub(crate) fn simplify(kernel: &mut Kernel) -> bool {
                 stmt.op = Op::Copy { src: first };
                 stmt.comment = None;
                 for s in std::iter::once(stmt).chain(second) {
-                    register_copy(&s, &is_output, &mut env, &mut readers);
+                    register_copy(&s, &is_output, &writes, &mut env);
                     new_body.push(s);
                 }
             }
             folded => {
                 changed |= rewritten || folded.is_some();
-                register_copy(&stmt, &is_output, &mut env, &mut readers);
+                register_copy(&stmt, &is_output, &writes, &mut env);
                 new_body.push(stmt);
             }
         }
@@ -105,16 +105,13 @@ pub(crate) fn simplify(kernel: &mut Kernel) -> bool {
 fn register_copy(
     stmt: &Stmt,
     is_output: &[bool],
-    env: &mut [Option<Operand>],
-    readers: &mut [Vec<VarId>],
+    writes: &[u32],
+    env: &mut [Option<(Operand, u32)>],
 ) {
     if let Op::Copy { src } = stmt.op {
         let dst = stmt.dsts[0];
         if !is_output[dst.0] {
-            env[dst.0] = Some(src);
-            if let Operand::Var(v) = src {
-                readers[v.0].push(dst);
-            }
+            env[dst.0] = Some((src, src.as_var().map_or(0, |v| writes[v.0])));
         }
     }
 }
@@ -324,7 +321,7 @@ mod tests {
 
     /// Builds a kernel computing (a*b) where b's "high half" is a known-zero parameter,
     /// mimicking a padded input.
-    fn padded_mul_kernel() -> (Kernel, HashMap<VarId, u32>) {
+    fn padded_mul_kernel() -> (Kernel, Vec<u32>) {
         let mut kb = KernelBuilder::new("padded");
         let a = kb.param("a", Ty::UInt(64));
         let b_hi = kb.param("b_hi", Ty::UInt(64));
@@ -358,8 +355,8 @@ mod tests {
             },
         );
         let kernel = kb.build();
-        let mut zt = HashMap::new();
-        zt.insert(b_hi, 64u32); // the entire high word is known zero
+        let mut zt = vec![0; kernel.vars.len()];
+        zt[b_hi.0] = 64; // the entire high word is known zero
         (kernel, zt)
     }
 

@@ -17,12 +17,11 @@
 //! realizes the recursion of §3.2 ("multi-word modular arithmetic via recursion").
 
 use crate::MulAlgorithm;
-use moma_ir::{Kernel, Op, Operand, Stmt, Ty, Var, VarId};
-use std::collections::HashMap;
+use moma_ir::{Dsts, Kernel, Op, Operand, Stmt, Ty, Var, VarId};
 
 /// How an original variable maps into the split kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VarMapping {
+#[derive(Debug, Clone, Copy)]
+enum VarMapping {
     /// The variable was below the split width and is carried over unchanged.
     Single(VarId),
     /// The variable was split into `(hi, lo)` halves (paper order: `[x0, x1]` with `x0`
@@ -32,18 +31,17 @@ pub enum VarMapping {
 
 /// Result of one splitting step.
 #[derive(Debug, Clone)]
-pub struct SplitResult {
+pub(crate) struct SplitResult {
     /// The rewritten kernel (maximal width halved).
     pub kernel: Kernel,
-    /// Mapping from old variables to new ones.
-    pub mapping: HashMap<VarId, VarMapping>,
-    /// Updated known-zero-top-bits facts for the new kernel's variables.
-    pub zero_top_bits: HashMap<VarId, u32>,
+    /// Known-zero-top-bits facts for the new kernel's variables, indexed by [`VarId`].
+    pub zero_top_bits: Vec<u32>,
 }
 
 struct Splitter {
     out: Kernel,
-    mapping: HashMap<VarId, VarMapping>,
+    /// Indexed by the old kernel's [`VarId`].
+    mapping: Vec<VarMapping>,
     body: Vec<Stmt>,
     half: u32,
     mul_algorithm: MulAlgorithm,
@@ -51,24 +49,35 @@ struct Splitter {
 }
 
 impl Splitter {
+    /// A new variable named `{prefix}_{n}`, `n` counting the step's fresh variables;
+    /// the name is written digit by digit into a string of its final size.
     fn fresh(&mut self, prefix: &str, ty: Ty) -> VarId {
         self.fresh_counter += 1;
+        let n = self.fresh_counter;
+        let digits = n.ilog10() + 1;
+        let mut name = String::with_capacity(prefix.len() + 1 + digits as usize);
+        name.push_str(prefix);
+        name.push('_');
+        for place in (0..digits).rev() {
+            name.push(char::from(b'0' + (n / 10usize.pow(place) % 10) as u8));
+        }
         let id = VarId(self.out.vars.len());
-        self.out.vars.push(Var {
-            name: format!("{prefix}_{}", self.fresh_counter),
-            ty,
-        });
+        self.out.vars.push(Var { name, ty });
         id
     }
 
-    fn push(&mut self, dsts: Vec<VarId>, op: Op, comment: Option<String>) {
-        self.body.push(Stmt { dsts, op, comment });
+    fn push(&mut self, dsts: impl Into<Dsts>, op: Op, comment: Option<String>) {
+        self.body.push(Stmt {
+            dsts: dsts.into(),
+            op,
+            comment,
+        });
     }
 
     /// Maps an operand at the old width to its `(hi, lo)` halves.
     fn split_operand(&self, o: Operand) -> (Operand, Operand) {
         match o {
-            Operand::Var(v) => match self.mapping[&v] {
+            Operand::Var(v) => match self.mapping[v.0] {
                 VarMapping::Pair(hi, lo) => (hi.into(), lo.into()),
                 VarMapping::Single(s) => {
                     // A narrower value used in a wide context: high half is zero.
@@ -82,9 +91,9 @@ impl Splitter {
     /// Maps an operand that stays at its own (narrow) width.
     fn map_operand(&self, o: Operand) -> Operand {
         match o {
-            Operand::Var(v) => match self.mapping[&v] {
+            Operand::Var(v) => match self.mapping[v.0] {
                 VarMapping::Single(s) => s.into(),
-                VarMapping::Pair(_, lo) => lo.into(), // should not happen for well-typed kernels
+                VarMapping::Pair(_, _) => unreachable!("operand was split but used narrow"),
             },
             c => c,
         }
@@ -92,14 +101,14 @@ impl Splitter {
 
     /// Maps a destination variable that was split.
     fn split_dst(&self, d: VarId) -> (VarId, VarId) {
-        match self.mapping[&d] {
+        match self.mapping[d.0] {
             VarMapping::Pair(hi, lo) => (hi, lo),
             VarMapping::Single(_) => panic!("destination was not split"),
         }
     }
 
     fn map_dst(&self, d: VarId) -> VarId {
-        match self.mapping[&d] {
+        match self.mapping[d.0] {
             VarMapping::Single(s) => s,
             VarMapping::Pair(_, _) => panic!("destination was split but used narrow"),
         }
@@ -113,11 +122,11 @@ impl Splitter {
         let eq_hi = self.fresh("eq_hi", Ty::Flag);
         let lt_lo = self.fresh("lt_lo", Ty::Flag);
         let both = self.fresh("eq_and_lt", Ty::Flag);
-        self.push(vec![lt_hi], Op::Lt { a: a_hi, b: b_hi }, comment.clone());
-        self.push(vec![eq_hi], Op::Eq { a: a_hi, b: b_hi }, None);
-        self.push(vec![lt_lo], Op::Lt { a: a_lo, b: b_lo }, None);
+        self.push([lt_hi], Op::Lt { a: a_hi, b: b_hi }, comment);
+        self.push([eq_hi], Op::Eq { a: a_hi, b: b_hi }, None);
+        self.push([lt_lo], Op::Lt { a: a_lo, b: b_lo }, None);
         self.push(
-            vec![both],
+            [both],
             Op::BoolAnd {
                 a: eq_hi.into(),
                 b: lt_lo.into(),
@@ -125,7 +134,7 @@ impl Splitter {
             None,
         );
         self.push(
-            vec![dst],
+            [dst],
             Op::BoolOr {
                 a: lt_hi.into(),
                 b: both.into(),
@@ -143,16 +152,16 @@ impl Splitter {
         borrow_in: Option<Operand>,
     ) -> VarId {
         let lt = self.fresh("bor_lt", Ty::Flag);
-        self.push(vec![lt], Op::Lt { a: a_lo, b: b_lo }, None);
+        self.push([lt], Op::Lt { a: a_lo, b: b_lo }, None);
         match borrow_in {
             None => lt,
             Some(bin) => {
                 let eq = self.fresh("bor_eq", Ty::Flag);
                 let and = self.fresh("bor_and", Ty::Flag);
                 let or = self.fresh("bor", Ty::Flag);
-                self.push(vec![eq], Op::Eq { a: a_lo, b: b_lo }, None);
+                self.push([eq], Op::Eq { a: a_lo, b: b_lo }, None);
                 self.push(
-                    vec![and],
+                    [and],
                     Op::BoolAnd {
                         a: eq.into(),
                         b: bin,
@@ -160,7 +169,7 @@ impl Splitter {
                     None,
                 );
                 self.push(
-                    vec![or],
+                    [or],
                     Op::BoolOr {
                         a: lt.into(),
                         b: and.into(),
@@ -173,35 +182,35 @@ impl Splitter {
     }
 
     /// Rewrites one statement operating at the old wide width.
-    fn rewrite_wide_stmt(&mut self, kernel: &Kernel, stmt: &Stmt) {
+    fn rewrite_wide_stmt(&mut self, stmt: Stmt) {
         let half_ty = Ty::UInt(self.half);
-        let comment = stmt.comment.clone();
-        match &stmt.op {
+        let Stmt { dsts, op, comment } = stmt;
+        match op {
             Op::Copy { src } => {
-                let (d_hi, d_lo) = self.split_dst(stmt.dsts[0]);
-                let (s_hi, s_lo) = self.split_operand(*src);
-                self.push(vec![d_hi], Op::Copy { src: s_hi }, comment.clone());
-                self.push(vec![d_lo], Op::Copy { src: s_lo }, None);
+                let (d_hi, d_lo) = self.split_dst(dsts[0]);
+                let (s_hi, s_lo) = self.split_operand(src);
+                self.push([d_hi], Op::Copy { src: s_hi }, comment);
+                self.push([d_lo], Op::Copy { src: s_lo }, None);
             }
             Op::AddWide { a, b, carry_in } => {
                 // rule (22)/(29): carry chain from the least significant half upward.
-                let carry_dst = self.map_dst(stmt.dsts[0]);
-                let (s_hi, s_lo) = self.split_dst(stmt.dsts[1]);
-                let (a_hi, a_lo) = self.split_operand(*a);
-                let (b_hi, b_lo) = self.split_operand(*b);
+                let carry_dst = self.map_dst(dsts[0]);
+                let (s_hi, s_lo) = self.split_dst(dsts[1]);
+                let (a_hi, a_lo) = self.split_operand(a);
+                let (b_hi, b_lo) = self.split_operand(b);
                 let mid = self.fresh("carry_mid", Ty::Flag);
                 let cin = carry_in.map(|c| self.map_operand(c));
                 self.push(
-                    vec![mid, s_lo],
+                    [mid, s_lo],
                     Op::AddWide {
                         a: a_lo,
                         b: b_lo,
                         carry_in: cin,
                     },
-                    comment.clone(),
+                    comment,
                 );
                 self.push(
-                    vec![carry_dst, s_hi],
+                    [carry_dst, s_hi],
                     Op::AddWide {
                         a: a_hi,
                         b: b_hi,
@@ -212,22 +221,22 @@ impl Splitter {
             }
             Op::Sub { a, b, borrow_in } => {
                 // rule (25), extended with an incoming borrow.
-                let (d_hi, d_lo) = self.split_dst(stmt.dsts[0]);
-                let (a_hi, a_lo) = self.split_operand(*a);
-                let (b_hi, b_lo) = self.split_operand(*b);
+                let (d_hi, d_lo) = self.split_dst(dsts[0]);
+                let (a_hi, a_lo) = self.split_operand(a);
+                let (b_hi, b_lo) = self.split_operand(b);
                 let bin = borrow_in.map(|c| self.map_operand(c));
                 self.push(
-                    vec![d_lo],
+                    [d_lo],
                     Op::Sub {
                         a: a_lo,
                         b: b_lo,
                         borrow_in: bin,
                     },
-                    comment.clone(),
+                    comment,
                 );
                 let borrow = self.emit_borrow_out(a_lo, b_lo, bin);
                 self.push(
-                    vec![d_hi],
+                    [d_hi],
                     Op::Sub {
                         a: a_hi,
                         b: b_hi,
@@ -237,10 +246,10 @@ impl Splitter {
                 );
             }
             Op::MulWide { a, b } => {
-                let (hh, hl) = self.split_dst(stmt.dsts[0]);
-                let (lh, ll) = self.split_dst(stmt.dsts[1]);
-                let (a_hi, a_lo) = self.split_operand(*a);
-                let (b_hi, b_lo) = self.split_operand(*b);
+                let (hh, hl) = self.split_dst(dsts[0]);
+                let (lh, ll) = self.split_dst(dsts[1]);
+                let (a_hi, a_lo) = self.split_operand(a);
+                let (b_hi, b_lo) = self.split_operand(b);
                 match self.mul_algorithm {
                     MulAlgorithm::Schoolbook => self.emit_mul_schoolbook(
                         half_ty,
@@ -265,9 +274,9 @@ impl Splitter {
             Op::MulLow { a, b } => {
                 // Low W bits of the product: a_lo*b_lo (full) plus the low halves of the
                 // cross products shifted by W/2.
-                let (d_hi, d_lo) = self.split_dst(stmt.dsts[0]);
-                let (a_hi, a_lo) = self.split_operand(*a);
-                let (b_hi, b_lo) = self.split_operand(*b);
+                let (d_hi, d_lo) = self.split_dst(dsts[0]);
+                let (a_hi, a_lo) = self.split_operand(a);
+                let (b_hi, b_lo) = self.split_operand(b);
                 let p_hi = self.fresh("ml_hi", half_ty);
                 let p_lo = self.fresh("ml_lo", half_ty);
                 let e = self.fresh("ml_cross1", half_ty);
@@ -275,12 +284,12 @@ impl Splitter {
                 let t = self.fresh("ml_t", half_ty);
                 let k1 = self.fresh("ml_c1", Ty::Flag);
                 let k2 = self.fresh("ml_c2", Ty::Flag);
-                self.push(vec![p_hi, p_lo], Op::MulWide { a: a_lo, b: b_lo }, comment);
-                self.push(vec![e], Op::MulLow { a: a_lo, b: b_hi }, None);
-                self.push(vec![f], Op::MulLow { a: a_hi, b: b_lo }, None);
-                self.push(vec![d_lo], Op::Copy { src: p_lo.into() }, None);
+                self.push([p_hi, p_lo], Op::MulWide { a: a_lo, b: b_lo }, comment);
+                self.push([e], Op::MulLow { a: a_lo, b: b_hi }, None);
+                self.push([f], Op::MulLow { a: a_hi, b: b_lo }, None);
+                self.push([d_lo], Op::Copy { src: p_lo.into() }, None);
                 self.push(
-                    vec![k1, t],
+                    [k1, t],
                     Op::AddWide {
                         a: p_hi.into(),
                         b: e.into(),
@@ -289,7 +298,7 @@ impl Splitter {
                     None,
                 );
                 self.push(
-                    vec![k2, d_hi],
+                    [k2, d_hi],
                     Op::AddWide {
                         a: t.into(),
                         b: f.into(),
@@ -299,20 +308,20 @@ impl Splitter {
                 );
             }
             Op::Lt { a, b } => {
-                let dst = self.map_dst(stmt.dsts[0]);
-                self.emit_lt(dst, *a, *b, comment);
+                let dst = self.map_dst(dsts[0]);
+                self.emit_lt(dst, a, b, comment);
             }
             Op::Eq { a, b } => {
                 // rule (27)
-                let dst = self.map_dst(stmt.dsts[0]);
-                let (a_hi, a_lo) = self.split_operand(*a);
-                let (b_hi, b_lo) = self.split_operand(*b);
+                let dst = self.map_dst(dsts[0]);
+                let (a_hi, a_lo) = self.split_operand(a);
+                let (b_hi, b_lo) = self.split_operand(b);
                 let eq_hi = self.fresh("eq_hi", Ty::Flag);
                 let eq_lo = self.fresh("eq_lo", Ty::Flag);
-                self.push(vec![eq_hi], Op::Eq { a: a_hi, b: b_hi }, comment);
-                self.push(vec![eq_lo], Op::Eq { a: a_lo, b: b_lo }, None);
+                self.push([eq_hi], Op::Eq { a: a_hi, b: b_hi }, comment);
+                self.push([eq_lo], Op::Eq { a: a_lo, b: b_lo }, None);
                 self.push(
-                    vec![dst],
+                    [dst],
                     Op::BoolAnd {
                         a: eq_hi.into(),
                         b: eq_lo.into(),
@@ -325,15 +334,13 @@ impl Splitter {
                 if_true,
                 if_false,
             } => {
-                let cond = self.map_operand(*cond);
-                if kernel.ty(stmt.dsts[0]).needs_lowering(self.half)
-                    || kernel.ty(stmt.dsts[0]).bits() == self.half * 2
-                {
-                    let (d_hi, d_lo) = self.split_dst(stmt.dsts[0]);
-                    let (t_hi, t_lo) = self.split_operand(*if_true);
-                    let (f_hi, f_lo) = self.split_operand(*if_false);
+                let cond = self.map_operand(cond);
+                if let VarMapping::Pair(..) = self.mapping[dsts[0].0] {
+                    let (d_hi, d_lo) = self.split_dst(dsts[0]);
+                    let (t_hi, t_lo) = self.split_operand(if_true);
+                    let (f_hi, f_lo) = self.split_operand(if_false);
                     self.push(
-                        vec![d_hi],
+                        [d_hi],
                         Op::Select {
                             cond,
                             if_true: t_hi,
@@ -342,7 +349,7 @@ impl Splitter {
                         comment,
                     );
                     self.push(
-                        vec![d_lo],
+                        [d_lo],
                         Op::Select {
                             cond,
                             if_true: t_lo,
@@ -351,11 +358,11 @@ impl Splitter {
                         None,
                     );
                 } else {
-                    let d = self.map_dst(stmt.dsts[0]);
-                    let t = self.map_operand(*if_true);
-                    let f = self.map_operand(*if_false);
+                    let d = self.map_dst(dsts[0]);
+                    let t = self.map_operand(if_true);
+                    let f = self.map_operand(if_false);
                     self.push(
-                        vec![d],
+                        [d],
                         Op::Select {
                             cond,
                             if_true: t,
@@ -368,13 +375,13 @@ impl Splitter {
             Op::ShrMulti { words, shift } => {
                 let mut new_words = Vec::with_capacity(words.len() * 2);
                 for w in words {
-                    let (hi, lo) = self.split_operand(*w);
+                    let (hi, lo) = self.split_operand(w);
                     new_words.push(hi);
                     new_words.push(lo);
                 }
-                let mut new_dsts = Vec::with_capacity(stmt.dsts.len() * 2);
-                for d in &stmt.dsts {
-                    let (hi, lo) = self.split_dst(*d);
+                let mut new_dsts = Vec::with_capacity(dsts.len() * 2);
+                for &d in &dsts {
+                    let (hi, lo) = self.split_dst(d);
                     new_dsts.push(hi);
                     new_dsts.push(lo);
                 }
@@ -382,7 +389,7 @@ impl Splitter {
                     new_dsts,
                     Op::ShrMulti {
                         words: new_words,
-                        shift: *shift,
+                        shift,
                     },
                     comment,
                 );
@@ -421,17 +428,17 @@ impl Splitter {
         let p1l = self.fresh("p_hl_lo", half_ty);
         let p2h = self.fresh("p_lh_hi", half_ty);
         let p2l = self.fresh("p_lh_lo", half_ty);
-        self.push(vec![p0h, p0l], Op::MulWide { a: a_lo, b: b_lo }, comment);
-        self.push(vec![p3h, p3l], Op::MulWide { a: a_hi, b: b_hi }, None);
-        self.push(vec![p1h, p1l], Op::MulWide { a: a_hi, b: b_lo }, None);
-        self.push(vec![p2h, p2l], Op::MulWide { a: a_lo, b: b_hi }, None);
+        self.push([p0h, p0l], Op::MulWide { a: a_lo, b: b_lo }, comment);
+        self.push([p3h, p3l], Op::MulWide { a: a_hi, b: b_hi }, None);
+        self.push([p1h, p1l], Op::MulWide { a: a_hi, b: b_lo }, None);
+        self.push([p2h, p2l], Op::MulWide { a: a_lo, b: b_hi }, None);
         // Cross sum: [cr, x_hi, x_lo] = p1 + p2 (rule (22)).
         let cf = self.fresh("cross_c", Ty::Flag);
         let x_lo = self.fresh("cross_lo", half_ty);
         let cr = self.fresh("cross_carry", Ty::Flag);
         let x_hi = self.fresh("cross_hi", half_ty);
         self.push(
-            vec![cf, x_lo],
+            [cf, x_lo],
             Op::AddWide {
                 a: p1l.into(),
                 b: p2l.into(),
@@ -440,7 +447,7 @@ impl Splitter {
             None,
         );
         self.push(
-            vec![cr, x_hi],
+            [cr, x_hi],
             Op::AddWide {
                 a: p1h.into(),
                 b: p2h.into(),
@@ -452,9 +459,9 @@ impl Splitter {
         let k1 = self.fresh("acc_c1", Ty::Flag);
         let k2 = self.fresh("acc_c2", Ty::Flag);
         let k3 = self.fresh("acc_c3", Ty::Flag);
-        self.push(vec![ll], Op::Copy { src: p0l.into() }, None);
+        self.push([ll], Op::Copy { src: p0l.into() }, None);
         self.push(
-            vec![k1, lh],
+            [k1, lh],
             Op::AddWide {
                 a: p0h.into(),
                 b: x_lo.into(),
@@ -463,7 +470,7 @@ impl Splitter {
             None,
         );
         self.push(
-            vec![k2, hl],
+            [k2, hl],
             Op::AddWide {
                 a: p3l.into(),
                 b: x_hi.into(),
@@ -472,7 +479,7 @@ impl Splitter {
             None,
         );
         self.push(
-            vec![k3, hh],
+            [k3, hh],
             Op::AddWide {
                 a: p3h.into(),
                 b: cr.into(),
@@ -500,15 +507,15 @@ impl Splitter {
         let z0l = self.fresh("z0_lo", half_ty);
         let z2h = self.fresh("z2_hi", half_ty);
         let z2l = self.fresh("z2_lo", half_ty);
-        self.push(vec![z0h, z0l], Op::MulWide { a: a_lo, b: b_lo }, comment);
-        self.push(vec![z2h, z2l], Op::MulWide { a: a_hi, b: b_hi }, None);
+        self.push([z0h, z0l], Op::MulWide { a: a_lo, b: b_lo }, comment);
+        self.push([z2h, z2l], Op::MulWide { a: a_hi, b: b_hi }, None);
         // sa = a_lo + a_hi (carry ca), sb = b_lo + b_hi (carry cb)
         let ca = self.fresh("ka_ca", Ty::Flag);
         let sa = self.fresh("ka_sa", half_ty);
         let cb = self.fresh("ka_cb", Ty::Flag);
         let sb = self.fresh("ka_sb", half_ty);
         self.push(
-            vec![ca, sa],
+            [ca, sa],
             Op::AddWide {
                 a: a_lo,
                 b: a_hi,
@@ -517,7 +524,7 @@ impl Splitter {
             None,
         );
         self.push(
-            vec![cb, sb],
+            [cb, sb],
             Op::AddWide {
                 a: b_lo,
                 b: b_hi,
@@ -529,7 +536,7 @@ impl Splitter {
         let mh = self.fresh("ka_m_hi", half_ty);
         let ml = self.fresh("ka_m_lo", half_ty);
         self.push(
-            vec![mh, ml],
+            [mh, ml],
             Op::MulWide {
                 a: sa.into(),
                 b: sb.into(),
@@ -541,7 +548,7 @@ impl Splitter {
         let t1 = self.fresh("ka_t1", half_ty);
         let t2 = self.fresh("ka_t2", half_ty);
         self.push(
-            vec![t1],
+            [t1],
             Op::Select {
                 cond: ca.into(),
                 if_true: sb.into(),
@@ -550,7 +557,7 @@ impl Splitter {
             None,
         );
         self.push(
-            vec![t2],
+            [t2],
             Op::Select {
                 cond: cb.into(),
                 if_true: sa.into(),
@@ -564,7 +571,7 @@ impl Splitter {
         let k2 = self.fresh("ka_k2", Ty::Flag);
         let e1 = self.fresh("ka_e1", half_ty);
         self.push(
-            vec![k1, e1a],
+            [k1, e1a],
             Op::AddWide {
                 a: mh.into(),
                 b: t1.into(),
@@ -573,7 +580,7 @@ impl Splitter {
             None,
         );
         self.push(
-            vec![k2, e1],
+            [k2, e1],
             Op::AddWide {
                 a: e1a.into(),
                 b: t2.into(),
@@ -583,7 +590,7 @@ impl Splitter {
         );
         let cacb = self.fresh("ka_cacb", Ty::Flag);
         self.push(
-            vec![cacb],
+            [cacb],
             Op::BoolAnd {
                 a: ca.into(),
                 b: cb.into(),
@@ -595,7 +602,7 @@ impl Splitter {
         let kz2 = self.fresh("ka_kz2", Ty::Flag);
         let e2 = self.fresh("ka_e2", half_ty);
         self.push(
-            vec![kz1, e2a],
+            [kz1, e2a],
             Op::AddWide {
                 a: k1.into(),
                 b: k2.into(),
@@ -604,7 +611,7 @@ impl Splitter {
             None,
         );
         self.push(
-            vec![kz2, e2],
+            [kz2, e2],
             Op::AddWide {
                 a: e2a.into(),
                 b: cacb.into(),
@@ -619,9 +626,9 @@ impl Splitter {
         let r1c = self.fresh("ka_r1c", Ty::Flag);
         let r2c = self.fresh("ka_r2c", Ty::Flag);
         let r3c = self.fresh("ka_r3c", Ty::Flag);
-        self.push(vec![ll], Op::Copy { src: z0l.into() }, None);
+        self.push([ll], Op::Copy { src: z0l.into() }, None);
         self.push(
-            vec![r1c, lh],
+            [r1c, lh],
             Op::AddWide {
                 a: z0h.into(),
                 b: u0.into(),
@@ -630,7 +637,7 @@ impl Splitter {
             None,
         );
         self.push(
-            vec![r2c, hl],
+            [r2c, hl],
             Op::AddWide {
                 a: z2l.into(),
                 b: u1.into(),
@@ -639,7 +646,7 @@ impl Splitter {
             None,
         );
         self.push(
-            vec![r3c, hh],
+            [r3c, hh],
             Op::AddWide {
                 a: z2h.into(),
                 b: u2.into(),
@@ -664,7 +671,7 @@ impl Splitter {
         let r1 = self.fresh("ks_r1", half_ty);
         let r2 = self.fresh("ks_r2", half_ty);
         self.push(
-            vec![r0],
+            [r0],
             Op::Sub {
                 a: e0.into(),
                 b: s_lo.into(),
@@ -674,7 +681,7 @@ impl Splitter {
         );
         let b0 = self.emit_borrow_out(e0.into(), s_lo.into(), None);
         self.push(
-            vec![r1],
+            [r1],
             Op::Sub {
                 a: e1.into(),
                 b: s_hi.into(),
@@ -684,7 +691,7 @@ impl Splitter {
         );
         let b1 = self.emit_borrow_out(e1.into(), s_hi.into(), Some(b0.into()));
         self.push(
-            vec![r2],
+            [r2],
             Op::Sub {
                 a: e2.into(),
                 b: Operand::Const(0),
@@ -699,111 +706,115 @@ impl Splitter {
 /// Splits every variable of the widest integer width into two halves and rewrites the
 /// body accordingly (one recursion step of §3.2).
 ///
-/// `zero_top_bits` carries "the top `n` bits of this variable are known to be zero"
-/// facts (used by the non-power-of-two-width optimization of §4); the returned map
-/// contains the corresponding facts about the new variables.
+/// `zero_top_bits[v]` is the number of top bits of variable `v` known to be zero
+/// (used by the non-power-of-two-width optimization of §4; a variable past the end of
+/// the slice has none); the result carries the corresponding facts about the new
+/// variables. The kernel is consumed: names and comments move into the result.
 ///
 /// # Panics
 ///
 /// Panics if the kernel still contains high-level modular operations (call
 /// [`crate::expand::expand_modular_ops`] first) or if the widest width is odd.
-pub fn split_once(
-    kernel: &Kernel,
-    zero_top_bits: &HashMap<VarId, u32>,
+pub(crate) fn split_once(
+    kernel: Kernel,
+    zero_top_bits: &[u32],
     mul_algorithm: MulAlgorithm,
 ) -> SplitResult {
     let wide = kernel.max_width();
     assert!(wide % 2 == 0, "cannot split an odd width {wide}");
     let half = wide / 2;
+    let Kernel {
+        name,
+        vars,
+        params,
+        outputs,
+        body,
+    } = kernel;
 
+    // Sized for the growth seen on the evaluation's kernels: one step turns a
+    // statement into at most ~4.6 statements and ~5 new variables.
+    let split_count = vars.iter().filter(|v| v.ty == Ty::UInt(wide)).count();
     let mut out = Kernel {
-        name: kernel.name.clone(),
-        vars: Vec::new(),
-        params: Vec::new(),
-        outputs: Vec::new(),
+        name,
+        vars: Vec::with_capacity(vars.len() + split_count + body.len() * 5),
+        params: Vec::with_capacity(params.len() * 2),
+        outputs: Vec::with_capacity(outputs.len() * 2),
         body: Vec::new(),
     };
-    let mut mapping = HashMap::new();
-    let mut new_zero_top: HashMap<VarId, u32> = HashMap::new();
+    let mut mapping = Vec::with_capacity(vars.len());
+    let mut new_zero_top = Vec::with_capacity(out.vars.capacity());
 
     // Rebuild the variable table: wide variables become (hi, lo) pairs, everything else
     // is carried over. Parameters and outputs keep their relative order, with the high
     // half first (the paper's big-endian digit order [x0, x1]).
-    for (i, var) in kernel.vars.iter().enumerate() {
-        let id = VarId(i);
-        let zt = zero_top_bits.get(&id).copied().unwrap_or(0);
+    for (i, var) in vars.into_iter().enumerate() {
+        let zt = zero_top_bits.get(i).copied().unwrap_or(0);
         if var.ty == Ty::UInt(wide) {
+            // The high half's name is a new string; the low half's extends the old one.
+            let mut hi_name = String::with_capacity(var.name.len() + 3);
+            hi_name.push_str(&var.name);
+            hi_name.push_str("_hi");
             let hi = VarId(out.vars.len());
             out.vars.push(Var {
-                name: format!("{}_hi", var.name),
+                name: hi_name,
                 ty: Ty::UInt(half),
             });
             let lo = VarId(out.vars.len());
+            let mut lo_name = var.name;
+            lo_name.push_str("_lo");
             out.vars.push(Var {
-                name: format!("{}_lo", var.name),
+                name: lo_name,
                 ty: Ty::UInt(half),
             });
-            mapping.insert(id, VarMapping::Pair(hi, lo));
-            new_zero_top.insert(hi, zt.min(half));
-            new_zero_top.insert(lo, zt.saturating_sub(half));
+            mapping.push(VarMapping::Pair(hi, lo));
+            new_zero_top.extend([zt.min(half), zt.saturating_sub(half)]);
         } else {
-            let new_id = VarId(out.vars.len());
-            out.vars.push(var.clone());
-            mapping.insert(id, VarMapping::Single(new_id));
-            if zt > 0 {
-                new_zero_top.insert(new_id, zt);
-            }
+            mapping.push(VarMapping::Single(VarId(out.vars.len())));
+            out.vars.push(var);
+            new_zero_top.push(zt);
         }
     }
-    for p in &kernel.params {
-        match mapping[p] {
-            VarMapping::Pair(hi, lo) => {
-                out.params.push(hi);
-                out.params.push(lo);
+    for (list, new_list) in [(params, &mut out.params), (outputs, &mut out.outputs)] {
+        for v in list {
+            match mapping[v.0] {
+                VarMapping::Pair(hi, lo) => new_list.extend([hi, lo]),
+                VarMapping::Single(s) => new_list.push(s),
             }
-            VarMapping::Single(s) => out.params.push(s),
-        }
-    }
-    for o in &kernel.outputs {
-        match mapping[o] {
-            VarMapping::Pair(hi, lo) => {
-                out.outputs.push(hi);
-                out.outputs.push(lo);
-            }
-            VarMapping::Single(s) => out.outputs.push(s),
         }
     }
 
     let mut splitter = Splitter {
         out,
         mapping,
-        body: Vec::new(),
+        body: Vec::with_capacity(body.len() * 5),
         half,
         mul_algorithm,
         fresh_counter: 0,
     };
 
-    for stmt in &kernel.body {
-        let is_wide = |v: VarId| kernel.ty(v) == Ty::UInt(wide);
+    for mut stmt in body {
+        let is_wide = |v: VarId| matches!(splitter.mapping[v.0], VarMapping::Pair(..));
         let mut touches_wide = stmt.dsts.iter().any(|d| is_wide(*d));
         stmt.op
             .for_each_operand(|o| touches_wide |= o.as_var().is_some_and(is_wide));
         if touches_wide {
-            splitter.rewrite_wide_stmt(kernel, stmt);
+            splitter.rewrite_wide_stmt(stmt);
         } else {
-            // Narrow statement: remap variable ids and keep it.
-            let dsts = stmt.dsts.iter().map(|d| splitter.map_dst(*d)).collect();
-            let mut op = stmt.op.clone();
-            op.for_each_operand_mut(|o| *o = splitter.map_operand(*o));
-            splitter.push(dsts, op, stmt.comment.clone());
+            // Narrow statement: remap variable ids in place and keep it.
+            for d in stmt.dsts.iter_mut() {
+                *d = splitter.map_dst(*d);
+            }
+            stmt.op
+                .for_each_operand_mut(|o| *o = splitter.map_operand(*o));
+            splitter.body.push(stmt);
         }
     }
 
-    let mut kernel_out = splitter.out;
-    kernel_out.body = splitter.body;
+    let mut kernel = splitter.out;
+    kernel.body = splitter.body;
+    new_zero_top.resize(kernel.vars.len(), 0);
     SplitResult {
-        kernel: kernel_out,
-        mapping: splitter.mapping,
+        kernel,
         zero_top_bits: new_zero_top,
     }
 }
@@ -821,7 +832,7 @@ mod tests {
     fn check_128(op: KernelOp, alg: MulAlgorithm, cases: &[(u128, u128)]) {
         let hl = build(&KernelSpec::new(op, 128));
         let expanded = expand_modular_ops(&hl.kernel);
-        let split = split_once(&expanded, &HashMap::new(), alg);
+        let split = split_once(expanded, &[], alg);
         validate(&split.kernel).unwrap();
         assert!(split.kernel.is_machine_level(64));
 
@@ -956,8 +967,8 @@ mod tests {
         // multiplications, Karatsuba uses 3.
         let hl = build(&KernelSpec::new(KernelOp::ModMul, 128));
         let expanded = expand_modular_ops(&hl.kernel);
-        let sb = split_once(&expanded, &HashMap::new(), MulAlgorithm::Schoolbook);
-        let ka = split_once(&expanded, &HashMap::new(), MulAlgorithm::Karatsuba);
+        let sb = split_once(expanded.clone(), &[], MulAlgorithm::Schoolbook);
+        let ka = split_once(expanded, &[], MulAlgorithm::Karatsuba);
         let sb_counts = cost::static_counts(&sb.kernel);
         let ka_counts = cost::static_counts(&ka.kernel);
         // Two wide MulWide (a*b and r1*mu) plus one wide MulLow in the Barrett sequence.
@@ -967,32 +978,46 @@ mod tests {
         assert!(ka_counts.add_sub() > sb_counts.add_sub());
     }
 
+    /// A wide value read where a narrow one belongs (here a select's
+    /// condition) is a malformed kernel, not one to lower through its low half.
+    #[test]
+    #[should_panic(expected = "operand was split but used narrow")]
+    fn wide_operand_in_a_narrow_slot_is_rejected() {
+        let mut kb = moma_ir::KernelBuilder::new("wide_cond");
+        let a = kb.param("a", Ty::UInt(128));
+        let b = kb.param("b", Ty::UInt(128));
+        let o = kb.output("o", Ty::UInt(128));
+        kb.push(
+            vec![o],
+            Op::Select {
+                cond: a.into(),
+                if_true: b.into(),
+                if_false: Operand::Const(0),
+            },
+        );
+        split_once(kb.build(), &[], MulAlgorithm::Schoolbook);
+    }
+
     #[test]
     fn zero_top_bits_propagate_through_split() {
         let hl = build(&KernelSpec::new(KernelOp::ModAdd, 384));
         assert_eq!(hl.zero_top_bits, 128);
         let expanded = expand_modular_ops(&hl.kernel);
-        let zt: HashMap<VarId, u32> = hl
-            .kernel
-            .params
-            .iter()
-            .map(|p| (*p, hl.zero_top_bits))
-            .collect();
-        let split = split_once(&expanded, &zt, MulAlgorithm::Schoolbook);
+        let mut zt = vec![0; expanded.vars.len()];
+        for p in &hl.kernel.params {
+            zt[p.0] = hl.zero_top_bits;
+        }
+        let split = split_once(expanded, &zt, MulAlgorithm::Schoolbook);
         // 512-bit params split into 256-bit halves; the high half of each original
         // parameter has 128 of its 256 bits known zero.
         let a_hi = split.kernel.params[0];
         let a_lo = split.kernel.params[1];
-        assert_eq!(split.zero_top_bits.get(&a_hi), Some(&128));
-        assert_eq!(split.zero_top_bits.get(&a_lo).copied().unwrap_or(0), 0);
+        assert_eq!(split.zero_top_bits[a_hi.0], 128);
+        assert_eq!(split.zero_top_bits[a_lo.0], 0);
         // Splitting again: the top 256-bit half becomes two 128-bit quarters, the
         // topmost of which is entirely zero.
-        let split2 = split_once(
-            &split.kernel,
-            &split.zero_top_bits,
-            MulAlgorithm::Schoolbook,
-        );
+        let split2 = split_once(split.kernel, &split.zero_top_bits, MulAlgorithm::Schoolbook);
         let a_hi_hi = split2.kernel.params[0];
-        assert_eq!(split2.zero_top_bits.get(&a_hi_hi), Some(&128));
+        assert_eq!(split2.zero_top_bits[a_hi_hi.0], 128);
     }
 }
