@@ -34,7 +34,8 @@ enum VarMapping {
 pub(crate) struct SplitResult {
     /// The rewritten kernel (maximal width halved).
     pub kernel: Kernel,
-    /// Known-zero-top-bits facts for the new kernel's variables, indexed by [`VarId`].
+    /// Known-zero-top-bits facts for the new kernel's variables, indexed by [`VarId`]
+    /// (the step's fresh variables, past the end, have none).
     pub zero_top_bits: Vec<u32>,
 }
 
@@ -742,7 +743,7 @@ pub(crate) fn split_once(
         body: Vec::new(),
     };
     let mut mapping = Vec::with_capacity(vars.len());
-    let mut new_zero_top = Vec::with_capacity(out.vars.capacity());
+    let mut new_zero_top = Vec::with_capacity(vars.len() + split_count);
 
     // Rebuild the variable table: wide variables become (hi, lo) pairs, everything else
     // is carried over. Parameters and outputs keep their relative order, with the high
@@ -812,7 +813,6 @@ pub(crate) fn split_once(
 
     let mut kernel = splitter.out;
     kernel.body = splitter.body;
-    new_zero_top.resize(kernel.vars.len(), 0);
     SplitResult {
         kernel,
         zero_top_bits: new_zero_top,
