@@ -316,8 +316,8 @@ pub(crate) fn drop_unused_params(kernel: &mut Kernel) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moma_ir::Ty;
     use moma_ir::{interp, KernelBuilder};
+    use moma_ir::{Ty, VarId};
 
     /// Builds a kernel computing (a*b) where b's "high half" is a known-zero parameter,
     /// mimicking a padded input.
@@ -398,6 +398,37 @@ mod tests {
         let mut s = kb.build();
         assert!(simplify(&mut s));
         assert!(matches!(s.body[0].op, Op::Copy { .. }));
+    }
+
+    /// A copy of a variable that is written again later must not be replaced by
+    /// that variable: `o = t` stays `t`'s old value, not the new `x`.
+    #[test]
+    fn copy_propagation_stops_at_a_rewritten_source() {
+        let mut kb = KernelBuilder::new("rewritten");
+        let p = kb.param("p", Ty::UInt(64));
+        let q = kb.param("q", Ty::UInt(64));
+        let c = kb.local("c", Ty::Flag);
+        let x = kb.local("x", Ty::UInt(64));
+        let t = kb.local("t", Ty::UInt(64));
+        let o = kb.output("o", Ty::UInt(64));
+        let add = |a: VarId, b: VarId| Op::AddWide {
+            a: a.into(),
+            b: b.into(),
+            carry_in: None,
+        };
+        kb.push(vec![c, x], add(p, q));
+        kb.push(vec![t], Op::Copy { src: x.into() });
+        kb.push(vec![c, x], add(q, q));
+        kb.push(vec![o], Op::Copy { src: t.into() });
+        let kernel = kb.build();
+        let mut simplified = kernel.clone();
+        simplify(&mut simplified);
+        let inputs = [5, 7];
+        assert_eq!(
+            interp::run(&simplified, &inputs).unwrap().outputs,
+            interp::run(&kernel, &inputs).unwrap().outputs
+        );
+        assert_eq!(interp::run(&kernel, &inputs).unwrap().outputs, vec![12]);
     }
 
     #[test]
