@@ -9,7 +9,7 @@ use moma::blas::batch::{run_batch, Batch};
 use moma::blas::BlasOp;
 use moma::gpu::{BufferPool, DeviceSpec};
 use moma::ir::compiled::CompiledKernel;
-use moma::mp::{ModRing, MpUint, MulAlgorithm as RtMulAlgorithm};
+use moma::mp::{ModRing, MpUint};
 use moma::ntt::params::{paper_modulus, NttParams};
 use moma::ntt::transform::{butterfly_count, forward};
 use moma::paper_data;
@@ -269,7 +269,7 @@ fn measure_rns_baseconv(bits: u32, rescale: bool, elements: usize) -> f64 {
 /// Measures the host runtime-library NTT, returning ns per butterfly.
 fn measure_ntt<const L: usize>(bits: u32, log_n: u32) -> f64 {
     let n = 1usize << log_n;
-    let params = NttParams::<L>::for_paper_modulus(n, bits, RtMulAlgorithm::Schoolbook);
+    let params = NttParams::<L>::for_paper_modulus(n, bits, MulAlgorithm::Schoolbook);
     let mut rng = rand::thread_rng();
     let data: Vec<_> = (0..n)
         .map(|_| params.ring.random_element(&mut rng))
@@ -395,7 +395,7 @@ pub fn fig5b() {
         "bit-width", "schoolbook", "karatsuba", "ratio"
     );
     for bits in [128u32, 256, 384, 768] {
-        let measure = |alg: RtMulAlgorithm| -> f64 {
+        let measure = |alg: MulAlgorithm| -> f64 {
             match bits {
                 128 => measure_ntt_alg::<2>(bits, alg),
                 256 => measure_ntt_alg::<4>(bits, alg),
@@ -403,8 +403,8 @@ pub fn fig5b() {
                 _ => measure_ntt_alg::<12>(bits, alg),
             }
         };
-        let sb = measure(RtMulAlgorithm::Schoolbook);
-        let ka = measure(RtMulAlgorithm::Karatsuba);
+        let sb = measure(MulAlgorithm::Schoolbook);
+        let ka = measure(MulAlgorithm::Karatsuba);
         println!(
             "{:<14} {:>12.2} {:>12.2} {:>12.2}",
             format!("{bits}-bit"),
@@ -417,7 +417,7 @@ pub fn fig5b() {
     println!(" falling below 1 by 768 bits on the RTX 4090)");
 }
 
-fn measure_ntt_alg<const L: usize>(bits: u32, alg: RtMulAlgorithm) -> f64 {
+fn measure_ntt_alg<const L: usize>(bits: u32, alg: MulAlgorithm) -> f64 {
     let n = 4096;
     let params = NttParams::<L>::for_paper_modulus(n, bits, alg);
     let mut rng = rand::thread_rng();

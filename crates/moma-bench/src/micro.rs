@@ -17,13 +17,13 @@ use moma::blas::BlasOp;
 use moma::gpu::{launch_compiled_batch, BufferPool};
 use moma::ir::compiled::CompiledKernel;
 use moma::ir::interp;
-use moma::mp::{ModRing, MpUint, MulAlgorithm as RtMulAlgorithm};
+use moma::mp::{ModRing, MpUint};
 use moma::ntt::params::{paper_modulus, NttParams};
 use moma::ntt::transform::{butterfly_count, forward, Ntt64};
 use moma::rewrite::{builders, lower};
 use moma::ring::default_ladder;
 use moma::rns::{vector as rns_vec, RnsContext, RnsMatrix};
-use moma::{KernelOp, KernelSpec, LoweringConfig, Session};
+use moma::{KernelOp, KernelSpec, LoweringConfig, MulAlgorithm, Session};
 use rand::Rng;
 use std::time::Instant;
 
@@ -148,7 +148,7 @@ fn ntt(session: &Session, n: usize, iters: u32) -> Json {
     let naive_u64 = sample_runs(iters, per_butterfly, &data, |w| ntt.forward(w));
     let planned_u64 = sample_runs(iters, per_butterfly, &data, |w| space.forward(w));
 
-    let params = NttParams::<2>::for_paper_modulus(n, 128, RtMulAlgorithm::Schoolbook);
+    let params = NttParams::<2>::for_paper_modulus(n, 128, MulAlgorithm::Schoolbook);
     let plan = session.ntt_multiword::<2>(128, n);
     let data: Vec<_> = (0..n)
         .map(|_| params.ring.random_element(&mut rng))

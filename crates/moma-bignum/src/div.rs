@@ -39,7 +39,7 @@ impl BigUint {
     /// # Panics
     ///
     /// Panics if `word` is zero.
-    pub fn div_rem_u64(&self, word: u64) -> (BigUint, u64) {
+    pub(crate) fn div_rem_u64(&self, word: u64) -> (BigUint, u64) {
         assert!(word != 0, "division by zero");
         let mut rem = 0u64;
         let mut out = vec![0u64; self.limbs.len()];

@@ -46,6 +46,3 @@ pub mod random;
 
 pub use biguint::BigUint;
 pub use convert::ParseBigUintError;
-
-/// Number of bits in one limb (`u64`).
-pub const LIMB_BITS: u32 = 64;

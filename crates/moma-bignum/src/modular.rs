@@ -120,18 +120,6 @@ impl BigUint {
         };
         Some(inv % modulus)
     }
-
-    /// Greatest common divisor (Euclid's algorithm).
-    pub fn gcd(&self, other: &BigUint) -> BigUint {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        while !b.is_zero() {
-            let r = &a % &b;
-            a = b;
-            b = r;
-        }
-        a
-    }
 }
 
 /// Subtracts two sign-magnitude numbers: `a - b`.
@@ -236,22 +224,6 @@ mod tests {
         assert_eq!(
             BigUint::from(5u64).mod_inverse(&q),
             Some(BigUint::from(5u64))
-        );
-    }
-
-    #[test]
-    fn gcd_cases() {
-        assert_eq!(
-            BigUint::from(48u64).gcd(&BigUint::from(36u64)),
-            BigUint::from(12u64)
-        );
-        assert_eq!(
-            BigUint::from(17u64).gcd(&BigUint::from(13u64)),
-            BigUint::one()
-        );
-        assert_eq!(
-            BigUint::zero().gcd(&BigUint::from(5u64)),
-            BigUint::from(5u64)
         );
     }
 }

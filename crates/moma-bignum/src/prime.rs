@@ -1,11 +1,8 @@
-//! Primality testing and generation of NTT-friendly prime moduli.
+//! Primality testing and random prime generation.
 //!
-//! The paper evaluates NTTs over "general" primes of a given bit-width (no Goldilocks
-//! or Montgomery-friendly structure, §5.3). An `n`-point NTT over `Z_q` needs a
-//! primitive `n`-th root of unity, which exists iff `n | q - 1`; we therefore generate
-//! primes of the form `q = c * 2^e + 1` ("Proth-form" / NTT-friendly primes) with the
-//! requested bit-width and `2^e` dividing `q - 1` for the largest transform we intend
-//! to run.
+//! [`is_prime`] is the oracle's probabilistic test for arbitrary widths,
+//! [`is_prime_u64`] the exact one for machine-word moduli, and [`random_prime`] a
+//! seeded search for a prime of a given width.
 
 use crate::random::{random_below, random_bits};
 use crate::BigUint;
@@ -13,7 +10,7 @@ use rand::Rng;
 
 /// Number of Miller–Rabin rounds used by [`is_prime`]. 40 rounds gives an error
 /// probability below 2^-80 for random candidates.
-pub const MILLER_RABIN_ROUNDS: u32 = 40;
+const MILLER_RABIN_ROUNDS: u32 = 40;
 
 /// Deterministic small-prime trial division table used to cheaply reject candidates.
 const SMALL_PRIMES: [u64; 25] = [
@@ -56,8 +53,8 @@ pub fn is_prime<R: Rng + ?Sized>(rng: &mut R, n: &BigUint) -> bool {
 /// allocation.
 ///
 /// This is the test for *verifying* a given word-size modulus. The prime
-/// searches ([`random_prime`], [`ntt_friendly_prime`]) stay on the RNG-driven
-/// [`is_prime`]: its random stream fixes which primes a seeded search yields.
+/// search ([`random_prime`]) stays on the RNG-driven [`is_prime`]: its random
+/// stream fixes which primes a seeded search yields.
 ///
 /// ```
 /// use moma_bignum::prime::is_prime_u64;
@@ -150,67 +147,6 @@ pub fn random_prime<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> BigUint {
         }
         if candidate.bits() == bits && is_prime(rng, &candidate) {
             return candidate;
-        }
-    }
-}
-
-/// Generates an NTT-friendly prime `q` with exactly `bits` bits such that
-/// `2^two_adicity` divides `q - 1`.
-///
-/// The returned prime supports NTTs of any power-of-two size up to `2^two_adicity`.
-///
-/// # Panics
-///
-/// Panics if `two_adicity + 2 > bits` (no such prime can exist with that shape).
-///
-/// ```
-/// use moma_bignum::{prime::ntt_friendly_prime, BigUint};
-/// let mut rng = rand::thread_rng();
-/// let q = ntt_friendly_prime(&mut rng, 64, 20);
-/// assert_eq!(q.bits(), 64);
-/// assert!(((q - BigUint::one()) % (BigUint::from(1u64) << 20)).is_zero());
-/// ```
-pub fn ntt_friendly_prime<R: Rng + ?Sized>(rng: &mut R, bits: u32, two_adicity: u32) -> BigUint {
-    assert!(
-        two_adicity + 2 <= bits,
-        "two_adicity {two_adicity} too large for {bits}-bit prime"
-    );
-    let pow2 = BigUint::from(1u64) << two_adicity;
-    loop {
-        // q = c * 2^e + 1 with c random of (bits - e) bits and odd top bit set.
-        let c = random_bits(rng, bits - two_adicity);
-        let q = &(&c * &pow2) + &BigUint::one();
-        if q.bits() == bits && is_prime(rng, &q) {
-            return q;
-        }
-    }
-}
-
-/// Finds a generator of the order-`2^two_adicity` subgroup of `Z_q^*`, i.e. a primitive
-/// `2^two_adicity`-th root of unity modulo `q`.
-///
-/// `q` must be prime with `2^two_adicity | q - 1`. Returns `omega` such that
-/// `omega^(2^two_adicity) = 1` and `omega^(2^(two_adicity-1)) != 1`.
-pub fn primitive_root_of_unity<R: Rng + ?Sized>(
-    rng: &mut R,
-    q: &BigUint,
-    two_adicity: u32,
-) -> BigUint {
-    assert!(two_adicity >= 1);
-    let q_minus_1 = q - &BigUint::one();
-    let cofactor = &q_minus_1 >> two_adicity;
-    assert!(
-        (&q_minus_1 - &(&cofactor * &(BigUint::from(1u64) << two_adicity))).is_zero(),
-        "2^{two_adicity} must divide q-1"
-    );
-    let half_order_exp = BigUint::from(1u64) << (two_adicity - 1);
-    loop {
-        let g = &random_below(rng, &(&q_minus_1 - &BigUint::one())) + &BigUint::from(2u64);
-        let omega = g.mod_pow(&cofactor, q);
-        // omega has order dividing 2^two_adicity; it is primitive iff
-        // omega^(2^(two_adicity-1)) != 1.
-        if !omega.mod_pow(&half_order_exp, q).is_one() {
-            return omega;
         }
     }
 }
@@ -338,26 +274,5 @@ mod tests {
             assert_eq!(p.bits(), bits);
             assert!(is_prime(&mut rng, &p));
         }
-    }
-
-    #[test]
-    fn ntt_friendly_prime_structure() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let q = ntt_friendly_prime(&mut rng, 60, 16);
-        assert_eq!(q.bits(), 60);
-        assert!(((&q - &BigUint::one()) % &(BigUint::from(1u64) << 16)).is_zero());
-        assert!(is_prime(&mut rng, &q));
-    }
-
-    #[test]
-    fn primitive_root_has_exact_order() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let two_adicity = 12;
-        let q = ntt_friendly_prime(&mut rng, 62, two_adicity);
-        let omega = primitive_root_of_unity(&mut rng, &q, two_adicity);
-        let full = BigUint::from(1u64) << two_adicity;
-        let half = BigUint::from(1u64) << (two_adicity - 1);
-        assert!(omega.mod_pow(&full, &q).is_one());
-        assert!(!omega.mod_pow(&half, &q).is_one());
     }
 }

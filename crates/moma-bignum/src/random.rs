@@ -62,13 +62,6 @@ pub fn random_below<R: Rng + ?Sized>(rng: &mut R, bound: &BigUint) -> BigUint {
     }
 }
 
-/// Samples a uniformly random element of the ring `Z_q`, i.e. `[0, modulus)`.
-///
-/// Convenience alias of [`random_below`] named after its cryptographic use.
-pub fn random_mod<R: Rng + ?Sized>(rng: &mut R, modulus: &BigUint) -> BigUint {
-    random_below(rng, modulus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,11 +40,6 @@ impl<const L: usize> Batch<L> {
     pub fn batch_size(&self) -> usize {
         self.data.len().checked_div(self.vector_len).unwrap_or(0)
     }
-
-    /// Total number of elements.
-    pub fn total_elements(&self) -> usize {
-        self.data.len()
-    }
 }
 
 /// Applies one BLAS operation element-wise across two batches (scalar `a` is used only
@@ -77,7 +72,7 @@ pub fn run_batch<const L: usize>(
 /// The per-element computation of each BLAS operation — exactly the element kernel a
 /// GPU thread executes.
 #[inline]
-pub fn apply_element<const L: usize>(
+pub(crate) fn apply_element<const L: usize>(
     ring: &ModRing<L>,
     op: BlasOp,
     a_scalar: MpUint<L>,
@@ -111,7 +106,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let batch = Batch::random(&ring, &mut rng, 8, 32);
         assert_eq!(batch.batch_size(), 8);
-        assert_eq!(batch.total_elements(), 256);
+        assert_eq!(batch.data.len(), 256);
     }
 
     #[test]
@@ -123,7 +118,7 @@ mod tests {
         let a = ring.random_element(&mut rng);
         for op in BlasOp::all() {
             let batched = run_batch(&ring, op, a, &x, &y);
-            for i in 0..x.total_elements() {
+            for i in 0..x.data.len() {
                 assert_eq!(
                     batched.data[i],
                     apply_element(&ring, op, a, x.data[i], y.data[i])

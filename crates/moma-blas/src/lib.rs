@@ -2,8 +2,9 @@
 //!
 //! These are the point-wise polynomial operations of the paper's §2.3 / Figure 2:
 //! vector addition, subtraction, multiplication, and `axpy` over `Z_q`, with each
-//! element processed by one virtual GPU thread. The sequential entry points operate on
-//! slices of [`moma_mp::MpUint`]; the [`gpu`] module runs the same element kernels
+//! element processed by one virtual GPU thread. [`vec_add_mod`] and [`vec_mul_mod`]
+//! operate on slices of [`moma_mp::MpUint`], [`batch::run_batch`] runs any of the four
+//! operations over a [`batch::Batch`]; the [`gpu`] module runs the same element kernels
 //! data-parallel on the simulated GPU launcher and reports launch statistics, and
 //! [`batch`] provides the batched execution the paper uses to reach steady-state
 //! throughput.
@@ -30,20 +31,6 @@ pub fn vec_add_mod<const L: usize>(
     a.iter().zip(b).map(|(&x, &y)| ring.add(x, y)).collect()
 }
 
-/// Element-wise `c[i] = (a[i] - b[i]) mod q`.
-///
-/// # Panics
-///
-/// Panics if the inputs have different lengths.
-pub fn vec_sub_mod<const L: usize>(
-    ring: &ModRing<L>,
-    a: &[MpUint<L>],
-    b: &[MpUint<L>],
-) -> Vec<MpUint<L>> {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    a.iter().zip(b).map(|(&x, &y)| ring.sub(x, y)).collect()
-}
-
 /// Element-wise `c[i] = (a[i] * b[i]) mod q` (the point-wise product used between the
 /// forward and inverse NTT).
 ///
@@ -57,24 +44,6 @@ pub fn vec_mul_mod<const L: usize>(
 ) -> Vec<MpUint<L>> {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
     a.iter().zip(b).map(|(&x, &y)| ring.mul(x, y)).collect()
-}
-
-/// BLAS `axpy`: `y[i] = (a * x[i] + y[i]) mod q` (Equation 10).
-///
-/// # Panics
-///
-/// Panics if the inputs have different lengths.
-pub fn axpy_mod<const L: usize>(
-    ring: &ModRing<L>,
-    a: MpUint<L>,
-    x: &[MpUint<L>],
-    y: &[MpUint<L>],
-) -> Vec<MpUint<L>> {
-    assert_eq!(x.len(), y.len(), "vector length mismatch");
-    x.iter()
-        .zip(y)
-        .map(|(&xi, &yi)| ring.add(ring.mul(a, xi), yi))
-        .collect()
 }
 
 /// The four BLAS operations the paper evaluates in Figure 2.
@@ -121,6 +90,7 @@ impl BlasOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::apply_element;
     use moma_mp::U128;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -140,7 +110,11 @@ mod tests {
         let a = random_vec(&ring, 100, 1);
         let b = random_vec(&ring, 100, 2);
         let sum = vec_add_mod(&ring, &a, &b);
-        let back = vec_sub_mod(&ring, &sum, &b);
+        let back: Vec<U128> = sum
+            .iter()
+            .zip(&b)
+            .map(|(&s, &y)| apply_element(&ring, BlasOp::VecSub, U128::ZERO, s, y))
+            .collect();
         assert_eq!(back, a);
     }
 
@@ -165,9 +139,11 @@ mod tests {
         let x = random_vec(&ring, 20, 6);
         let y = random_vec(&ring, 20, 7);
         let a = random_vec(&ring, 1, 8)[0];
-        let out = axpy_mod(&ring, a, &x, &y);
         for i in 0..x.len() {
-            assert_eq!(out[i], ring.add(ring.mul(a, x[i]), y[i]));
+            assert_eq!(
+                apply_element(&ring, BlasOp::Axpy, a, x[i], y[i]),
+                ring.add(ring.mul(a, x[i]), y[i])
+            );
         }
     }
 

@@ -44,10 +44,8 @@ impl OpCounts {
     }
 
     /// Adds `count` occurrences of a mnemonic directly, without constructing an
-    /// [`Op`]. This is how callers build *synthetic* per-element counts — e.g. a
-    /// planned runtime-library path whose operation mix is known analytically
-    /// rather than recorded from generated code — for the cost model to weigh.
-    pub fn add_mnemonic(&mut self, mnemonic: &'static str, count: u64) {
+    /// [`Op`].
+    fn add_mnemonic(&mut self, mnemonic: &'static str, count: u64) {
         if count > 0 {
             *self.counts.entry(mnemonic).or_insert(0) += count;
         }

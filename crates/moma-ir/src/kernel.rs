@@ -514,12 +514,6 @@ impl Kernel {
         self.vars[id.0].ty
     }
 
-    /// The type of an operand (constants are typed by their use sites, so this returns
-    /// `None` for constants).
-    pub fn operand_ty(&self, op: Operand) -> Option<Ty> {
-        op.as_var().map(|v| self.ty(v))
-    }
-
     /// The widest integer type appearing in the kernel.
     pub fn max_width(&self) -> u32 {
         self.vars.iter().map(|v| v.ty.bits()).max().unwrap_or(0)

@@ -27,7 +27,7 @@ impl Ty {
 
     /// Returns `true` if this is a word type wider than `word_bits` and therefore still
     /// needs lowering.
-    pub fn needs_lowering(&self, word_bits: u32) -> bool {
+    pub(crate) fn needs_lowering(&self, word_bits: u32) -> bool {
         matches!(self, Ty::UInt(w) if *w > word_bits)
     }
 

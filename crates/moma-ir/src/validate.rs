@@ -3,7 +3,8 @@
 //! The validator enforces the width discipline that the paper's rules rely on: carries
 //! are flags, the two destinations of a widening addition are `[flag, word]`, the
 //! destinations of a widening multiplication are two words of the operand width, every
-//! variable is assigned before it is used, and parameters are never re-assigned.
+//! variable is assigned before it is used, parameters are never re-assigned, and no two
+//! variables share a name (the emitted C declares every variable once, by name).
 
 use crate::{Kernel, Op, Operand, Stmt, Ty, VarId};
 use std::collections::HashSet;
@@ -34,10 +35,18 @@ impl Error for ValidateError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ValidateError`] describing the first problem found: ill-typed operation,
-/// use of an undefined variable, re-assignment of a parameter, an output that is never
-/// assigned, or a constant that cannot fit its use site.
+/// Returns a [`ValidateError`] describing the first problem found: two variables with
+/// one name, ill-typed operation, use of an undefined variable, re-assignment of a
+/// parameter, an output that is never assigned, or a constant that cannot fit its use
+/// site.
 pub fn validate(kernel: &Kernel) -> Result<(), ValidateError> {
+    let mut names = HashSet::with_capacity(kernel.vars.len());
+    if let Some(var) = kernel.vars.iter().find(|v| !names.insert(v.name.as_str())) {
+        return Err(ValidateError {
+            stmt: None,
+            message: format!("two variables are named '{}'", var.name),
+        });
+    }
     let mut defined: HashSet<VarId> = kernel.params.iter().copied().collect();
     let param_set: HashSet<VarId> = kernel.params.iter().copied().collect();
 
@@ -432,6 +441,18 @@ mod tests {
         let _o = kb.output("o", Ty::UInt(64));
         let e = validate(&kb.build()).unwrap_err();
         assert!(e.to_string().contains("never assigned"));
+    }
+
+    #[test]
+    fn rejects_two_variables_with_one_name() {
+        let mut kb = KernelBuilder::new("bad");
+        let a = kb.param("a", Ty::UInt(64));
+        let t = kb.local("t", Ty::UInt(64));
+        let o = kb.output("t", Ty::UInt(64));
+        kb.push(vec![t], Op::Copy { src: a.into() });
+        kb.push(vec![o], Op::Copy { src: t.into() });
+        let e = validate(&kb.build()).unwrap_err();
+        assert_eq!(e.to_string(), "two variables are named 't'");
     }
 
     #[test]

@@ -31,22 +31,6 @@ impl<const L: usize> MpUint<L> {
         (MpUint { limbs: out }, carry != 0)
     }
 
-    /// Adds a carry bit (0 or 1) with carry-out.
-    #[inline]
-    pub fn add_carry_bit(&self, carry_in: bool) -> (Self, bool) {
-        let mut out = self.limbs;
-        let mut carry = carry_in as u64;
-        for limb in out.iter_mut() {
-            if carry == 0 {
-                break;
-            }
-            let (s, c) = limb.overflowing_add(carry);
-            *limb = s;
-            carry = c as u64;
-        }
-        (MpUint { limbs: out }, carry != 0)
-    }
-
     /// Wrapping addition (discards the final carry).
     #[inline]
     pub fn wrapping_add(&self, rhs: &Self) -> Self {
@@ -118,7 +102,7 @@ impl<const L: usize> MpUint<L> {
     }
 
     /// Widening multiplication using the Karatsuba algorithm (paper Equation 9) at the
-    /// top level with schoolbook leaves. See [`crate::karatsuba`].
+    /// top level with schoolbook leaves.
     #[inline]
     pub fn widening_mul_karatsuba(&self, rhs: &Self) -> (Self, Self) {
         let mut out = vec![0u64; 2 * L];
@@ -128,14 +112,6 @@ impl<const L: usize> MpUint<L> {
         lo.copy_from_slice(&out[..L]);
         hi.copy_from_slice(&out[L..]);
         (MpUint { limbs: lo }, MpUint { limbs: hi })
-    }
-
-    /// Widening multiplication with the default algorithm (schoolbook: at the paper's
-    /// bit-widths it is the faster choice on 64-bit CPUs for up to ~6 limbs, and the
-    /// cross-over is explored in the Figure 5b ablation).
-    #[inline]
-    pub fn widening_mul(&self, rhs: &Self) -> (Self, Self) {
-        self.widening_mul_schoolbook(rhs)
     }
 
     /// Truncated (low half) multiplication: `(self · rhs) mod 2^(64·L)`.
@@ -344,13 +320,12 @@ mod tests {
 
     #[test]
     fn widening_mul_matches_u128() {
-        let a = U64::from_u64(u64::MAX);
+        let a = crate::MpUint::<1>::from_u64(u64::MAX);
         let (lo, hi) = a.widening_mul_schoolbook(&a);
         let expected = u64::MAX as u128 * u64::MAX as u128;
         assert_eq!(lo.to_u64(), Some(expected as u64));
         assert_eq!(hi.to_u64(), Some((expected >> 64) as u64));
     }
-    use crate::U64;
 
     #[test]
     fn widening_mul_256() {
@@ -395,10 +370,10 @@ mod tests {
     #[test]
     fn add_carry_bit_propagates() {
         let a = U256::from_hex("ffffffffffffffffffffffffffffffff");
-        let (s, c) = a.add_carry_bit(true);
+        let (s, c) = a.overflowing_add(&U256::ONE);
         assert_eq!(s, U256::from_u64(1) << 128);
         assert!(!c);
-        let (s, c) = U256::MAX.add_carry_bit(true);
+        let (s, c) = U256::MAX.overflowing_add(&U256::ONE);
         assert!(s.is_zero());
         assert!(c);
     }

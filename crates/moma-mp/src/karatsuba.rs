@@ -6,10 +6,10 @@
 //! schoolbook leaves.
 
 /// Operand size (in limbs) below which schoolbook multiplication is used.
-pub const KARATSUBA_THRESHOLD: usize = 4;
+pub(crate) const KARATSUBA_THRESHOLD: usize = 4;
 
 /// Multiplies `a` and `b` (equal length `n`) into `out` (length `2n`), schoolbook.
-pub fn schoolbook_mul(a: &[u64], b: &[u64], out: &mut [u64]) {
+pub(crate) fn schoolbook_mul(a: &[u64], b: &[u64], out: &mut [u64]) {
     assert_eq!(a.len(), b.len());
     assert_eq!(out.len(), 2 * a.len());
     out.fill(0);
@@ -33,7 +33,7 @@ pub fn schoolbook_mul(a: &[u64], b: &[u64], out: &mut [u64]) {
 /// # Panics
 ///
 /// Panics if `a` and `b` have different lengths or `out` is not exactly twice as long.
-pub fn karatsuba_mul(a: &[u64], b: &[u64], out: &mut [u64]) {
+pub(crate) fn karatsuba_mul(a: &[u64], b: &[u64], out: &mut [u64]) {
     assert_eq!(a.len(), b.len());
     assert_eq!(out.len(), 2 * a.len());
     let n = a.len();
@@ -117,26 +117,6 @@ fn sub_from(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Operation counts for one double-word multiplication under each algorithm, as stated
-/// in the paper's §5.4: schoolbook uses 4 single-word multiplications and 6 additions,
-/// Karatsuba 3 multiplications and 12 additions/subtractions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MulOpCount {
-    /// Number of single-word multiplications.
-    pub muls: usize,
-    /// Number of single-word additions/subtractions (excluding carry propagation).
-    pub adds: usize,
-}
-
-/// Returns the paper's per-double-word-multiplication operation counts (§5.4).
-pub fn double_word_op_count(karatsuba: bool) -> MulOpCount {
-    if karatsuba {
-        MulOpCount { muls: 3, adds: 12 }
-    } else {
-        MulOpCount { muls: 4, adds: 6 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,12 +170,6 @@ mod tests {
         karatsuba_mul(&one, &b, &mut out);
         assert_eq!(&out[..8], &b[..]);
         assert!(out[8..].iter().all(|&x| x == 0));
-    }
-
-    #[test]
-    fn op_counts_match_paper() {
-        assert_eq!(double_word_op_count(false), MulOpCount { muls: 4, adds: 6 });
-        assert_eq!(double_word_op_count(true), MulOpCount { muls: 3, adds: 12 });
     }
 
     #[test]

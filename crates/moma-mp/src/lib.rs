@@ -4,9 +4,8 @@
 //! Rust, exactly the word-level algorithms that the MoMA rewrite system generates —
 //! the single-word kernels of the paper's Listing 1 ([`single`]), the multi-word
 //! carry/borrow chains and schoolbook/Karatsuba products of Listings 2–3 ([`MpUint`],
-//! [`karatsuba`]), and the multi-word Barrett modular multiplication of Listing 4
-//! ([`BarrettContext`]), plus the Montgomery path the paper mentions for full-width
-//! moduli ([`MontgomeryContext`]).
+//! [`MpUint::widening_mul_karatsuba`]), and the multi-word Barrett modular multiplication of Listing 4
+//! ([`BarrettContext`]), which [`ModRing`] wraps for moduli of up to `64·L − 4` bits.
 //!
 //! Where the paper's tool chain emits CUDA that `nvcc` compiles for a GPU, this crate
 //! is what that emitted code *computes*; the `moma-rewrite` crate generates the IR and
@@ -32,31 +31,28 @@
 
 mod arith;
 mod barrett;
-pub mod karatsuba;
+mod karatsuba;
 mod modring;
-mod montgomery;
 pub mod single;
 mod uint;
 
 pub use barrett::BarrettContext;
-pub use modring::{ModRing, Reduction};
-pub use montgomery::MontgomeryContext;
-pub use uint::{MpUint, U1024, U128, U192, U256, U320, U384, U448, U512, U576, U64, U640, U768};
+pub use modring::ModRing;
+pub use uint::{MpUint, U128, U256};
 
-/// Choice of multi-word multiplication algorithm (the paper's §5.4 ablation).
+/// Choice of multi-word multiplication algorithm (the paper's §5.4 ablation,
+/// Figure 5b): for the runtime library's products and for the rewrite system's
+/// splitting of a widening multiplication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MulAlgorithm {
     /// Schoolbook multiplication: 4 single-word multiplications and 6 additions per
-    /// double-word product (paper Equation 8).
+    /// double-word product (paper Equation 8, rule (28)).
     #[default]
     Schoolbook,
     /// Karatsuba multiplication: 3 single-word multiplications and 12
     /// additions/subtractions per double-word product (paper Equation 9).
     Karatsuba,
 }
-
-/// Supported input bit-widths for the paper's evaluation (Figures 2–5).
-pub const EVALUATED_BIT_WIDTHS: [u32; 8] = [128, 192, 256, 320, 384, 512, 768, 1024];
 
 /// Returns the number of 64-bit limbs needed for a value of `bits` bits.
 ///

@@ -1,47 +1,30 @@
-//! A unified modular-ring context over [`MpUint`] elements.
+//! A modular-ring context over [`MpUint`] elements.
 //!
-//! [`ModRing`] bundles a modulus with a reduction strategy (Barrett by default,
-//! Montgomery for full-width moduli) and exposes the exact operation set a
-//! cryptographic kernel needs: `add`, `sub`, `mul`, `pow`, `inv`, plus element
-//! sampling. The NTT and BLAS crates are generic over the limb count `L` and use this
-//! context for every butterfly / element operation.
+//! [`ModRing`] bundles a modulus with its Barrett reduction and exposes the exact
+//! operation set a cryptographic kernel needs: `add`, `sub`, `mul`, `pow`, `inv`, plus
+//! element sampling. The NTT and BLAS crates are generic over the limb count `L` and
+//! use this context for every butterfly / element operation.
 
-use crate::montgomery::inv_mod_2_64;
-use crate::{BarrettContext, MontgomeryContext, MpUint, MulAlgorithm};
+use crate::{BarrettContext, MpUint, MulAlgorithm};
 use rand::Rng;
 
-/// Reduction strategy used by a [`ModRing`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Reduction {
-    /// Barrett reduction (paper default; modulus of at most `64·L − 4` bits).
-    Barrett,
-    /// Montgomery multiplication (odd modulus of up to the full width). Values are kept
-    /// in standard form; conversion happens inside each multiplication.
-    Montgomery,
-}
-
-/// A modular ring `Z_q` over `L`-limb elements.
+/// A modular ring `Z_q` over `L`-limb elements, for a modulus of at most `64·L − 4`
+/// bits (the paper's `k − 4`-bit convention).
 ///
 /// # Example
 ///
 /// ```
 /// use moma_mp::{ModRing, U128};
 ///
-/// let q = U128::from_hex("ffffffffffffffffffffffffffffff61");
-/// let ring = ModRing::new_montgomery(q);
+/// let q = U128::from_hex("fffffffffffffffffffffffffffff61"); // 124 bits
+/// let ring = ModRing::new(q);
 /// let a = U128::from_u64(10);
 /// let b = U128::from_u64(32);
 /// assert_eq!(ring.mul(a, b), U128::from_u64(320));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModRing<const L: usize> {
-    reduction: ReductionImpl<L>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReductionImpl<const L: usize> {
-    Barrett(BarrettContext<L>),
-    Montgomery(MontgomeryContext<L>),
+    barrett: BarrettContext<L>,
 }
 
 impl<const L: usize> ModRing<L> {
@@ -52,38 +35,21 @@ impl<const L: usize> ModRing<L> {
     /// Panics if the modulus has more than `64·L − 4` bits (see [`BarrettContext::new`]).
     pub fn new(q: MpUint<L>) -> Self {
         ModRing {
-            reduction: ReductionImpl::Barrett(BarrettContext::new(q)),
+            barrett: BarrettContext::new(q),
         }
     }
 
     /// Creates a ring with Barrett reduction and an explicit multiplication algorithm.
     pub fn with_mul_algorithm(q: MpUint<L>, alg: MulAlgorithm) -> Self {
         ModRing {
-            reduction: ReductionImpl::Barrett(BarrettContext::with_algorithm(q, alg)),
-        }
-    }
-
-    /// Creates a ring with Montgomery reduction (odd modulus, full width allowed).
-    pub fn new_montgomery(q: MpUint<L>) -> Self {
-        ModRing {
-            reduction: ReductionImpl::Montgomery(MontgomeryContext::new(q)),
+            barrett: BarrettContext::with_algorithm(q, alg),
         }
     }
 
     /// The modulus `q`.
+    #[inline]
     pub fn modulus(&self) -> MpUint<L> {
-        match &self.reduction {
-            ReductionImpl::Barrett(b) => b.q,
-            ReductionImpl::Montgomery(m) => m.q,
-        }
-    }
-
-    /// The reduction strategy in use.
-    pub fn reduction(&self) -> Reduction {
-        match &self.reduction {
-            ReductionImpl::Barrett(_) => Reduction::Barrett,
-            ReductionImpl::Montgomery(_) => Reduction::Montgomery,
-        }
+        self.barrett.q
     }
 
     /// Modular addition of reduced elements.
@@ -115,10 +81,7 @@ impl<const L: usize> ModRing<L> {
     /// Modular multiplication of reduced elements.
     #[inline]
     pub fn mul(&self, a: MpUint<L>, b: MpUint<L>) -> MpUint<L> {
-        match &self.reduction {
-            ReductionImpl::Barrett(ctx) => ctx.mul_mod(a, b),
-            ReductionImpl::Montgomery(ctx) => ctx.mul_mod(a, b),
-        }
+        self.barrett.mul_mod(a, b)
     }
 
     /// Precomputes the Shoup quotient `⌊w · 2^(64·L) / q⌋` for a fixed
@@ -179,8 +142,7 @@ impl<const L: usize> ModRing<L> {
     ///
     /// One fixed-shape high product and two low products — no shift, no
     /// comparison, no correction. The result is computed modulo `β`, so the ring
-    /// needs `2q ≤ β` (every Barrett ring has it; a full-width Montgomery ring
-    /// does not).
+    /// needs `2q ≤ β`, which a modulus of at most `64·L − 4` bits leaves with room.
     #[inline]
     pub fn mul_mod_shoup_lazy(&self, y: MpUint<L>, w: MpUint<L>, w_shoup: MpUint<L>) -> MpUint<L> {
         let q = self.modulus();
@@ -224,7 +186,7 @@ impl<const L: usize> ModRing<L> {
     /// Reduces an arbitrary value into `[0, q)` (setup-time helper).
     pub fn reduce(&self, x: MpUint<L>) -> MpUint<L> {
         let q = self.modulus();
-        // Binary reduction identical to BarrettContext::reduce_full, valid for any q.
+        // Binary reduction identical to BarrettContext::reduce_full.
         let mut x = x;
         if x < q {
             return x;
@@ -270,6 +232,17 @@ impl<const L: usize> ModRing<L> {
     }
 }
 
+/// Inverse of an odd `x` modulo 2^64 by Newton iteration.
+fn inv_mod_2_64(x: u64) -> u64 {
+    debug_assert!(x & 1 == 1);
+    let mut inv = x; // correct to 3 bits
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(x.wrapping_mul(inv)));
+    }
+    debug_assert_eq!(x.wrapping_mul(inv), 1);
+    inv
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,27 +273,19 @@ mod tests {
     }
 
     #[test]
-    fn barrett_and_montgomery_agree() {
-        // Odd 124-bit modulus works for both reductions at L = 2.
-        let q = U128::from_hex("fffffffffffffffffffffffffffff61");
-        let barrett = ModRing::new(q);
-        let mont = ModRing::new_montgomery(q);
-        assert_eq!(barrett.reduction(), Reduction::Barrett);
-        assert_eq!(mont.reduction(), Reduction::Montgomery);
-        let mut rng = StdRng::seed_from_u64(12);
-        for _ in 0..50 {
-            let a = barrett.random_element(&mut rng);
-            let b = barrett.random_element(&mut rng);
-            assert_eq!(barrett.mul(a, b), mont.mul(a, b));
-            assert_eq!(barrett.add(a, b), mont.add(a, b));
+    fn limb_inverse() {
+        for x in [1u64, 3, 0xdeadbeef | 1, u64::MAX] {
+            assert_eq!(x.wrapping_mul(inv_mod_2_64(x)), 1);
         }
     }
 
     #[test]
     fn pow_and_inv() {
-        // 2^255 - 19 with Montgomery (full-width modulus).
-        let q = U256::from_hex("7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed");
-        let ring = ModRing::new_montgomery(q);
+        // The 256-bit kernels' 252-bit evaluation prime, the widest Barrett
+        // modulus at L = 4.
+        let q = U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffe200000001");
+        assert_eq!(q.bits(), 252);
+        let ring = ModRing::new(q);
         let mut rng = StdRng::seed_from_u64(13);
         let a = ring.random_element(&mut rng);
         let inv = ring.inv(a);
@@ -328,6 +293,10 @@ mod tests {
         assert_eq!(ring.pow(a, &U256::ZERO), U256::ONE);
         assert_eq!(ring.pow(a, &U256::ONE), a);
         assert_eq!(ring.pow(a, &U256::from_u64(2)), ring.mul(a, a));
+        // Fermat, and (q − 1)² = 1 at the top of the range.
+        let minus_one = q.wrapping_sub(&U256::ONE);
+        assert_eq!(ring.pow(a, &minus_one), U256::ONE);
+        assert_eq!(ring.mul(minus_one, minus_one), U256::ONE);
     }
 
     #[test]

@@ -267,24 +267,6 @@ impl SingleBarrett {
     }
 }
 
-/// Widening single-word addition (paper `_sadd`): returns the full 128-bit sum.
-#[inline]
-pub fn sadd(a: u64, b: u64) -> u128 {
-    a as u128 + b as u128
-}
-
-/// Wrapping single-word subtraction (paper `_ssub`).
-#[inline]
-pub fn ssub(a: u64, b: u64) -> u64 {
-    a.wrapping_sub(b)
-}
-
-/// Widening single-word multiplication (paper `_smul`): returns the full 128-bit product.
-#[inline]
-pub fn smul(a: u64, b: u64) -> u128 {
-    a as u128 * b as u128
-}
-
 /// Widening single-word multiply-accumulate: `acc + a · b` in the full 128-bit
 /// accumulator — the inner step of sum-of-products reductions (RNS base
 /// extension accumulates one of these per source modulus, then reduces once via
@@ -433,9 +415,6 @@ mod tests {
 
     #[test]
     fn widening_helpers() {
-        assert_eq!(sadd(u64::MAX, u64::MAX), 2 * (u64::MAX as u128));
-        assert_eq!(ssub(3, 5), 3u64.wrapping_sub(5));
-        assert_eq!(smul(u64::MAX, 2), (u64::MAX as u128) * 2);
         assert_eq!(smac(10, 3, 4), 22);
         assert_eq!(
             smac(1 << 60, u64::MAX, u64::MAX),

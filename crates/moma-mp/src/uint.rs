@@ -25,30 +25,10 @@ pub struct MpUint<const L: usize> {
     pub(crate) limbs: [u64; L],
 }
 
-/// 64-bit value (one limb) — the machine word itself.
-pub type U64 = MpUint<1>;
 /// 128-bit value (two limbs).
 pub type U128 = MpUint<2>;
-/// 192-bit value (three limbs).
-pub type U192 = MpUint<3>;
 /// 256-bit value (four limbs).
 pub type U256 = MpUint<4>;
-/// 320-bit value (five limbs).
-pub type U320 = MpUint<5>;
-/// 384-bit value (six limbs).
-pub type U384 = MpUint<6>;
-/// 448-bit value (seven limbs).
-pub type U448 = MpUint<7>;
-/// 512-bit value (eight limbs).
-pub type U512 = MpUint<8>;
-/// 576-bit value (nine limbs).
-pub type U576 = MpUint<9>;
-/// 640-bit value (ten limbs).
-pub type U640 = MpUint<10>;
-/// 768-bit value (twelve limbs).
-pub type U768 = MpUint<12>;
-/// 1,024-bit value (sixteen limbs).
-pub type U1024 = MpUint<16>;
 
 impl<const L: usize> MpUint<L> {
     /// The value zero.

@@ -3,7 +3,7 @@
 
 use moma_bignum::BigUint;
 use moma_mp::single::{smac, SingleBarrett};
-use moma_mp::{BarrettContext, ModRing, MontgomeryContext, MpUint, MulAlgorithm};
+use moma_mp::{BarrettContext, ModRing, MpUint, MulAlgorithm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,12 +30,11 @@ fn check_ring_ops<const L: usize>(a: MpUint<L>, b: MpUint<L>, q: MpUint<L>) {
         let mut limbs = *q.limbs();
         limbs[L - 1] |= 1 << 58; // ensure high-ish bit so q has ~64L-5..64L-4 bits
         limbs[L - 1] &= (1 << 60) - 1; // keep at most 64L-4 bits
-        limbs[0] |= 1; // odd, so the Montgomery path is valid too
+        limbs[0] |= 1; // odd, as word-at-a-time Shoup quotients need
         MpUint::from_limbs(limbs)
     };
     let barrett = BarrettContext::new(q);
     let karatsuba = BarrettContext::with_algorithm(q, MulAlgorithm::Karatsuba);
-    let montgomery = MontgomeryContext::new(q);
     let ring = ModRing::new(q);
     let q_big = to_big(&q);
 
@@ -64,11 +63,10 @@ fn check_ring_ops<const L: usize>(a: MpUint<L>, b: MpUint<L>, q: MpUint<L>) {
     );
     assert_eq!(to_big(&ring.add(a, b)), a_big.mod_add(&b_big, &q_big));
 
-    // Multiplication, all three strategies.
+    // Multiplication, both strategies.
     let expected_mul = a_big.mod_mul(&b_big, &q_big);
     assert_eq!(to_big(&barrett.mul_mod(a, b)), expected_mul);
     assert_eq!(to_big(&karatsuba.mul_mod(a, b)), expected_mul);
-    assert_eq!(to_big(&montgomery.mul_mod(a, b)), expected_mul);
 
     // Widening multiplication against the oracle's full product.
     let (lo, hi) = a.widening_mul_schoolbook(&b);
@@ -193,8 +191,17 @@ fn check_shoup_quotients<const L: usize>(ring: ModRing<L>, rng: &mut StdRng) {
     }
 }
 
+/// The widest modulus a Barrett ring takes at `L` words, `2^(64·L − 4) − 1`.
+fn widest_ring<const L: usize>() -> ModRing<L> {
+    ModRing::new(
+        MpUint::ONE
+            .shl_bits(64 * L as u32 - 4)
+            .wrapping_sub(&MpUint::ONE),
+    )
+}
+
 /// Every evaluation modulus that fits `L = 2, 4, 8, 16` words in a Barrett
-/// ring, and the full-width Montgomery ring over `2^127 − 1`.
+/// ring, and the widest Barrett modulus at each of those `L`.
 #[test]
 fn shoup_quotients_match_the_oracle() {
     let mut rng = StdRng::seed_from_u64(44);
@@ -210,8 +217,10 @@ fn shoup_quotients_match_the_oracle() {
         }
         check_shoup_quotients(ModRing::<16>::new(MpUint::from_hex(hex)), &mut rng);
     }
-    let mersenne = MpUint::<2>::from_hex("7fffffffffffffffffffffffffffffff");
-    check_shoup_quotients(ModRing::new_montgomery(mersenne), &mut rng);
+    check_shoup_quotients(widest_ring::<2>(), &mut rng);
+    check_shoup_quotients(widest_ring::<4>(), &mut rng);
+    check_shoup_quotients(widest_ring::<8>(), &mut rng);
+    check_shoup_quotients(widest_ring::<16>(), &mut rng);
 }
 
 proptest! {

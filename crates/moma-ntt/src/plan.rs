@@ -490,10 +490,11 @@ impl<const L: usize> Plan<MpUint<L>> {
     ///
     /// Panics unless `4q < 2^(64·L)`, i.e. the modulus leaves two bits of
     /// headroom in its `L` words. The lazy butterflies keep values in `[0, 4q)`
-    /// between stages; `params.ring` is a public field and a full-width
-    /// Montgomery ring can be put there, so this is a real `assert!` where the
-    /// lazy discipline is entered (as in [`NttPlan64::from_ntt`]) — a violation
-    /// in a release build would silently wrap the butterfly arithmetic.
+    /// between stages. Every [`ModRing`] today holds a modulus of at most
+    /// `64·L − 4` bits, but the plan does not inherit its headroom from that:
+    /// this is a real `assert!` where the lazy discipline is entered (as in
+    /// [`NttPlan64::from_ntt`]) — a violation in a release build would silently
+    /// wrap the butterfly arithmetic.
     pub fn new(params: &NttParams<L>) -> Self {
         let q = params.ring.modulus();
         assert!(
@@ -816,20 +817,6 @@ mod tests {
         check::<4>(256, 32);
         check::<6>(384, 16);
         check::<16>(1024, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "q < 2^126")]
-    fn plan_rejects_moduli_without_lazy_headroom() {
-        // `NttParams`' fields are public, so a full-width Montgomery ring can be
-        // put where the constructors only ever put a (64L − 4)-bit Barrett one.
-        // The plan must not inherit its [0, 4q) headroom from its callers.
-        let good = NttParams::<2>::for_paper_modulus(4, 128, MulAlgorithm::Schoolbook);
-        let forged = NttParams {
-            ring: ModRing::new_montgomery(MpUint::from_hex("7fffffffffffffffffffffffffffffff")),
-            ..good
-        };
-        NttPlan::new(&forged);
     }
 
     /// The evaluation moduli have exactly `64L − 4` bits: `4q` fits with two bits

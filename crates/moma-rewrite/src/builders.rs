@@ -5,7 +5,7 @@
 //! the bookkeeping the lowering pipeline needs (the actual value width, so that the
 //! zero-pruning optimization of §4 can remove the operations on known-zero words).
 
-use moma_ir::{Kernel, KernelBuilder, Op, Ty, VarId};
+use moma_ir::{Kernel, KernelBuilder, Op, Ty};
 
 /// The cryptographic kernels the paper evaluates (Figures 2–5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -236,15 +236,6 @@ pub fn build(spec: &KernelSpec) -> HighLevelKernel {
     }
 }
 
-/// Convenience accessor: the parameter ids of a built kernel, by name.
-pub fn param_by_name(kernel: &Kernel, name: &str) -> Option<VarId> {
-    kernel
-        .params
-        .iter()
-        .copied()
-        .find(|p| kernel.var(*p).name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,8 +274,10 @@ mod tests {
     #[test]
     fn param_lookup() {
         let hl = build(&KernelSpec::new(KernelOp::ModAdd, 128));
-        assert!(param_by_name(&hl.kernel, "q").is_some());
-        assert!(param_by_name(&hl.kernel, "nonexistent").is_none());
+        let kernel = &hl.kernel;
+        let has_param = |name: &str| kernel.params.iter().any(|p| kernel.var(*p).name == name);
+        assert!(has_param("q"));
+        assert!(!has_param("nonexistent"));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub(crate) fn fresh(kernel: &mut Kernel, prefix: &str, ty: Ty) -> VarId {
 ///
 /// Statements that are already mid-level are kept unchanged. The output contains no
 /// `AddMod`, `SubMod`, `MulModBarrett`, or `MulAddMod` statements.
-pub fn expand_modular_ops(kernel: &Kernel) -> Kernel {
+pub(crate) fn expand_modular_ops(kernel: &Kernel) -> Kernel {
     let mut out = kernel.clone();
     let body = std::mem::take(&mut out.body);
     let mut new_body = Vec::with_capacity(body.len() * 8);

@@ -10,7 +10,7 @@
 //! 1. **Kernel builders** ([`builders`]) produce the high-level kernels the evaluation
 //!    uses — modular addition/subtraction/multiplication, the NTT butterfly, and the
 //!    BLAS `axpy` element — as single high-level operations over `UInt(λ)`.
-//! 2. **Expansion** ([`expand`]) rewrites each high-level modular operation at its
+//! 2. **Expansion** (the private `expand` module) rewrites each high-level modular operation at its
 //!    native width into the mid-level operations of Table 1's right-hand sides:
 //!    widening adds with explicit carries, widening multiplies, comparisons, conditional
 //!    selects, and constant multi-word shifts (the Barrett sequence of Listing 4).
@@ -44,7 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod builders;
-pub mod expand;
+mod expand;
 mod fuse;
 pub mod passes;
 pub mod rules;
@@ -54,17 +54,9 @@ mod driver;
 
 pub use builders::{HighLevelKernel, KernelOp, KernelSpec};
 pub use driver::{lower, lower_with_trace, Lowered, StageInfo};
-
-/// Choice of multiplication algorithm used when splitting a widening multiplication
-/// (the paper's §5.4 ablation, Figure 5b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MulAlgorithm {
-    /// Schoolbook: 4 half-width multiplications per product (Equation 8, rule (28)).
-    #[default]
-    Schoolbook,
-    /// Karatsuba: 3 half-width multiplications plus extra additions (Equation 9).
-    Karatsuba,
-}
+/// The multiplication rule used when splitting a widening multiplication: the
+/// runtime library's choice, so a lowering and a runtime ring name it alike.
+pub use moma_mp::MulAlgorithm;
 
 /// Configuration of the lowering pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,10 +66,6 @@ pub struct LoweringConfig {
     pub word_bits: u32,
     /// Multiplication splitting rule.
     pub mul_algorithm: MulAlgorithm,
-    /// Apply the zero-pruning optimization for padded (non-power-of-two) input widths.
-    pub prune_zeros: bool,
-    /// Run constant folding / copy propagation / dead-code elimination after lowering.
-    pub simplify: bool,
 }
 
 impl Default for LoweringConfig {
@@ -85,14 +73,12 @@ impl Default for LoweringConfig {
         LoweringConfig {
             word_bits: 64,
             mul_algorithm: MulAlgorithm::Schoolbook,
-            prune_zeros: true,
-            simplify: true,
         }
     }
 }
 
 impl LoweringConfig {
-    /// A configuration for the given machine word width with all optimizations on.
+    /// A configuration for the given machine word width.
     pub fn for_word_bits(word_bits: u32) -> Self {
         assert!(
             word_bits.is_power_of_two() && (16..=64).contains(&word_bits),

@@ -1,7 +1,7 @@
 //! The core rewrite rules of the paper's Table 1, as reportable metadata.
 //!
-//! The executable implementation of each rule lives in [`crate::expand`] and the
-//! private `split` module; this module carries the human-readable form so that the
+//! The executable implementation of each rule lives in the private `expand` and
+//! `split` modules; this module carries the human-readable form so that the
 //! benchmark harness can regenerate Table 1 (`reproduce --table 1`) and so that tests
 //! can assert a one-to-one correspondence between the table and the implementation.
 

@@ -50,17 +50,21 @@ struct Splitter {
 }
 
 impl Splitter {
-    /// A new variable named `{prefix}_{n}`, `n` counting the step's fresh variables;
-    /// the name is written digit by digit into a string of its final size.
+    /// A new variable named `{prefix}_{half}_{n}`, `n` counting the step's fresh
+    /// variables. Every step halves the width, so no two steps share a `half` and
+    /// the name is unique in the kernel. It is written digit by digit into a
+    /// string of its final size.
     fn fresh(&mut self, prefix: &str, ty: Ty) -> VarId {
         self.fresh_counter += 1;
-        let n = self.fresh_counter;
-        let digits = n.ilog10() + 1;
-        let mut name = String::with_capacity(prefix.len() + 1 + digits as usize);
+        let (half, n) = (self.half as usize, self.fresh_counter);
+        let (half_digits, n_digits) = (half.ilog10() + 1, n.ilog10() + 1);
+        let mut name = String::with_capacity(prefix.len() + 2 + (half_digits + n_digits) as usize);
         name.push_str(prefix);
-        name.push('_');
-        for place in (0..digits).rev() {
-            name.push(char::from(b'0' + (n / 10usize.pow(place) % 10) as u8));
+        for (value, digits) in [(half, half_digits), (n, n_digits)] {
+            name.push('_');
+            for place in (0..digits).rev() {
+                name.push(char::from(b'0' + (value / 10usize.pow(place) % 10) as u8));
+            }
         }
         let id = VarId(self.out.vars.len());
         self.out.vars.push(Var { name, ty });

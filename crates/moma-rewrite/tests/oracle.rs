@@ -101,7 +101,6 @@ fn check(op: KernelOp, bits: u32, word_bits: u32, alg: MulAlgorithm, a: &BigUint
     let config = LoweringConfig {
         word_bits,
         mul_algorithm: alg,
-        ..LoweringConfig::default()
     };
     let lowered = lower(&hl, &config);
     let kernel = &lowered.kernel;

@@ -141,7 +141,7 @@ pub enum WorkItem {
 impl WorkItem {
     /// A stable, human-readable name for the kind of batch this item rides in
     /// — the context [`ServeError::Internal`] preserves when a batch fails.
-    pub fn kind_name(&self) -> &'static str {
+    fn kind_name(&self) -> &'static str {
         match self {
             WorkItem::NttForward { .. } => "ntt_forward",
             WorkItem::NttInverse { .. } => "ntt_inverse",
@@ -195,7 +195,8 @@ pub enum ServeError {
     /// The batch execution failed (a panic, or an injected spurious failure),
     /// with the batch context preserved.
     Internal {
-        /// Which kind of batch failed (see [`WorkItem::kind_name`]).
+        /// Which kind of batch failed: `ntt_forward`, `ntt_inverse`,
+        /// `rns_mul_rescale_extend` or `ladder_step`.
         kind: &'static str,
         /// How many requests the failed batch carried.
         batch_size: usize,

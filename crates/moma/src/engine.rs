@@ -11,7 +11,7 @@
 //!   in for the paper's H100 / RTX 4090 / V100 measurements.
 //!
 //! The estimation entry points live on [`crate::Session`]
-//! ([`crate::Session::butterfly_op_counts`], [`crate::Session::blas_op_counts`],
+//! ([`crate::Session::butterfly_op_counts`],
 //! [`crate::Session::modelled_ntt_ns_per_butterfly`],
 //! [`crate::Session::modelled_blas_ns_per_element`],
 //! [`crate::Session::ntt_series`]) — they compile each kernel once and share it

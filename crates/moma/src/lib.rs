@@ -89,9 +89,3 @@ pub use moma_rewrite as rewrite;
 pub use moma_ring as ring;
 /// Re-export of the RNS (GRNS stand-in) crate.
 pub use moma_rns as rns;
-
-/// The input bit-widths evaluated in the paper's BLAS figures (Figure 2).
-pub const BLAS_BIT_WIDTHS: [u32; 4] = [128, 256, 512, 1024];
-
-/// The input bit-widths evaluated in the paper's NTT figures (Figure 3).
-pub const NTT_BIT_WIDTHS: [u32; 4] = [128, 256, 384, 768];

@@ -204,18 +204,10 @@ pub const BLAS_GRNS: [BlasReference; 4] = [
 pub mod claims {
     /// MoMA vs ICICLE, 256-bit NTT, average over all sizes (×).
     pub const NTT_256_VS_ICICLE: f64 = 13.0;
-    /// MoMA vs ICICLE, 384-bit NTT, average over all sizes (×).
-    pub const NTT_384_VS_ICICLE: f64 = 4.8;
     /// Minimum MoMA speedup over GMP/GRNS across all BLAS ops and widths (×).
     pub const BLAS_MIN_SPEEDUP: f64 = 13.0;
-    /// Minimum MoMA speedup over GRNS for addition/subtraction (×).
-    pub const BLAS_ADDSUB_VS_GRNS: f64 = 31.0;
     /// Minimum MoMA speedup over GMP for addition/subtraction (×).
     pub const BLAS_ADDSUB_VS_GMP: f64 = 527.0;
-    /// Karatsuba vs schoolbook at 128 bits (×, Figure 5b).
-    pub const KARATSUBA_128_SPEEDUP: f64 = 2.1;
-    /// Schoolbook vs Karatsuba at 768 bits (×, Figure 5b).
-    pub const SCHOOLBOOK_768_SPEEDUP: f64 = 1.6;
 }
 
 #[cfg(test)]

@@ -525,7 +525,7 @@ impl Session {
 
     /// Word-level operation counts of one generated BLAS element kernel
     /// (cached).
-    pub fn blas_op_counts(&self, op: KernelOp, bits: u32, alg: MulAlgorithm) -> OpCounts {
+    fn blas_op_counts(&self, op: KernelOp, bits: u32, alg: MulAlgorithm) -> OpCounts {
         self.compile_with_algorithm(&KernelSpec::new(op, bits), alg)
             .op_counts
             .clone()
@@ -645,10 +645,7 @@ impl Session {
     ///
     /// Panics under the [`moma_ntt::NttParams::for_paper_modulus`] conditions.
     pub fn ntt_multiword<const L: usize>(&self, bits: u32, n: usize) -> Arc<NttPlan<L>> {
-        let alg = match self.state.compiler.config.mul_algorithm {
-            MulAlgorithm::Schoolbook => moma_mp::MulAlgorithm::Schoolbook,
-            MulAlgorithm::Karatsuba => moma_mp::MulAlgorithm::Karatsuba,
-        };
+        let alg = self.state.compiler.config.mul_algorithm;
         let plan = self.state.ntt_mw.get_or_build((L as u32, bits, n), || {
             Arc::new(NttPlan::<L>::for_paper_modulus(n, bits, alg))
         });
