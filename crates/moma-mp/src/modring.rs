@@ -279,13 +279,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pow_and_inv() {
-        // The 256-bit kernels' 252-bit evaluation prime, the widest Barrett
-        // modulus at L = 4.
+    /// The 256-bit kernels' 252-bit evaluation prime, the widest Barrett
+    /// modulus at L = 4.
+    fn prime_252() -> U256 {
         let q = U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffe200000001");
         assert_eq!(q.bits(), 252);
-        let ring = ModRing::new(q);
+        q
+    }
+
+    #[test]
+    fn pow_and_inv() {
+        let ring = ModRing::new(prime_252());
         let mut rng = StdRng::seed_from_u64(13);
         let a = ring.random_element(&mut rng);
         let inv = ring.inv(a);
@@ -293,10 +297,31 @@ mod tests {
         assert_eq!(ring.pow(a, &U256::ZERO), U256::ONE);
         assert_eq!(ring.pow(a, &U256::ONE), a);
         assert_eq!(ring.pow(a, &U256::from_u64(2)), ring.mul(a, a));
-        // Fermat, and (q − 1)² = 1 at the top of the range.
-        let minus_one = q.wrapping_sub(&U256::ONE);
-        assert_eq!(ring.pow(a, &minus_one), U256::ONE);
-        assert_eq!(ring.mul(minus_one, minus_one), U256::ONE);
+    }
+
+    #[test]
+    fn fermat_on_252_bit_prime() {
+        let q = prime_252();
+        let ring = ModRing::new(q);
+        // a^(q-1) = 1 for a fixed and a random unit.
+        let exp = q.wrapping_sub(&U256::ONE);
+        let fixed = U256::from_hex("123456789abcdef0123456789abcdef0");
+        assert_eq!(ring.pow(fixed, &exp), U256::ONE);
+        let mut rng = StdRng::seed_from_u64(15);
+        let a = ring.random_element(&mut rng);
+        assert_eq!(ring.pow(a, &exp), U256::ONE);
+    }
+
+    #[test]
+    fn wraparound_operands() {
+        // (q-1)^2 mod q = 1 at the top of the range, for both widths.
+        let ring = barrett_ring();
+        let a = ring.modulus().wrapping_sub(&U128::ONE);
+        assert_eq!(ring.mul(a, a), U128::ONE);
+        let q = prime_252();
+        let ring = ModRing::new(q);
+        let a = q.wrapping_sub(&U256::ONE);
+        assert_eq!(ring.mul(a, a), U256::ONE);
     }
 
     #[test]
