@@ -370,10 +370,6 @@ mod tests {
         fused.record(&Op::MacReduceMod {
             pairs: vec![(Operand::Const(1), Operand::Const(1)); k],
             q: 97,
-            mu: 0,
-            mbits: 7,
-            radix: 0,
-            recip: 0,
         });
         let chain_cost = w.weigh(&chain);
         let fused_cost = w.weigh(&fused);

@@ -4,7 +4,7 @@
 //! Neither the GPUs nor the CUDA toolchain are available in this reproduction, so this
 //! crate provides the closest synthetic equivalent that exercises the same code paths:
 //!
-//! * [`device`] — device models for the H100, RTX 4090, and V100 with the Table 2
+//! * [`DeviceSpec`] — device models for the H100, RTX 4090, and V100 with the Table 2
 //!   specifications plus the public architectural figures the cost model needs;
 //! * [`launch`] — a data-parallel batch launcher that executes one virtual CUDA thread
 //!   per element on a host thread pool, one entry point per launch shape (used both
@@ -30,7 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod device;
+mod device;
 pub mod launch;
 mod native;
 pub mod pool;

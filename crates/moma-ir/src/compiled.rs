@@ -34,6 +34,7 @@
 use crate::cost::{static_counts, OpCounts};
 use crate::interp::{InterpError, RunResult};
 use crate::{Kernel, Op, Operand, VarId};
+use moma_mp::single::SingleBarrett;
 
 /// A bytecode operand: a register slot index.
 ///
@@ -152,21 +153,17 @@ enum Code {
 /// The accumulation-loop payload, boxed like [`ShrOp`] so the variadic variant does
 /// not inflate every [`Code`] instruction.
 ///
-/// The reduction constants are *re-derived from the modulus at compile time* (not
-/// taken from the kernel), so the division-free closing reduction below is exact —
-/// `reduce_wide(t) == t mod q` — for any kernel that register-allocates, validated
-/// or not. `recip == 0` is the sentinel for moduli outside the single-word Barrett
-/// domain (q < 2 or wider than 60 bits); execution falls back to an exact `u128 %`
-/// for those.
+/// The closing reduction is [`SingleBarrett::reduce_wide`], built from the modulus
+/// at compile time, so execution is exact — `== Σaᵢbᵢ mod q` — for any kernel that
+/// register-allocates, validated or not. `barrett` is `None` for moduli outside
+/// the single-word Barrett domain (`q < 2` or wider than 60 bits); execution falls
+/// back to an exact `u128 %` for those.
 #[derive(Debug, Clone)]
 struct MacReduceOp {
     d: Dst,
     pairs: Vec<(Src, Src)>,
     q: u64,
-    mu: u64,
-    mbits: u32,
-    radix: u64,
-    recip: u64,
+    barrett: Option<SingleBarrett>,
 }
 
 /// Number of elements [`CompiledKernel::run_lanes`] executes in lock-step. Sized
@@ -378,23 +375,12 @@ impl CompiledKernel {
                     c: src(*c),
                     q: src(*q),
                 },
-                Op::MacReduceMod { pairs, q, .. } => {
-                    // Re-derive the reduction constants from the modulus rather
-                    // than trusting the kernel's copies: execution stays exact
-                    // (`== Σaᵢbᵢ mod q`) even for kernels that never went through
-                    // the validator. recip == 0 flags moduli outside the
-                    // single-word Barrett domain; execution falls back to `u128 %`.
-                    let (mu, mbits, radix, recip) = barrett_constants(*q);
-                    Code::MacReduceMod(Box::new(MacReduceOp {
-                        d: dst(stmt.dsts[0]),
-                        pairs: pairs.iter().map(|(a, b)| (src(*a), src(*b))).collect(),
-                        q: *q,
-                        mu,
-                        mbits,
-                        radix,
-                        recip,
-                    }))
-                }
+                Op::MacReduceMod { pairs, q } => Code::MacReduceMod(Box::new(MacReduceOp {
+                    d: dst(stmt.dsts[0]),
+                    pairs: pairs.iter().map(|(a, b)| (src(*a), src(*b))).collect(),
+                    q: *q,
+                    barrett: (2..1 << 60).contains(q).then(|| SingleBarrett::new(*q)),
+                })),
             });
         }
 
@@ -875,13 +861,18 @@ impl CompiledKernel {
                         }
                     }
                     let db = op.d.reg as usize * B;
-                    for (&acc, dst) in accs[..n].iter().zip(&mut regs[db..db + n]) {
-                        let v = if op.recip != 0 {
-                            reduce_wide(acc, op)
-                        } else {
-                            (acc % op.q as u128) as u64
-                        };
-                        *dst = v & op.d.mask;
+                    let lanes = accs[..n].iter().zip(&mut regs[db..db + n]);
+                    match &op.barrett {
+                        Some(barrett) => {
+                            for (&acc, dst) in lanes {
+                                *dst = barrett.reduce_wide(acc) & op.d.mask;
+                            }
+                        }
+                        None => {
+                            for (&acc, dst) in lanes {
+                                *dst = (acc % op.q as u128) as u64 & op.d.mask;
+                            }
+                        }
                     }
                 }
             }
@@ -895,73 +886,6 @@ fn next_kernel_id() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Derives the single-word Barrett constants for `q`, exactly as
-/// `moma_mp::SingleBarrett::new` does: `mu = ⌊2^(2·mbits+3)/q⌋`,
-/// `radix = 2^64 mod q`, `recip = ⌊2^64/q⌋`. Returns `recip == 0` when `q` is
-/// outside the domain (q < 2 or wider than 60 bits), signalling the `%` fallback.
-fn barrett_constants(q: u64) -> (u64, u32, u64, u64) {
-    let mbits = 64 - q.leading_zeros();
-    if q < 2 || mbits > 60 {
-        return (0, mbits, 0, 0);
-    }
-    let q = q as u128;
-    let mu = ((1u128 << (2 * mbits + 3)) / q) as u64;
-    let radix = ((1u128 << 64) % q) as u64;
-    let recip = ((1u128 << 64) / q) as u64;
-    (mu, mbits, radix, recip)
-}
-
-/// `x mod q` via the precomputed word reciprocal — two multiplications and a
-/// conditional subtraction (`SingleBarrett::reduce_word`).
-#[inline]
-fn reduce_word(x: u64, q: u64, recip: u64) -> u64 {
-    let qhat = ((x as u128 * recip as u128) >> 64) as u64;
-    let r = x.wrapping_sub(qhat.wrapping_mul(q));
-    if r >= q {
-        r - q
-    } else {
-        r
-    }
-}
-
-/// `a·b mod q` for `a, b < q` via the Barrett constants (`SingleBarrett::mul_mod`).
-#[inline]
-fn barrett_mul_mod(a: u64, b: u64, q: u64, mu: u64, mbits: u32) -> u64 {
-    let t = a as u128 * b as u128;
-    let r = ((t >> (mbits - 2)) * mu as u128) >> (mbits + 5);
-    let mut c = t - r * q as u128;
-    if c >= q as u128 {
-        c -= q as u128;
-    }
-    c as u64
-}
-
-/// `t mod q` for a 128-bit accumulator: fold the high word through
-/// `radix = 2^64 mod q`, reduce both halves word-wise, and combine
-/// (`SingleBarrett::reduce_wide`). Exact — the moma-mp test suite asserts this
-/// identity against `%` for the same constant derivations.
-#[inline]
-fn reduce_wide(t: u128, op: &MacReduceOp) -> u64 {
-    let hi = (t >> 64) as u64;
-    let lo = reduce_word(t as u64, op.q, op.recip);
-    if hi == 0 {
-        return lo;
-    }
-    let folded = barrett_mul_mod(
-        reduce_word(hi, op.q, op.recip),
-        op.radix,
-        op.q,
-        op.mu,
-        op.mbits,
-    );
-    let s = folded + lo;
-    if s >= op.q {
-        s - op.q
-    } else {
-        s
-    }
 }
 
 /// Result of one batched execution.
@@ -1219,8 +1143,7 @@ mod tests {
     fn macreduce_matches_interpreter_across_wide_accumulators() {
         // Three-term accumulation over 56-bit operands: the u128 accumulator
         // exceeds 2^64, exercising the radix-fold path of the division-free
-        // reduction. The constants in the op are deliberately garbage — compile()
-        // re-derives them from q, so execution must still equal Σaᵢbᵢ mod q.
+        // reduction.
         let q = (1u64 << 52) - 47;
         let mut kb = KernelBuilder::new("macreduce3");
         let a = kb.param("a", Ty::UInt(56));
@@ -1235,10 +1158,6 @@ mod tests {
                     (b.into(), b.into()),
                 ],
                 q,
-                mu: 1,
-                mbits: 52,
-                radix: 2,
-                recip: 3,
             },
         );
         let k = kb.build();
@@ -1275,10 +1194,6 @@ mod tests {
             Op::MacReduceMod {
                 pairs: vec![(a.into(), b.into()), (a.into(), Operand::Const(7))],
                 q,
-                mu: 1,
-                mbits: 52,
-                radix: 2,
-                recip: 3,
             },
         );
         kb.push(
@@ -1294,10 +1209,6 @@ mod tests {
             Op::MacReduceMod {
                 pairs: vec![(t.into(), Operand::Const(11)), (s.into(), s.into())],
                 q,
-                mu: 1,
-                mbits: 52,
-                radix: 2,
-                recip: 3,
             },
         );
         let k = kb.build();
@@ -1352,10 +1263,6 @@ mod tests {
             Op::MacReduceMod {
                 pairs: vec![(a.into(), Operand::Const(3))],
                 q,
-                mu: 0,
-                mbits: 64,
-                radix: 0,
-                recip: 0,
             },
         );
         let k = kb.build();
@@ -1364,6 +1271,62 @@ mod tests {
             let fast = c.run(&[a]).unwrap();
             assert_eq!(fast, interp::run(&k, &[a]).unwrap());
             assert_eq!(fast.outputs, vec![((a as u128 * 3) % q as u128) as u64]);
+        }
+    }
+
+    #[test]
+    fn macreduce_closing_reduction_at_the_edges_of_the_barrett_domain() {
+        // (modulus, reduces through SingleBarrett): 2^60 − 93 is the widest
+        // Barrett modulus, 2^60 + 33 the first on the `%` path.
+        let moduli = [
+            (2u64, true),
+            (3, true),
+            ((1 << 32) - 5, true),
+            ((1 << 32) + 15, true),
+            ((1 << 60) - 93, true),
+            ((1 << 60) + 33, false),
+            (u64::MAX - 58, false),
+        ];
+        // (operand width, most pairs): three products of 64-bit words can wrap
+        // the 128-bit accumulator, so all-ones at 64 bits runs one pair.
+        for (q, barrett) in moduli {
+            for (width, max_pairs) in [(56u32, 3usize), (64, 1)] {
+                let ones = u64::MAX >> (64 - width);
+                let values: Vec<u64> = [0, 1, q - 1, ones]
+                    .into_iter()
+                    .filter(|&v| v <= ones)
+                    .collect();
+                for pairs in 1..=max_pairs {
+                    let mut kb = KernelBuilder::new("macreduce_edges");
+                    let params: Vec<VarId> = (0..2 * pairs)
+                        .map(|i| kb.param(format!("x{i}"), Ty::UInt(width)))
+                        .collect();
+                    let out = kb.output("out", Ty::UInt(64));
+                    let terms = params.chunks(2).map(|p| (p[0].into(), p[1].into()));
+                    kb.push(
+                        vec![out],
+                        Op::MacReduceMod {
+                            pairs: terms.collect(),
+                            q,
+                        },
+                    );
+                    let k = kb.build();
+                    let c = CompiledKernel::compile(&k).unwrap();
+                    let Code::MacReduceMod(op) = &c.code[0] else {
+                        panic!("one accumulation instruction");
+                    };
+                    assert_eq!(op.barrett.is_some(), barrett, "q={q}");
+                    for row in 0..values.len().pow(2 * pairs as u32) {
+                        let inputs: Vec<u64> = (0..2 * pairs)
+                            .map(|i| values[row / values.len().pow(i as u32) % values.len()])
+                            .collect();
+                        let sum: u128 = inputs.chunks(2).map(|p| p[0] as u128 * p[1] as u128).sum();
+                        let fast = c.run(&inputs).unwrap();
+                        assert_eq!(fast, interp::run(&k, &inputs).unwrap(), "q={q} {inputs:?}");
+                        assert_eq!(fast.outputs, vec![(sum % q as u128) as u64], "q={q}");
+                    }
+                }
+            }
         }
     }
 

@@ -203,27 +203,18 @@ pub enum Op {
     /// modular reduction per term (`moma_mp::single::smac` + `reduce_wide` as a
     /// single IR statement).
     ///
-    /// Unlike the other modular ops, the modulus and its reduction constants are
-    /// literal values, not operands: the fusion pass only fires for
-    /// constant-modulus chains, and baking the constants in is what lets the
-    /// compiled executor and the emitters use the division-free word-reciprocal
-    /// reduction (`recip = ⌊2^64/q⌋`, `radix = 2^64 mod q`) with no runtime
-    /// consistency checks. The validator re-derives every constant from `q` and
-    /// rejects mismatches, and statically bounds `Σᵢ aᵢ · bᵢ` by the operand
-    /// widths (and literal values) so the 128-bit accumulator can never wrap.
+    /// Unlike the other modular ops, the modulus is a literal value, not an
+    /// operand (the fusion pass only fires for constant-modulus chains), and it is
+    /// the only literal: the compiled executor takes the division-free
+    /// reduction's constants from [`moma_mp::single::SingleBarrett::new`]`(q)`, so
+    /// no op can carry constants that disagree with `q`. The validator statically
+    /// bounds `Σᵢ aᵢ · bᵢ` by the operand widths (and literal values) so the
+    /// 128-bit accumulator can never wrap.
     MacReduceMod {
         /// The product terms `(aᵢ, bᵢ)`, accumulated in order.
         pairs: Vec<(Operand, Operand)>,
-        /// Modulus (of `mbits` bits, at most 60).
+        /// Modulus, `2 ≤ q` of at most 60 bits.
         q: u64,
-        /// Barrett constant `⌊2^(2·mbits+3)/q⌋` (for the high-word fold).
-        mu: u64,
-        /// Bit-width of the modulus.
-        mbits: u32,
-        /// Limb-radix residue `2^64 mod q` (for the high-word fold).
-        radix: u64,
-        /// Word reciprocal `⌊2^64/q⌋` (for the division-free word reduction).
-        recip: u64,
     },
 }
 

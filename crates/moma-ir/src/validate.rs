@@ -312,39 +312,21 @@ fn check_stmt(
                 }
             }
         }
-        Op::MacReduceMod {
-            pairs,
-            q,
-            mu,
-            mbits,
-            radix,
-            recip,
-        } => {
+        Op::MacReduceMod { pairs, q } => {
             expect_dsts(1)?;
             if pairs.is_empty() {
                 return Err(err(idx, "accumulation needs at least one product term"));
             }
-            // The reduction constants are re-derived from the modulus, exactly as
-            // `SingleBarrett::new` computes them, so a fused kernel can never
-            // carry constants that disagree with `q` — the division-free compiled
-            // reduction is only exact under these identities.
+            // The compiled executor reduces through `SingleBarrett`, whose domain
+            // is a modulus of 2 to 60 bits.
             if *q < 2 {
                 return Err(err(idx, "accumulation modulus must be at least 2"));
             }
-            let true_mbits = 64 - q.leading_zeros();
-            if *mbits != true_mbits || true_mbits > 60 {
+            let mbits = 64 - q.leading_zeros();
+            if mbits > 60 {
                 return Err(err(
                     idx,
-                    format!("modulus bit-width must be {true_mbits} (≤ 60), got {mbits}"),
-                ));
-            }
-            let want_mu = ((1u128 << (2 * true_mbits + 3)) / *q as u128) as u64;
-            let want_radix = ((1u128 << 64) % *q as u128) as u64;
-            let want_recip = ((1u128 << 64) / *q as u128) as u64;
-            if *mu != want_mu || *radix != want_radix || *recip != want_recip {
-                return Err(err(
-                    idx,
-                    format!("reduction constants inconsistent with modulus {q}"),
+                    format!("accumulation modulus has {mbits} bits, more than 60"),
                 ));
             }
             // Static overflow bound: the 128-bit accumulator must hold the worst
@@ -378,13 +360,11 @@ fn check_stmt(
                 };
             }
             match dst_ty(0) {
-                Ty::UInt(dw) if dw >= true_mbits => {}
+                Ty::UInt(dw) if dw >= mbits => {}
                 Ty::UInt(dw) => {
                     return Err(err(
                         idx,
-                        format!(
-                            "destination width {dw} cannot hold a residue of {true_mbits} bits"
-                        ),
+                        format!("destination width {dw} cannot hold a residue of {mbits} bits"),
                     ))
                 }
                 Ty::Flag => return Err(err(idx, "accumulation destination must be a word")),

@@ -1,5 +1,6 @@
 //! Multi-word Barrett reduction — the runtime equivalent of the paper's Listing 4
-//! generalized from double words to any number of limbs.
+//! generalized from double words to any number of limbs. [`crate::ModRing`] runs it;
+//! this module holds its setup-time constant and its wide shift.
 //!
 //! For a modulus `q` of `m` bits (with `m ≤ 64·L − 4`, the paper's "modulus of bit-width
 //! k − 4" convention), the precomputed constant is `μ = ⌊2^(2m+3) / q⌋` and
@@ -10,170 +11,13 @@
 //! c  = t − r·q                          (< 2q, one conditional subtraction)
 //! ```
 
-use crate::{MpUint, MulAlgorithm};
-
-/// Precomputed Barrett parameters for a fixed multi-word modulus.
-///
-/// # Example
-///
-/// ```
-/// use moma_mp::{BarrettContext, U256};
-///
-/// // A 252-bit modulus (256 − 4, as the paper uses k − 4 bit moduli for k-bit kernels).
-/// let q = U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff43");
-/// let ctx = BarrettContext::new(q);
-/// let a = U256::from_hex("123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef");
-/// let one = U256::ONE;
-/// assert_eq!(ctx.mul_mod(a, one), a);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BarrettContext<const L: usize> {
-    /// The modulus `q`.
-    pub q: MpUint<L>,
-    /// The Barrett constant `μ = ⌊2^(2·mbits+3) / q⌋`.
-    pub mu: MpUint<L>,
-    /// Significant bits of `q`.
-    pub mbits: u32,
-    /// Which multiplication algorithm the context uses for the three wide products.
-    pub mul_algorithm: MulAlgorithm,
-}
-
-impl<const L: usize> BarrettContext<L> {
-    /// Creates a context for modulus `q` using schoolbook multiplication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q < 2` or `q` has more than `64·L − 4` significant bits.
-    pub fn new(q: MpUint<L>) -> Self {
-        Self::with_algorithm(q, MulAlgorithm::Schoolbook)
-    }
-
-    /// Creates a context for modulus `q` with an explicit multiplication algorithm
-    /// (the paper's Figure 5b ablation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q < 2` or `q` has more than `64·L − 4` significant bits.
-    pub fn with_algorithm(q: MpUint<L>, mul_algorithm: MulAlgorithm) -> Self {
-        let mbits = q.bits();
-        assert!(mbits >= 2, "modulus must be at least 2");
-        assert!(
-            mbits + 4 <= 64 * L as u32,
-            "Barrett requires a modulus of at most {} bits for a {}-bit kernel (got {})",
-            64 * L as u32 - 4,
-            64 * L as u32,
-            mbits
-        );
-        let mu = compute_mu(&q, mbits);
-        BarrettContext {
-            q,
-            mu,
-            mbits,
-            mul_algorithm,
-        }
-    }
-
-    /// `(a + b) mod q`. Inputs must already be reduced (debug-asserted).
-    #[inline]
-    pub fn add_mod(&self, a: MpUint<L>, b: MpUint<L>) -> MpUint<L> {
-        debug_assert!(a < self.q && b < self.q);
-        // a + b < 2q < 2^(64L) because q has at most 64L-4 bits, so no carry-out.
-        let sum = a.wrapping_add(&b);
-        if sum >= self.q {
-            sum.wrapping_sub(&self.q)
-        } else {
-            sum
-        }
-    }
-
-    /// `(a - b) mod q`. Inputs must already be reduced (debug-asserted).
-    #[inline]
-    pub fn sub_mod(&self, a: MpUint<L>, b: MpUint<L>) -> MpUint<L> {
-        debug_assert!(a < self.q && b < self.q);
-        let (diff, borrow) = a.overflowing_sub(&b);
-        if borrow {
-            diff.wrapping_add(&self.q)
-        } else {
-            diff
-        }
-    }
-
-    /// `(a · b) mod q` via Barrett reduction. Inputs must already be reduced.
-    #[inline]
-    pub fn mul_mod(&self, a: MpUint<L>, b: MpUint<L>) -> MpUint<L> {
-        debug_assert!(a < self.q && b < self.q);
-        let widening = |x: &MpUint<L>, y: &MpUint<L>| match self.mul_algorithm {
-            MulAlgorithm::Schoolbook => x.widening_mul_schoolbook(y),
-            MulAlgorithm::Karatsuba => x.widening_mul_karatsuba(y),
-        };
-        // t = a*b, as (lo, hi) limbs.
-        let (t_lo, t_hi) = widening(&a, &b);
-        // r1 = t >> (mbits - 2): fits in L limbs because t < q^2 < 2^(2*mbits).
-        let r1 = shr_wide(&t_lo, &t_hi, self.mbits - 2);
-        // r2 = (r1 * mu) >> (mbits + 5): fits in L limbs (it approximates floor(t/q) < q).
-        let (p_lo, p_hi) = widening(&r1, &self.mu);
-        let r2 = shr_wide(&p_lo, &p_hi, self.mbits + 5);
-        // c = t - r2*q. Only the low L limbs are needed: the result is < 2q (paper's
-        // "optimization given that the first half matches" in Listing 4).
-        let r2q_lo = r2.wrapping_mul(&self.q);
-        let mut c = t_lo.wrapping_sub(&r2q_lo);
-        if c >= self.q {
-            c = c.wrapping_sub(&self.q);
-        }
-        debug_assert!(c < self.q);
-        c
-    }
-
-    /// Modular exponentiation by square-and-multiply (most significant bit first).
-    pub fn pow_mod(&self, base: MpUint<L>, exp: &MpUint<L>) -> MpUint<L> {
-        let mut result = MpUint::<L>::ONE;
-        let bits = exp.bits();
-        for i in (0..bits).rev() {
-            result = self.mul_mod(result, result);
-            if exp.bit(i) {
-                result = self.mul_mod(result, base);
-            }
-        }
-        result
-    }
-
-    /// Modular inverse for prime `q` via Fermat's little theorem (`a^(q-2) mod q`).
-    pub fn inv_mod(&self, a: MpUint<L>) -> MpUint<L> {
-        let exp = self.q.wrapping_sub(&MpUint::from_u64(2));
-        self.pow_mod(a, &exp)
-    }
-
-    /// Reduces an arbitrary (not necessarily reduced) value modulo `q` by repeated
-    /// conditional subtraction of shifted multiples of `q` (binary long division).
-    /// Used only at setup time (e.g. reducing constants), never on the hot path.
-    pub fn reduce_full(&self, x: MpUint<L>) -> MpUint<L> {
-        let mut x = x;
-        let xbits = x.bits();
-        if xbits <= self.mbits && x < self.q {
-            return x;
-        }
-        let mut shift = xbits - self.mbits;
-        loop {
-            let shifted = self.q.shl_bits(shift);
-            // Only subtract if the shifted modulus did not lose its top bits.
-            if shifted.bits() == self.mbits + shift && shifted <= x {
-                x = x.wrapping_sub(&shifted);
-            }
-            if shift == 0 {
-                break;
-            }
-            shift -= 1;
-        }
-        debug_assert!(x < self.q);
-        x
-    }
-}
+use crate::MpUint;
 
 /// Computes `μ = ⌊2^(2·mbits+3) / q⌋` using schoolbook long division on limbs.
 ///
 /// The numerator has `2·mbits + 4` bits which can exceed `64·L`, so the division is done
 /// over a `2L`-limb scratch value bit by bit (this is setup-time only).
-fn compute_mu<const L: usize>(q: &MpUint<L>, mbits: u32) -> MpUint<L> {
+pub(crate) fn compute_mu<const L: usize>(q: &MpUint<L>, mbits: u32) -> MpUint<L> {
     // Binary long division: numerator = 2^(2*mbits+3).
     let num_bits = 2 * mbits + 4; // numerator has this many bits (top bit at 2*mbits+3)
     let mut remainder = vec![0u64; 2 * L + 1];
@@ -203,7 +47,7 @@ fn compute_mu<const L: usize>(q: &MpUint<L>, mbits: u32) -> MpUint<L> {
 
 /// Right-shifts the 2L-limb value `(hi, lo)` by `bits` (< 128·L), keeping L limbs.
 #[inline]
-fn shr_wide<const L: usize>(lo: &MpUint<L>, hi: &MpUint<L>, bits: u32) -> MpUint<L> {
+pub(crate) fn shr_wide<const L: usize>(lo: &MpUint<L>, hi: &MpUint<L>, bits: u32) -> MpUint<L> {
     let limb_shift = (bits / 64) as usize;
     let bit_shift = bits % 64;
     let get = |i: usize| -> u64 {
@@ -262,8 +106,8 @@ fn slice_sub(a: &mut [u64], b: &[u64]) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{U128, U256};
+    use super::compute_mu;
+    use crate::{ModRing, MulAlgorithm, U128, U256};
 
     /// The paper's 124-bit setting (Listing 4, `MBITS = 124`): q has 128 − 4 bits.
     fn q124() -> U128 {
@@ -274,91 +118,53 @@ mod tests {
     fn mu_matches_definition_for_small_modulus() {
         // For a single-limb-sized modulus we can cross-check mu against u128 division.
         let q = U128::from_u64(0x0fff_ffff_f000_0001);
-        let ctx = BarrettContext::new(q);
         let mbits = 60;
+        assert_eq!(q.bits(), mbits);
         let expected = (1u128 << (2 * mbits + 3)) / 0x0fff_ffff_f000_0001u128;
-        assert_eq!(ctx.mu.to_u128(), Some(expected));
-        assert_eq!(ctx.mbits, 60);
+        assert_eq!(compute_mu(&q, mbits).to_u128(), Some(expected));
     }
 
     #[test]
     #[should_panic(expected = "at most")]
     fn oversized_modulus_rejected() {
-        let _ = BarrettContext::new(U128::MAX);
-    }
-
-    #[test]
-    fn add_sub_mod() {
-        let ctx = BarrettContext::new(q124());
-        let a = ctx.reduce_full(U128::from_hex("deadbeefdeadbeefdeadbeefdeadbeef"));
-        let b = ctx.reduce_full(U128::from_hex("cafebabecafebabecafebabecafebabe"));
-        let s = ctx.add_mod(a, b);
-        assert!(s < ctx.q);
-        assert_eq!(ctx.sub_mod(s, b), a);
-        assert_eq!(ctx.sub_mod(b, b), U128::ZERO);
-        assert_eq!(
-            ctx.sub_mod(U128::ZERO, U128::ONE),
-            ctx.q.wrapping_sub(&U128::ONE)
-        );
-    }
-
-    #[test]
-    fn mul_mod_identity_and_zero() {
-        let ctx = BarrettContext::new(q124());
-        let a = ctx.reduce_full(U128::from_hex("123456789abcdef0fedcba9876543210"));
-        assert_eq!(ctx.mul_mod(a, U128::ONE), a);
-        assert_eq!(ctx.mul_mod(a, U128::ZERO), U128::ZERO);
+        let _ = ModRing::new(U128::MAX);
     }
 
     #[test]
     fn mul_mod_against_u128_reference_modulus() {
         // Use a 124-bit modulus but operands small enough to verify with u128 splitting:
         // check (q-1)^2 mod q = 1.
-        let ctx = BarrettContext::new(q124());
-        let qm1 = ctx.q.wrapping_sub(&U128::ONE);
-        assert_eq!(ctx.mul_mod(qm1, qm1), U128::ONE);
+        let ring = ModRing::new(q124());
+        let qm1 = ring.modulus().wrapping_sub(&U128::ONE);
+        assert_eq!(ring.mul(qm1, qm1), U128::ONE);
         // (q-1)*(q-2) mod q = 2
-        let qm2 = ctx.q.wrapping_sub(&U128::from_u64(2));
-        assert_eq!(ctx.mul_mod(qm1, qm2), U128::from_u64(2));
+        let qm2 = ring.modulus().wrapping_sub(&U128::from_u64(2));
+        assert_eq!(ring.mul(qm1, qm2), U128::from_u64(2));
     }
 
     #[test]
     fn karatsuba_and_schoolbook_agree() {
         let q = U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff43");
-        let sb = BarrettContext::with_algorithm(q, MulAlgorithm::Schoolbook);
-        let ka = BarrettContext::with_algorithm(q, MulAlgorithm::Karatsuba);
+        let sb = ModRing::with_mul_algorithm(q, MulAlgorithm::Schoolbook);
+        let ka = ModRing::with_mul_algorithm(q, MulAlgorithm::Karatsuba);
         let mut state = 1u64;
         for _ in 0..50 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-            let a = sb.reduce_full(U256::from_limbs([state, !state, state ^ 0xabc, state >> 3]));
+            let a = sb.reduce(U256::from_limbs([state, !state, state ^ 0xabc, state >> 3]));
             state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-            let b = sb.reduce_full(U256::from_limbs([!state, state, state ^ 0xdef, state >> 5]));
-            assert_eq!(sb.mul_mod(a, b), ka.mul_mod(a, b));
+            let b = sb.reduce(U256::from_limbs([!state, state, state ^ 0xdef, state >> 5]));
+            assert_eq!(sb.mul(a, b), ka.mul(a, b));
         }
     }
 
     #[test]
-    fn pow_mod_and_inverse() {
-        // 2^127 - 1 is prime and has 127 = 128 - 1 bits; too wide for the k-4 rule at
-        // L = 2, so use a 252-bit prime-like modulus at L = 4 instead: here we just use
-        // Fermat on a known prime (2^127 - 1) embedded in U256.
-        let q = U256::from_hex("7fffffffffffffffffffffffffffffff"); // 2^127 - 1
-        let ctx = BarrettContext::new(q);
-        let a = ctx.reduce_full(U256::from_hex("123456789abcdef0123456789abcdef"));
-        let exp = q.wrapping_sub(&U256::ONE);
-        assert_eq!(ctx.pow_mod(a, &exp), U256::ONE);
-        let inv = ctx.inv_mod(a);
-        assert_eq!(ctx.mul_mod(inv, a), U256::ONE);
-    }
-
-    #[test]
     fn reduce_full_handles_large_values() {
-        let ctx = BarrettContext::new(q124());
-        assert_eq!(ctx.reduce_full(U128::ZERO), U128::ZERO);
-        assert_eq!(ctx.reduce_full(ctx.q), U128::ZERO);
-        assert_eq!(ctx.reduce_full(ctx.q.wrapping_add(&U128::ONE)), U128::ONE);
-        let x = U128::MAX;
-        let r = ctx.reduce_full(x);
-        assert!(r < ctx.q);
+        let ring = ModRing::new(q124());
+        let q = ring.modulus();
+        assert_eq!(ring.reduce(U128::ZERO), U128::ZERO);
+        assert_eq!(ring.reduce(q), U128::ZERO);
+        assert_eq!(ring.reduce(q.wrapping_add(&U128::ONE)), U128::ONE);
+        let r = ring.reduce(U128::MAX);
+        assert!(r < q);
     }
 }

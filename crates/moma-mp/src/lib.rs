@@ -2,10 +2,13 @@
 //!
 //! This crate is the *runtime library* of the reproduction: it implements, as native
 //! Rust, exactly the word-level algorithms that the MoMA rewrite system generates —
-//! the single-word kernels of the paper's Listing 1 ([`single`]), the multi-word
+//! the single-word kernels of the paper's Listing 1 ([`single`], whose
+//! [`single::SingleBarrett::new`] is the one place the single-word reduction constants
+//! are worked out, for this crate and for `moma-ir`'s bytecode executor), the multi-word
 //! carry/borrow chains and schoolbook/Karatsuba products of Listings 2–3 ([`MpUint`],
-//! [`MpUint::widening_mul_karatsuba`]), and the multi-word Barrett modular multiplication of Listing 4
-//! ([`BarrettContext`]), which [`ModRing`] wraps for moduli of up to `64·L − 4` bits.
+//! [`MpUint::widening_mul_karatsuba`]), and the multi-word Barrett modular
+//! multiplication of Listing 4 in [`ModRing`], the one multi-word ring, for moduli of
+//! up to `64·L − 4` bits.
 //!
 //! Where the paper's tool chain emits CUDA that `nvcc` compiles for a GPU, this crate
 //! is what that emitted code *computes*; the `moma-rewrite` crate generates the IR and
@@ -15,14 +18,14 @@
 //! # Example
 //!
 //! ```
-//! use moma_mp::{BarrettContext, U256};
+//! use moma_mp::{ModRing, U256};
 //!
 //! // A 252-bit modulus (the paper's "k - 4 bits" convention for 256-bit kernels).
 //! let q = U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff43");
-//! let ctx = BarrettContext::new(q);
-//! let a = ctx.reduce_full(U256::from_hex("123456789abcdef0123456789abcdef0"));
-//! let b = ctx.reduce_full(U256::from_hex("fedcba9876543210fedcba9876543210"));
-//! let c = ctx.mul_mod(a, b);
+//! let ring = ModRing::new(q);
+//! let a = ring.reduce(U256::from_hex("123456789abcdef0123456789abcdef0"));
+//! let b = ring.reduce(U256::from_hex("fedcba9876543210fedcba9876543210"));
+//! let c = ring.mul(a, b);
 //! assert!(c < q);
 //! ```
 
@@ -36,7 +39,6 @@ mod modring;
 pub mod single;
 mod uint;
 
-pub use barrett::BarrettContext;
 pub use modring::ModRing;
 pub use uint::{MpUint, U128, U256};
 

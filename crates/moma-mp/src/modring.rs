@@ -1,15 +1,17 @@
 //! A modular-ring context over [`MpUint`] elements.
 //!
-//! [`ModRing`] bundles a modulus with its Barrett reduction and exposes the exact
-//! operation set a cryptographic kernel needs: `add`, `sub`, `mul`, `pow`, `inv`, plus
-//! element sampling. The NTT and BLAS crates are generic over the limb count `L` and
-//! use this context for every butterfly / element operation.
+//! [`ModRing`] bundles a modulus with its multi-word Barrett reduction (the paper's
+//! Listing 4, see the `barrett` module) and exposes the exact operation set a
+//! cryptographic kernel needs: `add`, `sub`, `mul`, `pow`, `inv`, plus element
+//! sampling. The NTT and BLAS crates are generic over the limb count `L` and use
+//! this context for every butterfly / element operation.
 
-use crate::{BarrettContext, MpUint, MulAlgorithm};
+use crate::barrett::{compute_mu, shr_wide};
+use crate::{MpUint, MulAlgorithm};
 use rand::Rng;
 
 /// A modular ring `Z_q` over `L`-limb elements, for a modulus of at most `64·L − 4`
-/// bits (the paper's `k − 4`-bit convention).
+/// bits (the paper's `k − 4`-bit convention), with Barrett multiplication.
 ///
 /// # Example
 ///
@@ -24,7 +26,14 @@ use rand::Rng;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModRing<const L: usize> {
-    barrett: BarrettContext<L>,
+    /// The modulus `q`.
+    q: MpUint<L>,
+    /// The Barrett constant `μ = ⌊2^(2·mbits+3) / q⌋`.
+    mu: MpUint<L>,
+    /// Significant bits of `q`.
+    mbits: u32,
+    /// The algorithm of the three wide products in [`Self::mul`].
+    mul_algorithm: MulAlgorithm,
 }
 
 impl<const L: usize> ModRing<L> {
@@ -32,30 +41,45 @@ impl<const L: usize> ModRing<L> {
     ///
     /// # Panics
     ///
-    /// Panics if the modulus has more than `64·L − 4` bits (see [`BarrettContext::new`]).
+    /// Panics if `q < 2` or `q` has more than `64·L − 4` significant bits.
     pub fn new(q: MpUint<L>) -> Self {
-        ModRing {
-            barrett: BarrettContext::new(q),
-        }
+        Self::with_mul_algorithm(q, MulAlgorithm::Schoolbook)
     }
 
-    /// Creates a ring with Barrett reduction and an explicit multiplication algorithm.
-    pub fn with_mul_algorithm(q: MpUint<L>, alg: MulAlgorithm) -> Self {
+    /// Creates a ring with Barrett reduction and an explicit multiplication
+    /// algorithm (the paper's Figure 5b ablation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q < 2` or `q` has more than `64·L − 4` significant bits.
+    pub fn with_mul_algorithm(q: MpUint<L>, mul_algorithm: MulAlgorithm) -> Self {
+        let mbits = q.bits();
+        assert!(mbits >= 2, "modulus must be at least 2");
+        assert!(
+            mbits + 4 <= 64 * L as u32,
+            "Barrett requires a modulus of at most {} bits for a {}-bit kernel (got {})",
+            64 * L as u32 - 4,
+            64 * L as u32,
+            mbits
+        );
         ModRing {
-            barrett: BarrettContext::with_algorithm(q, alg),
+            q,
+            mu: compute_mu(&q, mbits),
+            mbits,
+            mul_algorithm,
         }
     }
 
     /// The modulus `q`.
     #[inline]
     pub fn modulus(&self) -> MpUint<L> {
-        self.barrett.q
+        self.q
     }
 
     /// Modular addition of reduced elements.
     #[inline]
     pub fn add(&self, a: MpUint<L>, b: MpUint<L>) -> MpUint<L> {
-        let q = self.modulus();
+        let q = self.q;
         debug_assert!(a < q && b < q);
         let (sum, carry) = a.overflowing_add(&b);
         if carry || sum >= q {
@@ -68,7 +92,7 @@ impl<const L: usize> ModRing<L> {
     /// Modular subtraction of reduced elements.
     #[inline]
     pub fn sub(&self, a: MpUint<L>, b: MpUint<L>) -> MpUint<L> {
-        let q = self.modulus();
+        let q = self.q;
         debug_assert!(a < q && b < q);
         let (diff, borrow) = a.overflowing_sub(&b);
         if borrow {
@@ -78,10 +102,29 @@ impl<const L: usize> ModRing<L> {
         }
     }
 
-    /// Modular multiplication of reduced elements.
+    /// Modular multiplication of reduced elements, by Barrett reduction.
     #[inline]
     pub fn mul(&self, a: MpUint<L>, b: MpUint<L>) -> MpUint<L> {
-        self.barrett.mul_mod(a, b)
+        debug_assert!(a < self.q && b < self.q);
+        let widening = |x: &MpUint<L>, y: &MpUint<L>| match self.mul_algorithm {
+            MulAlgorithm::Schoolbook => x.widening_mul_schoolbook(y),
+            MulAlgorithm::Karatsuba => x.widening_mul_karatsuba(y),
+        };
+        // t = a*b, as (lo, hi) limbs.
+        let (t_lo, t_hi) = widening(&a, &b);
+        // r1 = t >> (mbits - 2): fits in L limbs because t < q^2 < 2^(2*mbits).
+        let r1 = shr_wide(&t_lo, &t_hi, self.mbits - 2);
+        // r2 = (r1 * mu) >> (mbits + 5): fits in L limbs (it approximates floor(t/q) < q).
+        let (p_lo, p_hi) = widening(&r1, &self.mu);
+        let r2 = shr_wide(&p_lo, &p_hi, self.mbits + 5);
+        // c = t - r2*q. Only the low L limbs are needed: the result is < 2q (paper's
+        // "optimization given that the first half matches" in Listing 4).
+        let mut c = t_lo.wrapping_sub(&r2.wrapping_mul(&self.q));
+        if c >= self.q {
+            c = c.wrapping_sub(&self.q);
+        }
+        debug_assert!(c < self.q);
+        c
     }
 
     /// Precomputes the Shoup quotient `⌊w · 2^(64·L) / q⌋` for a fixed
@@ -105,7 +148,7 @@ impl<const L: usize> ModRing<L> {
     ///
     /// Panics (in debug builds) if `w >= q` or `q` is even.
     pub fn shoup_precompute(&self, w: MpUint<L>) -> MpUint<L> {
-        let q = self.modulus();
+        let q = self.q;
         debug_assert!(w < q);
         debug_assert!(
             q.is_odd(),
@@ -145,7 +188,7 @@ impl<const L: usize> ModRing<L> {
     /// needs `2q ≤ β`, which a modulus of at most `64·L − 4` bits leaves with room.
     #[inline]
     pub fn mul_mod_shoup_lazy(&self, y: MpUint<L>, w: MpUint<L>, w_shoup: MpUint<L>) -> MpUint<L> {
-        let q = self.modulus();
+        let q = self.q;
         debug_assert!(w < q);
         debug_assert!(q.bits() < MpUint::<L>::BITS, "2q must fit the word count");
         let h = w_shoup.mul_hi(&y);
@@ -157,7 +200,7 @@ impl<const L: usize> ModRing<L> {
     #[inline]
     pub fn mul_mod_shoup(&self, y: MpUint<L>, w: MpUint<L>, w_shoup: MpUint<L>) -> MpUint<L> {
         let t = self.mul_mod_shoup_lazy(y, w, w_shoup);
-        let (reduced, borrow) = t.overflowing_sub(&self.modulus());
+        let (reduced, borrow) = t.overflowing_sub(&self.q);
         if borrow {
             t
         } else {
@@ -179,23 +222,23 @@ impl<const L: usize> ModRing<L> {
 
     /// Modular inverse assuming a prime modulus (Fermat).
     pub fn inv(&self, a: MpUint<L>) -> MpUint<L> {
-        let exp = self.modulus().wrapping_sub(&MpUint::from_u64(2));
+        let exp = self.q.wrapping_sub(&MpUint::from_u64(2));
         self.pow(a, &exp)
     }
 
-    /// Reduces an arbitrary value into `[0, q)` (setup-time helper).
+    /// Reduces an arbitrary value into `[0, q)` by repeated conditional
+    /// subtraction of shifted multiples of `q` (binary long division). Used only
+    /// at setup time (e.g. reducing constants), never on the hot path.
     pub fn reduce(&self, x: MpUint<L>) -> MpUint<L> {
-        let q = self.modulus();
-        // Binary reduction identical to BarrettContext::reduce_full.
         let mut x = x;
-        if x < q {
+        if x < self.q {
             return x;
         }
-        let mbits = q.bits();
-        let mut shift = x.bits() - mbits;
+        let mut shift = x.bits() - self.mbits;
         loop {
-            let shifted = q.shl_bits(shift);
-            if shifted.bits() == mbits + shift && shifted <= x {
+            let shifted = self.q.shl_bits(shift);
+            // Only subtract if the shifted modulus did not lose its top bits.
+            if shifted.bits() == self.mbits + shift && shifted <= x {
                 x = x.wrapping_sub(&shifted);
             }
             if shift == 0 {
@@ -203,12 +246,13 @@ impl<const L: usize> ModRing<L> {
             }
             shift -= 1;
         }
+        debug_assert!(x < self.q);
         x
     }
 
     /// Samples a uniformly random reduced element.
     pub fn random_element<R: Rng + ?Sized>(&self, rng: &mut R) -> MpUint<L> {
-        let q = self.modulus();
+        let q = self.q;
         let bits = q.bits();
         let top_mask = if bits % 64 == 0 {
             u64::MAX
@@ -269,7 +313,13 @@ mod tests {
                 ring.mul(a, ring.add(b, c)),
                 ring.add(ring.mul(a, b), ring.mul(a, c))
             );
+            // The identities and the edges of subtraction.
+            assert_eq!(ring.mul(a, U128::ONE), a);
+            assert_eq!(ring.mul(a, U128::ZERO), U128::ZERO);
+            assert_eq!(ring.sub(a, a), U128::ZERO);
         }
+        let q = ring.modulus();
+        assert_eq!(ring.sub(U128::ZERO, U128::ONE), q.wrapping_sub(&U128::ONE));
     }
 
     #[test]

@@ -205,13 +205,6 @@ impl SingleBarrett {
         }
     }
 
-    /// The residue of the limb radix: `2^64 mod q` (precomputed by
-    /// [`Self::new`]).
-    #[inline]
-    pub fn radix_residue(&self) -> u64 {
-        self.radix
-    }
-
     /// Reduces a full machine word modulo `q`: `x mod q` for any `x`, with no
     /// hardware division — one widening multiplication against the precomputed
     /// reciprocal, one low multiplication, one conditional subtraction.
@@ -461,7 +454,7 @@ mod tests {
         for q in [2u64, 3, 65537, 2_147_483_647, 4_294_967_291, Q60] {
             let ctx = SingleBarrett::new(q);
             let radix_expected = ((1u128 << 64) % q as u128) as u64;
-            assert_eq!(ctx.radix_residue(), radix_expected, "q={q}");
+            assert_eq!(ctx.radix, radix_expected, "q={q}");
             let mut state = 0x0123_4567_89ab_cdefu64;
             for _ in 0..2_000 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);

@@ -3,7 +3,7 @@
 
 use moma_bignum::BigUint;
 use moma_mp::single::{smac, SingleBarrett};
-use moma_mp::{BarrettContext, ModRing, MpUint, MulAlgorithm};
+use moma_mp::{ModRing, MpUint, MulAlgorithm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,14 +33,13 @@ fn check_ring_ops<const L: usize>(a: MpUint<L>, b: MpUint<L>, q: MpUint<L>) {
         limbs[0] |= 1; // odd, as word-at-a-time Shoup quotients need
         MpUint::from_limbs(limbs)
     };
-    let barrett = BarrettContext::new(q);
-    let karatsuba = BarrettContext::with_algorithm(q, MulAlgorithm::Karatsuba);
     let ring = ModRing::new(q);
+    let karatsuba = ModRing::with_mul_algorithm(q, MulAlgorithm::Karatsuba);
     let q_big = to_big(&q);
 
     let raw = a;
-    let a = barrett.reduce_full(a);
-    let b = barrett.reduce_full(b);
+    let a = ring.reduce(a);
+    let b = ring.reduce(b);
     let (a_big, b_big) = (to_big(&a), to_big(&b));
     assert!(a_big < q_big && b_big < q_big);
 
@@ -53,20 +52,13 @@ fn check_ring_ops<const L: usize>(a: MpUint<L>, b: MpUint<L>, q: MpUint<L>) {
     assert_eq!(to_big(&ring.mul_mod_shoup(raw, b, b_shoup)), expected_raw);
 
     // Addition / subtraction.
-    assert_eq!(
-        to_big(&barrett.add_mod(a, b)),
-        a_big.mod_add(&b_big, &q_big)
-    );
-    assert_eq!(
-        to_big(&barrett.sub_mod(a, b)),
-        a_big.mod_sub(&b_big, &q_big)
-    );
     assert_eq!(to_big(&ring.add(a, b)), a_big.mod_add(&b_big, &q_big));
+    assert_eq!(to_big(&ring.sub(a, b)), a_big.mod_sub(&b_big, &q_big));
 
     // Multiplication, both strategies.
     let expected_mul = a_big.mod_mul(&b_big, &q_big);
-    assert_eq!(to_big(&barrett.mul_mod(a, b)), expected_mul);
-    assert_eq!(to_big(&karatsuba.mul_mod(a, b)), expected_mul);
+    assert_eq!(to_big(&ring.mul(a, b)), expected_mul);
+    assert_eq!(to_big(&karatsuba.mul(a, b)), expected_mul);
 
     // Widening multiplication against the oracle's full product.
     let (lo, hi) = a.widening_mul_schoolbook(&b);
@@ -80,7 +72,7 @@ fn check_ring_ops<const L: usize>(a: MpUint<L>, b: MpUint<L>, q: MpUint<L>) {
     // Exponentiation on a small exponent.
     let exp = MpUint::<L>::from_u64(13);
     assert_eq!(
-        to_big(&barrett.pow_mod(a, &exp)),
+        to_big(&ring.pow(a, &exp)),
         a_big.mod_pow(&BigUint::from(13u64), &q_big)
     );
 }

@@ -335,6 +335,7 @@ mod tests {
     use crate::builders::{build, KernelOp, KernelSpec};
     use moma_ir::validate::validate;
     use moma_ir::{cost, interp};
+    use moma_mp::single::SingleBarrett;
 
     #[test]
     fn expansion_removes_high_level_ops() {
@@ -372,8 +373,7 @@ mod tests {
     #[test]
     fn expanded_64_bit_submod_and_mulmod_are_correct() {
         let q = 0x0FFF_FFA0_0000_0001u64;
-        let mbits = 60;
-        let mu = ((1u128 << (2 * mbits + 3)) / q as u128) as u64;
+        let mu = SingleBarrett::new(q).mu;
 
         let sub = expand_modular_ops(&build(&KernelSpec::new(KernelOp::ModSub, 64)).kernel);
         let mul = expand_modular_ops(&build(&KernelSpec::new(KernelOp::ModMul, 64)).kernel);
@@ -404,8 +404,7 @@ mod tests {
         // Build a one-statement kernel around the fused op and check that its
         // expansion (MulModBarrett + AddMod word algebra) computes (a·b + c) mod q.
         let q = 0x0FFF_FFA0_0000_0001u64;
-        let mbits = 60;
-        let mu = ((1u128 << (2 * mbits + 3)) / q as u128) as u64;
+        let SingleBarrett { mu, mbits, .. } = SingleBarrett::new(q);
         let mut kb = moma_ir::KernelBuilder::new("macmod64");
         let a = kb.param("a", Ty::UInt(64));
         let b = kb.param("b", Ty::UInt(64));

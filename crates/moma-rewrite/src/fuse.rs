@@ -367,15 +367,7 @@ fn macreduce_op(scope: &Scope, q: u64, pairs: &[(Operand, Operand)], dst: VarId)
     for (a, b) in &pairs {
         worst = worst.checked_add(bound(a)?.checked_mul(bound(b)?)?)?;
     }
-    let q128 = q as u128;
-    Some(Op::MacReduceMod {
-        pairs,
-        q,
-        mu: ((1u128 << (2 * mbits + 3)) / q128) as u64,
-        mbits,
-        radix: ((1u128 << 64) % q128) as u64,
-        recip: ((1u128 << 64) / q128) as u64,
-    })
+    Some(Op::MacReduceMod { pairs, q })
 }
 
 #[cfg(test)]
@@ -383,11 +375,11 @@ mod tests {
     use super::*;
     use crate::passes::{eliminate_dead_code, optimize};
     use moma_ir::{interp, validate::validate, CompiledKernel, KernelBuilder};
+    use moma_mp::single::SingleBarrett;
 
     fn barrett_operands(q: u64) -> (Operand, u32) {
-        let mbits = 64 - q.leading_zeros();
-        let mu = ((1u128 << (2 * mbits + 3)) / q as u128) as u64;
-        (Operand::Const(mu), mbits)
+        let barrett = SingleBarrett::new(q);
+        (Operand::Const(barrett.mu), barrett.mbits)
     }
 
     /// One base-conversion target row: out = Σᵢ xᵢ·cᵢ mod q over a zero seed.

@@ -33,7 +33,7 @@
 
 pub mod ladder;
 pub mod oracle;
-pub mod ring;
+mod ring;
 
 pub use ladder::{default_ladder, ladder_primes};
 pub use ring::{ColdSource, Domain, RingContext, RingElt, RingPlanSource};

@@ -15,8 +15,8 @@
 //!   vectors in structure-of-arrays layout so element-wise operations run
 //!   per-residue-row on the simulated GPU launcher with no arbitrary-precision
 //!   arithmetic on the hot path;
-//! * [`baseconv`] — the RNS operations FHE pipelines chain *between* element-wise
-//!   stages: [`BaseConvPlan`] precomputes the fast-base-extension tables once per
+//! * base conversion and rescale — the RNS operations FHE pipelines chain
+//!   *between* element-wise stages: [`BaseConvPlan`] precomputes the fast-base-extension tables once per
 //!   basis pair and [`RnsPlan::base_convert`] runs the whole conversion as one
 //!   launch of the generated all-rows kernel, while [`RescalePlan`] /
 //!   [`RnsPlan::scale_and_round`] implement approximate division-by-`m_k` with
@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseconv;
+mod baseconv;
 pub mod plan;
 pub mod vector;
 

@@ -140,13 +140,13 @@ impl RnsPlan {
         let limb_residues = ctxs
             .iter()
             .map(|b| {
-                // radix = 2^64 mod m, then successive powers by Barrett multiplication.
-                let radix = b.radix_residue();
+                // Successive powers of the limb radix 2^64 mod m, by Barrett
+                // multiplication.
                 let mut pows = Vec::with_capacity(limbs);
                 let mut cur = 1u64;
                 for _ in 0..limbs {
                     pows.push(cur);
-                    cur = b.mul_mod(cur, radix);
+                    cur = b.mul_mod(cur, b.radix);
                 }
                 pows
             })

@@ -21,8 +21,8 @@
 //!   add/sub/mul, NTT butterfly, BLAS axpy at any input bit-width, lowered with
 //!   the MoMA rewrite system to word-level IR, emitted CUDA-like and Rust
 //!   source, and operation counts). Prefer [`Session::compile`], which caches;
-//! * [`engine`] — the figure machinery: the [`engine::Series`] type (the
-//!   estimation entry points live on [`Session`]);
+//! * [`Series`] — the figure data type (the estimation entry points live on
+//!   [`Session`]);
 //! * [`paper_data`] — the published baseline series (ICICLE, GZKP, RPU, FPMM, PipeZK,
 //!   GMP, GRNS, …) digitised from the paper's figures, so each figure can be
 //!   regenerated with all of its lines;
@@ -57,13 +57,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compiler;
-pub mod engine;
+mod compiler;
+mod engine;
 pub mod paper_data;
 pub mod session;
 pub mod snapshot;
 
 pub use compiler::{Compiler, GeneratedKernel};
+pub use engine::Series;
 pub use moma_rewrite::{KernelOp, KernelSpec, LoweringConfig, MulAlgorithm};
 pub use session::{
     CacheStats, NttSpace, RingSpace, RingVec, RnsSpace, RnsVec, Session, SessionStats,

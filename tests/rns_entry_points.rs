@@ -302,7 +302,6 @@ fn native_twins_sit_behind_one_private_table() {
         exports,
         [
             "pub mod cost;",
-            "pub mod device;",
             "pub mod launch;",
             "pub mod pool;",
             "pub use cost::{CostModel, KernelCostEstimate};",
