@@ -18,6 +18,23 @@
 //! * **Precomputed masks and counts** — destination masks are baked into each
 //!   bytecode op, and the per-element [`OpCounts`] is computed once (statement
 //!   counts are exact execution counts for straight-line kernels).
+//! * **Range-chosen accumulations** — a kernel with `MacReduceMod` statements
+//!   gets one forward pass that bounds every variable from the declared
+//!   parameter bounds ([`Kernel::bounds`]), the constants, the declared widths
+//!   and each op's exact result range, and each accumulation runs the cheapest
+//!   arm that is exact under those bounds:
+//!   - a `·1` pair on a value below `q` is a copy, below `2q` one conditional
+//!     subtraction;
+//!   - a sum of one or two pairs that provably fits a `u64` runs in one pass
+//!     over the lanes, with constant operands as immediates, and closes with
+//!     [`SingleBarrett::reduce_word`];
+//!   - everything else accumulates in `u128` lanes and closes with
+//!     [`SingleBarrett::reduce_wide`] (or an exact `u128 %` for moduli outside
+//!     the single-word Barrett domain).
+//!
+//!   The word arms multiply and add with plain `*`/`+`, so a build with
+//!   overflow checks turns an unsound bound into a panic rather than a wrong
+//!   answer.
 //!
 //! One loop gives the bytecode its meaning: `exec_lanes` runs every instruction
 //! across a block of up to [`LANE_BLOCK`] elements before dispatching the next.
@@ -150,20 +167,152 @@ enum Code {
     MacReduceMod(Box<MacReduceOp>),
 }
 
-/// The accumulation-loop payload, boxed like [`ShrOp`] so the variadic variant does
+/// The accumulation payload, boxed like [`ShrOp`] so the variadic variant does
 /// not inflate every [`Code`] instruction.
 ///
-/// The closing reduction is [`SingleBarrett::reduce_wide`], built from the modulus
-/// at compile time, so execution is exact — `== Σaᵢbᵢ mod q` — for any kernel that
-/// register-allocates, validated or not. `barrett` is `None` for moduli outside
-/// the single-word Barrett domain (`q < 2` or wider than 60 bits); execution falls
-/// back to an exact `u128 %` for those.
+/// `arm` is chosen at compile time from the operands' upper bounds (see
+/// [`mac_arm`]): the cheapest form that is exact — `== Σaᵢbᵢ mod q` — for every
+/// input the kernel accepts, validated or not.
 #[derive(Debug, Clone)]
 struct MacReduceOp {
     d: Dst,
-    pairs: Vec<(Src, Src)>,
     q: u64,
-    barrett: Option<SingleBarrett>,
+    arm: MacArm,
+}
+
+/// How one `MacReduceMod` runs. Which arm runs when:
+/// - [`MacArm::Reduced`]: one pair `x·1` with `x < q` — a copy;
+/// - [`MacArm::CondSub`]: one pair `x·1` with `x < 2q` — one conditional
+///   subtraction;
+/// - the word arms: one or two pairs whose sum of products is at most
+///   `u64::MAX` for every accepted input, and a modulus in the single-word
+///   Barrett domain (`2 ≤ q < 2^60`) — one pass over the lanes, closed by
+///   [`SingleBarrett::reduce_word`]. `Word1K`/`Word2K` take every pair's
+///   constant operand as an immediate; `Word1`/`Word2` read both operands
+///   from registers;
+/// - [`MacArm::Wide`]: everything else — `u128` accumulator lanes, pairs
+///   outer, closed by [`SingleBarrett::reduce_wide`], or by an exact `u128 %`
+///   when `barrett` is `None` (`q < 2` or wider than 60 bits).
+#[derive(Debug, Clone)]
+enum MacArm {
+    Reduced {
+        x: Src,
+    },
+    CondSub {
+        x: Src,
+    },
+    Word1 {
+        a: Src,
+        b: Src,
+        barrett: SingleBarrett,
+    },
+    Word1K {
+        a: Src,
+        k: u64,
+        barrett: SingleBarrett,
+    },
+    Word2 {
+        a: [Src; 2],
+        b: [Src; 2],
+        barrett: SingleBarrett,
+    },
+    Word2K {
+        a: [Src; 2],
+        k: [u64; 2],
+        barrett: SingleBarrett,
+    },
+    Wide {
+        pairs: Vec<(Src, Src)>,
+        barrett: Option<SingleBarrett>,
+    },
+}
+
+/// Picks the arm of `Σ pairs mod q` (see [`MacArm`]) that is exact when every
+/// operand is at most `bound(operand)`. `src` resolves an operand to its
+/// register; a constant that an arm takes as an immediate (or the `1` of a
+/// `·1` pair) is never resolved, so it takes no register.
+fn mac_arm(
+    pairs: &[(Operand, Operand)],
+    q: u64,
+    bound: impl Fn(Operand) -> u64,
+    mut src: impl FnMut(Operand) -> Src,
+) -> MacArm {
+    if let [(a, b)] = *pairs {
+        let x = match (a, b) {
+            (x, Operand::Const(1)) | (Operand::Const(1), x) => Some(x),
+            _ => None,
+        };
+        if let Some(x) = x {
+            let bx = u128::from(bound(x));
+            if bx < u128::from(q) {
+                return MacArm::Reduced { x: src(x) };
+            }
+            if bx < 2 * u128::from(q) {
+                return MacArm::CondSub { x: src(x) };
+            }
+        }
+    }
+    let barrett = (2..1 << 60).contains(&q).then(|| SingleBarrett::new(q));
+    let sum = pairs.iter().try_fold(0u128, |sum, &(a, b)| {
+        sum.checked_add(u128::from(bound(a)) * u128::from(bound(b)))
+    });
+    let fits_word = sum.is_some_and(|s| s <= u128::from(u64::MAX));
+    // The pair as (register operand, immediate) when one side is a constant.
+    let imm = |(a, b): (Operand, Operand)| match (a, b) {
+        (x, Operand::Const(k)) | (Operand::Const(k), x) => Some((x, k)),
+        _ => None,
+    };
+    match (barrett, pairs) {
+        (Some(barrett), &[p]) if fits_word => match imm(p) {
+            Some((a, k)) => MacArm::Word1K {
+                a: src(a),
+                k,
+                barrett,
+            },
+            None => MacArm::Word1 {
+                a: src(p.0),
+                b: src(p.1),
+                barrett,
+            },
+        },
+        (Some(barrett), &[p0, p1]) if fits_word => match (imm(p0), imm(p1)) {
+            (Some((a0, k0)), Some((a1, k1))) => MacArm::Word2K {
+                a: [src(a0), src(a1)],
+                k: [k0, k1],
+                barrett,
+            },
+            _ => MacArm::Word2 {
+                a: [src(p0.0), src(p1.0)],
+                b: [src(p0.1), src(p1.1)],
+                barrett,
+            },
+        },
+        _ => MacArm::Wide {
+            pairs: pairs.iter().map(|&(a, b)| (src(a), src(b))).collect(),
+            barrett,
+        },
+    }
+}
+
+/// The largest value `op` can leave in a single destination, given the
+/// largest value of each operand, under the executor's own semantics (the
+/// destination mask is applied by the caller). Ops whose result is not
+/// range-limited, and multi-destination ops, give `u64::MAX`.
+fn result_bound(op: &Op, bound: impl Fn(Operand) -> u64) -> u64 {
+    match op {
+        Op::Copy { src } => bound(*src),
+        Op::Lt { .. } | Op::Eq { .. } | Op::BoolAnd { .. } | Op::BoolOr { .. } => 1,
+        Op::Select {
+            if_true, if_false, ..
+        } => bound(*if_true).max(bound(*if_false)),
+        Op::AddMod { q, .. } | Op::MulModBarrett { q, .. } | Op::MulAddMod { q, .. } => {
+            bound(*q).saturating_sub(1)
+        }
+        // `a − b` when `a ≥ b`, `a + q − b < q` otherwise.
+        Op::SubMod { a, q, .. } => bound(*q).saturating_sub(1).max(bound(*a)),
+        Op::MacReduceMod { q, .. } => q.saturating_sub(1),
+        _ => u64::MAX,
+    }
 }
 
 /// Number of elements [`CompiledKernel::run_lanes`] executes in lock-step. Sized
@@ -187,6 +336,17 @@ pub struct BlockScratch {
     /// same kernel reuses the frame — which matters for constant-heavy fused
     /// kernels run over many blocks.
     tag: u64,
+}
+
+/// A parameter's register slot and what [`CompiledKernel::run_lanes`] checks
+/// its inputs against.
+#[derive(Debug, Clone, Copy)]
+struct Param {
+    slot: u32,
+    /// Declared bit-width.
+    bits: u32,
+    /// Declared bound ([`Kernel::bounds`]), if any.
+    bound: Option<u64>,
 }
 
 /// A kernel compiled to register-allocated bytecode.
@@ -219,8 +379,8 @@ pub struct CompiledKernel {
     /// [`Kernel::fingerprint`] of the kernel this was compiled from.
     fingerprint: u64,
     code: Vec<Code>,
-    /// Register slot and declared bit-width of each parameter, in signature order.
-    params: Vec<(u32, u32)>,
+    /// Each parameter's register slot and entry check, in signature order.
+    params: Vec<Param>,
     /// Parameter names, for error messages only (cold path).
     param_names: Vec<String>,
     /// Register slot of each output, in signature order.
@@ -261,8 +421,29 @@ impl CompiledKernel {
         let mut const_values: Vec<u64> = Vec::new();
         let mut const_map: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
 
+        // The largest value each variable can hold at the current statement,
+        // which `MacReduceMod` arms are chosen from. Only a kernel that has
+        // one builds the table.
+        let has_mac = kernel
+            .body
+            .iter()
+            .any(|s| matches!(s.op, Op::MacReduceMod { .. }));
+        let mut bounds: Vec<u64> = Vec::new();
+        if has_mac {
+            bounds = kernel.vars.iter().map(|v| mask64(v.ty.bits())).collect();
+            for p in &kernel.params {
+                if let Some(&b) = kernel.bounds.get(p) {
+                    bounds[p.0] = bounds[p.0].min(b);
+                }
+            }
+        }
+
         let mut code = Vec::with_capacity(kernel.body.len());
         for (i, stmt) in kernel.body.iter().enumerate() {
+            let bound = |o: Operand| match o {
+                Operand::Const(c) => c,
+                Operand::Var(v) => bounds[v.0],
+            };
             let mut src = |o: Operand| -> Src {
                 match o {
                     Operand::Const(c) => *const_map.entry(c).or_insert_with(|| {
@@ -377,11 +558,16 @@ impl CompiledKernel {
                 },
                 Op::MacReduceMod { pairs, q } => Code::MacReduceMod(Box::new(MacReduceOp {
                     d: dst(stmt.dsts[0]),
-                    pairs: pairs.iter().map(|(a, b)| (src(*a), src(*b))).collect(),
                     q: *q,
-                    barrett: (2..1 << 60).contains(q).then(|| SingleBarrett::new(*q)),
+                    arm: mac_arm(pairs, *q, bound, src),
                 })),
             });
+            if has_mac {
+                let value = result_bound(&stmt.op, bound);
+                for d in &stmt.dsts {
+                    bounds[d.0] = value.min(mask64(kernel.ty(*d).bits()));
+                }
+            }
         }
 
         Ok(CompiledKernel {
@@ -392,7 +578,11 @@ impl CompiledKernel {
             params: kernel
                 .params
                 .iter()
-                .map(|p| (slot_of(*p), kernel.ty(*p).bits()))
+                .map(|p| Param {
+                    slot: slot_of(*p),
+                    bits: kernel.ty(*p).bits(),
+                    bound: kernel.bounds.get(p).copied(),
+                })
                 .collect(),
             param_names: kernel
                 .params
@@ -567,7 +757,8 @@ impl CompiledKernel {
     /// # Errors
     ///
     /// Returns [`InterpError::InputTooWide`] if any filled lane exceeds its
-    /// parameter's declared width.
+    /// parameter's declared width, and [`InterpError::InputAboveBound`] if one
+    /// is above its parameter's declared bound.
     ///
     /// # Panics
     ///
@@ -590,14 +781,18 @@ impl CompiledKernel {
         if scratch.tag != self.id {
             self.preload_block(scratch);
         }
-        for (idx, (slot, bits)) in self.params.iter().enumerate() {
-            let base = *slot as usize * LANE_BLOCK;
+        for (idx, p) in self.params.iter().enumerate() {
+            let base = p.slot as usize * LANE_BLOCK;
             let lanes = &mut scratch.regs[base..base + n];
             fill(idx, lanes);
-            if *bits < 64 && lanes.iter().any(|&v| v >> bits != 0) {
-                return Err(InterpError::InputTooWide {
-                    var: self.param_names[idx].clone(),
-                });
+            // Branch-free folds over the lanes: every input against the
+            // bound, or every input's bits against the width.
+            let refused = match p.bound {
+                Some(bound) => any_above(lanes, bound.min(mask64(p.bits))),
+                None => p.bits < 64 && lanes.iter().fold(0, |m, &v| m | v) >> p.bits != 0,
+            };
+            if refused {
+                return Err(self.input_error(idx, lanes));
             }
         }
         self.exec_lanes(scratch, n);
@@ -606,6 +801,24 @@ impl CompiledKernel {
             sink(j, &scratch.regs[base..base + n]);
         }
         Ok(())
+    }
+
+    /// The interpreter's error for parameter `idx` given refused `lanes`: the
+    /// width test first, then the bound.
+    #[cold]
+    fn input_error(&self, idx: usize, lanes: &[u64]) -> InterpError {
+        let p = &self.params[idx];
+        let var = self.param_names[idx].clone();
+        if lanes.iter().any(|&v| v > mask64(p.bits)) {
+            InterpError::InputTooWide { var }
+        } else {
+            InterpError::InputAboveBound {
+                var,
+                bound: p
+                    .bound
+                    .expect("only a bound refuses an input that fits its width"),
+            }
+        }
     }
 
     /// Sizes a block frame for this kernel and broadcasts the constant
@@ -624,19 +837,29 @@ impl CompiledKernel {
     /// block, a tight `0..n` lane loop per instruction, no lookups, no `Option`s,
     /// no allocation. The tree interpreter is its oracle: the tests here and the
     /// crosscheck suites compare the two element by element.
+    ///
+    /// The arms the RNS chain kernels run (`MacReduceMod`, `SubMod`, `Select`,
+    /// `Lt`) zip the source registers' lane slices into `out`, a block-sized
+    /// buffer, and copy it to the destination register (which may be one of
+    /// the sources), so their lane loops carry no index checks; their
+    /// data-dependent choices are masks, not branches. `Copy` moves its lanes
+    /// with one `copy_within`.
     fn exec_lanes(&self, scratch: &mut BlockScratch, n: usize) {
         const B: usize = LANE_BLOCK;
         let consts_from = self.const_base;
         let regs = &mut scratch.regs;
-        // Shared accumulator lanes for `MacReduceMod` (first pair assigns, so
-        // stale values between instructions are never read).
+        // Shared accumulator lanes for `MacReduceMod`'s `u128` arm (first pair
+        // assigns, so stale values between instructions are never read).
         let mut accs = [0u128; LANE_BLOCK];
+        let mut buf = [0u64; LANE_BLOCK];
+        let out = &mut buf[..n];
         for op in &self.code {
             match op {
                 Code::Copy { d, s } => {
-                    let (db, sb) = (d.reg as usize * B, *s as usize * B);
-                    for e in 0..n {
-                        regs[db + e] = regs[sb + e] & d.mask;
+                    let db = d.reg as usize * B;
+                    regs.copy_within(*s as usize * B..*s as usize * B + n, db);
+                    if d.mask != u64::MAX {
+                        regs[db..db + n].iter_mut().for_each(|v| *v &= d.mask);
                     }
                 }
                 Code::AddWide {
@@ -691,10 +914,14 @@ impl CompiledKernel {
                     }
                 }
                 Code::Lt { d, a, b } => {
-                    let (db, ab, bb) = (d.reg as usize * B, *a as usize * B, *b as usize * B);
-                    for e in 0..n {
-                        regs[db + e] = (regs[ab + e] < regs[bb + e]) as u64;
+                    for ((o, &a), &b) in out
+                        .iter_mut()
+                        .zip(lanes(regs, *a, n))
+                        .zip(lanes(regs, *b, n))
+                    {
+                        *o = (a < b) as u64;
                     }
+                    store(regs, d.reg, out);
                 }
                 Code::Eq { d, a, b } => {
                     let (db, ab, bb) = (d.reg as usize * B, *a as usize * B, *b as usize * B);
@@ -720,16 +947,13 @@ impl CompiledKernel {
                     if_true,
                     if_false,
                 } => {
-                    let (db, cb) = (d.reg as usize * B, *cond as usize * B);
-                    let (tb, fb) = (*if_true as usize * B, *if_false as usize * B);
-                    for e in 0..n {
-                        let v = if regs[cb + e] != 0 {
-                            regs[tb + e]
-                        } else {
-                            regs[fb + e]
-                        };
-                        regs[db + e] = v & d.mask;
+                    let arms = lanes(regs, *if_true, n)
+                        .iter()
+                        .zip(lanes(regs, *if_false, n));
+                    for ((o, &c), (&t, &f)) in out.iter_mut().zip(lanes(regs, *cond, n)).zip(arms) {
+                        *o = (f ^ ((t ^ f) & all_ones_if(c != 0))) & d.mask;
                     }
+                    store(regs, d.reg, out);
                 }
                 Code::ShrMulti(op) => {
                     // A limb shift plus one funnel shift per destination word,
@@ -782,21 +1006,14 @@ impl CompiledKernel {
                     }
                 }
                 Code::SubMod { d, a, b, q } => {
-                    let (db, ab, bb, qb) = (
-                        d.reg as usize * B,
-                        *a as usize * B,
-                        *b as usize * B,
-                        *q as usize * B,
-                    );
-                    for e in 0..n {
-                        let (a, b, q) = (regs[ab + e], regs[bb + e], regs[qb + e]);
-                        let v = if a < b {
-                            (a as u128 + q as u128 - b as u128) as u64
-                        } else {
-                            a - b
-                        };
-                        regs[db + e] = v & d.mask;
+                    let operands = lanes(regs, *a, n).iter().zip(lanes(regs, *b, n));
+                    for ((o, (&a, &b)), &q) in out.iter_mut().zip(operands).zip(lanes(regs, *q, n))
+                    {
+                        // `a < b` leaves `a + q − b < q`: exact in one word.
+                        let (v, borrow) = a.overflowing_sub(b);
+                        *o = v.wrapping_add(q & all_ones_if(borrow)) & d.mask;
                     }
+                    store(regs, d.reg, out);
                 }
                 Code::MulModBarrett { d, a, b, q } => {
                     let (db, ab, bb, qb) = (
@@ -822,62 +1039,140 @@ impl CompiledKernel {
                     }
                 }
                 Code::MacReduceMod(op) => {
-                    // Pairs outer, lanes inner: each pair's register bases are
-                    // resolved once per block, and the inner multiply-accumulate
-                    // zips contiguous lane slices (no per-lane indexing). A
-                    // constant operand — a fused cross-basis coefficient, say —
-                    // is read once as a scalar instead of streaming its
-                    // broadcast lanes. The first pair *assigns*, so the
-                    // accumulators need no per-instruction zeroing. The validator
-                    // bounds Σᵢ aᵢ·bᵢ by the operand widths, so they cannot wrap.
-                    if op.pairs.is_empty() {
-                        accs[..n].fill(0);
-                    }
-                    for (i, &(a, b)) in op.pairs.iter().enumerate() {
-                        // Put a constant operand on the scalar side.
-                        let (va, vb) = if (a as usize) >= consts_from {
-                            (b, a)
-                        } else {
-                            (a, b)
-                        };
-                        let ab = va as usize * B;
-                        let first = i == 0;
-                        if (vb as usize) >= consts_from {
-                            let bv = regs[vb as usize * B] as u128;
-                            for (acc, &av) in accs[..n].iter_mut().zip(&regs[ab..ab + n]) {
-                                let p = av as u128 * bv;
-                                *acc = if first { p } else { *acc + p };
+                    let mask = op.d.mask;
+                    match &op.arm {
+                        MacArm::Reduced { x } => {
+                            for (o, &x) in out.iter_mut().zip(lanes(regs, *x, n)) {
+                                *o = x & mask;
                             }
-                        } else {
-                            let bb = vb as usize * B;
-                            for ((acc, &av), &bv) in accs[..n]
-                                .iter_mut()
-                                .zip(&regs[ab..ab + n])
-                                .zip(&regs[bb..bb + n])
+                        }
+                        MacArm::CondSub { x } => {
+                            let q = op.q;
+                            for (o, &x) in out.iter_mut().zip(lanes(regs, *x, n)) {
+                                let (r, borrow) = x.overflowing_sub(q);
+                                *o = r.wrapping_add(q & all_ones_if(borrow)) & mask;
+                            }
+                        }
+                        MacArm::Word1 { a, b, barrett } => {
+                            let terms = lanes(regs, *a, n).iter().zip(lanes(regs, *b, n));
+                            for (o, (&a, &b)) in out.iter_mut().zip(terms) {
+                                *o = barrett.reduce_word(a * b) & mask;
+                            }
+                        }
+                        MacArm::Word1K { a, k, barrett } => {
+                            for (o, &a) in out.iter_mut().zip(lanes(regs, *a, n)) {
+                                *o = barrett.reduce_word(a * k) & mask;
+                            }
+                        }
+                        MacArm::Word2 { a, b, barrett } => {
+                            let first = lanes(regs, a[0], n).iter().zip(lanes(regs, b[0], n));
+                            let second = lanes(regs, a[1], n).iter().zip(lanes(regs, b[1], n));
+                            for (o, ((&a0, &b0), (&a1, &b1))) in
+                                out.iter_mut().zip(first.zip(second))
                             {
-                                let p = av as u128 * bv as u128;
-                                *acc = if first { p } else { *acc + p };
+                                *o = barrett.reduce_word(a0 * b0 + a1 * b1) & mask;
+                            }
+                        }
+                        MacArm::Word2K { a, k, barrett } => {
+                            let [k0, k1] = *k;
+                            let terms = lanes(regs, a[0], n).iter().zip(lanes(regs, a[1], n));
+                            for (o, (&a0, &a1)) in out.iter_mut().zip(terms) {
+                                *o = barrett.reduce_word(a0 * k0 + a1 * k1) & mask;
+                            }
+                        }
+                        MacArm::Wide { pairs, barrett } => {
+                            // Pairs outer, lanes inner: each pair's register
+                            // bases are resolved once per block, and the inner
+                            // multiply-accumulate zips contiguous lane slices.
+                            // A constant operand — a fused cross-basis
+                            // coefficient, say — is read once as a scalar
+                            // instead of streaming its broadcast lanes. The
+                            // first pair *assigns*, so the accumulators need no
+                            // per-instruction zeroing. The validator bounds
+                            // Σᵢ aᵢ·bᵢ by the operand widths, so they cannot
+                            // wrap.
+                            let accs = &mut accs[..n];
+                            if pairs.is_empty() {
+                                accs.fill(0);
+                            }
+                            for (i, &(a, b)) in pairs.iter().enumerate() {
+                                // Put a constant operand on the scalar side.
+                                let (va, vb) = if (a as usize) >= consts_from {
+                                    (b, a)
+                                } else {
+                                    (a, b)
+                                };
+                                let first = i == 0;
+                                if (vb as usize) >= consts_from {
+                                    let bv = regs[vb as usize * B] as u128;
+                                    for (acc, &av) in accs.iter_mut().zip(lanes(regs, va, n)) {
+                                        let p = av as u128 * bv;
+                                        *acc = if first { p } else { *acc + p };
+                                    }
+                                } else {
+                                    let terms = lanes(regs, va, n).iter().zip(lanes(regs, vb, n));
+                                    for (acc, (&av, &bv)) in accs.iter_mut().zip(terms) {
+                                        let p = av as u128 * bv as u128;
+                                        *acc = if first { p } else { *acc + p };
+                                    }
+                                }
+                            }
+                            match barrett {
+                                Some(barrett) => {
+                                    for (o, &acc) in out.iter_mut().zip(&*accs) {
+                                        *o = barrett.reduce_wide(acc) & mask;
+                                    }
+                                }
+                                None => {
+                                    for (o, &acc) in out.iter_mut().zip(&*accs) {
+                                        *o = (acc % op.q as u128) as u64 & mask;
+                                    }
+                                }
                             }
                         }
                     }
-                    let db = op.d.reg as usize * B;
-                    let lanes = accs[..n].iter().zip(&mut regs[db..db + n]);
-                    match &op.barrett {
-                        Some(barrett) => {
-                            for (&acc, dst) in lanes {
-                                *dst = barrett.reduce_wide(acc) & op.d.mask;
-                            }
-                        }
-                        None => {
-                            for (&acc, dst) in lanes {
-                                *dst = (acc % op.q as u128) as u64 & op.d.mask;
-                            }
-                        }
-                    }
+                    store(regs, op.d.reg, out);
                 }
             }
         }
     }
+}
+
+/// True when some lane is above `limit`, as an OR-fold over the lanes with no
+/// branch and no compare: plain 64-bit SIMD arithmetic, even where the target
+/// has no unsigned 64-bit compare or max. The top bit of the fold is the borrow
+/// out of `limit − v` for some lane; below `2^63` that borrow is the top bit of
+/// `v | (limit − v)`, and in general that of
+/// `(!limit & v) | (!(limit ^ v) & (limit − v))`.
+fn any_above(lanes: &[u64], limit: u64) -> bool {
+    let borrows = if limit >> 63 == 0 {
+        lanes
+            .iter()
+            .fold(0, |acc, &v| acc | v | limit.wrapping_sub(v))
+    } else {
+        lanes.iter().fold(0, |acc, &v| {
+            acc | (!limit & v) | (!(limit ^ v) & limit.wrapping_sub(v))
+        })
+    };
+    borrows >> 63 != 0
+}
+
+/// `u64::MAX` if `c`, else 0: the mask that picks between two lane values
+/// without a branch, which random data would mispredict half the time.
+fn all_ones_if(c: bool) -> u64 {
+    (c as u64).wrapping_neg()
+}
+
+/// Lanes `..n` of register `r`.
+fn lanes(regs: &[u64], r: Src, n: usize) -> &[u64] {
+    let base = r as usize * LANE_BLOCK;
+    &regs[base..base + n]
+}
+
+/// Writes `out` to the lanes of register `r`.
+fn store(regs: &mut [u64], r: u32, out: &[u64]) {
+    let base = r as usize * LANE_BLOCK;
+    regs[base..base + out.len()].copy_from_slice(out);
 }
 
 /// Hands out process-unique kernel ids, starting at 1 so the `Default` scratch tag
@@ -1315,7 +1610,13 @@ mod tests {
                     let Code::MacReduceMod(op) = &c.code[0] else {
                         panic!("one accumulation instruction");
                     };
-                    assert_eq!(op.barrett.is_some(), barrett, "q={q}");
+                    let MacArm::Wide {
+                        barrett: closing, ..
+                    } = &op.arm
+                    else {
+                        panic!("unbounded {width}-bit products accumulate in u128");
+                    };
+                    assert_eq!(closing.is_some(), barrett, "q={q}");
                     for row in 0..values.len().pow(2 * pairs as u32) {
                         let inputs: Vec<u64> = (0..2 * pairs)
                             .map(|i| values[row / values.len().pow(i as u32) % values.len()])
@@ -1573,6 +1874,246 @@ mod tests {
             c.run(&[300]),
             Err(InterpError::InputTooWide { .. })
         ));
+
+        // An input one above its declared bound is refused alike by the
+        // interpreter, `run` and `run_batch` (at any lane of the block);
+        // one at the bound is accepted.
+        for bound in [100, (1 << 63) - 1, 1 << 63, u64::MAX - 1] {
+            let mut kb = KernelBuilder::new("bounded");
+            let a = kb.param_below("a", Ty::UInt(64), bound);
+            let o = kb.output("o", Ty::UInt(64));
+            kb.push(vec![o], Op::Copy { src: a.into() });
+            let k = kb.build();
+            let c = CompiledKernel::compile(&k).unwrap();
+            let refused = Err(InterpError::InputAboveBound {
+                var: "a".into(),
+                bound,
+            });
+            assert_eq!(interp::run(&k, &[bound + 1]), refused);
+            assert_eq!(c.run(&[bound + 1]), refused);
+            assert_eq!(
+                c.run_batch(&[0, bound, bound + 1]).map(|_| ()),
+                refused.clone().map(|_| ())
+            );
+            assert_eq!(c.run_batch(&[u64::MAX, 0]).map(|_| ()), refused.map(|_| ()));
+            assert_eq!(c.run(&[bound]).unwrap(), interp::run(&k, &[bound]).unwrap());
+            assert_eq!(
+                c.run_batch(&[0, 1, bound]).unwrap().outputs,
+                vec![0, 1, bound]
+            );
+        }
+    }
+
+    /// The name of the arm the one `MacReduceMod` of `c` compiled to.
+    fn mac_arm_name(c: &CompiledKernel) -> &'static str {
+        let arms = c.code.iter().filter_map(|op| match op {
+            Code::MacReduceMod(op) => Some(match op.arm {
+                MacArm::Reduced { .. } => "Reduced",
+                MacArm::CondSub { .. } => "CondSub",
+                MacArm::Word1 { .. } => "Word1",
+                MacArm::Word1K { .. } => "Word1K",
+                MacArm::Word2 { .. } => "Word2",
+                MacArm::Word2K { .. } => "Word2K",
+                MacArm::Wide { .. } => "Wide",
+            }),
+            _ => None,
+        });
+        let arms: Vec<_> = arms.collect();
+        assert_eq!(arms.len(), 1, "one accumulation");
+        arms[0]
+    }
+
+    /// Each `MacReduceMod` arm at the edges of its choice: which arm
+    /// compiles, and that it equals the interpreter on every input row built
+    /// from 0, 1 and each parameter's bound (through `run` and `run_batch`).
+    #[test]
+    fn accumulation_arms_at_their_edges() {
+        const W: u64 = 1 << 32;
+        /// `(case, [(parameter bound, ...)], pairs over parameters p0.. and
+        /// constants, modulus, statement before the sum, expected arm)`.
+        enum T {
+            P(usize),
+            K(u64),
+        }
+        let q31 = (1u64 << 31) - 1;
+        let q60 = (1u64 << 60) - 93;
+        let q20 = 1_000_003u64;
+        #[allow(clippy::type_complexity)]
+        let cases: Vec<(&str, Vec<u64>, Vec<(T, T)>, u64, bool, &str)> = vec![
+            (
+                "residue product",
+                vec![q31 - 1, q31 - 1],
+                vec![(T::P(0), T::P(1))],
+                q31,
+                false,
+                "Word1",
+            ),
+            (
+                "one pair at u64::MAX",
+                vec![W - 1, W + 1],
+                vec![(T::P(0), T::P(1))],
+                q60,
+                false,
+                "Word1",
+            ),
+            (
+                "one pair at u64::MAX + 1",
+                vec![W, W],
+                vec![(T::P(0), T::P(1))],
+                q60,
+                false,
+                "Wide",
+            ),
+            (
+                "constant pair at u64::MAX",
+                vec![W - 1],
+                vec![(T::P(0), T::K(W + 1))],
+                q60,
+                false,
+                "Word1K",
+            ),
+            (
+                "constant pair at u64::MAX + 1",
+                vec![W],
+                vec![(T::P(0), T::K(W))],
+                q60,
+                false,
+                "Wide",
+            ),
+            (
+                "two pairs at u64::MAX",
+                vec![W - 1, W - 1, 2 * W - 2],
+                vec![(T::P(0), T::P(1)), (T::P(2), T::K(1))],
+                q60,
+                false,
+                "Word2",
+            ),
+            (
+                "two pairs at u64::MAX + 1",
+                vec![W - 1, W - 1, 2 * W - 1],
+                vec![(T::P(0), T::P(1)), (T::P(2), T::K(1))],
+                q60,
+                false,
+                "Wide",
+            ),
+            (
+                "two constant pairs at u64::MAX",
+                vec![W - 1, 2 * W - 2],
+                vec![(T::K(W - 1), T::P(0)), (T::P(1), T::K(1))],
+                q60,
+                false,
+                "Word2K",
+            ),
+            (
+                "two constant pairs at u64::MAX + 1",
+                vec![W - 1, 2 * W - 1],
+                vec![(T::K(W - 1), T::P(0)), (T::P(1), T::K(1))],
+                q60,
+                false,
+                "Wide",
+            ),
+            (
+                "times one below q",
+                vec![q20 - 1],
+                vec![(T::P(0), T::K(1))],
+                q20,
+                false,
+                "Reduced",
+            ),
+            (
+                "times one below 2q",
+                vec![2 * q20 - 1],
+                vec![(T::K(1), T::P(0))],
+                q20,
+                false,
+                "CondSub",
+            ),
+            (
+                "times one at 2q",
+                vec![2 * q20],
+                vec![(T::P(0), T::K(1))],
+                q20,
+                false,
+                "Word1K",
+            ),
+            (
+                "unbounded",
+                vec![u64::MAX],
+                vec![(T::P(0), T::K(3))],
+                q60,
+                false,
+                "Wide",
+            ),
+            (
+                "outside the Barrett domain",
+                vec![1],
+                vec![(T::P(0), T::K(3))],
+                u64::MAX - 58,
+                false,
+                "Wide",
+            ),
+            // `t = (p0 − p1) mod q` with `p0 ≥ q` can reach `2q − 1`: the sum
+            // `t·1` then needs the conditional subtraction.
+            (
+                "difference of an unreduced minuend",
+                vec![2 * q20 - 1, q20 - 1],
+                vec![(T::P(2), T::K(1))],
+                q20,
+                true,
+                "CondSub",
+            ),
+        ];
+        for (case, bounds, terms, q, submod, arm) in cases {
+            let mut kb = KernelBuilder::new("arm");
+            let mut ps: Vec<VarId> = bounds
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| kb.param_below(format!("p{i}"), Ty::UInt(64), b))
+                .collect();
+            if submod {
+                let t = kb.local("t", Ty::UInt(64));
+                let sub = Op::SubMod {
+                    a: ps[0].into(),
+                    b: ps[1].into(),
+                    q: Operand::Const(q),
+                };
+                kb.push(vec![t], sub);
+                ps.push(t);
+            }
+            let operand = |t: &T| match *t {
+                T::P(i) => Operand::Var(ps[i]),
+                T::K(k) => Operand::Const(k),
+            };
+            let pairs = terms
+                .iter()
+                .map(|(a, b)| (operand(a), operand(b)))
+                .collect();
+            let out = kb.output("out", Ty::UInt(64));
+            kb.push(vec![out], Op::MacReduceMod { pairs, q });
+            let k = kb.build();
+            let c = CompiledKernel::compile(&k).unwrap();
+            assert_eq!(mac_arm_name(&c), arm, "{case}");
+            // Every row over {0, 1, bound} per parameter.
+            let edges: Vec<[u64; 3]> = bounds.iter().map(|&b| [0, 1.min(b), b]).collect();
+            let rows: Vec<Vec<u64>> = (0..3usize.pow(bounds.len() as u32))
+                .map(|r| {
+                    (0..bounds.len())
+                        .map(|i| edges[i][r / 3usize.pow(i as u32) % 3])
+                        .collect()
+                })
+                .collect();
+            let mut oracle = Vec::new();
+            for row in &rows {
+                let want = interp::run(&k, row).unwrap();
+                assert_eq!(c.run(row).unwrap(), want, "{case}: {row:?}");
+                oracle.extend(want.outputs);
+            }
+            assert_eq!(
+                c.run_batch(&rows.concat()).unwrap().outputs,
+                oracle,
+                "{case}"
+            );
+        }
     }
 
     #[test]

@@ -39,6 +39,14 @@ pub enum InterpError {
         /// The parameter name.
         var: String,
     },
+    /// An input value is above the parameter's declared bound
+    /// ([`Kernel::bounds`]).
+    InputAboveBound {
+        /// The parameter name.
+        var: String,
+        /// The bound the input exceeds.
+        bound: u64,
+    },
 }
 
 impl fmt::Display for InterpError {
@@ -60,6 +68,12 @@ impl fmt::Display for InterpError {
                 write!(
                     f,
                     "input for parameter '{var}' does not fit its declared width"
+                )
+            }
+            InterpError::InputAboveBound { var, bound } => {
+                write!(
+                    f,
+                    "input for parameter '{var}' is above its declared bound {bound}"
                 )
             }
         }
@@ -84,8 +98,9 @@ pub struct RunResult {
 /// # Errors
 ///
 /// Returns an [`InterpError`] if the kernel is not fully lowered (any variable wider
-/// than 64 bits), if the input count is wrong, or if a value is read before being
-/// written.
+/// than 64 bits), if the input count is wrong, if an input does not fit its
+/// parameter's width or is above its declared bound, or if a value is read
+/// before being written.
 ///
 /// # Example
 ///
@@ -124,6 +139,14 @@ pub fn run(kernel: &Kernel, inputs: &[u64]) -> Result<RunResult, InterpError> {
             return Err(InterpError::InputTooWide {
                 var: kernel.var(*p).name.clone(),
             });
+        }
+        if let Some(&bound) = kernel.bounds.get(p) {
+            if input > bound {
+                return Err(InterpError::InputAboveBound {
+                    var: kernel.var(*p).name.clone(),
+                    bound,
+                });
+            }
         }
         values[p.0] = Some(input as u128);
     }
@@ -485,6 +508,28 @@ mod tests {
         kb.push(vec![o], Op::Copy { src: a.into() });
         let k = kb.build();
         assert_eq!(run(&k, &[200]).unwrap().outputs, vec![200]);
+        assert!(matches!(
+            run(&k, &[300]),
+            Err(InterpError::InputTooWide { .. })
+        ));
+    }
+
+    #[test]
+    fn bounded_inputs_are_range_checked() {
+        let mut kb = KernelBuilder::new("bounded");
+        let a = kb.param_below("a", Ty::UInt(8), 100);
+        let o = kb.output("o", Ty::UInt(8));
+        kb.push(vec![o], Op::Copy { src: a.into() });
+        let k = kb.build();
+        assert_eq!(run(&k, &[100]).unwrap().outputs, vec![100]);
+        assert_eq!(
+            run(&k, &[101]),
+            Err(InterpError::InputAboveBound {
+                var: "a".into(),
+                bound: 100
+            })
+        );
+        // The width test comes first, as it does in the compiled executor.
         assert!(matches!(
             run(&k, &[300]),
             Err(InterpError::InputTooWide { .. })

@@ -1,6 +1,7 @@
 //! Kernels: straight-line sequences of typed assignments.
 
 use crate::Ty;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -488,6 +489,13 @@ pub struct Kernel {
     pub outputs: Vec<VarId>,
     /// The body, executed top to bottom.
     pub body: Vec<Stmt>,
+    /// Declared upper bounds of parameters: every input for a parameter in this
+    /// table is at most its bound (a residue below its modulus `q` is bounded by
+    /// `q − 1`). Both executors refuse an input above its bound, and
+    /// [`CompiledKernel::compile`](crate::CompiledKernel::compile) picks cheaper
+    /// exact arithmetic from the bounds. Empty for every kernel the rewrite
+    /// system generates.
+    pub bounds: BTreeMap<VarId, u64>,
 }
 
 impl Kernel {
@@ -528,9 +536,12 @@ impl Kernel {
     }
 
     /// A structural fingerprint of what the kernel computes: every variable's
-    /// type, the parameter and output lists, and each statement's destinations
-    /// and operation (tag, operands, constants). Names and comments are left
-    /// out, so two kernels that differ only in those share a fingerprint.
+    /// type, the parameter and output lists, each statement's destinations
+    /// and operation (tag, operands, constants), and the parameter bounds.
+    /// Names and comments are left out, so two kernels that differ only in
+    /// those share a fingerprint. An empty bound table hashes to nothing, so
+    /// declaring no bounds leaves the fingerprint as it was before bounds
+    /// existed.
     ///
     /// The walk allocates nothing, and the value is the same in every process
     /// and on every target: a build script and the program it builds agree on
@@ -548,6 +559,13 @@ impl Kernel {
         for stmt in &self.body {
             stmt.dsts.hash(&mut h);
             stmt.op.hash(&mut h);
+        }
+        if !self.bounds.is_empty() {
+            h.write_usize(self.bounds.len());
+            for (v, bound) in &self.bounds {
+                v.hash(&mut h);
+                h.write_u64(*bound);
+            }
         }
         h.finish()
     }
@@ -671,6 +689,7 @@ pub struct KernelBuilder {
     params: Vec<VarId>,
     outputs: Vec<VarId>,
     body: Vec<Stmt>,
+    bounds: BTreeMap<VarId, u64>,
     fresh_counter: usize,
 }
 
@@ -683,6 +702,7 @@ impl KernelBuilder {
             params: Vec::new(),
             outputs: Vec::new(),
             body: Vec::new(),
+            bounds: BTreeMap::new(),
             fresh_counter: 0,
         }
     }
@@ -700,6 +720,14 @@ impl KernelBuilder {
     pub fn param(&mut self, name: impl Into<String>, ty: Ty) -> VarId {
         let id = self.add_var(name, ty);
         self.params.push(id);
+        id
+    }
+
+    /// Declares a parameter whose every input is at most `bound` (see
+    /// [`Kernel::bounds`]).
+    pub fn param_below(&mut self, name: impl Into<String>, ty: Ty, bound: u64) -> VarId {
+        let id = self.param(name, ty);
+        self.bounds.insert(id, bound);
         id
     }
 
@@ -748,6 +776,7 @@ impl KernelBuilder {
             params: self.params,
             outputs: self.outputs,
             body: self.body,
+            bounds: self.bounds,
         }
     }
 }
@@ -827,7 +856,12 @@ mod tests {
         narrower.vars[1].ty = Ty::UInt(32);
         let mut swapped = k.clone();
         swapped.params.swap(0, 1);
-        for changed in [carried, narrower, swapped] {
+        let mut bounded = k.clone();
+        bounded.bounds.insert(VarId(0), 100);
+        let mut tighter = bounded.clone();
+        tighter.bounds.insert(VarId(0), 99);
+        assert_ne!(bounded.fingerprint(), tighter.fingerprint());
+        for changed in [carried, narrower, swapped, bounded] {
             assert_ne!(k.fingerprint(), changed.fingerprint(), "{changed}");
         }
     }

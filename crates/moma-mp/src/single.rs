@@ -228,14 +228,14 @@ impl SingleBarrett {
     /// the end, instead of performing one modular reduction per term. The high
     /// word is folded in through the precomputed radix residue `2^64 mod q`, and
     /// both word reductions go through the division-free [`Self::reduce_word`].
+    /// The fold runs for every `t`, with no branch on whether the high word is
+    /// zero: a sum of products straddles `2^64` unpredictably.
     #[inline]
     pub fn reduce_wide(&self, t: u128) -> u64 {
         let hi = (t >> 64) as u64;
         let lo = t as u64;
-        if hi == 0 {
-            return self.reduce_word(lo);
-        }
-        // t = hi·2^64 + lo ≡ (hi mod q)·(2^64 mod q) + (lo mod q)  (mod q).
+        // t = hi·2^64 + lo ≡ (hi mod q)·(2^64 mod q) + (lo mod q)  (mod q);
+        // both factors are reduced, so `mul_mod` is exact (and 0 when hi = 0).
         let folded = self.mul_mod(self.reduce_word(hi), self.radix);
         self.add_mod(folded, self.reduce_word(lo))
     }
@@ -464,8 +464,26 @@ mod tests {
                 let t = (hi as u128) << 64 | lo as u128;
                 assert_eq!(ctx.reduce_wide(t), (t % q as u128) as u64, "q={q} t={t}");
             }
-            assert_eq!(ctx.reduce_wide(0), 0);
-            assert_eq!(ctx.reduce_wide(u128::MAX), (u128::MAX % q as u128) as u64);
+            // Both sides of 2^64, where the high word turns non-zero.
+            let word = 1u128 << 64;
+            let q128 = q as u128;
+            for t in [
+                0,
+                1,
+                q128 - 1,
+                q128,
+                word - q128,
+                word - 2,
+                word - 1,
+                word,
+                word + 1,
+                word + q128,
+                2 * word - 1,
+                u128::MAX - q128,
+                u128::MAX,
+            ] {
+                assert_eq!(ctx.reduce_wide(t), (t % q128) as u64, "q={q} t={t}");
+            }
         }
     }
 

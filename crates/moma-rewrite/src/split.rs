@@ -734,6 +734,7 @@ pub(crate) fn split_once(
         params,
         outputs,
         body,
+        bounds,
     } = kernel;
 
     // Sized for the growth seen on the evaluation's kernels: one step turns a
@@ -745,6 +746,7 @@ pub(crate) fn split_once(
         params: Vec::with_capacity(params.len() * 2),
         outputs: Vec::with_capacity(outputs.len() * 2),
         body: Vec::new(),
+        bounds: Default::default(),
     };
     let mut mapping = Vec::with_capacity(vars.len());
     let mut new_zero_top = Vec::with_capacity(vars.len() + split_count);
@@ -787,6 +789,14 @@ pub(crate) fn split_once(
             }
         }
     }
+    // A bound follows a variable that keeps its width; a split one drops it.
+    out.bounds = bounds
+        .into_iter()
+        .filter_map(|(v, bound)| match mapping[v.0] {
+            VarMapping::Single(s) => Some((s, bound)),
+            VarMapping::Pair(..) => None,
+        })
+        .collect();
 
     let mut splitter = Splitter {
         out,

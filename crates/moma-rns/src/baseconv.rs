@@ -176,8 +176,12 @@ impl BaseConvPlan {
     pub fn fused_kernel_ir_unfused(&self) -> Kernel {
         let k = self.src_moduli.len();
         let mut kb = KernelBuilder::new("rns_baseconv_fused");
-        let params: Vec<_> = (0..k)
-            .map(|r| kb.param(format!("x{r}"), Ty::UInt(64)))
+        // Every residue parameter is declared below its source modulus.
+        let params: Vec<_> = self
+            .src_moduli
+            .iter()
+            .enumerate()
+            .map(|(r, &m)| kb.param_below(format!("x{r}"), Ty::UInt(64), m - 1))
             .collect();
         let outs: Vec<_> = (0..self.dst.moduli_count())
             .map(|s| kb.output(format!("y{s}"), Ty::UInt(64)))
@@ -613,11 +617,14 @@ impl RescaleExtendPlan {
         let km1 = k - 1;
         let half = src_ctxs[km1].q / 2;
         let mut kb = KernelBuilder::new("rns_mul_rescale_extend_fused");
-        let params: Vec<_> = (0..k)
-            .map(|r| {
+        // Every residue parameter is declared below its source modulus.
+        let params: Vec<_> = src_ctxs
+            .iter()
+            .enumerate()
+            .map(|(r, ctx)| {
                 (
-                    kb.param(format!("x{r}"), Ty::UInt(64)),
-                    kb.param(format!("w{r}"), Ty::UInt(64)),
+                    kb.param_below(format!("x{r}"), Ty::UInt(64), ctx.q - 1),
+                    kb.param_below(format!("w{r}"), Ty::UInt(64), ctx.q - 1),
                 )
             })
             .collect();

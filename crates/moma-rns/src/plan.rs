@@ -333,13 +333,17 @@ impl RnsPlan {
     /// as the interpreter oracle for fusion cross-checks.
     pub fn mul_axpy_kernel_ir_unfused(&self) -> Kernel {
         let mut kb = KernelBuilder::new("rns_mul_axpy_fused");
-        let rows: Vec<_> = (0..self.moduli_count())
-            .map(|r| {
+        // Every residue parameter is declared below its row's modulus.
+        let rows: Vec<_> = self
+            .ctxs
+            .iter()
+            .enumerate()
+            .map(|(r, ctx)| {
                 (
-                    kb.param(format!("x{r}"), Ty::UInt(64)),
-                    kb.param(format!("w{r}"), Ty::UInt(64)),
-                    kb.param(format!("s{r}"), Ty::UInt(64)),
-                    kb.param(format!("z{r}"), Ty::UInt(64)),
+                    kb.param_below(format!("x{r}"), Ty::UInt(64), ctx.q - 1),
+                    kb.param_below(format!("w{r}"), Ty::UInt(64), ctx.q - 1),
+                    kb.param_below(format!("s{r}"), Ty::UInt(64), ctx.q - 1),
+                    kb.param_below(format!("z{r}"), Ty::UInt(64), ctx.q - 1),
                     kb.output(format!("y{r}"), Ty::UInt(64)),
                 )
             })

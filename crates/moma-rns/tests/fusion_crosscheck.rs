@@ -2,7 +2,9 @@
 //! stage must stay **bit-for-bit** identical to its unfused form, with the
 //! interpreter running the *unfused* program as the semantic oracle. Both the
 //! fused interpretation and the fused compiled-bytecode execution are held to
-//! the oracle, over fully random width-masked inputs.
+//! the oracle, over random inputs at or below each parameter's declared bound
+//! (or width), plus the edge rows where every input is 0 and where every
+//! input is at its bound.
 //!
 //! Coverage: every kernel shape the rewrite system generates (both widths,
 //! both multiplication splitting rules), plus the RNS chain kernels — the
@@ -18,26 +20,52 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Random inputs masked to each parameter's declared width.
-fn random_inputs(kernel: &Kernel, rng: &mut StdRng) -> Vec<u64> {
+/// The largest input each parameter accepts: its declared bound, else the
+/// largest value of its width.
+fn input_limits(kernel: &Kernel) -> Vec<u64> {
     kernel
         .params
         .iter()
         .map(|p| {
             let bits = kernel.ty(*p).bits();
-            let v: u64 = rng.gen();
-            if bits >= 64 {
-                v
+            let ones = if bits >= 64 {
+                u64::MAX
             } else {
-                v & ((1u64 << bits) - 1)
-            }
+                (1u64 << bits) - 1
+            };
+            kernel.bounds.get(p).map_or(ones, |&b| b.min(ones))
         })
         .collect()
 }
 
+/// Random inputs, each at or below its parameter's limit.
+fn random_inputs(kernel: &Kernel, rng: &mut StdRng) -> Vec<u64> {
+    input_limits(kernel)
+        .into_iter()
+        .map(|limit| {
+            let v: u64 = rng.gen();
+            limit.checked_add(1).map_or(v, |span| v % span)
+        })
+        .collect()
+}
+
+/// How many accumulations of `compiled` run each arm, by arm name, read from
+/// its `Debug` text.
+fn arm_histogram(compiled: &CompiledKernel) -> Vec<(&'static str, usize)> {
+    let text = format!("{compiled:?}");
+    [
+        "Reduced", "CondSub", "Word1", "Word1K", "Word2", "Word2K", "Wide",
+    ]
+    .into_iter()
+    .map(|arm| (arm, text.matches(&format!("arm: {arm} ")).count()))
+    .filter(|&(_, count)| count > 0)
+    .collect()
+}
+
 /// Optimizes `unfused` and demands that both the interpreter and the compiled
 /// executor running the fused program reproduce the unfused interpreter oracle
-/// exactly, on `rounds` random inputs.
+/// exactly, on the two edge rows (every input 0, every input at its limit) and
+/// `rounds` random inputs.
 fn fused_matches_unfused(unfused: &Kernel, rounds: usize, rng: &mut StdRng) {
     validate::validate(unfused).expect("unfused kernel must type-check");
     let fused = optimize(unfused.clone());
@@ -50,8 +78,9 @@ fn fused_matches_unfused(unfused: &Kernel, rounds: usize, rng: &mut StdRng) {
     );
     let compiled = CompiledKernel::compile(&fused)
         .unwrap_or_else(|e| panic!("{}: fused compile failed: {e}", unfused.name));
-    for _ in 0..rounds {
-        let inputs = random_inputs(unfused, rng);
+    let edges = [vec![0; unfused.params.len()], input_limits(unfused)];
+    let random = (0..rounds).map(|_| random_inputs(unfused, rng));
+    for inputs in edges.into_iter().chain(random.collect::<Vec<_>>()) {
         let oracle = interp::run(unfused, &inputs)
             .unwrap_or_else(|e| panic!("{}: unfused interp failed: {e}", unfused.name));
         let via_interp = interp::run(&fused, &inputs)
@@ -153,6 +182,31 @@ fn chain_kernel_shapes_at_the_520_bit_capacity_basis() {
     assert_eq!(shape(&src.mul_axpy_kernel_ir()), (57, 38));
 }
 
+/// The arms the compiled executor runs the chain kernels on at the 520-bit
+/// capacity basis: with every residue declared below its 31-bit modulus, all
+/// one- and two-pair sums fit a word; the dropped row's residue, below
+/// `q_k < 2·q_r`, needs one conditional subtraction per surviving row; only
+/// the 18-term row of the conversion back stays on `u128`.
+#[test]
+fn chain_kernel_arms_at_the_520_bit_capacity_basis() {
+    let src = RnsPlan::with_capacity_bits(520);
+    let moduli: Vec<u64> = src.moduli().collect();
+    let dst = plan(&moduli[..18]);
+    let arms = |k: Kernel| arm_histogram(&CompiledKernel::compile(&k).unwrap());
+    assert_eq!(
+        arms(src.mul_axpy_kernel_ir()),
+        [("Word1", 19), ("Word2", 19)]
+    );
+    assert_eq!(
+        arms(src.rescale_extend_plan(&dst).mul_fused_kernel_ir()),
+        [("CondSub", 18), ("Word1", 19), ("Word2K", 18)]
+    );
+    assert_eq!(
+        arms(BaseConvPlan::new(&dst, &src).fused_kernel_ir()),
+        [("Word1K", 36), ("Wide", 1)]
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -213,9 +267,18 @@ proptest! {
     /// narrow/wide bases.
     #[test]
     fn mul_axpy_chain_kernel_survives_fusion(seed in any::<u64>(), count in 2usize..7) {
-        let plan = RnsPlan::new(&RnsContext::with_moduli(&mixed_basis(seed, count, &[31, 52, 40, 31])));
+        let moduli = mixed_basis(seed, count, &[31, 52, 40, 31]);
+        let plan = RnsPlan::new(&RnsContext::with_moduli(&moduli));
         let mut rng = StdRng::seed_from_u64(seed ^ 0xa491);
         fused_matches_unfused(&plan.mul_axpy_kernel_ir_unfused(), 5, &mut rng);
+        // The 40- and 52-bit rows' products do not fit a word: both of their
+        // accumulations stay on the u128 arm, and only theirs.
+        let wide_rows = moduli.iter().filter(|&&q| q > 1 << 32).count();
+        let compiled = CompiledKernel::compile(&plan.mul_axpy_kernel_ir()).unwrap();
+        let arms = arm_histogram(&compiled);
+        let count_of = |arm| arms.iter().find(|(a, _)| *a == arm).map_or(0, |&(_, c)| c);
+        prop_assert_eq!(count_of("Wide"), 2 * wide_rows);
+        prop_assert_eq!(count_of("Word1") + count_of("Word2"), 2 * (moduli.len() - wide_rows));
     }
 
     /// The whole `mul→rescale→extend` chain kernel survives fusion bit for bit

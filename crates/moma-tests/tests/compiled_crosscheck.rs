@@ -4,9 +4,14 @@
 //! `smoke_daddmod` test.
 //!
 //! The interpreter is the semantic reference; both executors compute the same pure
-//! function of the input words, so the check feeds fully random (width-masked)
-//! inputs and requires bit-exact agreement.
+//! function of the input words, so the check feeds random inputs at or below each
+//! parameter's declared bound (or width) and requires bit-exact agreement. The
+//! fused RNS chain kernels declare their residues below their moduli, and the
+//! compiled executor runs most of their sums on word arms chosen from those
+//! bounds; under overflow checks (`--profile test-checked`) an unsound choice
+//! panics here instead of wrapping.
 
+use moma::rns::{BaseConvPlan, RnsContext, RnsPlan};
 use moma_ir::compiled::LANE_BLOCK;
 use moma_ir::cost::OpCounts;
 use moma_ir::{interp, validate, CompiledKernel, Kernel, KernelBuilder, Op, Operand, Ty};
@@ -14,19 +19,31 @@ use moma_rewrite::{lower, HighLevelKernel, KernelOp, KernelSpec, LoweringConfig,
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Random inputs masked to each parameter's declared width.
-fn random_inputs(kernel: &Kernel, rng: &mut StdRng) -> Vec<u64> {
+/// The largest input each parameter accepts: its declared bound, else the
+/// largest value of its width.
+fn input_limits(kernel: &Kernel) -> Vec<u64> {
     kernel
         .params
         .iter()
         .map(|p| {
             let bits = kernel.ty(*p).bits();
-            let v: u64 = rng.gen();
-            if bits >= 64 {
-                v
+            let ones = if bits >= 64 {
+                u64::MAX
             } else {
-                v & ((1u64 << bits) - 1)
-            }
+                (1u64 << bits) - 1
+            };
+            kernel.bounds.get(p).map_or(ones, |&b| b.min(ones))
+        })
+        .collect()
+}
+
+/// Random inputs, each at or below its parameter's limit.
+fn random_inputs(kernel: &Kernel, rng: &mut StdRng) -> Vec<u64> {
+    input_limits(kernel)
+        .into_iter()
+        .map(|limit| {
+            let v: u64 = rng.gen();
+            limit.checked_add(1).map_or(v, |span| v % span)
         })
         .collect()
 }
@@ -43,9 +60,10 @@ fn crosscheck(kernel: &Kernel, seed: u64) {
     let compiled = CompiledKernel::compile(kernel)
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", kernel.name));
     let mut rng = StdRng::seed_from_u64(seed);
-    let rows: Vec<Vec<u64>> = (0..ROUNDS)
-        .map(|_| random_inputs(kernel, &mut rng))
-        .collect();
+    // The two edge rows (every input 0, every input at its limit), then
+    // random ones.
+    let mut rows = vec![vec![0; kernel.params.len()], input_limits(kernel)];
+    rows.extend((2..ROUNDS).map(|_| random_inputs(kernel, &mut rng)));
     let flat: Vec<u64> = rows.iter().flatten().copied().collect();
 
     let batch = compiled
@@ -138,4 +156,32 @@ fn compiled_matches_interpreter_on_small_word_lowerings() {
     let lowered = lower(&hl, &config);
     assert!(lowered.kernel.is_machine_level(32));
     crosscheck(&lowered.kernel, 0x3232);
+}
+
+#[test]
+fn compiled_matches_interpreter_on_the_rns_chain_kernels() {
+    // The three fused chain kernels at the 520-bit capacity basis (19 × 31-bit
+    // moduli, where the word arms run) and on a mixed 31/40/52-bit basis
+    // (where the wide rows stay on the u128 arm), each with its conversion
+    // back and its rescale onto the basis without its last modulus.
+    let capacity = RnsPlan::with_capacity_bits(520);
+    let mixed = RnsPlan::new(&RnsContext::with_moduli(&[
+        2_147_483_647,
+        (1 << 40) - 87,
+        (1 << 52) - 47,
+        2_147_483_629,
+    ]));
+    let mut seed = 0x0c4a_1500;
+    for src in [capacity, mixed] {
+        let moduli: Vec<u64> = src.moduli().collect();
+        let dst = RnsPlan::new(&RnsContext::with_moduli(&moduli[..moduli.len() - 1]));
+        for kernel in [
+            src.mul_axpy_kernel_ir(),
+            src.rescale_extend_plan(&dst).mul_fused_kernel_ir(),
+            BaseConvPlan::new(&dst, &src).fused_kernel_ir(),
+        ] {
+            crosscheck(&kernel, seed);
+            seed += 1;
+        }
+    }
 }
