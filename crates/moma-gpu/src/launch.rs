@@ -15,10 +15,12 @@
 //! | [`launch_indexed`] | index `i` — a side-effecting closure; NTT butterflies | the caller's own storage and synchronization |
 //! | [`launch_chunks`] | `chunk_len`-sized chunk of a `&mut` slice — a residue row, a thread block | written in place |
 //! | [`launch_compiled_batch`] | row of a flat row-major input batch, run through a generated [`CompiledKernel`]: its build-time native twin if the fixed set has one, else lane blocks | returned flat, element-major |
-//! | [`launch_compiled_rows`] | element of a multi-output [`CompiledKernel`], run in lane blocks | scattered in place, one row per output |
+//! | [`launch_compiled_rows`] | element of a multi-output [`CompiledKernel`] over parameter planes — each a row read in place or one uniform value — run in lane blocks | written in place, one row per output |
 //!
 //! The two compiled shapes run the same lane-block executor and differ only in
-//! layout (element-major in and out, or planes in and rows out). A batch launch
+//! layout: element-major in and out, gathered and scattered block by block
+//! through the worker's scratch; or planes read where they lie and output rows
+//! written where they lie, with no copy on either side. A batch launch
 //! first looks the kernel's fingerprint up in the fixed set that `build.rs`
 //! emitted with the rewrite system and rustc compiled (the default-config
 //! modmul at 128 and 256 bits); on a match each worker runs that native
@@ -28,7 +30,7 @@
 //! suites cross-check them against it.
 
 use crate::native;
-use moma_ir::compiled::{BlockScratch, CompiledKernel, LANE_BLOCK};
+use moma_ir::compiled::{BlockScratch, CompiledKernel, Plane};
 use std::cell::RefCell;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -53,10 +55,11 @@ pub struct LaunchStats {
     /// [`launch_chunks`], [`launch_compiled_rows`]) report `0` — the caller
     /// owns the output — and ops that route their planes through a
     /// [`crate::pool::BufferPool`] report the pool-miss delta, so a warm
-    /// steady state reports `0` end to end. Per-worker frames are
-    /// O(registers × `LANE_BLOCK`), not plane-sized, and are excluded (the
-    /// inline single-worker path reuses a thread-local frame and allocates
-    /// none).
+    /// steady state reports `0` end to end. Per-worker scratch frames —
+    /// `LANE_BLOCK` lanes per temporary register and per parameter — are not
+    /// plane-sized and are excluded (a thread keeps its frame across
+    /// launches, so the calling thread's share allocates none in the steady
+    /// state).
     pub allocs: usize,
     /// Wall-clock time of the launch.
     pub elapsed: Duration,
@@ -166,13 +169,13 @@ fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
 }
 
 thread_local! {
-    /// Reusable per-thread lane-block frame for the compiled shapes. A frame
-    /// self-retags when it moves between kernels, so one frame per thread
-    /// serves every kernel that thread ever launches — the calling thread's
-    /// share of a launch allocates no scratch at all in the steady state.
-    /// Scoped worker threads are born fresh per launch, so theirs is built
-    /// once per launch; that frame is O(registers × `LANE_BLOCK`), not
-    /// plane-sized, and is excluded from [`LaunchStats::allocs`].
+    /// Reusable per-thread lane-block scratch for the compiled shapes. A
+    /// scratch holds no per-kernel state (it grows to the largest frame it
+    /// has served), so one per thread serves every kernel that thread ever
+    /// launches — the calling thread's share of a launch allocates no
+    /// scratch at all in the steady state. Scoped worker threads are born
+    /// fresh per launch, so theirs is built once per launch; that frame is
+    /// not plane-sized and is excluded from [`LaunchStats::allocs`].
     static INLINE_BLOCK_SCRATCH: RefCell<BlockScratch> = RefCell::new(BlockScratch::default());
 }
 
@@ -325,36 +328,39 @@ pub fn launch_compiled_batch(compiled: &CompiledKernel, inputs: &[u64]) -> (Vec<
 }
 
 /// Executes a multi-output compiled kernel over every element in a single
-/// launch, scattering output `j` of element `i` to `out[j * cols + i]` — the
+/// launch, writing output `j` of element `i` to `out[j * cols + i]` — the
 /// row-major matrix layout a residue-plane consumer needs.
 ///
-/// Elements run in lane blocks through [`CompiledKernel::run_lanes`]: each
-/// bytecode instruction dispatches once per block of up to
-/// [`LANE_BLOCK`] elements, and parameters are loaded a whole
-/// block at a time — `fill(p, lo, lanes)` must write parameter `p` for
-/// the consecutive elements `lo..lo + lanes.len()` into `lanes`, which for
-/// row-major input planes is a contiguous row copy rather than a per-element
-/// gather. Compared with running one [`launch_compiled_batch`] per output row,
-/// this pays the fixed launch cost **once** for all rows, reads each input
-/// element once instead of once per row, and never materializes an
-/// element-major intermediate: every worker owns a disjoint column range of
-/// each output row and writes results in place.
+/// `plane(p)` says where parameter `p`'s `cols` values are: a
+/// [`Plane::Row`] of `cols` values is read in place, and a
+/// [`Plane::Uniform`] is one value for every element (a scalar's residue, say).
+/// Each worker runs its column range through [`CompiledKernel::run_lanes`]:
+/// each bytecode instruction dispatches once per block of up to
+/// [`LANE_BLOCK`](moma_ir::compiled::LANE_BLOCK) elements, each block's row
+/// lanes are checked where they lie, each uniform value is checked once per
+/// range and broadcast once into the worker's scratch, and each output row's
+/// window is written in place. Compared with running one
+/// [`launch_compiled_batch`] per output row, this pays the fixed launch cost
+/// **once** for all rows, reads each input element once instead of once per
+/// row, and never materializes an element-major intermediate.
 ///
 /// `out.len()` must equal `output_count() * cols`; the launch reports `cols`
 /// virtual threads (one per element, each producing a full output column).
 ///
 /// # Panics
 ///
-/// Panics if `out.len()` is not `output_count() * cols`, or if execution fails
-/// on any element (an invalid generated kernel or malformed inputs).
-pub fn launch_compiled_rows<F>(
+/// Panics if `out.len()` is not `output_count() * cols`, if a row plane does
+/// not hold `cols` values, or if execution fails on any element (an invalid
+/// generated kernel or an input above its parameter's width or bound); the
+/// message names the worker's element range.
+pub fn launch_compiled_rows<'p, F>(
     compiled: &CompiledKernel,
     out: &mut [u64],
     cols: usize,
-    fill: F,
+    plane: F,
 ) -> LaunchStats
 where
-    F: Fn(usize, usize, &mut [u64]) + Sync,
+    F: Fn(usize) -> Plane<'p> + Sync,
 {
     let oc = compiled.output_count();
     assert_eq!(
@@ -362,6 +368,11 @@ where
         oc * cols,
         "output length must be output_count() * cols"
     );
+    for p in 0..compiled.param_count() {
+        if let Plane::Row(row) = plane(p) {
+            assert_eq!(row.len(), cols, "row plane {p} must hold cols values");
+        }
+    }
     let start = Instant::now();
     // `oc == 0` leaves nothing to run (and `cols == 0` nothing to chunk by).
     let elements = if oc > 0 { cols } else { 0 };
@@ -378,25 +389,16 @@ where
                 .collect()
         },
         |lo, hi, mut rows| {
+            let range = |p| match plane(p) {
+                Plane::Row(row) => Plane::Row(&row[lo..hi]),
+                uniform => uniform,
+            };
             with_inline_block_scratch(|scratch| {
-                let mut base = lo;
-                while base < hi {
-                    let n = (hi - base).min(LANE_BLOCK);
-                    compiled
-                        .run_lanes(
-                            n,
-                            scratch,
-                            |p, lanes| fill(p, base, lanes),
-                            |j, lanes| rows[j][base - lo..base - lo + n].copy_from_slice(lanes),
-                        )
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "generated kernel failed on elements {base}..{}: {e}",
-                                base + n
-                            )
-                        });
-                    base += n;
-                }
+                compiled
+                    .run_lanes(hi - lo, scratch, range, &mut rows)
+                    .unwrap_or_else(|e| {
+                        panic!("generated kernel failed on elements {lo}..{hi}: {e}")
+                    })
             })
         },
     );
@@ -574,12 +576,12 @@ mod tests {
         );
         let compiled = CompiledKernel::compile(&kb.build()).unwrap();
         let cols = 333; // deliberately not a multiple of any worker count
-        let inputs: Vec<[u64; 2]> = (0..cols).map(|i| [i as u64 * 3, i as u64 + 7]).collect();
+        let a_row: Vec<u64> = (0..cols as u64).map(|i| i * 3).collect();
+        let b_row: Vec<u64> = (0..cols as u64).map(|i| i + 7).collect();
+        let inputs: Vec<[u64; 2]> = a_row.iter().zip(&b_row).map(|(&a, &b)| [a, b]).collect();
         let mut out = vec![0u64; 2 * cols];
-        let stats = launch_compiled_rows(&compiled, &mut out, cols, |p, lo, lanes| {
-            for (e, lane) in lanes.iter_mut().enumerate() {
-                *lane = inputs[lo + e][p];
-            }
+        let stats = launch_compiled_rows(&compiled, &mut out, cols, |p| {
+            Plane::Row(if p == 0 { &a_row } else { &b_row })
         });
         assert_eq!(stats.threads, cols);
         assert_eq!(stats.launches, 1);
@@ -591,9 +593,18 @@ mod tests {
             assert_eq!(out[cols + i], oracle[2 * i + 1], "row 1 element {i}");
         }
         let mut empty: [u64; 0] = [];
-        let stats =
-            launch_compiled_rows(&compiled, &mut empty, 0, |_, _, _| panic!("must not run"));
+        let stats = launch_compiled_rows(&compiled, &mut empty, 0, |_| Plane::Row(&[]));
         assert_eq!(stats.threads, 0);
+        // A uniform second parameter: every element adds the same value.
+        let stats = launch_compiled_rows(&compiled, &mut out, cols, |p| match p {
+            0 => Plane::Row(&a_row),
+            _ => Plane::Uniform(5),
+        });
+        assert_eq!(stats.threads, cols);
+        for i in 0..cols {
+            assert_eq!(out[i], a_row[i] + 5, "row 0 element {i}");
+            assert_eq!(out[cols + i], a_row[i] * 2, "row 1 element {i}");
+        }
     }
 
     #[test]
@@ -604,7 +615,7 @@ mod tests {
         let o = kb.output("o", Ty::UInt(64));
         kb.push(vec![o], Op::Copy { src: a.into() });
         let compiled = CompiledKernel::compile(&kb.build()).unwrap();
-        launch_compiled_rows(&compiled, &mut [0u64; 5], 4, |_, _, _| {});
+        launch_compiled_rows(&compiled, &mut [0u64; 5], 4, |_| Plane::Uniform(0));
     }
 
     #[test]

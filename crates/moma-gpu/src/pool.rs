@@ -101,6 +101,28 @@ impl BufferPool {
     /// request is neither: it gets an unallocated `Vec` and touches no shelf,
     /// so encoding an empty vector does not draw a `MIN_CLASS`-word buffer.
     pub fn acquire(&self, len: usize) -> Vec<u64> {
+        let mut buf = self.take(len);
+        buf.fill(0);
+        buf
+    }
+
+    /// Hands out a buffer of exactly `len` words for a caller that writes
+    /// every word before it reads one — a launch's output plane. It is served
+    /// like [`BufferPool::acquire`] (hits, misses and empty requests alike),
+    /// but a shelved buffer keeps its old words instead of being zero-filled.
+    /// Under `debug_assertions` every word is `u64::MAX` instead, a value no
+    /// residue takes, so a caller can check that its fill left none behind.
+    pub fn acquire_for_overwrite(&self, len: usize) -> Vec<u64> {
+        let mut buf = self.take(len);
+        if cfg!(debug_assertions) {
+            buf.fill(u64::MAX);
+        }
+        buf
+    }
+
+    /// A buffer of exactly `len` words whose contents are unspecified: a
+    /// shelved one of the right class, or a fresh one. Counts the hit or miss.
+    fn take(&self, len: usize) -> Vec<u64> {
         if len == 0 {
             return Vec::new();
         }
@@ -109,21 +131,19 @@ impl BufferPool {
             let mut shelves = self.shelves.lock().unwrap_or_else(PoisonError::into_inner);
             shelves.get_mut(&class).and_then(Vec::pop)
         };
-        match shelved {
-            Some(mut buf) => {
+        let mut buf = match shelved {
+            Some(buf) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                // Within the reserved capacity: zero-fill, no reallocation.
-                buf.resize(len, 0);
                 buf
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let mut buf = Vec::with_capacity(class);
-                buf.resize(len, 0);
-                buf
+                Vec::with_capacity(class)
             }
-        }
+        };
+        // Within the reserved capacity: no reallocation.
+        buf.resize(len, 0);
+        buf
     }
 
     /// Takes a buffer back for reuse. Buffers too small to serve any class are
@@ -238,6 +258,28 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overwrite_acquires_share_the_shelves_and_keep_the_length() {
+        let pool = BufferPool::new();
+        assert!(pool.acquire_for_overwrite(0).is_empty());
+        let buf = pool.acquire_for_overwrite(1000);
+        assert_eq!((buf.len(), pool.stats().misses), (1000, 1));
+        if cfg!(debug_assertions) {
+            assert!(buf.iter().all(|&x| x == u64::MAX), "poisoned");
+        }
+        pool.recycle(buf);
+        // A shorter and a longer request in the same class are both hits.
+        let short = pool.acquire_for_overwrite(600);
+        assert_eq!((short.len(), pool.stats().hits), (600, 1));
+        pool.recycle(short);
+        let long = pool.acquire_for_overwrite(1024);
+        assert_eq!((long.len(), pool.stats().hits), (1024, 2));
+        pool.recycle(long);
+        // The zeroing entry still zeroes what the other left behind.
+        assert!(pool.acquire(1000).iter().all(|&x| x == 0));
+        assert_eq!(pool.stats().misses, 1);
+    }
 
     #[test]
     fn acquire_then_recycle_then_acquire_is_a_hit() {

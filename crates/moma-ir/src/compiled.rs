@@ -8,8 +8,20 @@
 //!
 //! [`CompiledKernel`] moves all of that work to compile time:
 //!
-//! * **Register allocation** — variables are linear-scan-allocated into dense `u64`
-//!   slots; a slot is recycled as soon as the last read of its variable has
+//! * **Operands read where they live** — like a generated kernel's thread,
+//!   which reads its operands from device memory and writes its results back,
+//!   every instruction reads each operand's lanes from one of three places:
+//!   - a parameter from the caller's lanes ([`Plane::Row`] in place, or the
+//!     broadcast of a [`Plane::Uniform`]);
+//!   - a constant from lanes the kernel broadcasts once, at compile time;
+//!   - a temporary from the register frame.
+//!
+//!   An output's last write, when nothing reads the output afterwards, is
+//!   stored straight into the caller's output row. Parameters, constants and
+//!   such outputs take no register; [`CompiledKernel::run_lanes`] copies
+//!   nothing into the frame before a block runs or out of it afterwards.
+//! * **Register allocation** — temporaries are linear-scan-allocated into dense
+//!   `u64` slots; a slot is recycled as soon as the last read of its variable has
 //!   executed, so the scratch frame is much smaller than the variable count and is
 //!   reused across lane blocks with zero per-element allocation.
 //! * **Static checking** — width limits and use-before-def are verified once at
@@ -38,11 +50,13 @@
 //!
 //! One loop gives the bytecode its meaning: `exec_lanes` runs every instruction
 //! across a block of up to [`LANE_BLOCK`] elements before dispatching the next.
-//! [`CompiledKernel::run_lanes`] is its entry point (callers fill and drain whole
-//! lane runs), [`CompiledKernel::run_elements`] walks an element-major batch over it
-//! block by block, and [`CompiledKernel::run`] / [`CompiledKernel::run_batch`] are
-//! that walk over one element and over a whole batch; there is no per-element frame
-//! or executor.
+//! [`CompiledKernel::run_lanes`] walks it over the caller's planes and output
+//! rows, checking each parameter's lanes on entry;
+//! [`CompiledKernel::run_elements`] walks it over an element-major batch,
+//! gathered block by block into a staging area of the scratch; and
+//! [`CompiledKernel::run`] / [`CompiledKernel::run_batch`] are that walk over
+//! one element and over a whole batch. There is no per-element frame or
+//! executor.
 //!
 //! The interpreter remains the semantic reference: `CompiledKernel::run` is
 //! observationally identical to [`interp::run`](crate::interp::run), and the test
@@ -52,20 +66,34 @@ use crate::cost::{static_counts, OpCounts};
 use crate::interp::{InterpError, RunResult};
 use crate::{Kernel, Op, Operand, VarId};
 use moma_mp::single::SingleBarrett;
+use std::collections::HashMap;
 
-/// A bytecode operand: a register slot index.
-///
-/// There are no immediate operands at execution time — compile-time constants are
-/// materialized into dedicated registers, broadcast across their lanes once when a
-/// [`BlockScratch`] frame is first used by the kernel. That keeps every instruction
-/// small (better bytecode cache density) and every operand read a single indexed
-/// load.
-type Src = u32;
+/// A bytecode operand: where its lanes are read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Src {
+    /// A temporary: a register slot of the frame.
+    Reg(u32),
+    /// An interned constant: its lanes are broadcast once, at compile time.
+    Const(u32),
+    /// A parameter, by signature position: the caller's lanes.
+    Param(u32),
+}
 
-/// A bytecode destination: a register slot plus the write mask of its type width.
+/// Where a destination's lanes are written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// A register slot of the frame.
+    Reg(u32),
+    /// The caller's row of output `j`: the output's last write, read by
+    /// nothing after it.
+    Out(u32),
+}
+
+/// A bytecode destination: where it is written, plus the write mask of its
+/// type width.
 #[derive(Debug, Clone, Copy)]
 struct Dst {
-    reg: u32,
+    slot: Slot,
     mask: u64,
 }
 
@@ -79,7 +107,7 @@ struct ShrOp {
     word_bits: u32,
 }
 
-/// One bytecode instruction with fully resolved register slots.
+/// One bytecode instruction with fully resolved operand sources.
 #[derive(Debug, Clone)]
 enum Code {
     Copy {
@@ -188,8 +216,8 @@ struct MacReduceOp {
 ///   `u64::MAX` for every accepted input, and a modulus in the single-word
 ///   Barrett domain (`2 ≤ q < 2^60`) — one pass over the lanes, closed by
 ///   [`SingleBarrett::reduce_word`]. `Word1K`/`Word2K` take every pair's
-///   constant operand as an immediate; `Word1`/`Word2` read both operands
-///   from registers;
+///   constant operand as an immediate; `Word1`/`Word2` read both operands'
+///   lanes;
 /// - [`MacArm::Wide`]: everything else — `u128` accumulator lanes, pairs
 ///   outer, closed by [`SingleBarrett::reduce_wide`], or by an exact `u128 %`
 ///   when `barrett` is `None` (`q < 2` or wider than 60 bits).
@@ -229,8 +257,8 @@ enum MacArm {
 
 /// Picks the arm of `Σ pairs mod q` (see [`MacArm`]) that is exact when every
 /// operand is at most `bound(operand)`. `src` resolves an operand to its
-/// register; a constant that an arm takes as an immediate (or the `1` of a
-/// `·1` pair) is never resolved, so it takes no register.
+/// source; a constant that an arm takes as an immediate (or the `1` of a
+/// `·1` pair) is never resolved, so it is not interned.
 fn mac_arm(
     pairs: &[(Operand, Operand)],
     q: u64,
@@ -257,7 +285,7 @@ fn mac_arm(
         sum.checked_add(u128::from(bound(a)) * u128::from(bound(b)))
     });
     let fits_word = sum.is_some_and(|s| s <= u128::from(u64::MAX));
-    // The pair as (register operand, immediate) when one side is a constant.
+    // The pair as (lane operand, immediate) when one side is a constant.
     let imm = |(a, b): (Operand, Operand)| match (a, b) {
         (x, Operand::Const(k)) | (Operand::Const(k), x) => Some((x, k)),
         _ => None,
@@ -315,38 +343,55 @@ fn result_bound(op: &Op, bound: impl Fn(Operand) -> u64) -> u64 {
     }
 }
 
-/// Number of elements [`CompiledKernel::run_lanes`] executes in lock-step. Sized
-/// so a typical fused-kernel frame (a few dozen registers × `LANE_BLOCK` lanes ×
-/// 8 bytes) stays cache-resident while still amortizing instruction dispatch.
+/// Number of elements `exec_lanes` executes in lock-step. Sized so a typical
+/// fused-kernel frame (a few dozen registers × `LANE_BLOCK` lanes × 8 bytes)
+/// stays cache-resident while still amortizing instruction dispatch.
 pub const LANE_BLOCK: usize = 128;
 
-/// Reusable lane-block execution state for [`CompiledKernel::run_lanes`]: a
-/// register frame holding [`LANE_BLOCK`] lanes per register (lane-major per
-/// register, so each register's lanes are one contiguous run), plus the
-/// multi-word shift staging buffer (the source words' lanes, word-major).
-/// Create one per worker with [`CompiledKernel::block_scratch`] and reuse it
-/// across blocks.
-#[derive(Debug, Clone, Default)]
-pub struct BlockScratch {
-    regs: Vec<u64>,
-    shr: Vec<u64>,
-    /// Id of the kernel whose constants currently occupy the frame's constant
-    /// registers (`0` = none). Constant registers are never written by the body,
-    /// so [`CompiledKernel::run_lanes`] skips the resize-and-broadcast when the
-    /// same kernel reuses the frame — which matters for constant-heavy fused
-    /// kernels run over many blocks.
-    tag: u64,
+/// Where one parameter's values come from in [`CompiledKernel::run_lanes`].
+#[derive(Debug, Clone, Copy)]
+pub enum Plane<'a> {
+    /// One value per element, read in place (and checked once per block).
+    Row(&'a [u64]),
+    /// One value for every element: checked once per call and broadcast
+    /// once into the scratch.
+    Uniform(u64),
 }
 
-/// A parameter's register slot and what [`CompiledKernel::run_lanes`] checks
-/// its inputs against.
+/// Reusable execution state for [`CompiledKernel::run_lanes`] and
+/// [`CompiledKernel::run_elements`]: one frame holding [`LANE_BLOCK`] lanes
+/// per temporary register (lane-major per register, so each register's lanes
+/// are one contiguous run), then one lane run per parameter (the broadcast of
+/// a [`Plane::Uniform`], or `run_elements`' gathered inputs), then, for
+/// `run_elements`, one per output; plus the multi-word shift staging buffer
+/// (the source words' lanes, word-major). Any kernel can use any scratch: it
+/// grows to the largest frame it has served and never needs clearing, since
+/// every lane is written before it is read. Keep one per worker and reuse it.
+#[derive(Debug, Clone, Default)]
+pub struct BlockScratch {
+    frame: Vec<u64>,
+    shr: Vec<u64>,
+}
+
+/// A parameter's entry check: what [`CompiledKernel::run_lanes`] checks its
+/// inputs against.
 #[derive(Debug, Clone, Copy)]
 struct Param {
-    slot: u32,
     /// Declared bit-width.
     bits: u32,
     /// Declared bound ([`Kernel::bounds`]), if any.
     bound: Option<u64>,
+}
+
+impl Param {
+    /// True when some lane is above this parameter's width or bound, as
+    /// branch-free folds over the lanes.
+    fn refuses(&self, lanes: &[u64]) -> bool {
+        match self.bound {
+            Some(bound) => any_above(lanes, bound.min(mask64(self.bits))),
+            None => self.bits < 64 && lanes.iter().fold(0, |m, &v| m | v) >> self.bits != 0,
+        }
+    }
 }
 
 /// A kernel compiled to register-allocated bytecode.
@@ -372,23 +417,23 @@ struct Param {
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     name: String,
-    /// Process-unique id (clones share it — they carry identical constants), used
-    /// to recognize a [`BlockScratch`] frame whose constant registers are already
-    /// loaded for this kernel.
-    id: u64,
     /// [`Kernel::fingerprint`] of the kernel this was compiled from.
     fingerprint: u64,
     code: Vec<Code>,
-    /// Each parameter's register slot and entry check, in signature order.
+    /// Each parameter's entry check, in signature order.
     params: Vec<Param>,
     /// Parameter names, for error messages only (cold path).
     param_names: Vec<String>,
-    /// Register slot of each output, in signature order.
-    outputs: Vec<u32>,
-    /// Materialized constants: `const_values[k]` is broadcast into register
-    /// `const_base + k` when a frame is preloaded.
-    const_base: usize,
-    const_values: Vec<u64>,
+    /// Number of outputs per element.
+    output_count: usize,
+    /// The outputs not written in place by their last write (read after it,
+    /// listed twice, or never written by the body): `(source, output index)`,
+    /// copied into the output's lanes after the block runs.
+    tail: Vec<(Src, u32)>,
+    /// Interned constant `k` ([`Src::Const`]) broadcast across lanes
+    /// `k * LANE_BLOCK..`, once, at compile time.
+    const_lanes: Vec<u64>,
+    /// Temporary register slots in the frame.
     n_regs: usize,
     counts: OpCounts,
 }
@@ -413,13 +458,10 @@ impl CompiledKernel {
         }
 
         let alloc = RegAlloc::run(kernel)?;
-        let slot_of = |v: VarId| alloc.slot_at_def[v.0].expect("defined vars have slots");
 
-        // Constants are interned into registers past the allocator's frame; they
-        // are broadcast once per frame and never written by the body.
-        let const_base = alloc.n_regs;
+        // Constants are interned by value; their lanes are broadcast below.
         let mut const_values: Vec<u64> = Vec::new();
-        let mut const_map: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+        let mut const_map: HashMap<u64, u32> = HashMap::new();
 
         // The largest value each variable can hold at the current statement,
         // which `MacReduceMod` arms are chosen from. Only a kernel that has
@@ -446,16 +488,16 @@ impl CompiledKernel {
             };
             let mut src = |o: Operand| -> Src {
                 match o {
-                    Operand::Const(c) => *const_map.entry(c).or_insert_with(|| {
+                    Operand::Const(c) => Src::Const(*const_map.entry(c).or_insert_with(|| {
                         const_values.push(c);
-                        (const_base + const_values.len() - 1) as u32
-                    }),
-                    Operand::Var(v) => alloc.slot_at_use[i][&v],
+                        (const_values.len() - 1) as u32
+                    })),
+                    Operand::Var(v) => alloc.reads[i][&v],
                 }
             };
             let dst = |d: VarId| -> Dst {
                 Dst {
-                    reg: alloc.slot_at_write[i][&d],
+                    slot: alloc.writes[i][&d],
                     mask: mask64(kernel.ty(d).bits()),
                 }
             };
@@ -570,16 +612,18 @@ impl CompiledKernel {
             }
         }
 
+        let const_lanes = const_values
+            .iter()
+            .flat_map(|&c| std::iter::repeat(c).take(LANE_BLOCK))
+            .collect();
         Ok(CompiledKernel {
             name: kernel.name.clone(),
-            id: next_kernel_id(),
             fingerprint: kernel.fingerprint(),
             code,
             params: kernel
                 .params
                 .iter()
                 .map(|p| Param {
-                    slot: slot_of(*p),
                     bits: kernel.ty(*p).bits(),
                     bound: kernel.bounds.get(p).copied(),
                 })
@@ -589,10 +633,10 @@ impl CompiledKernel {
                 .iter()
                 .map(|p| kernel.var(*p).name.clone())
                 .collect(),
-            outputs: alloc.output_slots,
-            const_base,
-            n_regs: const_base + const_values.len(),
-            const_values,
+            output_count: kernel.outputs.len(),
+            tail: alloc.tail,
+            const_lanes,
+            n_regs: alloc.n_regs,
             counts: static_counts(kernel),
         })
     }
@@ -608,8 +652,9 @@ impl CompiledKernel {
         self.fingerprint
     }
 
-    /// Number of register slots in the execution frame (after linear-scan reuse;
-    /// at most the kernel's variable count).
+    /// Number of register slots in the execution frame: the temporaries,
+    /// after linear-scan reuse (parameters, constants and outputs written in
+    /// place take none).
     pub fn register_count(&self) -> usize {
         self.n_regs
     }
@@ -621,7 +666,7 @@ impl CompiledKernel {
 
     /// Number of outputs produced per element.
     pub fn output_count(&self) -> usize {
-        self.outputs.len()
+        self.output_count
     }
 
     /// The word-level operations one element executes (exact, since kernels are
@@ -645,8 +690,8 @@ impl CompiledKernel {
                 got: inputs.len(),
             });
         }
-        let mut outputs = vec![0; self.outputs.len()];
-        self.run_elements(1, inputs, &mut self.block_scratch(), &mut outputs)?;
+        let mut outputs = vec![0; self.output_count];
+        self.run_elements(1, inputs, &mut BlockScratch::default(), &mut outputs)?;
         Ok(RunResult {
             outputs,
             counts: self.counts.clone(),
@@ -679,22 +724,23 @@ impl CompiledKernel {
         } else {
             inputs.len() / p
         };
-        let mut outputs = vec![0; elements * self.outputs.len()];
-        self.run_elements(elements, inputs, &mut self.block_scratch(), &mut outputs)?;
+        let mut outputs = vec![0; elements * self.output_count];
+        self.run_elements(elements, inputs, &mut BlockScratch::default(), &mut outputs)?;
         Ok(BatchRunResult {
             elements,
-            outputs_per_element: self.outputs.len(),
+            outputs_per_element: self.output_count,
             outputs,
             counts: self.counts.scaled(elements as u64),
         })
     }
 
-    /// Executes `n` elements of an element-major batch on the caller's frame:
+    /// Executes `n` elements of an element-major batch on the caller's scratch:
     /// element `e`'s parameters are `inputs[e * param_count .. (e + 1) * param_count]`
     /// and its outputs land in `out[e * output_count .. (e + 1) * output_count]`.
-    /// This is the one walk over lane blocks — [`Self::run_lanes`] with a strided
-    /// gather as `fill` and a strided scatter as `sink` — under [`Self::run`],
-    /// [`Self::run_batch`] and each worker range of the batch launcher.
+    /// Each block's inputs are gathered into the scratch's parameter lanes and
+    /// its outputs scattered from the scratch's output lanes. This is the walk
+    /// under [`Self::run`], [`Self::run_batch`] and each worker range of the
+    /// batch launcher.
     ///
     /// # Errors
     ///
@@ -711,94 +757,111 @@ impl CompiledKernel {
         scratch: &mut BlockScratch,
         out: &mut [u64],
     ) -> Result<(), InterpError> {
-        let (p, oc) = (self.params.len(), self.outputs.len());
+        const B: usize = LANE_BLOCK;
+        let (p, oc) = (self.params.len(), self.output_count);
         assert_eq!(inputs.len(), n * p, "inputs must hold n parameter rows");
         assert_eq!(out.len(), n * oc, "out must hold n output rows");
-        for base in (0..n).step_by(LANE_BLOCK) {
-            let len = (n - base).min(LANE_BLOCK);
+        let (regs, stage, staged_outs, shr) = self.frame(scratch, oc);
+        for base in (0..n).step_by(B) {
+            let len = (n - base).min(B);
             let rows = &inputs[base * p..(base + len) * p];
+            for (k, param) in self.params.iter().enumerate() {
+                let lanes = &mut stage[k * B..k * B + len];
+                for (lane, row) in lanes.iter_mut().zip(rows.chunks_exact(p)) {
+                    *lane = row[k];
+                }
+                if param.refuses(lanes) {
+                    return Err(self.input_error(k, lanes));
+                }
+            }
+            let params = |k: usize| &stage[k * B..k * B + len];
+            let src = self.sources(&params, len);
+            self.exec_lanes(&src, regs, shr, &mut Outs::Staged(staged_outs));
             let outs = &mut out[base * oc..(base + len) * oc];
-            self.run_lanes(
-                len,
-                scratch,
-                |k, lanes| {
-                    for (lane, row) in lanes.iter_mut().zip(rows.chunks_exact(p)) {
-                        *lane = row[k];
-                    }
-                },
-                |j, lanes| {
-                    for (row, &v) in outs.chunks_exact_mut(oc).zip(lanes) {
-                        row[j] = v;
-                    }
-                },
-            )?;
+            for j in 0..oc {
+                let lanes = &staged_outs[j * B..j * B + len];
+                for (row, &v) in outs.chunks_exact_mut(oc).zip(lanes) {
+                    row[j] = v;
+                }
+            }
         }
         Ok(())
     }
 
-    /// Creates a reusable lane-block frame for [`Self::run_lanes`].
-    pub fn block_scratch(&self) -> BlockScratch {
-        let mut scratch = BlockScratch::default();
-        self.preload_block(&mut scratch);
-        scratch
-    }
-
-    /// Executes the kernel over `n` elements (`n ≤ LANE_BLOCK`) in lock-step
-    /// lanes: every bytecode instruction runs across all `n` lanes before the
-    /// next instruction dispatches, so the per-instruction dispatch is amortized
-    /// over the whole block — the difference that makes generated fused kernels
-    /// competitive with hand-written loops on wide batches.
+    /// Executes the kernel over `n` elements in lock-step lane blocks: every
+    /// bytecode instruction runs across a block of up to [`LANE_BLOCK`]
+    /// elements before the next instruction dispatches, so the per-instruction
+    /// dispatch is amortized over the whole block — the difference that makes
+    /// generated fused kernels competitive with hand-written loops on wide
+    /// batches.
     ///
-    /// `fill(p, lanes)` must write parameter `p`'s value for each of the `n`
-    /// elements into `lanes` (for row-major planes this is a contiguous row
-    /// copy, not a per-element gather). `sink(j, lanes)` receives output `j`'s
-    /// `n` values after execution.
+    /// `plane(p)` says where parameter `p`'s `n` values are. A
+    /// [`Plane::Row`] is read in place, block by block, and each block's
+    /// lanes are checked before it runs; a [`Plane::Uniform`] is checked once
+    /// and broadcast once into the scratch. Output `j`'s `n` values are
+    /// written to `outs[j]`; an output whose last write nothing reads
+    /// afterwards is stored straight into it by that instruction.
     ///
     /// # Errors
     ///
-    /// Returns [`InterpError::InputTooWide`] if any filled lane exceeds its
-    /// parameter's declared width, and [`InterpError::InputAboveBound`] if one
-    /// is above its parameter's declared bound.
+    /// Returns [`InterpError::InputTooWide`] if any parameter value exceeds its
+    /// declared width, and [`InterpError::InputAboveBound`] if one is above
+    /// its declared bound — the interpreter's errors. A refused uniform is
+    /// reported before any row is read; otherwise the blocks before the one
+    /// that holds the refused value have been written.
     ///
     /// # Panics
     ///
-    /// Panics if `n > LANE_BLOCK`.
-    pub fn run_lanes<F, S>(
+    /// Panics if `outs` does not hold one row per output, or a row or a
+    /// [`Plane::Row`] is not `n` long — a caller bug, like a mis-sliced row.
+    pub fn run_lanes<'p>(
         &self,
         n: usize,
         scratch: &mut BlockScratch,
-        mut fill: F,
-        mut sink: S,
-    ) -> Result<(), InterpError>
-    where
-        F: FnMut(usize, &mut [u64]),
-        S: FnMut(usize, &[u64]),
-    {
+        plane: impl Fn(usize) -> Plane<'p>,
+        outs: &mut [&mut [u64]],
+    ) -> Result<(), InterpError> {
+        const B: usize = LANE_BLOCK;
+        assert_eq!(outs.len(), self.output_count, "one row per output");
         assert!(
-            n <= LANE_BLOCK,
-            "lane block holds at most {LANE_BLOCK} elements"
+            outs.iter().all(|row| row.len() == n),
+            "every output row holds n values"
         );
-        if scratch.tag != self.id {
-            self.preload_block(scratch);
+        if n == 0 {
+            return Ok(());
         }
-        for (idx, p) in self.params.iter().enumerate() {
-            let base = p.slot as usize * LANE_BLOCK;
-            let lanes = &mut scratch.regs[base..base + n];
-            fill(idx, lanes);
-            // Branch-free folds over the lanes: every input against the
-            // bound, or every input's bits against the width.
-            let refused = match p.bound {
-                Some(bound) => any_above(lanes, bound.min(mask64(p.bits))),
-                None => p.bits < 64 && lanes.iter().fold(0, |m, &v| m | v) >> p.bits != 0,
-            };
-            if refused {
-                return Err(self.input_error(idx, lanes));
+        let (regs, stage, _, shr) = self.frame(scratch, 0);
+        for (k, param) in self.params.iter().enumerate() {
+            match plane(k) {
+                Plane::Row(row) => assert_eq!(row.len(), n, "every row plane holds n values"),
+                Plane::Uniform(v) => {
+                    if param.refuses(&[v]) {
+                        return Err(self.input_error(k, &[v]));
+                    }
+                    stage[k * B..(k + 1) * B].fill(v);
+                }
             }
         }
-        self.exec_lanes(scratch, n);
-        for (j, o) in self.outputs.iter().enumerate() {
-            let base = *o as usize * LANE_BLOCK;
-            sink(j, &scratch.regs[base..base + n]);
+        let stage = &*stage;
+        for base in (0..n).step_by(B) {
+            let len = (n - base).min(B);
+            for (k, param) in self.params.iter().enumerate() {
+                if let Plane::Row(row) = plane(k) {
+                    let lanes = &row[base..base + len];
+                    if param.refuses(lanes) {
+                        return Err(self.input_error(k, lanes));
+                    }
+                }
+            }
+            let params = |k: usize| match plane(k) {
+                Plane::Row(row) => &row[base..base + len],
+                Plane::Uniform(_) => &stage[k * B..k * B + len],
+            };
+            let mut outs = Outs::Rows {
+                rows: &mut *outs,
+                at: base,
+            };
+            self.exec_lanes(&self.sources(&params, len), regs, shr, &mut outs);
         }
         Ok(())
     }
@@ -821,46 +884,87 @@ impl CompiledKernel {
         }
     }
 
-    /// Sizes a block frame for this kernel and broadcasts the constant
-    /// registers across their lanes.
-    fn preload_block(&self, scratch: &mut BlockScratch) {
-        scratch.regs.clear();
-        scratch.regs.resize(self.n_regs * LANE_BLOCK, 0);
-        for (k, &c) in self.const_values.iter().enumerate() {
-            let base = (self.const_base + k) * LANE_BLOCK;
-            scratch.regs[base..base + LANE_BLOCK].fill(c);
+    /// The sources of a block of `n` lanes whose parameter `p` reads
+    /// `params(p)`.
+    fn sources<'a, 's>(
+        &'a self,
+        params: &'a dyn Fn(usize) -> &'s [u64],
+        n: usize,
+    ) -> Sources<'a, 's> {
+        Sources {
+            consts: &self.const_lanes,
+            params,
+            n,
         }
-        scratch.tag = self.id;
+    }
+
+    /// Splits `scratch` into this kernel's register lanes, one lane run per
+    /// parameter, `outputs` lane runs, and the shift staging buffer, growing
+    /// the frame if it is smaller than that.
+    #[allow(clippy::type_complexity)]
+    fn frame<'s>(
+        &self,
+        scratch: &'s mut BlockScratch,
+        outputs: usize,
+    ) -> (
+        &'s mut [u64],
+        &'s mut [u64],
+        &'s mut [u64],
+        &'s mut Vec<u64>,
+    ) {
+        let regs = self.n_regs * LANE_BLOCK;
+        let params = self.params.len() * LANE_BLOCK;
+        let len = regs + params + outputs * LANE_BLOCK;
+        if scratch.frame.len() < len {
+            scratch.frame.resize(len, 0);
+        }
+        let (regs, rest) = scratch.frame.split_at_mut(regs);
+        let (params, rest) = rest.split_at_mut(params);
+        (
+            regs,
+            params,
+            &mut rest[..outputs * LANE_BLOCK],
+            &mut scratch.shr,
+        )
     }
 
     /// The bytecode execution loop — the only one: one instruction dispatch per
-    /// block, a tight `0..n` lane loop per instruction, no lookups, no `Option`s,
+    /// block, a tight lane loop per instruction, no lookups, no `Option`s,
     /// no allocation. The tree interpreter is its oracle: the tests here and the
     /// crosscheck suites compare the two element by element.
     ///
-    /// The arms the RNS chain kernels run (`MacReduceMod`, `SubMod`, `Select`,
-    /// `Lt`) zip the source registers' lane slices into `out`, a block-sized
-    /// buffer, and copy it to the destination register (which may be one of
-    /// the sources), so their lane loops carry no index checks; their
-    /// data-dependent choices are masks, not branches. `Copy` moves its lanes
-    /// with one `copy_within`.
-    fn exec_lanes(&self, scratch: &mut BlockScratch, n: usize) {
-        const B: usize = LANE_BLOCK;
-        let consts_from = self.const_base;
-        let regs = &mut scratch.regs;
+    /// Every arm reads its operands through [`Sources::lanes`] — a
+    /// parameter's lanes from `params`, a constant's from the kernel's
+    /// broadcast, a temporary's from `regs` — zips them into a block-sized
+    /// buffer, and [`store`]s the buffer at its destination: a register
+    /// (which may be one of the sources), or the caller's output lanes for
+    /// an output written in place. So the lane loops carry no index checks,
+    /// and their data-dependent choices are masks, not branches. The
+    /// two-destination arms fill two buffers and store both. (Computing
+    /// straight into an output's lanes instead of the stack buffer let LLVM
+    /// vectorize the word arms' `u64` products with emulated 64-bit SSE2
+    /// multiplies, which made `Word1`/`Word2` ~1.8× slower.)
+    fn exec_lanes(
+        &self,
+        src: &Sources<'_, '_>,
+        regs: &mut [u64],
+        shr: &mut Vec<u64>,
+        outs: &mut Outs<'_, '_>,
+    ) {
+        let n = src.n;
         // Shared accumulator lanes for `MacReduceMod`'s `u128` arm (first pair
         // assigns, so stale values between instructions are never read).
         let mut accs = [0u128; LANE_BLOCK];
-        let mut buf = [0u64; LANE_BLOCK];
-        let out = &mut buf[..n];
+        let mut bufs = [[0u64; LANE_BLOCK]; 2];
+        let [buf, buf2] = &mut bufs;
+        let (buf, buf2) = (&mut buf[..n], &mut buf2[..n]);
         for op in &self.code {
             match op {
                 Code::Copy { d, s } => {
-                    let db = d.reg as usize * B;
-                    regs.copy_within(*s as usize * B..*s as usize * B + n, db);
-                    if d.mask != u64::MAX {
-                        regs[db..db + n].iter_mut().for_each(|v| *v &= d.mask);
+                    for (o, &v) in buf.iter_mut().zip(src.lanes(regs, *s)) {
+                        *o = v & d.mask;
                     }
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::AddWide {
                     carry,
@@ -870,27 +974,24 @@ impl CompiledKernel {
                     cin,
                     sum_bits,
                 } => {
-                    let (cb, sb) = (carry.reg as usize * B, sum.reg as usize * B);
-                    let (ab, bb, ib) = (*a as usize * B, *b as usize * B, *cin as usize * B);
-                    for e in 0..n {
-                        let t = regs[ab + e] as u128 + regs[bb + e] as u128 + regs[ib + e] as u128;
-                        regs[cb + e] = ((t >> sum_bits) as u64) & carry.mask;
-                        regs[sb + e] = (t as u64) & sum.mask;
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    let lanes = buf2.iter_mut().zip(buf.iter_mut());
+                    for (((c, s), (&a, &b)), &cin) in lanes.zip(terms).zip(src.lanes(regs, *cin)) {
+                        let t = a as u128 + b as u128 + cin as u128;
+                        *c = ((t >> sum_bits) as u64) & carry.mask;
+                        *s = (t as u64) & sum.mask;
                     }
+                    store(regs, outs, carry.slot, buf2);
+                    store(regs, outs, sum.slot, buf);
                 }
                 Code::Sub { d, a, b, bin } => {
-                    let (db, ab, bb, ib) = (
-                        d.reg as usize * B,
-                        *a as usize * B,
-                        *b as usize * B,
-                        *bin as usize * B,
-                    );
-                    for e in 0..n {
-                        let t = regs[ab + e]
-                            .wrapping_sub(regs[bb + e])
-                            .wrapping_sub(regs[ib + e]);
-                        regs[db + e] = t & d.mask;
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    for ((o, (&a, &b)), &bin) in
+                        buf.iter_mut().zip(terms).zip(src.lanes(regs, *bin))
+                    {
+                        *o = a.wrapping_sub(b).wrapping_sub(bin) & d.mask;
                     }
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::MulWide {
                     hi,
@@ -899,47 +1000,49 @@ impl CompiledKernel {
                     b,
                     lo_bits,
                 } => {
-                    let (hb, lb) = (hi.reg as usize * B, lo.reg as usize * B);
-                    let (ab, bb) = (*a as usize * B, *b as usize * B);
-                    for e in 0..n {
-                        let p = regs[ab + e] as u128 * regs[bb + e] as u128;
-                        regs[hb + e] = ((p >> lo_bits) as u64) & hi.mask;
-                        regs[lb + e] = (p as u64) & lo.mask;
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    for ((h, l), (&a, &b)) in buf2.iter_mut().zip(buf.iter_mut()).zip(terms) {
+                        let p = a as u128 * b as u128;
+                        *h = ((p >> lo_bits) as u64) & hi.mask;
+                        *l = (p as u64) & lo.mask;
                     }
+                    store(regs, outs, hi.slot, buf2);
+                    store(regs, outs, lo.slot, buf);
                 }
                 Code::MulLow { d, a, b } => {
-                    let (db, ab, bb) = (d.reg as usize * B, *a as usize * B, *b as usize * B);
-                    for e in 0..n {
-                        regs[db + e] = regs[ab + e].wrapping_mul(regs[bb + e]) & d.mask;
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    for (o, (&a, &b)) in buf.iter_mut().zip(terms) {
+                        *o = a.wrapping_mul(b) & d.mask;
                     }
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::Lt { d, a, b } => {
-                    for ((o, &a), &b) in out
-                        .iter_mut()
-                        .zip(lanes(regs, *a, n))
-                        .zip(lanes(regs, *b, n))
-                    {
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    for (o, (&a, &b)) in buf.iter_mut().zip(terms) {
                         *o = (a < b) as u64;
                     }
-                    store(regs, d.reg, out);
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::Eq { d, a, b } => {
-                    let (db, ab, bb) = (d.reg as usize * B, *a as usize * B, *b as usize * B);
-                    for e in 0..n {
-                        regs[db + e] = (regs[ab + e] == regs[bb + e]) as u64;
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    for (o, (&a, &b)) in buf.iter_mut().zip(terms) {
+                        *o = (a == b) as u64;
                     }
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::BoolAnd { d, a, b } => {
-                    let (db, ab, bb) = (d.reg as usize * B, *a as usize * B, *b as usize * B);
-                    for e in 0..n {
-                        regs[db + e] = (regs[ab + e] != 0 && regs[bb + e] != 0) as u64;
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    for (o, (&a, &b)) in buf.iter_mut().zip(terms) {
+                        *o = (a != 0 && b != 0) as u64;
                     }
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::BoolOr { d, a, b } => {
-                    let (db, ab, bb) = (d.reg as usize * B, *a as usize * B, *b as usize * B);
-                    for e in 0..n {
-                        regs[db + e] = (regs[ab + e] != 0 || regs[bb + e] != 0) as u64;
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    for (o, (&a, &b)) in buf.iter_mut().zip(terms) {
+                        *o = (a != 0 || b != 0) as u64;
                     }
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::Select {
                     d,
@@ -947,13 +1050,15 @@ impl CompiledKernel {
                     if_true,
                     if_false,
                 } => {
-                    let arms = lanes(regs, *if_true, n)
+                    let arms = src
+                        .lanes(regs, *if_true)
                         .iter()
-                        .zip(lanes(regs, *if_false, n));
-                    for ((o, &c), (&t, &f)) in out.iter_mut().zip(lanes(regs, *cond, n)).zip(arms) {
+                        .zip(src.lanes(regs, *if_false));
+                    for ((o, &c), (&t, &f)) in buf.iter_mut().zip(src.lanes(regs, *cond)).zip(arms)
+                    {
                         *o = (f ^ ((t ^ f) & all_ones_if(c != 0))) & d.mask;
                     }
-                    store(regs, d.reg, out);
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::ShrMulti(op) => {
                     // A limb shift plus one funnel shift per destination word,
@@ -966,123 +1071,105 @@ impl CompiledKernel {
                     let wb = op.word_bits.max(1) as usize;
                     let wmask = mask64(op.word_bits);
                     let nw = op.words.len();
-                    let shr = &mut scratch.shr;
                     shr.clear();
                     for w in op.words.iter().rev() {
-                        let sb = *w as usize * B;
-                        shr.extend(regs[sb..sb + n].iter().map(|&v| v & wmask));
+                        shr.extend(src.lanes(regs, *w).iter().map(|&v| v & wmask));
                     }
                     for (k, dst) in op.dsts.iter().rev().enumerate() {
                         let off = op.shift as usize + k * wb;
                         let (idx, r) = (off / wb, off % wb);
-                        let db = dst.reg as usize * B;
-                        let out = &mut regs[db..db + n];
                         if idx >= nw {
-                            out.fill(0);
+                            buf.fill(0);
                         } else if r == 0 || idx + 1 == nw {
-                            for (o, &lo) in out.iter_mut().zip(&shr[idx * n..]) {
+                            for (o, &lo) in buf.iter_mut().zip(&shr[idx * n..]) {
                                 *o = (lo >> r) & dst.mask;
                             }
                         } else {
                             let (lo, hi) = shr[idx * n..].split_at(n);
                             let mask = wmask & dst.mask;
-                            for ((o, &lo), &hi) in out.iter_mut().zip(lo).zip(hi) {
+                            for ((o, &lo), &hi) in buf.iter_mut().zip(lo).zip(hi) {
                                 *o = ((lo >> r) | (hi << (wb - r))) & mask;
                             }
                         }
+                        store(regs, outs, dst.slot, buf);
                     }
                 }
                 Code::AddMod { d, a, b, q } => {
-                    let (db, ab, bb, qb) = (
-                        d.reg as usize * B,
-                        *a as usize * B,
-                        *b as usize * B,
-                        *q as usize * B,
-                    );
-                    for e in 0..n {
-                        let v =
-                            (regs[ab + e] as u128 + regs[bb + e] as u128) % (regs[qb + e] as u128);
-                        regs[db + e] = (v as u64) & d.mask;
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    for ((o, (&a, &b)), &q) in buf.iter_mut().zip(terms).zip(src.lanes(regs, *q)) {
+                        *o = ((a as u128 + b as u128) % q as u128) as u64 & d.mask;
                     }
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::SubMod { d, a, b, q } => {
-                    let operands = lanes(regs, *a, n).iter().zip(lanes(regs, *b, n));
-                    for ((o, (&a, &b)), &q) in out.iter_mut().zip(operands).zip(lanes(regs, *q, n))
-                    {
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    for ((o, (&a, &b)), &q) in buf.iter_mut().zip(terms).zip(src.lanes(regs, *q)) {
                         // `a < b` leaves `a + q − b < q`: exact in one word.
                         let (v, borrow) = a.overflowing_sub(b);
                         *o = v.wrapping_add(q & all_ones_if(borrow)) & d.mask;
                     }
-                    store(regs, d.reg, out);
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::MulModBarrett { d, a, b, q } => {
-                    let (db, ab, bb, qb) = (
-                        d.reg as usize * B,
-                        *a as usize * B,
-                        *b as usize * B,
-                        *q as usize * B,
-                    );
-                    for e in 0..n {
-                        let v =
-                            (regs[ab + e] as u128 * regs[bb + e] as u128) % (regs[qb + e] as u128);
-                        regs[db + e] = (v as u64) & d.mask;
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    for ((o, (&a, &b)), &q) in buf.iter_mut().zip(terms).zip(src.lanes(regs, *q)) {
+                        *o = ((a as u128 * b as u128) % q as u128) as u64 & d.mask;
                     }
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::MulAddMod { d, a, b, c, q } => {
-                    let (db, ab, bb) = (d.reg as usize * B, *a as usize * B, *b as usize * B);
-                    let (cb, qb) = (*c as usize * B, *q as usize * B);
-                    for e in 0..n {
-                        let v = (regs[ab + e] as u128 * regs[bb + e] as u128
-                            + regs[cb + e] as u128)
-                            % (regs[qb + e] as u128);
-                        regs[db + e] = (v as u64) & d.mask;
+                    let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                    let addends = src.lanes(regs, *c).iter().zip(src.lanes(regs, *q));
+                    for ((o, (&a, &b)), (&c, &q)) in buf.iter_mut().zip(terms).zip(addends) {
+                        *o = ((a as u128 * b as u128 + c as u128) % q as u128) as u64 & d.mask;
                     }
+                    store(regs, outs, d.slot, buf);
                 }
                 Code::MacReduceMod(op) => {
                     let mask = op.d.mask;
                     match &op.arm {
                         MacArm::Reduced { x } => {
-                            for (o, &x) in out.iter_mut().zip(lanes(regs, *x, n)) {
+                            for (o, &x) in buf.iter_mut().zip(src.lanes(regs, *x)) {
                                 *o = x & mask;
                             }
                         }
                         MacArm::CondSub { x } => {
                             let q = op.q;
-                            for (o, &x) in out.iter_mut().zip(lanes(regs, *x, n)) {
+                            for (o, &x) in buf.iter_mut().zip(src.lanes(regs, *x)) {
                                 let (r, borrow) = x.overflowing_sub(q);
                                 *o = r.wrapping_add(q & all_ones_if(borrow)) & mask;
                             }
                         }
                         MacArm::Word1 { a, b, barrett } => {
-                            let terms = lanes(regs, *a, n).iter().zip(lanes(regs, *b, n));
-                            for (o, (&a, &b)) in out.iter_mut().zip(terms) {
+                            let terms = src.lanes(regs, *a).iter().zip(src.lanes(regs, *b));
+                            for (o, (&a, &b)) in buf.iter_mut().zip(terms) {
                                 *o = barrett.reduce_word(a * b) & mask;
                             }
                         }
                         MacArm::Word1K { a, k, barrett } => {
-                            for (o, &a) in out.iter_mut().zip(lanes(regs, *a, n)) {
+                            for (o, &a) in buf.iter_mut().zip(src.lanes(regs, *a)) {
                                 *o = barrett.reduce_word(a * k) & mask;
                             }
                         }
                         MacArm::Word2 { a, b, barrett } => {
-                            let first = lanes(regs, a[0], n).iter().zip(lanes(regs, b[0], n));
-                            let second = lanes(regs, a[1], n).iter().zip(lanes(regs, b[1], n));
+                            let first = src.lanes(regs, a[0]).iter().zip(src.lanes(regs, b[0]));
+                            let second = src.lanes(regs, a[1]).iter().zip(src.lanes(regs, b[1]));
                             for (o, ((&a0, &b0), (&a1, &b1))) in
-                                out.iter_mut().zip(first.zip(second))
+                                buf.iter_mut().zip(first.zip(second))
                             {
                                 *o = barrett.reduce_word(a0 * b0 + a1 * b1) & mask;
                             }
                         }
                         MacArm::Word2K { a, k, barrett } => {
                             let [k0, k1] = *k;
-                            let terms = lanes(regs, a[0], n).iter().zip(lanes(regs, a[1], n));
-                            for (o, (&a0, &a1)) in out.iter_mut().zip(terms) {
+                            let terms = src.lanes(regs, a[0]).iter().zip(src.lanes(regs, a[1]));
+                            for (o, (&a0, &a1)) in buf.iter_mut().zip(terms) {
                                 *o = barrett.reduce_word(a0 * k0 + a1 * k1) & mask;
                             }
                         }
                         MacArm::Wide { pairs, barrett } => {
-                            // Pairs outer, lanes inner: each pair's register
-                            // bases are resolved once per block, and the inner
+                            // Pairs outer, lanes inner: each pair's sources are
+                            // resolved once per block, and the inner
                             // multiply-accumulate zips contiguous lane slices.
                             // A constant operand — a fused cross-basis
                             // coefficient, say — is read once as a scalar
@@ -1097,20 +1184,19 @@ impl CompiledKernel {
                             }
                             for (i, &(a, b)) in pairs.iter().enumerate() {
                                 // Put a constant operand on the scalar side.
-                                let (va, vb) = if (a as usize) >= consts_from {
-                                    (b, a)
-                                } else {
-                                    (a, b)
+                                let (va, vb) = match a {
+                                    Src::Const(_) => (b, a),
+                                    _ => (a, b),
                                 };
                                 let first = i == 0;
-                                if (vb as usize) >= consts_from {
-                                    let bv = regs[vb as usize * B] as u128;
-                                    for (acc, &av) in accs.iter_mut().zip(lanes(regs, va, n)) {
+                                if let Src::Const(k) = vb {
+                                    let bv = self.const_lanes[k as usize * LANE_BLOCK] as u128;
+                                    for (acc, &av) in accs.iter_mut().zip(src.lanes(regs, va)) {
                                         let p = av as u128 * bv;
                                         *acc = if first { p } else { *acc + p };
                                     }
                                 } else {
-                                    let terms = lanes(regs, va, n).iter().zip(lanes(regs, vb, n));
+                                    let terms = src.lanes(regs, va).iter().zip(src.lanes(regs, vb));
                                     for (acc, (&av, &bv)) in accs.iter_mut().zip(terms) {
                                         let p = av as u128 * bv as u128;
                                         *acc = if first { p } else { *acc + p };
@@ -1119,22 +1205,80 @@ impl CompiledKernel {
                             }
                             match barrett {
                                 Some(barrett) => {
-                                    for (o, &acc) in out.iter_mut().zip(&*accs) {
+                                    for (o, &acc) in buf.iter_mut().zip(&*accs) {
                                         *o = barrett.reduce_wide(acc) & mask;
                                     }
                                 }
                                 None => {
-                                    for (o, &acc) in out.iter_mut().zip(&*accs) {
+                                    for (o, &acc) in buf.iter_mut().zip(&*accs) {
                                         *o = (acc % op.q as u128) as u64 & mask;
                                     }
                                 }
                             }
                         }
                     }
-                    store(regs, op.d.reg, out);
+                    store(regs, outs, op.d.slot, buf);
                 }
             }
         }
+        for &(s, j) in &self.tail {
+            outs.lanes(j, n).copy_from_slice(src.lanes(regs, s));
+        }
+    }
+}
+
+/// Where `exec_lanes` reads one block's operands from.
+struct Sources<'a, 's> {
+    /// The kernel's broadcast constants.
+    consts: &'a [u64],
+    /// Parameter `p`'s lanes for this block.
+    params: &'a dyn Fn(usize) -> &'s [u64],
+    /// Lanes in the block.
+    n: usize,
+}
+
+impl<'s> Sources<'_, 's> {
+    /// The block's lanes of operand `s`.
+    #[inline]
+    fn lanes<'x>(&'x self, regs: &'x [u64], s: Src) -> &'x [u64]
+    where
+        's: 'x,
+    {
+        match s {
+            Src::Reg(r) => &regs[r as usize * LANE_BLOCK..][..self.n],
+            Src::Const(k) => &self.consts[k as usize * LANE_BLOCK..][..self.n],
+            Src::Param(p) => (self.params)(p as usize),
+        }
+    }
+}
+
+/// Where `exec_lanes` writes one block's outputs.
+enum Outs<'a, 'o> {
+    /// The caller's output rows: output `j`'s lanes at `rows[j][at..]`.
+    Rows {
+        rows: &'a mut [&'o mut [u64]],
+        at: usize,
+    },
+    /// `run_elements`' staging: output `j`'s lanes at `j * LANE_BLOCK..`.
+    Staged(&'a mut [u64]),
+}
+
+impl Outs<'_, '_> {
+    /// Output `j`'s `n` lanes of this block.
+    fn lanes(&mut self, j: u32, n: usize) -> &mut [u64] {
+        match self {
+            Outs::Rows { rows, at } => &mut rows[j as usize][*at..*at + n],
+            Outs::Staged(lanes) => &mut lanes[j as usize * LANE_BLOCK..][..n],
+        }
+    }
+}
+
+/// Stores an instruction's lanes `buf` at `slot`: a register, or an output's
+/// own lanes.
+fn store(regs: &mut [u64], outs: &mut Outs<'_, '_>, slot: Slot, buf: &[u64]) {
+    match slot {
+        Slot::Reg(r) => regs[r as usize * LANE_BLOCK..][..buf.len()].copy_from_slice(buf),
+        Slot::Out(j) => outs.lanes(j, buf.len()).copy_from_slice(buf),
     }
 }
 
@@ -1161,26 +1305,6 @@ fn any_above(lanes: &[u64], limit: u64) -> bool {
 /// without a branch, which random data would mispredict half the time.
 fn all_ones_if(c: bool) -> u64 {
     (c as u64).wrapping_neg()
-}
-
-/// Lanes `..n` of register `r`.
-fn lanes(regs: &[u64], r: Src, n: usize) -> &[u64] {
-    let base = r as usize * LANE_BLOCK;
-    &regs[base..base + n]
-}
-
-/// Writes `out` to the lanes of register `r`.
-fn store(regs: &mut [u64], r: u32, out: &[u64]) {
-    let base = r as usize * LANE_BLOCK;
-    regs[base..base + out.len()].copy_from_slice(out);
-}
-
-/// Hands out process-unique kernel ids, starting at 1 so the `Default` scratch tag
-/// (`0`) never matches a kernel.
-fn next_kernel_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Result of one batched execution.
@@ -1219,44 +1343,59 @@ fn mask64(bits: u32) -> u64 {
 
 /// Linear-scan register allocation over a straight-line kernel.
 ///
-/// Walks the body once, assigning each live variable a dense slot and recycling a
-/// slot as soon as its variable's last read has executed. Because the code is
-/// straight-line, liveness is exact: a variable is live from its (re)definition to
-/// its final read (outputs are live to the end).
+/// Walks the body once, assigning each live temporary a dense slot and
+/// recycling a slot as soon as its variable's last read has executed. Because
+/// the code is straight-line, liveness is exact: a variable is live from its
+/// (re)definition to its final read. A parameter is read from the caller's
+/// lanes until a statement overwrites it. An output listed once is written
+/// straight into its lanes by its last write when no later statement reads it;
+/// any other output stays in its register to the end and is copied out.
 struct RegAlloc {
-    /// Slot each variable holds at its defining write (for parameters: at entry).
-    slot_at_def: Vec<Option<u32>>,
-    /// Per-statement read map: variable → slot at that statement.
-    slot_at_use: Vec<std::collections::HashMap<VarId, u32>>,
-    /// Per-statement write map: variable → slot assigned for that write.
-    slot_at_write: Vec<std::collections::HashMap<VarId, u32>>,
-    output_slots: Vec<u32>,
+    /// Per-statement read map: variable → where it is read at that statement.
+    reads: Vec<HashMap<VarId, Src>>,
+    /// Per-statement write map: variable → where that write goes.
+    writes: Vec<HashMap<VarId, Slot>>,
+    /// Outputs copied out after the block: `(source, output index)`.
+    tail: Vec<(Src, u32)>,
     n_regs: usize,
 }
 
 impl RegAlloc {
     fn run(kernel: &Kernel) -> Result<RegAlloc, InterpError> {
-        use std::collections::HashMap;
-
-        // Last statement index that reads each variable (outputs never expire).
-        let mut last_read: Vec<Option<usize>> = vec![None; kernel.vars.len()];
+        let n_vars = kernel.vars.len();
+        // Last statement index that reads and that writes each variable.
+        let mut last_read: Vec<Option<usize>> = vec![None; n_vars];
+        let mut last_write: Vec<Option<usize>> = vec![None; n_vars];
         for (i, stmt) in kernel.body.iter().enumerate() {
             for o in stmt.op.operands() {
                 if let Some(v) = o.as_var() {
                     last_read[v.0] = Some(i);
                 }
             }
-        }
-        let is_output: Vec<bool> = {
-            let mut f = vec![false; kernel.vars.len()];
-            for o in &kernel.outputs {
-                f[o.0] = true;
+            for d in &stmt.dsts {
+                last_write[d.0] = Some(i);
             }
-            f
+        }
+        // How often each variable is listed as an output, and where first.
+        let mut listed = vec![0usize; n_vars];
+        let mut first_output: Vec<u32> = vec![0; n_vars];
+        for (j, o) in kernel.outputs.iter().enumerate().rev() {
+            listed[o.0] += 1;
+            first_output[o.0] = j as u32;
+        }
+        // The output a variable's last write goes straight into.
+        let in_place = |v: VarId| -> Option<u32> {
+            let i = last_write[v.0]?;
+            (listed[v.0] == 1 && last_read[v.0].map_or(true, |r| r <= i))
+                .then_some(first_output[v.0])
         };
+        // Variables whose value must survive to the end of the body.
+        let kept = |v: VarId| listed[v.0] > 0 && in_place(v).is_none();
 
-        let mut current: Vec<Option<u32>> = vec![None; kernel.vars.len()];
-        let mut slot_at_def: Vec<Option<u32>> = vec![None; kernel.vars.len()];
+        let mut current: Vec<Option<Src>> = vec![None; n_vars];
+        for (k, p) in kernel.params.iter().enumerate() {
+            current[p.0] = Some(Src::Param(k as u32));
+        }
         let mut free: Vec<u32> = Vec::new();
         let mut n_regs: u32 = 0;
         let mut allocate = |free: &mut Vec<u32>| -> u32 {
@@ -1266,78 +1405,83 @@ impl RegAlloc {
             })
         };
 
-        for p in &kernel.params {
-            let slot = allocate(&mut free);
-            current[p.0] = Some(slot);
-            slot_at_def[p.0] = Some(slot);
-        }
-
-        let mut slot_at_use = Vec::with_capacity(kernel.body.len());
-        let mut slot_at_write = Vec::with_capacity(kernel.body.len());
+        let mut reads = Vec::with_capacity(kernel.body.len());
+        let mut writes = Vec::with_capacity(kernel.body.len());
         for (i, stmt) in kernel.body.iter().enumerate() {
             let mut uses = HashMap::new();
             for o in stmt.op.operands() {
                 if let Some(v) = o.as_var() {
-                    let slot = current[v.0].ok_or_else(|| InterpError::UseBeforeDef {
+                    let at = current[v.0].ok_or_else(|| InterpError::UseBeforeDef {
                         var: kernel.var(v).name.clone(),
                     })?;
-                    uses.insert(v, slot);
+                    uses.insert(v, at);
                 }
             }
-            // Expire operands whose last read is this statement *before* assigning
-            // destination slots — but only release slots that none of this
-            // statement's destinations are about to keep (a destination may be the
-            // same variable as an operand).
-            for (&v, &slot) in &uses {
-                if last_read[v.0] == Some(i) && !is_output[v.0] && !stmt.dsts.contains(&v) {
+            // Expire operands whose last read is this statement *before*
+            // assigning destination slots — but only release slots that none of
+            // this statement's destinations are about to keep (a destination may
+            // be the same variable as an operand). Every arm reads all of its
+            // operands before it stores a destination, so a destination may take
+            // a slot released here.
+            for (&v, &at) in &uses {
+                if last_read[v.0] == Some(i) && !kept(v) && !stmt.dsts.contains(&v) {
                     current[v.0] = None;
-                    free.push(slot);
+                    if let Src::Reg(slot) = at {
+                        free.push(slot);
+                    }
                 }
             }
-            let mut writes = HashMap::new();
+            let mut dsts = HashMap::new();
             for d in &stmt.dsts {
-                let slot = match current[d.0] {
-                    Some(slot) => slot,
-                    None => {
-                        let slot = allocate(&mut free);
-                        current[d.0] = Some(slot);
-                        if slot_at_def[d.0].is_none() {
-                            slot_at_def[d.0] = Some(slot);
+                if last_write[d.0] == Some(i) {
+                    if let Some(j) = in_place(*d) {
+                        if let Some(Src::Reg(slot)) = current[d.0].take() {
+                            free.push(slot);
                         }
+                        dsts.insert(*d, Slot::Out(j));
+                        continue;
+                    }
+                }
+                let slot = match current[d.0] {
+                    Some(Src::Reg(slot)) => slot,
+                    _ => {
+                        let slot = allocate(&mut free);
+                        current[d.0] = Some(Src::Reg(slot));
                         slot
                     }
                 };
-                writes.insert(*d, slot);
-                // A destination that is never read and is not an output dies
-                // immediately; keep its slot live through this statement (the write
-                // still happens) and recycle it afterwards.
-                if !is_output[d.0] && last_read[d.0].map_or(true, |l| l <= i) {
+                dsts.insert(*d, Slot::Reg(slot));
+                // A destination that is never read again and need not survive
+                // dies immediately; keep its slot live through this statement
+                // (the write still happens) and recycle it afterwards.
+                if !kept(*d) && last_read[d.0].map_or(true, |l| l <= i) {
                     current[d.0] = None;
                     free.push(slot);
                 }
             }
-            slot_at_use.push(uses);
-            slot_at_write.push(writes);
+            reads.push(uses);
+            writes.push(dsts);
         }
 
-        let mut output_slots = Vec::with_capacity(kernel.outputs.len());
-        for o in &kernel.outputs {
-            let slot = current[o.0].ok_or_else(|| InterpError::UseBeforeDef {
+        let mut tail = Vec::new();
+        for (j, o) in kernel.outputs.iter().enumerate() {
+            if in_place(*o) == Some(j as u32) {
+                continue;
+            }
+            let at = current[o.0].ok_or_else(|| InterpError::UseBeforeDef {
                 var: kernel.var(*o).name.clone(),
             })?;
-            output_slots.push(slot);
+            tail.push((at, j as u32));
         }
 
         Ok(RegAlloc {
-            slot_at_def,
-            slot_at_use,
-            slot_at_write,
-            output_slots,
+            reads,
+            writes,
+            tail,
             n_regs: n_regs as usize,
         })
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1393,7 +1537,7 @@ mod tests {
     fn muladdmod_matches_interpreter_and_chains() {
         // A two-step multiply-accumulate chain: acc = (a·c0) mod q, then
         // out = (b·c1 + acc) mod q — the shape of the generated base-extension
-        // kernels, with the constants interned into preloaded registers.
+        // kernels, with the constants interned and broadcast at compile time.
         let mut kb = KernelBuilder::new("mac_chain");
         let a = kb.param("a", Ty::UInt(64));
         let b = kb.param("b", Ty::UInt(64));
@@ -1475,8 +1619,8 @@ mod tests {
         // The lane-block executor must be element-wise identical to the tree
         // interpreter run once per element, including the constant-operand
         // scalar fast path in `MacReduceMod` (the `Const(7)` / `Const(11)` pairs
-        // below) and partial trailing blocks. One scratch frame is reused
-        // across block sizes to exercise the preload tag as well.
+        // below), partial trailing blocks and runs of several blocks. One
+        // scratch is reused across run lengths.
         let q = (1u64 << 52) - 47;
         let mut kb = KernelBuilder::new("lanes_mix");
         let a = kb.param("a", Ty::UInt(52));
@@ -1519,30 +1663,173 @@ mod tests {
                 })
                 .collect()
         };
-        let mut scratch = c.block_scratch();
-        for n in [1usize, 37, LANE_BLOCK] {
+        let mut scratch = BlockScratch::default();
+        for n in [1usize, 37, LANE_BLOCK, 2 * LANE_BLOCK + 3] {
             let a_vals = vals(0x9e37 ^ n as u64, n);
             let b_vals = vals(0x79b9 ^ n as u64, n);
-            let mut got = vec![Vec::new(); 2];
-            c.run_lanes(
-                n,
-                &mut scratch,
-                |p, lanes| {
-                    let src = if p == 0 { &a_vals } else { &b_vals };
-                    lanes.copy_from_slice(&src[..lanes.len()]);
-                },
-                |j, lanes| got[j] = lanes.to_vec(),
-            )
-            .unwrap();
+            let mut got = vec![vec![0; n]; 2];
+            let mut rows: Vec<&mut [u64]> = got.iter_mut().map(|r| &mut r[..]).collect();
+            let plane = |p| Plane::Row(if p == 0 { &a_vals } else { &b_vals });
+            c.run_lanes(n, &mut scratch, plane, &mut rows).unwrap();
             for e in 0..n {
                 let one = interp::run(&k, &[a_vals[e], b_vals[e]]).unwrap();
                 assert_eq!(
                     vec![got[0][e], got[1][e]],
                     one.outputs,
-                    "element {e} of block {n}"
+                    "element {e} of {n}"
                 );
             }
         }
+    }
+
+    /// Runs `k` over `n` elements through `run_lanes` (parameter `p` from
+    /// `planes[p]`) and returns the output rows, or the refusal.
+    fn lanes_of(k: &Kernel, n: usize, planes: &[Plane]) -> Result<Vec<Vec<u64>>, InterpError> {
+        let c = CompiledKernel::compile(k).unwrap();
+        let mut rows = vec![vec![u64::MAX; n]; k.outputs.len()];
+        let mut outs: Vec<&mut [u64]> = rows.iter_mut().map(|r| &mut r[..]).collect();
+        c.run_lanes(n, &mut BlockScratch::default(), |p| planes[p], &mut outs)?;
+        Ok(rows)
+    }
+
+    /// The interpreter's outputs of `k` for element `e` of `planes`, as rows.
+    fn interp_rows(k: &Kernel, n: usize, planes: &[Plane]) -> Vec<Vec<u64>> {
+        let mut rows = vec![Vec::new(); k.outputs.len()];
+        for e in 0..n {
+            let inputs: Vec<u64> = planes
+                .iter()
+                .map(|plane| match *plane {
+                    Plane::Row(row) => row[e],
+                    Plane::Uniform(v) => v,
+                })
+                .collect();
+            for (row, v) in rows
+                .iter_mut()
+                .zip(interp::run(k, &inputs).unwrap().outputs)
+            {
+                row.push(v);
+            }
+        }
+        rows
+    }
+
+    /// `o = (a·s) mod q` over a row `a ≤ 1000` and a scalar `s ≤ 50`.
+    fn bounded_product() -> Kernel {
+        let mut kb = KernelBuilder::new("bounded_product");
+        let a = kb.param_below("a", Ty::UInt(64), 1000);
+        let s = kb.param_below("s", Ty::UInt(64), 50);
+        let o = kb.output("o", Ty::UInt(64));
+        let q = 1_000_003;
+        kb.push(
+            vec![o],
+            Op::MacReduceMod {
+                pairs: vec![(a.into(), s.into())],
+                q,
+            },
+        );
+        kb.build()
+    }
+
+    #[test]
+    fn run_lanes_refuses_a_bad_uniform_or_row_value_like_the_interpreter() {
+        let k = bounded_product();
+        let n = 2 * LANE_BLOCK + 5;
+        let row: Vec<u64> = (0..n as u64).map(|i| i * 7 % 1001).collect();
+        // A uniform at its bound runs; one above it is refused, naming it.
+        let planes = [Plane::Row(&row), Plane::Uniform(50)];
+        assert_eq!(
+            lanes_of(&k, n, &planes).unwrap(),
+            interp_rows(&k, n, &planes)
+        );
+        let refused = lanes_of(&k, n, &[Plane::Row(&row), Plane::Uniform(51)]);
+        assert_eq!(refused, interp::run(&k, &[row[0], 51]).map(|_| vec![]));
+        assert_eq!(
+            refused,
+            Err(InterpError::InputAboveBound {
+                var: "s".into(),
+                bound: 50
+            })
+        );
+        // A bad row value in the last, partial block.
+        let mut bad = row.clone();
+        bad[n - 1] = 1001;
+        assert_eq!(
+            lanes_of(&k, n, &[Plane::Row(&bad), Plane::Uniform(3)]),
+            interp::run(&k, &[1001, 3]).map(|_| vec![])
+        );
+        // No elements: nothing runs, so nothing is refused.
+        assert_eq!(
+            lanes_of(&k, 0, &[Plane::Row(&[]), Plane::Uniform(51)]),
+            Ok(vec![vec![]])
+        );
+    }
+
+    #[test]
+    fn outputs_read_later_listed_twice_or_never_written() {
+        // `o1` is read by the statement after its write, `o2` is listed
+        // twice, and the parameter `b` is itself an output.
+        let mut kb = KernelBuilder::new("output_shapes");
+        let a = kb.param("a", Ty::UInt(64));
+        let b = kb.param("b", Ty::UInt(16));
+        let o1 = kb.output("o1", Ty::UInt(64));
+        let o2 = kb.output("o2", Ty::UInt(32));
+        kb.push(
+            vec![o1],
+            Op::MulLow {
+                a: a.into(),
+                b: b.into(),
+            },
+        );
+        kb.push(
+            vec![o2],
+            Op::MulLow {
+                a: o1.into(),
+                b: Operand::Const(3),
+            },
+        );
+        let mut k = kb.build();
+        k.outputs.extend([o2, b]);
+        let n = LANE_BLOCK + 9;
+        let a_row: Vec<u64> = (0..n as u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let b_row: Vec<u64> = (0..n as u64).map(|i| i * 131 % (1 << 16)).collect();
+        let planes = [Plane::Row(&a_row), Plane::Row(&b_row)];
+        assert_eq!(
+            lanes_of(&k, n, &planes).unwrap(),
+            interp_rows(&k, n, &planes)
+        );
+        assert_matches_interp_across_blocks(&k, "output shapes");
+    }
+
+    #[test]
+    fn a_kernel_without_parameters() {
+        let mut kb = KernelBuilder::new("constants_only");
+        let t = kb.local("t", Ty::UInt(64));
+        let o = kb.output("o", Ty::UInt(64));
+        kb.push(
+            vec![t],
+            Op::Copy {
+                src: Operand::Const(7),
+            },
+        );
+        kb.push(
+            vec![o],
+            Op::AddMod {
+                a: t.into(),
+                b: Operand::Const(9),
+                q: Operand::Const(11),
+            },
+        );
+        let k = kb.build();
+        let c = CompiledKernel::compile(&k).unwrap();
+        assert_eq!(c.run(&[]).unwrap(), interp::run(&k, &[]).unwrap());
+        let n = LANE_BLOCK + 1;
+        assert_eq!(lanes_of(&k, n, &[]).unwrap(), vec![vec![5; n]]);
+        let mut out = vec![0; n];
+        c.run_elements(n, &[], &mut BlockScratch::default(), &mut out)
+            .unwrap();
+        assert_eq!(out, vec![5; n]);
     }
 
     #[test]
@@ -1632,9 +1919,9 @@ mod tests {
     }
 
     #[test]
-    fn scratch_tag_skips_stale_constant_reload_only_for_same_kernel() {
-        // A block frame carried from kernel A to kernel B must be refilled with
-        // B's constants (different id), while reuse under one kernel keeps them.
+    fn one_scratch_serves_kernels_in_turn() {
+        // A scratch carried from kernel A to kernel B and back holds no state
+        // either depends on: each reads its constants from its own lanes.
         let build = |name: &str, k: u64| {
             let mut kb = KernelBuilder::new(name);
             let a = kb.param("a", Ty::UInt(64));
@@ -1652,7 +1939,7 @@ mod tests {
         };
         let times3 = build("times3", 3);
         let times5 = build("times5", 5);
-        let mut scratch = times3.1.block_scratch();
+        let mut scratch = BlockScratch::default();
         for ((kernel, compiled), input) in [(&times3, 10), (&times5, 10), (&times3, 11)] {
             let mut out = [0];
             compiled

@@ -16,11 +16,13 @@
 //! * [`interp`] — a tree-walking interpreter for machine-level kernels (the semantic
 //!   reference and correctness oracle) that also counts word-level operations for the
 //!   cost model;
-//! * [`compiled`] — a bytecode executor that register-allocates variables into dense
-//!   slots at compile time and runs every instruction across a block of 128 elements
-//!   before dispatching the next ([`compiled::CompiledKernel::run_lanes`]); batch
-//!   execution ([`compiled::CompiledKernel::run_batch`]) walks blocks on one frame.
-//!   It is the execution backend of the simulated GPU's hot path;
+//! * [`compiled`] — a bytecode executor that register-allocates temporaries into
+//!   dense slots at compile time and runs every instruction across a block of 128
+//!   elements before dispatching the next, reading parameters from the caller's
+//!   planes and writing outputs to the caller's rows in place
+//!   ([`compiled::CompiledKernel::run_lanes`]); batch execution
+//!   ([`compiled::CompiledKernel::run_batch`]) walks blocks on one frame. It is
+//!   the execution backend of the simulated GPU's hot path;
 //! * [`emit`] — source emitters producing CUDA-like C (mirroring the paper's
 //!   Listings 1–4) and safe Rust. The Rust is compiled: `moma-gpu`'s build
 //!   script builds a fixed kernel set from it, found again at run time by

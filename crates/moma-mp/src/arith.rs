@@ -102,15 +102,23 @@ impl<const L: usize> MpUint<L> {
     }
 
     /// Widening multiplication using the Karatsuba algorithm (paper Equation 9) at the
-    /// top level with schoolbook leaves.
+    /// top level with schoolbook leaves, on stack scratch.
     #[inline]
     pub fn widening_mul_karatsuba(&self, rhs: &Self) -> (Self, Self) {
-        let mut out = vec![0u64; 2 * L];
-        crate::karatsuba::karatsuba_mul(&self.limbs, &rhs.limbs, &mut out);
+        use crate::karatsuba::{karatsuba_mul, scratch_len};
+        assert!(2 * L <= 64, "widening_mul supports at most 32 limbs");
+        let mut out = [0u64; 64];
+        let mut scratch = [0u64; scratch_len(32)];
+        karatsuba_mul(
+            &self.limbs,
+            &rhs.limbs,
+            &mut out[..2 * L],
+            &mut scratch[..scratch_len(L)],
+        );
         let mut lo = [0u64; L];
         let mut hi = [0u64; L];
         lo.copy_from_slice(&out[..L]);
-        hi.copy_from_slice(&out[L..]);
+        hi.copy_from_slice(&out[L..2 * L]);
         (MpUint { limbs: lo }, MpUint { limbs: hi })
     }
 

@@ -27,13 +27,28 @@ pub(crate) fn schoolbook_mul(a: &[u64], b: &[u64], out: &mut [u64]) {
     }
 }
 
+/// Scratch words [`karatsuba_mul`] needs for `n`-limb operands: at each
+/// recursion level `z0`, `z2` (`n` each), the middle product with its carry
+/// terms (`n + 2`) and the two operand sums (`n/2` each), then the next
+/// level's share.
+pub(crate) const fn scratch_len(n: usize) -> usize {
+    if n < KARATSUBA_THRESHOLD || n % 2 != 0 {
+        0
+    } else {
+        4 * n + 2 + scratch_len(n / 2)
+    }
+}
+
 /// Multiplies `a` and `b` (equal length `n`) into `out` (length `2n`) using Karatsuba
-/// recursion with schoolbook leaves.
+/// recursion with schoolbook leaves. Every intermediate lives in `scratch`,
+/// which each level splits and hands its remainder to the next: nothing is
+/// allocated.
 ///
 /// # Panics
 ///
-/// Panics if `a` and `b` have different lengths or `out` is not exactly twice as long.
-pub(crate) fn karatsuba_mul(a: &[u64], b: &[u64], out: &mut [u64]) {
+/// Panics if `a` and `b` have different lengths, `out` is not exactly twice as
+/// long, or `scratch` holds fewer than [`scratch_len`]`(n)` words.
+pub(crate) fn karatsuba_mul(a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
     assert_eq!(a.len(), b.len());
     assert_eq!(out.len(), 2 * a.len());
     let n = a.len();
@@ -44,52 +59,51 @@ pub(crate) fn karatsuba_mul(a: &[u64], b: &[u64], out: &mut [u64]) {
     let half = n / 2;
     let (a0, a1) = a.split_at(half); // a0 = low limbs, a1 = high limbs
     let (b0, b1) = b.split_at(half);
+    let (z0, rest) = scratch.split_at_mut(n);
+    let (z2, rest) = rest.split_at_mut(n);
+    let (z1, rest) = rest.split_at_mut(n + 2);
+    let (sa, rest) = rest.split_at_mut(half);
+    let (sb, rest) = rest.split_at_mut(half);
 
     // z0 = a0*b0, z2 = a1*b1, z1 = (a0+a1)(b0+b1) - z0 - z2
-    let mut z0 = vec![0u64; n];
-    let mut z2 = vec![0u64; n];
-    karatsuba_mul(a0, b0, &mut z0);
-    karatsuba_mul(a1, b1, &mut z2);
+    karatsuba_mul(a0, b0, z0, rest);
+    karatsuba_mul(a1, b1, z2, rest);
 
     // Sums a0+a1 and b0+b1 can carry one extra bit; keep them as (limbs, carry).
-    let (sa, ca) = add_slices(a0, a1);
-    let (sb, cb) = add_slices(b0, b1);
-    let mut z1 = vec![0u64; n];
-    karatsuba_mul(&sa, &sb, &mut z1);
+    let ca = add_slices(a0, a1, sa);
+    let cb = add_slices(b0, b1, sb);
+    karatsuba_mul(sa, sb, &mut z1[..n], rest);
     // Add the carry cross terms: (ca·2^h + sa)(cb·2^h + sb)
     //   = z1 + ca·sb·2^h + cb·sa·2^h + ca·cb·2^(2h)
-    let mut z1ext = vec![0u64; n + 2];
-    z1ext[..n].copy_from_slice(&z1);
+    z1[n..].fill(0);
     if ca {
-        add_into(&mut z1ext[half..], &sb);
+        add_into(&mut z1[half..], sb);
     }
     if cb {
-        add_into(&mut z1ext[half..], &sa);
+        add_into(&mut z1[half..], sa);
     }
     if ca && cb {
-        add_into(&mut z1ext[n..], &[1]);
+        add_into(&mut z1[n..], &[1]);
     }
     // z1 := z1 - z0 - z2
-    sub_from(&mut z1ext, &z0);
-    sub_from(&mut z1ext, &z2);
+    sub_from(z1, z0);
+    sub_from(z1, z2);
 
     // out = z0 + z1·2^(64·half) + z2·2^(64·n)
-    out.fill(0);
-    out[..n].copy_from_slice(&z0);
-    add_into(&mut out[n..], &z2);
-    add_into(&mut out[half..], &z1ext);
+    out[..n].copy_from_slice(z0);
+    out[n..].copy_from_slice(z2);
+    add_into(&mut out[half..], z1);
 }
 
-/// Adds two equal-length slices, returning the sum limbs and the carry-out.
-fn add_slices(a: &[u64], b: &[u64]) -> (Vec<u64>, bool) {
-    let mut out = vec![0u64; a.len()];
+/// Writes `a + b` (equal lengths) into `out`, returning the carry-out.
+fn add_slices(a: &[u64], b: &[u64], out: &mut [u64]) -> bool {
     let mut carry = 0u64;
-    for i in 0..a.len() {
-        let s = a[i] as u128 + b[i] as u128 + carry as u128;
-        out[i] = s as u64;
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        let s = x as u128 + y as u128 + carry as u128;
+        *o = s as u64;
         carry = (s >> 64) as u64;
     }
-    (out, carry != 0)
+    carry != 0
 }
 
 /// Adds `src` into `dst` in place (`dst` must be long enough to absorb the carry).
@@ -141,7 +155,7 @@ mod tests {
             let mut out_s = vec![0u64; 2 * n];
             let mut out_k = vec![0u64; 2 * n];
             schoolbook_mul(&a, &b, &mut out_s);
-            karatsuba_mul(&a, &b, &mut out_k);
+            karatsuba_mul(&a, &b, &mut out_k, &mut vec![0; scratch_len(n)]);
             assert_eq!(out_s, out_k, "n = {n}");
         }
     }
@@ -153,7 +167,7 @@ mod tests {
             let mut out_s = vec![0u64; 2 * n];
             let mut out_k = vec![0u64; 2 * n];
             schoolbook_mul(&a, &a, &mut out_s);
-            karatsuba_mul(&a, &a, &mut out_k);
+            karatsuba_mul(&a, &a, &mut out_k, &mut vec![0; scratch_len(n)]);
             assert_eq!(out_s, out_k);
         }
     }
@@ -163,11 +177,12 @@ mod tests {
         let a = vec![0u64; 8];
         let b = pseudo_random(8, 99);
         let mut out = vec![1u64; 16];
-        karatsuba_mul(&a, &b, &mut out);
+        let mut scratch = vec![0; scratch_len(8)];
+        karatsuba_mul(&a, &b, &mut out, &mut scratch);
         assert!(out.iter().all(|&x| x == 0));
         let mut one = vec![0u64; 8];
         one[0] = 1;
-        karatsuba_mul(&one, &b, &mut out);
+        karatsuba_mul(&one, &b, &mut out, &mut scratch);
         assert_eq!(&out[..8], &b[..]);
         assert!(out[8..].iter().all(|&x| x == 0));
     }
@@ -176,6 +191,6 @@ mod tests {
     #[should_panic]
     fn mismatched_lengths_panic() {
         let mut out = vec![0u64; 6];
-        karatsuba_mul(&[1, 2], &[1, 2, 3], &mut out);
+        karatsuba_mul(&[1, 2], &[1, 2, 3], &mut out, &mut []);
     }
 }

@@ -26,7 +26,17 @@
 //!    `kᵢ` constant, used only here and not an output — becomes the pairs
 //!    `(aᵢ, kᵢ·c mod q)`; the producer is left for dead-code elimination.
 //!
-//! Rules 4 and 5 are exact modular algebra on constants: the sum they leave
+//! 6. **composed constant products** — a one-pair accumulation `(v, c)` with
+//!    constant `c` whose producer is the one-pair accumulation
+//!    `v = (x·a) mod q` under the same `q`, with constant `a`, becomes
+//!    `(x, a·c mod q)`. The producer is left for its other readers, so the
+//!    rule never adds a statement and fires however many uses the producer
+//!    has: in a base extension onto a basis that shares moduli with the
+//!    source, each shared target row is `x̃_r·(M/m_r) mod m_r` over the
+//!    pseudo-residue `x̃_r = x_r·(M/m_r)^{-1} mod m_r`, which also feeds the
+//!    rows of the new moduli; the rule makes that row `x_r·1`.
+//!
+//! Rules 4 to 6 are exact modular algebra on constants: the sum they leave
 //! is congruent to the old one term for term, and the one reduction at the
 //! end makes the results equal.
 //!
@@ -61,7 +71,8 @@ pub(crate) fn fuse(kernel: &mut Kernel) -> bool {
     let b = fuse_mac_chains(&scope, body);
     let c = fuse_lone_mulmods(&scope, body);
     let d = fold_constant_sums(&scope, body);
-    a || b || c || d
+    let e = compose_constant_products(&scope, body);
+    a || b || c || d || e
 }
 
 /// What the rules read of the kernel whose body they rewrite.
@@ -289,6 +300,51 @@ fn fold_constant_sums(scope: &Scope, body: &mut [Stmt]) -> bool {
         }
     }
     changed
+}
+
+/// Rule 6: a one-pair accumulation `(v, c) mod q` whose `v` is the one-pair
+/// accumulation `(x, a) mod q` — constants `a` and `c`, one modulus — reads
+/// `(x, a·c mod q)` instead. The producer keeps its other readers.
+fn compose_constant_products(scope: &Scope, body: &mut [Stmt]) -> bool {
+    let mut def: Vec<Option<usize>> = vec![None; scope.vars.len()];
+    let mut changed = false;
+    for j in 0..body.len() {
+        if let Op::MacReduceMod { pairs, q } = &body[j].op {
+            let q = *q;
+            let composed = match pairs[..] {
+                [pair] => constant_factor(pair).and_then(|(v, c)| {
+                    let (x, a) = one_constant_product(scope, &body[def[v.as_var()?.0]?], q)?;
+                    Some((x, (a as u128 * c as u128 % q as u128) as u64))
+                }),
+                _ => None,
+            };
+            if let Some((x, ac)) = composed {
+                let dst = body[j].dsts[0];
+                if let Some(op) = macreduce_op(scope, q, &[(x, Operand::Const(ac))], dst) {
+                    body[j].op = op;
+                    changed = true;
+                }
+            }
+        }
+        for d in &body[j].dsts {
+            def[d.0] = Some(j);
+        }
+    }
+    changed
+}
+
+/// `(x, a)` when `producer` is the one-pair accumulation `(x·a) mod q` with a
+/// constant factor `a`, into a destination wide enough to hold every residue.
+fn one_constant_product(scope: &Scope, producer: &Stmt, q: u64) -> Option<(Operand, u64)> {
+    let Op::MacReduceMod { pairs, q: pq } = &producer.op else {
+        return None;
+    };
+    let holds_residues =
+        matches!(scope.ty(producer.dsts[0]), Ty::UInt(w) if w >= 64 - q.leading_zeros());
+    match pairs[..] {
+        [pair] if *pq == q && holds_residues => constant_factor(pair),
+        _ => None,
+    }
 }
 
 /// Splits a product term into its other operand and its constant factor, if
@@ -824,5 +880,72 @@ mod tests {
             pairs_of(&fused, out),
             [(Operand::Var(t), Operand::Const(q - 1))]
         );
+    }
+
+    /// The base-extension shape: a pseudo-residue `t = Σ (x·a [+ y·3]) mod q`,
+    /// a shared-modulus row `out = (t·c) mod qs`, and a new-modulus row
+    /// `wide = (t·7 + y·5) mod qn` that keeps `t` alive. 64-bit parameters.
+    fn composed_kernel(q: u64, qs: u64, c: Operand, two_pairs: bool) -> (Kernel, [VarId; 3]) {
+        let qn = (1u64 << 40) - 87;
+        let mut kb = KernelBuilder::new("composed");
+        let x = kb.param("x", Ty::UInt(64));
+        let y = kb.param("y", Ty::UInt(64));
+        let t = kb.local("t", Ty::UInt(64));
+        let out = kb.output("out", Ty::UInt(64));
+        let wide = kb.output("wide", Ty::UInt(64));
+        let mut pairs = vec![(x.into(), Operand::Const(q - 2))];
+        if two_pairs {
+            pairs.push((y.into(), Operand::Const(3)));
+        }
+        kb.push(vec![t], Op::MacReduceMod { pairs, q });
+        let row = vec![(t.into(), c)];
+        kb.push(vec![out], Op::MacReduceMod { pairs: row, q: qs });
+        let row = vec![(t.into(), Operand::Const(7)), (y.into(), Operand::Const(5))];
+        kb.push(vec![wide], Op::MacReduceMod { pairs: row, q: qn });
+        (kb.build(), [x, t, out])
+    }
+
+    #[test]
+    fn constant_products_compose_and_keep_a_shared_producer() {
+        let q = (1u64 << 52) - 47;
+        // (q − 2)·(q − 3) ≡ 6, and (q − 2)·inv(q − 2) ≡ 1: the base-extension
+        // row becomes a copy of its input.
+        let inverse = moma_mp::single::SingleBarrett::new(q).pow_mod(q - 2, q - 2);
+        for (c, composed) in [(q - 3, 6), (inverse, 1)] {
+            let (k, [x, t, out]) = composed_kernel(q, q, Operand::Const(c), false);
+            let fused = optimized_matches_unfused(&k);
+            assert_eq!(
+                pairs_of(&fused, out),
+                [(Operand::Var(x), Operand::Const(composed))]
+            );
+            assert_eq!(
+                pairs_of(&fused, t).len(),
+                1,
+                "the producer keeps its other reader"
+            );
+            assert_eq!(fused.body.len(), k.body.len());
+        }
+    }
+
+    #[test]
+    fn constant_products_compose_only_one_pair_under_one_modulus_by_constants() {
+        let q = (1u64 << 52) - 47;
+        let cases = [
+            (
+                "different modulus",
+                (1u64 << 52) - 95,
+                Operand::Const(5),
+                false,
+            ),
+            // `VarId(1)` is the parameter `y`.
+            ("variable factor", q, Operand::Var(VarId(1)), false),
+            ("two-pair producer", q, Operand::Const(5), true),
+        ];
+        for (what, qs, c, two_pairs) in cases {
+            let (k, [_, t, out]) = composed_kernel(q, qs, c, two_pairs);
+            let fused = optimized_matches_unfused(&k);
+            assert_eq!(pairs_of(&fused, out), [(Operand::Var(t), c)], "{what}");
+            assert!(fused.body.len() <= k.body.len(), "{what}");
+        }
     }
 }

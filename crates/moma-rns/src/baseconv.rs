@@ -61,7 +61,7 @@ use crate::plan::{mul_mod, RnsMatrix, RnsPlan};
 use crate::RnsContext;
 use moma_gpu::launch::{launch_chunks, launch_compiled_rows, LaunchStats};
 use moma_gpu::pool::BufferPool;
-use moma_ir::compiled::CompiledKernel;
+use moma_ir::compiled::{CompiledKernel, Plane};
 use moma_ir::{Kernel, KernelBuilder, Op, Operand, Ty};
 use moma_mp::single::{smac, SingleBarrett};
 
@@ -270,9 +270,7 @@ impl RnsPlan {
             "fused conversion kernel shape must match the basis pair"
         );
         RnsMatrix::filled_from(pool, rows, cols, |data| {
-            launch_compiled_rows(compiled, data, cols, |r, lo, lanes| {
-                lanes.copy_from_slice(&a.data[r * cols + lo..r * cols + lo + lanes.len()]);
-            })
+            launch_compiled_rows(compiled, data, cols, |r| Plane::Row(a.row(r)))
         })
     }
 
@@ -458,9 +456,8 @@ impl RnsPlan {
             "fused chain kernel shape must match the basis pair"
         );
         RnsMatrix::filled_from(pool, rows, cols, |data| {
-            launch_compiled_rows(compiled, data, cols, |p, lo, lanes| {
-                let row = &if p % 2 == 0 { &a.data } else { &b.data }[p / 2 * cols..];
-                lanes.copy_from_slice(&row[lo..lo + lanes.len()]);
+            launch_compiled_rows(compiled, data, cols, |p| {
+                Plane::Row(if p % 2 == 0 { a } else { b }.row(p / 2))
             })
         })
     }

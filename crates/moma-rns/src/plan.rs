@@ -54,7 +54,7 @@ use moma_bignum::BigUint;
 use moma_blas::BlasOp;
 use moma_gpu::launch::{launch_chunks, launch_compiled_rows, LaunchStats};
 use moma_gpu::pool::BufferPool;
-use moma_ir::compiled::CompiledKernel;
+use moma_ir::compiled::{CompiledKernel, Plane};
 use moma_ir::{Kernel, KernelBuilder, Op, Operand, Ty};
 use moma_mp::single::{smac, SingleBarrett};
 
@@ -418,15 +418,14 @@ impl RnsPlan {
             "fused chain kernel shape must match the basis"
         );
         RnsMatrix::filled_from(pool, rows, cols, |data| {
-            launch_compiled_rows(compiled, data, cols, |p, lo, lanes| {
+            launch_compiled_rows(compiled, data, cols, |p| {
                 let r = p / 4;
-                let plane = match p % 4 {
-                    0 => &a.data,
-                    1 => &b.data,
-                    2 => return lanes.fill(s.residues[r]),
-                    _ => &z.data,
-                };
-                lanes.copy_from_slice(&plane[r * cols + lo..r * cols + lo + lanes.len()]);
+                match p % 4 {
+                    0 => Plane::Row(a.row(r)),
+                    1 => Plane::Row(b.row(r)),
+                    2 => Plane::Uniform(s.residues[r]),
+                    _ => Plane::Row(z.row(r)),
+                }
             })
         })
     }
@@ -620,7 +619,10 @@ impl RnsMatrix {
     /// lets `fill` run the launches over it, and adds the pool misses of that
     /// window (`fill` may draw scratch planes from the same pool) to the
     /// reported `allocs`. An empty result touches neither the pool nor the
-    /// launcher. `fill` must leave every row reduced below its modulus.
+    /// launcher. `fill` must write every word of the plane — it is not
+    /// zero-filled first ([`BufferPool::acquire_for_overwrite`]; a debug
+    /// build checks that no word was left unwritten) — and leave every row
+    /// reduced below its modulus.
     pub fn filled_from(
         pool: &BufferPool,
         rows: usize,
@@ -632,8 +634,12 @@ impl RnsMatrix {
             return (RnsMatrix { rows, cols, data }, LaunchStats::default());
         }
         let before = pool.misses();
-        let mut data = pool.acquire(rows * cols);
+        let mut data = pool.acquire_for_overwrite(rows * cols);
         let mut stats = fill(&mut data);
+        debug_assert!(
+            !data.contains(&u64::MAX),
+            "fill left a word of the plane unwritten"
+        );
         stats.allocs += (pool.misses() - before) as usize;
         (RnsMatrix { rows, cols, data }, stats)
     }
@@ -642,7 +648,7 @@ impl RnsMatrix {
     /// the allocator — the pooled twin of `Clone`, used by owners that recycle
     /// their planes on drop.
     pub fn clone_with_pool(&self, pool: &BufferPool) -> Self {
-        let mut data = pool.acquire(self.data.len());
+        let mut data = pool.acquire_for_overwrite(self.data.len());
         data.copy_from_slice(&self.data);
         RnsMatrix {
             rows: self.rows,

@@ -186,7 +186,9 @@ fn chain_kernel_shapes_at_the_520_bit_capacity_basis() {
 /// capacity basis: with every residue declared below its 31-bit modulus, all
 /// one- and two-pair sums fit a word; the dropped row's residue, below
 /// `q_k < 2·q_r`, needs one conditional subtraction per surviving row; only
-/// the 18-term row of the conversion back stays on `u128`.
+/// the 18-term row of the conversion back stays on `u128`. In that
+/// conversion each shared row's two constants compose to 1 (fusion rule 6),
+/// so the row is a copy of its input residue.
 #[test]
 fn chain_kernel_arms_at_the_520_bit_capacity_basis() {
     let src = RnsPlan::with_capacity_bits(520);
@@ -203,7 +205,7 @@ fn chain_kernel_arms_at_the_520_bit_capacity_basis() {
     );
     assert_eq!(
         arms(BaseConvPlan::new(&dst, &src).fused_kernel_ir()),
-        [("Word1K", 36), ("Wide", 1)]
+        [("Reduced", 18), ("Word1K", 18), ("Wide", 1)]
     );
 }
 

@@ -103,7 +103,7 @@ const PINS: &[(&str, usize, u64, u64)] = &[
     ("butterfly/1024/Schoolbook", 3164, 0x635ffea623260b21, 0x7f76f7c499276791),
     ("butterfly/1024/Karatsuba", 7895, 0xb9b16a629b3e9ce8, 0x1bff3cffbd0a01c5),
     ("mul_axpy", 38, 0x5233761eca3b111e, 0xd6e5210b2166479e),
-    ("base_convert", 37, 0xdcc06f27f2841dae, 0x543c13382c0f19c7),
+    ("base_convert", 37, 0xe871a686df2d6e95, 0xd95cc3277694f8b1),
     ("mul_rescale_then_extend", 92, 0x45bfb19e07042998, 0x4f2a97e9a5c9448e),
 ];
 

@@ -12,7 +12,7 @@
 //! panics here instead of wrapping.
 
 use moma::rns::{BaseConvPlan, RnsContext, RnsPlan};
-use moma_ir::compiled::LANE_BLOCK;
+use moma_ir::compiled::{BlockScratch, LANE_BLOCK};
 use moma_ir::cost::OpCounts;
 use moma_ir::{interp, validate, CompiledKernel, Kernel, KernelBuilder, Op, Operand, Ty};
 use moma_rewrite::{lower, HighLevelKernel, KernelOp, KernelSpec, LoweringConfig, MulAlgorithm};
@@ -182,6 +182,109 @@ fn compiled_matches_interpreter_on_the_rns_chain_kernels() {
         ] {
             crosscheck(&kernel, seed);
             seed += 1;
+        }
+    }
+}
+
+/// The name of `op`'s variant, as `Debug` spells it.
+fn op_name(op: &Op) -> String {
+    let text = format!("{op:?}");
+    text.split([' ', '(', '{'])
+        .next()
+        .unwrap_or_default()
+        .to_string()
+}
+
+#[test]
+fn run_elements_crosses_block_boundaries_on_every_indexed_arm() {
+    // The paper's kernel set, each op lowered to 64-bit words at 128 bits
+    // under both multiplication rules (the word-level arms) and built at 64
+    // bits (the modular arms, which need no splitting), as built and
+    // optimized (fusion makes the axpy a `MulAddMod`), run element-major
+    // through one reused scratch at lengths on both sides of a block
+    // boundary and past a second one.
+    let ops = [
+        KernelOp::ModAdd,
+        KernelOp::ModSub,
+        KernelOp::ModMul,
+        KernelOp::Axpy,
+        KernelOp::Butterfly,
+    ];
+    let mut kernels = Vec::new();
+    for op in ops {
+        for alg in [MulAlgorithm::Schoolbook, MulAlgorithm::Karatsuba] {
+            let hl = moma_rewrite::builders::build(&KernelSpec::new(op, 128));
+            let config = LoweringConfig {
+                mul_algorithm: alg,
+                ..LoweringConfig::default()
+            };
+            kernels.push(lower(&hl, &config).kernel);
+        }
+        let word = moma_rewrite::builders::build(&KernelSpec::new(op, 64)).kernel;
+        kernels.push(moma_rewrite::passes::optimize(word.clone()));
+        kernels.push(word);
+    }
+    let arms: std::collections::BTreeSet<String> = kernels
+        .iter()
+        .flat_map(|k| k.body.iter().map(|s| op_name(&s.op)))
+        .collect();
+    for arm in [
+        "AddWide",
+        "Sub",
+        "MulWide",
+        "MulLow",
+        "Eq",
+        "ShrMulti",
+        "AddMod",
+        "MulModBarrett",
+        "MulAddMod",
+    ] {
+        assert!(arms.contains(arm), "no kernel runs {arm}: {arms:?}");
+    }
+    assert!(
+        arms.contains("BoolAnd") || arms.contains("BoolOr"),
+        "no kernel runs a flag arm: {arms:?}"
+    );
+    let mut scratch = BlockScratch::default();
+    let mut rng = StdRng::seed_from_u64(0xb10c);
+    for kernel in &kernels {
+        let compiled = CompiledKernel::compile(kernel).unwrap();
+        let (p, oc) = (compiled.param_count(), compiled.output_count());
+        let most = 2 * LANE_BLOCK + 37;
+        // A word-width modular kernel takes its operands reduced below its
+        // modulus parameter `q`; the lowered ones take any words.
+        let q = (1u64 << 60) - 93;
+        let names: Vec<&str> = kernel
+            .params
+            .iter()
+            .map(|p| kernel.var(*p).name.as_str())
+            .collect();
+        let rows: Vec<Vec<u64>> = (0..most)
+            .map(|_| {
+                let row = random_inputs(kernel, &mut rng);
+                if !names.contains(&"q") {
+                    return row;
+                }
+                let reduced = row.iter().zip(&names);
+                reduced
+                    .map(|(&v, &name)| if name == "q" { q } else { v % q })
+                    .collect()
+            })
+            .collect();
+        let flat: Vec<u64> = rows.iter().flatten().copied().collect();
+        for n in [LANE_BLOCK - 1, LANE_BLOCK + 1, most] {
+            let mut out = vec![0; n * oc];
+            compiled
+                .run_elements(n, &flat[..n * p], &mut scratch, &mut out)
+                .unwrap();
+            for (e, row) in rows[..n].iter().enumerate() {
+                assert_eq!(
+                    &out[e * oc..(e + 1) * oc],
+                    &interp::run(kernel, row).unwrap().outputs[..],
+                    "{}: element {e} of {n}",
+                    kernel.name
+                );
+            }
         }
     }
 }

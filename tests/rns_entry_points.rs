@@ -273,6 +273,7 @@ fn native_twins_sit_behind_one_private_table() {
             "accumulate",
             "acquire",
             "acquire_cells",
+            "acquire_for_overwrite",
             "all",
             "cycles_per_thread",
             "estimate_launch",
